@@ -1,12 +1,14 @@
 """Comparison planners: genetic algorithm, particle swarm, and a greedy
 nearest-route-end constructor.
 
-All three sit inside the same fleet-sizing loop as the main planner and share
-its phase-1 direct assignment, cluster-to-edge scoring, and constraint
-definitions; they differ only in how clusters and visit orders are produced.
-GA and PSO handle constraints by penalty (1e6 per violated route/edge
-constraint) instead of overload repair, and accept the best feasible
-individual at the first fleet size that yields one.
+All three share the main planner's phase-1 direct assignment and run inside
+its fleet-sizing loop (``planner.size_fleet``), which does cluster-to-edge
+assignment with overload repair, the constraint checks and plan assembly for
+every method; they supply only how clusters and visit orders are produced.
+Greedy routes nearest-neighbor.  GA and PSO search each fleet size with a
+penalty (1e6 per violated route/edge constraint) and hand the best
+zero-violation individual, routed in its evolved visit order, to the loop;
+a fleet size with none is rejected.
 """
 
 from __future__ import annotations
@@ -16,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Clustering
-from .edge_assignment import Assignment, RepairFailure, assign_clusters, repair_overload
-from .model import MB_TO_MBIT, AlgoParams, derive_seed
-from .planner import (InfeasibleError, Plan, _weighted_centroid, initial_fleet_size,
-                      split_and_assign_direct)
-from .routing import Route, build_route, route_energy, tour_length, two_opt
+# assign_clusters, repair_overload and build_route stay importable here:
+# bench/tracer.py wraps them under this module's name
+from .edge_assignment import assign_clusters, repair_overload  # noqa: F401
+from .model import MB_TO_MBIT, AlgoParams, EdgeNode, PhysicalParams, Sensor, derive_seed
+from .planner import Plan, nn_route, size_fleet, split_and_assign_direct
+from .routing import Route, build_route, route_energy, tour_length  # noqa: F401
 from .timing import execution_time, transmission_time
 
 PENALTY = 1e6
@@ -35,7 +37,6 @@ class GaConfig:
     mutation_rate: float = 0.1
     tournament_size: int = 3
     seed: int = 0
-    use_two_opt: bool = False   # fidelity knob; off by default
 
     def __post_init__(self):
         if self.population < 2:
@@ -57,7 +58,6 @@ class PsoConfig:
     c1: float = 1.5
     c2: float = 1.5
     seed: int = 0
-    use_two_opt: bool = False
 
     def __post_init__(self):
         if self.swarm < 2:
@@ -70,7 +70,6 @@ class _Workspace:
     """Scenario arrays shared by every candidate evaluation."""
 
     def __init__(self, scenario, algo: AlgoParams):
-        self.scenario = scenario
         self.algo = algo
         p = scenario.physical
         self.p = p
@@ -81,7 +80,6 @@ class _Workspace:
         self.alpha = np.array([s.request.data_size_mb for s in self.uav_sensors])
         self.beta = np.array([s.request.compute_mi for s in self.uav_sensors])
         edge_xy = np.array([[e.pos.x, e.pos.y] for e in scenario.edges])
-        self.edge_xy = edge_xy
         self.cap = np.array([e.capacity_mips for e in scenario.edges])
         self.d_se = (np.linalg.norm(self.xy[:, None, :] - edge_xy[None, :, :], axis=2)
                      if self.n else np.zeros((0, len(scenario.edges))))
@@ -96,19 +94,27 @@ class _Workspace:
                              scenario.edge_by_id(self.direct_map[s.id]).capacity_mips)
             for s in self.direct_sensors)
 
-    def assign_edges(self, demands: np.ndarray, dbar: np.ndarray) -> np.ndarray:
+    def assign_edges(self, genes: np.ndarray, m: int):
         """Sequential lowest-score edge per cluster (same score as the shared
-        phase-2 op), returning the edge index per cluster."""
+        phase-2 op).  Returns (member counts, demands, edge index) per
+        cluster."""
         a = self.algo
+        counts = np.bincount(genes, minlength=m)
+        demands = (np.bincount(genes, weights=self.beta, minlength=m)
+                   / self.p.t_period_s) if self.n else np.zeros(m)
+        dbar_sum = np.zeros((m, self.d_se.shape[1]))
+        if self.n:
+            np.add.at(dbar_sum, genes, self.d_se)
+        dbar = np.divide(dbar_sum, np.maximum(counts, 1)[:, None])
         d_norm = self.p.diag_m
         loads = self.base_loads.copy()
-        out = np.zeros(len(demands), dtype=int)
-        for j in range(len(demands)):
+        out = np.zeros(m, dtype=int)
+        for j in range(m):
             scores = a.omega_d * dbar[j] / d_norm + a.omega_l * (loads + demands[j]) / self.cap
             k = int(np.argmin(scores))
             out[j] = k
             loads[k] += demands[j]
-        return out
+        return counts, demands, out
 
     def eval_clusters(self, genes: np.ndarray, order: np.ndarray, m: int):
         """Objective + violation count for a clustering with a fixed visit
@@ -116,14 +122,7 @@ class _Workspace:
 
         Returns (fitness, violations, edge_of_cluster, lengths)."""
         p = self.p
-        counts = np.bincount(genes, minlength=m)
-        demands = (np.bincount(genes, weights=self.beta, minlength=m)
-                   / p.t_period_s) if self.n else np.zeros(m)
-        dbar_sum = np.zeros((m, self.d_se.shape[1]))
-        if self.n:
-            np.add.at(dbar_sum, genes, self.d_se)
-        dbar = np.divide(dbar_sum, np.maximum(counts, 1)[:, None])
-        edge_of = self.assign_edges(demands, dbar)
+        counts, demands, edge_of = self.assign_edges(genes, m)
 
         # tour lengths: inner legs along the order, broken at cluster
         # boundaries, plus the two depot legs per non-empty cluster
@@ -183,55 +182,22 @@ class _Workspace:
             remaining[cur] = False
         return members[order]
 
-    def build_plan(self, m: int, genes: np.ndarray, member_order: list[np.ndarray],
-                   method: str, seed: int, use_two_opt: bool) -> Plan | None:
-        """Assemble a Plan through the shared assignment/routing ops; returns
-        None if the assembled plan violates a constraint (caller treats the
-        fleet size as infeasible)."""
-        p = self.p
-        algo = self.algo
-        members_sensors = [[self.uav_sensors[i] for i in idx] for idx in member_order]
-        cluster_map, load = assign_clusters(
-            [sorted(ms, key=lambda s: s.id) for ms in members_sensors],
-            self.scenario.edges, self.load0, algo.omega_d, algo.omega_l,
-            p.diag_m, p.t_period_s)
-        if load.overloaded():
-            return None
+    def clusters(self, genes: np.ndarray, order: np.ndarray, m: int):
+        """size_fleet clusters of one individual: per-cluster member sensors
+        in visit order (`order` = sensor indices grouped by cluster)."""
+        return [[self.uav_sensors[i] for i in order[genes[order] == j]]
+                for j in range(m)], 0
 
-        routes = []
-        for j in range(m):
-            depot = self.scenario.edge_by_id(cluster_map[j])
-            ms = members_sensors[j]
-            if not ms:
-                routes.append(Route(j, depot.id, (), 0.0, 0.0, 0.0))
-                continue
-            wxy = np.array([[s.pos.x, s.pos.y] for s in ms])
-            order = list(range(len(ms)))
-            if use_two_opt:
-                order = two_opt((depot.pos.x, depot.pos.y), wxy, order)
-            length = tour_length((depot.pos.x, depot.pos.y), wxy[order])
-            energy = route_energy(length, [ms[i].request.data_size_mb for i in order], p)
-            routes.append(Route(j, depot.id, tuple(ms[i].id for i in order),
-                                length, length / p.v_g, energy))
-        if any(r.revisit_s > p.t_max_s or r.energy_wh > p.e_max_wh for r in routes):
-            return None
 
-        assignment = {}
-        for j, idx in enumerate(member_order):
-            for i in idx:
-                assignment[self.uav_sensors[i].id] = j
-        centers = tuple(
-            _weighted_centroid(ms, algo.omega_h) if ms else
-            (self.scenario.edge_by_id(cluster_map[j]).pos.x,
-             self.scenario.edge_by_id(cluster_map[j]).pos.y)
-            for j, ms in enumerate(members_sensors))
-        clustering = Clustering(m=m, assignment=assignment, centers=centers,
-                                iterations_run=0)
-        return Plan(m=m, clustering=clustering,
-                    assignment=Assignment(direct_map=self.direct_map,
-                                          cluster_map=cluster_map, load=load),
-                    routes=tuple(routes), planning_time_s=0.0, method=method,
-                    variant="-", seed=seed)
+def evolved_route(uav_id: int, depot: EdgeNode, members: list[Sensor],
+                  p: PhysicalParams) -> Route:
+    """Route builder for size_fleet: the members in the visit order the
+    search evolved."""
+    xy = np.array([[s.pos.x, s.pos.y] for s in members])
+    length = tour_length((depot.pos.x, depot.pos.y), xy)
+    energy = route_energy(length, [s.request.data_size_mb for s in members], p)
+    return Route(uav_id, depot.id, tuple(s.id for s in members),
+                 length, length / p.v_g, energy)
 
 
 def _order_by_priority(genes: np.ndarray, priorities: np.ndarray) -> np.ndarray:
@@ -241,77 +207,128 @@ def _order_by_priority(genes: np.ndarray, priorities: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(n), priorities, genes))
 
 
+def _ga_search(ws: _Workspace, cfg: GaConfig, m: int):
+    """Evolve m-cluster chromosomes; the best zero-violation individual as
+    size_fleet clusters, or None."""
+    n = ws.n
+    rng = np.random.default_rng(derive_seed(cfg.seed, f"ga-m{m}"))
+    genes = rng.integers(0, m, size=(cfg.population, n))
+    prios = rng.random((cfg.population, n))
+
+    def evaluate(g, pr):
+        order = _order_by_priority(g, pr)
+        fit, viol, _, _ = ws.eval_clusters(g, order, m)
+        return fit, viol
+
+    fits = np.empty(cfg.population)
+    viols = np.empty(cfg.population, dtype=int)
+    for i in range(cfg.population):
+        fits[i], viols[i] = evaluate(genes[i], prios[i])
+
+    for _ in range(cfg.generations):
+        elite = int(np.argmin(fits))
+        new_genes = [genes[elite].copy()]
+        new_prios = [prios[elite].copy()]
+        while len(new_genes) < cfg.population:
+            pair = []
+            for _ in range(2):
+                contenders = rng.integers(0, cfg.population, size=cfg.tournament_size)
+                pair.append(contenders[np.argmin(fits[contenders])])
+            g1, g2 = genes[pair[0]].copy(), genes[pair[1]].copy()
+            p1, p2 = prios[pair[0]].copy(), prios[pair[1]].copy()
+            if n and rng.random() < cfg.crossover_rate:
+                cut = int(rng.integers(1, 2 * n))
+                flat1 = np.concatenate([g1.astype(float), p1])
+                flat2 = np.concatenate([g2.astype(float), p2])
+                flat1[cut:], flat2[cut:] = flat2[cut:].copy(), flat1[cut:].copy()
+                g1, p1 = flat1[:n].astype(int), flat1[n:]
+                g2, p2 = flat2[:n].astype(int), flat2[n:]
+            for g, pr in ((g1, p1), (g2, p2)):
+                if n:
+                    mask = rng.random(n) < cfg.mutation_rate
+                    g[mask] = rng.integers(0, m, size=int(mask.sum()))
+                    mask = rng.random(n) < cfg.mutation_rate
+                    pr[mask] = rng.random(int(mask.sum()))
+                new_genes.append(g)
+                new_prios.append(pr)
+        genes = np.array(new_genes[:cfg.population])
+        prios = np.array(new_prios[:cfg.population])
+        for i in range(cfg.population):
+            fits[i], viols[i] = evaluate(genes[i], prios[i])
+
+    feasible = np.flatnonzero(viols == 0)
+    if not feasible.size:
+        return None
+    best = int(feasible[np.argmin(fits[feasible])])
+    return ws.clusters(genes[best], _order_by_priority(genes[best], prios[best]), m)
+
+
 def ga_plan(scenario, algo: AlgoParams, cfg: GaConfig | None = None) -> Plan:
     """Genetic-algorithm baseline: joint cluster-assignment + visit-priority
     chromosome per fleet size, penalty-driven feasibility."""
     cfg = cfg if cfg is not None else GaConfig(seed=algo.seed)
     t0 = time.perf_counter()
     ws = _Workspace(scenario, algo)
+    return size_fleet(scenario, algo, ws.direct_map, ws.load0,
+                      lambda m: _ga_search(ws, cfg, m), evolved_route,
+                      method="ga", seed=cfg.seed, t0=t0, variant="-", at_m=None,
+                      binding=["revisit period, energy budget, or edge capacity"])
+
+
+def _pso_search(ws: _Workspace, cfg: PsoConfig, m: int):
+    """Fly an m-cluster swarm; the global best as size_fleet clusters if it
+    has no violation, else None."""
     n = ws.n
-    p = scenario.physical
+    rng = np.random.default_rng(derive_seed(cfg.seed, f"pso-m{m}"))
+    pos = rng.uniform(1.0, m, size=(cfg.swarm, n))
+    vel = rng.uniform(-1.0, 1.0, size=(cfg.swarm, n))
 
-    m = initial_fleet_size(p, algo.fleet_init_mode)
-    last_binding = ["no feasible individual"]
-    while m <= p.m_max:
-        rng = np.random.default_rng(derive_seed(cfg.seed, f"ga-m{m}"))
-        genes = rng.integers(0, m, size=(cfg.population, n))
-        prios = rng.random((cfg.population, n))
+    def decode(x):
+        return np.clip(np.floor(x + 0.5).astype(int) - 1, 0, m - 1)
 
-        def evaluate(g, pr):
-            order = _order_by_priority(g, pr)
-            fit, viol, _, _ = ws.eval_clusters(g, order, m)
-            return fit, viol
+    def evaluate(x):
+        g = decode(x)
+        # order: NN within each cluster from its phase-2 edge, so edge
+        # assignment runs before routing
+        counts, _, edge_of = ws.assign_edges(g, m)
+        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        order = np.empty(n, dtype=int)
+        by_cluster = np.argsort(g, kind="stable")
+        for j in range(m):
+            idx = by_cluster[starts[j]:starts[j] + counts[j]]
+            order[starts[j]:starts[j] + counts[j]] = ws.nn_order(idx, edge_of[j])
+        fit, viol, _, _ = ws.eval_clusters(g, order, m)
+        return fit, viol, order
 
-        fits = np.empty(cfg.population)
-        viols = np.empty(cfg.population, dtype=int)
-        for i in range(cfg.population):
-            fits[i], viols[i] = evaluate(genes[i], prios[i])
+    fits = np.empty(cfg.swarm)
+    viols = np.empty(cfg.swarm, dtype=int)
+    orders = [None] * cfg.swarm
+    for i in range(cfg.swarm):
+        fits[i], viols[i], orders[i] = evaluate(pos[i])
+    pbest = pos.copy()
+    pbest_fit = fits.copy()
+    g_i = int(np.argmin(fits))
+    gbest, gbest_fit, gbest_viol, gbest_order = (pos[g_i].copy(), fits[g_i],
+                                                 viols[g_i], orders[g_i])
 
-        for _ in range(cfg.generations):
-            elite = int(np.argmin(fits))
-            new_genes = [genes[elite].copy()]
-            new_prios = [prios[elite].copy()]
-            while len(new_genes) < cfg.population:
-                pair = []
-                for _ in range(2):
-                    contenders = rng.integers(0, cfg.population, size=cfg.tournament_size)
-                    pair.append(contenders[np.argmin(fits[contenders])])
-                g1, g2 = genes[pair[0]].copy(), genes[pair[1]].copy()
-                p1, p2 = prios[pair[0]].copy(), prios[pair[1]].copy()
-                if n and rng.random() < cfg.crossover_rate:
-                    cut = int(rng.integers(1, 2 * n))
-                    flat1 = np.concatenate([g1.astype(float), p1])
-                    flat2 = np.concatenate([g2.astype(float), p2])
-                    flat1[cut:], flat2[cut:] = flat2[cut:].copy(), flat1[cut:].copy()
-                    g1, p1 = flat1[:n].astype(int), flat1[n:]
-                    g2, p2 = flat2[:n].astype(int), flat2[n:]
-                for g, pr in ((g1, p1), (g2, p2)):
-                    if n:
-                        mask = rng.random(n) < cfg.mutation_rate
-                        g[mask] = rng.integers(0, m, size=int(mask.sum()))
-                        mask = rng.random(n) < cfg.mutation_rate
-                        pr[mask] = rng.random(int(mask.sum()))
-                    new_genes.append(g)
-                    new_prios.append(pr)
-            genes = np.array(new_genes[:cfg.population])
-            prios = np.array(new_prios[:cfg.population])
-            for i in range(cfg.population):
-                fits[i], viols[i] = evaluate(genes[i], prios[i])
+    for _ in range(cfg.iterations):
+        r1 = rng.random((cfg.swarm, n))
+        r2 = rng.random((cfg.swarm, n))
+        vel = (cfg.inertia * vel + cfg.c1 * r1 * (pbest - pos)
+               + cfg.c2 * r2 * (gbest - pos))
+        pos = np.clip(pos + vel, 1.0, m)
+        for i in range(cfg.swarm):
+            fits[i], viols[i], orders[i] = evaluate(pos[i])
+            if fits[i] < pbest_fit[i]:
+                pbest[i] = pos[i].copy()
+                pbest_fit[i] = fits[i]
+            if fits[i] < gbest_fit:
+                gbest, gbest_fit = pos[i].copy(), fits[i]
+                gbest_viol, gbest_order = viols[i], orders[i]
 
-        feasible = np.flatnonzero(viols == 0)
-        if feasible.size:
-            best = int(feasible[np.argmin(fits[feasible])])
-            order = _order_by_priority(genes[best], prios[best])
-            member_order = [order[genes[best][order] == j] for j in range(m)]
-            pl = ws.build_plan(m, genes[best], member_order, "ga", cfg.seed,
-                               cfg.use_two_opt)
-            if pl is not None:
-                return Plan(m=pl.m, clustering=pl.clustering, assignment=pl.assignment,
-                            routes=pl.routes, planning_time_s=time.perf_counter() - t0,
-                            method=pl.method, variant=pl.variant, seed=pl.seed)
-        last_binding = ["revisit period, energy budget, or edge capacity"]
-        m += 1
-    raise InfeasibleError(p.m_max, last_binding)
+    if gbest_viol != 0:
+        return None
+    return ws.clusters(decode(gbest), gbest_order, m)
 
 
 def pso_plan(scenario, algo: AlgoParams, cfg: PsoConfig | None = None) -> Plan:
@@ -320,137 +337,30 @@ def pso_plan(scenario, algo: AlgoParams, cfg: PsoConfig | None = None) -> Plan:
     cfg = cfg if cfg is not None else PsoConfig(seed=algo.seed)
     t0 = time.perf_counter()
     ws = _Workspace(scenario, algo)
-    n = ws.n
-    p = scenario.physical
-
-    m = initial_fleet_size(p, algo.fleet_init_mode)
-    while m <= p.m_max:
-        rng = np.random.default_rng(derive_seed(cfg.seed, f"pso-m{m}"))
-        pos = rng.uniform(1.0, m, size=(cfg.swarm, n))
-        vel = rng.uniform(-1.0, 1.0, size=(cfg.swarm, n))
-
-        def decode(x):
-            return np.clip(np.floor(x + 0.5).astype(int) - 1, 0, m - 1) \
-                if n else np.zeros(0, dtype=int)
-
-        def evaluate(x):
-            g = decode(x)
-            counts = np.bincount(g, minlength=m)
-            starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-            # order: NN within each cluster from its phase-2 edge; edge choice
-            # needs demands/dbar first, so assignment runs before routing
-            demands = (np.bincount(g, weights=ws.beta, minlength=m) / p.t_period_s
-                       if n else np.zeros(m))
-            dbar_sum = np.zeros((m, ws.d_se.shape[1]))
-            if n:
-                np.add.at(dbar_sum, g, ws.d_se)
-            dbar = np.divide(dbar_sum, np.maximum(counts, 1)[:, None])
-            edge_of = ws.assign_edges(demands, dbar)
-            order = np.empty(n, dtype=int)
-            by_cluster = np.argsort(g, kind="stable")
-            for j in range(m):
-                idx = by_cluster[starts[j]:starts[j] + counts[j]]
-                order[starts[j]:starts[j] + counts[j]] = ws.nn_order(idx, edge_of[j])
-            fit, viol, _, _ = ws.eval_clusters(g, order, m)
-            return fit, viol, order
-
-        fits = np.empty(cfg.swarm)
-        viols = np.empty(cfg.swarm, dtype=int)
-        orders = [None] * cfg.swarm
-        for i in range(cfg.swarm):
-            fits[i], viols[i], orders[i] = evaluate(pos[i])
-        pbest = pos.copy()
-        pbest_fit = fits.copy()
-        g_i = int(np.argmin(fits))
-        gbest, gbest_fit, gbest_viol, gbest_order = (pos[g_i].copy(), fits[g_i],
-                                                     viols[g_i], orders[g_i])
-
-        for _ in range(cfg.iterations):
-            r1 = rng.random((cfg.swarm, n))
-            r2 = rng.random((cfg.swarm, n))
-            vel = (cfg.inertia * vel + cfg.c1 * r1 * (pbest - pos)
-                   + cfg.c2 * r2 * (gbest - pos))
-            pos = np.clip(pos + vel, 1.0, m)
-            for i in range(cfg.swarm):
-                fits[i], viols[i], orders[i] = evaluate(pos[i])
-                if fits[i] < pbest_fit[i]:
-                    pbest[i] = pos[i].copy()
-                    pbest_fit[i] = fits[i]
-                if fits[i] < gbest_fit:
-                    gbest, gbest_fit = pos[i].copy(), fits[i]
-                    gbest_viol, gbest_order = viols[i], orders[i]
-
-        if gbest_viol == 0:
-            g = decode(gbest)
-            member_order = [gbest_order[g[gbest_order] == j] for j in range(m)]
-            pl = ws.build_plan(m, g, member_order, "pso", cfg.seed, cfg.use_two_opt)
-            if pl is not None:
-                return Plan(m=pl.m, clustering=pl.clustering, assignment=pl.assignment,
-                            routes=pl.routes, planning_time_s=time.perf_counter() - t0,
-                            method=pl.method, variant=pl.variant, seed=pl.seed)
-        m += 1
-    raise InfeasibleError(p.m_max, ["no feasible particle"])
+    return size_fleet(scenario, algo, ws.direct_map, ws.load0,
+                      lambda m: _pso_search(ws, cfg, m), evolved_route,
+                      method="pso", seed=cfg.seed, t0=t0, variant="-", at_m=None,
+                      binding=["no feasible particle"])
 
 
-def greedy_plan(scenario, algo: AlgoParams, use_two_opt: bool = False) -> Plan:
+def greedy_plan(scenario, algo: AlgoParams) -> Plan:
     """Greedy baseline: seed one cluster per UAV at the first m edge
     positions (cycling), append each sensor in id order to the cluster whose
     current route end is nearest, then route nearest-neighbor only."""
     t0 = time.perf_counter()
-    ws = _Workspace(scenario, algo)
-    p = scenario.physical
+    _, uav_sensors, direct_map, load0 = split_and_assign_direct(scenario)
+    xy = np.array([[s.pos.x, s.pos.y] for s in uav_sensors]).reshape(len(uav_sensors), 2)
+    edge_xy = np.array([[e.pos.x, e.pos.y] for e in scenario.edges])
 
-    m = initial_fleet_size(p, algo.fleet_init_mode)
-    binding = ["revisit period"]
-    while m <= p.m_max:
-        n_edges = len(scenario.edges)
-        ends = np.array([ws.edge_xy[k % n_edges] for k in range(m)], dtype=float)
-        members: list[list[int]] = [[] for _ in range(m)]
-        for i, s in enumerate(ws.uav_sensors):   # uav_sensors are id-ordered
-            d = np.linalg.norm(ends - ws.xy[i], axis=1)
-            k = int(np.argmin(d))
-            members[k].append(i)
-            ends[k] = ws.xy[i]
+    def clusters_at(m):
+        ends = np.array([edge_xy[k % len(edge_xy)] for k in range(m)], dtype=float)
+        members: list[list[Sensor]] = [[] for _ in range(m)]
+        for i, s in enumerate(uav_sensors):   # uav_sensors are id-ordered
+            k = int(np.argmin(np.linalg.norm(ends - xy[i], axis=1)))
+            members[k].append(s)
+            ends[k] = xy[i]
+        return members, 0
 
-        member_sensors = [[ws.uav_sensors[i] for i in idx] for idx in members]
-        cluster_map, load = assign_clusters(member_sensors, scenario.edges, ws.load0,
-                                            algo.omega_d, algo.omega_l, p.diag_m,
-                                            p.t_period_s)
-        if load.overloaded():
-            try:
-                cluster_map, load = repair_overload(cluster_map, member_sensors,
-                                                    scenario.edges, load, algo.omega_d,
-                                                    algo.omega_l, p.diag_m, p.t_period_s)
-            except RepairFailure:
-                binding = ["edge capacity"]
-                m += 1
-                continue
-
-        routes = []
-        for j in range(m):
-            depot = scenario.edge_by_id(cluster_map[j])
-            routes.append(build_route(j, depot.id, (depot.pos.x, depot.pos.y),
-                                      member_sensors[j], p, use_two_opt=use_two_opt))
-        binding = []
-        if any(r.revisit_s > p.t_max_s for r in routes):
-            binding.append("revisit period")
-        if any(r.energy_wh > p.e_max_wh for r in routes):
-            binding.append("energy budget")
-        if binding:
-            m += 1
-            continue
-
-        assignment = {ws.uav_sensors[i].id: j for j, idx in enumerate(members) for i in idx}
-        centers = tuple(
-            _weighted_centroid(ms, algo.omega_h) if ms else
-            (scenario.edge_by_id(cluster_map[j]).pos.x,
-             scenario.edge_by_id(cluster_map[j]).pos.y)
-            for j, ms in enumerate(member_sensors))
-        clustering = Clustering(m=m, assignment=assignment, centers=centers,
-                                iterations_run=0)
-        return Plan(m=m, clustering=clustering,
-                    assignment=Assignment(direct_map=ws.direct_map,
-                                          cluster_map=cluster_map, load=load),
-                    routes=tuple(routes), planning_time_s=time.perf_counter() - t0,
-                    method="greedy", variant="-", seed=algo.seed)
-    raise InfeasibleError(p.m_max, binding or ["revisit period"])
+    return size_fleet(scenario, algo, direct_map, load0, clusters_at, nn_route,
+                      method="greedy", seed=algo.seed, t0=t0, variant="-", at_m=None,
+                      binding=None)

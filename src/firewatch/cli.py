@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import stats
@@ -230,16 +229,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.events:
         events = load_events(args.events)
     else:
-        uav_ids = sorted(pl.clustering.assignment)
-        hot = [i for i in uav_ids
-               if scenario.sensor_by_id(i).fire_history > args.min_history]
-        if not hot:
-            print(f"error: no UAV-served sensor has fire_history > {args.min_history} "
-                  "and no --events file was given", file=sys.stderr)
+        try:
+            events = generate_events(scenario, pl, args.n_events, args.horizon, args.seed,
+                                     min_history=args.min_history)
+        except ValueError as exc:
+            print(f"error: --n-events {args.n_events}: {exc}", file=sys.stderr)
             return EXIT_BADSPEC
-        n = min(args.n_events, len(hot))
-        events = generate_events(scenario, pl, n, args.horizon, args.seed,
-                                 min_history=args.min_history)
 
     result = simulate(pl, scenario, events, args.horizon, algo,
                       dispatch_policy=args.policy)
@@ -319,15 +314,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     cells: dict[tuple[int, int, str], dict] = {}
     failures: list[dict] = []
-    workers = int(os.environ.get("FW_THREADS", "0")) or (os.cpu_count() or 1)
     keys = [(n, s, meth) for n in ns for s in seeds for meth in methods]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = {key: pool.submit(_compare_cell, key[2], key[0], key[1], args,
-                                 fixed_scenario)
-                for key in keys}
     for key in keys:
         try:
-            cells[key] = futs[key].result()
+            cells[key] = _compare_cell(key[2], key[0], key[1], args, fixed_scenario)
         except (InfeasibleError, ValueError, RuntimeError) as exc:
             failures.append({"n_sensors": key[0], "seed": key[1], "method": key[2],
                              "error": str(exc)})

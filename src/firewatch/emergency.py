@@ -114,13 +114,6 @@ class RouteGeometry:
         return Point2D(float(pt[0]), float(pt[1]))
 
 
-def uav_position_at(geom: RouteGeometry, t_s: float, v_g: float,
-                    phase_m: float = 0.0) -> Point2D:
-    """Patrol position at arc (phase + v_g * t) mod tour length; the depot
-    for an empty tour."""
-    return geom.position_at_arc(phase_m + v_g * t_s)
-
-
 def select_dispatch_uav(candidates: list[tuple[int, Point2D]], sensor_pos: Point2D,
                         edges) -> int:
     """Dispatch rule: among available UAVs minimize straight-line distance to
@@ -151,18 +144,6 @@ def resume_waypoint(current_pos: Point2D, geom: RouteGeometry) -> int | None:
         return None
     d = np.linalg.norm(geom.points[1:] - np.array([current_pos.x, current_pos.y]), axis=1)
     return int(np.argmin(d))
-
-
-def fallback_edge(uav_pos: Point2D, edges, load: EdgeLoadState, omega_d: float,
-                  omega_l: float, d_norm_m: float, exclude=()) -> int:
-    """Alternate delivery edge: minimize omega_d * (distance / d_norm) +
-    omega_l * utilization over edges not excluded (ties by lowest id)."""
-    candidates = [e for e in edges if e.id not in set(exclude)]
-    if not candidates:
-        raise ValueError("no reachable edge")
-    return min(candidates, key=lambda e: (
-        omega_d * distance(uav_pos, e.pos) / d_norm_m + omega_l * load.utilization(e.id),
-        e.id)).id
 
 
 def generate_events(scenario, plan, n_events: int, horizon_s: float, seed: int,

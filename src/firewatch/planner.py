@@ -1,9 +1,11 @@
 """Adaptive fleet sizing and plan assembly.
 
-The sizing loop starts from the configured initial fleet size and grows it by
-one whenever clustering, edge assignment (after overload repair), or the
-per-route revisit/energy constraints fail, up to the fleet ceiling.  Each
-fleet size re-runs clustering with a deterministic (run seed, m) stream, so
+One sizing loop, ``size_fleet``, serves this planner and every baseline: it
+starts from the configured initial fleet size and grows it by one whenever
+the method has no clusters, edge assignment fails after overload repair, or
+a route breaks the revisit/energy limits, up to the fleet ceiling.  Methods
+supply only their clusters and route builder.  This planner re-runs
+clustering at each fleet size with a deterministic (run seed, m) stream, so
 plans are pure functions of (scenario, algo params, variant).
 
 Ablation variants:
@@ -27,8 +29,8 @@ from .clustering import Clustering, sensor_weight, weighted_kmeans
 from .edge_assignment import (Assignment, EdgeLoadState, RepairFailure,
                               assign_clusters, assign_direct, cluster_demand,
                               repair_overload)
-from .model import (AlgoParams, FleetInitMode, PhysicalParams, Sensor, Variant,
-                    derive_seed, link_ranges, partition_sensors)
+from .model import (AlgoParams, EdgeNode, FleetInitMode, PhysicalParams, Sensor,
+                    Variant, derive_seed, link_ranges, partition_sensors)
 from .routing import Route, build_route, route_energy, tour_length
 
 PLAN_SCHEMA_VERSION = 1
@@ -68,7 +70,6 @@ class ConstraintReport:
     energy: ConstraintCheck
     capacity: ConstraintCheck
     fleet: ConstraintCheck
-    deadline: ConstraintCheck | None = None   # evaluated by the emergency simulator
 
     @property
     def all_ok(self) -> bool:
@@ -115,8 +116,9 @@ def _random_clusters(uav_sensors: list[Sensor], m: int, seed: int) -> dict[int, 
 
 
 def _cluster_for_m(uav_sensors, m, scenario, algo: AlgoParams, variant: Variant):
-    """Cluster UAV-served sensors into m groups (empty groups allowed when
-    sensors are scarce or the random arm rolls them)."""
+    """Cluster UAV-served sensors into m id-ordered member lists (empty lists
+    allowed when sensors are scarce or the random arm rolls them), plus the
+    k-means iteration count."""
     if variant in (Variant.NO_KMEANS, Variant.NO_BOTH):
         assignment = _random_clusters(uav_sensors, m, algo.seed)
         iterations = 0
@@ -135,10 +137,85 @@ def _cluster_for_m(uav_sensors, m, scenario, algo: AlgoParams, variant: Variant)
     by_id = {s.id: s for s in uav_sensors}
     members = [[by_id[i] for i in sorted(sid for sid, c in assignment.items() if c == j)]
                for j in range(m)]
-    centers: list[tuple[float, float] | None] = []
-    for j in range(m):
-        centers.append(_weighted_centroid(members[j], algo.omega_h) if members[j] else None)
-    return assignment, members, centers, iterations
+    return members, iterations
+
+
+def nn_route(uav_id: int, depot: EdgeNode, members: list[Sensor],
+             p: PhysicalParams) -> Route:
+    """Route builder for size_fleet: nearest-neighbor tour from the depot."""
+    return build_route(uav_id, depot.id, (depot.pos.x, depot.pos.y), members, p,
+                       use_two_opt=False)
+
+
+def two_opt_route(uav_id: int, depot: EdgeNode, members: list[Sensor],
+                  p: PhysicalParams) -> Route:
+    """Route builder for size_fleet: nearest-neighbor tour improved by 2-opt."""
+    return build_route(uav_id, depot.id, (depot.pos.x, depot.pos.y), members, p)
+
+
+def size_fleet(scenario, algo: AlgoParams, direct_map: dict[int, int],
+               load0: EdgeLoadState, clusters_at, route, *, method: str, seed: int,
+               t0: float, variant: str, at_m: int | None,
+               binding: list[str] | None) -> Plan:
+    """The fleet-sizing loop shared by every planning method.
+
+    For each m from the initial fleet size to m_max, ``clusters_at(m)`` gives
+    ``(members, iterations)``, the method's clusters with members in visit
+    order, or None for no candidate at this m.  The clusters are assigned to
+    edges (members in id order) and overloads repaired; each is routed with
+    ``route(j, depot, members, p)``; the first m whose routes meet the revisit
+    and energy limits becomes the Plan, idle UAVs parked at their edge.
+    ``at_m`` builds the plan at that one m without the gate (a failed repair
+    keeps the unrepaired assignment; route limits go unchecked).  Raises
+    InfeasibleError naming the constraints the last m failed, or ``binding``
+    when given.
+    """
+    p = scenario.physical
+    gate = at_m is None
+    sizes = (range(initial_fleet_size(p, algo.fleet_init_mode), p.m_max + 1)
+             if gate else (at_m,))
+    failed: list[str] = []
+    for m in sizes:
+        clusters = clusters_at(m)
+        if clusters is None:
+            continue
+        members, iterations = clusters
+        by_id = [sorted(ms, key=lambda s: s.id) for ms in members]
+        cluster_map, load = assign_clusters(
+            by_id, scenario.edges, load0, algo.omega_d, algo.omega_l,
+            p.diag_m, p.t_period_s)
+        if load.overloaded():
+            try:
+                cluster_map, load = repair_overload(
+                    cluster_map, by_id, scenario.edges, load, algo.omega_d,
+                    algo.omega_l, p.diag_m, p.t_period_s)
+            except RepairFailure:
+                if gate:
+                    failed = ["edge capacity"]
+                    continue
+
+        depots = [scenario.edge_by_id(cluster_map[j]) for j in range(m)]
+        routes = tuple(route(j, depots[j], members[j], p) for j in range(m))
+        failed = []
+        if any(r.revisit_s > p.t_max_s for r in routes):
+            failed.append("revisit period")
+        if any(r.energy_wh > p.e_max_wh for r in routes):
+            failed.append("energy budget")
+        if gate and failed:
+            continue
+
+        centers = tuple(_weighted_centroid(ms, algo.omega_h) if ms
+                        else (depots[j].pos.x, depots[j].pos.y)
+                        for j, ms in enumerate(members))
+        clustering = Clustering(m=m, assignment={s.id: j for j, ms in enumerate(members)
+                                                 for s in ms},
+                                centers=centers, iterations_run=iterations)
+        return Plan(m=m, clustering=clustering,
+                    assignment=Assignment(direct_map=direct_map,
+                                          cluster_map=cluster_map, load=load),
+                    routes=routes, planning_time_s=time.perf_counter() - t0,
+                    method=method, variant=variant, seed=seed)
+    raise InfeasibleError(p.m_max, binding or failed)
 
 
 def plan(scenario, algo: AlgoParams, variant: Variant = Variant.FULL) -> Plan:
@@ -147,61 +224,7 @@ def plan(scenario, algo: AlgoParams, variant: Variant = Variant.FULL) -> Plan:
     Raises InfeasibleError with the binding constraints when the fleet
     ceiling is reached without a feasible plan.
     """
-    t0 = time.perf_counter()
-    p = scenario.physical
-    use_two_opt = variant in (Variant.FULL, Variant.NO_KMEANS)
-    _, uav_sensors, direct_map, load0 = split_and_assign_direct(scenario)
-
-    m = initial_fleet_size(p, algo.fleet_init_mode)
-    binding: list[str] = []
-    while m <= p.m_max:
-        assignment_map, members, centers, iterations = _cluster_for_m(
-            uav_sensors, m, scenario, algo, variant)
-
-        cluster_map, load = assign_clusters(
-            members, scenario.edges, load0, algo.omega_d, algo.omega_l,
-            p.diag_m, p.t_period_s)
-        if load.overloaded():
-            try:
-                cluster_map, load = repair_overload(
-                    cluster_map, members, scenario.edges, load, algo.omega_d,
-                    algo.omega_l, p.diag_m, p.t_period_s)
-            except RepairFailure:
-                binding = ["edge capacity"]
-                m += 1
-                continue
-
-        routes = []
-        for j in range(m):
-            depot = scenario.edge_by_id(cluster_map[j])
-            routes.append(build_route(j, depot.id, (depot.pos.x, depot.pos.y),
-                                      members[j], p, use_two_opt=use_two_opt))
-
-        binding = []
-        if any(r.revisit_s > p.t_max_s for r in routes):
-            binding.append("revisit period")
-        if any(r.energy_wh > p.e_max_wh for r in routes):
-            binding.append("energy budget")
-        if binding:
-            m += 1
-            continue
-
-        # idle UAVs (empty clusters) park at their assigned edge
-        final_centers = tuple(
-            c if c is not None else
-            (scenario.edge_by_id(cluster_map[j]).pos.x,
-             scenario.edge_by_id(cluster_map[j]).pos.y)
-            for j, c in enumerate(centers))
-        clustering = Clustering(m=m, assignment=assignment_map,
-                                centers=final_centers, iterations_run=iterations)
-        return Plan(m=m, clustering=clustering,
-                    assignment=Assignment(direct_map=direct_map,
-                                          cluster_map=cluster_map, load=load),
-                    routes=tuple(routes),
-                    planning_time_s=time.perf_counter() - t0,
-                    method="proposed", variant=variant.value, seed=algo.seed)
-
-    raise InfeasibleError(p.m_max, binding or ["edge capacity"])
+    return _proposed(scenario, algo, variant, at_m=None)
 
 
 def plan_at_fleet(scenario, algo: AlgoParams, m: int,
@@ -213,42 +236,17 @@ def plan_at_fleet(scenario, algo: AlgoParams, m: int,
     plan may violate revisit/energy/capacity constraints (validate_plan
     reports them), which plan() itself would never emit.
     """
+    return _proposed(scenario, algo, variant, at_m=m)
+
+
+def _proposed(scenario, algo: AlgoParams, variant: Variant, at_m: int | None) -> Plan:
     t0 = time.perf_counter()
-    p = scenario.physical
-    use_two_opt = variant in (Variant.FULL, Variant.NO_KMEANS)
     _, uav_sensors, direct_map, load0 = split_and_assign_direct(scenario)
-
-    assignment_map, members, centers, iterations = _cluster_for_m(
-        uav_sensors, m, scenario, algo, variant)
-    cluster_map, load = assign_clusters(
-        members, scenario.edges, load0, algo.omega_d, algo.omega_l,
-        p.diag_m, p.t_period_s)
-    if load.overloaded():
-        try:
-            cluster_map, load = repair_overload(
-                cluster_map, members, scenario.edges, load, algo.omega_d,
-                algo.omega_l, p.diag_m, p.t_period_s)
-        except RepairFailure:
-            pass
-
-    routes = []
-    for j in range(m):
-        depot = scenario.edge_by_id(cluster_map[j])
-        routes.append(build_route(j, depot.id, (depot.pos.x, depot.pos.y),
-                                  members[j], p, use_two_opt=use_two_opt))
-    final_centers = tuple(
-        c if c is not None else
-        (scenario.edge_by_id(cluster_map[j]).pos.x,
-         scenario.edge_by_id(cluster_map[j]).pos.y)
-        for j, c in enumerate(centers))
-    clustering = Clustering(m=m, assignment=assignment_map,
-                            centers=final_centers, iterations_run=iterations)
-    return Plan(m=m, clustering=clustering,
-                assignment=Assignment(direct_map=direct_map,
-                                      cluster_map=cluster_map, load=load),
-                routes=tuple(routes),
-                planning_time_s=time.perf_counter() - t0,
-                method="proposed", variant=variant.value, seed=algo.seed)
+    route = two_opt_route if variant in (Variant.FULL, Variant.NO_KMEANS) else nn_route
+    return size_fleet(scenario, algo, direct_map, load0,
+                      lambda m: _cluster_for_m(uav_sensors, m, scenario, algo, variant),
+                      route, method="proposed", seed=algo.seed, t0=t0,
+                      variant=variant.value, at_m=at_m, binding=None)
 
 
 def validate_plan(pl: Plan, scenario) -> ConstraintReport:

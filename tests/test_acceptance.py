@@ -289,10 +289,9 @@ def test_scalability():
             f"at 300 (cap 5s)")
 
 
-def test_cli_determinism(tmp_path, monkeypatch):
+def test_cli_determinism(tmp_path):
     """Repeated commands with one seed give byte-identical non-timing
     outputs."""
-    monkeypatch.setenv("FW_THREADS", "1")
     mismatches = []
 
     def run_twice(label, args, outputs, strip_col=None):

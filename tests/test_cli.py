@@ -10,11 +10,6 @@ from firewatch.emergency import save_events
 from testutil import build_scenario
 
 
-@pytest.fixture(autouse=True)
-def _single_thread(monkeypatch):
-    monkeypatch.setenv("FW_THREADS", "1")
-
-
 @pytest.fixture(scope="module")
 def small_files(tmp_path_factory):
     """A 40-sensor scenario plus its plan artifacts, shared read-only."""
@@ -141,6 +136,21 @@ def test_simulate_no_high_risk_exit_code(tmp_path, capsys):
                "-o", str(tmp_path / "sim")])
     assert rc == 4
     assert "fire_history" in capsys.readouterr().err
+
+
+def test_simulate_too_many_events_exit_code(small_files, tmp_path, capsys):
+    scen, plandir = small_files
+    scenario = load_scenario(str(scen))
+    with open(plandir / "plan.json") as f:
+        uav_ids = json.load(f)["clustering"]["assignment"]
+    eligible = sum(scenario.sensor_by_id(int(i)).fire_history > 50 for i in uav_ids)
+    out = tmp_path / "sim"
+    rc = main(["simulate", "-s", str(scen), "-p", str(plandir / "plan.json"),
+               "--n-events", str(eligible + 1), "-o", str(out)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "--n-events" in err and f" {eligible} " in err
+    assert not out.exists()
 
 
 def test_simulate_bad_horizon(small_files, tmp_path, capsys):

@@ -11,7 +11,6 @@ from firewatch.emergency import (
     EmergencyEvent,
     RouteGeometry,
     emergency_response_bound,
-    fallback_edge,
     generate_events,
     load_events,
     resume_waypoint,
@@ -19,7 +18,6 @@ from firewatch.emergency import (
     select_delivery_edge,
     select_dispatch_uav,
     simulate,
-    uav_position_at,
     write_trace_csv,
 )
 from testutil import build_scenario
@@ -46,19 +44,12 @@ class TestRouteGeometry:
         q = g.position_at_arc(55.0)
         assert (q.x, q.y) == (pytest.approx(10.0), pytest.approx(5.0))
 
-    def test_uav_position_at(self):
-        g = _square_geom()
-        p = uav_position_at(g, 1.0, 10.0)
-        assert (p.x, p.y) == (pytest.approx(10.0), pytest.approx(0.0))
-        # phase shifts the start point along the loop
-        p = uav_position_at(g, 0.0, 10.0, phase_m=25.0)
-        assert (p.x, p.y) == (pytest.approx(5.0), pytest.approx(10.0))
-
     @given(st.floats(0.0, 500.0), st.floats(0.0, 39.9))
     def test_speed_bound(self, t, phase):
+        # a UAV at 10 m/s moves at most 2.5 m in 0.25 s along its loop
         g = _square_geom()
-        a = uav_position_at(g, t, 10.0, phase_m=phase)
-        b = uav_position_at(g, t + 0.25, 10.0, phase_m=phase)
+        a = g.position_at_arc(phase + 10.0 * t)
+        b = g.position_at_arc(phase + 10.0 * (t + 0.25))
         assert math.hypot(a.x - b.x, a.y - b.y) <= 10.0 * 0.25 + 1e-9
 
 
@@ -105,16 +96,6 @@ class TestDeliveryEdge:
         load = EdgeLoadState([4500.0, 4600.0], [5000.0, 5000.0])
         eid, fb = select_delivery_edge(Point2D(3900.0, 0.0), edges, load, 0.8)
         assert (eid, fb) == (0, True)
-
-
-def test_fallback_edge_score():
-    edges = _edges((1000.0, 0.0), (3000.0, 0.0))
-    load = EdgeLoadState([500.0, 1000.0], [5000.0, 5000.0])
-    # scores with d_norm 10000: 0.7*0.1 + 0.3*0.1 = 0.10 vs 0.7*0.3 + 0.3*0.2 = 0.27
-    got = fallback_edge(Point2D(0.0, 0.0), edges, load, 0.7, 0.3, 10000.0)
-    assert got == 0
-    assert fallback_edge(Point2D(0.0, 0.0), edges, load, 0.7, 0.3, 10000.0,
-                         exclude=(0,)) == 1
 
 
 class TestResumeWaypoint:
