@@ -7,7 +7,7 @@ Modules:
     clustering       fire-history-weighted k-means and coverage check
     edge_assignment  two-phase cluster/sensor -> edge assignment with repair
     routing          nearest-neighbor tours, 2-opt improvement, route energy
-    timing           response-time model and planning objective
+    timing           response-time model
     planner          adaptive fleet sizing loop and plan validation/export
     emergency        event-driven emergency response simulation
     baselines        GA / PSO / greedy planning baselines

@@ -219,8 +219,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.horizon <= 0:
-        print("error: --horizon must be > 0", file=sys.stderr)
+    if not (math.isfinite(args.horizon) and args.horizon > 0):
+        print(f"error: --horizon must be a finite number > 0, got {args.horizon}",
+              file=sys.stderr)
         return EXIT_USAGE
     scenario = load_scenario(args.scenario)
     pl = load_plan(args.plan, scenario)

@@ -38,15 +38,6 @@ def sensor_weight(fire_history: int, omega_h: float) -> float:
     return 1.0 + omega_h * fire_history
 
 
-def weighted_distance(d: float, w: float, w_max: float) -> float:
-    """Risk-discounted distance d * (2 - w / w_max), in [d, 2d)."""
-    if d < 0:
-        raise ValueError(f"distance must be >= 0, got {d}")
-    if not 0 < w <= w_max:
-        raise ValueError(f"need 0 < w <= w_max, got w={w}, w_max={w_max}")
-    return d * (2.0 - w / w_max)
-
-
 def init_centers(m: int, edge_xy: np.ndarray, sensor_xy: np.ndarray,
                  weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Initial centers: m distinct edge positions when m <= #edges; otherwise

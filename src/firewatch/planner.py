@@ -31,9 +31,13 @@ from .edge_assignment import (Assignment, EdgeLoadState, RepairFailure,
                               repair_overload)
 from .model import (AlgoParams, EdgeNode, FleetInitMode, PhysicalParams, Sensor,
                     Variant, derive_seed, link_ranges, partition_sensors)
-from .routing import Route, build_route, route_energy, tour_length
+from .routing import Route, build_route, route_energy, tour_length, tour_lower_bound
 
 PLAN_SCHEMA_VERSION = 1
+
+# a fleet size is skipped only when the tour bound breaks a limit by more
+# than this relative margin, so rounding never rejects a feasible m
+_BOUND_RTOL = 1e-9
 
 
 class InfeasibleError(Exception):
@@ -153,6 +157,19 @@ def two_opt_route(uav_id: int, depot: EdgeNode, members: list[Sensor],
     return build_route(uav_id, depot.id, (depot.pos.x, depot.pos.y), members, p)
 
 
+def _bound_breaks(depot: EdgeNode, members: list[Sensor], p: PhysicalParams) -> bool:
+    """True when no tour over the members from the depot can meet the revisit
+    or energy limit: the spanning-tree bound already breaks one by more than
+    float noise."""
+    if not members:
+        return False
+    xy = np.array([[s.pos.x, s.pos.y] for s in members])
+    lb = tour_lower_bound((depot.pos.x, depot.pos.y), xy)
+    energy = route_energy(lb, [s.request.data_size_mb for s in members], p)
+    return (lb / p.v_g > p.t_max_s * (1 + _BOUND_RTOL)
+            or energy > p.e_max_wh * (1 + _BOUND_RTOL))
+
+
 def size_fleet(scenario, algo: AlgoParams, direct_map: dict[int, int],
                load0: EdgeLoadState, clusters_at, route, *, method: str, seed: int,
                t0: float, variant: str, at_m: int | None,
@@ -165,8 +182,12 @@ def size_fleet(scenario, algo: AlgoParams, direct_map: dict[int, int],
     edges (members in id order) and overloads repaired; each is routed with
     ``route(j, depot, members, p)``; the first m whose routes meet the revisit
     and energy limits becomes the Plan, idle UAVs parked at their edge.
-    ``at_m`` builds the plan at that one m without the gate (a failed repair
-    keeps the unrepaired assignment; route limits go unchecked).  Raises
+    Below m_max an m is dropped without routing when a cluster's spanning-tree
+    bound (``tour_lower_bound``) already breaks a limit, and its routing stops
+    at the first route that breaks one; m_max is always routed in full, so
+    the binding constraints come from complete routes.  ``at_m`` builds the
+    plan at that one m without the gate (a failed repair keeps the
+    unrepaired assignment; route limits go unchecked).  Raises
     InfeasibleError naming the constraints the last m failed, or ``binding``
     when given.
     """
@@ -195,7 +216,18 @@ def size_fleet(scenario, algo: AlgoParams, direct_map: dict[int, int],
                     continue
 
         depots = [scenario.edge_by_id(cluster_map[j]) for j in range(m)]
-        routes = tuple(route(j, depots[j], members[j], p) for j in range(m))
+        # below the ceiling a failed m only leads on to m + 1, so skip it as
+        # soon as one cluster cannot meet the limits
+        prune = gate and m < p.m_max
+        if prune and any(_bound_breaks(depots[j], members[j], p) for j in range(m)):
+            continue
+        routes = []
+        for j in range(m):
+            r = route(j, depots[j], members[j], p)
+            routes.append(r)
+            if prune and (r.revisit_s > p.t_max_s or r.energy_wh > p.e_max_wh):
+                break
+        routes = tuple(routes)
         failed = []
         if any(r.revisit_s > p.t_max_s for r in routes):
             failed.append("revisit period")

@@ -61,16 +61,39 @@ def nearest_neighbor_tour(depot_xy, xy: np.ndarray) -> list[int]:
     return order
 
 
+def tour_lower_bound(depot_xy, xy: np.ndarray) -> float:
+    """Length of a minimum spanning tree over the depot and the points.
+
+    No closed tour through them is shorter (Held & Karp 1970).  Prim's
+    algorithm over one vector of distances to the tree, O(n) memory.
+    """
+    rest = np.asarray(xy, dtype=float).reshape(-1, 2)
+    if len(rest) == 0:
+        return 0.0
+    to_tree = np.linalg.norm(rest - np.asarray(depot_xy, dtype=float), axis=1)
+    total = 0.0
+    while len(rest):
+        pick = int(np.argmin(to_tree))
+        total += float(to_tree[pick])
+        cur = rest[pick]
+        rest = np.delete(rest, pick, axis=0)
+        to_tree = np.minimum(np.delete(to_tree, pick),
+                             np.linalg.norm(rest - cur, axis=1))
+    return total
+
+
 def two_opt(depot_xy, xy: np.ndarray, order: list[int]) -> list[int]:
     """First-improvement 2-opt over the closed tour (depot fixed).
 
     Scans (i, k) pairs in ascending order, applies the first strictly
-    improving segment reversal, and restarts until no move improves.
+    improving segment reversal, and restarts until no move improves.  Leg
+    costs come from one distance matrix over the depot and the points.
     """
     if len(order) < 2:
         return list(order)
     pts = np.vstack([np.asarray(depot_xy, dtype=float),
                      np.asarray(xy, dtype=float)[order]])
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     n = len(pts)                      # tour positions 0..n-1, 0 = depot
     tour = np.arange(n)
     improved = True
@@ -86,10 +109,7 @@ def two_opt(depot_xy, xy: np.ndarray, order: list[int]) -> list[int]:
                     continue
             c = tour[ks]
             d_next = tour[(ks + 1) % n]
-            delta = (np.linalg.norm(pts[a] - pts[c], axis=1)
-                     + np.linalg.norm(pts[b] - pts[d_next], axis=1)
-                     - np.linalg.norm(pts[a] - pts[b])
-                     - np.linalg.norm(pts[c] - pts[d_next], axis=1))
+            delta = dist[a, c] + dist[b, d_next] - dist[a, b] - dist[c, d_next]
             hit = np.flatnonzero(delta < -_IMPROVE_EPS)
             if hit.size:
                 k = int(ks[hit[0]])

@@ -202,10 +202,15 @@ def load_scenario(path: str) -> Scenario:
             f"schema_version: unsupported value {version!r}, expected {SCHEMA_VERSION}")
 
     phys_doc = _require(doc, "physical", "document")
+    if not isinstance(phys_doc, dict):
+        raise ScenarioFormatError("physical: expected a JSON object")
     allowed = {f.name for f in dataclasses.fields(PhysicalParams)}
     unknown = set(phys_doc) - allowed
     if unknown:
         raise ScenarioFormatError(f"physical.{sorted(unknown)[0]}: unknown field")
+    m_max = phys_doc.get("m_max", PhysicalParams.m_max)
+    if isinstance(m_max, bool) or not isinstance(m_max, int):
+        raise ScenarioFormatError(f"physical.m_max: must be an integer, got {m_max!r}")
     try:
         physical = PhysicalParams(**phys_doc)
     except (TypeError, ValueError) as exc:
@@ -225,7 +230,7 @@ def load_scenario(path: str) -> Scenario:
             raise ScenarioFormatError(
                 f"{where}: position ({x}, {y}) outside monitoring square [0, {side}]")
         h = _require(row, "fire_history", where)
-        if not isinstance(h, int) or h < 0:
+        if isinstance(h, bool) or not isinstance(h, int) or h < 0:
             raise ScenarioFormatError(
                 f"{where}.fire_history: must be a non-negative integer, got {h!r}")
         try:

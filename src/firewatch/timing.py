@@ -108,11 +108,3 @@ def all_responses(plan, scenario) -> list[ResponseBreakdown]:
 def mean_response(plan, scenario) -> float:
     rs = all_responses(plan, scenario)
     return sum(r.t_total_s for r in rs) / len(rs)
-
-
-def objective(plan, scenario, lam: float) -> float:
-    """Planning objective: total route length plus lam-weighted total
-    transmission and execution time over all requests."""
-    total_len = sum(r.length_m for r in plan.routes)
-    service = sum(r.t_tra_s + r.t_exe_s for r in all_responses(plan, scenario))
-    return total_len + lam * service

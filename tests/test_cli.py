@@ -160,6 +160,17 @@ def test_simulate_bad_horizon(small_files, tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("horizon", ["inf", "nan"])
+def test_simulate_non_finite_horizon(small_files, tmp_path, capsys, horizon):
+    scen, plandir = small_files
+    out = tmp_path / "sim"
+    rc = main(["simulate", "-s", str(scen), "-p", str(plandir / "plan.json"),
+               "--horizon", horizon, "-o", str(out)])
+    assert rc == 2
+    assert "--horizon" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _run_compare(out, extra=()):
     return main(["compare", "--methods", "proposed,greedy", "--seeds", "2",
                  "--sensors", "60", "--edges", "3", "-o", str(out), *extra])

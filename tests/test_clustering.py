@@ -2,15 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from firewatch.clustering import (
     cluster_radius,
     coverage_improvement_check,
     init_centers,
     sensor_weight,
-    weighted_distance,
     weighted_kmeans,
 )
 from firewatch.model import partition_sensors
@@ -32,23 +29,6 @@ def test_sensor_weight_examples():
     assert sensor_weight(100, 0.0) == 1.0
     with pytest.raises(ValueError):
         sensor_weight(-1, 1.5)
-
-
-def test_weighted_distance_examples():
-    assert weighted_distance(123.0, 7.0, 7.0) == 123.0          # w = w_max
-    assert weighted_distance(1000.0, 1.0, 2.0) == 1500.0
-    with pytest.raises(ValueError):
-        weighted_distance(10.0, 0.0, 5.0)
-    with pytest.raises(ValueError):
-        weighted_distance(10.0, 6.0, 5.0)
-
-
-@given(st.floats(0, 1e5), st.integers(0, 500))
-def test_weighted_distance_factor_in_unit_band(d, h):
-    w = sensor_weight(h, 1.5)
-    w_max = sensor_weight(500, 1.5)
-    out = weighted_distance(d, w, w_max)
-    assert d - 1e-9 <= out <= 2.0 * d + 1e-9
 
 
 def test_init_centers_m_leq_edges():

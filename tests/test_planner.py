@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import firewatch.planner as planner
 from firewatch.model import AlgoParams, FleetInitMode, PhysicalParams, Variant
 from firewatch.planner import (
     InfeasibleError,
@@ -12,11 +14,14 @@ from firewatch.planner import (
     plan_at_fleet,
     plan_to_doc,
     load_plan,
+    nn_route,
     save_plan,
+    size_fleet,
+    split_and_assign_direct,
     validate_plan,
     write_route_csv,
 )
-from firewatch.routing import route_energy
+from firewatch.routing import route_energy, tour_lower_bound
 from testutil import blob, brute_force_tour_optimum, build_scenario
 
 
@@ -60,6 +65,79 @@ def test_minimal_fleet_two_blobs():
     assert report.all_ok
     groups = sorted([sorted(r.waypoints) for r in pl.routes])
     assert groups == [[0, 1, 2, 3], [4, 5, 6, 7]]
+
+
+def _far_blobs_scenario(m_max=20):
+    """Two 4-sensor blobs 8 km apart, each 1 km from its own edge; a lap
+    may fly about 5.9 km.  One UAV cannot span both blobs (their spanning
+    tree alone is over 8 km); one UAV per blob fits."""
+    p = PhysicalParams(e_max_wh=11.0, m_max=m_max)
+    offsets = [(0.0, 0.0), (300.0, 100.0), (-200.0, -150.0), (100.0, 250.0)]
+    pts = blob((1000.0, 6000.0), offsets) + blob((9000.0, 6000.0), offsets)
+    return build_scenario([(x, y, 0, 1.0, 100.0) for x, y in pts],
+                          [(1000.0, 5000.0, 5000.0), (9000.0, 5000.0, 5000.0)], p)
+
+
+def _count_route_builds(monkeypatch):
+    calls = []
+    build = planner.build_route
+
+    def counting(uav_id, depot_edge_id, depot_xy, members, p, **kw):
+        calls.append(sorted(s.id for s in members))
+        return build(uav_id, depot_edge_id, depot_xy, members, p, **kw)
+
+    monkeypatch.setattr(planner, "build_route", counting)
+    return calls
+
+
+def test_bound_infeasible_fleet_size_is_never_routed(monkeypatch):
+    sc = _far_blobs_scenario()
+    xy = np.array([[s.pos.x, s.pos.y] for s in sc.sensors])
+    for e in sc.edges:
+        lb = tour_lower_bound((e.pos.x, e.pos.y), xy)
+        assert route_energy(lb, [1.0] * len(xy), sc.physical) > sc.physical.e_max_wh
+
+    calls = _count_route_builds(monkeypatch)
+    pruned = plan(sc, AlgoParams())
+    assert pruned.m == 2
+    assert sorted(calls) == [[0, 1, 2, 3], [4, 5, 6, 7]]   # m = 1 never routed
+
+    # with a bound that never breaks, m = 1 is routed and rejected: same plan
+    calls.clear()
+    monkeypatch.setattr(planner, "tour_lower_bound", lambda depot_xy, xy: 0.0)
+    unpruned = plan(sc, AlgoParams())
+    assert len(calls) == 3 and calls[0] == list(range(8))
+    assert plan_to_doc(unpruned, sc) == plan_to_doc(pruned, sc)
+
+
+def test_bound_never_prunes_at_fleet_ceiling(monkeypatch):
+    calls = _count_route_builds(monkeypatch)
+    with pytest.raises(InfeasibleError) as err:
+        plan(_far_blobs_scenario(m_max=1), AlgoParams())
+    assert err.value.binding == ["energy budget"]
+    assert calls == [list(range(8))]
+
+
+def test_routing_stops_at_first_route_over_a_limit():
+    sc = dataclasses.replace(_far_blobs_scenario(), physical=PhysicalParams(m_max=3))
+    _, _, direct_map, load0 = split_and_assign_direct(sc)
+    sizes, calls = [], []
+
+    def clusters_at(m):
+        sizes.append(m)
+        return [list(sc.sensors[j::m]) for j in range(m)], 0
+
+    def route(j, depot, members, p):
+        # every route breaks the revisit limit below three UAVs
+        m = sizes[-1]
+        calls.append((m, j))
+        r = nn_route(j, depot, members, p)
+        return r if m == 3 else dataclasses.replace(r, revisit_s=p.t_max_s + 1.0)
+
+    pl = size_fleet(sc, AlgoParams(), direct_map, load0, clusters_at, route,
+                    method="t", seed=0, t0=0.0, variant="-", at_m=None, binding=None)
+    assert pl.m == 3
+    assert calls == [(1, 0), (2, 0), (3, 0), (3, 1), (3, 2)]
 
 
 def test_returned_fleet_is_minimal(default_scenario, default_algo, default_plan):

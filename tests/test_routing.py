@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 from firewatch.model import PhysicalParams
 from firewatch.routing import (
@@ -11,6 +12,7 @@ from firewatch.routing import (
     nearest_neighbor_tour,
     route_energy,
     tour_length,
+    tour_lower_bound,
     two_opt,
 )
 from testutil import brute_force_tour_optimum, build_scenario
@@ -79,6 +81,55 @@ def test_two_opt_brute_force_oracle():
         opt = brute_force_tour_optimum(depot, xy)
         got = tour_length(depot, xy[improved])
         assert opt - 1e-6 <= got <= tour_length(depot, xy[nn]) + 1e-9
+
+
+# coordinates on a coarse grid half the time, so points and the depot often
+# coincide; otherwise at micrometre resolution, so distinct points are never
+# so close that their squared distance underflows to zero
+_coord = st.one_of(st.integers(0, 4).map(lambda v: 250.0 * v),
+                   st.floats(0.0, 1000.0).map(lambda v: round(v, 6)))
+_point = st.tuples(_coord, _coord)
+
+
+def _xy(points):
+    return np.array(points, dtype=float).reshape(len(points), 2)
+
+
+def _dense_mst(depot, xy):
+    # csgraph reads a zero distance as "no edge"; coincident points join at
+    # zero cost, so spanning one copy of each spans them all
+    pts = np.unique(np.vstack([np.asarray(depot, dtype=float), xy]), axis=0)
+    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    return float(minimum_spanning_tree(d).sum())
+
+
+def test_tour_lower_bound_examples():
+    assert tour_lower_bound((0.0, 0.0), np.empty((0, 2))) == 0.0
+    assert tour_lower_bound((0.0, 0.0), _xy([(3.0, 4.0)])) == 5.0
+    assert tour_lower_bound((0.0, 0.0), _xy([(3.0, 4.0), (3.0, 4.0)])) == 5.0
+    # square with the depot at a corner: three sides
+    assert tour_lower_bound((0.0, 0.0), _xy([(10.0, 0.0), (10.0, 10.0),
+                                             (0.0, 10.0)])) == 30.0
+
+
+@given(_point, st.lists(_point, max_size=7))
+def test_tour_lower_bound_below_optimum(depot, points):
+    xy = _xy(points)
+    assert tour_lower_bound(depot, xy) <= brute_force_tour_optimum(depot, xy) + 1e-9
+
+
+@given(_point, st.lists(_point, max_size=30))
+def test_tour_lower_bound_below_two_opt_tour(depot, points):
+    xy = _xy(points)
+    order = two_opt(depot, xy, nearest_neighbor_tour(depot, xy))
+    assert tour_lower_bound(depot, xy) <= tour_length(depot, xy[order]) + 1e-9
+
+
+@given(_point, st.lists(_point, max_size=40))
+def test_tour_lower_bound_equals_dense_mst(depot, points):
+    xy = _xy(points)
+    assert tour_lower_bound(depot, xy) == pytest.approx(_dense_mst(depot, xy),
+                                                        rel=1e-12, abs=1e-9)
 
 
 def test_route_energy_examples():

@@ -111,6 +111,21 @@ def test_load_rejects_negative_fire_history(tmp_path, small_scenario):
         load_scenario(path)
 
 
+def test_load_rejects_boolean_fire_history(tmp_path, small_scenario):
+    path = _corrupt(tmp_path, small_scenario,
+                    lambda d: d["sensors"][2].__setitem__("fire_history", True))
+    with pytest.raises(ScenarioFormatError, match=r"sensors\[2\]\.fire_history"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("m_max", [2.5, 3.0, True, "4"])
+def test_load_rejects_non_integer_m_max(tmp_path, small_scenario, m_max):
+    path = _corrupt(tmp_path, small_scenario,
+                    lambda d: d["physical"].__setitem__("m_max", m_max))
+    with pytest.raises(ScenarioFormatError, match=r"physical\.m_max"):
+        load_scenario(path)
+
+
 def test_load_rejects_out_of_square_sensor(tmp_path, small_scenario):
     path = _corrupt(tmp_path, small_scenario,
                     lambda d: d["sensors"][0].__setitem__("x", 1e9))

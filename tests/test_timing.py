@@ -12,7 +12,6 @@ from firewatch.timing import (
     expected_wait,
     mean_response,
     moving_time,
-    objective,
     response_time,
     transmission_time,
 )
@@ -131,21 +130,6 @@ def test_breakdown_additivity(default_plan, default_scenario):
         assert min(r.t_lat_s, r.t_tra_s, r.t_exe_s, r.t_wait_s, r.t_moving_s) >= 0
         if r.path_kind == "direct":
             assert r.t_wait_s == 0.0 and r.t_moving_s == 0.0
-
-
-def test_objective_examples():
-    sc = build_scenario([(3000.0, 0.0, 0, 5.0, 500.0)], [(0.0, 0.0, 5000.0)])
-    route = Route(0, 0, (0,), 1000.0, 1000.0 / 15.0, 0.1)
-    pl = _hand_plan(sc, direct_map={}, cluster_assignment={0: 0},
-                    centers=((500.0, 0.0),), routes=(route,), cluster_map={0: 0})
-    assert objective(pl, sc, 0.0) == pytest.approx(1000.0)
-    # one request with t_tra + t_exe = 4.1 s
-    assert objective(pl, sc, 0.1) == pytest.approx(1000.41)
-
-
-def test_objective_matches_route_lengths(default_plan, default_scenario):
-    total = sum(r.length_m for r in default_plan.routes)
-    assert objective(default_plan, default_scenario, 0.0) == pytest.approx(total)
 
 
 def test_mean_response_positive(default_plan, default_scenario):
