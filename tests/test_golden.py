@@ -39,6 +39,16 @@ SCENARIOS = {
 }
 
 
+# (sensors, generator and planner seed, variant, fleet ceiling): plans whose
+# digests change when a route's upload sizes are summed in visit order
+# instead of sensor-id order
+SUMMATION_CASES = {
+    "n600-s0/full": (600, 0, Variant.FULL, 60),
+    "n60-s3/full": (60, 3, Variant.FULL, None),
+    "n150-s2/no-2opt": (150, 2, Variant.NO_2OPT, None),
+}
+
+
 def _capacity_wall():
     """The scenario of test_all_methods_raise_on_capacity_wall."""
     return build_scenario(
@@ -77,6 +87,15 @@ def plan_digests(name: str) -> dict[str, str]:
     out[f"{name}/greedy"] = _plan_digest(greedy_plan(sc, algo), sc)
     out[f"{name}/ga"] = _plan_digest(ga_plan(sc, algo, GaConfig(seed=0, **GA_FAST)), sc)
     out[f"{name}/pso"] = _plan_digest(pso_plan(sc, algo, PsoConfig(seed=0, **PSO_FAST)), sc)
+    return out
+
+
+def summation_digests() -> dict[str, str]:
+    out = {}
+    for name, (n, seed, variant, m_max) in SUMMATION_CASES.items():
+        physical = PhysicalParams(m_max=m_max) if m_max else None
+        sc = generate(GenConfig(n_sensors=n, seed=seed), physical)
+        out[f"summation/{name}"] = _plan_digest(plan(sc, AlgoParams(seed=seed), variant), sc)
     return out
 
 
@@ -137,6 +156,9 @@ GOLDEN = {
     'tight/greedy': 'd75a65e00a44695409925bdc7b449b315630330881f6269ffe0d94601de2089f',
     'tight/ga': '23583307e5bfedbdda6a56006001dac2b4829171df59a8d6e4ed3c01f8bf669f',
     'tight/pso': '7dbb760aa6ac8ff171195ce96cd121b1f2bbca82c9689f9017a6fd75a7e6eee3',
+    'summation/n600-s0/full': 'f110f878064ff16213733371cc2a4ed6924f977c797766f48293546fb1fe87fb',
+    'summation/n60-s3/full': 'dd7829384af21eedcf6bc4da38246542b710e22e4ca76fe29726ec3f1ba700e9',
+    'summation/n150-s2/no-2opt': 'a531dbd14cae471b2f40404ce4a37e38d13f8cb58b498b9a9f22829c55548927',
     'wall/proposed': ['edge capacity'],
     'wall/greedy': ['edge capacity'],
     'wall/ga': ['revisit period, energy budget, or edge capacity'],
@@ -157,6 +179,11 @@ def test_plans_match_golden(name):
     assert got == {k: GOLDEN[k] for k in got}
 
 
+def test_summation_order_plans_match_golden():
+    got = summation_digests()
+    assert got == {k: GOLDEN[k] for k in got}
+
+
 def test_infeasible_bindings_match_golden():
     got = bindings()
     assert got == {k: GOLDEN[k] for k in got}
@@ -172,6 +199,7 @@ if __name__ == "__main__":
     digests = {}
     for name in sorted(SCENARIOS):
         digests.update(plan_digests(name))
+    digests.update(summation_digests())
     digests.update(bindings())
     with tempfile.TemporaryDirectory() as tmp:
         digests.update(cli_digests(Path(tmp)))
