@@ -4,7 +4,8 @@ nearest-route-end constructor.
 All three share the main planner's phase-1 direct assignment and run inside
 its fleet-sizing loop (``planner.size_fleet``), which does cluster-to-edge
 assignment with overload repair, the constraint checks and plan assembly for
-every method; they supply only how clusters and visit orders are produced.
+every method; they supply only how clusters and visit orders are produced,
+each cluster an array of sensor ids into the scenario's columns.
 Greedy routes nearest-neighbor.  GA and PSO search each fleet size with a
 penalty (1e6 per violated route/edge constraint) and hand the best
 zero-violation individual, routed in its evolved visit order, to the loop;
@@ -13,17 +14,18 @@ a fleet size with none is rejected.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-# assign_clusters, repair_overload and build_route stay importable here:
-# bench/tracer.py wraps them under this module's name
+# assign_clusters and repair_overload stay importable here: bench/tracer.py
+# wraps them under this module's name
 from .edge_assignment import assign_clusters, repair_overload  # noqa: F401
-from .model import MB_TO_MBIT, AlgoParams, EdgeNode, PhysicalParams, Sensor, derive_seed
-from .planner import Plan, nn_route, size_fleet, split_and_assign_direct
-from .routing import Route, build_route, route_energy, tour_length  # noqa: F401
+from .model import MB_TO_MBIT, AlgoParams, derive_seed
+from .planner import Plan, size_fleet, split_and_assign_direct
+from .routing import Route, build_route, route_energy, tour_length
 from .timing import execution_time, transmission_time
 
 PENALTY = 1e6
@@ -67,32 +69,30 @@ class PsoConfig:
 
 
 class _Workspace:
-    """Scenario arrays shared by every candidate evaluation."""
+    """GA/PSO state shared by every candidate evaluation.  Genes index the
+    UAV-served sensors ``uav_ids`` (ascending); ``alpha``, ``beta``, ``d_se``
+    and ``d_ss`` are their upload sizes, compute demands and distances to
+    every edge and to each other."""
 
     def __init__(self, scenario, algo: AlgoParams):
         self.algo = algo
-        p = scenario.physical
-        self.p = p
-        (self.direct_sensors, self.uav_sensors,
-         self.direct_map, self.load0) = split_and_assign_direct(scenario)
-        self.n = len(self.uav_sensors)
-        self.xy = np.array([[s.pos.x, s.pos.y] for s in self.uav_sensors]).reshape(self.n, 2)
-        self.alpha = np.array([s.request.data_size_mb for s in self.uav_sensors])
-        self.beta = np.array([s.request.compute_mi for s in self.uav_sensors])
-        edge_xy = np.array([[e.pos.x, e.pos.y] for e in scenario.edges])
-        self.cap = np.array([e.capacity_mips for e in scenario.edges])
-        self.d_se = (np.linalg.norm(self.xy[:, None, :] - edge_xy[None, :, :], axis=2)
-                     if self.n else np.zeros((0, len(scenario.edges))))
-        self.d_ss = (np.linalg.norm(self.xy[:, None, :] - self.xy[None, :, :], axis=2)
-                     if self.n else np.zeros((0, 0)))
+        self.p = p = scenario.physical
+        self.uav_ids, self.direct_map, self.load0 = split_and_assign_direct(scenario)
+        self.n = len(self.uav_ids)
+        xy = scenario.xy[self.uav_ids]
+        self.alpha = scenario.alpha_mb[self.uav_ids]
+        self.beta = scenario.beta_mi[self.uav_ids]
+        self.cap = scenario.capacity
+        self.d_se = np.linalg.norm(xy[:, None, :] - scenario.edge_xy[None, :, :], axis=2)
+        self.d_ss = np.linalg.norm(xy[:, None, :] - xy[None, :, :], axis=2)
         self.base_loads = np.array(self.load0.loads_mips)
         self.t_tra = self.alpha * MB_TO_MBIT / p.data_rate_mbps
         # direct sensors contribute a constant to the service-time objective
+        alpha, beta, cap = (c.tolist() for c in (scenario.alpha_mb, scenario.beta_mi,
+                                                  scenario.capacity))
         self.direct_service = sum(
-            transmission_time(s.request.data_size_mb, p.data_rate_mbps)
-            + execution_time(s.request.compute_mi,
-                             scenario.edge_by_id(self.direct_map[s.id]).capacity_mips)
-            for s in self.direct_sensors)
+            transmission_time(alpha[i], p.data_rate_mbps) + execution_time(beta[i], cap[k])
+            for i, k in self.direct_map.items())
 
     def assign_edges(self, genes: np.ndarray, m: int):
         """Sequential lowest-score edge per cluster (same score as the shared
@@ -100,11 +100,9 @@ class _Workspace:
         cluster."""
         a = self.algo
         counts = np.bincount(genes, minlength=m)
-        demands = (np.bincount(genes, weights=self.beta, minlength=m)
-                   / self.p.t_period_s) if self.n else np.zeros(m)
+        demands = np.bincount(genes, weights=self.beta, minlength=m) / self.p.t_period_s
         dbar_sum = np.zeros((m, self.d_se.shape[1]))
-        if self.n:
-            np.add.at(dbar_sum, genes, self.d_se)
+        np.add.at(dbar_sum, genes, self.d_se)
         dbar = np.divide(dbar_sum, np.maximum(counts, 1)[:, None])
         d_norm = self.p.diag_m
         loads = self.base_loads.copy()
@@ -127,24 +125,20 @@ class _Workspace:
         # tour lengths: inner legs along the order, broken at cluster
         # boundaries, plus the two depot legs per non-empty cluster
         lengths = np.zeros(m)
-        if self.n:
-            og = genes[order]
-            oxy = self.xy[order]
-            if len(order) > 1:
-                seg = np.linalg.norm(np.diff(oxy, axis=0), axis=1)
-                same = og[1:] == og[:-1]
-                np.add.at(lengths, og[1:][same], seg[same])
-            starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-            for j in range(m):
-                if counts[j] == 0:
-                    continue
-                first = order[starts[j]]
-                last = order[starts[j] + counts[j] - 1]
-                lengths[j] += self.d_se[first, edge_of[j]] + self.d_se[last, edge_of[j]]
+        og = genes[order]
+        seg = self.d_ss[order[:-1], order[1:]]
+        same = og[1:] == og[:-1]
+        np.add.at(lengths, og[1:][same], seg[same])
+        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        for j in range(m):
+            if counts[j] == 0:
+                continue
+            first = order[starts[j]]
+            last = order[starts[j] + counts[j] - 1]
+            lengths[j] += self.d_se[first, edge_of[j]] + self.d_se[last, edge_of[j]]
 
         revisit = lengths / p.v_g
-        alpha_sum = (np.bincount(genes, weights=self.alpha, minlength=m)
-                     if self.n else np.zeros(m))
+        alpha_sum = np.bincount(genes, weights=self.alpha, minlength=m)
         energy = (p.p_fly_w * revisit + p.p_comm_w * alpha_sum * MB_TO_MBIT
                   / p.data_rate_mbps) / 3600.0
         loads = self.base_loads.copy()
@@ -154,8 +148,7 @@ class _Workspace:
         violations += int((energy > p.e_max_wh).sum())
         violations += int((loads > self.cap).sum())
 
-        service = float(self.t_tra.sum() + (self.beta / self.cap[edge_of[genes]]).sum()) \
-            if self.n else 0.0
+        service = float(self.t_tra.sum() + (self.beta / self.cap[edge_of[genes]]).sum())
         objective = float(lengths.sum()) + self.algo.lam * (service + self.direct_service)
         fitness = objective + PENALTY * violations
         return fitness, violations, edge_of, lengths
@@ -183,21 +176,18 @@ class _Workspace:
         return members[order]
 
     def clusters(self, genes: np.ndarray, order: np.ndarray, m: int):
-        """size_fleet clusters of one individual: per-cluster member sensors
-        in visit order (`order` = sensor indices grouped by cluster)."""
-        return [[self.uav_sensors[i] for i in order[genes[order] == j]]
-                for j in range(m)], 0
+        """size_fleet clusters of one individual: per-cluster sensor ids in
+        visit order (`order` = workspace indices grouped by cluster)."""
+        return [self.uav_ids[order[genes[order] == j]] for j in range(m)], 0
 
 
-def evolved_route(uav_id: int, depot: EdgeNode, members: list[Sensor],
-                  p: PhysicalParams) -> Route:
-    """Route builder for size_fleet: the members in the visit order the
-    search evolved."""
-    xy = np.array([[s.pos.x, s.pos.y] for s in members])
-    length = tour_length((depot.pos.x, depot.pos.y), xy)
-    energy = route_energy(length, [s.request.data_size_mb for s in members], p)
-    return Route(uav_id, depot.id, tuple(s.id for s in members),
-                 length, length / p.v_g, energy)
+def evolved_route(uav_id: int, depot_edge_id: int, ids: np.ndarray, scenario) -> Route:
+    """Route builder for size_fleet: the sensors in the visit order the
+    search evolved; upload sizes are summed in that order."""
+    p = scenario.physical
+    length = tour_length(scenario.edge_xy[depot_edge_id], scenario.xy[ids])
+    energy = route_energy(length, scenario.alpha_mb[ids].tolist(), p)
+    return Route(uav_id, depot_edge_id, tuple(ids.tolist()), length, length / p.v_g, energy)
 
 
 def _order_by_priority(genes: np.ndarray, priorities: np.ndarray) -> np.ndarray:
@@ -348,19 +338,19 @@ def greedy_plan(scenario, algo: AlgoParams) -> Plan:
     positions (cycling), append each sensor in id order to the cluster whose
     current route end is nearest, then route nearest-neighbor only."""
     t0 = time.perf_counter()
-    _, uav_sensors, direct_map, load0 = split_and_assign_direct(scenario)
-    xy = np.array([[s.pos.x, s.pos.y] for s in uav_sensors]).reshape(len(uav_sensors), 2)
-    edge_xy = np.array([[e.pos.x, e.pos.y] for e in scenario.edges])
+    uav_ids, direct_map, load0 = split_and_assign_direct(scenario)
+    xy = scenario.xy[uav_ids]
 
     def clusters_at(m):
-        ends = np.array([edge_xy[k % len(edge_xy)] for k in range(m)], dtype=float)
-        members: list[list[Sensor]] = [[] for _ in range(m)]
-        for i, s in enumerate(uav_sensors):   # uav_sensors are id-ordered
+        ends = scenario.edge_xy[np.arange(m) % len(scenario.edges)]
+        labels = np.empty(len(uav_ids), dtype=int)
+        for i in range(len(uav_ids)):   # uav_ids ascend
             k = int(np.argmin(np.linalg.norm(ends - xy[i], axis=1)))
-            members[k].append(s)
+            labels[i] = k
             ends[k] = xy[i]
-        return members, 0
+        return [uav_ids[labels == j] for j in range(m)], 0
 
-    return size_fleet(scenario, algo, direct_map, load0, clusters_at, nn_route,
+    return size_fleet(scenario, algo, direct_map, load0, clusters_at,
+                      functools.partial(build_route, use_two_opt=False),
                       method="greedy", seed=algo.seed, t0=t0, variant="-", at_m=None,
                       binding=None)

@@ -20,7 +20,6 @@ import os
 import sys
 
 import numpy as np
-from scipy import stats
 
 from .baselines import GaConfig, PsoConfig, ga_plan, greedy_plan, pso_plan
 from .emergency import generate_events, load_events, save_events, simulate, write_trace_csv
@@ -144,6 +143,10 @@ def _mean_ci(xs: list[float]) -> tuple[float, float | None, float | None]:
     m = float(np.mean(xs)) if n else math.nan
     if n < 2:
         return m, None, None
+    # imported here, not with the module: importing scipy.stats takes most of
+    # the CLI's start-up time, and only compare needs it
+    from scipy import stats
+
     sd = float(np.std(xs, ddof=1))
     half = float(stats.t.ppf(0.975, n - 1)) * sd / math.sqrt(n)
     return m, m - half, m + half
@@ -197,11 +200,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         print("error: --variant applies to --method proposed only", file=sys.stderr)
         return EXIT_USAGE
     scenario = load_scenario(args.scenario)
-    try:
-        algo = _algo_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    algo = _algo_from_args(args)
     try:
         pl = _make_plan(args.method, scenario, algo, args, Variant(args.variant))
     except InfeasibleError as exc:
@@ -492,6 +491,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         apply_config(args, argv)
+        if hasattr(args, "omega_h"):
+            _algo_from_args(args)   # a bad algorithm flag is a usage error
     except SystemExit as exc:
         return EXIT_USAGE if exc.code == 2 else int(exc.code or 0)
     except (ScenarioFormatError, OSError) as exc:

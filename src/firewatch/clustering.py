@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Sensor, derive_seed, distance, link_ranges, partition_sensors
+from .model import derive_seed, partition_sensors
 
 MAX_ITERS = 300
 
@@ -29,9 +29,10 @@ class Clustering:
         return sorted(s for s, c in self.assignment.items() if c == j)
 
 
-def sensor_weight(fire_history: int, omega_h: float) -> float:
-    """w = 1 + omega_h * fire_history (>= 1)."""
-    if fire_history < 0:
+def sensor_weight(fire_history, omega_h: float):
+    """w = 1 + omega_h * fire_history (>= 1), for one score or an array of
+    scores."""
+    if np.any(np.asarray(fire_history) < 0):
         raise ValueError(f"fire_history must be >= 0, got {fire_history}")
     if omega_h < 0:
         raise ValueError(f"omega_h must be >= 0, got {omega_h}")
@@ -58,22 +59,23 @@ def init_centers(m: int, edge_xy: np.ndarray, sensor_xy: np.ndarray,
     return np.vstack([edge_xy.astype(float), sensor_xy[order[:extra]].astype(float)])
 
 
-def weighted_kmeans(sensors: list[Sensor], m: int, edge_xy: np.ndarray,
-                    omega_h: float, epsilon_m: float,
+def weighted_kmeans(scenario, ids, m: int, omega_h: float, epsilon_m: float,
                     rng: np.random.Generator,
                     max_iters: int = MAX_ITERS,
                     initial_centers: np.ndarray | None = None) -> Clustering:
-    """Cluster sensors into m groups with weighted centroid updates.
+    """Cluster the sensors with the given ids into m groups with weighted
+    centroid updates, seeding from the scenario's edge positions.
 
     Stops when every center moves less than epsilon_m, or after max_iters.
     Empty clusters are reseeded at the weighted-farthest sensor (ties by id)
     before the next iteration, so the result has no empty cluster.
     """
-    n = len(sensors)
+    ids = np.asarray(ids, dtype=int)
+    n = len(ids)
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= {n} sensors, got m={m}")
-    xy = np.array([[s.pos.x, s.pos.y] for s in sensors], dtype=float)
-    w = np.array([sensor_weight(s.fire_history, omega_h) for s in sensors])
+    xy = scenario.xy[ids]
+    w = sensor_weight(scenario.fire_history[ids], omega_h)
     w_max = float(w.max())
     factor = 2.0 - w / w_max   # per-sensor discount applied to all distances
 
@@ -82,7 +84,7 @@ def weighted_kmeans(sensors: list[Sensor], m: int, edge_xy: np.ndarray,
         if centers.shape != (m, 2):
             raise ValueError(f"initial_centers must have shape ({m}, 2)")
     else:
-        centers = init_centers(m, edge_xy, xy, w, rng)
+        centers = init_centers(m, scenario.edge_xy, xy, w, rng)
 
     assign = np.zeros(n, dtype=int)
     iterations = 0
@@ -116,8 +118,7 @@ def weighted_kmeans(sensors: list[Sensor], m: int, edge_xy: np.ndarray,
         d = np.linalg.norm(xy[:, None, :] - centers[None, :, :], axis=2)
         assign = np.argmin(d * factor[:, None], axis=1)
 
-    assignment = {s.id: int(assign[i]) for i, s in enumerate(sensors)}
-    return Clustering(m=m, assignment=assignment,
+    return Clustering(m=m, assignment=dict(zip(ids.tolist(), assign.tolist())),
                       centers=tuple((float(c[0]), float(c[1])) for c in centers),
                       iterations_run=iterations)
 
@@ -145,10 +146,10 @@ class CoverageCheckResult:
     factor: float
 
 
-def _experienced_mean(xy: np.ndarray, sensors, high_mask: np.ndarray,
+def _experienced_mean(xy: np.ndarray, ids: np.ndarray, high_mask: np.ndarray,
                       clustering: Clustering) -> float:
     centers = np.asarray(clustering.centers)
-    a = np.array([clustering.assignment[s.id] for s in sensors])
+    a = np.array([clustering.assignment[i] for i in ids.tolist()])
     d = np.linalg.norm(xy - centers[a], axis=1)
     return float(d[high_mask].mean())
 
@@ -163,28 +164,27 @@ def coverage_improvement_check(scenario, m: int, omega_h: float,
     Both arms start from identical initial centers per seed; the experienced
     distances are averaged over seeds.
     """
-    edge_xy = np.array([[e.pos.x, e.pos.y] for e in scenario.edges])
     _, uav_ids = partition_sensors(scenario.sensors, scenario.edges, scenario.physical)
-    sensors = [scenario.sensor_by_id(i) for i in uav_ids]
-    weights = np.array([sensor_weight(s.fire_history, omega_h) for s in sensors])
+    ids = np.array(uav_ids, dtype=int)
+    weights = sensor_weight(scenario.fire_history[ids], omega_h)
     w_max = float(weights.max())
-    high_mask = np.array([s.fire_history for s in sensors]) > high_risk_min
+    high_mask = scenario.fire_history[ids] > high_risk_min
     if not high_mask.any():
         raise ValueError(
             f"no high-risk sensor (fire_history > {high_risk_min}) present")
     factor = 2.0 / (1.0 + float(weights[high_mask].mean()) / w_max)
 
-    xy = np.array([[s.pos.x, s.pos.y] for s in sensors])
+    xy = scenario.xy[ids]
     lhs_vals, base_vals = [], []
     for seed in seeds:
         rng = np.random.default_rng(derive_seed(seed, "coverage-check-init"))
-        centers0 = init_centers(m, edge_xy, xy, weights, rng)
-        weighted = weighted_kmeans(sensors, m, edge_xy, omega_h, epsilon_m,
+        centers0 = init_centers(m, scenario.edge_xy, xy, weights, rng)
+        weighted = weighted_kmeans(scenario, ids, m, omega_h, epsilon_m,
                                    rng, initial_centers=centers0)
-        unweighted = weighted_kmeans(sensors, m, edge_xy, 0.0, epsilon_m,
+        unweighted = weighted_kmeans(scenario, ids, m, 0.0, epsilon_m,
                                      rng, initial_centers=centers0)
-        lhs_vals.append(_experienced_mean(xy, sensors, high_mask, weighted))
-        base_vals.append(_experienced_mean(xy, sensors, high_mask, unweighted))
+        lhs_vals.append(_experienced_mean(xy, ids, high_mask, weighted))
+        base_vals.append(_experienced_mean(xy, ids, high_mask, unweighted))
 
     lhs = float(np.mean(lhs_vals))
     base = float(np.mean(base_vals))

@@ -67,20 +67,21 @@ def assign_direct(direct_sensors: list[Sensor], edges: list[EdgeNode],
     return direct_map, load
 
 
-def cluster_demand(members: list[Sensor], t_period_s: float) -> float:
-    """Steady-state MIPS a cluster adds to its edge: sum(compute_mi) / period."""
+def cluster_demand(beta_mi, t_period_s: float) -> float:
+    """Steady-state MIPS a cluster adds to its edge: the members' compute
+    demands, summed in the order given, over the period."""
     if t_period_s <= 0:
         raise ValueError(f"t_period_s must be > 0, got {t_period_s}")
-    return sum(s.request.compute_mi for s in members) / t_period_s
+    return sum(np.asarray(beta_mi, dtype=float).tolist()) / t_period_s
 
 
-def _mean_dists(cluster_members: list[list[Sensor]], edges: list[EdgeNode]) -> np.ndarray:
+def _mean_dists(cluster_ids, scenario) -> np.ndarray:
     """dbar[j, k] = mean member distance of cluster j to edge k (0 if empty)."""
-    edge_xy = np.array([[e.pos.x, e.pos.y] for e in edges])
-    dbar = np.zeros((len(cluster_members), len(edges)))
-    for j, members in enumerate(cluster_members):
-        if members:
-            xy = np.array([[s.pos.x, s.pos.y] for s in members])
+    edge_xy = scenario.edge_xy
+    dbar = np.zeros((len(cluster_ids), len(edge_xy)))
+    for j, ids in enumerate(cluster_ids):
+        if len(ids):
+            xy = scenario.xy[ids]
             dbar[j] = np.linalg.norm(xy[:, None, :] - edge_xy[None, :, :], axis=2).mean(axis=0)
     return dbar
 
@@ -90,30 +91,31 @@ def _score(dbar_jk: float, load: float, demand: float, capacity: float,
     return omega_d * (dbar_jk / d_norm_m) + omega_l * (load + demand) / capacity
 
 
-def assign_clusters(cluster_members: list[list[Sensor]], edges: list[EdgeNode],
-                    load: EdgeLoadState, omega_d: float, omega_l: float,
-                    d_norm_m: float, t_period_s: float
+def assign_clusters(cluster_ids, scenario, load: EdgeLoadState, omega_d: float,
+                    omega_l: float, d_norm_m: float, t_period_s: float
                     ) -> tuple[dict[int, int], EdgeLoadState]:
-    """Phase 2: clusters in ascending id pick the lowest-score edge (ties by
-    lowest edge id); the load state is updated after each pick."""
+    """Phase 2: clusters (arrays of sensor ids) in ascending cluster id pick
+    the lowest-score edge of the scenario (ties by lowest edge id); the load
+    state is updated after each pick."""
     load = load.copy()
-    dbar = _mean_dists(cluster_members, edges)
+    dbar = _mean_dists(cluster_ids, scenario)
+    capacity = scenario.capacity.tolist()
     cluster_map: dict[int, int] = {}
-    for j, members in enumerate(cluster_members):
-        demand = cluster_demand(members, t_period_s)
-        scores = [_score(dbar[j, k], load.loads_mips[k], demand, e.capacity_mips,
+    for j, ids in enumerate(cluster_ids):
+        demand = cluster_demand(scenario.beta_mi[ids], t_period_s)
+        scores = [_score(dbar[j, k], load.loads_mips[k], demand, cap,
                          omega_d, omega_l, d_norm_m)
-                  for k, e in enumerate(edges)]
+                  for k, cap in enumerate(capacity)]
         k_best = int(np.argmin(scores))
-        cluster_map[j] = edges[k_best].id
+        cluster_map[j] = k_best
         load.loads_mips[k_best] += demand
     return cluster_map, load
 
 
-def repair_overload(cluster_map: dict[int, int], cluster_members: list[list[Sensor]],
-                    edges: list[EdgeNode], load: EdgeLoadState,
-                    omega_d: float, omega_l: float, d_norm_m: float,
-                    t_period_s: float) -> tuple[dict[int, int], EdgeLoadState]:
+def repair_overload(cluster_map: dict[int, int], cluster_ids, scenario,
+                    load: EdgeLoadState, omega_d: float, omega_l: float,
+                    d_norm_m: float, t_period_s: float
+                    ) -> tuple[dict[int, int], EdgeLoadState]:
     """Clear capacity overloads by moving clusters, least demand first, from
     the most overloaded edge to the best-scoring edge with room.
 
@@ -122,8 +124,9 @@ def repair_overload(cluster_map: dict[int, int], cluster_members: list[list[Sens
     """
     cluster_map = dict(cluster_map)
     load = load.copy()
-    dbar = _mean_dists(cluster_members, edges)
-    demands = [cluster_demand(ms, t_period_s) for ms in cluster_members]
+    dbar = _mean_dists(cluster_ids, scenario)
+    demands = [cluster_demand(scenario.beta_mi[ids], t_period_s) for ids in cluster_ids]
+    capacity = scenario.capacity.tolist()
 
     while True:
         over = load.overloaded()
@@ -135,16 +138,16 @@ def repair_overload(cluster_map: dict[int, int], cluster_members: list[list[Sens
                          key=lambda j: (demands[j], j))
         moved = False
         for j in movable:
-            fits = [k for k, e in enumerate(edges)
-                    if k != worst and load.loads_mips[k] + demands[j] <= e.capacity_mips]
+            fits = [k for k, cap in enumerate(capacity)
+                    if k != worst and load.loads_mips[k] + demands[j] <= cap]
             if not fits:
                 continue
             k_best = min(fits, key=lambda k: (
                 _score(dbar[j, k], load.loads_mips[k], demands[j],
-                       edges[k].capacity_mips, omega_d, omega_l, d_norm_m), k))
+                       capacity[k], omega_d, omega_l, d_norm_m), k))
             load.loads_mips[worst] -= demands[j]
             load.loads_mips[k_best] += demands[j]
-            cluster_map[j] = edges[k_best].id
+            cluster_map[j] = k_best
             moved = True
             break
         if not moved:

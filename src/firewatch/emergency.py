@@ -90,11 +90,8 @@ class RouteGeometry:
 
     @classmethod
     def from_route(cls, route, scenario) -> "RouteGeometry":
-        depot = scenario.edge_by_id(route.depot_edge_id)
-        pts = [[depot.pos.x, depot.pos.y]]
-        pts += [[scenario.sensor_by_id(i).pos.x, scenario.sensor_by_id(i).pos.y]
-                for i in route.waypoints]
-        return cls(np.array(pts))
+        return cls(np.vstack([scenario.edge_xy[route.depot_edge_id],
+                              scenario.xy[list(route.waypoints)]]))
 
     def arc_of_waypoint(self, widx: int) -> float:
         """Arc length from the depot to waypoint widx (0-based tour index)."""
@@ -136,13 +133,13 @@ def select_delivery_edge(sensor_pos: Point2D, edges, load: EdgeLoadState,
     return least.id, True
 
 
-def resume_waypoint(current_pos: Point2D, geom: RouteGeometry) -> int | None:
-    """Nearest waypoint to resume patrol at (ties by earliest tour index);
-    None for an empty tour (return to depot)."""
+def resume_waypoint(current_xy, geom: RouteGeometry) -> int | None:
+    """Nearest waypoint to the (x, y) position to resume patrol at (ties by
+    earliest tour index); None for an empty tour (return to depot)."""
     n = len(geom.points) - 1
     if n <= 0:
         return None
-    d = np.linalg.norm(geom.points[1:] - np.array([current_pos.x, current_pos.y]), axis=1)
+    d = np.linalg.norm(geom.points[1:] - np.asarray(current_xy, dtype=float), axis=1)
     return int(np.argmin(d))
 
 
@@ -151,7 +148,7 @@ def generate_events(scenario, plan, n_events: int, horizon_s: float, seed: int,
     """Auto-generate alerts at the n highest-fire-history UAV-served sensors
     scoring above min_history, at uniform-random times within the horizon."""
     uav_ids = sorted(plan.clustering.assignment)
-    hot = sorted((s for s in (scenario.sensor_by_id(i) for i in uav_ids)
+    hot = sorted((s for s in (scenario.sensors[i] for i in uav_ids)
                   if s.fire_history > min_history),
                  key=lambda s: (-s.fire_history, s.id))
     if len(hot) < n_events:
@@ -210,7 +207,11 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
         raise ValueError(f"unknown dispatch_policy {dispatch_policy!r}")
     if horizon_s <= 0:
         raise ValueError(f"horizon_s must be > 0, got {horizon_s}")
-    for e in events:
+    n = len(scenario.sensors)
+    for k, e in enumerate(events):
+        if not 0 <= e.sensor_id < n:
+            raise ValueError(f"events[{k}].sensor_id: {e.sensor_id} is not a sensor id "
+                             f"of the scenario [0, {n})")
         if e.alert_time_s > horizon_s:
             raise ValueError(f"event at sensor {e.sensor_id} alerts past the horizon")
     events = sorted(events, key=lambda e: e.alert_time_s)
@@ -235,11 +236,10 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
     absences: dict[int, list[tuple[float, float]]] = {j: [] for j in range(plan.m)}
 
     def serve_direct(seq: int, ev: EmergencyEvent):
-        s = scenario.sensor_by_id(ev.sensor_id)
+        s = scenario.sensors[ev.sensor_id]
         eid = plan.assignment.direct_map[ev.sensor_id]
         t_tra = transmission_time(s.request.data_size_mb, p.data_rate_mbps)
-        t_exe = execution_time(s.request.compute_mi,
-                               scenario.edge_by_id(eid).capacity_mips)
+        t_exe = execution_time(s.request.compute_mi, scenario.edges[eid].capacity_mips)
         resp = t_tra + t_exe
         traces[seq] = EmergencyTrace(
             event_seq=seq, sensor_id=ev.sensor_id, alert_time_s=ev.alert_time_s,
@@ -252,20 +252,20 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
     def dispatch(seq: int, ev: EmergencyEvent, uav_id: int, now: float):
         nonlocal free_seq
         uav = uavs[uav_id]
-        s = scenario.sensor_by_id(ev.sensor_id)
+        s = scenario.sensors[ev.sensor_id]
         pos0 = uav.patrol_pos(now, v)
         t_disp = distance(pos0, s.pos) / v
         t_tra = transmission_time(s.request.data_size_mb, p.data_rate_mbps)
         eid, fb = select_delivery_edge(s.pos, scenario.edges,
                                        plan.assignment.load, algo.theta_max)
-        edge = scenario.edge_by_id(eid)
+        edge = scenario.edges[eid]
         t_del = distance(s.pos, edge.pos) / v
         t_exe = execution_time(s.request.compute_mi, edge.capacity_mips)
         arrive = now + t_disp + t_tra + t_del
         t_queue = now - ev.alert_time_s
         resp = t_queue + t_disp + t_tra + t_del + t_exe
 
-        widx = resume_waypoint(edge.pos, uav.geom)
+        widx = resume_waypoint(scenario.edge_xy[eid], uav.geom)
         if widx is None:
             target = Point2D(float(uav.geom.points[0, 0]), float(uav.geom.points[0, 1]))
             arc = 0.0
@@ -302,7 +302,7 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
                         continue
                     uav_id = own
                 else:
-                    uav_id = select_dispatch_uav(avail, scenario.sensor_by_id(ev.sensor_id).pos,
+                    uav_id = select_dispatch_uav(avail, scenario.sensors[ev.sensor_id].pos,
                                                  scenario.edges)
                 pending.remove(entry)
                 heapq.heapify(pending)
@@ -387,11 +387,8 @@ def emergency_response_bound(plan, scenario, theta_max: float) -> float:
     UAV dispatches: two max-cluster-radius legs, the longest sensor-to-
     delivery-edge leg, and the largest upload and execution windows."""
     p = scenario.physical
-    radii = []
-    for j, route in enumerate(plan.routes):
-        xy = np.array([[scenario.sensor_by_id(i).pos.x, scenario.sensor_by_id(i).pos.y]
-                       for i in route.waypoints]).reshape(len(route.waypoints), 2)
-        radii.append(cluster_radius(xy, plan.clustering.centers[j]))
+    radii = [cluster_radius(scenario.xy[list(route.waypoints)], plan.clustering.centers[j])
+             for j, route in enumerate(plan.routes)]
     r_max = max(radii) if radii else 0.0
 
     uav_ids = sorted(plan.clustering.assignment)
@@ -399,14 +396,14 @@ def emergency_response_bound(plan, scenario, theta_max: float) -> float:
         raise ValueError("plan has no UAV-served sensors")
     d_del, t_tra_max, t_exe_max = 0.0, 0.0, 0.0
     for sid in uav_ids:
-        s = scenario.sensor_by_id(sid)
+        s = scenario.sensors[sid]
         eid, _ = select_delivery_edge(s.pos, scenario.edges, plan.assignment.load,
                                       theta_max)
-        d_del = max(d_del, distance(s.pos, scenario.edge_by_id(eid).pos))
+        d_del = max(d_del, distance(s.pos, scenario.edges[eid].pos))
         t_tra_max = max(t_tra_max, transmission_time(s.request.data_size_mb,
                                                      p.data_rate_mbps))
         t_exe_max = max(t_exe_max, execution_time(
-            s.request.compute_mi, scenario.edge_by_id(eid).capacity_mips))
+            s.request.compute_mi, scenario.edges[eid].capacity_mips))
     return 2.0 * r_max / p.v_g + d_del / p.v_g + t_tra_max + t_exe_max
 
 

@@ -36,6 +36,16 @@ class Variant(str, Enum):
     NO_BOTH = "no-both"
 
 
+def _require_finite(obj, positive=(), non_negative=()) -> None:
+    """Raise ValueError naming the first field that is not a finite number
+    > 0 (``positive``) or >= 0 (``non_negative``).  NaN fails every
+    comparison, so a plain ``<= 0`` test would let it through."""
+    for name in (*positive, *non_negative):
+        v, floor = getattr(obj, name), ("> 0" if name in positive else ">= 0")
+        if not (math.isfinite(v) and (v > 0 if name in positive else v >= 0)):
+            raise ValueError(f"{name} must be finite and {floor}, got {v}")
+
+
 @dataclass(frozen=True)
 class Point2D:
     x: float
@@ -59,10 +69,7 @@ class RequestProfile:
     compute_mi: float
 
     def __post_init__(self):
-        if self.data_size_mb <= 0:
-            raise ValueError(f"data_size_mb must be > 0, got {self.data_size_mb}")
-        if self.compute_mi <= 0:
-            raise ValueError(f"compute_mi must be > 0, got {self.compute_mi}")
+        _require_finite(self, positive=("data_size_mb", "compute_mi"))
 
 
 @dataclass(frozen=True)
@@ -88,8 +95,7 @@ class EdgeNode:
     def __post_init__(self):
         if self.id < 0:
             raise ValueError(f"edge id must be >= 0, got {self.id}")
-        if self.capacity_mips <= 0:
-            raise ValueError(f"capacity_mips must be > 0, got {self.capacity_mips}")
+        _require_finite(self, positive=("capacity_mips",))
 
 
 @dataclass(frozen=True)
@@ -113,18 +119,13 @@ class PhysicalParams:
     per_hop_latency_s: float = 0.0
 
     def __post_init__(self):
-        positive = (
+        _require_finite(self, positive=(
             "area_km2", "r_s", "r_g", "r_e", "data_rate_mbps", "v_g",
             "p_fly_w", "p_comm_w", "e_max_wh", "t_max_s", "t_period_s",
             "t_urgent_s",
-        )
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        ), non_negative=("per_hop_latency_s",))
         if self.m_max < 1:
             raise ValueError(f"m_max must be >= 1, got {self.m_max}")
-        if self.per_hop_latency_s < 0:
-            raise ValueError("per_hop_latency_s must be >= 0")
         if self.t_urgent_s > self.t_max_s:
             raise ValueError("t_urgent_s must not exceed t_max_s")
 
@@ -158,18 +159,13 @@ class AlgoParams:
     fleet_init_mode: FleetInitMode = FleetInitMode.ONE
 
     def __post_init__(self):
-        if self.omega_h < 0:
-            raise ValueError(f"omega_h must be >= 0, got {self.omega_h}")
+        _require_finite(self, positive=("epsilon_m",), non_negative=("omega_h", "lam"))
         for name in ("omega_d", "omega_l"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if abs(self.omega_d + self.omega_l - 1.0) > 1e-9:
             raise ValueError("omega_d + omega_l must equal 1")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.epsilon_m <= 0:
-            raise ValueError(f"epsilon_m must be > 0, got {self.epsilon_m}")
         if not 0.0 < self.theta_max <= 1.0:
             raise ValueError(f"theta_max must be in (0, 1], got {self.theta_max}")
 

@@ -4,9 +4,11 @@ One sizing loop, ``size_fleet``, serves this planner and every baseline: it
 starts from the configured initial fleet size and grows it by one whenever
 the method has no clusters, edge assignment fails after overload repair, or
 a route breaks the revisit/energy limits, up to the fleet ceiling.  Methods
-supply only their clusters and route builder.  This planner re-runs
-clustering at each fleet size with a deterministic (run seed, m) stream, so
-plans are pure functions of (scenario, algo params, variant).
+supply only their clusters, each an array of sensor ids, and a route builder;
+every layer reads positions, request sizes and fire histories from the
+scenario's columns by id.  This planner re-runs clustering at each fleet
+size with a deterministic (run seed, m) stream, so plans are pure functions
+of (scenario, algo params, variant).
 
 Ablation variants:
     FULL       weighted k-means clusters, 2-opt improved routes
@@ -18,6 +20,7 @@ Ablation variants:
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import time
@@ -29,8 +32,8 @@ from .clustering import Clustering, sensor_weight, weighted_kmeans
 from .edge_assignment import (Assignment, EdgeLoadState, RepairFailure,
                               assign_clusters, assign_direct, cluster_demand,
                               repair_overload)
-from .model import (AlgoParams, EdgeNode, FleetInitMode, PhysicalParams, Sensor,
-                    Variant, derive_seed, link_ranges, partition_sensors)
+from .model import (AlgoParams, FleetInitMode, PhysicalParams, Variant, derive_seed,
+                    link_ranges, partition_sensors)
 from .routing import Route, build_route, route_energy, tour_length, tour_lower_bound
 
 PLAN_SCHEMA_VERSION = 1
@@ -92,80 +95,53 @@ def initial_fleet_size(p: PhysicalParams, mode: FleetInitMode) -> int:
 
 
 def split_and_assign_direct(scenario):
-    """Phase-1 work shared by the planner and all baselines: sensor
-    partition plus the direct-sensor edge map and its load state."""
+    """Phase-1 work shared by the planner and all baselines: the ascending
+    ids of the UAV-served sensors, plus the direct-sensor edge map and its
+    load state."""
     p = scenario.physical
     direct_ids, uav_ids = partition_sensors(scenario.sensors, scenario.edges, p)
-    direct_sensors = [scenario.sensor_by_id(i) for i in direct_ids]
-    uav_sensors = [scenario.sensor_by_id(i) for i in uav_ids]
-    direct_map, load0 = assign_direct(direct_sensors, scenario.edges, p)
-    return direct_sensors, uav_sensors, direct_map, load0
+    direct_map, load0 = assign_direct([scenario.sensors[i] for i in direct_ids],
+                                      scenario.edges, p)
+    return np.array(uav_ids, dtype=int), direct_map, load0
 
 
-def _weighted_centroid(members: list[Sensor], omega_h: float) -> tuple[float, float]:
-    w = np.array([sensor_weight(s.fire_history, omega_h) for s in members])
-    xy = np.array([[s.pos.x, s.pos.y] for s in members])
-    c = (xy * w[:, None]).sum(axis=0) / w.sum()
+def _weighted_centroid(ids: np.ndarray, scenario, omega_h: float) -> tuple[float, float]:
+    w = sensor_weight(scenario.fire_history[ids], omega_h)
+    c = (scenario.xy[ids] * w[:, None]).sum(axis=0) / w.sum()
     return float(c[0]), float(c[1])
 
 
-def _random_clusters(uav_sensors: list[Sensor], m: int, seed: int) -> dict[int, int]:
-    """Uniform-random sensor -> cluster assignment; one re-roll if any
-    cluster comes up empty, then accepted as-is."""
-    rng = np.random.default_rng(derive_seed(seed, f"random-clusters-m{m}"))
-    genes = rng.integers(0, m, size=len(uav_sensors))
-    if len(uav_sensors) >= m and np.bincount(genes, minlength=m).min() == 0:
-        genes = rng.integers(0, m, size=len(uav_sensors))
-    return {s.id: int(g) for s, g in zip(uav_sensors, genes)}
-
-
-def _cluster_for_m(uav_sensors, m, scenario, algo: AlgoParams, variant: Variant):
-    """Cluster UAV-served sensors into m id-ordered member lists (empty lists
+def _cluster_for_m(uav_ids: np.ndarray, m: int, scenario, algo: AlgoParams,
+                   variant: Variant):
+    """Cluster UAV-served sensors into m ascending id arrays (empty ones
     allowed when sensors are scarce or the random arm rolls them), plus the
-    k-means iteration count."""
+    k-means iteration count.  The random arm rolls a uniform cluster per
+    sensor, once more if a cluster comes up empty, then accepts it as-is."""
+    n, iterations = len(uav_ids), 0
+    labels = np.zeros(n, dtype=int)
     if variant in (Variant.NO_KMEANS, Variant.NO_BOTH):
-        assignment = _random_clusters(uav_sensors, m, algo.seed)
-        iterations = 0
-    elif not uav_sensors:
-        assignment = {}
-        iterations = 0
-    else:
-        m_eff = min(m, len(uav_sensors))
-        edge_xy = np.array([[e.pos.x, e.pos.y] for e in scenario.edges])
+        rng = np.random.default_rng(derive_seed(algo.seed, f"random-clusters-m{m}"))
+        labels = rng.integers(0, m, size=n)
+        if n >= m and np.bincount(labels, minlength=m).min() == 0:
+            labels = rng.integers(0, m, size=n)
+    elif n:
         rng = np.random.default_rng(derive_seed(algo.seed, f"kmeans-m{m}"))
-        sub = weighted_kmeans(uav_sensors, m_eff, edge_xy, algo.omega_h,
+        sub = weighted_kmeans(scenario, uav_ids, min(m, n), algo.omega_h,
                               algo.epsilon_m, rng)
-        assignment = sub.assignment
+        labels = np.array([sub.assignment[i] for i in uav_ids.tolist()])
         iterations = sub.iterations_run
-
-    by_id = {s.id: s for s in uav_sensors}
-    members = [[by_id[i] for i in sorted(sid for sid, c in assignment.items() if c == j)]
-               for j in range(m)]
-    return members, iterations
+    return [uav_ids[labels == j] for j in range(m)], iterations
 
 
-def nn_route(uav_id: int, depot: EdgeNode, members: list[Sensor],
-             p: PhysicalParams) -> Route:
-    """Route builder for size_fleet: nearest-neighbor tour from the depot."""
-    return build_route(uav_id, depot.id, (depot.pos.x, depot.pos.y), members, p,
-                       use_two_opt=False)
-
-
-def two_opt_route(uav_id: int, depot: EdgeNode, members: list[Sensor],
-                  p: PhysicalParams) -> Route:
-    """Route builder for size_fleet: nearest-neighbor tour improved by 2-opt."""
-    return build_route(uav_id, depot.id, (depot.pos.x, depot.pos.y), members, p)
-
-
-def _bound_breaks(depot: EdgeNode, members: list[Sensor], p: PhysicalParams) -> bool:
-    """True when no tour over the members from the depot can meet the revisit
+def _bound_breaks(depot_edge_id: int, ids: np.ndarray, scenario) -> bool:
+    """True when no tour over the sensors from the depot can meet the revisit
     or energy limit: the spanning-tree bound already breaks one by more than
     float noise."""
-    if not members:
+    if not len(ids):
         return False
-    xy = np.array([[s.pos.x, s.pos.y] for s in members])
-    lb = tour_lower_bound((depot.pos.x, depot.pos.y), xy)
-    energy = route_energy(lb, [s.request.data_size_mb for s in members], p)
+    p = scenario.physical
+    lb = tour_lower_bound(scenario.edge_xy[depot_edge_id], scenario.xy[ids])
+    energy = route_energy(lb, scenario.alpha_mb[ids].tolist(), p)
     return (lb / p.v_g > p.t_max_s * (1 + _BOUND_RTOL)
             or energy > p.e_max_wh * (1 + _BOUND_RTOL))
 
@@ -177,11 +153,12 @@ def size_fleet(scenario, algo: AlgoParams, direct_map: dict[int, int],
     """The fleet-sizing loop shared by every planning method.
 
     For each m from the initial fleet size to m_max, ``clusters_at(m)`` gives
-    ``(members, iterations)``, the method's clusters with members in visit
-    order, or None for no candidate at this m.  The clusters are assigned to
-    edges (members in id order) and overloads repaired; each is routed with
-    ``route(j, depot, members, p)``; the first m whose routes meet the revisit
-    and energy limits becomes the Plan, idle UAVs parked at their edge.
+    ``(members, iterations)``, the method's clusters as arrays of sensor ids
+    in visit order, or None for no candidate at this m.  The clusters are
+    assigned to edges (ids in ascending order) and overloads repaired; each
+    is routed with ``route(j, depot_edge_id, ids, scenario)``; the first m
+    whose routes meet the revisit and energy limits becomes the Plan, idle
+    UAVs parked at their edge.
     Below m_max an m is dropped without routing when a cluster's spanning-tree
     bound (``tour_lower_bound``) already breaks a limit, and its routing stops
     at the first route that breaks one; m_max is always routed in full, so
@@ -201,29 +178,29 @@ def size_fleet(scenario, algo: AlgoParams, direct_map: dict[int, int],
         if clusters is None:
             continue
         members, iterations = clusters
-        by_id = [sorted(ms, key=lambda s: s.id) for ms in members]
+        by_id = [np.sort(ids) for ids in members]
         cluster_map, load = assign_clusters(
-            by_id, scenario.edges, load0, algo.omega_d, algo.omega_l,
+            by_id, scenario, load0, algo.omega_d, algo.omega_l,
             p.diag_m, p.t_period_s)
         if load.overloaded():
             try:
                 cluster_map, load = repair_overload(
-                    cluster_map, by_id, scenario.edges, load, algo.omega_d,
+                    cluster_map, by_id, scenario, load, algo.omega_d,
                     algo.omega_l, p.diag_m, p.t_period_s)
             except RepairFailure:
                 if gate:
                     failed = ["edge capacity"]
                     continue
 
-        depots = [scenario.edge_by_id(cluster_map[j]) for j in range(m)]
         # below the ceiling a failed m only leads on to m + 1, so skip it as
         # soon as one cluster cannot meet the limits
         prune = gate and m < p.m_max
-        if prune and any(_bound_breaks(depots[j], members[j], p) for j in range(m)):
+        if prune and any(_bound_breaks(cluster_map[j], members[j], scenario)
+                         for j in range(m)):
             continue
         routes = []
         for j in range(m):
-            r = route(j, depots[j], members[j], p)
+            r = route(j, cluster_map[j], members[j], scenario)
             routes.append(r)
             if prune and (r.revisit_s > p.t_max_s or r.energy_wh > p.e_max_wh):
                 break
@@ -236,11 +213,11 @@ def size_fleet(scenario, algo: AlgoParams, direct_map: dict[int, int],
         if gate and failed:
             continue
 
-        centers = tuple(_weighted_centroid(ms, algo.omega_h) if ms
-                        else (depots[j].pos.x, depots[j].pos.y)
-                        for j, ms in enumerate(members))
-        clustering = Clustering(m=m, assignment={s.id: j for j, ms in enumerate(members)
-                                                 for s in ms},
+        centers = tuple(_weighted_centroid(ids, scenario, algo.omega_h) if len(ids)
+                        else tuple(scenario.edge_xy[cluster_map[j]].tolist())
+                        for j, ids in enumerate(members))
+        clustering = Clustering(m=m, assignment={i: j for j, ids in enumerate(members)
+                                                 for i in ids.tolist()},
                                 centers=centers, iterations_run=iterations)
         return Plan(m=m, clustering=clustering,
                     assignment=Assignment(direct_map=direct_map,
@@ -273,10 +250,12 @@ def plan_at_fleet(scenario, algo: AlgoParams, m: int,
 
 def _proposed(scenario, algo: AlgoParams, variant: Variant, at_m: int | None) -> Plan:
     t0 = time.perf_counter()
-    _, uav_sensors, direct_map, load0 = split_and_assign_direct(scenario)
-    route = two_opt_route if variant in (Variant.FULL, Variant.NO_KMEANS) else nn_route
+    uav_ids, direct_map, load0 = split_and_assign_direct(scenario)
+    route = build_route
+    if variant in (Variant.NO_2OPT, Variant.NO_BOTH):
+        route = functools.partial(build_route, use_two_opt=False)
     return size_fleet(scenario, algo, direct_map, load0,
-                      lambda m: _cluster_for_m(uav_sensors, m, scenario, algo, variant),
+                      lambda m: _cluster_for_m(uav_ids, m, scenario, algo, variant),
                       route, method="proposed", seed=algo.seed, t0=t0,
                       variant=variant.value, at_m=at_m, binding=None)
 
@@ -288,21 +267,20 @@ def validate_plan(pl: Plan, scenario) -> ConstraintReport:
 
     revisit_margin, energy_margin = p.t_max_s, p.e_max_wh
     for r in pl.routes:
-        wps = [scenario.sensor_by_id(i) for i in r.waypoints]
-        depot = scenario.edge_by_id(r.depot_edge_id)
-        xy = np.array([[s.pos.x, s.pos.y] for s in wps]).reshape(len(wps), 2)
-        length = tour_length((depot.pos.x, depot.pos.y), xy)
-        energy = route_energy(length, [s.request.data_size_mb for s in wps], p)
+        ids = list(r.waypoints)
+        length = tour_length(scenario.edge_xy[r.depot_edge_id], scenario.xy[ids])
+        energy = route_energy(length, scenario.alpha_mb[ids].tolist(), p)
         revisit_margin = min(revisit_margin, p.t_max_s - length / p.v_g)
         energy_margin = min(energy_margin, p.e_max_wh - energy)
 
+    beta = scenario.beta_mi.tolist()
     loads = [0.0] * len(scenario.edges)
     for sid, eid in pl.assignment.direct_map.items():
-        loads[eid] += scenario.sensor_by_id(sid).request.compute_mi / p.t_period_s
+        loads[eid] += beta[sid] / p.t_period_s
     for j, eid in pl.assignment.cluster_map.items():
-        members = [scenario.sensor_by_id(i) for i in pl.routes[j].waypoints]
-        loads[eid] += cluster_demand(members, p.t_period_s)
-    capacity_margin = min(e.capacity_mips - loads[e.id] for e in scenario.edges)
+        loads[eid] += cluster_demand(scenario.beta_mi[list(pl.routes[j].waypoints)],
+                                     p.t_period_s)
+    capacity_margin = min(c - l for c, l in zip(scenario.capacity.tolist(), loads))
 
     fleet_margin = float(p.m_max - pl.m)
     return ConstraintReport(
@@ -337,8 +315,7 @@ def plan_to_doc(pl: Plan, scenario) -> dict:
                 "uav_id": r.uav_id,
                 "depot_edge_id": r.depot_edge_id,
                 "waypoints": list(r.waypoints),
-                "waypoint_xy": [[scenario.sensor_by_id(i).pos.x,
-                                 scenario.sensor_by_id(i).pos.y] for i in r.waypoints],
+                "waypoint_xy": scenario.xy[list(r.waypoints)].tolist(),
                 "length_m": r.length_m,
                 "revisit_s": r.revisit_s,
                 "energy_wh": r.energy_wh,
@@ -352,6 +329,14 @@ def save_plan(pl: Plan, scenario, path: str) -> None:
     with open(path, "w") as f:
         json.dump(plan_to_doc(pl, scenario), f, indent=1)
         f.write("\n")
+
+
+def _check_ids(where: str, ids, bound: int) -> None:
+    """Reject an id outside [0, bound); numpy indexing would wrap a negative
+    one without an error."""
+    for i in ids:
+        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < bound:
+            raise ValueError(f"plan {where}: {i!r} is not an id in [0, {bound})")
 
 
 def load_plan(path: str, scenario) -> Plan:
@@ -377,6 +362,19 @@ def load_plan(path: str, scenario) -> Plan:
               waypoints=tuple(r["waypoints"]), length_m=r["length_m"],
               revisit_s=r["revisit_s"], energy_wh=r["energy_wh"])
         for r in doc["routes"])
+    n, p, m = len(scenario.sensors), len(scenario.edges), len(routes)
+    if len(load.loads_mips) != p:
+        raise ValueError(f"plan assignment.loads_mips: {len(load.loads_mips)} loads "
+                         f"for {p} edges")
+    _check_ids("clustering.assignment", clustering.assignment, n)
+    _check_ids("clustering.assignment", clustering.assignment.values(), m)
+    _check_ids("assignment.direct_map", assignment.direct_map, n)
+    _check_ids("assignment.direct_map", assignment.direct_map.values(), p)
+    _check_ids("assignment.cluster_map", assignment.cluster_map, m)
+    _check_ids("assignment.cluster_map", assignment.cluster_map.values(), p)
+    for j, r in enumerate(routes):
+        _check_ids(f"routes[{j}].waypoints", r.waypoints, n)
+        _check_ids(f"routes[{j}].depot_edge_id", [r.depot_edge_id], p)
     return Plan(m=doc["m"], clustering=clustering, assignment=assignment,
                 routes=routes, planning_time_s=0.0, method=doc["method"],
                 variant=doc["variant"], seed=doc["seed"])
@@ -386,10 +384,8 @@ def route_geometry_rows(pl: Plan, scenario) -> list[dict]:
     """One CSV row per tour leg: uav_id, leg index, endpoints."""
     rows = []
     for r in pl.routes:
-        depot = scenario.edge_by_id(r.depot_edge_id)
-        pts = [(depot.pos.x, depot.pos.y)]
-        pts += [(scenario.sensor_by_id(i).pos.x, scenario.sensor_by_id(i).pos.y)
-                for i in r.waypoints]
+        pts = [scenario.edge_xy[r.depot_edge_id].tolist()]
+        pts += scenario.xy[list(r.waypoints)].tolist()
         if len(pts) > 1:
             pts.append(pts[0])
         for leg, (a, b) in enumerate(zip(pts[:-1], pts[1:])):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PhysicalParams, Sensor, MB_TO_MBIT
+from .model import PhysicalParams, MB_TO_MBIT
 
 # strictly-improving moves only; tiny negative guard keeps float noise from
 # cycling through equal-length tours
@@ -132,20 +132,22 @@ def route_energy(length_m: float, member_alpha_mb, p: PhysicalParams) -> float:
     return (p.p_fly_w * flight_s + p.p_comm_w * comm_s) / 3600.0
 
 
-def build_route(uav_id: int, depot_edge_id: int, depot_xy,
-                members: list[Sensor], p: PhysicalParams,
+def build_route(uav_id: int, depot_edge_id: int, ids, scenario,
                 use_two_opt: bool = True) -> Route:
-    """Nearest-neighbor tour over the members (optionally 2-opt improved),
-    packaged with its revisit period and per-lap energy."""
-    members = sorted(members, key=lambda s: s.id)
-    if not members:
+    """Nearest-neighbor tour from the depot edge over the sensors with the
+    given ids (optionally 2-opt improved), packaged with its revisit period
+    and per-lap energy; upload sizes are summed in id order."""
+    ids = np.sort(np.asarray(ids, dtype=int))
+    if not len(ids):
         return Route(uav_id, depot_edge_id, (), 0.0, 0.0, 0.0)
-    xy = np.array([[s.pos.x, s.pos.y] for s in members])
+    p = scenario.physical
+    depot_xy = scenario.edge_xy[depot_edge_id]
+    xy = scenario.xy[ids]
     order = nearest_neighbor_tour(depot_xy, xy)
     if use_two_opt:
         order = two_opt(depot_xy, xy, order)
     length = tour_length(depot_xy, xy[order])
-    energy = route_energy(length, [s.request.data_size_mb for s in members], p)
+    energy = route_energy(length, scenario.alpha_mb[ids].tolist(), p)
     return Route(uav_id=uav_id, depot_edge_id=depot_edge_id,
-                 waypoints=tuple(members[i].id for i in order),
+                 waypoints=tuple(ids[order].tolist()),
                  length_m=length, revisit_s=length / p.v_g, energy_wh=energy)

@@ -79,16 +79,39 @@ class ScenarioMeta:
 
 @dataclass(frozen=True)
 class Scenario:
+    """Sensors and edge nodes, each id equal to its position in its tuple.
+
+    The read-only columns are built once from the objects, row i holding
+    sensor (or edge) i: ``xy`` (n x 2), ``alpha_mb``, ``beta_mi``,
+    ``fire_history``, ``edge_xy`` (p x 2) and ``capacity``.  The planning
+    layers pass arrays of sensor ids and read these.
+    """
+
     physical: PhysicalParams
     sensors: tuple[Sensor, ...]
     edges: tuple[EdgeNode, ...]
     meta: ScenarioMeta
+    xy: np.ndarray = field(init=False, compare=False, repr=False)
+    alpha_mb: np.ndarray = field(init=False, compare=False, repr=False)
+    beta_mi: np.ndarray = field(init=False, compare=False, repr=False)
+    fire_history: np.ndarray = field(init=False, compare=False, repr=False)
+    edge_xy: np.ndarray = field(init=False, compare=False, repr=False)
+    capacity: np.ndarray = field(init=False, compare=False, repr=False)
 
-    def sensor_by_id(self, sid: int) -> Sensor:
-        return self.sensors[sid]
-
-    def edge_by_id(self, eid: int) -> EdgeNode:
-        return self.edges[eid]
+    def __post_init__(self):
+        if any(o.id != i for rows in (self.sensors, self.edges) for i, o in enumerate(rows)):
+            raise ValueError("sensor and edge ids must equal their positions, from 0")
+        ss, es = self.sensors, self.edges
+        columns = dict(
+            xy=np.array([(s.pos.x, s.pos.y) for s in ss], dtype=float).reshape(-1, 2),
+            alpha_mb=np.array([s.request.data_size_mb for s in ss], dtype=float),
+            beta_mi=np.array([s.request.compute_mi for s in ss], dtype=float),
+            fire_history=np.array([s.fire_history for s in ss], dtype=int),
+            edge_xy=np.array([(e.pos.x, e.pos.y) for e in es], dtype=float).reshape(-1, 2),
+            capacity=np.array([e.capacity_mips for e in es], dtype=float))
+        for name, col in columns.items():
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
 
 
 def generate(cfg: GenConfig, physical: PhysicalParams | None = None) -> Scenario:
@@ -180,9 +203,25 @@ def save_scenario(sc: Scenario, path: str) -> None:
 
 
 def _require(doc: dict, key: str, where: str):
+    if not isinstance(doc, dict):
+        raise ScenarioFormatError(f"{where}: expected a JSON object")
     if key not in doc:
         raise ScenarioFormatError(f"{where}.{key}: missing required field")
     return doc[key]
+
+
+def _number(doc: dict, key: str, where: str) -> float:
+    value = _require(doc, key, where)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioFormatError(f"{where}.{key}: must be a number, got {value!r}")
+    return float(value)
+
+
+def _rows(doc: dict, key: str, where: str) -> list:
+    rows = _require(doc, key, where)
+    if not isinstance(rows, list):
+        raise ScenarioFormatError(f"{where}.{key}: expected a JSON array")
+    return rows
 
 
 def load_scenario(path: str) -> Scenario:
@@ -193,8 +232,6 @@ def load_scenario(path: str) -> Scenario:
     """
     with open(path) as f:
         doc = json.load(f)
-    if not isinstance(doc, dict):
-        raise ScenarioFormatError("document: expected a JSON object")
 
     version = _require(doc, "schema_version", "document")
     if version != SCHEMA_VERSION:
@@ -218,14 +255,13 @@ def load_scenario(path: str) -> Scenario:
     side = physical.side_m
 
     sensors = []
-    for i, row in enumerate(_require(doc, "sensors", "document")):
+    for i, row in enumerate(_rows(doc, "sensors", "document")):
         where = f"sensors[{i}]"
         sid = _require(row, "id", where)
         if sid != i:
             raise ScenarioFormatError(
                 f"{where}.id: ids must be contiguous from 0, got {sid}")
-        x = float(_require(row, "x", where))
-        y = float(_require(row, "y", where))
+        x, y = _number(row, "x", where), _number(row, "y", where)
         if not (0.0 <= x <= side and 0.0 <= y <= side):
             raise ScenarioFormatError(
                 f"{where}: position ({x}, {y}) outside monitoring square [0, {side}]")
@@ -234,8 +270,8 @@ def load_scenario(path: str) -> Scenario:
             raise ScenarioFormatError(
                 f"{where}.fire_history: must be a non-negative integer, got {h!r}")
         try:
-            req = RequestProfile(float(_require(row, "data_size_mb", where)),
-                                 float(_require(row, "compute_mi", where)))
+            req = RequestProfile(_number(row, "data_size_mb", where),
+                                 _number(row, "compute_mi", where))
             sensors.append(Sensor(id=sid, pos=Point2D(x, y), fire_history=h, request=req))
         except ValueError as exc:
             raise ScenarioFormatError(f"{where}: {exc}") from exc
@@ -243,20 +279,19 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioFormatError("sensors: at least one sensor required")
 
     edges = []
-    for k, row in enumerate(_require(doc, "edges", "document")):
+    for k, row in enumerate(_rows(doc, "edges", "document")):
         where = f"edges[{k}]"
         eid = _require(row, "id", where)
         if eid != k:
             raise ScenarioFormatError(
                 f"{where}.id: ids must be contiguous from 0, got {eid}")
-        x = float(_require(row, "x", where))
-        y = float(_require(row, "y", where))
+        x, y = _number(row, "x", where), _number(row, "y", where)
         if not (0.0 <= x <= side and 0.0 <= y <= side):
             raise ScenarioFormatError(
                 f"{where}: position ({x}, {y}) outside monitoring square [0, {side}]")
         try:
             edges.append(EdgeNode(id=eid, pos=Point2D(x, y),
-                                  capacity_mips=float(_require(row, "capacity_mips", where))))
+                                  capacity_mips=_number(row, "capacity_mips", where)))
         except ValueError as exc:
             raise ScenarioFormatError(f"{where}: {exc}") from exc
     if not edges:
@@ -264,12 +299,13 @@ def load_scenario(path: str) -> Scenario:
 
     meta_doc = _require(doc, "meta", "document")
     n = len(sensors)
-    hotspot_ids = tuple(_require(meta_doc, "hotspot_sensor_ids", "meta"))
-    if any(not (0 <= i < n) for i in hotspot_ids):
+    hotspot_ids = tuple(_rows(meta_doc, "hotspot_sensor_ids", "meta"))
+    if any(isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < n
+           for i in hotspot_ids):
         raise ScenarioFormatError("meta.hotspot_sensor_ids: id out of range")
-    meta = ScenarioMeta(
-        seed=int(_require(meta_doc, "seed", "meta")),
-        hotspots=tuple(Hotspot(**h) for h in _require(meta_doc, "hotspots", "meta")),
-        hotspot_sensor_ids=hotspot_ids,
-    )
+    hotspots = tuple(
+        Hotspot(*(_number(h, key, f"meta.hotspots[{k}]") for key in ("cx", "cy", "sigma_m")))
+        for k, h in enumerate(_rows(meta_doc, "hotspots", "meta")))
+    meta = ScenarioMeta(seed=int(_require(meta_doc, "seed", "meta")), hotspots=hotspots,
+                        hotspot_sensor_ids=hotspot_ids)
     return Scenario(physical=physical, sensors=tuple(sensors), edges=tuple(edges), meta=meta)

@@ -73,11 +73,11 @@ def moving_time(d_m: float, v_g: float) -> float:
 def response_time(sensor_id: int, plan, scenario) -> ResponseBreakdown:
     """Full response breakdown for one sensor under a plan."""
     p = scenario.physical
-    s = scenario.sensor_by_id(sensor_id)
+    s = scenario.sensors[sensor_id]
     t_tra = transmission_time(s.request.data_size_mb, p.data_rate_mbps)
 
     if sensor_id in plan.assignment.direct_map:
-        edge = scenario.edge_by_id(plan.assignment.direct_map[sensor_id])
+        edge = scenario.edges[plan.assignment.direct_map[sensor_id]]
         return ResponseBreakdown(
             sensor_id=sensor_id, path_kind="direct",
             t_lat_s=p.per_hop_latency_s,
@@ -89,7 +89,7 @@ def response_time(sensor_id: int, plan, scenario) -> ResponseBreakdown:
         raise ValueError(f"sensor {sensor_id} is not assigned in the plan")
     j = plan.clustering.assignment[sensor_id]
     route = plan.routes[j]
-    edge = scenario.edge_by_id(plan.assignment.cluster_map[j])
+    edge = scenario.edges[plan.assignment.cluster_map[j]]
     cx, cy = plan.clustering.centers[j]
     ferry = distance(Point2D(cx, cy), edge.pos)
     return ResponseBreakdown(

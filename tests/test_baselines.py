@@ -48,7 +48,7 @@ def _oracle_eval(ws, scenario, algo, genes, order, m):
     for j in range(m):
         if members[j]:
             depot = (edges[edge_of[j]].pos.x, edges[edge_of[j]].pos.y)
-            L = tour_length(depot, ws.xy[members[j]])
+            L = tour_length(depot, scenario.xy[ws.uav_ids[members[j]]])
         else:
             L = 0.0
         lengths.append(L)
@@ -65,10 +65,10 @@ def _oracle_eval(ws, scenario, algo, genes, order, m):
                                    edges[edge_of[genes[i]]].capacity_mips)
                   for i in range(ws.n))
     direct = sum(
-        transmission_time(s.request.data_size_mb, p.data_rate_mbps)
-        + execution_time(s.request.compute_mi,
-                         scenario.edge_by_id(ws.direct_map[s.id]).capacity_mips)
-        for s in ws.direct_sensors)
+        transmission_time(scenario.sensors[i].request.data_size_mb, p.data_rate_mbps)
+        + execution_time(scenario.sensors[i].request.compute_mi,
+                         scenario.edges[k].capacity_mips)
+        for i, k in ws.direct_map.items())
     obj = sum(lengths) + algo.lam * (service + direct)
     return obj + 1e6 * violations, violations, edge_of, lengths
 
@@ -142,9 +142,9 @@ def test_pso_deterministic_and_nn_ordered():
     for r in a.routes:
         if not r.waypoints:
             continue
-        depot = sc.edge_by_id(r.depot_edge_id).pos
+        depot = sc.edges[r.depot_edge_id].pos
         members = sorted(r.waypoints)
-        xy = np.array([[sc.sensor_by_id(i).pos.x, sc.sensor_by_id(i).pos.y]
+        xy = np.array([[sc.sensors[i].pos.x, sc.sensors[i].pos.y]
                        for i in members])
         nn = nearest_neighbor_tour((depot.x, depot.y), xy)
         assert tuple(members[i] for i in nn) == r.waypoints
@@ -154,7 +154,7 @@ def test_greedy_single_cluster_routes_nearest_neighbor():
     sc = _blob_scenario()
     pl = greedy_plan(sc, AlgoParams())
     assert pl.m == 1
-    depot = sc.edge_by_id(pl.routes[0].depot_edge_id).pos
+    depot = sc.edges[pl.routes[0].depot_edge_id].pos
     xy = np.array([[s.pos.x, s.pos.y] for s in sc.sensors])
     nn = nearest_neighbor_tour((depot.x, depot.y), xy)
     assert tuple(nn) == pl.routes[0].waypoints

@@ -1,12 +1,17 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import firewatch
 from firewatch.cli import main
 from firewatch.model import PhysicalParams
 from firewatch.scenario import load_scenario, save_scenario
-from firewatch.emergency import save_events
+from firewatch.emergency import EmergencyEvent, save_events
 from testutil import build_scenario
 
 
@@ -143,7 +148,7 @@ def test_simulate_too_many_events_exit_code(small_files, tmp_path, capsys):
     scenario = load_scenario(str(scen))
     with open(plandir / "plan.json") as f:
         uav_ids = json.load(f)["clustering"]["assignment"]
-    eligible = sum(scenario.sensor_by_id(int(i)).fire_history > 50 for i in uav_ids)
+    eligible = sum(scenario.sensors[int(i)].fire_history > 50 for i in uav_ids)
     out = tmp_path / "sim"
     rc = main(["simulate", "-s", str(scen), "-p", str(plandir / "plan.json"),
                "--n-events", str(eligible + 1), "-o", str(out)])
@@ -264,3 +269,93 @@ def test_config_file_missing(tmp_path):
     rc = main(["generate", "--config", str(tmp_path / "nope.cfg"),
                "-o", str(tmp_path / "x.json")])
     assert rc == 1
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(firewatch.__file__).resolve().parents[1])
+    code = "import sys, firewatch.cli; sys.exit(int('scipy.stats' in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr or "firewatch.cli imported scipy.stats"
+
+
+@pytest.mark.parametrize("rows,index,key,value", [
+    ("physical", None, "v_g", float("nan")),
+    ("physical", None, "t_max_s", float("inf")),
+    ("physical", None, "per_hop_latency_s", float("nan")),
+    ("sensors", 3, "data_size_mb", float("nan")),
+    ("sensors", 3, "compute_mi", float("inf")),
+    ("edges", 0, "capacity_mips", float("inf")),
+])
+def test_plan_rejects_non_finite_scenario_numbers(tmp_path, capsys, rows, index, key, value):
+    scen = tmp_path / "scenario.json"
+    assert main(["generate", "--sensors", "30", "-o", str(scen)]) == 0
+    doc = json.loads(scen.read_text())
+    (doc[rows] if index is None else doc[rows][index])[key] = value
+    scen.write_text(json.dumps(doc))     # json writes NaN and Infinity literals
+    assert main(["plan", "-s", str(scen), "-o", str(tmp_path / "out")]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag,field", [("--lam", "lam"), ("--epsilon-m", "epsilon_m"),
+                                        ("--omega-h", "omega_h")])
+@pytest.mark.parametrize("command", [["plan", "-s", "x.json"],
+                                     ["simulate", "-s", "x.json", "-p", "p.json"],
+                                     ["compare", "--methods", "proposed", "--seeds", "1",
+                                      "--sensors", "20"]])
+def test_non_finite_algorithm_flag_is_a_usage_error(tmp_path, capsys, command, flag,
+                                                    field, value):
+    rc = main(command + [flag, value, "-o", str(tmp_path / "out")])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sensor_id", [9999, 40, -1])
+def test_simulate_rejects_an_event_at_an_unknown_sensor(small_files, tmp_path, capsys,
+                                                        sensor_id):
+    scen, out = small_files
+    events = tmp_path / "events.json"
+    save_events([EmergencyEvent(sensor_id, 10.0, 80)], str(events))
+    rc = main(["simulate", "-s", str(scen), "-p", str(out / "plan.json"),
+               "--events", str(events), "-o", str(tmp_path / "sim")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "events[0].sensor_id" in err and str(sensor_id) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field,mutate", [
+    ("routes[0].waypoints", lambda d: d["routes"][0]["waypoints"].__setitem__(0, -1)),
+    ("routes[0].waypoints", lambda d: d["routes"][0]["waypoints"].append(40)),
+    ("routes[0].depot_edge_id", lambda d: d["routes"][0].__setitem__("depot_edge_id", 3)),
+    ("assignment.direct_map", lambda d: d["assignment"]["direct_map"].__setitem__("-2", 0)),
+    ("assignment.direct_map", lambda d: d["assignment"]["direct_map"].__setitem__("0", -1)),
+    ("assignment.cluster_map", lambda d: d["assignment"]["cluster_map"].__setitem__("0", 5)),
+    ("clustering.assignment", lambda d: d["clustering"]["assignment"].__setitem__("40", 0)),
+])
+def test_simulate_rejects_a_plan_id_outside_the_scenario(small_files, tmp_path, capsys,
+                                                         field, mutate):
+    scen, out = small_files
+    doc = json.loads((out / "plan.json").read_text())
+    mutate(doc)
+    bad = tmp_path / "plan.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["simulate", "-s", str(scen), "-p", str(bad), "-o", str(tmp_path / "sim")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"plan {field}" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_rejects_a_plan_made_for_another_scenario(small_files, tmp_path, capsys):
+    _, out = small_files
+    other = tmp_path / "other.json"
+    assert main(["generate", "--sensors", "20", "--edges", "3", "-o", str(other)]) == 0
+    rc = main(["simulate", "-s", str(other), "-p", str(out / "plan.json"),
+               "-o", str(tmp_path / "sim")])
+    assert rc == 1
+    assert "is not an id in [0, 20)" in capsys.readouterr().err

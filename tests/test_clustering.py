@@ -16,11 +16,15 @@ from testutil import blob, build_scenario
 RNG = lambda seed=0: np.random.default_rng(seed)  # noqa: E731
 
 
-def _sensors(xy, hs=None, omega=1.5):
+def _scenario(xy, hs=None):
+    """The sensors at xy around one edge at the origin."""
     hs = hs if hs is not None else [0] * len(xy)
-    sc = build_scenario([(x, y, h, 1.0, 100.0) for (x, y), h in zip(xy, hs)],
-                        [(0.0, 0.0, 5000.0)])
-    return list(sc.sensors)
+    return build_scenario([(x, y, h, 1.0, 100.0) for (x, y), h in zip(xy, hs)],
+                          [(0.0, 0.0, 5000.0)])
+
+
+def _all(sc):
+    return np.arange(len(sc.sensors))
 
 
 def test_sensor_weight_examples():
@@ -62,18 +66,18 @@ def test_init_centers_not_enough_seed_points():
 
 
 def test_kmeans_m_validation():
-    sensors = _sensors([(0, 0), (10, 10)])
+    sc = _scenario([(0, 0), (10, 10)])
     with pytest.raises(ValueError):
-        weighted_kmeans(sensors, 3, np.zeros((1, 2)), 1.5, 1.0, RNG())
+        weighted_kmeans(sc, _all(sc), 3, 1.5, 1.0, RNG())
     with pytest.raises(ValueError):
-        weighted_kmeans(sensors, 0, np.zeros((1, 2)), 1.5, 1.0, RNG())
+        weighted_kmeans(sc, _all(sc), 0, 1.5, 1.0, RNG())
 
 
 def test_kmeans_single_cluster_closed_form():
     xy = [(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)]
     hs = [0, 0, 20]
-    sensors = _sensors(xy, hs)
-    out = weighted_kmeans(sensors, 1, np.array([[0.0, 0.0]]), 1.5, 0.1, RNG())
+    sc = _scenario(xy, hs)
+    out = weighted_kmeans(sc, _all(sc), 1, 1.5, 0.1, RNG())
     w = np.array([sensor_weight(h, 1.5) for h in hs])
     expect = (np.array(xy) * w[:, None]).sum(axis=0) / w.sum()
     np.testing.assert_allclose(out.centers[0], expect)
@@ -83,11 +87,11 @@ def test_kmeans_single_cluster_closed_form():
 def test_kmeans_equal_weights_match_unweighted():
     rng = RNG(5)
     xy = rng.uniform(0, 5000, size=(30, 2))
-    sensors = _sensors([tuple(p) for p in xy], hs=[4] * 30)
+    sc = _scenario([tuple(p) for p in xy], hs=[4] * 30)
     init = xy[:3].copy()
-    a = weighted_kmeans(sensors, 3, np.zeros((1, 2)), 1.5, 1.0, RNG(),
+    a = weighted_kmeans(sc, _all(sc), 3, 1.5, 1.0, RNG(),
                         initial_centers=init)
-    b = weighted_kmeans(sensors, 3, np.zeros((1, 2)), 0.0, 1.0, RNG(),
+    b = weighted_kmeans(sc, _all(sc), 3, 0.0, 1.0, RNG(),
                         initial_centers=init)
     assert a.assignment == b.assignment
     np.testing.assert_allclose(a.centers, b.centers)
@@ -111,7 +115,7 @@ def test_kmeans_two_groups_match_exhaustive_enumeration():
                   + blob((4500, 4500), [(0, 0), (25, -15), (-30, 5), (10, 20)]),
                   dtype=float)
     hs = [3, 0, 7, 0, 0, 12, 0, 2]
-    sensors = _sensors([tuple(p) for p in xy], hs)
+    sc = _scenario([tuple(p) for p in xy], hs)
     w = np.array([sensor_weight(h, 1.5) for h in hs])
 
     best_cost, best_labels = np.inf, None
@@ -122,7 +126,7 @@ def test_kmeans_two_groups_match_exhaustive_enumeration():
             best_cost, best_labels = cost, labels
 
     init = np.array([[500.0, 500.0], [4500.0, 4500.0]])
-    out = weighted_kmeans(sensors, 2, np.zeros((1, 2)), 1.5, 0.5, RNG(),
+    out = weighted_kmeans(sc, _all(sc), 2, 1.5, 0.5, RNG(),
                           initial_centers=init)
     got = [frozenset(out.members(0)), frozenset(out.members(1))]
     want = [frozenset(np.flatnonzero(best_labels == 0).tolist()),
@@ -134,10 +138,10 @@ def test_kmeans_two_far_groups_of_ten():
     rng = RNG(9)
     a = rng.uniform(0, 400, size=(10, 2))
     b = rng.uniform(0, 400, size=(10, 2)) + 8000.0
-    sensors = _sensors([tuple(p) for p in np.vstack([a, b])],
+    sc = _scenario([tuple(p) for p in np.vstack([a, b])],
                        hs=list(rng.integers(0, 40, size=20)))
     init = np.array([[200.0, 200.0], [8200.0, 8200.0]])
-    out = weighted_kmeans(sensors, 2, np.zeros((1, 2)), 1.5, 0.5, RNG(),
+    out = weighted_kmeans(sc, _all(sc), 2, 1.5, 0.5, RNG(),
                           initial_centers=init)
     assert out.members(0) == list(range(10))
     assert out.members(1) == list(range(10, 20))
@@ -147,8 +151,8 @@ def test_kmeans_centers_are_weighted_centroids_of_final_assignment():
     rng = RNG(13)
     xy = rng.uniform(0, 9000, size=(40, 2))
     hs = list(rng.integers(0, 60, size=40))
-    sensors = _sensors([tuple(p) for p in xy], hs)
-    out = weighted_kmeans(sensors, 4, xy[:4].copy(), 1.5, 0.5, RNG(),
+    sc = _scenario([tuple(p) for p in xy], hs)
+    out = weighted_kmeans(sc, _all(sc), 4, 1.5, 0.5, RNG(),
                           initial_centers=xy[:4].copy())
     assert out.iterations_run < 300
     w = np.array([sensor_weight(h, 1.5) for h in hs])
@@ -166,11 +170,11 @@ def test_kmeans_centers_are_weighted_centroids_of_final_assignment():
 
 def test_kmeans_high_risk_pull_1d():
     xy = [(0.0, 500.0), (100.0, 500.0), (200.0, 500.0)]
-    sensors = _sensors(xy, hs=[0, 0, 20])
+    sc = _scenario(xy, hs=[0, 0, 20])
     init = np.array([[100.0, 500.0]])
-    weighted = weighted_kmeans(sensors, 1, np.zeros((1, 2)), 1.5, 0.01, RNG(),
+    weighted = weighted_kmeans(sc, _all(sc), 1, 1.5, 0.01, RNG(),
                                initial_centers=init.copy())
-    plain = weighted_kmeans(sensors, 1, np.zeros((1, 2)), 0.0, 0.01, RNG(),
+    plain = weighted_kmeans(sc, _all(sc), 1, 0.0, 0.01, RNG(),
                             initial_centers=init.copy())
     d_w = abs(weighted.centers[0][0] - 200.0)
     d_u = abs(plain.centers[0][0] - 200.0)
@@ -178,9 +182,9 @@ def test_kmeans_high_risk_pull_1d():
 
 
 def test_kmeans_assignment_tie_prefers_lowest_center():
-    sensors = _sensors([(100.0, 0.0), (0.0, 0.0), (200.0, 0.0)])
+    sc = _scenario([(100.0, 0.0), (0.0, 0.0), (200.0, 0.0)])
     init = np.array([[0.0, 0.0], [200.0, 0.0]])
-    out = weighted_kmeans(sensors, 2, np.zeros((1, 2)), 1.5, 1e9, RNG(),
+    out = weighted_kmeans(sc, _all(sc), 2, 1.5, 1e9, RNG(),
                           initial_centers=init)
     # sensor 0 is equidistant from both centers -> cluster 0
     assert out.assignment[0] == 0
@@ -190,9 +194,9 @@ def test_kmeans_assignment_tie_prefers_lowest_center():
 
 def test_kmeans_reseeds_empty_cluster_at_farthest_sensor():
     xy = [(0.0, 0.0), (10.0, 0.0), (20.0, 0.0), (1000.0, 0.0)]
-    sensors = _sensors(xy)
+    sc = _scenario(xy)
     init = np.array([[0.0, 0.0], [0.0, 0.0]])   # duplicate centers -> one empties
-    out = weighted_kmeans(sensors, 2, np.zeros((1, 2)), 1.5, 1.0, RNG(),
+    out = weighted_kmeans(sc, _all(sc), 2, 1.5, 1.0, RNG(),
                           initial_centers=init)
     assert out.members(0) and out.members(1)
     assert sorted(out.members(0) + out.members(1)) == [0, 1, 2, 3]

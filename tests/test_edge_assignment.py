@@ -43,10 +43,10 @@ def test_assign_direct_out_of_range_rejected():
 def test_cluster_demand_examples():
     sc = build_scenario([(0.0, 0.0, 0, 1.0, 300.0) for _ in range(20)],
                         [(0.0, 0.0, 5000.0)])
-    assert cluster_demand(list(sc.sensors), 3600.0) == pytest.approx(6000.0 / 3600.0)
+    assert cluster_demand(sc.beta_mi, 3600.0) == pytest.approx(6000.0 / 3600.0)
     assert cluster_demand([], 3600.0) == 0.0
-    one = build_scenario([(0.0, 0.0, 0, 1.0, 500.0)], [(0.0, 0.0, 5000.0)]).sensors
-    assert cluster_demand(list(one), 3600.0) == pytest.approx(500.0 / 3600.0)
+    one = build_scenario([(0.0, 0.0, 0, 1.0, 500.0)], [(0.0, 0.0, 5000.0)]).beta_mi
+    assert cluster_demand(one, 3600.0) == pytest.approx(500.0 / 3600.0)
     with pytest.raises(ValueError):
         cluster_demand([], 0.0)
 
@@ -61,9 +61,9 @@ def _cluster_scenario():
 
 def test_assign_clusters_hand_computed_scores():
     sc = _cluster_scenario()
-    members = [[sc.sensors[0], sc.sensors[1]]]     # dbar: e0 250, e1 750
+    members = [[0, 1]]                             # dbar: e0 250, e1 750
     load0 = EdgeLoadState([0.0, 0.0], [10.0, 10.0])
-    cmap, load = assign_clusters(members, list(sc.edges), load0,
+    cmap, load = assign_clusters(members, sc, load0,
                                  0.7, 0.3, 1000.0, 100.0)
     demand = 100.0 / 100.0
     s0 = 0.7 * 250.0 / 1000.0 + 0.3 * (0.0 + demand) / 10.0
@@ -75,30 +75,30 @@ def test_assign_clusters_hand_computed_scores():
 
 def test_assign_clusters_pure_distance_and_pure_load():
     sc = _cluster_scenario()
-    near_e0 = [[sc.sensors[0]]]
+    near_e0 = [[0]]
     load0 = EdgeLoadState([0.0, 0.0], [10.0, 10.0])
-    cmap, _ = assign_clusters(near_e0, list(sc.edges), load0, 1.0, 0.0, 1000.0, 100.0)
+    cmap, _ = assign_clusters(near_e0, sc, load0, 1.0, 0.0, 1000.0, 100.0)
     assert cmap == {0: 0}
 
     # omega_d = 0: utilization-after 0.9 on e0 vs 0.2 on e1 -> e1
     load0 = EdgeLoadState([8.0, 1.0], [10.0, 10.0])
-    cmap, _ = assign_clusters(near_e0, list(sc.edges), load0, 0.0, 1.0, 1000.0, 100.0)
+    cmap, _ = assign_clusters(near_e0, sc, load0, 0.0, 1.0, 1000.0, 100.0)
     assert cmap == {0: 1}
 
 
 def test_assign_clusters_tie_prefers_lowest_edge():
     sc = _cluster_scenario()
-    centered = [[sc.sensors[1]]]                   # 500 m from both edges
+    centered = [[1]]                               # 500 m from both edges
     load0 = EdgeLoadState([0.0, 0.0], [10.0, 10.0])
-    cmap, _ = assign_clusters(centered, list(sc.edges), load0, 0.7, 0.3, 1000.0, 100.0)
+    cmap, _ = assign_clusters(centered, sc, load0, 0.7, 0.3, 1000.0, 100.0)
     assert cmap == {0: 0}
 
 
 def test_assign_clusters_sequential_load_coupling():
     sc = _cluster_scenario()
-    clusters = [[sc.sensors[1]], [sc.sensors[1]]]  # identical demands and dbar
+    clusters = [[1], [1]]                          # identical demands and dbar
     load0 = EdgeLoadState([0.0, 0.0], [1.2, 1.0])
-    cmap, load = assign_clusters(clusters, list(sc.edges), load0, 0.0, 1.0, 1000.0, 50.0)
+    cmap, load = assign_clusters(clusters, sc, load0, 0.0, 1.0, 1000.0, 50.0)
     # each demand = 1.0; after c0 takes e0, e1 scores lower for c1
     assert cmap == {0: 0, 1: 1}
     assert load.loads_mips == pytest.approx([1.0, 1.0])
@@ -107,9 +107,9 @@ def test_assign_clusters_sequential_load_coupling():
 def test_single_edge_takes_everything():
     sc = build_scenario([(0.0, 0.0, 0, 1.0, 50.0), (900.0, 900.0, 0, 1.0, 70.0)],
                         [(5000.0, 5000.0, 10.0)])
-    members = [[sc.sensors[0]], [sc.sensors[1]]]
+    members = [[0], [1]]
     load0 = EdgeLoadState([0.0], [10.0])
-    cmap, _ = assign_clusters(members, list(sc.edges), load0, 0.7, 0.3, 1000.0, 100.0)
+    cmap, _ = assign_clusters(members, sc, load0, 0.7, 0.3, 1000.0, 100.0)
     assert cmap == {0: 0, 1: 0}
 
 
@@ -119,9 +119,9 @@ def test_single_edge_takes_everything():
 def test_load_conservation(rows, m):
     sc = build_scenario([(x, y, 0, 1.0, b) for x, y, b in rows],
                         [(0.0, 0.0, 1e9), (9000.0, 9000.0, 1e9)])
-    members = [[s for i, s in enumerate(sc.sensors) if i % m == j] for j in range(m)]
+    members = [[i for i in range(len(sc.sensors)) if i % m == j] for j in range(m)]
     load0 = EdgeLoadState([0.0, 0.0], [1e9, 1e9])
-    _, load = assign_clusters(members, list(sc.edges), load0, 0.7, 0.3,
+    _, load = assign_clusters(members, sc, load0, 0.7, 0.3,
                               sc.physical.diag_m, 3600.0)
     total = sum(b for _, _, b in rows) / 3600.0
     assert sum(load.loads_mips) == pytest.approx(total)
@@ -131,10 +131,10 @@ def test_repair_single_move_fixes_overload():
     sc = build_scenario(
         [(0.0, 0.0, 0, 1.0, 60.0), (10.0, 0.0, 0, 1.0, 50.0)],
         [(0.0, 0.0, 1.0), (1000.0, 0.0, 10.0)])
-    members = [[sc.sensors[0]], [sc.sensors[1]]]
+    members = [[0], [1]]
     # both clusters forced onto e0: 1.1 MIPS on a 1.0 MIPS edge
     load = EdgeLoadState([1.1, 0.0], [1.0, 10.0])
-    cmap, fixed = repair_overload({0: 0, 1: 0}, members, list(sc.edges), load,
+    cmap, fixed = repair_overload({0: 0, 1: 0}, members, sc, load,
                                   0.7, 0.3, 1000.0, 100.0)
     # least-demand cluster (c1, 0.5) moves to the edge with slack
     assert cmap == {0: 0, 1: 1}
@@ -144,9 +144,9 @@ def test_repair_single_move_fixes_overload():
 
 def test_repair_no_overload_is_identity():
     sc = build_scenario([(0.0, 0.0, 0, 1.0, 50.0)], [(0.0, 0.0, 10.0)])
-    members = [[sc.sensors[0]]]
+    members = [[0]]
     load = EdgeLoadState([0.5], [10.0])
-    cmap, out = repair_overload({0: 0}, members, list(sc.edges), load,
+    cmap, out = repair_overload({0: 0}, members, sc, load,
                                 0.7, 0.3, 1000.0, 100.0)
     assert cmap == {0: 0}
     assert out.loads_mips == [0.5]
@@ -156,10 +156,10 @@ def test_repair_pigeonhole_failure():
     sc = build_scenario(
         [(0.0, 0.0, 0, 1.0, 100.0), (10.0, 0.0, 0, 1.0, 100.0)],
         [(0.0, 0.0, 1.0), (1000.0, 0.0, 1.0)])
-    members = [[sc.sensors[0]], [sc.sensors[1]]]
+    members = [[0], [1]]
     load = EdgeLoadState([4.0, 0.0], [1.0, 1.0])   # total demand 4 > total cap 2
     with pytest.raises(RepairFailure):
-        repair_overload({0: 0, 1: 0}, members, list(sc.edges), load,
+        repair_overload({0: 0, 1: 0}, members, sc, load,
                         0.7, 0.3, 1000.0, 50.0)
 
 
@@ -179,14 +179,13 @@ def test_phase1_phase2_composition(default_scenario):
     sc = default_scenario
     p = sc.physical
     direct_ids, uav_ids = partition_sensors(sc.sensors, sc.edges, p)
-    direct = [sc.sensor_by_id(i) for i in direct_ids]
-    uav = [sc.sensor_by_id(i) for i in uav_ids]
+    direct = [sc.sensors[i] for i in direct_ids]
     direct_map, load0 = assign_direct(direct, list(sc.edges), p)
     assert set(direct_map) == set(direct_ids)
 
     m = 4
-    members = [[s for k, s in enumerate(uav) if k % m == j] for j in range(m)]
-    _, load = assign_clusters(members, list(sc.edges), load0, 0.7, 0.3,
+    members = [[i for k, i in enumerate(uav_ids) if k % m == j] for j in range(m)]
+    _, load = assign_clusters(members, sc, load0, 0.7, 0.3,
                               p.diag_m, p.t_period_s)
     total = sum(s.request.compute_mi for s in sc.sensors) / p.t_period_s
     assert sum(load.loads_mips) == pytest.approx(total)

@@ -102,16 +102,16 @@ class TestResumeWaypoint:
     def test_nearest_waypoint(self):
         # points[0] is the depot; returned index counts waypoints only
         g = _square_geom()
-        assert resume_waypoint(Point2D(1.0, 9.5), g) == 2
+        assert resume_waypoint((1.0, 9.5), g) == 2
 
     def test_tie_prefers_earliest_index(self):
         pts = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]])
         g = RouteGeometry(pts)
-        assert resume_waypoint(Point2D(5.0, 5.0), g) == 0
+        assert resume_waypoint((5.0, 5.0), g) == 0
 
     def test_empty_geometry(self):
         g = RouteGeometry(np.empty((0, 2)))
-        assert resume_waypoint(Point2D(0.0, 0.0), g) is None
+        assert resume_waypoint((0.0, 0.0), g) is None
 
 
 def _one_uav_setup():
@@ -173,13 +173,13 @@ def test_direct_sensor_served_without_uav(default_scenario, default_plan,
     direct_ids = sorted(default_plan.assignment.direct_map)
     assert direct_ids, "expected direct sensors on the default layout"
     sid = direct_ids[0]
-    ev = EmergencyEvent(sid, 10.0, default_scenario.sensor_by_id(sid).fire_history)
+    ev = EmergencyEvent(sid, 10.0, default_scenario.sensors[sid].fire_history)
     res = simulate(default_plan, default_scenario, [ev], 3600.0, default_algo)
     tr = res.traces[0]
     assert tr.served_direct
     assert tr.uav_id is None
     assert tr.t_dispatch_travel_s == 0.0 and tr.t_delivery_travel_s == 0.0
-    sensor = default_scenario.sensor_by_id(sid)
+    sensor = default_scenario.sensors[sid]
     want = (default_scenario.physical.per_hop_latency_s
             + sensor.request.data_size_mb * 8.0 / default_scenario.physical.data_rate_mbps
             + tr.t_exe_s)
@@ -209,7 +209,7 @@ def test_own_cluster_policy(default_scenario, default_plan, default_algo):
             owner[sid] = k
     uav_ids = sorted(owner)
     events = [EmergencyEvent(sid, 100.0 + 40.0 * i,
-                             default_scenario.sensor_by_id(sid).fire_history)
+                             default_scenario.sensors[sid].fire_history)
               for i, sid in enumerate(uav_ids[:4])]
     res = simulate(default_plan, default_scenario, events, 86400.0,
                    default_algo, dispatch_policy="own_cluster")

@@ -14,14 +14,13 @@ from firewatch.planner import (
     plan_at_fleet,
     plan_to_doc,
     load_plan,
-    nn_route,
     save_plan,
     size_fleet,
     split_and_assign_direct,
     validate_plan,
     write_route_csv,
 )
-from firewatch.routing import route_energy, tour_lower_bound
+from firewatch.routing import build_route, route_energy, tour_lower_bound
 from testutil import blob, brute_force_tour_optimum, build_scenario
 
 
@@ -82,9 +81,9 @@ def _count_route_builds(monkeypatch):
     calls = []
     build = planner.build_route
 
-    def counting(uav_id, depot_edge_id, depot_xy, members, p, **kw):
-        calls.append(sorted(s.id for s in members))
-        return build(uav_id, depot_edge_id, depot_xy, members, p, **kw)
+    def counting(uav_id, depot_edge_id, ids, scenario, **kw):
+        calls.append(sorted(np.asarray(ids).tolist()))
+        return build(uav_id, depot_edge_id, ids, scenario, **kw)
 
     monkeypatch.setattr(planner, "build_route", counting)
     return calls
@@ -120,19 +119,20 @@ def test_bound_never_prunes_at_fleet_ceiling(monkeypatch):
 
 def test_routing_stops_at_first_route_over_a_limit():
     sc = dataclasses.replace(_far_blobs_scenario(), physical=PhysicalParams(m_max=3))
-    _, _, direct_map, load0 = split_and_assign_direct(sc)
+    _, direct_map, load0 = split_and_assign_direct(sc)
     sizes, calls = [], []
 
     def clusters_at(m):
         sizes.append(m)
-        return [list(sc.sensors[j::m]) for j in range(m)], 0
+        return [np.arange(len(sc.sensors))[j::m] for j in range(m)], 0
 
-    def route(j, depot, members, p):
+    def route(j, depot_edge_id, ids, scenario):
         # every route breaks the revisit limit below three UAVs
         m = sizes[-1]
         calls.append((m, j))
-        r = nn_route(j, depot, members, p)
-        return r if m == 3 else dataclasses.replace(r, revisit_s=p.t_max_s + 1.0)
+        r = build_route(j, depot_edge_id, ids, scenario, use_two_opt=False)
+        return r if m == 3 else dataclasses.replace(
+            r, revisit_s=scenario.physical.t_max_s + 1.0)
 
     pl = size_fleet(sc, AlgoParams(), direct_map, load0, clusters_at, route,
                     method="t", seed=0, t0=0.0, variant="-", at_m=None, binding=None)

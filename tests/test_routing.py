@@ -157,7 +157,7 @@ def test_build_route_fields_consistent():
          (2000.0, -200.0, 0, 1.0, 100.0)],
         [(0.0, 0.0, 5000.0)])
     p = sc.physical
-    r = build_route(0, 0, (0.0, 0.0), list(sc.sensors), p)
+    r = build_route(0, 0, [0, 1, 2], sc)
     assert set(r.waypoints) == {0, 1, 2}
     assert r.revisit_s * p.v_g == pytest.approx(r.length_m, rel=1e-12)
     assert r.energy_wh == pytest.approx(route_energy(r.length_m, [2.0, 3.0, 1.0], p))
@@ -167,8 +167,9 @@ def test_build_route_fields_consistent():
 
 
 def test_build_route_empty_members():
-    p = PhysicalParams()
-    r = build_route(3, 1, (5.0, 5.0), [], p)
+    sc = build_scenario([(0.0, 0.0, 0, 1.0, 100.0)],
+                        [(0.0, 0.0, 5000.0), (5.0, 5.0, 5000.0)])
+    r = build_route(3, 1, [], sc)
     assert r.waypoints == ()
     assert r.length_m == 0.0 and r.revisit_s == 0.0 and r.energy_wh == 0.0
 
@@ -178,7 +179,7 @@ def test_build_route_two_opt_no_worse_than_nn():
     xy = rng.uniform(0, 5000, size=(12, 2))
     sc = build_scenario([(x, y, 0, 1.0, 100.0) for x, y in xy],
                         [(2500.0, 2500.0, 5000.0)])
-    p = sc.physical
-    with_opt = build_route(0, 0, (2500.0, 2500.0), list(sc.sensors), p, use_two_opt=True)
-    without = build_route(0, 0, (2500.0, 2500.0), list(sc.sensors), p, use_two_opt=False)
+    ids = np.arange(len(sc.sensors))
+    with_opt = build_route(0, 0, ids, sc, use_two_opt=True)
+    without = build_route(0, 0, ids, sc, use_two_opt=False)
     assert with_opt.length_m <= without.length_m + 1e-9

@@ -146,3 +146,44 @@ def test_load_rejects_missing_key(tmp_path, small_scenario):
     path = _corrupt(tmp_path, small_scenario, drop)
     with pytest.raises(ScenarioFormatError, match="physical"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("rows,index,key,value", [
+    ("sensors", 1, "x", None),
+    ("sensors", 1, "x", "abc"),
+    ("sensors", 1, "y", [1.0]),
+    ("sensors", 1, "data_size_mb", None),
+    ("sensors", 1, "compute_mi", True),
+    ("edges", 0, "capacity_mips", "fast"),
+])
+def test_load_names_a_malformed_number(tmp_path, small_scenario, rows, index, key, value):
+    path = _corrupt(tmp_path, small_scenario,
+                    lambda d: d[rows][index].__setitem__(key, value))
+    with pytest.raises(ScenarioFormatError, match=rf"{rows}\[{index}\]\.{key}: must be a number"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("row", [5, None, [0, 1.0, 2.0], "sensor"])
+@pytest.mark.parametrize("rows", ["sensors", "edges"])
+def test_load_rejects_a_row_that_is_not_an_object(tmp_path, small_scenario, rows, row):
+    path = _corrupt(tmp_path, small_scenario, lambda d: d[rows].__setitem__(0, row))
+    with pytest.raises(ScenarioFormatError, match=rf"{rows}\[0\]: expected a JSON object"):
+        load_scenario(path)
+
+
+def test_load_rejects_sensors_that_are_not_a_list(tmp_path, small_scenario):
+    path = _corrupt(tmp_path, small_scenario, lambda d: d.__setitem__("sensors", 3))
+    with pytest.raises(ScenarioFormatError, match=r"document\.sensors: expected a JSON array"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("key,value,where", [
+    ("hotspots", [5], r"meta\.hotspots\[0\]: expected a JSON object"),
+    ("hotspots", [{"cx": 1.0, "cy": None, "sigma_m": 800.0}], r"meta\.hotspots\[0\]\.cy"),
+    ("hotspots", 5, r"meta\.hotspots: expected a JSON array"),
+    ("hotspot_sensor_ids", ["a"], r"meta\.hotspot_sensor_ids"),
+])
+def test_load_names_a_malformed_meta_field(tmp_path, small_scenario, key, value, where):
+    path = _corrupt(tmp_path, small_scenario, lambda d: d["meta"].__setitem__(key, value))
+    with pytest.raises(ScenarioFormatError, match=where):
+        load_scenario(path)
