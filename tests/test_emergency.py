@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from firewatch.edge_assignment import EdgeLoadState
 from firewatch.model import AlgoParams, PhysicalParams, Point2D, derive_seed
-from firewatch.planner import plan
+from firewatch.planner import plan, plan_at_fleet
 from firewatch.emergency import (
     EmergencyEvent,
     RouteGeometry,
@@ -215,6 +215,22 @@ def test_own_cluster_policy(default_scenario, default_plan, default_algo):
                    default_algo, dispatch_policy="own_cluster")
     for tr in res.traces:
         assert tr.uav_id == owner[tr.sensor_id]
+
+
+def test_own_cluster_free_uav_serves_lower_priority_alert_at_once():
+    """UAV 1 is out on an alert; a higher-priority alert in its cluster
+    waits for it while a lower-priority one in UAV 0's cluster launches."""
+    sc = build_scenario([(-3000.0, 0.0, 10, 5.0, 100.0), (3000.0, 0.0, 60, 5.0, 100.0),
+                         (3000.0, 300.0, 90, 5.0, 100.0)],
+                        [(0.0, 0.0, 10000.0)])
+    pl = plan_at_fleet(sc, AlgoParams(), 2)
+    assert pl.clustering.assignment == {0: 0, 1: 1, 2: 1}
+    events = [EmergencyEvent(1, 0.0, 60), EmergencyEvent(2, 1.0, 90),
+              EmergencyEvent(0, 1.0, 10)]
+    res = simulate(pl, sc, events, 4000.0, AlgoParams(), dispatch_policy="own_cluster")
+    by_sensor = {t.sensor_id: t for t in res.traces}
+    assert (by_sensor[0].uav_id, by_sensor[0].t_queue_s) == (0, 0.0)
+    assert by_sensor[2].uav_id == 1 and by_sensor[2].t_queue_s > 0.0
 
 
 def test_impact_nonnegative_and_normalized(default_scenario, default_plan,

@@ -16,10 +16,12 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from firewatch.baselines import GaConfig, PsoConfig, ga_plan, greedy_plan, pso_plan
 from firewatch.cli import main
+from firewatch.emergency import EmergencyEvent, save_events
 from firewatch.model import AlgoParams, PhysicalParams, Variant
 from firewatch.planner import InfeasibleError, plan, plan_at_fleet, plan_to_doc, save_plan
 from firewatch.scenario import GenConfig, generate, save_scenario
@@ -137,6 +139,35 @@ def cli_digests(tmp: Path) -> dict[str, str]:
     }
 
 
+def burst_events(sc, pl) -> list[EmergencyEvent]:
+    """About 400 alerts at hot UAV-served sensors within one hour, so the
+    pending queue grows long, plus 20 at direct sensors; times are whole
+    seconds, so some alerts share an instant."""
+    hot = [i for i in sorted(pl.clustering.assignment) if sc.sensors[i].fire_history > 50]
+    direct = sorted(pl.assignment.direct_map)
+    rng = np.random.default_rng(0)
+    ids = rng.choice(hot, size=400).tolist() + rng.choice(direct, size=20).tolist()
+    times = np.floor(rng.uniform(0.0, 3600.0, size=len(ids))).tolist()
+    return [EmergencyEvent(i, t, sc.sensors[i].fire_history) for i, t in zip(ids, times)]
+
+
+def burst_digests(tmp: Path) -> dict[str, str]:
+    sc = generate(GenConfig(n_sensors=300, seed=0))
+    pl = plan(sc, AlgoParams())
+    save_scenario(sc, str(tmp / "scenario.json"))
+    save_plan(pl, sc, str(tmp / "plan.json"))
+    save_events(burst_events(sc, pl), str(tmp / "events.json"))
+    out = {}
+    for policy in ("nearest", "own_cluster"):
+        sim = tmp / policy
+        assert main(["simulate", "-s", str(tmp / "scenario.json"), "-p", str(tmp / "plan.json"),
+                     "--events", str(tmp / "events.json"), "--policy", policy,
+                     "-o", str(sim)]) == 0
+        for name in ("trace.csv", "impact.json"):
+            out[f"burst/{policy}/{name}"] = _digest((sim / name).read_bytes())
+    return out
+
+
 GOLDEN = {
     'small/plan/full': '7be7ab52b4d6d5f11e50236f259a430dcefd5f058e3e821a8db731f484c84353',
     'small/plan/no-2opt': '8786a90ebe6159ab3021c439ca882cee490f502c0fe859621ffa07a751d3bd51',
@@ -170,6 +201,10 @@ GOLDEN = {
     'simulate/trace.csv': 'e5ed8df1eda1ebd722d1e68320f8ddbff0e28d8519c7befb175f9d51dc12d56f',
     'simulate/impact.json': '7e8fc3cc3c318c4d2f11d465d50023b049bce307cecfea0172a29f431b4829d4',
     'compare/summary.json': '414af4678977ceb4e983ac16a95b5939bb354702457424d63b43a28c67e0ce20',
+    'burst/nearest/trace.csv': 'c7c58bfe141b813bcb3fc0dbf2e906f2432862b42aa580b9b945d6f638fc8d11',
+    'burst/nearest/impact.json': 'a30159110b1db05af059343c588bc7def7e4a448d0e1b8a91d14709a1907e176',
+    'burst/own_cluster/trace.csv': 'ac6c1a719d5e9024b5414c7bf226e478fd1d91fd257e10f2a034498aa2308119',
+    'burst/own_cluster/impact.json': '2360fb267b0cb78bb5e271d7e70533f3954adeb6598cee4727c4f4ee16ab1bc5',
 }
 
 
@@ -194,6 +229,11 @@ def test_cli_artifacts_match_golden(tmp_path):
     assert got == {k: GOLDEN[k] for k in got}
 
 
+def test_queued_burst_matches_golden(tmp_path):
+    got = burst_digests(tmp_path)
+    assert got == {k: GOLDEN[k] for k in got}
+
+
 if __name__ == "__main__":
     import tempfile
     digests = {}
@@ -203,5 +243,7 @@ if __name__ == "__main__":
     digests.update(bindings())
     with tempfile.TemporaryDirectory() as tmp:
         digests.update(cli_digests(Path(tmp)))
+    with tempfile.TemporaryDirectory() as tmp:
+        digests.update(burst_digests(Path(tmp)))
     for k, v in digests.items():
         print(f"    {k!r}: {v!r},")
