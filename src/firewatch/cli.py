@@ -27,7 +27,7 @@ from .model import AlgoParams, FleetInitMode, PhysicalParams, Variant
 from .planner import InfeasibleError, plan as plan_scenario
 from .planner import load_plan, save_plan, write_route_csv
 from .scenario import GenConfig, ScenarioFormatError, generate, load_scenario, save_scenario
-from .timing import all_responses, mean_response
+from .timing import all_responses, mean_response, totals
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -286,7 +286,7 @@ def _compare_cell(method: str, n: int, seed: int, args: argparse.Namespace,
     algo = _algo_from_args(args, seed=seed)
     pl = _make_plan(method, scenario, algo, args)
     row = _plan_metrics(pl, scenario)
-    row["responses"] = sorted(b.t_total_s for b in all_responses(pl, scenario))
+    row["responses"] = sorted(totals(all_responses(pl, scenario)[0]).tolist())
     return row
 
 

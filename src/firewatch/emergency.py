@@ -22,10 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import timing
 from .clustering import cluster_radius
 from .edge_assignment import EdgeLoadState
 from .model import AlgoParams, Point2D, derive_seed, distance, link_ranges
-from .timing import execution_time, expected_wait, response_time, transmission_time
+# response_time stays importable here: bench/tracer.py wraps it under this
+# module's name
+from .timing import execution_time, expected_wait, response_time  # noqa: F401
 
 EVENTS_SCHEMA_VERSION = 1
 
@@ -218,6 +221,8 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
 
     p = scenario.physical
     v = p.v_g
+    terms, cluster = timing.all_responses(plan, scenario)
+    tra_s, exe_s = terms[:, 1].tolist(), terms[:, 2].tolist()
     geoms = [RouteGeometry.from_route(r, scenario) for r in plan.routes]
     rng = np.random.default_rng(derive_seed(algo.seed, "patrol-phase"))
     phases = tuple(float(rng.uniform(0.0, g.length_m)) if g.length_m > 0 else 0.0
@@ -231,23 +236,24 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
         heapq.heappush(timeline, (ev.alert_time_s, 0, seq, ev))
     free_seq = len(events)
 
-    pending: list = []   # (-priority, seq, event)
+    # pending alerts as (-priority, seq, event) heaps keyed by who may serve
+    # them: under "own_cluster" one heap per UAV, under "nearest" one heap
+    # that any free UAV serves
+    own = dispatch_policy == "own_cluster"
+    pending: list[list] = [[] for _ in range(len(uavs) if own else 1)]
     traces: dict[int, EmergencyTrace] = {}
     absences: dict[int, list[tuple[float, float]]] = {j: [] for j in range(plan.m)}
 
     def serve_direct(seq: int, ev: EmergencyEvent):
-        s = scenario.sensors[ev.sensor_id]
-        eid = plan.assignment.direct_map[ev.sensor_id]
-        t_tra = transmission_time(s.request.data_size_mb, p.data_rate_mbps)
-        t_exe = execution_time(s.request.compute_mi, scenario.edges[eid].capacity_mips)
-        resp = t_tra + t_exe
+        sid = ev.sensor_id
+        resp = tra_s[sid] + exe_s[sid]
         traces[seq] = EmergencyTrace(
-            event_seq=seq, sensor_id=ev.sensor_id, alert_time_s=ev.alert_time_s,
-            priority=ev.priority, uav_id=None, edge_id=eid, t_queue_s=0.0,
-            t_dispatch_travel_s=0.0, t_tra_s=t_tra, t_delivery_travel_s=0.0,
-            t_exe_s=t_exe, response_time_s=resp, resume_waypoint=None,
-            deadline_met=resp <= p.t_urgent_s, delivery_fallback=False,
-            served_direct=True)
+            event_seq=seq, sensor_id=sid, alert_time_s=ev.alert_time_s,
+            priority=ev.priority, uav_id=None, edge_id=plan.assignment.direct_map[sid],
+            t_queue_s=0.0, t_dispatch_travel_s=0.0, t_tra_s=tra_s[sid],
+            t_delivery_travel_s=0.0, t_exe_s=exe_s[sid], response_time_s=resp,
+            resume_waypoint=None, deadline_met=resp <= p.t_urgent_s,
+            delivery_fallback=False, served_direct=True)
 
     def dispatch(seq: int, ev: EmergencyEvent, uav_id: int, now: float):
         nonlocal free_seq
@@ -255,7 +261,7 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
         s = scenario.sensors[ev.sensor_id]
         pos0 = uav.patrol_pos(now, v)
         t_disp = distance(pos0, s.pos) / v
-        t_tra = transmission_time(s.request.data_size_mb, p.data_rate_mbps)
+        t_tra = tra_s[ev.sensor_id]
         eid, fb = select_delivery_edge(s.pos, scenario.edges,
                                        plan.assignment.load, algo.theta_max)
         edge = scenario.edges[eid]
@@ -289,28 +295,22 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
             served_direct=False)
 
     def try_dispatch(now: float):
+        # launch the highest-priority alert whose server is free, repeatedly
         while True:
-            avail = [(i, u.patrol_pos(now, v)) for i, u in enumerate(uavs) if u.available]
-            if not avail or not pending:
+            any_free = any(u.available for u in uavs)
+            tops = [(heap[0], key) for key, heap in enumerate(pending)
+                    if heap and (uavs[key].available if own else any_free)]
+            if not tops:
                 return
-            launched = False
-            for entry in sorted(pending):
-                _, seq, ev = entry
-                if dispatch_policy == "own_cluster":
-                    own = plan.clustering.assignment[ev.sensor_id]
-                    if not uavs[own].available:
-                        continue
-                    uav_id = own
-                else:
-                    uav_id = select_dispatch_uav(avail, scenario.sensors[ev.sensor_id].pos,
-                                                 scenario.edges)
-                pending.remove(entry)
-                heapq.heapify(pending)
-                dispatch(seq, ev, uav_id, now)
-                launched = True
-                break
-            if not launched:
-                return
+            key = min(tops)[1]
+            _, seq, ev = heapq.heappop(pending[key])
+            if own:
+                uav_id = key
+            else:
+                avail = [(i, u.patrol_pos(now, v)) for i, u in enumerate(uavs) if u.available]
+                uav_id = select_dispatch_uav(avail, scenario.sensors[ev.sensor_id].pos,
+                                             scenario.edges)
+            dispatch(seq, ev, uav_id, now)
 
     while timeline:
         now = timeline[0][0]
@@ -322,7 +322,8 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
                 if ev.sensor_id in plan.assignment.direct_map:
                     serve_direct(seq, ev)
                 else:
-                    heapq.heappush(pending, (-ev.priority, seq, ev))
+                    key = plan.clustering.assignment[ev.sensor_id] if own else 0
+                    heapq.heappush(pending[key], (-ev.priority, seq, ev))
             else:
                 uav_id, arc = payload
                 uav = uavs[uav_id]
@@ -331,20 +332,22 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
                 uav.available = True
         try_dispatch(now)
 
-    impact = _normal_impact(plan, scenario, events, absences, horizon_s)
+    impact = _normal_impact(plan, scenario, terms, cluster, events, absences, horizon_s)
     return SimulationResult(traces=tuple(traces[i] for i in sorted(traces)),
                             impact=impact, horizon_s=horizon_s, phases_m=phases)
 
 
-def _normal_impact(plan, scenario, events, absences, horizon_s: float) -> NormalImpactReport:
-    """Mean normal-service response over non-alert sensors, with the per-
-    cluster expected wait recomputed under revisit periods inflated by the
-    measured UAV absence episodes (weighted by their share of the horizon)."""
+def _normal_impact(plan, scenario, terms, cluster, events, absences,
+                   horizon_s: float) -> NormalImpactReport:
+    """Mean normal-service response over non-alert sensors (``terms`` and
+    ``cluster`` from ``timing.all_responses``), with the per-cluster
+    expected wait recomputed under revisit periods inflated by the measured
+    UAV absence episodes (weighted by their share of the horizon)."""
     p = scenario.physical
     r_sg, _, _ = link_ranges(p)
     contact = 2.0 * r_sg / p.v_g
 
-    wait_with: dict[int, float] = {}
+    wait_with = np.zeros(len(plan.routes))
     for j, route in enumerate(plan.routes):
         t_r = route.revisit_s
         base = expected_wait(route.length_m, p)
@@ -360,19 +363,14 @@ def _normal_impact(plan, scenario, events, absences, horizon_s: float) -> Normal
         num = normal_share * base + sum(T * max(0.0, (T - contact) / 2.0) for T in inflated)
         wait_with[j] = num / (normal_share + inflated_share)
 
-    alert_ids = {e.sensor_id for e in events}
-    base_vals, with_vals = [], []
-    for s in scenario.sensors:
-        if s.id in alert_ids:
-            continue
-        r = response_time(s.id, plan, scenario)
-        base_vals.append(r.t_total_s)
-        if r.path_kind == "uav":
-            j = plan.clustering.assignment[s.id]
-            with_vals.append(r.t_total_s - r.t_wait_s + wait_with[j])
-        else:
-            with_vals.append(r.t_total_s)
-    if not base_vals:
+    keep = np.ones(len(cluster), dtype=bool)
+    keep[[e.sensor_id for e in events]] = False
+    base_vals = timing.totals(terms)
+    with_vals = base_vals.copy()
+    by_uav = cluster >= 0
+    with_vals[by_uav] = base_vals[by_uav] - terms[by_uav, 3] + wait_with[cluster[by_uav]]
+    base_vals, with_vals = base_vals[keep], with_vals[keep]
+    if not base_vals.size:
         return NormalImpactReport(0.0, 0.0, 0.0, 0.0)
     base_mean = float(np.mean(base_vals))
     with_mean = float(np.mean(with_vals))
@@ -394,14 +392,13 @@ def emergency_response_bound(plan, scenario, theta_max: float) -> float:
     uav_ids = sorted(plan.clustering.assignment)
     if not uav_ids:
         raise ValueError("plan has no UAV-served sensors")
-    d_del, t_tra_max, t_exe_max = 0.0, 0.0, 0.0
+    t_tra_max = float(timing.all_responses(plan, scenario)[0][uav_ids, 1].max())
+    d_del, t_exe_max = 0.0, 0.0
     for sid in uav_ids:
         s = scenario.sensors[sid]
         eid, _ = select_delivery_edge(s.pos, scenario.edges, plan.assignment.load,
                                       theta_max)
         d_del = max(d_del, distance(s.pos, scenario.edges[eid].pos))
-        t_tra_max = max(t_tra_max, transmission_time(s.request.data_size_mb,
-                                                     p.data_rate_mbps))
         t_exe_max = max(t_exe_max, execution_time(
             s.request.compute_mi, scenario.edges[eid].capacity_mips))
     return 2.0 * r_max / p.v_g + d_del / p.v_g + t_tra_max + t_exe_max

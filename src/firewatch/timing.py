@@ -8,11 +8,17 @@ edge execution, expected wait for UAV arrival, and UAV-to-edge ferrying:
 Direct sensors reach an edge in one hop and never wait; UAV-served sensors
 see two hops, the half-lap expected wait of their cluster's patrol, and the
 cluster-center-to-edge ferry leg.
+
+``all_responses`` is the one implementation of this model: it computes the
+terms of every sensor at once as an (n, 5) table, and ``response_time``,
+``mean_response`` and the emergency simulator read that table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import MB_TO_MBIT, PhysicalParams, Point2D, distance, link_ranges
 
@@ -70,41 +76,51 @@ def moving_time(d_m: float, v_g: float) -> float:
     return d_m / v_g
 
 
+def all_responses(plan, scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Every sensor's response terms under a plan, from the scenario's
+    columns: an (n, 5) array whose row i is sensor i's (t_lat, t_tra,
+    t_exe, t_wait, t_moving), and each sensor's cluster index (-1 for a
+    direct sensor).  The wait and ferry terms depend only on the cluster and
+    are computed once per cluster."""
+    p = scenario.physical
+    n = len(scenario.sensors)
+    uav, direct = plan.clustering.assignment, plan.assignment.direct_map
+    cluster_edge = [plan.assignment.cluster_map[j] for j in range(len(plan.routes))]
+    cluster, edge = np.full(n, -1), np.full(n, -1)
+    cluster[list(uav)] = list(uav.values())
+    edge[list(uav)] = [cluster_edge[j] for j in uav.values()]
+    cluster[list(direct)] = -1
+    edge[list(direct)] = list(direct.values())
+    missing = np.flatnonzero(edge < 0)
+    if missing.size:
+        raise ValueError(f"sensor {missing[0]} is not assigned in the plan")
+
+    wait = [expected_wait(r.length_m, p) for r in plan.routes]
+    ferry = [moving_time(distance(Point2D(*plan.clustering.centers[j]),
+                                  scenario.edges[k].pos), p.v_g)
+             for j, k in enumerate(cluster_edge)]
+    by_uav = cluster >= 0
+    terms = np.zeros((n, 5))
+    terms[:, 0] = np.where(by_uav, 2.0 * p.per_hop_latency_s, p.per_hop_latency_s)
+    terms[:, 1] = scenario.alpha_mb * MB_TO_MBIT / p.data_rate_mbps
+    terms[:, 2] = scenario.beta_mi / scenario.capacity[edge]
+    terms[by_uav, 3] = np.asarray(wait)[cluster[by_uav]]
+    terms[by_uav, 4] = np.asarray(ferry)[cluster[by_uav]]
+    return terms, cluster
+
+
+def totals(terms: np.ndarray) -> np.ndarray:
+    """Per-sensor response totals, the five terms added left to right."""
+    return terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3] + terms[:, 4]
+
+
 def response_time(sensor_id: int, plan, scenario) -> ResponseBreakdown:
     """Full response breakdown for one sensor under a plan."""
-    p = scenario.physical
-    s = scenario.sensors[sensor_id]
-    t_tra = transmission_time(s.request.data_size_mb, p.data_rate_mbps)
-
-    if sensor_id in plan.assignment.direct_map:
-        edge = scenario.edges[plan.assignment.direct_map[sensor_id]]
-        return ResponseBreakdown(
-            sensor_id=sensor_id, path_kind="direct",
-            t_lat_s=p.per_hop_latency_s,
-            t_tra_s=t_tra,
-            t_exe_s=execution_time(s.request.compute_mi, edge.capacity_mips),
-            t_wait_s=0.0, t_moving_s=0.0)
-
-    if sensor_id not in plan.clustering.assignment:
-        raise ValueError(f"sensor {sensor_id} is not assigned in the plan")
-    j = plan.clustering.assignment[sensor_id]
-    route = plan.routes[j]
-    edge = scenario.edges[plan.assignment.cluster_map[j]]
-    cx, cy = plan.clustering.centers[j]
-    ferry = distance(Point2D(cx, cy), edge.pos)
-    return ResponseBreakdown(
-        sensor_id=sensor_id, path_kind="uav",
-        t_lat_s=2.0 * p.per_hop_latency_s,
-        t_tra_s=t_tra,
-        t_exe_s=execution_time(s.request.compute_mi, edge.capacity_mips),
-        t_wait_s=expected_wait(route.length_m, p),
-        t_moving_s=moving_time(ferry, p.v_g))
-
-
-def all_responses(plan, scenario) -> list[ResponseBreakdown]:
-    return [response_time(s.id, plan, scenario) for s in scenario.sensors]
+    terms, cluster = all_responses(plan, scenario)
+    return ResponseBreakdown(sensor_id, "uav" if cluster[sensor_id] >= 0 else "direct",
+                             *terms[sensor_id].tolist())
 
 
 def mean_response(plan, scenario) -> float:
-    rs = all_responses(plan, scenario)
-    return sum(r.t_total_s for r in rs) / len(rs)
+    t = totals(all_responses(plan, scenario)[0]).tolist()
+    return sum(t) / len(t)

@@ -109,7 +109,8 @@ def _blob_scenario():
 def _plan_objective(pl, scenario, lam):
     """Total route length plus lam-weighted transmission and execution time
     over all requests."""
-    service = sum(r.t_tra_s + r.t_exe_s for r in all_responses(pl, scenario))
+    terms, _ = all_responses(pl, scenario)
+    service = sum((terms[:, 1] + terms[:, 2]).tolist())
     return sum(r.length_m for r in pl.routes) + lam * service
 
 

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from firewatch.clustering import Clustering
 from firewatch.edge_assignment import Assignment, EdgeLoadState
-from firewatch.model import PhysicalParams
+from firewatch.model import PhysicalParams, Point2D, distance
 from firewatch.planner import Plan
 from firewatch.routing import Route
 from firewatch.timing import (
@@ -117,19 +117,40 @@ def test_response_time_unassigned_sensor_rejected():
     sc = build_scenario([(3000.0, 0.0, 0, 5.0, 500.0)], [(0.0, 0.0, 5000.0)])
     pl = _hand_plan(sc, direct_map={}, cluster_assignment={}, centers=(),
                     routes=(), cluster_map={})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sensor 0 is not assigned"):
         response_time(0, pl, sc)
 
 
 def test_breakdown_additivity(default_plan, default_scenario):
+    from firewatch.timing import all_responses, totals
+
+    terms, cluster = all_responses(default_plan, default_scenario)
+    for (t_lat, t_tra, t_exe, t_wait, t_moving), total, j in zip(
+            terms.tolist(), totals(terms).tolist(), cluster.tolist()):
+        assert total == t_lat + t_tra + t_exe + t_wait + t_moving
+        assert min(t_lat, t_tra, t_exe, t_wait, t_moving) >= 0
+        if j < 0:
+            assert t_wait == 0.0 and t_moving == 0.0
+
+
+def test_all_responses_matches_scalar_model(default_plan, default_scenario):
+    """The table equals the five terms computed sensor by sensor with the
+    scalar functions."""
     from firewatch.timing import all_responses
 
-    for r in all_responses(default_plan, default_scenario):
-        total = r.t_lat_s + r.t_tra_s + r.t_exe_s + r.t_wait_s + r.t_moving_s
-        assert r.t_total_s == total
-        assert min(r.t_lat_s, r.t_tra_s, r.t_exe_s, r.t_wait_s, r.t_moving_s) >= 0
-        if r.path_kind == "direct":
-            assert r.t_wait_s == 0.0 and r.t_moving_s == 0.0
+    sc, pl, p = default_scenario, default_plan, default_scenario.physical
+    terms, cluster = all_responses(pl, sc)
+    for s in sc.sensors:
+        j = pl.clustering.assignment.get(s.id, -1)
+        edge = sc.edges[pl.assignment.direct_map[s.id] if j < 0
+                        else pl.assignment.cluster_map[j]]
+        want = [p.per_hop_latency_s * (1.0 if j < 0 else 2.0),
+                transmission_time(s.request.data_size_mb, p.data_rate_mbps),
+                execution_time(s.request.compute_mi, edge.capacity_mips), 0.0, 0.0]
+        if j >= 0:
+            ferry = distance(Point2D(*pl.clustering.centers[j]), edge.pos)
+            want[3:] = [expected_wait(pl.routes[j].length_m, p), moving_time(ferry, p.v_g)]
+        assert (terms[s.id].tolist(), cluster[s.id]) == (want, j)
 
 
 def test_mean_response_positive(default_plan, default_scenario):
