@@ -29,15 +29,20 @@ from .routing import Route, build_route, route_energy, tour_length
 from .timing import execution_time, transmission_time
 
 PENALTY = 1e6
+# GA operators: one-point crossover rate, per-gene mutation rate, tournament
+CROSSOVER_RATE = 0.8
+MUTATION_RATE = 0.1
+TOURNAMENT_SIZE = 3
+# PSO velocity update: inertia and the cognitive and social weights
+INERTIA = 0.7
+C1 = 1.5
+C2 = 1.5
 
 
 @dataclass(frozen=True)
 class GaConfig:
     population: int = 50
     generations: int = 100
-    crossover_rate: float = 0.8
-    mutation_rate: float = 0.1
-    tournament_size: int = 3
     seed: int = 0
 
     def __post_init__(self):
@@ -45,20 +50,12 @@ class GaConfig:
             raise ValueError("population must be >= 2")
         if self.generations < 0:
             raise ValueError("generations must be >= 0")
-        for name in ("crossover_rate", "mutation_rate"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if self.tournament_size < 1:
-            raise ValueError("tournament_size must be >= 1")
 
 
 @dataclass(frozen=True)
 class PsoConfig:
     swarm: int = 30
     iterations: int = 100
-    inertia: float = 0.7
-    c1: float = 1.5
-    c2: float = 1.5
     seed: int = 0
 
     def __post_init__(self):
@@ -222,11 +219,11 @@ def _ga_search(ws: _Workspace, cfg: GaConfig, m: int):
         while len(new_genes) < cfg.population:
             pair = []
             for _ in range(2):
-                contenders = rng.integers(0, cfg.population, size=cfg.tournament_size)
+                contenders = rng.integers(0, cfg.population, size=TOURNAMENT_SIZE)
                 pair.append(contenders[np.argmin(fits[contenders])])
             g1, g2 = genes[pair[0]].copy(), genes[pair[1]].copy()
             p1, p2 = prios[pair[0]].copy(), prios[pair[1]].copy()
-            if n and rng.random() < cfg.crossover_rate:
+            if n and rng.random() < CROSSOVER_RATE:
                 cut = int(rng.integers(1, 2 * n))
                 flat1 = np.concatenate([g1.astype(float), p1])
                 flat2 = np.concatenate([g2.astype(float), p2])
@@ -235,9 +232,9 @@ def _ga_search(ws: _Workspace, cfg: GaConfig, m: int):
                 g2, p2 = flat2[:n].astype(int), flat2[n:]
             for g, pr in ((g1, p1), (g2, p2)):
                 if n:
-                    mask = rng.random(n) < cfg.mutation_rate
+                    mask = rng.random(n) < MUTATION_RATE
                     g[mask] = rng.integers(0, m, size=int(mask.sum()))
-                    mask = rng.random(n) < cfg.mutation_rate
+                    mask = rng.random(n) < MUTATION_RATE
                     pr[mask] = rng.random(int(mask.sum()))
                 new_genes.append(g)
                 new_prios.append(pr)
@@ -304,8 +301,7 @@ def _pso_search(ws: _Workspace, cfg: PsoConfig, m: int):
     for _ in range(cfg.iterations):
         r1 = rng.random((cfg.swarm, n))
         r2 = rng.random((cfg.swarm, n))
-        vel = (cfg.inertia * vel + cfg.c1 * r1 * (pbest - pos)
-               + cfg.c2 * r2 * (gbest - pos))
+        vel = INERTIA * vel + C1 * r1 * (pbest - pos) + C2 * r2 * (gbest - pos)
         pos = np.clip(pos + vel, 1.0, m)
         for i in range(cfg.swarm):
             fits[i], viols[i], orders[i] = evaluate(pos[i])

@@ -16,6 +16,10 @@ import numpy as np
 from .model import derive_seed, partition_sensors
 
 MAX_ITERS = 300
+# coverage_improvement_check: k-means convergence threshold (m) of both arms,
+# and the fire-history score above which a sensor counts as high-risk
+COVERAGE_EPSILON_M = 10.0
+HIGH_RISK_MIN = 50
 
 
 @dataclass(frozen=True)
@@ -61,12 +65,11 @@ def init_centers(m: int, edge_xy: np.ndarray, sensor_xy: np.ndarray,
 
 def weighted_kmeans(scenario, ids, m: int, omega_h: float, epsilon_m: float,
                     rng: np.random.Generator,
-                    max_iters: int = MAX_ITERS,
                     initial_centers: np.ndarray | None = None) -> Clustering:
     """Cluster the sensors with the given ids into m groups with weighted
     centroid updates, seeding from the scenario's edge positions.
 
-    Stops when every center moves less than epsilon_m, or after max_iters.
+    Stops when every center moves less than epsilon_m, or after MAX_ITERS.
     Empty clusters are reseeded at the weighted-farthest sensor (ties by id)
     before the next iteration, so the result has no empty cluster.
     """
@@ -88,7 +91,7 @@ def weighted_kmeans(scenario, ids, m: int, omega_h: float, epsilon_m: float,
 
     assign = np.zeros(n, dtype=int)
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, MAX_ITERS + 1):
         d = np.linalg.norm(xy[:, None, :] - centers[None, :, :], axis=2)
         assign = np.argmin(d * factor[:, None], axis=1)  # ties -> lowest center id
 
@@ -114,7 +117,7 @@ def weighted_kmeans(scenario, ids, m: int, omega_h: float, epsilon_m: float,
             break
 
     if np.bincount(assign, minlength=m).min() == 0:
-        # max_iters landed on a reseed round; one more assignment pass
+        # MAX_ITERS landed on a reseed round; one more assignment pass
         d = np.linalg.norm(xy[:, None, :] - centers[None, :, :], axis=2)
         assign = np.argmin(d * factor[:, None], axis=1)
 
@@ -155,10 +158,9 @@ def _experienced_mean(xy: np.ndarray, ids: np.ndarray, high_mask: np.ndarray,
 
 
 def coverage_improvement_check(scenario, m: int, omega_h: float,
-                               seeds: list[int], epsilon_m: float = 10.0,
-                               high_risk_min: int = 50) -> CoverageCheckResult:
+                               seeds: list[int]) -> CoverageCheckResult:
     """Check that weighting shrinks the cluster radius experienced by
-    high-risk sensors (fire_history > high_risk_min) relative to the analytic
+    high-risk sensors (fire_history > HIGH_RISK_MIN) relative to the analytic
     bound on the unweighted run.
 
     Both arms start from identical initial centers per seed; the experienced
@@ -168,10 +170,10 @@ def coverage_improvement_check(scenario, m: int, omega_h: float,
     ids = np.array(uav_ids, dtype=int)
     weights = sensor_weight(scenario.fire_history[ids], omega_h)
     w_max = float(weights.max())
-    high_mask = scenario.fire_history[ids] > high_risk_min
+    high_mask = scenario.fire_history[ids] > HIGH_RISK_MIN
     if not high_mask.any():
         raise ValueError(
-            f"no high-risk sensor (fire_history > {high_risk_min}) present")
+            f"no high-risk sensor (fire_history > {HIGH_RISK_MIN}) present")
     factor = 2.0 / (1.0 + float(weights[high_mask].mean()) / w_max)
 
     xy = scenario.xy[ids]
@@ -179,9 +181,9 @@ def coverage_improvement_check(scenario, m: int, omega_h: float,
     for seed in seeds:
         rng = np.random.default_rng(derive_seed(seed, "coverage-check-init"))
         centers0 = init_centers(m, scenario.edge_xy, xy, weights, rng)
-        weighted = weighted_kmeans(scenario, ids, m, omega_h, epsilon_m,
+        weighted = weighted_kmeans(scenario, ids, m, omega_h, COVERAGE_EPSILON_M,
                                    rng, initial_centers=centers0)
-        unweighted = weighted_kmeans(scenario, ids, m, 0.0, epsilon_m,
+        unweighted = weighted_kmeans(scenario, ids, m, 0.0, COVERAGE_EPSILON_M,
                                      rng, initial_centers=centers0)
         lhs_vals.append(_experienced_mean(xy, ids, high_mask, weighted))
         base_vals.append(_experienced_mean(xy, ids, high_mask, unweighted))

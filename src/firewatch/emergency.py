@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import heapq
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,14 +175,30 @@ def save_events(events: list[EmergencyEvent], path: str) -> None:
 
 
 def load_events(path: str) -> list[EmergencyEvent]:
+    """Read an events file; a malformed entry raises ValueError naming
+    ``events[k].<field>``."""
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("schema_version") != EVENTS_SCHEMA_VERSION:
-        raise ValueError(f"unsupported events schema_version {doc.get('schema_version')!r}")
-    return [EmergencyEvent(sensor_id=int(e["sensor_id"]),
-                           alert_time_s=float(e["alert_time_s"]),
-                           priority=int(e["priority"]))
-            for e in doc["events"]]
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if version != EVENTS_SCHEMA_VERSION:
+        raise ValueError(f"unsupported events schema_version {version!r}")
+    if not isinstance(doc.get("events"), list):
+        raise ValueError("events: expected a list")
+    events = []
+    for k, e in enumerate(doc["events"]):
+        if not isinstance(e, dict):
+            raise ValueError(f"events[{k}]: expected a JSON object")
+        for field in ("sensor_id", "priority"):
+            if isinstance(e.get(field), bool) or not isinstance(e.get(field), int):
+                raise ValueError(f"events[{k}].{field}: expected an integer, "
+                                 f"got {e.get(field)!r}")
+        t = e.get("alert_time_s")
+        if (isinstance(t, bool) or not isinstance(t, (int, float))
+                or not (math.isfinite(t) and t >= 0)):
+            raise ValueError(f"events[{k}].alert_time_s: expected a finite number >= 0, "
+                             f"got {t!r}")
+        events.append(EmergencyEvent(e["sensor_id"], float(t), e["priority"]))
+    return events
 
 
 class _UavState:

@@ -339,6 +339,41 @@ def _check_ids(where: str, ids, bound: int) -> None:
             raise ValueError(f"plan {where}: {i!r} is not an id in [0, {bound})")
 
 
+def _check_structure(clustering: Clustering, assignment: Assignment, routes, scenario) -> None:
+    """Reject a plan whose parts disagree: every sensor served exactly once,
+    directly or by one cluster; route j visiting exactly cluster j's
+    members; stored route lengths, revisit periods and energies equal to a
+    recomputation up to a relative 1e-9 (summation order)."""
+    if sorted(assignment.cluster_map) != list(range(len(routes))):
+        raise ValueError(f"plan assignment.cluster_map: keys must be the clusters "
+                         f"0..{len(routes) - 1}")
+    direct, uav = assignment.direct_map.keys(), clustering.assignment.keys()
+    if direct & uav:
+        raise ValueError(f"plan assignment.direct_map: sensor {min(direct & uav)} is "
+                         f"also in clustering.assignment")
+    unserved = set(range(len(scenario.sensors))) - direct - uav
+    if unserved:
+        raise ValueError(f"plan clustering.assignment: sensor {min(unserved)} is in neither "
+                         f"clustering.assignment nor assignment.direct_map")
+    members: list[list[int]] = [[] for _ in routes]
+    for sid, j in sorted(clustering.assignment.items()):
+        members[j].append(sid)
+    p = scenario.physical
+    for j, r in enumerate(routes):
+        if sorted(r.waypoints) != members[j]:
+            raise ValueError(f"plan routes[{j}].waypoints: must visit the members of "
+                             f"cluster {j} once each")
+        ids = list(r.waypoints)
+        length = tour_length(scenario.edge_xy[r.depot_edge_id], scenario.xy[ids])
+        for field, want in (("length_m", length), ("revisit_s", length / p.v_g),
+                            ("energy_wh", route_energy(length, scenario.alpha_mb[ids].tolist(),
+                                                       p))):
+            got = getattr(r, field)
+            if not (isinstance(got, (int, float)) and math.isclose(got, want, rel_tol=1e-9)):
+                raise ValueError(f"plan routes[{j}].{field}: {got!r} differs from "
+                                 f"{want!r} recomputed from the waypoints")
+
+
 def load_plan(path: str, scenario) -> Plan:
     with open(path) as f:
         doc = json.load(f)
@@ -357,11 +392,16 @@ def load_plan(path: str, scenario) -> Plan:
         cluster_map={int(k): v for k, v in doc["assignment"]["cluster_map"].items()},
         load=load,
     )
-    routes = tuple(
-        Route(uav_id=r["uav_id"], depot_edge_id=r["depot_edge_id"],
-              waypoints=tuple(r["waypoints"]), length_m=r["length_m"],
-              revisit_s=r["revisit_s"], energy_wh=r["energy_wh"])
-        for r in doc["routes"])
+    if not isinstance(doc["routes"], list) or len(doc["routes"]) != doc["m"]:
+        raise ValueError(f"plan routes: expected a list of m = {doc['m']!r} routes")
+    routes = []
+    for j, r in enumerate(doc["routes"]):
+        if not isinstance(r, dict):
+            raise ValueError(f"plan routes[{j}]: expected a JSON object")
+        routes.append(Route(uav_id=r["uav_id"], depot_edge_id=r["depot_edge_id"],
+                            waypoints=tuple(r["waypoints"]), length_m=r["length_m"],
+                            revisit_s=r["revisit_s"], energy_wh=r["energy_wh"]))
+    routes = tuple(routes)
     n, p, m = len(scenario.sensors), len(scenario.edges), len(routes)
     if len(load.loads_mips) != p:
         raise ValueError(f"plan assignment.loads_mips: {len(load.loads_mips)} loads "
@@ -375,6 +415,7 @@ def load_plan(path: str, scenario) -> Plan:
     for j, r in enumerate(routes):
         _check_ids(f"routes[{j}].waypoints", r.waypoints, n)
         _check_ids(f"routes[{j}].depot_edge_id", [r.depot_edge_id], p)
+    _check_structure(clustering, assignment, routes, scenario)
     return Plan(m=doc["m"], clustering=clustering, assignment=assignment,
                 routes=routes, planning_time_s=0.0, method=doc["method"],
                 variant=doc["variant"], seed=doc["seed"])

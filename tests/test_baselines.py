@@ -204,8 +204,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GaConfig(population=1)
     with pytest.raises(ValueError):
-        GaConfig(mutation_rate=1.5)
-    with pytest.raises(ValueError):
         PsoConfig(swarm=1)
     with pytest.raises(ValueError):
         PsoConfig(iterations=-1)

@@ -328,6 +328,37 @@ def test_simulate_rejects_an_event_at_an_unknown_sensor(small_files, tmp_path, c
     assert "Traceback" not in err
 
 
+_EVENT = {"sensor_id": 0, "alert_time_s": 10.0, "priority": 80}
+
+
+@pytest.mark.parametrize("field,entries", [
+    ("events", {}),
+    ("events[1]", [_EVENT, 3]),
+    ("events[0].sensor_id", [{**_EVENT, "sensor_id": "5"}]),
+    ("events[0].sensor_id", [{**_EVENT, "sensor_id": True}]),
+    ("events[0].sensor_id", [{**_EVENT, "sensor_id": 1.5}]),
+    ("events[0].priority", [{**_EVENT, "priority": None}]),
+    ("events[0].priority", [{k: v for k, v in _EVENT.items() if k != "priority"}]),
+    ("events[0].alert_time_s", [{**_EVENT, "alert_time_s": "abc"}]),
+    ("events[0].alert_time_s", [{**_EVENT, "alert_time_s": float("nan")}]),
+    ("events[0].alert_time_s", [{**_EVENT, "alert_time_s": float("inf")}]),
+    ("events[0].alert_time_s", [{**_EVENT, "alert_time_s": -1.0}]),
+    ("events[0].alert_time_s", [{**_EVENT, "alert_time_s": False}]),
+])
+def test_simulate_rejects_a_malformed_events_file(small_files, tmp_path, capsys, field,
+                                                  entries):
+    scen, out = small_files
+    events = tmp_path / "events.json"
+    # json writes NaN and Infinity literals, which json.load reads back
+    events.write_text(json.dumps({"schema_version": 1, "events": entries}))
+    rc = main(["simulate", "-s", str(scen), "-p", str(out / "plan.json"),
+               "--events", str(events), "-o", str(tmp_path / "sim")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {field}:" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("field,mutate", [
     ("routes[0].waypoints", lambda d: d["routes"][0]["waypoints"].__setitem__(0, -1)),
     ("routes[0].waypoints", lambda d: d["routes"][0]["waypoints"].append(40)),
@@ -339,6 +370,10 @@ def test_simulate_rejects_an_event_at_an_unknown_sensor(small_files, tmp_path, c
 ])
 def test_simulate_rejects_a_plan_id_outside_the_scenario(small_files, tmp_path, capsys,
                                                          field, mutate):
+    _assert_mutated_plan_rejected(small_files, tmp_path, capsys, field, mutate)
+
+
+def _assert_mutated_plan_rejected(small_files, tmp_path, capsys, field, mutate):
     scen, out = small_files
     doc = json.loads((out / "plan.json").read_text())
     mutate(doc)
@@ -349,6 +384,30 @@ def test_simulate_rejects_a_plan_id_outside_the_scenario(small_files, tmp_path, 
     err = capsys.readouterr().err
     assert f"plan {field}" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "sim").exists()
+
+
+def _scale(field, factor):
+    return lambda d: d["routes"][0].__setitem__(field, d["routes"][0][field] * factor)
+
+
+# the 40-sensor plan has one cluster and no direct sensors
+@pytest.mark.parametrize("field,mutate", [
+    ("routes", lambda d: d.__setitem__("routes", {})),
+    ("routes", lambda d: d["routes"].append(d["routes"][0])),
+    ("routes[0]", lambda d: d["routes"].__setitem__(0, 3)),
+    ("routes[0].waypoints", lambda d: d["routes"][0]["waypoints"].pop(0)),
+    ("routes[0].waypoints", lambda d: d["routes"][0]["waypoints"].__setitem__(
+        -1, d["routes"][0]["waypoints"][0])),
+    ("assignment.cluster_map", lambda d: d["assignment"]["cluster_map"].clear()),
+    ("assignment.direct_map", lambda d: d["assignment"]["direct_map"].__setitem__("0", 0)),
+    ("clustering.assignment", lambda d: d["clustering"]["assignment"].pop("5")),
+    ("routes[0].length_m", _scale("length_m", 1 + 1e-6)),
+    ("routes[0].revisit_s", _scale("revisit_s", 1 - 1e-6)),
+    ("routes[0].energy_wh", _scale("energy_wh", 1 + 1e-6)),
+])
+def test_simulate_rejects_an_inconsistent_plan(small_files, tmp_path, capsys, field, mutate):
+    _assert_mutated_plan_rejected(small_files, tmp_path, capsys, field, mutate)
 
 
 def test_simulate_rejects_a_plan_made_for_another_scenario(small_files, tmp_path, capsys):

@@ -307,3 +307,28 @@ def test_trace_csv(tmp_path, default_scenario, default_plan, default_algo):
         rows = list(csv.DictReader(f))
     assert len(rows) == 3
     assert {r["sensor_id"] for r in rows} == {str(e.sensor_id) for e in events}
+
+
+def test_benchmark_tracer_sees_the_simulator_layers(monkeypatch, small_scenario):
+    """The benchmark's traced runs need emergency and timing spans inside a
+    simulate call; a wrap point that no longer matches the name the
+    simulator looks up would otherwise show only in a traced benchmark run."""
+    import importlib
+    from pathlib import Path
+
+    from firewatch import emergency
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    tracer = importlib.import_module("tracer")
+    pl = plan(small_scenario, AlgoParams())
+    rec = tracer.Tracer()
+    rec.install()
+    try:
+        events = emergency.generate_events(small_scenario, pl, 3, 86400.0, seed=1)
+        emergency.simulate(pl, small_scenario, events, 86400.0, AlgoParams())
+    finally:
+        rec.uninstall()
+    spans = rec.take()
+    sim = [s for s in spans if s.name == "emergency.simulate"]
+    assert len(sim) == 1
+    assert {s.layer for s in spans if s.parent == sim[0].sid} >= {"emergency", "timing"}
