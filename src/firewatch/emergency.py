@@ -7,10 +7,10 @@ window, ferries it to a delivery edge with spare utilization, and rejoins its
 tour at the nearest waypoint.  All motion is piecewise linear, so every stage
 time is closed-form; there is no tick loop.
 
-Concurrent alerts are served highest fire-history first (FIFO within equal
-priority); alerts with no available UAV queue until a UAV frees up.  Events
-at direct-communication sensors are served straight from the edge and
-flagged.
+Each launch takes the highest fire-history pending alert (FIFO within equal
+priority) whose server is free: any UAV under the "nearest" policy, the
+sensor's own patrol UAV under "own_cluster".  Events at direct sensors are
+served straight from the edge, with terms from ``timing.all_responses``.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from . import timing
 from .clustering import cluster_radius
 from .edge_assignment import EdgeLoadState
 from .model import AlgoParams, Point2D, derive_seed, distance, link_ranges
-# response_time stays importable here: bench/tracer.py wraps it under this
-# module's name
+# kept importable: bench/tracer.py wraps response_time under this module's name
 from .timing import execution_time, expected_wait, response_time  # noqa: F401
 
 EVENTS_SCHEMA_VERSION = 1
@@ -254,8 +253,7 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
     free_seq = len(events)
 
     # pending alerts as (-priority, seq, event) heaps keyed by who may serve
-    # them: under "own_cluster" one heap per UAV, under "nearest" one heap
-    # that any free UAV serves
+    # them: one heap per UAV under "own_cluster", one for any UAV under "nearest"
     own = dispatch_policy == "own_cluster"
     pending: list[list] = [[] for _ in range(len(uavs) if own else 1)]
     traces: dict[int, EmergencyTrace] = {}
@@ -314,19 +312,15 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
     def try_dispatch(now: float):
         # launch the highest-priority alert whose server is free, repeatedly
         while True:
-            any_free = any(u.available for u in uavs)
-            tops = [(heap[0], key) for key, heap in enumerate(pending)
-                    if heap and (uavs[key].available if own else any_free)]
+            tops = [(heap[0], key) for key, heap in enumerate(pending) if heap and
+                    (uavs[key].available if own else any(u.available for u in uavs))]
             if not tops:
                 return
             key = min(tops)[1]
             _, seq, ev = heapq.heappop(pending[key])
-            if own:
-                uav_id = key
-            else:
-                avail = [(i, u.patrol_pos(now, v)) for i, u in enumerate(uavs) if u.available]
-                uav_id = select_dispatch_uav(avail, scenario.sensors[ev.sensor_id].pos,
-                                             scenario.edges)
+            uav_id = key if own else select_dispatch_uav(
+                [(i, u.patrol_pos(now, v)) for i, u in enumerate(uavs) if u.available],
+                scenario.sensors[ev.sensor_id].pos, scenario.edges)
             dispatch(seq, ev, uav_id, now)
 
     while timeline:
@@ -380,13 +374,11 @@ def _normal_impact(plan, scenario, terms, cluster, events, absences,
         num = normal_share * base + sum(T * max(0.0, (T - contact) / 2.0) for T in inflated)
         wait_with[j] = num / (normal_share + inflated_share)
 
-    keep = np.ones(len(cluster), dtype=bool)
-    keep[[e.sensor_id for e in events]] = False
-    base_vals = timing.totals(terms)
-    with_vals = base_vals.copy()
-    by_uav = cluster >= 0
-    with_vals[by_uav] = base_vals[by_uav] - terms[by_uav, 3] + wait_with[cluster[by_uav]]
-    base_vals, with_vals = base_vals[keep], with_vals[keep]
+    # a direct sensor (cluster -1) has t_wait 0.0 and reads the appended 0.0
+    total = timing.totals(terms)
+    with_wait = total - terms[:, 3] + np.append(wait_with, 0.0)[cluster]
+    alert_ids = [e.sensor_id for e in events]
+    base_vals, with_vals = np.delete(total, alert_ids), np.delete(with_wait, alert_ids)
     if not base_vals.size:
         return NormalImpactReport(0.0, 0.0, 0.0, 0.0)
     base_mean = float(np.mean(base_vals))

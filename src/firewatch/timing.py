@@ -9,9 +9,9 @@ Direct sensors reach an edge in one hop and never wait; UAV-served sensors
 see two hops, the half-lap expected wait of their cluster's patrol, and the
 cluster-center-to-edge ferry leg.
 
-``all_responses`` is the one implementation of this model: it computes the
-terms of every sensor at once as an (n, 5) table, and ``response_time``,
-``mean_response`` and the emergency simulator read that table.
+``all_responses`` is the one implementation of this model: an (n, 5) table of
+every sensor's terms that ``response_time``, ``mean_response`` and the
+emergency simulator read.
 """
 
 from __future__ import annotations
@@ -83,29 +83,25 @@ def all_responses(plan, scenario) -> tuple[np.ndarray, np.ndarray]:
     direct sensor).  The wait and ferry terms depend only on the cluster and
     are computed once per cluster."""
     p = scenario.physical
-    n = len(scenario.sensors)
     uav, direct = plan.clustering.assignment, plan.assignment.direct_map
-    cluster_edge = [plan.assignment.cluster_map[j] for j in range(len(plan.routes))]
-    cluster, edge = np.full(n, -1), np.full(n, -1)
+    cluster = np.full(len(scenario.sensors), -1)
     cluster[list(uav)] = list(uav.values())
-    edge[list(uav)] = [cluster_edge[j] for j in uav.values()]
     cluster[list(direct)] = -1
+    # per-cluster lists end with the entry that cluster -1 (direct) reads
+    cluster_edge = [plan.assignment.cluster_map[j] for j in range(len(plan.routes))]
+    edge = np.array(cluster_edge + [-1])[cluster]
     edge[list(direct)] = list(direct.values())
-    missing = np.flatnonzero(edge < 0)
-    if missing.size:
-        raise ValueError(f"sensor {missing[0]} is not assigned in the plan")
-
-    wait = [expected_wait(r.length_m, p) for r in plan.routes]
+    if (edge < 0).any():
+        raise ValueError(f"sensor {np.argmax(edge < 0)} is not assigned in the plan")
+    wait = [expected_wait(r.length_m, p) for r in plan.routes] + [0.0]
     ferry = [moving_time(distance(Point2D(*plan.clustering.centers[j]),
                                   scenario.edges[k].pos), p.v_g)
-             for j, k in enumerate(cluster_edge)]
-    by_uav = cluster >= 0
-    terms = np.zeros((n, 5))
-    terms[:, 0] = np.where(by_uav, 2.0 * p.per_hop_latency_s, p.per_hop_latency_s)
-    terms[:, 1] = scenario.alpha_mb * MB_TO_MBIT / p.data_rate_mbps
-    terms[:, 2] = scenario.beta_mi / scenario.capacity[edge]
-    terms[by_uav, 3] = np.asarray(wait)[cluster[by_uav]]
-    terms[by_uav, 4] = np.asarray(ferry)[cluster[by_uav]]
+             for j, k in enumerate(cluster_edge)] + [0.0]
+    terms = np.column_stack([
+        np.where(cluster >= 0, 2.0 * p.per_hop_latency_s, p.per_hop_latency_s),
+        scenario.alpha_mb * MB_TO_MBIT / p.data_rate_mbps,
+        scenario.beta_mi / scenario.capacity[edge],
+        np.array(wait)[cluster], np.array(ferry)[cluster]])
     return terms, cluster
 
 
