@@ -29,7 +29,7 @@ from .routing import Route, build_route, route_energy, tour_length
 from .timing import execution_time, transmission_time
 
 PENALTY = 1e6
-# GA operators: one-point crossover rate, per-gene mutation rate, tournament
+# GA operators: one-point crossover rate, per-gene mutation rate, tournament size
 CROSSOVER_RATE = 0.8
 MUTATION_RATE = 0.1
 TOURNAMENT_SIZE = 3

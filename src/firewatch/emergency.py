@@ -310,7 +310,6 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
             served_direct=False)
 
     def try_dispatch(now: float):
-        # launch the highest-priority alert whose server is free, repeatedly
         while True:
             tops = [(heap[0], key) for key, heap in enumerate(pending) if heap and
                     (uavs[key].available if own else any(u.available for u in uavs))]
@@ -350,10 +349,9 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
 
 def _normal_impact(plan, scenario, terms, cluster, events, absences,
                    horizon_s: float) -> NormalImpactReport:
-    """Mean normal-service response over non-alert sensors (``terms`` and
-    ``cluster`` from ``timing.all_responses``), with the per-cluster
-    expected wait recomputed under revisit periods inflated by the measured
-    UAV absence episodes (weighted by their share of the horizon)."""
+    """Mean normal-service response over non-alert sensors, with the per-
+    cluster expected wait recomputed under revisit periods inflated by the
+    measured UAV absence episodes (weighted by their share of the horizon)."""
     p = scenario.physical
     r_sg, _, _ = link_ranges(p)
     contact = 2.0 * r_sg / p.v_g

@@ -343,7 +343,8 @@ def _check_structure(clustering: Clustering, assignment: Assignment, routes, sce
     """Reject a plan whose parts disagree: every sensor served exactly once,
     directly or by one cluster; route j visiting exactly cluster j's
     members; stored route lengths, revisit periods and energies equal to a
-    recomputation up to a relative 1e-9 (summation order)."""
+    recomputation up to a relative 1e-9, which absorbs a different summation
+    order of the upload sizes."""
     if sorted(assignment.cluster_map) != list(range(len(routes))):
         raise ValueError(f"plan assignment.cluster_map: keys must be the clusters "
                          f"0..{len(routes) - 1}")
@@ -365,9 +366,9 @@ def _check_structure(clustering: Clustering, assignment: Assignment, routes, sce
                              f"cluster {j} once each")
         ids = list(r.waypoints)
         length = tour_length(scenario.edge_xy[r.depot_edge_id], scenario.xy[ids])
+        energy = route_energy(length, scenario.alpha_mb[ids].tolist(), p)
         for field, want in (("length_m", length), ("revisit_s", length / p.v_g),
-                            ("energy_wh", route_energy(length, scenario.alpha_mb[ids].tolist(),
-                                                       p))):
+                            ("energy_wh", energy)):
             got = getattr(r, field)
             if not (isinstance(got, (int, float)) and math.isclose(got, want, rel_tol=1e-9)):
                 raise ValueError(f"plan routes[{j}].{field}: {got!r} differs from "

@@ -238,6 +238,23 @@ def test_plan_round_trip(tmp_path, default_scenario, default_plan):
     assert back.planning_time_s == 0.0
 
 
+def test_every_method_round_trips_through_the_structural_check(tmp_path):
+    """GA/PSO routes keep their evolved visit order and sum upload sizes in
+    it, and idle UAVs park with empty routes; load_plan accepts them all."""
+    from firewatch.baselines import GaConfig, PsoConfig, ga_plan, greedy_plan, pso_plan
+    from firewatch.scenario import GenConfig, generate
+
+    sc = generate(GenConfig(n_sensors=60, n_edges=3, seed=0))
+    algo = AlgoParams()
+    plans = [plan(sc, algo, Variant.NO_BOTH), plan_at_fleet(sc, algo, 61), greedy_plan(sc, algo),
+             ga_plan(sc, algo, GaConfig(population=8, generations=4, seed=0)),
+             pso_plan(sc, algo, PsoConfig(swarm=6, iterations=4, seed=0))]
+    for k, pl in enumerate(plans):
+        path = tmp_path / f"plan{k}.json"
+        save_plan(pl, sc, str(path))
+        assert load_plan(str(path), sc).routes == pl.routes
+
+
 def test_load_plan_rejects_unknown_schema(tmp_path, default_scenario, default_plan):
     import json
 
