@@ -40,8 +40,9 @@ class EmergencyEvent:
     priority: int   # the sensor's fire-history score
 
     def __post_init__(self):
-        if self.alert_time_s < 0:
-            raise ValueError(f"alert_time_s must be >= 0, got {self.alert_time_s}")
+        # NaN fails every comparison; simulate would never leave its instant
+        if not (math.isfinite(self.alert_time_s) and self.alert_time_s >= 0):
+            raise ValueError(f"alert_time_s must be finite and >= 0, got {self.alert_time_s}")
 
 
 @dataclass(frozen=True)

@@ -195,6 +195,12 @@ def test_zero_events_no_impact(default_scenario, default_plan, default_algo):
         res.impact.baseline_mean_s)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0])
+def test_event_needs_a_finite_alert_time(t):
+    with pytest.raises(ValueError, match="alert_time_s"):
+        EmergencyEvent(0, t, 60)
+
+
 def test_alert_past_horizon_rejected(default_scenario, default_plan,
                                      default_algo):
     ev = EmergencyEvent(0, 5000.0, 60)
