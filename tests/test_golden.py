@@ -30,6 +30,9 @@ from testutil import build_scenario
 # the GA/PSO budgets of the acceptance soundness sweep
 GA_FAST = dict(population=16, generations=12)
 PSO_FAST = dict(swarm=10, iterations=15)
+# the GA/PSO budgets of the benchmark's search workload
+GA_SEARCH = dict(population=30, generations=40)
+PSO_SEARCH = dict(swarm=20, iterations=40)
 
 SCENARIOS = {
     # the 60-sensor scenario of the CLI determinism test
@@ -51,12 +54,20 @@ SUMMATION_CASES = {
 }
 
 
-def _capacity_wall():
+def _capacity_wall(m_max: int = 3):
     """The scenario of test_all_methods_raise_on_capacity_wall."""
     return build_scenario(
         [(3000.0, 0.0, 0, 1.0, 1e6), (3200.0, 0.0, 0, 1.0, 1e6),
          (3400.0, 0.0, 0, 1.0, 1e6)],
-        [(0.0, 0.0, 10.0)], PhysicalParams(m_max=3))
+        [(0.0, 0.0, 10.0)], PhysicalParams(m_max=m_max))
+
+
+def _all_direct():
+    """Every sensor within link range of edge 0, so GA and PSO search over
+    no UAV-served sensor at all."""
+    return build_scenario(
+        [(10.0, 0.0, 30, 2.0, 200.0), (0.0, 20.0, 80, 1.0, 300.0), (15.0, 15.0, 5, 3.0, 100.0)],
+        [(0.0, 0.0, 5000.0), (4000.0, 4000.0, 8000.0)])
 
 
 def _digest(data: bytes) -> str:
@@ -92,6 +103,19 @@ def plan_digests(name: str) -> dict[str, str]:
     return out
 
 
+def search_digests() -> dict[str, str]:
+    """GA and PSO at the search workload's budgets on its first cell (GA
+    reaches m = 13 there), and on a scenario with every sensor direct."""
+    out = {}
+    cases = {"search": (generate(GenConfig(n_sensors=100, seed=0)), GA_SEARCH, PSO_SEARCH),
+             "direct": (_all_direct(), GA_FAST, PSO_FAST)}
+    for name, (sc, ga, pso) in cases.items():
+        algo = AlgoParams()
+        out[f"{name}/ga"] = _plan_digest(ga_plan(sc, algo, GaConfig(seed=0, **ga)), sc)
+        out[f"{name}/pso"] = _plan_digest(pso_plan(sc, algo, PsoConfig(seed=0, **pso)), sc)
+    return out
+
+
 def summation_digests() -> dict[str, str]:
     out = {}
     for name, (n, seed, variant, m_max) in SUMMATION_CASES.items():
@@ -107,6 +131,9 @@ def bindings() -> dict[str, list[str] | None]:
         "wall": _capacity_wall(),
         # one UAV cannot cover the 60-sensor scenario in time
         "reach": generate(GenConfig(n_sensors=60, n_edges=3, seed=0), PhysicalParams(m_max=1)),
+        # the capacity wall with a ceiling above its 3 sensors: GA and PSO
+        # search fleet sizes with more clusters than sensors
+        "wall-m5": _capacity_wall(m_max=5),
     }
     out = {}
     for name, sc in cases.items():
@@ -187,6 +214,10 @@ GOLDEN = {
     'tight/greedy': 'd75a65e00a44695409925bdc7b449b315630330881f6269ffe0d94601de2089f',
     'tight/ga': '23583307e5bfedbdda6a56006001dac2b4829171df59a8d6e4ed3c01f8bf669f',
     'tight/pso': '7dbb760aa6ac8ff171195ce96cd121b1f2bbca82c9689f9017a6fd75a7e6eee3',
+    'search/ga': 'a0ad0ff68efc395030319ecb7e920e17ac91f945cca201f2aac5605151d55191',
+    'search/pso': '7c97ce64fa8b6e22302484542d0427f49d7d3c68b8b4844aad1df6943031d6bf',
+    'direct/ga': 'c1b29238225ab2e8784e04faf44962733241e40bfbabe6125bbbc6f41c6b24d5',
+    'direct/pso': 'ed7ace5a4a57e784e8d635a8b81d3700a5318ab8822b62b4fed06bf552236644',
     'summation/n600-s0/full': 'f110f878064ff16213733371cc2a4ed6924f977c797766f48293546fb1fe87fb',
     'summation/n60-s3/full': 'dd7829384af21eedcf6bc4da38246542b710e22e4ca76fe29726ec3f1ba700e9',
     'summation/n150-s2/no-2opt': 'a531dbd14cae471b2f40404ce4a37e38d13f8cb58b498b9a9f22829c55548927',
@@ -198,6 +229,10 @@ GOLDEN = {
     'reach/greedy': ['revisit period'],
     'reach/ga': ['revisit period, energy budget, or edge capacity'],
     'reach/pso': ['no feasible particle'],
+    'wall-m5/proposed': ['edge capacity'],
+    'wall-m5/greedy': ['edge capacity'],
+    'wall-m5/ga': ['revisit period, energy budget, or edge capacity'],
+    'wall-m5/pso': ['no feasible particle'],
     'simulate/trace.csv': 'e5ed8df1eda1ebd722d1e68320f8ddbff0e28d8519c7befb175f9d51dc12d56f',
     'simulate/impact.json': '7e8fc3cc3c318c4d2f11d465d50023b049bce307cecfea0172a29f431b4829d4',
     'compare/summary.json': '414af4678977ceb4e983ac16a95b5939bb354702457424d63b43a28c67e0ce20',
@@ -211,6 +246,11 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_plans_match_golden(name):
     got = plan_digests(name)
+    assert got == {k: GOLDEN[k] for k in got}
+
+
+def test_search_budget_plans_match_golden():
+    got = search_digests()
     assert got == {k: GOLDEN[k] for k in got}
 
 
@@ -239,6 +279,7 @@ if __name__ == "__main__":
     digests = {}
     for name in sorted(SCENARIOS):
         digests.update(plan_digests(name))
+    digests.update(search_digests())
     digests.update(summation_digests())
     digests.update(bindings())
     with tempfile.TemporaryDirectory() as tmp:
