@@ -9,7 +9,11 @@ each cluster an array of sensor ids into the scenario's columns.
 Greedy routes nearest-neighbor.  GA and PSO search each fleet size with a
 penalty (1e6 per violated route/edge constraint) and hand the best
 zero-violation individual, routed in its evolved visit order, to the loop;
-a fleet size with none is rejected.
+a fleet size with none is rejected.  Each GA generation and PSO step is
+evaluated as one population: (P, n) gene and visit-order arrays, with the
+per-row sums, edge choices and nearest-neighbor steps vectorised across rows
+and every per-cluster sum taken in the same order as for one individual, so
+each row gets the numbers it would get on its own.
 """
 
 from __future__ import annotations
@@ -66,10 +70,11 @@ class PsoConfig:
 
 
 class _Workspace:
-    """GA/PSO state shared by every candidate evaluation.  Genes index the
+    """GA/PSO state shared by every population evaluation.  Genes index the
     UAV-served sensors ``uav_ids`` (ascending); ``alpha``, ``beta``, ``d_se``
     and ``d_ss`` are their upload sizes, compute demands and distances to
-    every edge and to each other."""
+    every edge and to each other.  Every method takes a whole population:
+    (P, n) gene and visit-order arrays, one row per individual."""
 
     def __init__(self, scenario, algo: AlgoParams):
         self.algo = algo
@@ -82,8 +87,10 @@ class _Workspace:
         self.cap = scenario.capacity
         self.d_se = np.linalg.norm(xy[:, None, :] - scenario.edge_xy[None, :, :], axis=2)
         self.d_ss = np.linalg.norm(xy[:, None, :] - xy[None, :, :], axis=2)
+        # the per-sensor values assign_edges sums by cluster, one per row
+        self.gene_columns = np.vstack([self.beta, self.alpha, self.d_se.T])
         self.base_loads = np.array(self.load0.loads_mips)
-        self.t_tra = self.alpha * MB_TO_MBIT / p.data_rate_mbps
+        self.t_tra_sum = (self.alpha * MB_TO_MBIT / p.data_rate_mbps).sum()
         # direct sensors contribute a constant to the service-time objective
         alpha, beta, cap = (c.tolist() for c in (scenario.alpha_mb, scenario.beta_mi,
                                                   scenario.capacity))
@@ -93,84 +100,102 @@ class _Workspace:
 
     def assign_edges(self, genes: np.ndarray, m: int):
         """Sequential lowest-score edge per cluster (same score as the shared
-        phase-2 op).  Returns (member counts, demands, edge index) per
-        cluster."""
+        phase-2 op), each step across all rows.  Returns the (P, m) member
+        counts, upload sums and edge indices and the (P, edges) loads."""
         a = self.algo
-        counts = np.bincount(genes, minlength=m)
-        demands = np.bincount(genes, weights=self.beta, minlength=m) / self.p.t_period_s
-        dbar_sum = np.zeros((m, self.d_se.shape[1]))
-        np.add.at(dbar_sum, genes, self.d_se)
-        dbar = np.divide(dbar_sum, np.maximum(counts, 1)[:, None])
-        d_norm = self.p.diag_m
-        loads = self.base_loads.copy()
-        out = np.zeros(m, dtype=int)
+        P, n = genes.shape
+        # bin r*m + j is cluster j of row r, so each bin sums its members in
+        # id order, as a per-row bincount would
+        bins = (genes + m * np.arange(P)[:, None]).ravel()
+        beta_sum, alpha_sum, *edge_sums = (
+            np.bincount(bins, weights=w, minlength=P * m).reshape(P, m)
+            for w in np.tile(self.gene_columns, P))
+        counts = np.bincount(bins, minlength=P * m).reshape(P, m)
+        demands = beta_sum / self.p.t_period_s
+        dbar = np.divide(np.stack(edge_sums, axis=2), np.maximum(counts, 1)[..., None])
+        distance_term = a.omega_d * dbar / self.p.diag_m
+        rows = np.arange(P)
+        loads = np.tile(self.base_loads, (P, 1))
+        edge_of = np.empty((P, m), dtype=int)
         for j in range(m):
-            scores = a.omega_d * dbar[j] / d_norm + a.omega_l * (loads + demands[j]) / self.cap
-            k = int(np.argmin(scores))
-            out[j] = k
-            loads[k] += demands[j]
-        return counts, demands, out
+            scores = distance_term[:, j] + a.omega_l * (loads + demands[:, j, None]) / self.cap
+            edge_of[:, j] = k = scores.argmin(axis=1)
+            loads[rows, k] += demands[:, j]
+        return counts, alpha_sum, edge_of, loads
 
-    def eval_clusters(self, genes: np.ndarray, order: np.ndarray, m: int):
-        """Objective + violation count for a clustering with a fixed visit
-        order (`order` = sensor indices grouped by cluster, in visit order).
+    def evaluate(self, genes: np.ndarray, orders: np.ndarray, assigned):
+        """Objective + violation count per row for clusterings with fixed
+        visit orders (each row of `orders` = sensor indices grouped by
+        cluster, in visit order) and their ``assign_edges`` result.
 
-        Returns (fitness, violations, edge_of_cluster, lengths)."""
+        Returns the (P,) fitness and violations and the (P, m) tour lengths."""
         p = self.p
-        counts, demands, edge_of = self.assign_edges(genes, m)
+        counts, alpha_sum, edge_of, loads = assigned
+        P, m = counts.shape
+        rows = np.arange(P)[:, None]
 
         # tour lengths: inner legs along the order, broken at cluster
         # boundaries, plus the two depot legs per non-empty cluster
-        lengths = np.zeros(m)
-        og = genes[order]
-        seg = self.d_ss[order[:-1], order[1:]]
-        same = og[1:] == og[:-1]
-        np.add.at(lengths, og[1:][same], seg[same])
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        for j in range(m):
-            if counts[j] == 0:
-                continue
-            first = order[starts[j]]
-            last = order[starts[j] + counts[j] - 1]
-            lengths[j] += self.d_se[first, edge_of[j]] + self.d_se[last, edge_of[j]]
+        og = genes[rows, orders]
+        seg = self.d_ss[orders[:, :-1], orders[:, 1:]]
+        same = og[:, 1:] == og[:, :-1]
+        # (bincount gives ints when no leg is inside a cluster)
+        lengths = np.bincount((og[:, 1:] + m * rows)[same], weights=seg[same],
+                              minlength=P * m).reshape(P, m).astype(float, copy=False)
+        r, j = np.nonzero(counts)
+        starts = (np.cumsum(counts, axis=1) - counts)[r, j]
+        first = orders[r, starts]
+        last = orders[r, starts + counts[r, j] - 1]
+        k = edge_of[r, j]
+        lengths[r, j] += self.d_se[first, k] + self.d_se[last, k]
 
         revisit = lengths / p.v_g
-        alpha_sum = np.bincount(genes, weights=self.alpha, minlength=m)
         energy = (p.p_fly_w * revisit + p.p_comm_w * alpha_sum * MB_TO_MBIT
                   / p.data_rate_mbps) / 3600.0
-        loads = self.base_loads.copy()
-        np.add.at(loads, edge_of, demands)
+        # assign_edges' loads are the base loads plus each cluster's demand,
+        # added in cluster order: the capacity check's loads
+        violations = ((revisit > p.t_max_s).sum(axis=1) + (energy > p.e_max_wh).sum(axis=1)
+                      + (loads > self.cap).sum(axis=1))
 
-        violations = int((revisit > p.t_max_s).sum())
-        violations += int((energy > p.e_max_wh).sum())
-        violations += int((loads > self.cap).sum())
+        service = self.t_tra_sum + (self.beta / self.cap[edge_of[rows, genes]]).sum(axis=1)
+        objective = lengths.sum(axis=1) + self.algo.lam * (service + self.direct_service)
+        return objective + PENALTY * violations, violations, lengths
 
-        service = float(self.t_tra.sum() + (self.beta / self.cap[edge_of[genes]]).sum())
-        objective = float(lengths.sum()) + self.algo.lam * (service + self.direct_service)
-        fitness = objective + PENALTY * violations
-        return fitness, violations, edge_of, lengths
-
-    def nn_order(self, members: np.ndarray, edge_k: int) -> np.ndarray:
-        """Nearest-neighbor visit order (indices into the workspace arrays)
-        starting from the given edge; ties resolve to the lowest sensor id
-        because members are id-ordered."""
-        if len(members) == 0:
-            return members
-        d_edge = self.d_se[members, edge_k]
-        sub = self.d_ss[np.ix_(members, members)]
-        n_m = len(members)
-        remaining = np.ones(n_m, dtype=bool)
-        order = np.empty(n_m, dtype=int)
-        cur = int(np.argmin(d_edge))
-        order[0] = cur
-        remaining[cur] = False
-        for t in range(1, n_m):
-            d = sub[cur].copy()
-            d[~remaining] = np.inf
-            cur = int(np.argmin(d))
-            order[t] = cur
-            remaining[cur] = False
-        return members[order]
+    def nn_orders(self, genes: np.ndarray, assigned) -> np.ndarray:
+        """Nearest-neighbor visit order of every cluster of every row from
+        its assigned edge, grouped by cluster; ties go to the lowest sensor
+        id.  One step per visit, taken across all P*m clusters at once."""
+        counts, _, edge_of, _ = assigned
+        P, n = genes.shape
+        size = counts.ravel()
+        width = int(size.max())
+        valid = np.arange(width) < size[:, None]
+        # row c = cluster c % m of row c // m: its members in ascending id
+        # order, padding after
+        members = np.zeros((len(size), width), dtype=int)
+        members[valid] = np.argsort(genes, axis=1, kind="stable").ravel()
+        # largest clusters first, so step t runs on a leading block of rows
+        by_size = np.argsort(-size, kind="stable")
+        members, size = members[by_size], size[by_size]
+        # inf on padding and visited members, 0 elsewhere: adding it leaves
+        # every open distance as it is
+        blocked = np.where(valid[by_size], 0.0, np.inf)
+        edge = edge_of.ravel()[by_size]
+        d_ss = self.d_ss.ravel()
+        picks = np.zeros_like(members)
+        for t in range(width):
+            live = int(np.count_nonzero(size > t))
+            rows = np.arange(live)
+            if t == 0:
+                d = self.d_se[members[:live], edge[:live, None]]
+            else:
+                d = d_ss.take(members[rows, cur[:live], None] * n + members[:live])
+            d += blocked[:live]
+            picks[:live, t] = cur = d.argmin(axis=1)
+            blocked[rows, cur] = np.inf
+        seq = np.empty_like(members)
+        seq[by_size] = np.take_along_axis(members, picks, axis=1)
+        return seq[valid].reshape(P, n)
 
     def clusters(self, genes: np.ndarray, order: np.ndarray, m: int):
         """size_fleet clusters of one individual: per-cluster sensor ids in
@@ -188,10 +213,12 @@ def evolved_route(uav_id: int, depot_edge_id: int, ids: np.ndarray, scenario) ->
 
 
 def _order_by_priority(genes: np.ndarray, priorities: np.ndarray) -> np.ndarray:
-    """Sensor indices grouped by cluster, each group by ascending priority
-    (ties by index)."""
-    n = len(genes)
-    return np.lexsort((np.arange(n), priorities, genes))
+    """Per row: sensor indices grouped by cluster, each group by ascending
+    priority (ties by index): two stable sorts over the whole population,
+    by priority and then by gene."""
+    by_prio = np.argsort(priorities, axis=1, kind="stable")
+    by_gene = np.argsort(np.take_along_axis(genes, by_prio, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(by_prio, by_gene, axis=1)
 
 
 def _ga_search(ws: _Workspace, cfg: GaConfig, m: int):
@@ -203,15 +230,11 @@ def _ga_search(ws: _Workspace, cfg: GaConfig, m: int):
     prios = rng.random((cfg.population, n))
 
     def evaluate(g, pr):
-        order = _order_by_priority(g, pr)
-        fit, viol, _, _ = ws.eval_clusters(g, order, m)
-        return fit, viol
+        orders = _order_by_priority(g, pr)
+        fits, viols, _ = ws.evaluate(g, orders, ws.assign_edges(g, m))
+        return fits, viols, orders
 
-    fits = np.empty(cfg.population)
-    viols = np.empty(cfg.population, dtype=int)
-    for i in range(cfg.population):
-        fits[i], viols[i] = evaluate(genes[i], prios[i])
-
+    fits, viols, orders = evaluate(genes, prios)
     for _ in range(cfg.generations):
         elite = int(np.argmin(fits))
         new_genes = [genes[elite].copy()]
@@ -240,14 +263,13 @@ def _ga_search(ws: _Workspace, cfg: GaConfig, m: int):
                 new_prios.append(pr)
         genes = np.array(new_genes[:cfg.population])
         prios = np.array(new_prios[:cfg.population])
-        for i in range(cfg.population):
-            fits[i], viols[i] = evaluate(genes[i], prios[i])
+        fits, viols, orders = evaluate(genes, prios)
 
     feasible = np.flatnonzero(viols == 0)
     if not feasible.size:
         return None
     best = int(feasible[np.argmin(fits[feasible])])
-    return ws.clusters(genes[best], _order_by_priority(genes[best], prios[best]), m)
+    return ws.clusters(genes[best], orders[best], m)
 
 
 def ga_plan(scenario, algo: AlgoParams, cfg: GaConfig | None = None) -> Plan:
@@ -277,21 +299,12 @@ def _pso_search(ws: _Workspace, cfg: PsoConfig, m: int):
         g = decode(x)
         # order: NN within each cluster from its phase-2 edge, so edge
         # assignment runs before routing
-        counts, _, edge_of = ws.assign_edges(g, m)
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        order = np.empty(n, dtype=int)
-        by_cluster = np.argsort(g, kind="stable")
-        for j in range(m):
-            idx = by_cluster[starts[j]:starts[j] + counts[j]]
-            order[starts[j]:starts[j] + counts[j]] = ws.nn_order(idx, edge_of[j])
-        fit, viol, _, _ = ws.eval_clusters(g, order, m)
-        return fit, viol, order
+        assigned = ws.assign_edges(g, m)
+        orders = ws.nn_orders(g, assigned)
+        fits, viols, _ = ws.evaluate(g, orders, assigned)
+        return fits, viols, orders
 
-    fits = np.empty(cfg.swarm)
-    viols = np.empty(cfg.swarm, dtype=int)
-    orders = [None] * cfg.swarm
-    for i in range(cfg.swarm):
-        fits[i], viols[i], orders[i] = evaluate(pos[i])
+    fits, viols, orders = evaluate(pos)
     pbest = pos.copy()
     pbest_fit = fits.copy()
     g_i = int(np.argmin(fits))
@@ -303,8 +316,8 @@ def _pso_search(ws: _Workspace, cfg: PsoConfig, m: int):
         r2 = rng.random((cfg.swarm, n))
         vel = INERTIA * vel + C1 * r1 * (pbest - pos) + C2 * r2 * (gbest - pos)
         pos = np.clip(pos + vel, 1.0, m)
+        fits, viols, orders = evaluate(pos)
         for i in range(cfg.swarm):
-            fits[i], viols[i], orders[i] = evaluate(pos[i])
             if fits[i] < pbest_fit[i]:
                 pbest[i] = pos[i].copy()
                 pbest_fit[i] = fits[i]

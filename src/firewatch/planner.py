@@ -375,32 +375,62 @@ def _check_structure(clustering: Clustering, assignment: Assignment, routes, sce
                                  f"{want!r} recomputed from the waypoints")
 
 
+def _typed(value, kind: type, field: str):
+    """``value`` when it has the JSON type ``kind`` (dict or list), else a
+    ValueError naming the plan field."""
+    if not isinstance(value, kind):
+        raise ValueError(f"plan {field}: expected a JSON {'object' if kind is dict else 'list'}")
+    return value
+
+
+def _finite(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _check_centers(centers, m) -> None:
+    if len(_typed(centers, list, "clustering.centers")) != m:
+        raise ValueError(f"plan clustering.centers: expected m = {m!r} centers")
+    for k, c in enumerate(centers):
+        if not (isinstance(c, list) and len(c) == 2 and all(_finite(v) for v in c)):
+            raise ValueError(f"plan clustering.centers[{k}]: expected an [x, y] pair of "
+                             f"finite numbers, got {c!r}")
+
+
 def load_plan(path: str, scenario) -> Plan:
     with open(path) as f:
-        doc = json.load(f)
+        doc = _typed(json.load(f), dict, "document")
     if doc.get("schema_version") != PLAN_SCHEMA_VERSION:
         raise ValueError(f"unsupported plan schema_version {doc.get('schema_version')!r}")
+    clust = _typed(doc["clustering"], dict, "clustering")
+    _check_centers(clust["centers"], doc["m"])
     clustering = Clustering(
         m=doc["m"],
-        assignment={int(k): v for k, v in doc["clustering"]["assignment"].items()},
-        centers=tuple(tuple(c) for c in doc["clustering"]["centers"]),
-        iterations_run=doc["clustering"]["iterations_run"],
+        assignment={int(k): v for k, v in
+                    _typed(clust["assignment"], dict, "clustering.assignment").items()},
+        centers=tuple(tuple(c) for c in clust["centers"]),
+        iterations_run=clust["iterations_run"],
     )
-    load = EdgeLoadState(list(doc["assignment"]["loads_mips"]),
-                         [e.capacity_mips for e in scenario.edges])
+    assign = _typed(doc["assignment"], dict, "assignment")
+    loads = _typed(assign["loads_mips"], list, "assignment.loads_mips")
+    if not all(_finite(v) for v in loads):
+        raise ValueError(f"plan assignment.loads_mips: expected finite numbers, got {loads!r}")
+    load = EdgeLoadState(loads, [e.capacity_mips for e in scenario.edges])
     assignment = Assignment(
-        direct_map={int(k): v for k, v in doc["assignment"]["direct_map"].items()},
-        cluster_map={int(k): v for k, v in doc["assignment"]["cluster_map"].items()},
+        direct_map={int(k): v for k, v in
+                    _typed(assign["direct_map"], dict, "assignment.direct_map").items()},
+        cluster_map={int(k): v for k, v in
+                     _typed(assign["cluster_map"], dict, "assignment.cluster_map").items()},
         load=load,
     )
     if not isinstance(doc["routes"], list) or len(doc["routes"]) != doc["m"]:
         raise ValueError(f"plan routes: expected a list of m = {doc['m']!r} routes")
     routes = []
     for j, r in enumerate(doc["routes"]):
-        if not isinstance(r, dict):
-            raise ValueError(f"plan routes[{j}]: expected a JSON object")
+        _typed(r, dict, f"routes[{j}]")
         routes.append(Route(uav_id=r["uav_id"], depot_edge_id=r["depot_edge_id"],
-                            waypoints=tuple(r["waypoints"]), length_m=r["length_m"],
+                            waypoints=tuple(_typed(r["waypoints"], list,
+                                                   f"routes[{j}].waypoints")),
+                            length_m=r["length_m"],
                             revisit_s=r["revisit_s"], energy_wh=r["energy_wh"]))
     routes = tuple(routes)
     n, p, m = len(scenario.sensors), len(scenario.edges), len(routes)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firewatch.baselines import (
     GaConfig,
@@ -79,23 +81,56 @@ def test_eval_clusters_matches_oracle(m, gene_hi):
     algo = AlgoParams()
     ws = _Workspace(scenario, algo)
     rng = np.random.default_rng(99)
-    genes = rng.integers(0, gene_hi, size=ws.n)
-    prios = rng.random(ws.n)
-    order = _order_by_priority(genes, prios)
+    genes = rng.integers(0, gene_hi, size=(6, ws.n))
+    prios = rng.random((6, ws.n))
+    orders = _order_by_priority(genes, prios)
 
-    fit, viol, edge_of, lengths = ws.eval_clusters(genes, order, m)
-    w_fit, w_viol, w_edge, w_len = _oracle_eval(ws, scenario, algo, genes,
-                                                order, m)
-    assert viol == w_viol
-    assert list(edge_of) == w_edge
-    assert lengths == pytest.approx(w_len)
-    assert fit == pytest.approx(w_fit, rel=1e-9)
+    assigned = ws.assign_edges(genes, m)
+    edge_of = assigned[2]
+    fits, viols, lengths = ws.evaluate(genes, orders, assigned)
+    for r in range(len(genes)):
+        w_fit, w_viol, w_edge, w_len = _oracle_eval(ws, scenario, algo, genes[r],
+                                                    orders[r], m)
+        assert viols[r] == w_viol
+        assert list(edge_of[r]) == w_edge
+        assert lengths[r] == pytest.approx(w_len)
+        assert fits[r] == pytest.approx(w_fit, rel=1e-9)
 
 
 def test_order_by_priority_groups_then_sorts():
-    genes = np.array([1, 0, 1, 0])
-    prios = np.array([0.9, 0.2, 0.1, 0.5])
-    assert list(_order_by_priority(genes, prios)) == [1, 3, 2, 0]
+    genes = np.array([[1, 0, 1, 0], [0, 0, 1, 1]])
+    prios = np.array([[0.9, 0.2, 0.1, 0.5], [0.3, 0.3, 0.2, 0.1]])
+    assert _order_by_priority(genes, prios).tolist() == [[1, 3, 2, 0], [0, 1, 3, 2]]
+
+
+# few distinct coordinates, so points coincide and distances tie
+_coord = st.one_of(st.integers(0, 3).map(lambda v: 1000.0 + 200.0 * v),
+                   st.floats(1000.0, 1600.0).map(lambda v: round(v, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_coord, _coord), min_size=1, max_size=12),
+       st.integers(1, 5), st.integers(1, 4), st.data())
+def test_nn_orders_match_nearest_neighbor_tour(points, m, rows, data):
+    """Every cluster of every row, empty and one-member clusters included,
+    is visited in routing.nearest_neighbor_tour order from its edge."""
+    sc = build_scenario([(x, y, 10, 1.0, 100.0) for x, y in points],
+                        [(0.0, 0.0, 5000.0), (3000.0, 0.0, 5000.0), (0.0, 3000.0, 5000.0)])
+    ws = _Workspace(sc, AlgoParams())
+    assert ws.n == len(points)       # every sensor out of edge range
+    genes = np.array(data.draw(st.lists(st.lists(st.integers(0, m - 1), min_size=ws.n,
+                                                 max_size=ws.n),
+                                        min_size=rows, max_size=rows)))
+    assigned = ws.assign_edges(genes, m)
+    edge_of = assigned[2]
+    orders = ws.nn_orders(genes, assigned)
+    for r in range(rows):
+        want = []
+        for j in range(m):
+            members = np.flatnonzero(genes[r] == j)
+            depot = sc.edge_xy[edge_of[r, j]]
+            want += members[nearest_neighbor_tour(depot, sc.xy[ws.uav_ids[members]])].tolist()
+        assert orders[r].tolist() == want
 
 
 def _blob_scenario():

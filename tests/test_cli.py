@@ -405,9 +405,41 @@ def _scale(field, factor):
     ("routes[0].length_m", _scale("length_m", 1 + 1e-6)),
     ("routes[0].revisit_s", _scale("revisit_s", 1 - 1e-6)),
     ("routes[0].energy_wh", _scale("energy_wh", 1 + 1e-6)),
+    # fields of the wrong JSON type, ids named so the cases above keep theirs
+    pytest.param("routes[0].waypoints",
+                 lambda d: d["routes"][0].__setitem__("waypoints", 5), id="waypoints-int"),
+    pytest.param("clustering.assignment",
+                 lambda d: d["clustering"].__setitem__("assignment", []),
+                 id="clustering.assignment-list"),
+    pytest.param("assignment.direct_map",
+                 lambda d: d["assignment"].__setitem__("direct_map", []), id="direct_map-list"),
+    pytest.param("assignment.cluster_map",
+                 lambda d: d["assignment"].__setitem__("cluster_map", []),
+                 id="cluster_map-list"),
+    pytest.param("clustering.centers[0]",
+                 lambda d: d["clustering"]["centers"].__setitem__(0, [1.0]), id="center-x-only"),
+    pytest.param("clustering.centers", lambda d: d["clustering"]["centers"].pop(),
+                 id="centers-short"),
+    pytest.param("clustering", lambda d: d.__setitem__("clustering", []), id="clustering-list"),
+    pytest.param("assignment", lambda d: d.__setitem__("assignment", []), id="assignment-list"),
+    pytest.param("assignment.loads_mips",
+                 lambda d: d["assignment"].__setitem__("loads_mips", 5), id="loads-int"),
+    pytest.param("assignment.loads_mips",
+                 lambda d: d["assignment"]["loads_mips"].__setitem__(0, "a"), id="load-string"),
 ])
 def test_simulate_rejects_an_inconsistent_plan(small_files, tmp_path, capsys, field, mutate):
     _assert_mutated_plan_rejected(small_files, tmp_path, capsys, field, mutate)
+
+
+def test_simulate_rejects_a_plan_that_is_not_an_object(small_files, tmp_path, capsys):
+    scen, out = small_files
+    bad = tmp_path / "plan.json"
+    bad.write_text(json.dumps([json.loads((out / "plan.json").read_text())]))
+    rc = main(["simulate", "-s", str(scen), "-p", str(bad), "-o", str(tmp_path / "sim")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "plan document: expected a JSON object" in err
+    assert "Traceback" not in err
 
 
 def test_simulate_rejects_a_plan_made_for_another_scenario(small_files, tmp_path, capsys):
