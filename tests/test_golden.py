@@ -12,6 +12,7 @@ environment (numpy 2.4, x86-64).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -21,7 +22,8 @@ import pytest
 
 from firewatch.baselines import GaConfig, PsoConfig, ga_plan, greedy_plan, pso_plan
 from firewatch.cli import main
-from firewatch.emergency import EmergencyEvent, save_events
+from firewatch.emergency import (EmergencyEvent, generate_events, save_events, simulate,
+                                 write_trace_csv)
 from firewatch.model import AlgoParams, PhysicalParams, Variant
 from firewatch.planner import InfeasibleError, plan, plan_at_fleet, plan_to_doc, save_plan
 from firewatch.scenario import GenConfig, generate, save_scenario
@@ -195,6 +197,31 @@ def burst_digests(tmp: Path) -> dict[str, str]:
     return out
 
 
+def drill_digests(tmp: Path) -> dict[str, str]:
+    """30 monitoring days of five generated alerts on the 300-sensor plan,
+    one simulate call per day as in the benchmark's drill: each policy's
+    trace.csv bytes, impact report and patrol phases, hashed over the days.
+    The phases are drawn within each route's length, so a one-ulp change
+    in a leg length changes their digest."""
+    sc = generate(GenConfig(n_sensors=300, seed=0))
+    pl = plan(sc, AlgoParams())
+    out = {}
+    for policy in ("nearest", "own_cluster"):
+        trace, impact, phases = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+        for day in range(30):
+            events = generate_events(sc, pl, 5, 86400.0, seed=day)
+            res = simulate(pl, sc, events, 86400.0, AlgoParams(seed=day),
+                           dispatch_policy=policy)
+            write_trace_csv(res, str(tmp / "trace.csv"))
+            trace.update((tmp / "trace.csv").read_bytes())
+            impact.update(json.dumps(dataclasses.asdict(res.impact)).encode())
+            phases.update(json.dumps(res.phases_m).encode())
+        out[f"drill/{policy}/trace.csv"] = trace.hexdigest()
+        out[f"drill/{policy}/impact"] = impact.hexdigest()
+        out[f"drill/{policy}/phases_m"] = phases.hexdigest()
+    return out
+
+
 GOLDEN = {
     'small/plan/full': '7be7ab52b4d6d5f11e50236f259a430dcefd5f058e3e821a8db731f484c84353',
     'small/plan/no-2opt': '8786a90ebe6159ab3021c439ca882cee490f502c0fe859621ffa07a751d3bd51',
@@ -240,6 +267,12 @@ GOLDEN = {
     'burst/nearest/impact.json': 'a30159110b1db05af059343c588bc7def7e4a448d0e1b8a91d14709a1907e176',
     'burst/own_cluster/trace.csv': 'ac6c1a719d5e9024b5414c7bf226e478fd1d91fd257e10f2a034498aa2308119',
     'burst/own_cluster/impact.json': '2360fb267b0cb78bb5e271d7e70533f3954adeb6598cee4727c4f4ee16ab1bc5',
+    'drill/nearest/trace.csv': 'e00394c122b384f14c5a962f4a8d3e55a57b2ed26a8e95132bf799549da243d9',
+    'drill/nearest/impact': 'bf4c992835ddc7a2c160042a3020b43da58970616fc0801dee346e330f28c683',
+    'drill/nearest/phases_m': 'b2c3ca9f66e070afbf621bd1e454e19875741319cabdff1b8ca92e664fe469d5',
+    'drill/own_cluster/trace.csv': '5e4e03c28298320e42932b31df0a1bd788772d2b035aaefd32752aff9b470715',
+    'drill/own_cluster/impact': '3f5eec01d598e59467a5c27fe7b95cd7dd87f5540051615c14d36e9c06b0a466',
+    'drill/own_cluster/phases_m': 'b2c3ca9f66e070afbf621bd1e454e19875741319cabdff1b8ca92e664fe469d5',
 }
 
 
@@ -274,6 +307,11 @@ def test_queued_burst_matches_golden(tmp_path):
     assert got == {k: GOLDEN[k] for k in got}
 
 
+def test_daily_drill_matches_golden(tmp_path):
+    got = drill_digests(tmp_path)
+    assert got == {k: GOLDEN[k] for k in got}
+
+
 if __name__ == "__main__":
     import tempfile
     digests = {}
@@ -286,5 +324,7 @@ if __name__ == "__main__":
         digests.update(cli_digests(Path(tmp)))
     with tempfile.TemporaryDirectory() as tmp:
         digests.update(burst_digests(Path(tmp)))
+    with tempfile.TemporaryDirectory() as tmp:
+        digests.update(drill_digests(Path(tmp)))
     for k, v in digests.items():
         print(f"    {k!r}: {v!r},")
