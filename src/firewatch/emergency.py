@@ -15,6 +15,7 @@ served straight from the edge, with terms from ``timing.all_responses``.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import heapq
 import json
@@ -85,12 +86,18 @@ class RouteGeometry:
     """Closed-tour polyline (depot first) with cumulative arc lengths."""
 
     def __init__(self, points: np.ndarray):
-        self.points = np.asarray(points, dtype=float)
-        q = len(self.points)
-        legs = [float(np.linalg.norm(self.points[(i + 1) % q] - self.points[i]))
-                for i in range(q)]
+        self.points = np.asarray(points, dtype=float).reshape(-1, 2)
+        # each leg's squared length as a 1x2 @ 2x1 product: the same dot
+        # kernel as the per-leg np.linalg.norm, so the same bits, where
+        # dx*dx + dy*dy, einsum, norm(axis=1) and hypot differ in the last ulp
+        d = np.roll(self.points, -1, axis=0) - self.points
+        legs = np.sqrt(np.matmul(d[:, None, :], d[:, :, None]).ravel())
         self.cum = np.concatenate([[0.0], np.cumsum(legs)])
         self.length_m = float(self.cum[-1])
+        # position_at_arc runs once per patrol position: Python lists and
+        # bisect cost less per call than numpy indexing and searchsorted
+        self._cum = self.cum.tolist()
+        self._xy = self.points.tolist()
 
     @classmethod
     def from_route(cls, route, scenario) -> "RouteGeometry":
@@ -102,17 +109,16 @@ class RouteGeometry:
         return float(self.cum[widx + 1])
 
     def position_at_arc(self, arc_m: float) -> Point2D:
+        xy = self._xy
         if self.length_m == 0.0:
-            return Point2D(float(self.points[0, 0]), float(self.points[0, 1]))
+            return Point2D(*xy[0])
+        cum = self._cum
         arc = arc_m % self.length_m
-        i = int(np.searchsorted(self.cum, arc, side="right")) - 1
-        i = min(i, len(self.points) - 1)
-        leg = self.cum[i + 1] - self.cum[i]
-        a = self.points[i]
-        b = self.points[(i + 1) % len(self.points)]
-        frac = (arc - self.cum[i]) / leg if leg > 0 else 0.0
-        pt = a + frac * (b - a)
-        return Point2D(float(pt[0]), float(pt[1]))
+        i = min(bisect.bisect_right(cum, arc) - 1, len(xy) - 1)
+        leg = cum[i + 1] - cum[i]
+        (ax, ay), (bx, by) = xy[i], xy[(i + 1) % len(xy)]
+        frac = (arc - cum[i]) / leg if leg > 0 else 0.0
+        return Point2D(ax + frac * (bx - ax), ay + frac * (by - ay))
 
 
 def select_dispatch_uav(candidates: list[tuple[int, Point2D]], sensor_pos: Point2D,
@@ -259,6 +265,9 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
     pending: list[list] = [[] for _ in range(len(uavs) if own else 1)]
     traces: dict[int, EmergencyTrace] = {}
     absences: dict[int, list[tuple[float, float]]] = {j: [] for j in range(plan.m)}
+    # (edge id, fallback) per alerted sensor: the plan's edge loads do not
+    # change within a call, so each sensor's delivery edge is chosen once
+    delivery: dict[int, tuple[int, bool]] = {}
 
     def serve_direct(seq: int, ev: EmergencyEvent):
         sid = ev.sensor_id
@@ -278,8 +287,10 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
         pos0 = uav.patrol_pos(now, v)
         t_disp = distance(pos0, s.pos) / v
         t_tra = tra_s[ev.sensor_id]
-        eid, fb = select_delivery_edge(s.pos, scenario.edges,
-                                       plan.assignment.load, algo.theta_max)
+        if ev.sensor_id not in delivery:
+            delivery[ev.sensor_id] = select_delivery_edge(
+                s.pos, scenario.edges, plan.assignment.load, algo.theta_max)
+        eid, fb = delivery[ev.sensor_id]
         edge = scenario.edges[eid]
         t_del = distance(s.pos, edge.pos) / v
         t_exe = execution_time(s.request.compute_mi, edge.capacity_mips)

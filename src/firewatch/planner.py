@@ -341,8 +341,8 @@ def _check_ids(where: str, ids, bound: int) -> None:
 
 def _check_structure(clustering: Clustering, assignment: Assignment, routes, scenario) -> None:
     """Reject a plan whose parts disagree: every sensor served exactly once,
-    directly or by one cluster; route j visiting exactly cluster j's
-    members; stored route lengths, revisit periods and energies equal to a
+    directly or by one cluster; route j starting at cluster j's edge and
+    visiting exactly cluster j's members; stored route lengths, revisit periods and energies equal to a
     recomputation up to a relative 1e-9, which absorbs a different summation
     order of the upload sizes."""
     if sorted(assignment.cluster_map) != list(range(len(routes))):
@@ -361,6 +361,9 @@ def _check_structure(clustering: Clustering, assignment: Assignment, routes, sce
         members[j].append(sid)
     p = scenario.physical
     for j, r in enumerate(routes):
+        if r.depot_edge_id != assignment.cluster_map[j]:
+            raise ValueError(f"plan routes[{j}].depot_edge_id: {r.depot_edge_id} is not "
+                             f"assignment.cluster_map[{j}] = {assignment.cluster_map[j]}")
         if sorted(r.waypoints) != members[j]:
             raise ValueError(f"plan routes[{j}].waypoints: must visit the members of "
                              f"cluster {j} once each")
@@ -403,12 +406,16 @@ def load_plan(path: str, scenario) -> Plan:
         raise ValueError(f"unsupported plan schema_version {doc.get('schema_version')!r}")
     clust = _typed(doc["clustering"], dict, "clustering")
     _check_centers(clust["centers"], doc["m"])
+    its = clust["iterations_run"]
+    if isinstance(its, bool) or not isinstance(its, int) or its < 0:
+        raise ValueError(f"plan clustering.iterations_run: expected an integer >= 0, "
+                         f"got {its!r}")
     clustering = Clustering(
         m=doc["m"],
         assignment={int(k): v for k, v in
                     _typed(clust["assignment"], dict, "clustering.assignment").items()},
         centers=tuple(tuple(c) for c in clust["centers"]),
-        iterations_run=clust["iterations_run"],
+        iterations_run=its,
     )
     assign = _typed(doc["assignment"], dict, "assignment")
     loads = _typed(assign["loads_mips"], list, "assignment.loads_mips")
@@ -427,6 +434,8 @@ def load_plan(path: str, scenario) -> Plan:
     routes = []
     for j, r in enumerate(doc["routes"]):
         _typed(r, dict, f"routes[{j}]")
+        if isinstance(r["uav_id"], bool) or r["uav_id"] != j:
+            raise ValueError(f"plan routes[{j}].uav_id: expected {j}, got {r['uav_id']!r}")
         routes.append(Route(uav_id=r["uav_id"], depot_edge_id=r["depot_edge_id"],
                             waypoints=tuple(_typed(r["waypoints"], list,
                                                    f"routes[{j}].waypoints")),

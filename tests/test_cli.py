@@ -426,6 +426,26 @@ def _scale(field, factor):
                  lambda d: d["assignment"].__setitem__("loads_mips", 5), id="loads-int"),
     pytest.param("assignment.loads_mips",
                  lambda d: d["assignment"]["loads_mips"].__setitem__(0, "a"), id="load-string"),
+    pytest.param("routes[0].uav_id", lambda d: d["routes"][0].__setitem__("uav_id", 7),
+                 id="uav_id-7"),
+    pytest.param("routes[0].uav_id", lambda d: d["routes"][0].__setitem__("uav_id", "x"),
+                 id="uav_id-string"),
+    pytest.param("routes[0].uav_id", lambda d: d["routes"][0].__setitem__("uav_id", False),
+                 id="uav_id-bool"),
+    # another edge of the scenario's 3, so only the cluster map disagrees
+    pytest.param("routes[0].depot_edge_id",
+                 lambda d: d["routes"][0].__setitem__(
+                     "depot_edge_id", (d["assignment"]["cluster_map"]["0"] + 1) % 3),
+                 id="depot-not-cluster-edge"),
+    pytest.param("clustering.iterations_run",
+                 lambda d: d["clustering"].__setitem__("iterations_run", "abc"),
+                 id="iterations-string"),
+    pytest.param("clustering.iterations_run",
+                 lambda d: d["clustering"].__setitem__("iterations_run", -1),
+                 id="iterations-negative"),
+    pytest.param("clustering.iterations_run",
+                 lambda d: d["clustering"].__setitem__("iterations_run", 2.5),
+                 id="iterations-float"),
 ])
 def test_simulate_rejects_an_inconsistent_plan(small_files, tmp_path, capsys, field, mutate):
     _assert_mutated_plan_rejected(small_files, tmp_path, capsys, field, mutate)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from firewatch.edge_assignment import EdgeLoadState
 from firewatch.model import AlgoParams, PhysicalParams, Point2D, derive_seed
@@ -51,6 +51,72 @@ class TestRouteGeometry:
         a = g.position_at_arc(phase + 10.0 * t)
         b = g.position_at_arc(phase + 10.0 * (t + 0.25))
         assert math.hypot(a.x - b.x, a.y - b.y) <= 10.0 * 0.25 + 1e-9
+
+
+def _oracle_geometry(points):
+    """cum and length_m as the per-leg 1-D np.linalg.norm loop gives them."""
+    q = len(points)
+    legs = [float(np.linalg.norm(points[(i + 1) % q] - points[i])) for i in range(q)]
+    cum = np.concatenate([[0.0], np.cumsum(legs)])
+    return cum, float(cum[-1])
+
+
+def _oracle_position(points, cum, length_m, arc_m):
+    """position_at_arc on numpy rows with np.searchsorted."""
+    if length_m == 0.0:
+        return Point2D(float(points[0, 0]), float(points[0, 1]))
+    arc = arc_m % length_m
+    i = int(np.searchsorted(cum, arc, side="right")) - 1
+    i = min(i, len(points) - 1)
+    leg = cum[i + 1] - cum[i]
+    a = points[i]
+    b = points[(i + 1) % len(points)]
+    frac = (arc - cum[i]) / leg if leg > 0 else 0.0
+    pt = a + frac * (b - a)
+    return Point2D(float(pt[0]), float(pt[1]))
+
+
+@st.composite
+def _tours(draw):
+    """0-10 points drawn from a pool of at most 5, so points often coincide.
+    Pool coordinates are either Hypothesis floats in [1e-3, 1e5] (round and
+    boundary values) or log-uniform draws there with full-width mantissas,
+    where the rounding of different leg formulas tells them apart."""
+    size = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+        pool = (1e-3 * 1e8 ** rng.uniform(0.0, 1.0, size=(size, 2))).tolist()
+    else:
+        coord = st.floats(1e-3, 1e5)
+        pool = draw(st.lists(st.tuples(coord, coord), min_size=size, max_size=size))
+    picks = draw(st.lists(st.integers(0, size - 1), max_size=10))
+    return np.array([pool[k] for k in picks], dtype=float).reshape(-1, 2)
+
+
+@given(_tours(), st.lists(st.floats(0.0, 3.0), max_size=5))
+@example(np.empty((0, 2)), [])
+@example(np.array([[1e-3, 1e5]]), [0.5])
+@example(np.array([[1e-3, 1e-3], [1e5, 1e5]]), [0.5, 1.0, 2.25])
+@example(np.array([[7.0, 7.0], [7.0, 7.0], [3.0, 1e4]]), [0.1])
+# legs (7.77, 5.9) and (0.013, 1.3) round differently under dx*dx + dy*dy
+@example(np.array([[0.0, 0.0], [7.77, 5.9], [0.013, 1.3]]), [0.3])
+def test_geometry_matches_per_leg_norm_bit_for_bit(points, fractions):
+    """The stacked leg computation gives the same bits as one
+    np.linalg.norm per leg, and position_at_arc the same points as the
+    searchsorted version, at 0, at every waypoint, at the full length and
+    past it."""
+    g = RouteGeometry(points)
+    cum, length_m = _oracle_geometry(points)
+    assert g.cum.tolist() == cum.tolist()
+    assert g.length_m == length_m
+    if not len(points):
+        with pytest.raises(IndexError):
+            g.position_at_arc(0.0)
+        return
+    arcs = [0.0, *cum[1:].tolist(), 2.0 * length_m + cum[1]]
+    arcs += [f * length_m for f in fractions]
+    for arc in arcs:
+        assert g.position_at_arc(arc) == _oracle_position(points, cum, length_m, arc)
 
 
 def _edges(*xy, cap=5000.0):
@@ -337,4 +403,8 @@ def test_benchmark_tracer_sees_the_simulator_layers(monkeypatch, small_scenario)
     spans = rec.take()
     sim = [s for s in spans if s.name == "emergency.simulate"]
     assert len(sim) == 1
-    assert {s.layer for s in spans if s.parent == sim[0].sid} >= {"emergency", "timing"}
+    inside = [s for s in spans if s.parent == sim[0].sid]
+    assert {s.layer for s in inside} >= {"emergency", "timing"}
+    # one geometry per route, and the selection rules still called by name
+    assert sum(s.name == "emergency.geometry" for s in inside) == pl.m
+    assert any(s.name == "emergency.select" for s in inside)
