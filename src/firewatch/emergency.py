@@ -86,7 +86,7 @@ class RouteGeometry:
     """Closed-tour polyline (depot first) with cumulative arc lengths."""
 
     def __init__(self, points: np.ndarray):
-        self.points = np.asarray(points, dtype=float).reshape(-1, 2)
+        self.points = np.asarray(points, dtype=float)
         # each leg's squared length as a 1x2 @ 2x1 product: the same dot
         # kernel as the per-leg np.linalg.norm, so the same bits, where
         # dx*dx + dy*dy, einsum, norm(axis=1) and hypot differ in the last ulp
@@ -94,8 +94,8 @@ class RouteGeometry:
         legs = np.sqrt(np.matmul(d[:, None, :], d[:, :, None]).ravel())
         self.cum = np.concatenate([[0.0], np.cumsum(legs)])
         self.length_m = float(self.cum[-1])
-        # position_at_arc runs once per patrol position: Python lists and
-        # bisect cost less per call than numpy indexing and searchsorted
+        # position_at_arc runs for every free UAV at every dispatch: Python
+        # lists and bisect cost less per call than numpy rows and searchsorted
         self._cum = self.cum.tolist()
         self._xy = self.points.tolist()
 

@@ -342,9 +342,9 @@ def _check_ids(where: str, ids, bound: int) -> None:
 def _check_structure(clustering: Clustering, assignment: Assignment, routes, scenario) -> None:
     """Reject a plan whose parts disagree: every sensor served exactly once,
     directly or by one cluster; route j starting at cluster j's edge and
-    visiting exactly cluster j's members; stored route lengths, revisit periods and energies equal to a
-    recomputation up to a relative 1e-9, which absorbs a different summation
-    order of the upload sizes."""
+    visiting exactly cluster j's members; stored route lengths, revisit
+    periods and energies equal to a recomputation up to a relative 1e-9,
+    which absorbs a different summation order of the upload sizes."""
     if sorted(assignment.cluster_map) != list(range(len(routes))):
         raise ValueError(f"plan assignment.cluster_map: keys must be the clusters "
                          f"0..{len(routes) - 1}")
@@ -434,9 +434,10 @@ def load_plan(path: str, scenario) -> Plan:
     routes = []
     for j, r in enumerate(doc["routes"]):
         _typed(r, dict, f"routes[{j}]")
-        if isinstance(r["uav_id"], bool) or r["uav_id"] != j:
-            raise ValueError(f"plan routes[{j}].uav_id: expected {j}, got {r['uav_id']!r}")
-        routes.append(Route(uav_id=r["uav_id"], depot_edge_id=r["depot_edge_id"],
+        uid = r["uav_id"]
+        if isinstance(uid, bool) or not isinstance(uid, int) or uid != j:
+            raise ValueError(f"plan routes[{j}].uav_id: expected the integer {j}, got {uid!r}")
+        routes.append(Route(uav_id=uid, depot_edge_id=r["depot_edge_id"],
                             waypoints=tuple(_typed(r["waypoints"], list,
                                                    f"routes[{j}].waypoints")),
                             length_m=r["length_m"],

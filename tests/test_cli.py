@@ -432,6 +432,8 @@ def _scale(field, factor):
                  id="uav_id-string"),
     pytest.param("routes[0].uav_id", lambda d: d["routes"][0].__setitem__("uav_id", False),
                  id="uav_id-bool"),
+    pytest.param("routes[0].uav_id", lambda d: d["routes"][0].__setitem__("uav_id", 0.0),
+                 id="uav_id-float"),
     # another edge of the scenario's 3, so only the cluster map disagrees
     pytest.param("routes[0].depot_edge_id",
                  lambda d: d["routes"][0].__setitem__(

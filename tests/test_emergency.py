@@ -80,12 +80,14 @@ def _oracle_position(points, cum, length_m, arc_m):
 def _tours(draw):
     """0-10 points drawn from a pool of at most 5, so points often coincide.
     Pool coordinates are either Hypothesis floats in [1e-3, 1e5] (round and
-    boundary values) or log-uniform draws there with full-width mantissas,
-    where the rounding of different leg formulas tells them apart."""
+    boundary values) or uniform draws with full-width mantissas within one
+    decade of that range, where the rounding of different leg formulas
+    tells them apart."""
     size = draw(st.integers(1, 5))
     if draw(st.booleans()):
         rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-        pool = (1e-3 * 1e8 ** rng.uniform(0.0, 1.0, size=(size, 2))).tolist()
+        low = 10.0 ** draw(st.integers(-3, 4))
+        pool = rng.uniform(low, 10.0 * low, size=(size, 2)).tolist()
     else:
         coord = st.floats(1e-3, 1e5)
         pool = draw(st.lists(st.tuples(coord, coord), min_size=size, max_size=size))
