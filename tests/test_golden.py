@@ -55,6 +55,13 @@ SUMMATION_CASES = {
     "n150-s2/no-2opt": (150, 2, Variant.NO_2OPT, None),
 }
 
+# 1000-sensor plans whose tours are longer than one block of 2-opt rows, so
+# improving moves are found past the first block
+LARGE_CASES = {
+    "n1000-s0/full": (1000, 0, Variant.FULL, 60),
+    "n1000-s0/no-kmeans": (1000, 0, Variant.NO_KMEANS, 60),
+}
+
 
 def _capacity_wall(m_max: int = 3):
     """The scenario of test_all_methods_raise_on_capacity_wall."""
@@ -118,12 +125,12 @@ def search_digests() -> dict[str, str]:
     return out
 
 
-def summation_digests() -> dict[str, str]:
+def generated_plan_digests(prefix: str, cases: dict) -> dict[str, str]:
     out = {}
-    for name, (n, seed, variant, m_max) in SUMMATION_CASES.items():
+    for name, (n, seed, variant, m_max) in cases.items():
         physical = PhysicalParams(m_max=m_max) if m_max else None
         sc = generate(GenConfig(n_sensors=n, seed=seed), physical)
-        out[f"summation/{name}"] = _plan_digest(plan(sc, AlgoParams(seed=seed), variant), sc)
+        out[f"{prefix}/{name}"] = _plan_digest(plan(sc, AlgoParams(seed=seed), variant), sc)
     return out
 
 
@@ -248,6 +255,8 @@ GOLDEN = {
     'summation/n600-s0/full': 'f110f878064ff16213733371cc2a4ed6924f977c797766f48293546fb1fe87fb',
     'summation/n60-s3/full': 'dd7829384af21eedcf6bc4da38246542b710e22e4ca76fe29726ec3f1ba700e9',
     'summation/n150-s2/no-2opt': 'a531dbd14cae471b2f40404ce4a37e38d13f8cb58b498b9a9f22829c55548927',
+    'large/n1000-s0/full': '3e611b341f5ee4bb011f44e55506919413a1e2c578a8a2302b10ae777d573aba',
+    'large/n1000-s0/no-kmeans': '4faedd797ed4c3a6aad414f97824398ad87b8c846e97d768fbbebbf3749e4393',
     'wall/proposed': ['edge capacity'],
     'wall/greedy': ['edge capacity'],
     'wall/ga': ['revisit period, energy budget, or edge capacity'],
@@ -288,7 +297,12 @@ def test_search_budget_plans_match_golden():
 
 
 def test_summation_order_plans_match_golden():
-    got = summation_digests()
+    got = generated_plan_digests("summation", SUMMATION_CASES)
+    assert got == {k: GOLDEN[k] for k in got}
+
+
+def test_large_plans_match_golden():
+    got = generated_plan_digests("large", LARGE_CASES)
     assert got == {k: GOLDEN[k] for k in got}
 
 
@@ -318,7 +332,8 @@ if __name__ == "__main__":
     for name in sorted(SCENARIOS):
         digests.update(plan_digests(name))
     digests.update(search_digests())
-    digests.update(summation_digests())
+    digests.update(generated_plan_digests("summation", SUMMATION_CASES))
+    digests.update(generated_plan_digests("large", LARGE_CASES))
     digests.update(bindings())
     with tempfile.TemporaryDirectory() as tmp:
         digests.update(cli_digests(Path(tmp)))
