@@ -17,6 +17,8 @@ from .model import PhysicalParams, MB_TO_MBIT
 # strictly-improving moves only; tiny negative guard keeps float noise from
 # cycling through equal-length tours
 _IMPROVE_EPS = 1e-9
+# rows i of the 2-opt scan whose deltas are evaluated in one array
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -65,20 +67,25 @@ def tour_lower_bound(depot_xy, xy: np.ndarray) -> float:
     """Length of a minimum spanning tree over the depot and the points.
 
     No closed tour through them is shorter (Held & Karp 1970).  Prim's
-    algorithm over one vector of distances to the tree, O(n) memory.
+    algorithm over one full-length vector of distances to the tree, O(n)
+    work and memory per step: a point joins the tree by becoming infinitely
+    far from everything, so ties still go to the lowest index.
     """
-    rest = np.asarray(xy, dtype=float).reshape(-1, 2)
-    if len(rest) == 0:
+    pts = np.asarray(xy, dtype=float).reshape(-1, 2)
+    if len(pts) == 0:
         return 0.0
-    to_tree = np.linalg.norm(rest - np.asarray(depot_xy, dtype=float), axis=1)
+    # sqrt(dx*dx + dy*dy) is the arithmetic of np.linalg.norm(..., axis=1)
+    x, y = pts[:, 0].copy(), pts[:, 1].copy()
+    dx, dy = x - float(depot_xy[0]), y - float(depot_xy[1])
+    to_tree = np.sqrt(dx * dx + dy * dy)
     total = 0.0
-    while len(rest):
+    for _ in range(len(pts)):
         pick = int(np.argmin(to_tree))
         total += float(to_tree[pick])
-        cur = rest[pick]
-        rest = np.delete(rest, pick, axis=0)
-        to_tree = np.minimum(np.delete(to_tree, pick),
-                             np.linalg.norm(rest - cur, axis=1))
+        px, py = x[pick], y[pick]
+        x[pick] = to_tree[pick] = np.inf
+        dx, dy = x - px, y - py
+        np.minimum(to_tree, np.sqrt(dx * dx + dy * dy), out=to_tree)
     return total
 
 
@@ -87,7 +94,9 @@ def two_opt(depot_xy, xy: np.ndarray, order: list[int]) -> list[int]:
 
     Scans (i, k) pairs in ascending order, applies the first strictly
     improving segment reversal, and restarts until no move improves.  Leg
-    costs come from one distance matrix over the depot and the points.
+    costs come from one distance matrix over the depot and the points; the
+    deltas of _BLOCK rows i are evaluated at once, and the first hit in
+    row-major order is the move a row-by-row scan would make.
     """
     if len(order) < 2:
         return list(order)
@@ -96,23 +105,27 @@ def two_opt(depot_xy, xy: np.ndarray, order: list[int]) -> list[int]:
     dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     n = len(pts)                      # tour positions 0..n-1, 0 = depot
     tour = np.arange(n)
+    # row r of a block starting at i0 is i = i0 + r and column j is
+    # k = i0 + 1 + j, so k > i is j >= r
+    later = ~np.tri(_BLOCK, n, -1, dtype=bool)
+    first = later.copy()
+    first[0, n - 3] = False           # i = 1, k = n-1: the pair shares the depot
     improved = True
     while improved:
         improved = False
-        for i in range(1, n - 1):
-            a, b = tour[i - 1], tour[i]
-            # candidate second edges (t[k], t[k+1]) for k in i+1 .. n-1
-            ks = np.arange(i + 1, n)
-            if i == 1 and ks[-1] == n - 1:
-                ks = ks[:-1]          # wraparound pair shares the depot
-                if ks.size == 0:
-                    continue
-            c = tour[ks]
-            d_next = tour[(ks + 1) % n]
-            delta = dist[a, c] + dist[b, d_next] - dist[a, b] - dist[c, d_next]
-            hit = np.flatnonzero(delta < -_IMPROVE_EPS)
+        nxt = np.roll(tour, -1)       # tour[(k + 1) % n]
+        legs = dist[tour, nxt]        # dist[t[k], t[k+1]]
+        for i0 in range(1, n - 1, _BLOCK):
+            i1 = min(i0 + _BLOCK, n - 1)
+            a, b = tour[i0 - 1:i1 - 1], tour[i0:i1]
+            c, d_next = tour[i0 + 1:], nxt[i0 + 1:]
+            delta = (dist[a][:, c] + dist[b][:, d_next] - legs[i0 - 1:i1 - 1, None]
+                     - legs[i0 + 1:])
+            valid = (first if i0 == 1 else later)[:i1 - i0, :n - i0 - 1]
+            hit = np.flatnonzero((delta < -_IMPROVE_EPS) & valid)
             if hit.size:
-                k = int(ks[hit[0]])
+                r, j = divmod(int(hit[0]), n - i0 - 1)
+                i, k = i0 + r, i0 + 1 + j
                 tour[i:k + 1] = tour[i:k + 1][::-1]
                 improved = True
                 break

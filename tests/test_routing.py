@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from firewatch.model import PhysicalParams
 from firewatch.routing import (
+    _BLOCK,
+    _IMPROVE_EPS,
     build_route,
     nearest_neighbor_tour,
     route_energy,
@@ -130,6 +132,112 @@ def test_tour_lower_bound_equals_dense_mst(depot, points):
     xy = _xy(points)
     assert tour_lower_bound(depot, xy) == pytest.approx(_dense_mst(depot, xy),
                                                         rel=1e-12, abs=1e-9)
+
+
+def _two_opt_oracle(depot_xy, xy, order):
+    """The row-by-row first-improvement scan that two_opt's block scan must
+    reproduce move for move."""
+    if len(order) < 2:
+        return list(order)
+    pts = np.vstack([np.asarray(depot_xy, dtype=float),
+                     np.asarray(xy, dtype=float)[order]])
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    n = len(pts)
+    tour = np.arange(n)
+    improved = True
+    while improved:
+        improved = False
+        for i in range(1, n - 1):
+            a, b = tour[i - 1], tour[i]
+            ks = np.arange(i + 1, n)
+            if i == 1 and ks[-1] == n - 1:
+                ks = ks[:-1]
+                if ks.size == 0:
+                    continue
+            c = tour[ks]
+            d_next = tour[(ks + 1) % n]
+            delta = dist[a, c] + dist[b, d_next] - dist[a, b] - dist[c, d_next]
+            hit = np.flatnonzero(delta < -_IMPROVE_EPS)
+            if hit.size:
+                k = int(ks[hit[0]])
+                tour[i:k + 1] = tour[i:k + 1][::-1]
+                improved = True
+                break
+    return [order[t - 1] for t in tour[1:]]
+
+
+def _tour_lower_bound_oracle(depot_xy, xy):
+    """Prim over shrinking vectors, one np.delete per step: the pick order and
+    the running sum tour_lower_bound must reproduce bit for bit."""
+    rest = np.asarray(xy, dtype=float).reshape(-1, 2)
+    if len(rest) == 0:
+        return 0.0
+    to_tree = np.linalg.norm(rest - np.asarray(depot_xy, dtype=float), axis=1)
+    total = 0.0
+    while len(rest):
+        pick = int(np.argmin(to_tree))
+        total += float(to_tree[pick])
+        cur = rest[pick]
+        rest = np.delete(rest, pick, axis=0)
+        to_tree = np.minimum(np.delete(to_tree, pick),
+                             np.linalg.norm(rest - cur, axis=1))
+    return total
+
+
+def _points(n, seed, kind):
+    """The depot and n points: on a 20 x 20 grid of spacing 50 m (points and
+    the depot coincide and distances tie, so which tied point is taken first
+    changes the order of a sum), uniform in 1 km, or uniform in 1e9 m, where
+    the rounding of a zero delta can fall below -_IMPROVE_EPS."""
+    rng = np.random.default_rng(seed)
+    if kind == "grid":
+        pts = 50.0 * rng.integers(0, 20, size=(n + 1, 2))
+    else:
+        pts = rng.uniform(0.0, 1e3 if kind == "km" else 1e9, size=(n + 1, 2))
+    return tuple(pts[0].tolist()), pts[1:]
+
+
+_kinds = st.sampled_from(["grid", "km", "huge"])
+
+
+@given(st.integers(0, 3 * _BLOCK), st.integers(0, 2**32 - 1), _kinds, st.booleans())
+@example(0, 0, "km", False)
+@example(1, 0, "km", False)
+@example(2, 49, "huge", True)
+@example(3, 0, "grid", True)
+@example(2 * _BLOCK + 9, 1, "km", True)
+@example(2 * _BLOCK + 9, 2, "grid", True)
+def test_two_opt_matches_row_by_row_oracle(n, seed, kind, shuffled):
+    depot, xy = _points(n, seed, kind)
+    if shuffled:
+        order = np.random.default_rng(seed).permutation(n).tolist()
+    else:
+        order = nearest_neighbor_tour(depot, xy)
+    assert two_opt(depot, xy, order) == _two_opt_oracle(depot, xy, order)
+
+
+def test_two_opt_finds_a_move_past_the_second_block():
+    # the depot and 2 * _BLOCK + 20 points on a circle, visited in angular
+    # order except for one adjacent pair swapped deep in the third block:
+    # the only crossing, so the only improving moves have i > 2 * _BLOCK
+    n = 2 * _BLOCK + 20
+    ang = 2.0 * np.pi * np.arange(n + 1) / (n + 1)
+    pts = 1000.0 * np.column_stack([np.cos(ang), np.sin(ang)])
+    depot, xy = tuple(pts[0].tolist()), pts[1:]
+    order = list(range(n))
+    p = 2 * _BLOCK + 10
+    order[p], order[p + 1] = order[p + 1], order[p]
+    assert two_opt(depot, xy, order) == _two_opt_oracle(depot, xy, order) == list(range(n))
+
+
+@given(st.integers(0, 3 * _BLOCK), st.integers(0, 2**32 - 1), _kinds)
+@example(0, 0, "km")
+@example(1, 0, "grid")
+@example(3, 0, "grid")
+@example(13, 16, "grid")
+def test_tour_lower_bound_matches_prim_oracle(n, seed, kind):
+    depot, xy = _points(n, seed, kind)
+    assert tour_lower_bound(depot, xy) == _tour_lower_bound_oracle(depot, xy)
 
 
 def test_route_energy_examples():
