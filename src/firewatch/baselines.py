@@ -235,34 +235,37 @@ def _ga_search(ws: _Workspace, cfg: GaConfig, m: int):
         return fits, viols, orders
 
     fits, viols, orders = evaluate(genes, prios)
+    pop = cfg.population
     for _ in range(cfg.generations):
+        # the elite, then children in pairs; a spare row takes the second
+        # child of the last pair when the population is even, so its draws
+        # are still made
+        kid_genes = np.empty((pop + 1, n), dtype=genes.dtype)
+        kid_prios = np.empty((pop + 1, n))
         elite = int(np.argmin(fits))
-        new_genes = [genes[elite].copy()]
-        new_prios = [prios[elite].copy()]
-        while len(new_genes) < cfg.population:
+        kid_genes[0], kid_prios[0] = genes[elite], prios[elite]
+        for row in range(1, pop, 2):
             pair = []
             for _ in range(2):
-                contenders = rng.integers(0, cfg.population, size=TOURNAMENT_SIZE)
+                contenders = rng.integers(0, pop, size=TOURNAMENT_SIZE)
                 pair.append(contenders[np.argmin(fits[contenders])])
-            g1, g2 = genes[pair[0]].copy(), genes[pair[1]].copy()
-            p1, p2 = prios[pair[0]].copy(), prios[pair[1]].copy()
+            g, pr = kid_genes[row:row + 2], kid_prios[row:row + 2]
+            g[:], pr[:] = genes[pair], prios[pair]
             if n and rng.random() < CROSSOVER_RATE:
+                # one-point crossover of the genes-then-priorities chromosome:
+                # the two children swap everything from cut on
                 cut = int(rng.integers(1, 2 * n))
-                flat1 = np.concatenate([g1.astype(float), p1])
-                flat2 = np.concatenate([g2.astype(float), p2])
-                flat1[cut:], flat2[cut:] = flat2[cut:].copy(), flat1[cut:].copy()
-                g1, p1 = flat1[:n].astype(int), flat1[n:]
-                g2, p2 = flat2[:n].astype(int), flat2[n:]
-            for g, pr in ((g1, p1), (g2, p2)):
-                if n:
+                if cut < n:
+                    g[:, cut:] = g[::-1, cut:].copy()
+                tail = max(cut - n, 0)
+                pr[:, tail:] = pr[::-1, tail:].copy()
+            if n:
+                for c in range(2):
                     mask = rng.random(n) < MUTATION_RATE
-                    g[mask] = rng.integers(0, m, size=int(mask.sum()))
+                    g[c, mask] = rng.integers(0, m, size=int(mask.sum()))
                     mask = rng.random(n) < MUTATION_RATE
-                    pr[mask] = rng.random(int(mask.sum()))
-                new_genes.append(g)
-                new_prios.append(pr)
-        genes = np.array(new_genes[:cfg.population])
-        prios = np.array(new_prios[:cfg.population])
+                    pr[c, mask] = rng.random(int(mask.sum()))
+        genes, prios = kid_genes[:pop], kid_prios[:pop]
         fits, viols, orders = evaluate(genes, prios)
 
     feasible = np.flatnonzero(viols == 0)

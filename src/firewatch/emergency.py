@@ -157,18 +157,20 @@ def generate_events(scenario, plan, n_events: int, horizon_s: float, seed: int,
                     min_history: int = 50) -> list[EmergencyEvent]:
     """Auto-generate alerts at the n highest-fire-history UAV-served sensors
     scoring above min_history, at uniform-random times within the horizon."""
-    uav_ids = sorted(plan.clustering.assignment)
-    hot = sorted((s for s in (scenario.sensors[i] for i in uav_ids)
-                  if s.fire_history > min_history),
-                 key=lambda s: (-s.fire_history, s.id))
-    if len(hot) < n_events:
+    assignment = plan.clustering.assignment
+    ids = np.fromiter(assignment, dtype=int, count=len(assignment))
+    history = scenario.fire_history[ids]
+    hot = history > min_history
+    ids, history = ids[hot], history[hot]
+    if len(ids) < n_events:
         raise ValueError(
-            f"only {len(hot)} UAV-served sensors have fire_history > {min_history}; "
+            f"only {len(ids)} UAV-served sensors have fire_history > {min_history}; "
             f"{n_events} events requested")
+    top = np.lexsort((ids, -history))[:n_events]    # history descending, then id
     rng = np.random.default_rng(derive_seed(seed, "emergency-events"))
     times = np.sort(rng.uniform(0.0, horizon_s, size=n_events))
-    return [EmergencyEvent(sensor_id=s.id, alert_time_s=float(t), priority=s.fire_history)
-            for s, t in zip(hot[:n_events], times)]
+    return [EmergencyEvent(sensor_id=i, alert_time_s=t, priority=h)
+            for i, h, t in zip(ids[top].tolist(), history[top].tolist(), times.tolist())]
 
 
 def save_events(events: list[EmergencyEvent], path: str) -> None:

@@ -344,6 +344,12 @@ def test_generate_events_properties(default_scenario, default_plan):
                              seed=11)
     assert len(events) == 5
     assert all(e.priority > 50 for e in events)
+    # the five highest fire histories among UAV-served sensors, ties by id
+    served = [default_scenario.sensors[i] for i in default_plan.clustering.assignment]
+    hot = sorted(served, key=lambda s: (-s.fire_history, s.id))[:5]
+    assert [(e.sensor_id, e.priority) for e in events] == [(s.id, s.fire_history) for s in hot]
+    assert all(type(e.sensor_id) is int and type(e.priority) is int
+               and type(e.alert_time_s) is float for e in events)
     times = [e.alert_time_s for e in events]
     assert times == sorted(times)
     assert all(0.0 <= t <= 86400.0 for t in times)
