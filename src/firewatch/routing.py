@@ -3,7 +3,11 @@ depot through every cluster member and back.
 
 Tours start nearest-neighbor and are optionally improved with
 first-improvement 2-opt (scan restarts after every applied move; the depot
-participates in leg costs but never moves).
+participates in leg costs but never moves).  The 2-opt scan evaluates the
+deltas of a block of rows at once and takes the first hit in row-major
+order, which is the move the row-by-row scan makes.  ``tour_lower_bound``
+is Prim's minimum spanning tree over one full-length distance vector, with
+the same picks and running sum as Prim over shrinking vectors.
 """
 
 from __future__ import annotations
@@ -119,8 +123,11 @@ def two_opt(depot_xy, xy: np.ndarray, order: list[int]) -> list[int]:
             i1 = min(i0 + _BLOCK, n - 1)
             a, b = tour[i0 - 1:i1 - 1], tour[i0:i1]
             c, d_next = tour[i0 + 1:], nxt[i0 + 1:]
-            delta = (dist[a][:, c] + dist[b][:, d_next] - legs[i0 - 1:i1 - 1, None]
-                     - legs[i0 + 1:])
+            # dist[a, c] + dist[b, d] - dist[a, b] - dist[c, d], left to right
+            delta = dist[a][:, c]
+            delta += dist[b][:, d_next]
+            delta -= legs[i0 - 1:i1 - 1, None]
+            delta -= legs[i0 + 1:]
             valid = (first if i0 == 1 else later)[:i1 - i0, :n - i0 - 1]
             hit = np.flatnonzero((delta < -_IMPROVE_EPS) & valid)
             if hit.size:
