@@ -2,7 +2,10 @@
 simulation, and method comparison.
 
 Exit codes: 0 ok, 1 I/O or file-format failure, 2 usage error,
-3 infeasible under the fleet cap, 4 bad experiment spec.
+3 infeasible under the fleet cap, 4 bad experiment spec.  A bad scenario,
+plan or events file exits 1 with a message naming the JSON path of the
+field, for example ``plan routes[0].waypoints[3]``; a bad flag or config
+value exits 2 naming the flag or config key.
 
 Config files are flat key=value text (keys are flag names with underscores);
 precedence is CLI flag > config file > built-in default.  All randomness
@@ -18,6 +21,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,7 +30,8 @@ from .emergency import generate_events, load_events, save_events, simulate, writ
 from .model import AlgoParams, FleetInitMode, PhysicalParams, Variant
 from .planner import InfeasibleError, plan as plan_scenario
 from .planner import load_plan, save_plan, write_route_csv
-from .scenario import GenConfig, ScenarioFormatError, generate, load_scenario, save_scenario
+from .reader import InputError
+from .scenario import GenConfig, generate, load_scenario, save_scenario
 from .timing import all_responses, mean_response, totals
 
 EXIT_OK = 0
@@ -48,7 +53,7 @@ def _read_config_file(path: str) -> dict[str, str]:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ScenarioFormatError(f"{path}:{lineno}: expected key=value")
+                raise InputError(f"{path}:{lineno}: expected key=value")
             key, val = line.split("=", 1)
             vals[key.strip()] = val.strip()
     return vals
@@ -57,15 +62,6 @@ def _read_config_file(path: str) -> dict[str, str]:
 def _flag_on_argv(argv: list[str], option_strings: list[str]) -> bool:
     return any(a == opt or a.startswith(opt + "=")
                for a in argv for opt in option_strings)
-
-
-def _parse_bool(text: str) -> bool:
-    low = text.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def apply_config(args: argparse.Namespace, argv: list[str]) -> None:
@@ -81,13 +77,12 @@ def apply_config(args: argparse.Namespace, argv: list[str]) -> None:
             parser.error(f"unknown config key {key!r} in {args.config}")
         if _flag_on_argv(argv, action.option_strings):
             continue
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            value = _parse_bool(text)
-        else:
-            conv = action.type or str
-            value = conv(text)
-            if action.choices is not None and value not in action.choices:
-                parser.error(f"config key {key!r}: invalid choice {text!r}")
+        try:
+            value = (action.type or str)(text)
+        except ValueError:
+            parser.error(f"config key {key!r}: invalid value {text!r}")
+        if action.choices is not None and value not in action.choices:
+            parser.error(f"config key {key!r}: invalid choice {text!r}")
         setattr(args, action.dest, value)
 
 
@@ -120,20 +115,22 @@ def _algo_from_args(args: argparse.Namespace, seed: int | None = None) -> AlgoPa
                       fleet_init_mode=FleetInitMode(args.fleet_init))
 
 
+def _search_from_args(args: argparse.Namespace, seed: int) -> tuple[GaConfig, PsoConfig]:
+    return (GaConfig(population=args.ga_pop, generations=args.ga_gens, seed=seed),
+            PsoConfig(swarm=args.pso_swarm, iterations=args.pso_iters, seed=seed))
+
+
 def _make_plan(method: str, scenario, algo: AlgoParams, args: argparse.Namespace,
                variant: Variant = Variant.FULL):
     if method == "proposed":
         return plan_scenario(scenario, algo, variant)
     if method == "greedy":
         return greedy_plan(scenario, algo)
+    ga, pso = _search_from_args(args, algo.seed)
     if method == "ga":
-        return ga_plan(scenario, algo,
-                       GaConfig(population=args.ga_pop, generations=args.ga_gens,
-                                seed=algo.seed))
+        return ga_plan(scenario, algo, ga)
     if method == "pso":
-        return pso_plan(scenario, algo,
-                        PsoConfig(swarm=args.pso_swarm, iterations=args.pso_iters,
-                                  seed=algo.seed))
+        return pso_plan(scenario, algo, pso)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -227,7 +224,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     algo = _algo_from_args(args)
 
     if args.events:
-        events = load_events(args.events)
+        events = load_events(args.events, len(scenario.sensors), args.horizon)
     else:
         try:
             events = generate_events(scenario, pl, args.n_events, args.horizon, args.seed,
@@ -279,10 +276,10 @@ def _parse_sweep(text: str) -> list[int]:
     return list(range(start, stop + 1, step))
 
 
-def _compare_cell(method: str, n: int, seed: int, args: argparse.Namespace,
-                  fixed_scenario) -> dict:
+def _compare_cell(method: str, seed: int, args: argparse.Namespace,
+                  gen: GenConfig | None, fixed_scenario) -> dict:
     scenario = fixed_scenario if fixed_scenario is not None else generate(
-        GenConfig(n_sensors=n, n_edges=args.edges, seed=seed))
+        replace(gen, seed=seed))
     algo = _algo_from_args(args, seed=seed)
     pl = _make_plan(method, scenario, algo, args)
     row = _plan_metrics(pl, scenario)
@@ -301,6 +298,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         return EXIT_BADSPEC
     try:
         ns = _parse_sweep(args.sweep_sensors) if args.sweep_sensors else [args.sensors]
+        gens = {n: GenConfig(n_sensors=n, n_edges=args.edges) for n in ns}
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BADSPEC
@@ -317,8 +315,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     keys = [(n, s, meth) for n in ns for s in seeds for meth in methods]
     for key in keys:
         try:
-            cells[key] = _compare_cell(key[2], key[0], key[1], args, fixed_scenario)
-        except (InfeasibleError, ValueError, RuntimeError) as exc:
+            cells[key] = _compare_cell(key[2], key[1], args, gens.get(key[0]), fixed_scenario)
+        except InfeasibleError as exc:
             failures.append({"n_sensors": key[0], "seed": key[1], "method": key[2],
                              "error": str(exc)})
 
@@ -491,11 +489,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         apply_config(args, argv)
+        # a bad algorithm or search flag is a usage error
         if hasattr(args, "omega_h"):
-            _algo_from_args(args)   # a bad algorithm flag is a usage error
+            _algo_from_args(args)
+        if hasattr(args, "ga_pop"):
+            _search_from_args(args, args.seed)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code == 2 else int(exc.code or 0)
-    except (ScenarioFormatError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
@@ -503,10 +504,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except ScenarioFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (InputError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

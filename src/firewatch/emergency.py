@@ -28,6 +28,7 @@ from . import timing
 from .clustering import cluster_radius
 from .edge_assignment import EdgeLoadState
 from .model import AlgoParams, Point2D, derive_seed, distance, link_ranges
+from .reader import read
 # kept importable: bench/tracer.py wraps response_time under this module's name
 from .timing import execution_time, expected_wait, response_time  # noqa: F401
 
@@ -182,30 +183,20 @@ def save_events(events: list[EmergencyEvent], path: str) -> None:
         f.write("\n")
 
 
-def load_events(path: str) -> list[EmergencyEvent]:
-    """Read an events file; a malformed entry raises ValueError naming
+def load_events(path: str, n_sensors: int, horizon_s: float) -> list[EmergencyEvent]:
+    """Read an events file for a scenario of ``n_sensors`` sensors simulated
+    over ``horizon_s``; a malformed entry, a sensor id outside the scenario
+    or an alert time outside [0, horizon_s] raises InputError naming
     ``events[k].<field>``."""
-    with open(path) as f:
-        doc = json.load(f)
-    version = doc.get("schema_version") if isinstance(doc, dict) else None
-    if version != EVENTS_SCHEMA_VERSION:
-        raise ValueError(f"unsupported events schema_version {version!r}")
-    if not isinstance(doc.get("events"), list):
-        raise ValueError("events: expected a list")
+    doc = read(path, EVENTS_SCHEMA_VERSION, "")
     events = []
-    for k, e in enumerate(doc["events"]):
-        if not isinstance(e, dict):
-            raise ValueError(f"events[{k}]: expected a JSON object")
-        for field in ("sensor_id", "priority"):
-            if isinstance(e.get(field), bool) or not isinstance(e.get(field), int):
-                raise ValueError(f"events[{k}].{field}: expected an integer, "
-                                 f"got {e.get(field)!r}")
-        t = e.get("alert_time_s")
-        if (isinstance(t, bool) or not isinstance(t, (int, float))
-                or not (math.isfinite(t) and t >= 0)):
-            raise ValueError(f"events[{k}].alert_time_s: expected a finite number >= 0, "
-                             f"got {t!r}")
-        events.append(EmergencyEvent(e["sensor_id"], float(t), e["priority"]))
+    for e in doc["events"].rows():
+        t = e["alert_time_s"]
+        alert_s = t.number()
+        if not 0 <= alert_s <= horizon_s:
+            t.fail(f"must be in [0, {horizon_s}], the horizon, got {t.value!r}")
+        events.append(EmergencyEvent(e["sensor_id"].id(n_sensors), alert_s,
+                                     e["priority"].integer()))
     return events
 
 

@@ -34,6 +34,7 @@ from .edge_assignment import (Assignment, EdgeLoadState, RepairFailure,
                               repair_overload)
 from .model import (AlgoParams, FleetInitMode, PhysicalParams, Variant, derive_seed,
                     link_ranges, partition_sensors)
+from .reader import Doc, InputError, read
 from .routing import Route, build_route, route_energy, tour_length, tour_lower_bound
 
 PLAN_SCHEMA_VERSION = 1
@@ -331,14 +332,6 @@ def save_plan(pl: Plan, scenario, path: str) -> None:
         f.write("\n")
 
 
-def _check_ids(where: str, ids, bound: int) -> None:
-    """Reject an id outside [0, bound); numpy indexing would wrap a negative
-    one without an error."""
-    for i in ids:
-        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < bound:
-            raise ValueError(f"plan {where}: {i!r} is not an id in [0, {bound})")
-
-
 def _check_structure(clustering: Clustering, assignment: Assignment, routes, scenario) -> None:
     """Reject a plan whose parts disagree: every sensor served exactly once,
     directly or by one cluster; route j starting at cluster j's edge and
@@ -346,15 +339,15 @@ def _check_structure(clustering: Clustering, assignment: Assignment, routes, sce
     periods and energies equal to a recomputation up to a relative 1e-9,
     which absorbs a different summation order of the upload sizes."""
     if sorted(assignment.cluster_map) != list(range(len(routes))):
-        raise ValueError(f"plan assignment.cluster_map: keys must be the clusters "
+        raise InputError(f"plan assignment.cluster_map: keys must be the clusters "
                          f"0..{len(routes) - 1}")
     direct, uav = assignment.direct_map.keys(), clustering.assignment.keys()
     if direct & uav:
-        raise ValueError(f"plan assignment.direct_map: sensor {min(direct & uav)} is "
+        raise InputError(f"plan assignment.direct_map: sensor {min(direct & uav)} is "
                          f"also in clustering.assignment")
     unserved = set(range(len(scenario.sensors))) - direct - uav
     if unserved:
-        raise ValueError(f"plan clustering.assignment: sensor {min(unserved)} is in neither "
+        raise InputError(f"plan clustering.assignment: sensor {min(unserved)} is in neither "
                          f"clustering.assignment nor assignment.direct_map")
     members: list[list[int]] = [[] for _ in routes]
     for sid, j in sorted(clustering.assignment.items()):
@@ -362,10 +355,10 @@ def _check_structure(clustering: Clustering, assignment: Assignment, routes, sce
     p = scenario.physical
     for j, r in enumerate(routes):
         if r.depot_edge_id != assignment.cluster_map[j]:
-            raise ValueError(f"plan routes[{j}].depot_edge_id: {r.depot_edge_id} is not "
+            raise InputError(f"plan routes[{j}].depot_edge_id: {r.depot_edge_id} is not "
                              f"assignment.cluster_map[{j}] = {assignment.cluster_map[j]}")
         if sorted(r.waypoints) != members[j]:
-            raise ValueError(f"plan routes[{j}].waypoints: must visit the members of "
+            raise InputError(f"plan routes[{j}].waypoints: must visit the members of "
                              f"cluster {j} once each")
         ids = list(r.waypoints)
         length = tour_length(scenario.edge_xy[r.depot_edge_id], scenario.xy[ids])
@@ -373,93 +366,55 @@ def _check_structure(clustering: Clustering, assignment: Assignment, routes, sce
         for field, want in (("length_m", length), ("revisit_s", length / p.v_g),
                             ("energy_wh", energy)):
             got = getattr(r, field)
-            if not (isinstance(got, (int, float)) and math.isclose(got, want, rel_tol=1e-9)):
-                raise ValueError(f"plan routes[{j}].{field}: {got!r} differs from "
+            if not math.isclose(got, want, rel_tol=1e-9):
+                raise InputError(f"plan routes[{j}].{field}: {got!r} differs from "
                                  f"{want!r} recomputed from the waypoints")
 
 
-def _typed(value, kind: type, field: str):
-    """``value`` when it has the JSON type ``kind`` (dict or list), else a
-    ValueError naming the plan field."""
-    if not isinstance(value, kind):
-        raise ValueError(f"plan {field}: expected a JSON {'object' if kind is dict else 'list'}")
-    return value
-
-
-def _finite(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _check_centers(centers, m) -> None:
-    if len(_typed(centers, list, "clustering.centers")) != m:
-        raise ValueError(f"plan clustering.centers: expected m = {m!r} centers")
-    for k, c in enumerate(centers):
-        if not (isinstance(c, list) and len(c) == 2 and all(_finite(v) for v in c)):
-            raise ValueError(f"plan clustering.centers[{k}]: expected an [x, y] pair of "
-                             f"finite numbers, got {c!r}")
+def _pair(row: Doc) -> tuple[float, float]:
+    xy = tuple(v.number() for v in row.rows())
+    if len(xy) != 2:
+        row.fail(f"expected an [x, y] pair, got {row.value!r}")
+    return xy
 
 
 def load_plan(path: str, scenario) -> Plan:
-    with open(path) as f:
-        doc = _typed(json.load(f), dict, "document")
-    if doc.get("schema_version") != PLAN_SCHEMA_VERSION:
-        raise ValueError(f"unsupported plan schema_version {doc.get('schema_version')!r}")
-    clust = _typed(doc["clustering"], dict, "clustering")
-    _check_centers(clust["centers"], doc["m"])
-    its = clust["iterations_run"]
-    if isinstance(its, bool) or not isinstance(its, int) or its < 0:
-        raise ValueError(f"plan clustering.iterations_run: expected an integer >= 0, "
-                         f"got {its!r}")
-    clustering = Clustering(
-        m=doc["m"],
-        assignment={int(k): v for k, v in
-                    _typed(clust["assignment"], dict, "clustering.assignment").items()},
-        centers=tuple(tuple(c) for c in clust["centers"]),
-        iterations_run=its,
-    )
-    assign = _typed(doc["assignment"], dict, "assignment")
-    loads = _typed(assign["loads_mips"], list, "assignment.loads_mips")
-    if not all(_finite(v) for v in loads):
-        raise ValueError(f"plan assignment.loads_mips: expected finite numbers, got {loads!r}")
-    load = EdgeLoadState(loads, [e.capacity_mips for e in scenario.edges])
-    assignment = Assignment(
-        direct_map={int(k): v for k, v in
-                    _typed(assign["direct_map"], dict, "assignment.direct_map").items()},
-        cluster_map={int(k): v for k, v in
-                     _typed(assign["cluster_map"], dict, "assignment.cluster_map").items()},
-        load=load,
-    )
-    if not isinstance(doc["routes"], list) or len(doc["routes"]) != doc["m"]:
-        raise ValueError(f"plan routes: expected a list of m = {doc['m']!r} routes")
+    """Read a plan file made for ``scenario``.  A malformed field, an id
+    outside the scenario or parts that disagree raise InputError naming the
+    plan field."""
+    doc = read(path, PLAN_SCHEMA_VERSION, "plan ")
+    n, p, m = len(scenario.sensors), len(scenario.edges), doc["m"].integer(1)
+    clust = doc["clustering"]
+    centers = tuple(_pair(c) for c in clust["centers"].rows())
+    if len(centers) != m:
+        clust["centers"].fail(f"expected m = {m} centers")
+    clustering = Clustering(m=m, assignment=clust["assignment"].id_map(n, m),
+                            centers=centers,
+                            iterations_run=clust["iterations_run"].integer(0))
+    assign = doc["assignment"]
+    loads = [v.number() for v in assign["loads_mips"].rows()]
+    if len(loads) != p:
+        assign["loads_mips"].fail(f"{len(loads)} loads for {p} edges")
+    assignment = Assignment(direct_map=assign["direct_map"].id_map(n, p),
+                            cluster_map=assign["cluster_map"].id_map(m, p),
+                            load=EdgeLoadState(loads, scenario.capacity.tolist()))
+    rows = doc["routes"].rows()
+    if len(rows) != m:
+        doc["routes"].fail(f"expected a list of m = {m} routes")
     routes = []
-    for j, r in enumerate(doc["routes"]):
-        _typed(r, dict, f"routes[{j}]")
-        uid = r["uav_id"]
-        if isinstance(uid, bool) or not isinstance(uid, int) or uid != j:
-            raise ValueError(f"plan routes[{j}].uav_id: expected the integer {j}, got {uid!r}")
-        routes.append(Route(uav_id=uid, depot_edge_id=r["depot_edge_id"],
-                            waypoints=tuple(_typed(r["waypoints"], list,
-                                                   f"routes[{j}].waypoints")),
-                            length_m=r["length_m"],
-                            revisit_s=r["revisit_s"], energy_wh=r["energy_wh"]))
+    for j, r in enumerate(rows):
+        if r["uav_id"].integer() != j:
+            r["uav_id"].fail(f"expected {j}, got {r['uav_id'].value!r}")
+        routes.append(Route(uav_id=j, depot_edge_id=r["depot_edge_id"].id(p),
+                            waypoints=tuple(w.id(n) for w in r["waypoints"].rows()),
+                            length_m=r["length_m"].number(),
+                            revisit_s=r["revisit_s"].number(),
+                            energy_wh=r["energy_wh"].number()))
     routes = tuple(routes)
-    n, p, m = len(scenario.sensors), len(scenario.edges), len(routes)
-    if len(load.loads_mips) != p:
-        raise ValueError(f"plan assignment.loads_mips: {len(load.loads_mips)} loads "
-                         f"for {p} edges")
-    _check_ids("clustering.assignment", clustering.assignment, n)
-    _check_ids("clustering.assignment", clustering.assignment.values(), m)
-    _check_ids("assignment.direct_map", assignment.direct_map, n)
-    _check_ids("assignment.direct_map", assignment.direct_map.values(), p)
-    _check_ids("assignment.cluster_map", assignment.cluster_map, m)
-    _check_ids("assignment.cluster_map", assignment.cluster_map.values(), p)
-    for j, r in enumerate(routes):
-        _check_ids(f"routes[{j}].waypoints", r.waypoints, n)
-        _check_ids(f"routes[{j}].depot_edge_id", [r.depot_edge_id], p)
     _check_structure(clustering, assignment, routes, scenario)
-    return Plan(m=doc["m"], clustering=clustering, assignment=assignment,
-                routes=routes, planning_time_s=0.0, method=doc["method"],
-                variant=doc["variant"], seed=doc["seed"])
+    return Plan(m=m, clustering=clustering, assignment=assignment, routes=routes,
+                planning_time_s=0.0, method=doc["method"].string(),
+                variant=doc["variant"].string(), seed=doc["seed"].integer())
 
 
 def route_geometry_rows(pl: Plan, scenario) -> list[dict]:

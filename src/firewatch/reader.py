@@ -1,0 +1,113 @@
+"""Checked reading of the JSON documents that enter the program.
+
+``Doc`` wraps one JSON value with the path it was read at.  Each typed
+accessor returns the plain value or raises ``InputError`` naming that path,
+for example ``plan routes[0].waypoints[3]: 40 is not an id in [0, 40)``.
+Scenario, plan and events files are read only through it.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+_INT_LIMIT = 2 ** 63    # integers must fit the int64 columns they may land in
+
+
+class InputError(ValueError):
+    """A bad input document or value; the message names where it is."""
+
+
+def read(path: str, schema_version: int, name: str) -> Doc:
+    """The JSON document at ``path``, whose ``schema_version`` field must be
+    ``schema_version``; ``name`` (for example ``"plan "``) starts every error
+    message about it."""
+    with open(path) as f:
+        doc = Doc(json.load(f), name, "")
+    version = doc["schema_version"]
+    if version.integer() != schema_version:
+        version.fail(f"unsupported value {version.value!r}, expected {schema_version}")
+    return doc
+
+
+class Doc:
+    """A JSON value, the name of its document and its path in it."""
+
+    __slots__ = ("value", "name", "path")
+
+    def __init__(self, value, name: str, path: str):
+        self.value, self.name, self.path = value, name, path
+
+    def fail(self, message: str):
+        raise InputError(f"{self.name}{self.path or 'document'}: {message}")
+
+    def __getitem__(self, key: str) -> Doc:
+        """The field ``key`` of an object; a missing key is an error."""
+        if not isinstance(self.value, dict):
+            self.fail("expected a JSON object")
+        path = f"{self.path}.{key}" if self.path else key
+        if key not in self.value:
+            Doc(None, self.name, path).fail("missing required field")
+        return Doc(self.value[key], self.name, path)
+
+    def items(self) -> list[tuple[str, Doc]]:
+        """The fields of an object."""
+        if not isinstance(self.value, dict):
+            self.fail("expected a JSON object")
+        return [(key, self[key]) for key in self.value]
+
+    def rows(self) -> list[Doc]:
+        """The entries of an array."""
+        if not isinstance(self.value, list):
+            self.fail("expected a JSON array")
+        return [Doc(v, self.name, f"{self.path}[{i}]") for i, v in enumerate(self.value)]
+
+    def number(self) -> float:
+        """A finite number (a bool is not one), as a float."""
+        v = self.value
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            self.fail(f"must be a number, got {v!r}")
+        if not (math.isfinite(v) if isinstance(v, float) else abs(v) < _INT_LIMIT):
+            self.fail(f"must be finite, got {v!r}")
+        return float(v)
+
+    def integer(self, floor: int | None = None) -> int:
+        """An integer, at least ``floor`` when given; a bool or a float is not one."""
+        v, lo = self.value, -_INT_LIMIT if floor is None else floor
+        if isinstance(v, bool) or not isinstance(v, int) or not lo <= v < _INT_LIMIT:
+            self.fail(f"must be an integer{'' if floor is None else f' >= {floor}'}, "
+                      f"got {v!r}")
+        return v
+
+    def id(self, bound: int) -> int:
+        """An integer id in [0, bound); numpy would wrap a negative one silently."""
+        v = self.value
+        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < bound:
+            self.fail(f"{v!r} is not an id in [0, {bound})")
+        return v
+
+    def string(self) -> str:
+        if not isinstance(self.value, str):
+            self.fail(f"must be a string, got {self.value!r}")
+        return self.value
+
+    def id_map(self, key_bound: int, value_bound: int) -> dict[int, int]:
+        """An object whose keys are decimal ids in [0, key_bound), each
+        mapping to an id in [0, value_bound)."""
+        out = {}
+        for key, entry in self.items():
+            path = f"{self.path}[{json.dumps(key)}]"
+            # short enough that int() always parses it, without leading zeros
+            if not (key.isascii() and key.isdigit() and len(key) < 19 and str(int(key)) == key):
+                Doc(key, self.name, path).fail("key is not a decimal id")
+            sid = Doc(int(key), self.name, path).id(key_bound)
+            out[sid] = Doc(entry.value, self.name, path).id(value_bound)
+        return out
+
+    def build(self, factory, *args, **kwargs):
+        """``factory(*args, **kwargs)``; a ValueError from a value type's own
+        checks fails at this path."""
+        try:
+            return factory(*args, **kwargs)
+        except ValueError as exc:
+            self.fail(str(exc))

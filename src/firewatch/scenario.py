@@ -19,13 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import EdgeNode, PhysicalParams, Point2D, RequestProfile, Sensor
+from .reader import Doc, read
 
 SCHEMA_VERSION = 1
-
-
-class ScenarioFormatError(ValueError):
-    """Raised when a scenario document is structurally or semantically
-    invalid; the message names the offending field."""
 
 
 @dataclass(frozen=True)
@@ -202,110 +198,52 @@ def save_scenario(sc: Scenario, path: str) -> None:
         f.write("\n")
 
 
-def _require(doc: dict, key: str, where: str):
-    if not isinstance(doc, dict):
-        raise ScenarioFormatError(f"{where}: expected a JSON object")
-    if key not in doc:
-        raise ScenarioFormatError(f"{where}.{key}: missing required field")
-    return doc[key]
-
-
-def _number(doc: dict, key: str, where: str) -> float:
-    value = _require(doc, key, where)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioFormatError(f"{where}.{key}: must be a number, got {value!r}")
-    return float(value)
-
-
-def _rows(doc: dict, key: str, where: str) -> list:
-    rows = _require(doc, key, where)
-    if not isinstance(rows, list):
-        raise ScenarioFormatError(f"{where}.{key}: expected a JSON array")
-    return rows
+def _placed(row: Doc, k: int, side: float) -> Point2D:
+    """Row k's position, checking its id is k and it lies in the square."""
+    if row["id"].integer() != k:
+        row["id"].fail(f"ids must be contiguous from 0, got {row['id'].value}")
+    x, y = row["x"].number(), row["y"].number()
+    if not (0.0 <= x <= side and 0.0 <= y <= side):
+        row.fail(f"position ({x}, {y}) outside monitoring square [0, {side}]")
+    return Point2D(x, y)
 
 
 def load_scenario(path: str) -> Scenario:
     """Load and validate a scenario document.
 
-    Raises ScenarioFormatError naming the offending field on semantic
-    problems; json.JSONDecodeError (with line info) on malformed JSON.
+    Raises InputError naming the offending field on semantic problems;
+    json.JSONDecodeError (with line info) on malformed JSON.
     """
-    with open(path) as f:
-        doc = json.load(f)
+    doc = read(path, SCHEMA_VERSION, "")
 
-    version = _require(doc, "schema_version", "document")
-    if version != SCHEMA_VERSION:
-        raise ScenarioFormatError(
-            f"schema_version: unsupported value {version!r}, expected {SCHEMA_VERSION}")
-
-    phys_doc = _require(doc, "physical", "document")
-    if not isinstance(phys_doc, dict):
-        raise ScenarioFormatError("physical: expected a JSON object")
+    phys = doc["physical"]
     allowed = {f.name for f in dataclasses.fields(PhysicalParams)}
-    unknown = set(phys_doc) - allowed
-    if unknown:
-        raise ScenarioFormatError(f"physical.{sorted(unknown)[0]}: unknown field")
-    m_max = phys_doc.get("m_max", PhysicalParams.m_max)
-    if isinstance(m_max, bool) or not isinstance(m_max, int):
-        raise ScenarioFormatError(f"physical.m_max: must be an integer, got {m_max!r}")
-    try:
-        physical = PhysicalParams(**phys_doc)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"physical: {exc}") from exc
+    values = {}
+    for key, entry in phys.items():
+        if key not in allowed:
+            entry.fail("unknown field")
+        values[key] = entry.integer(1) if key == "m_max" else entry.number()
+    physical = phys.build(PhysicalParams, **values)
     side = physical.side_m
 
-    sensors = []
-    for i, row in enumerate(_rows(doc, "sensors", "document")):
-        where = f"sensors[{i}]"
-        sid = _require(row, "id", where)
-        if sid != i:
-            raise ScenarioFormatError(
-                f"{where}.id: ids must be contiguous from 0, got {sid}")
-        x, y = _number(row, "x", where), _number(row, "y", where)
-        if not (0.0 <= x <= side and 0.0 <= y <= side):
-            raise ScenarioFormatError(
-                f"{where}: position ({x}, {y}) outside monitoring square [0, {side}]")
-        h = _require(row, "fire_history", where)
-        if isinstance(h, bool) or not isinstance(h, int) or h < 0:
-            raise ScenarioFormatError(
-                f"{where}.fire_history: must be a non-negative integer, got {h!r}")
-        try:
-            req = RequestProfile(_number(row, "data_size_mb", where),
-                                 _number(row, "compute_mi", where))
-            sensors.append(Sensor(id=sid, pos=Point2D(x, y), fire_history=h, request=req))
-        except ValueError as exc:
-            raise ScenarioFormatError(f"{where}: {exc}") from exc
+    sensors = tuple(
+        Sensor(id=i, pos=_placed(row, i, side), fire_history=row["fire_history"].integer(0),
+               request=row.build(RequestProfile, row["data_size_mb"].number(),
+                                 row["compute_mi"].number()))
+        for i, row in enumerate(doc["sensors"].rows()))
     if not sensors:
-        raise ScenarioFormatError("sensors: at least one sensor required")
-
-    edges = []
-    for k, row in enumerate(_rows(doc, "edges", "document")):
-        where = f"edges[{k}]"
-        eid = _require(row, "id", where)
-        if eid != k:
-            raise ScenarioFormatError(
-                f"{where}.id: ids must be contiguous from 0, got {eid}")
-        x, y = _number(row, "x", where), _number(row, "y", where)
-        if not (0.0 <= x <= side and 0.0 <= y <= side):
-            raise ScenarioFormatError(
-                f"{where}: position ({x}, {y}) outside monitoring square [0, {side}]")
-        try:
-            edges.append(EdgeNode(id=eid, pos=Point2D(x, y),
-                                  capacity_mips=_number(row, "capacity_mips", where)))
-        except ValueError as exc:
-            raise ScenarioFormatError(f"{where}: {exc}") from exc
+        doc["sensors"].fail("at least one sensor required")
+    edges = tuple(
+        row.build(EdgeNode, id=k, pos=_placed(row, k, side),
+                  capacity_mips=row["capacity_mips"].number())
+        for k, row in enumerate(doc["edges"].rows()))
     if not edges:
-        raise ScenarioFormatError("edges: at least one edge node required")
+        doc["edges"].fail("at least one edge node required")
 
-    meta_doc = _require(doc, "meta", "document")
-    n = len(sensors)
-    hotspot_ids = tuple(_rows(meta_doc, "hotspot_sensor_ids", "meta"))
-    if any(isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < n
-           for i in hotspot_ids):
-        raise ScenarioFormatError("meta.hotspot_sensor_ids: id out of range")
-    hotspots = tuple(
-        Hotspot(*(_number(h, key, f"meta.hotspots[{k}]") for key in ("cx", "cy", "sigma_m")))
-        for k, h in enumerate(_rows(meta_doc, "hotspots", "meta")))
-    meta = ScenarioMeta(seed=int(_require(meta_doc, "seed", "meta")), hotspots=hotspots,
-                        hotspot_sensor_ids=hotspot_ids)
-    return Scenario(physical=physical, sensors=tuple(sensors), edges=tuple(edges), meta=meta)
+    meta = doc["meta"]
+    hotspots = tuple(Hotspot(*(h[key].number() for key in ("cx", "cy", "sigma_m")))
+                     for h in meta["hotspots"].rows())
+    hotspot_ids = tuple(r.id(len(sensors)) for r in meta["hotspot_sensor_ids"].rows())
+    return Scenario(physical=physical, sensors=sensors, edges=edges,
+                    meta=ScenarioMeta(seed=meta["seed"].integer(), hotspots=hotspots,
+                                      hotspot_sensor_ids=hotspot_ids))

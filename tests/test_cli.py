@@ -472,3 +472,84 @@ def test_simulate_rejects_a_plan_made_for_another_scenario(small_files, tmp_path
                "-o", str(tmp_path / "sim")])
     assert rc == 1
     assert "is not an id in [0, 20)" in capsys.readouterr().err
+
+
+# defects of the file readers once reachable through the CLI: each now exits 1
+# naming the plan field
+@pytest.mark.parametrize("field,mutate", [
+    pytest.param("m", lambda d: d.__setitem__("m", True), id="m-bool"),
+    pytest.param("m", lambda d: d.__setitem__("m", 1.0), id="m-float"),
+    pytest.param("seed", lambda d: d.__setitem__("seed", "x"), id="seed-string"),
+    pytest.param("method", lambda d: d.__setitem__("method", 5), id="method-int"),
+    pytest.param('assignment.direct_map["abc"]',
+                 lambda d: d["assignment"]["direct_map"].__setitem__("abc", 0),
+                 id="direct_map-key-abc"),
+    pytest.param("routes", lambda d: d.pop("routes"), id="no-routes"),
+    pytest.param("routes[0].depot_edge_id", lambda d: d["routes"][0].pop("depot_edge_id"),
+                 id="no-depot_edge_id"),
+])
+def test_simulate_rejects_a_mistyped_or_missing_plan_field(small_files, tmp_path, capsys,
+                                                           field, mutate):
+    _assert_mutated_plan_rejected(small_files, tmp_path, capsys, field, mutate)
+
+
+@pytest.mark.parametrize("field,mutate", [
+    ("meta.seed", lambda d: d["meta"].__setitem__("seed", 1.5)),
+    ("physical.v_g", lambda d: d["physical"].__setitem__("v_g", True)),
+    ("sensors[0].id", lambda d: d["sensors"][0].__setitem__("id", 0.0)),
+])
+def test_plan_rejects_a_mistyped_scenario_field(small_files, tmp_path, capsys, field,
+                                                mutate):
+    scen, _ = small_files
+    doc = json.loads(scen.read_text())
+    mutate(doc)
+    bad = tmp_path / "scenario.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["plan", "-s", str(bad), "-o", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {field}:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_rejects_an_event_past_the_horizon(small_files, tmp_path, capsys):
+    scen, out = small_files
+    events = tmp_path / "events.json"
+    save_events([EmergencyEvent(0, 7200.5, 80)], str(events))
+    rc = main(["simulate", "-s", str(scen), "-p", str(out / "plan.json"), "--events",
+               str(events), "--horizon", "7200", "-o", str(tmp_path / "sim")])
+    assert rc == 1
+    assert "error: events[0].alert_time_s:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,code,named", [
+    (["plan", "-s", "x.json", "--method", "ga", "--ga-pop", "1"], 2, "population"),
+    (["plan", "-s", "x.json", "--method", "pso", "--pso-iters", "-1"], 2, "iterations"),
+    (["compare", "--methods", "greedy", "--seeds", "1", "--sensors", "20", "--ga-pop", "1"],
+     2, "population"),
+    (["compare", "--methods", "greedy", "--seeds", "1", "--edges", "0"], 4, "n_edges"),
+    (["compare", "--methods", "greedy", "--seeds", "1", "--sensors", "0"], 4, "n_sensors"),
+])
+def test_bad_search_or_compare_flag_fails_before_any_work(tmp_path, capsys, argv, code,
+                                                          named):
+    rc = main(argv + ["-o", str(tmp_path / "out")])
+    assert rc == code
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line,code,named", [
+    ("seed = abc", 2, "config key 'seed': invalid value 'abc'"),
+    ("omega_h = x", 2, "config key 'omega_h': invalid value 'x'"),
+    ("fleet_init = most", 2, "config key 'fleet_init': invalid choice 'most'"),
+    ("seed 3", 1, "gen.cfg:1: expected key=value"),
+])
+def test_config_file_bad_value_names_the_key(small_files, tmp_path, capsys, line, code,
+                                             named):
+    scen, _ = small_files
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(line + "\n")
+    rc = main(["plan", "-s", str(scen), "--config", str(cfg), "-o", str(tmp_path / "out")])
+    assert rc == code
+    assert named in capsys.readouterr().err

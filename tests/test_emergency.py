@@ -371,7 +371,7 @@ def test_events_round_trip(tmp_path, default_scenario, default_plan):
                              seed=5)
     path = tmp_path / "events.json"
     save_events(events, str(path))
-    assert load_events(str(path)) == events
+    assert load_events(str(path), len(default_scenario.sensors), 86400.0) == events
 
 
 def test_trace_csv(tmp_path, default_scenario, default_plan, default_algo):

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from firewatch.model import PhysicalParams
-from firewatch.scenario import (
-    GenConfig,
-    ScenarioFormatError,
-    generate,
-    load_scenario,
-    save_scenario,
-)
+from firewatch.reader import InputError
+from firewatch.scenario import GenConfig, generate, load_scenario, save_scenario
 
 
 def test_gen_config_validation():
@@ -107,14 +102,14 @@ def _corrupt(tmp_path, small_scenario, mutate):
 def test_load_rejects_negative_fire_history(tmp_path, small_scenario):
     path = _corrupt(tmp_path, small_scenario,
                     lambda d: d["sensors"][0].__setitem__("fire_history", -3))
-    with pytest.raises(ScenarioFormatError, match="fire_history"):
+    with pytest.raises(InputError, match="fire_history"):
         load_scenario(path)
 
 
 def test_load_rejects_boolean_fire_history(tmp_path, small_scenario):
     path = _corrupt(tmp_path, small_scenario,
                     lambda d: d["sensors"][2].__setitem__("fire_history", True))
-    with pytest.raises(ScenarioFormatError, match=r"sensors\[2\]\.fire_history"):
+    with pytest.raises(InputError, match=r"sensors\[2\]\.fire_history"):
         load_scenario(path)
 
 
@@ -122,21 +117,21 @@ def test_load_rejects_boolean_fire_history(tmp_path, small_scenario):
 def test_load_rejects_non_integer_m_max(tmp_path, small_scenario, m_max):
     path = _corrupt(tmp_path, small_scenario,
                     lambda d: d["physical"].__setitem__("m_max", m_max))
-    with pytest.raises(ScenarioFormatError, match=r"physical\.m_max"):
+    with pytest.raises(InputError, match=r"physical\.m_max"):
         load_scenario(path)
 
 
 def test_load_rejects_out_of_square_sensor(tmp_path, small_scenario):
     path = _corrupt(tmp_path, small_scenario,
                     lambda d: d["sensors"][0].__setitem__("x", 1e9))
-    with pytest.raises(ScenarioFormatError, match="outside"):
+    with pytest.raises(InputError, match="outside"):
         load_scenario(path)
 
 
 def test_load_rejects_non_contiguous_ids(tmp_path, small_scenario):
     path = _corrupt(tmp_path, small_scenario,
                     lambda d: d["sensors"][1].__setitem__("id", 99))
-    with pytest.raises(ScenarioFormatError):
+    with pytest.raises(InputError):
         load_scenario(path)
 
 
@@ -144,7 +139,7 @@ def test_load_rejects_missing_key(tmp_path, small_scenario):
     def drop(d):
         del d["physical"]
     path = _corrupt(tmp_path, small_scenario, drop)
-    with pytest.raises(ScenarioFormatError, match="physical"):
+    with pytest.raises(InputError, match="physical"):
         load_scenario(path)
 
 
@@ -159,7 +154,7 @@ def test_load_rejects_missing_key(tmp_path, small_scenario):
 def test_load_names_a_malformed_number(tmp_path, small_scenario, rows, index, key, value):
     path = _corrupt(tmp_path, small_scenario,
                     lambda d: d[rows][index].__setitem__(key, value))
-    with pytest.raises(ScenarioFormatError, match=rf"{rows}\[{index}\]\.{key}: must be a number"):
+    with pytest.raises(InputError, match=rf"{rows}\[{index}\]\.{key}: must be a number"):
         load_scenario(path)
 
 
@@ -167,13 +162,13 @@ def test_load_names_a_malformed_number(tmp_path, small_scenario, rows, index, ke
 @pytest.mark.parametrize("rows", ["sensors", "edges"])
 def test_load_rejects_a_row_that_is_not_an_object(tmp_path, small_scenario, rows, row):
     path = _corrupt(tmp_path, small_scenario, lambda d: d[rows].__setitem__(0, row))
-    with pytest.raises(ScenarioFormatError, match=rf"{rows}\[0\]: expected a JSON object"):
+    with pytest.raises(InputError, match=rf"{rows}\[0\]: expected a JSON object"):
         load_scenario(path)
 
 
 def test_load_rejects_sensors_that_are_not_a_list(tmp_path, small_scenario):
     path = _corrupt(tmp_path, small_scenario, lambda d: d.__setitem__("sensors", 3))
-    with pytest.raises(ScenarioFormatError, match=r"document\.sensors: expected a JSON array"):
+    with pytest.raises(InputError, match=r"sensors: expected a JSON array"):
         load_scenario(path)
 
 
@@ -185,5 +180,5 @@ def test_load_rejects_sensors_that_are_not_a_list(tmp_path, small_scenario):
 ])
 def test_load_names_a_malformed_meta_field(tmp_path, small_scenario, key, value, where):
     path = _corrupt(tmp_path, small_scenario, lambda d: d["meta"].__setitem__(key, value))
-    with pytest.raises(ScenarioFormatError, match=where):
+    with pytest.raises(InputError, match=where):
         load_scenario(path)
