@@ -14,6 +14,20 @@ evaluated as one population: (P, n) gene and visit-order arrays, with the
 per-row sums, edge choices and nearest-neighbor steps vectorised across rows
 and every per-cluster sum taken in the same order as for one individual, so
 each row gets the numbers it would get on its own.
+
+GA children are built a generation at a time from the values a loop over
+the pairs of children would draw from the search's numpy Generator, one
+call per tournament, crossover and mutation, in that order.  ``_Stream``
+replays those draws from blocks of the PCG64 bit generator's raw 64-bit
+outputs (``random_raw``) by numpy's rules: a double is ``(raw >> 11) *
+2**-53``; a 32-bit draw takes the low half of a raw output, then its high
+half, which waits across calls and is skipped by doubles; ``integers(0, r)``
+is ``(u32 * r) >> 32``, drawn again while ``(u32 * r) mod 2**32 < 2**32 mod
+r`` (Lemire 2019); r == 1 and size 0 draw nothing.  A generation first walks
+the loop for positions only, then builds every child with whole-population
+array operations, so the plans are those of the loop.  If numpy changes its
+Generator stream, ``tests/test_baselines.py::test_stream_replays_the_generator``
+fails first.
 """
 
 from __future__ import annotations
@@ -214,20 +228,191 @@ def evolved_route(uav_id: int, depot_edge_id: int, ids: np.ndarray, scenario) ->
 
 def _order_by_priority(genes: np.ndarray, priorities: np.ndarray) -> np.ndarray:
     """Per row: sensor indices grouped by cluster, each group by ascending
-    priority (ties by index): two stable sorts over the whole population,
-    by priority and then by gene."""
-    by_prio = np.argsort(priorities, axis=1, kind="stable")
-    by_gene = np.argsort(np.take_along_axis(genes, by_prio, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(by_prio, by_gene, axis=1)
+    priority (ties by index): one stable lexsort over the whole population."""
+    return np.lexsort((priorities, genes), axis=-1)
+
+
+class _Stream:
+    """The ``random()`` and ``integers(0, r)`` draws of a numpy Generator,
+    replayed from blocks of its PCG64 bit generator's raw 64-bit outputs.
+
+    The draw methods hand out where each value sits, not the value: a double
+    is raw output i, its value ``dbl[i]``; a 32-bit word w is the low (w
+    even) or high (w odd) half of raw output w // 2, and ``bounded`` turns
+    words into integers.  The rules are numpy's, so the values are those the
+    Generator itself would draw, in the same order.  Draws are made in
+    passes, through ``replay``."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._bitgen = rng.bit_generator
+        state = self._bitgen.state
+        # a 32-bit draw takes the low half of a raw output and leaves the high
+        # half for the next one; after an odd count of them that half waits,
+        # and it becomes the high half of a raw output 0
+        waiting = [state["uinteger"] << 32] if state["has_uint32"] else []
+        self._carry = 0 if waiting else None
+        # raw outputs fetched at a time: at least the last pass's use
+        self.pos, self._chunk = len(waiting), 1024
+        self._exact = self._rejected = False
+        self.raw, self.dbl = np.empty(0, dtype=np.uint64), np.empty(0)
+        # _below[i]: how many doubles before raw output i are < MUTATION_RATE
+        self._below = np.zeros(1, dtype=np.intp)
+        self._append(np.array(waiting, dtype=np.uint64))
+
+    def _append(self, raw: np.ndarray) -> None:
+        dbl = (raw >> 11) * 2.0 ** -53
+        self.raw = np.concatenate([self.raw, raw])
+        self.dbl = np.concatenate([self.dbl, dbl])
+        self._below = np.concatenate([self._below,
+                                      self._below[-1] + np.cumsum(dbl < MUTATION_RATE)])
+
+    def _grow(self) -> None:
+        """Make raw outputs up to pos available; appending keeps every
+        position already handed out valid."""
+        self._append(self._bitgen.random_raw(max(self.pos - len(self.raw), self._chunk)))
+
+    def doubles(self, k: int) -> int:
+        """``random(k)`` reads raw outputs start .. start + k - 1; returns
+        start.  A double leaves a waiting high half waiting."""
+        start = self.pos
+        self.pos += k
+        if self.pos > len(self.raw):
+            self._grow()
+        return start
+
+    def mask(self, k: int) -> tuple[int, int]:
+        """``random(k) < MUTATION_RATE``: where its doubles start and how
+        many of them are below."""
+        start = self.doubles(k)
+        return start, int(self._below[self.pos] - self._below[start])
+
+    def words(self, k: int, r: int) -> list[int]:
+        """The words ``integers(0, r, size=k)`` reads, in order, for
+        1 <= r <= 2**32; r == 1 and k == 0 read none.  Lemire's method draws
+        again while ``u * r mod 2**32 < 2**32 mod r``: a fast pass assumes it
+        never does, and ``replay`` checks that."""
+        if r == 1 or not k:
+            return []
+        if not self._exact:
+            return self._take(k)
+        out = []
+        while len(out) < k:
+            w = self._take(1)
+            if (int(self._values(w)[0]) * r) & 0xFFFFFFFF >= (2 ** 32 - r) % r:
+                out += w
+        return out
+
+    def _take(self, k: int) -> list[int]:
+        """The next k >= 1 words: a waiting high half first, then both halves
+        of new raw outputs, low first; an odd count leaves a half waiting."""
+        out = [] if self._carry is None else [2 * self._carry + 1]
+        j, pos = k - len(out), self.pos     # j words from new raw outputs
+        out += range(2 * pos, 2 * pos + j)
+        self.pos += (j + 1) // 2
+        self._carry = pos + j // 2 if j % 2 else None
+        if self.pos > len(self.raw):
+            self._grow()
+        return out
+
+    def _values(self, words) -> np.ndarray:
+        """The 32-bit values of ``words``, as uint64."""
+        w = np.asarray(words, dtype=np.intp)
+        raw = self.raw[w >> 1]
+        return np.where(w & 1, raw >> 32, raw & 0xFFFFFFFF)
+
+    def bounded(self, words, r: int) -> np.ndarray:
+        """The values of ``integers(0, r)`` read from ``words``; a fast pass
+        also notes whether Lemire's method rejects any of them."""
+        u = self._values(words) * np.uint64(r)
+        if not self._exact:
+            self._rejected |= bool(((u & 0xFFFFFFFF) < (2 ** 32 - r) % r).any())
+        return (u >> 32).astype(np.intp)
+
+    def replay(self, walk):
+        """``walk(self)``: one pass of draws (a GA generation, say) made
+        through the methods above, which reads every word it draws through
+        ``bounded`` before it returns.  If a fast pass read a word that
+        Lemire's method rejects, the pass is walked again from its start,
+        word by word.  A pass first drops the raw outputs before it, so
+        read a pass's doubles before the next one."""
+        spent = self.pos if self._carry is None else self._carry
+        self.raw, self.dbl, self._below = (a[spent:] for a in (self.raw, self.dbl,
+                                                               self._below))
+        self.pos -= spent
+        if self._carry is not None:
+            self._carry = 0
+        start, self._rejected = (self.pos, self._carry), False
+        out = walk(self)
+        if self._rejected:
+            (self.pos, self._carry), self._exact = start, True
+            out = walk(self)
+            self._exact = False
+        self._chunk = max(self.pos, 1024)
+        return out
+
+
+def _breed(stream: _Stream, genes: np.ndarray, prios: np.ndarray, fits: np.ndarray,
+           m: int):
+    """The next generation: the elite, then children in pairs, each pair two
+    tournament winners, one-point crossover and per-gene mutation.  The
+    draws are those of a loop over the pairs (the last pair's second child
+    is dropped when the population is even): a pass walks that loop for
+    positions only, then every child is built at once."""
+    pop, n = genes.shape
+    pairs = pop // 2
+
+    def walk(s: _Stream):
+        tour, cross, cuts, gene_at, gene_words, prio_at = [], [], [], [], [], []
+        for _ in range(pairs):
+            tour += s.words(2 * TOURNAMENT_SIZE, pop)
+            if not n:
+                continue
+            cross.append(s.doubles(1))
+            if s.dbl[cross[-1]] < CROSSOVER_RATE:
+                cuts += s.words(1, 2 * n - 1)     # integers(1, 2n)
+            for _ in range(2):
+                start, k = s.mask(n)
+                gene_at.append(start)
+                gene_words += s.words(k, m)
+                start, k = s.mask(n)
+                prio_at.append(start)
+                s.doubles(k)                      # the new priorities
+        return (s.bounded(tour, pop), cross, s.bounded(cuts, 2 * n - 1) if n > 1 else 0,
+                gene_at, s.bounded(gene_words, m) if m > 1 else 0, prio_at)
+
+    tour, cross, cuts, gene_at, new_genes, prio_at = stream.replay(walk)
+    # two tournaments per pair; the first of the lowest fitness wins
+    contenders = tour.reshape(2 * pairs, TOURNAMENT_SIZE)
+    parents = contenders[np.arange(2 * pairs), fits[contenders].argmin(axis=1)]
+    g, pr = genes[parents], prios[parents]
+    if n:
+        # one-point crossover of the genes-then-priorities chromosome: the two
+        # children swap everything from cut on; cut = 2n swaps nothing
+        cut = np.full(pairs, 2 * n)
+        cut[stream.dbl[cross] < CROSSOVER_RATE] = 1 + cuts
+        col = np.arange(n)
+        for x, start in ((g, cut), (pr, cut - n)):
+            both = x.reshape(pairs, 2, n)
+            both[:] = np.where((col >= start[:, None])[:, None], both[:, ::-1], both)
+        # mutation, child by child in row-major (pair, child) order; child
+        # i's new priorities follow its n mask doubles
+        g[stream.dbl[np.add.outer(gene_at, col)] < MUTATION_RATE] = new_genes
+        mask = stream.dbl[np.add.outer(prio_at, col)] < MUTATION_RATE
+        counts = mask.sum(axis=1)
+        first = np.asarray(prio_at) + n - (np.cumsum(counts) - counts)
+        pr[mask] = stream.dbl[np.repeat(first, counts) + np.arange(counts.sum())]
+    elite = int(np.argmin(fits))
+    return (np.concatenate([genes[elite][None], g])[:pop],
+            np.concatenate([prios[elite][None], pr])[:pop])
 
 
 def _ga_search(ws: _Workspace, cfg: GaConfig, m: int):
     """Evolve m-cluster chromosomes; the best zero-violation individual as
     size_fleet clusters, or None."""
-    n = ws.n
     rng = np.random.default_rng(derive_seed(cfg.seed, f"ga-m{m}"))
-    genes = rng.integers(0, m, size=(cfg.population, n))
-    prios = rng.random((cfg.population, n))
+    genes = rng.integers(0, m, size=(cfg.population, ws.n))
+    prios = rng.random((cfg.population, ws.n))
+    stream = _Stream(rng)
 
     def evaluate(g, pr):
         orders = _order_by_priority(g, pr)
@@ -235,37 +420,8 @@ def _ga_search(ws: _Workspace, cfg: GaConfig, m: int):
         return fits, viols, orders
 
     fits, viols, orders = evaluate(genes, prios)
-    pop = cfg.population
     for _ in range(cfg.generations):
-        # the elite, then children in pairs; a spare row takes the second
-        # child of the last pair when the population is even, so its draws
-        # are still made
-        kid_genes = np.empty((pop + 1, n), dtype=genes.dtype)
-        kid_prios = np.empty((pop + 1, n))
-        elite = int(np.argmin(fits))
-        kid_genes[0], kid_prios[0] = genes[elite], prios[elite]
-        for row in range(1, pop, 2):
-            pair = []
-            for _ in range(2):
-                contenders = rng.integers(0, pop, size=TOURNAMENT_SIZE)
-                pair.append(contenders[np.argmin(fits[contenders])])
-            g, pr = kid_genes[row:row + 2], kid_prios[row:row + 2]
-            g[:], pr[:] = genes[pair], prios[pair]
-            if n and rng.random() < CROSSOVER_RATE:
-                # one-point crossover of the genes-then-priorities chromosome:
-                # the two children swap everything from cut on
-                cut = int(rng.integers(1, 2 * n))
-                if cut < n:
-                    g[:, cut:] = g[::-1, cut:].copy()
-                tail = max(cut - n, 0)
-                pr[:, tail:] = pr[::-1, tail:].copy()
-            if n:
-                for c in range(2):
-                    mask = rng.random(n) < MUTATION_RATE
-                    g[c, mask] = rng.integers(0, m, size=int(mask.sum()))
-                    mask = rng.random(n) < MUTATION_RATE
-                    pr[c, mask] = rng.random(int(mask.sum()))
-        genes, prios = kid_genes[:pop], kid_prios[:pop]
+        genes, prios = _breed(stream, genes, prios, fits, m)
         fits, viols, orders = evaluate(genes, prios)
 
     feasible = np.flatnonzero(viols == 0)

@@ -115,9 +115,25 @@ def _algo_from_args(args: argparse.Namespace, seed: int | None = None) -> AlgoPa
                       fleet_init_mode=FleetInitMode(args.fleet_init))
 
 
+def _from_flags(cls, args: argparse.Namespace, flags: dict[str, str], **fixed):
+    """``cls`` with each field in ``flags`` taken from that flag's value and
+    the ``fixed`` ones as given.  Each flag's value is first checked alone,
+    every other field at its default, so a value the class rejects raises a
+    ValueError naming the flag and the value."""
+    values = {field: getattr(args, flag[2:].replace("-", "_")) for field, flag in flags.items()}
+    for field, flag in flags.items():
+        try:
+            cls(**{field: values[field]})
+        except ValueError as exc:
+            raise ValueError(f"{flag} {values[field]}: {exc}") from None
+    return cls(**values, **fixed)
+
+
 def _search_from_args(args: argparse.Namespace, seed: int) -> tuple[GaConfig, PsoConfig]:
-    return (GaConfig(population=args.ga_pop, generations=args.ga_gens, seed=seed),
-            PsoConfig(swarm=args.pso_swarm, iterations=args.pso_iters, seed=seed))
+    return (_from_flags(GaConfig, args, {"population": "--ga-pop", "generations": "--ga-gens"},
+                        seed=seed),
+            _from_flags(PsoConfig, args, {"swarm": "--pso-swarm", "iterations": "--pso-iters"},
+                        seed=seed))
 
 
 def _make_plan(method: str, scenario, algo: AlgoParams, args: argparse.Namespace,
@@ -153,11 +169,11 @@ def _mean_ci(xs: list[float]) -> tuple[float, float | None, float | None]:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     try:
-        cfg = GenConfig(n_sensors=args.sensors, n_edges=args.edges,
-                        n_hotspots=args.hotspots, hotspot_fraction=args.hotspot_fraction,
-                        hotspot_sigma_m=args.hotspot_sigma,
-                        fire_history_max=args.fire_history_max, seed=args.seed)
-        physical = PhysicalParams(area_km2=args.area_km2)
+        cfg = _from_flags(GenConfig, args, {
+            "n_sensors": "--sensors", "n_edges": "--edges", "n_hotspots": "--hotspots",
+            "hotspot_fraction": "--hotspot-fraction", "hotspot_sigma_m": "--hotspot-sigma",
+            "fire_history_max": "--fire-history-max", "seed": "--seed"})
+        physical = _from_flags(PhysicalParams, args, {"area_km2": "--area-km2"})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -297,8 +313,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print("error: --seeds must be >= 1", file=sys.stderr)
         return EXIT_BADSPEC
     try:
-        ns = _parse_sweep(args.sweep_sensors) if args.sweep_sensors else [args.sensors]
-        gens = {n: GenConfig(n_sensors=n, n_edges=args.edges) for n in ns}
+        # --sensors is not read when --sweep-sensors is given
+        base = _from_flags(GenConfig, args, {"n_edges": "--edges"} if args.sweep_sensors
+                           else {"n_sensors": "--sensors", "n_edges": "--edges"})
+        ns = _parse_sweep(args.sweep_sensors) if args.sweep_sensors else [base.n_sensors]
+        gens = {n: replace(base, n_sensors=n) for n in ns}
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BADSPEC

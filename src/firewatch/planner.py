@@ -378,6 +378,17 @@ def _pair(row: Doc) -> tuple[float, float]:
     return xy
 
 
+def _check_waypoint_xy(doc: Doc, waypoints: tuple[int, ...], scenario) -> None:
+    """A route's ``waypoint_xy`` must be its waypoints' scenario positions,
+    exactly: ``save_plan`` writes those floats and JSON keeps them."""
+    rows = doc.rows()
+    if len(rows) != len(waypoints):
+        doc.fail(f"{len(rows)} points for {len(waypoints)} waypoints")
+    for row, sid, want in zip(rows, waypoints, scenario.xy[list(waypoints)].tolist()):
+        if list(_pair(row)) != want:
+            row.fail(f"{row.value!r} is not sensor {sid}'s position {want}")
+
+
 def load_plan(path: str, scenario) -> Plan:
     """Read a plan file made for ``scenario``.  A malformed field, an id
     outside the scenario or parts that disagree raise InputError naming the
@@ -412,6 +423,9 @@ def load_plan(path: str, scenario) -> Plan:
                             energy_wh=r["energy_wh"].number()))
     routes = tuple(routes)
     _check_structure(clustering, assignment, routes, scenario)
+    # after the structure checks, so a wrong waypoint list is named as such
+    for r, route in zip(rows, routes):
+        _check_waypoint_xy(r["waypoint_xy"], route.waypoints, scenario)
     return Plan(m=m, clustering=clustering, assignment=assignment, routes=routes,
                 planning_time_s=0.0, method=doc["method"].string(),
                 variant=doc["variant"].string(), seed=doc["seed"].integer())

@@ -1,20 +1,27 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from firewatch import baselines
 from firewatch.baselines import (
+    CROSSOVER_RATE,
+    MUTATION_RATE,
+    TOURNAMENT_SIZE,
     GaConfig,
     PsoConfig,
+    _ga_search,
     _order_by_priority,
+    _Stream,
     _Workspace,
     ga_plan,
     greedy_plan,
     pso_plan,
 )
-from firewatch.model import AlgoParams, PhysicalParams
+from firewatch.model import AlgoParams, PhysicalParams, derive_seed
 from firewatch.planner import InfeasibleError, plan, plan_to_doc, validate_plan
 from firewatch.routing import nearest_neighbor_tour, tour_length
 from firewatch.scenario import GenConfig, generate
@@ -101,6 +108,186 @@ def test_order_by_priority_groups_then_sorts():
     genes = np.array([[1, 0, 1, 0], [0, 0, 1, 1]])
     prios = np.array([[0.9, 0.2, 0.1, 0.5], [0.3, 0.3, 0.2, 0.1]])
     assert _order_by_priority(genes, prios).tolist() == [[1, 3, 2, 0], [0, 1, 3, 2]]
+
+
+def _order_by_priority_oracle(genes, priorities):
+    """Two stable sorts over the population, by priority and then by gene."""
+    by_prio = np.argsort(priorities, axis=1, kind="stable")
+    by_gene = np.argsort(np.take_along_axis(genes, by_prio, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(by_prio, by_gene, axis=1)
+
+
+@given(st.integers(1, 6), st.integers(0, 40), st.integers(1, 5), st.data())
+def test_order_by_priority_matches_two_stable_sorts(rows, n, m, data):
+    """Integer-valued priorities tie often, so the index tie-break shows."""
+    genes = np.array(data.draw(st.lists(st.lists(st.integers(0, m - 1), min_size=n,
+                                                 max_size=n), min_size=rows, max_size=rows)),
+                     dtype=int).reshape(rows, n)
+    prios = np.array(data.draw(st.lists(st.lists(st.integers(0, 3).map(float), min_size=n,
+                                                 max_size=n), min_size=rows, max_size=rows)),
+                     dtype=float).reshape(rows, n)
+    assert (_order_by_priority(genes, prios).tolist()
+            == _order_by_priority_oracle(genes, prios).tolist())
+
+
+def _ga_search_oracle(ws, cfg, m, generations):
+    """GA search with the per-pair child loop drawing straight from the
+    Generator; appends each generation's (genes, priorities) to
+    ``generations``."""
+    n = ws.n
+    rng = np.random.default_rng(derive_seed(cfg.seed, f"ga-m{m}"))
+    genes = rng.integers(0, m, size=(cfg.population, n))
+    prios = rng.random((cfg.population, n))
+
+    def evaluate(g, pr):
+        orders = _order_by_priority_oracle(g, pr)
+        fits, viols, _ = ws.evaluate(g, orders, ws.assign_edges(g, m))
+        return fits, viols, orders
+
+    fits, viols, orders = evaluate(genes, prios)
+    pop = cfg.population
+    for _ in range(cfg.generations):
+        kid_genes = np.empty((pop + 1, n), dtype=genes.dtype)
+        kid_prios = np.empty((pop + 1, n))
+        elite = int(np.argmin(fits))
+        kid_genes[0], kid_prios[0] = genes[elite], prios[elite]
+        for row in range(1, pop, 2):
+            pair = []
+            for _ in range(2):
+                contenders = rng.integers(0, pop, size=TOURNAMENT_SIZE)
+                pair.append(contenders[np.argmin(fits[contenders])])
+            g, pr = kid_genes[row:row + 2], kid_prios[row:row + 2]
+            g[:], pr[:] = genes[pair], prios[pair]
+            if n and rng.random() < CROSSOVER_RATE:
+                cut = int(rng.integers(1, 2 * n))
+                if cut < n:
+                    g[:, cut:] = g[::-1, cut:].copy()
+                tail = max(cut - n, 0)
+                pr[:, tail:] = pr[::-1, tail:].copy()
+            if n:
+                for c in range(2):
+                    mask = rng.random(n) < MUTATION_RATE
+                    g[c, mask] = rng.integers(0, m, size=int(mask.sum()))
+                    mask = rng.random(n) < MUTATION_RATE
+                    pr[c, mask] = rng.random(int(mask.sum()))
+        genes, prios = kid_genes[:pop], kid_prios[:pop]
+        generations.append((genes.tolist(), prios.tolist()))
+        fits, viols, orders = evaluate(genes, prios)
+
+    feasible = np.flatnonzero(viols == 0)
+    if not feasible.size:
+        return None
+    best = int(feasible[np.argmin(fits[feasible])])
+    return ws.clusters(genes[best], orders[best], m)
+
+
+def _ga_workspace(n):
+    """n UAV-served sensors (out of every edge's range, on a coarse grid so
+    tours and fitnesses tie) plus one direct sensor."""
+    points = [(1000.0 + 150.0 * (i % 4), 1000.0 + 150.0 * (i // 4)) for i in range(n)]
+    sc = build_scenario([(10.0, 0.0, 5, 1.0, 100.0)]
+                        + [(x, y, 10, 1.0, 100.0) for x, y in points],
+                        [(0.0, 0.0, 5000.0), (3000.0, 0.0, 5000.0), (0.0, 3000.0, 5000.0)])
+    ws = _Workspace(sc, AlgoParams())
+    assert ws.n == n
+    return ws
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4, 7, 10, 13]),
+       st.sampled_from([0, 1, 2, 5, 9]), st.sampled_from(["one", "two", "past_n"]),
+       st.integers(0, 5))
+@example(0, 2, 0, "one", 3)
+@example(1, 3, 1, "two", 4)
+@example(2, 10, 9, "past_n", 5)
+def test_ga_search_matches_per_pair_loop(seed, pop, n, m_kind, generations):
+    """Every generation's genes and priorities and the search's result equal
+    those of the per-pair child loop, bit for bit."""
+    ws = _ga_workspace(n)
+    m = {"one": 1, "two": 2, "past_n": n + 2}[m_kind]
+    cfg = GaConfig(population=pop, generations=generations, seed=seed)
+    want_generations = []
+    want = _ga_search_oracle(ws, cfg, m, want_generations)
+
+    got_generations = []
+
+    def recording_breed(*args):
+        genes, prios = breed(*args)
+        got_generations.append((genes.tolist(), prios.tolist()))
+        return genes, prios
+
+    breed = baselines._breed
+    with mock.patch.object(baselines, "_breed", recording_breed):
+        got = _ga_search(ws, cfg, m)
+    assert got_generations == want_generations
+    if want is None:
+        assert got is None
+    else:
+        assert [c.tolist() for c in got[0]] == [c.tolist() for c in want[0]]
+        assert got[1] == want[1]
+
+
+# a bound near 2**31 makes Lemire's method reject about half of all words
+_BOUNDS = st.sampled_from([1, 2, 3, 30, 191, 2**31 - 1, 2**31 + 1, 3 * 2**30 + 7])
+_DRAW = st.one_of(
+    st.tuples(st.just("random"), st.none()),
+    st.tuples(st.just("random"), st.integers(0, 9)),
+    st.tuples(st.just("mask"), st.integers(0, 40)),
+    st.tuples(_BOUNDS, st.none()),
+    st.tuples(_BOUNDS, st.integers(0, 9)),
+)
+
+
+def _draw_directly(rng, draw):
+    what, size = draw
+    if what == "random":
+        return np.atleast_1d(rng.random(size)).tolist()
+    if what == "mask":
+        d = rng.random(size)
+        return [d.tolist(), int((d < MUTATION_RATE).sum())]
+    return np.atleast_1d(rng.integers(0, what, size=size)).tolist()
+
+
+def _draw_replayed(s, draws):
+    """One pass: every draw placed in order, then every value read."""
+    placed = []
+    for what, size in draws:
+        k = 1 if size is None else size
+        if what == "random":
+            placed.append(s.doubles(k))
+        elif what == "mask":
+            placed.append(s.mask(k))
+        else:
+            placed.append(s.words(k, what))
+    out = []
+    for (what, size), at in zip(draws, placed):
+        k = 1 if size is None else size
+        if what == "random":
+            out.append(s.dbl[at:at + k].tolist())
+        elif what == "mask":
+            out.append([s.dbl[at[0]:at[0] + k].tolist(), at[1]])
+        else:
+            out.append(s.bounded(at, what).tolist() if what > 1 else [0] * k)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 5),
+       st.lists(st.lists(_DRAW, max_size=12), min_size=1, max_size=4))
+@example(7, 3, [[(2**31 + 1, 9), ("random", None), (2**31 + 1, None), (3, 9)],
+                [(2**31 + 1, 5), ("mask", 40), (2**31 - 1, 9)]])
+def test_stream_replays_the_generator(seed, first, passes):
+    """Doubles, masks and bounded integers replayed in passes from raw
+    outputs equal the Generator's own draws, after an initial integers draw
+    of odd or even size (a waiting 32-bit half or none), with r == 1, size 0
+    and Lemire rejections included."""
+    direct, replayed = (np.random.default_rng(seed) for _ in range(2))
+    for rng in (direct, replayed):
+        rng.integers(0, 7, size=first)
+    s = _Stream(replayed)
+    for draws in passes:
+        want = [_draw_directly(direct, d) for d in draws]
+        assert s.replay(lambda s: _draw_replayed(s, draws)) == want
 
 
 # few distinct coordinates, so points coincide and distances tie

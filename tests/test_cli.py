@@ -448,6 +448,23 @@ def _scale(field, factor):
     pytest.param("clustering.iterations_run",
                  lambda d: d["clustering"].__setitem__("iterations_run", 2.5),
                  id="iterations-float"),
+    # waypoint_xy must hold the waypoints' scenario positions exactly
+    pytest.param("routes[0].waypoint_xy[1]",
+                 lambda d: d["routes"][0]["waypoint_xy"].__setitem__(
+                     1, d["routes"][0]["waypoint_xy"][0]), id="waypoint_xy-another-point"),
+    pytest.param("routes[0].waypoint_xy[0]",
+                 lambda d: d["routes"][0]["waypoint_xy"][0].__setitem__(
+                     0, d["routes"][0]["waypoint_xy"][0][0] + 1e-9), id="waypoint_xy-moved"),
+    pytest.param("routes[0].waypoint_xy[0][1]",
+                 lambda d: d["routes"][0]["waypoint_xy"][0].__setitem__(1, float("nan")),
+                 id="waypoint_xy-nan"),
+    pytest.param("routes[0].waypoint_xy[2]",
+                 lambda d: d["routes"][0]["waypoint_xy"].__setitem__(2, "x"),
+                 id="waypoint_xy-string"),
+    pytest.param("routes[0].waypoint_xy",
+                 lambda d: d["routes"][0]["waypoint_xy"].pop(), id="waypoint_xy-short"),
+    pytest.param("routes[0].waypoint_xy",
+                 lambda d: d["routes"][0].pop("waypoint_xy"), id="waypoint_xy-missing"),
 ])
 def test_simulate_rejects_an_inconsistent_plan(small_files, tmp_path, capsys, field, mutate):
     _assert_mutated_plan_rejected(small_files, tmp_path, capsys, field, mutate)
@@ -536,6 +553,40 @@ def test_bad_search_or_compare_flag_fails_before_any_work(tmp_path, capsys, argv
     rc = main(argv + ["-o", str(tmp_path / "out")])
     assert rc == code
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_GA = ["plan", "-s", "x.json", "--method", "ga"]
+_PSO = ["plan", "-s", "x.json", "--method", "pso"]
+_COMPARE = ["compare", "--methods", "greedy", "--seeds", "1"]
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    pytest.param(_GA + ["--ga-pop", "1"], 2, "--ga-pop 1: population must be >= 2",
+                 id="plan-ga-pop"),
+    pytest.param(_GA + ["--ga-gens", "-3"], 2, "--ga-gens -3: generations must be >= 0",
+                 id="plan-ga-gens"),
+    pytest.param(_PSO + ["--pso-swarm", "0"], 2, "--pso-swarm 0: swarm must be >= 2",
+                 id="plan-pso-swarm"),
+    pytest.param(_PSO + ["--pso-iters", "-1"], 2, "--pso-iters -1: iterations must be >= 0",
+                 id="plan-pso-iters"),
+    pytest.param(_COMPARE + ["--ga-pop", "1"], 2, "--ga-pop 1: population must be >= 2",
+                 id="compare-ga-pop"),
+    pytest.param(_COMPARE + ["--edges", "0"], 4, "--edges 0: n_edges must be >= 1, got 0",
+                 id="compare-edges"),
+    pytest.param(_COMPARE + ["--sensors", "0"], 4,
+                 "--sensors 0: n_sensors must be >= 1, got 0", id="compare-sensors"),
+    pytest.param(_COMPARE + ["--sweep-sensors", "20:40:20", "--edges", "-1"], 4,
+                 "--edges -1: n_edges must be >= 1, got -1", id="compare-sweep-edges"),
+    pytest.param(["generate", "--sensors", "0"], 2,
+                 "--sensors 0: n_sensors must be >= 1, got 0", id="generate-sensors"),
+    pytest.param(["generate", "--edges", "0"], 2, "--edges 0: n_edges must be >= 1, got 0",
+                 id="generate-edges"),
+])
+def test_bad_config_flag_is_named_with_its_value(tmp_path, capsys, argv, code, message):
+    rc = main(argv + ["-o", str(tmp_path / "out")])
+    assert rc == code
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

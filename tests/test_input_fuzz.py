@@ -7,10 +7,9 @@ breaks it, and the run exits with a documented code (1 for a bad file, 2 for
 a bad config value) and an error message, without a traceback.  The JSON
 mutations are: drop an object key, replace a value by one of another JSON
 type, make a number NaN, infinite or a bool, and put an id or an id map key
-out of range.  Only two kinds of field may be dropped or changed without
-breaking the document: the physical parameters of a scenario, which have
-defaults equal to the generated values, and a route's ``waypoint_xy``, which
-the plan reader does not read.
+out of range.  Only the physical parameters of a scenario, which have
+defaults equal to the generated values, may be dropped without breaking the
+document.
 """
 
 import contextlib
@@ -110,9 +109,7 @@ def _apply(doc, path, op, arg):
 
 
 def _may_stay_valid(kind: str, path: tuple, op: str) -> bool:
-    if kind == "scenario":
-        return op == "drop" and len(path) == 2 and path[0] == "physical"
-    return kind == "plan" and "waypoint_xy" in path
+    return kind == "scenario" and op == "drop" and len(path) == 2 and path[0] == "physical"
 
 
 def _config_case(data) -> tuple[str, bool]:
