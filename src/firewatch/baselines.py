@@ -476,13 +476,14 @@ def _pso_search(ws: _Workspace, cfg: PsoConfig, m: int):
         vel = INERTIA * vel + C1 * r1 * (pbest - pos) + C2 * r2 * (gbest - pos)
         pos = np.clip(pos + vel, 1.0, m)
         fits, viols, orders = evaluate(pos)
-        for i in range(cfg.swarm):
-            if fits[i] < pbest_fit[i]:
-                pbest[i] = pos[i].copy()
-                pbest_fit[i] = fits[i]
-            if fits[i] < gbest_fit:
-                gbest, gbest_fit = pos[i].copy(), fits[i]
-                gbest_viol, gbest_order = viols[i], orders[i]
+        better = fits < pbest_fit
+        pbest[better] = pos[better]
+        pbest_fit[better] = fits[better]
+        # argmin keeps the first of equal minima, as a strict < scan would
+        i = int(np.argmin(fits))
+        if fits[i] < gbest_fit:
+            gbest, gbest_fit = pos[i].copy(), fits[i]
+            gbest_viol, gbest_order = viols[i], orders[i]
 
     if gbest_viol != 0:
         return None

@@ -7,8 +7,10 @@ plan or events file exits 1 with a message naming the JSON path of the
 field, for example ``plan routes[0].waypoints[3]``; a bad flag or config
 value exits 2 naming the flag or config key.
 
-Config files are flat key=value text (keys are flag names with underscores);
-precedence is CLI flag > config file > built-in default.  All randomness
+Config files are flat key=value text (keys are flag names with underscores).
+Their values become the subcommand's parser defaults before argv is parsed
+again, so precedence is CLI flag > config file > built-in default for any
+spelling of a flag that argparse accepts.  All randomness
 flows from --seed through labeled sub-seed hashing, so repeated runs produce
 byte-identical outputs apart from the *_time_s timing columns.
 """
@@ -45,8 +47,10 @@ METHODS = ("proposed", "ga", "pso", "greedy")
 
 # ---------------------------------------------------------------- config file
 
-def _read_config_file(path: str) -> dict[str, str]:
-    vals: dict[str, str] = {}
+def _config_as_defaults(parser: argparse.ArgumentParser, path: str) -> None:
+    """Make each key=value of the config file at ``path`` the default of
+    ``parser``'s flag of that name, converted and checked as argparse would."""
+    by_dest = {a.dest: a for a in parser._actions if a.option_strings}
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.strip()
@@ -54,58 +58,45 @@ def _read_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise InputError(f"{path}:{lineno}: expected key=value")
-            key, val = line.split("=", 1)
-            vals[key.strip()] = val.strip()
-    return vals
-
-
-def _flag_on_argv(argv: list[str], option_strings: list[str]) -> bool:
-    return any(a == opt or a.startswith(opt + "=")
-               for a in argv for opt in option_strings)
-
-
-def apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Overlay config-file values onto parsed args; CLI flags win."""
-    if not getattr(args, "config", None):
-        return
-    vals = _read_config_file(args.config)
-    parser: argparse.ArgumentParser = args._parser
-    by_dest = {a.dest: a for a in parser._actions if a.option_strings}
-    for key, text in vals.items():
-        action = by_dest.get(key)
-        if action is None or key in ("config", "help"):
-            parser.error(f"unknown config key {key!r} in {args.config}")
-        if _flag_on_argv(argv, action.option_strings):
-            continue
-        try:
-            value = (action.type or str)(text)
-        except ValueError:
-            parser.error(f"config key {key!r}: invalid value {text!r}")
-        if action.choices is not None and value not in action.choices:
-            parser.error(f"config key {key!r}: invalid choice {text!r}")
-        setattr(args, action.dest, value)
+            key, text = (part.strip() for part in line.split("=", 1))
+            action = by_dest.get(key)
+            if action is None or key in ("config", "help"):
+                parser.error(f"unknown config key {key!r} in {path}")
+            try:
+                value = (action.type or str)(text)
+            except ValueError:
+                parser.error(f"config key {key!r}: invalid value {text!r}")
+            if action.choices is not None and value not in action.choices:
+                parser.error(f"config key {key!r}: invalid choice {text!r}")
+            parser.set_defaults(**{key: value})
 
 
 # --------------------------------------------------------------- shared flags
 
 def _add_algo_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int, default=0, help="base seed (all sub-seeds derive from it)")
-    sp.add_argument("--omega-h", type=float, default=1.5, help="fire-history weight")
-    sp.add_argument("--omega-d", type=float, default=0.7, help="distance weight in edge scoring")
-    sp.add_argument("--omega-l", type=float, default=0.3, help="load weight in edge scoring")
-    sp.add_argument("--lam", type=float, default=0.1, help="service-time weight in the objective")
-    sp.add_argument("--epsilon-m", type=float, default=10.0, help="k-means convergence threshold, m")
-    sp.add_argument("--theta-max", type=float, default=0.8, help="delivery-edge utilization cap")
+    d = AlgoParams()
+    sp.add_argument("--seed", type=int, default=d.seed,
+                    help="base seed (all sub-seeds derive from it)")
+    sp.add_argument("--omega-h", type=float, default=d.omega_h, help="fire-history weight")
+    sp.add_argument("--omega-d", type=float, default=d.omega_d,
+                    help="distance weight in edge scoring")
+    sp.add_argument("--omega-l", type=float, default=d.omega_l, help="load weight in edge scoring")
+    sp.add_argument("--lam", type=float, default=d.lam, help="service-time weight in the objective")
+    sp.add_argument("--epsilon-m", type=float, default=d.epsilon_m,
+                    help="k-means convergence threshold, m")
+    sp.add_argument("--theta-max", type=float, default=d.theta_max,
+                    help="delivery-edge utilization cap")
     sp.add_argument("--fleet-init", choices=[m.value for m in FleetInitMode],
-                    default=FleetInitMode.ONE.value,
+                    default=d.fleet_init_mode.value,
                     help="initial fleet size rule for the sizing loop")
 
 
 def _add_search_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--ga-pop", type=int, default=50, help="GA population size")
-    sp.add_argument("--ga-gens", type=int, default=100, help="GA generations")
-    sp.add_argument("--pso-swarm", type=int, default=30, help="PSO swarm size")
-    sp.add_argument("--pso-iters", type=int, default=100, help="PSO iterations")
+    ga, pso = GaConfig(), PsoConfig()
+    sp.add_argument("--ga-pop", type=int, default=ga.population, help="GA population size")
+    sp.add_argument("--ga-gens", type=int, default=ga.generations, help="GA generations")
+    sp.add_argument("--pso-swarm", type=int, default=pso.swarm, help="PSO swarm size")
+    sp.add_argument("--pso-iters", type=int, default=pso.iterations, help="PSO iterations")
 
 
 def _algo_from_args(args: argparse.Namespace, seed: int | None = None) -> AlgoParams:
@@ -145,9 +136,7 @@ def _make_plan(method: str, scenario, algo: AlgoParams, args: argparse.Namespace
     ga, pso = _search_from_args(args, algo.seed)
     if method == "ga":
         return ga_plan(scenario, algo, ga)
-    if method == "pso":
-        return pso_plan(scenario, algo, pso)
-    raise ValueError(f"unknown method {method!r}")
+    return pso_plan(scenario, algo, pso)
 
 
 def _mean_ci(xs: list[float]) -> tuple[float, float | None, float | None]:
@@ -184,16 +173,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_metrics_csv(path: str, rows: list[dict]) -> None:
-    fields = ["method", "variant", "seed", "n_sensors", "fleet",
-              "total_route_length_m", "total_energy_wh", "mean_response_s",
-              "planning_time_s"]
-    with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=fields)
-        w.writeheader()
-        w.writerows(rows)
-
-
 def _plan_metrics(pl, scenario) -> dict:
     return {
         "method": pl.method,
@@ -223,7 +202,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     save_plan(pl, scenario, os.path.join(args.out_dir, "plan.json"))
     write_route_csv(pl, scenario, os.path.join(args.out_dir, "routes.csv"))
     row = _plan_metrics(pl, scenario)
-    _write_metrics_csv(os.path.join(args.out_dir, "metrics.csv"), [row])
+    _write_rows(os.path.join(args.out_dir, "metrics.csv"), list(row), [row])
     print(f"plan: method={pl.method} variant={pl.variant} fleet={pl.m} "
           f"route_m={row['total_route_length_m']:.0f} "
           f"mean_response_s={row['mean_response_s']:.1f} -> {args.out_dir}")
@@ -292,17 +271,6 @@ def _parse_sweep(text: str) -> list[int]:
     return list(range(start, stop + 1, step))
 
 
-def _compare_cell(method: str, seed: int, args: argparse.Namespace,
-                  gen: GenConfig | None, fixed_scenario) -> dict:
-    scenario = fixed_scenario if fixed_scenario is not None else generate(
-        replace(gen, seed=seed))
-    algo = _algo_from_args(args, seed=seed)
-    pl = _make_plan(method, scenario, algo, args)
-    row = _plan_metrics(pl, scenario)
-    row["responses"] = sorted(totals(all_responses(pl, scenario)[0]).tolist())
-    return row
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     bad = [m for m in methods if m not in METHODS]
@@ -331,43 +299,47 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     cells: dict[tuple[int, int, str], dict] = {}
     failures: list[dict] = []
-    keys = [(n, s, meth) for n in ns for s in seeds for meth in methods]
-    for key in keys:
-        try:
-            cells[key] = _compare_cell(key[2], key[1], args, gens.get(key[0]), fixed_scenario)
-        except InfeasibleError as exc:
-            failures.append({"n_sensors": key[0], "seed": key[1], "method": key[2],
-                             "error": str(exc)})
+    for n in ns:
+        for s in seeds:
+            scenario = (fixed_scenario if fixed_scenario is not None
+                        else generate(replace(gens[n], seed=s)))
+            algo = _algo_from_args(args, seed=s)
+            for meth in methods:
+                try:
+                    pl = _make_plan(meth, scenario, algo, args)
+                except InfeasibleError as exc:
+                    failures.append({"n_sensors": n, "seed": s, "method": meth,
+                                     "error": str(exc)})
+                    continue
+                row = _plan_metrics(pl, scenario)
+                row["responses"] = sorted(totals(all_responses(pl, scenario)[0]).tolist())
+                cells[(n, s, meth)] = row
 
     os.makedirs(args.out_dir, exist_ok=True)
+    # one aggregate per (n, method): summary.json's "means" entry; means.csv
+    # splits each *_ci pair into *_ci_lo/*_ci_hi and adds the mean planning time
+    aggs: dict[tuple[int, str], dict] = {}
     means_rows, cdf_rows, pair_rows = [], [], []
-    summary_means: dict = {}
     for n in ns:
         for meth in methods:
             rows = [cells[(n, s, meth)] for s in seeds if (n, s, meth) in cells]
             if not rows:
                 continue
-            resp = [r["mean_response_s"] for r in rows]
-            ener = [r["total_energy_wh"] for r in rows]
-            fleet = [float(r["fleet"]) for r in rows]
-            length = [r["total_route_length_m"] for r in rows]
-            rm, rlo, rhi = _mean_ci(resp)
-            em, elo, ehi = _mean_ci(ener)
-            fm, flo, fhi = _mean_ci(fleet)
-            means_rows.append({
-                "n_sensors": n, "method": meth, "seeds_ok": len(rows),
-                "mean_response_s": rm, "response_ci_lo": _fmt(rlo), "response_ci_hi": _fmt(rhi),
-                "total_energy_wh": em, "energy_ci_lo": _fmt(elo), "energy_ci_hi": _fmt(ehi),
-                "fleet": fm, "fleet_ci_lo": _fmt(flo), "fleet_ci_hi": _fmt(fhi),
-                "total_route_length_m": float(np.mean(length)),
-                "planning_time_s_mean": float(np.mean([r["planning_time_s"] for r in rows])),
-            })
-            summary_means[f"n={n},method={meth}"] = {
-                "seeds_ok": len(rows), "mean_response_s": rm,
-                "response_ci": [rlo, rhi], "total_energy_wh": em,
-                "energy_ci": [elo, ehi], "fleet": fm, "fleet_ci": [flo, fhi],
-                "total_route_length_m": float(np.mean(length)),
-            }
+            agg = aggs[(n, meth)] = {"seeds_ok": len(rows)}
+            for metric, ci in (("mean_response_s", "response_ci"),
+                               ("total_energy_wh", "energy_ci"), ("fleet", "fleet_ci")):
+                mean, lo, hi = _mean_ci([float(r[metric]) for r in rows])
+                agg[metric], agg[ci] = mean, [lo, hi]
+            agg["total_route_length_m"] = float(np.mean([r["total_route_length_m"]
+                                                         for r in rows]))
+            csv_row = {"n_sensors": n, "method": meth, "planning_time_s_mean":
+                       float(np.mean([r["planning_time_s"] for r in rows]))}
+            for key, value in agg.items():
+                if key.endswith("_ci"):
+                    csv_row[key + "_lo"], csv_row[key + "_hi"] = map(_fmt, value)
+                else:
+                    csv_row[key] = value
+            means_rows.append(csv_row)
             pooled = sorted(t for r in rows for t in r["responses"])
             for i, t in enumerate(pooled):
                 cdf_rows.append({"n_sensors": n, "method": meth, "response_s": t,
@@ -402,16 +374,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     growth = {}
     if len(ns) > 1:
         for meth in methods:
-            lo = next((r for r in means_rows
-                       if r["method"] == meth and r["n_sensors"] == ns[0]), None)
-            hi = next((r for r in means_rows
-                       if r["method"] == meth and r["n_sensors"] == ns[-1]), None)
+            lo, hi = aggs.get((ns[0], meth)), aggs.get((ns[-1], meth))
             if lo and hi and lo["fleet"] > 0:
                 growth[meth] = hi["fleet"] / lo["fleet"]
 
     summary = {
         "methods": methods, "seeds": len(seeds), "n_sensors": ns,
-        "means": summary_means,
+        "means": {f"n={n},method={meth}": agg for (n, meth), agg in aggs.items()},
         "pairwise_proposed_minus_baseline": pair_rows,
         "fleet_growth_factor": growth,
         "failures": failures,
@@ -423,7 +392,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     ok_cells = {(n, s) for (n, s, _m) in cells}
     all_cells = {(n, s) for n in ns for s in seeds}
-    print(f"compare: {len(cells)}/{len(keys)} cells ok, "
+    print(f"compare: {len(cells)}/{len(ns) * len(seeds) * len(methods)} cells ok, "
           f"{len(failures)} failures -> {args.out_dir}")
     return EXIT_OK if ok_cells == all_cells else EXIT_INFEASIBLE
 
@@ -446,16 +415,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="firewatch",
         description="UAV wildfire-monitoring planner and simulator")
     sub = ap.add_subparsers(dest="command", required=True)
+    gen = GenConfig()
 
     g = sub.add_parser("generate", help="write a scenario JSON file")
-    g.add_argument("--sensors", type=int, default=200)
-    g.add_argument("--edges", type=int, default=5)
-    g.add_argument("--hotspots", type=int, default=3)
-    g.add_argument("--hotspot-fraction", type=float, default=0.6)
-    g.add_argument("--hotspot-sigma", type=float, default=800.0)
-    g.add_argument("--fire-history-max", type=int, default=100)
-    g.add_argument("--area-km2", type=float, default=100.0)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--sensors", type=int, default=gen.n_sensors)
+    g.add_argument("--edges", type=int, default=gen.n_edges)
+    g.add_argument("--hotspots", type=int, default=gen.n_hotspots)
+    g.add_argument("--hotspot-fraction", type=float, default=gen.hotspot_fraction)
+    g.add_argument("--hotspot-sigma", type=float, default=gen.hotspot_sigma_m)
+    g.add_argument("--fire-history-max", type=int, default=gen.fire_history_max)
+    g.add_argument("--area-km2", type=float, default=PhysicalParams().area_km2)
+    g.add_argument("--seed", type=int, default=gen.seed)
     g.add_argument("-o", "--out", default="scenario.json")
     g.add_argument("--config", default=None, help="key=value config file")
     g.set_defaults(func=cmd_generate, _parser=g)
@@ -491,8 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fixed scenario file (else generated per seed)")
     co.add_argument("--methods", default="proposed,ga,pso,greedy")
     co.add_argument("--seeds", type=int, default=20, help="number of seeds (0..N-1)")
-    co.add_argument("--sensors", type=int, default=200)
-    co.add_argument("--edges", type=int, default=5)
+    co.add_argument("--sensors", type=int, default=gen.n_sensors)
+    co.add_argument("--edges", type=int, default=gen.n_edges)
     co.add_argument("--sweep-sensors", default=None, metavar="START:STOP:STEP")
     _add_algo_flags(co)
     _add_search_flags(co)
@@ -507,7 +477,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        apply_config(args, argv)
+        if args.config:
+            # config values become defaults, so argv, parsed again, overrides them
+            _config_as_defaults(args._parser, args.config)
+            args = parser.parse_args(argv)
         # a bad algorithm or search flag is a usage error
         if hasattr(args, "omega_h"):
             _algo_from_args(args)

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import EdgeNode, PhysicalParams, Point2D, RequestProfile, Sensor
+from .model import EdgeNode, PhysicalParams, Point2D, RequestProfile, Sensor, _require_finite
 from .reader import Doc, read
 
 SCHEMA_VERSION = 1
@@ -49,14 +50,13 @@ class GenConfig:
             raise ValueError("n_hotspots must be >= 0")
         if not 0.0 <= self.hotspot_fraction <= 1.0:
             raise ValueError("hotspot_fraction must be in [0, 1]")
-        if self.hotspot_sigma_m <= 0:
-            raise ValueError("hotspot_sigma_m must be > 0")
+        _require_finite(self, positive=("hotspot_sigma_m",))
         if self.fire_history_max < 1:
             raise ValueError("fire_history_max must be >= 1")
         for name in ("alpha_range_mb", "beta_range_mi", "edge_capacity_range_mips"):
             lo, hi = getattr(self, name)
-            if not 0 < lo <= hi:
-                raise ValueError(f"{name} must satisfy 0 < lo <= hi, got ({lo}, {hi})")
+            if not 0 < lo <= hi < math.inf:
+                raise ValueError(f"{name} must satisfy 0 < lo <= hi < inf, got ({lo}, {hi})")
 
 
 @dataclass(frozen=True)

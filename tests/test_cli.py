@@ -257,6 +257,23 @@ def test_config_file_defaults_and_precedence(tmp_path):
     assert len(load_scenario(str(b)).sensors) == 30
 
 
+@pytest.mark.parametrize("override", [
+    pytest.param(lambda scen: ["-s", str(scen), "--se", "1"], id="abbreviated-long-option"),
+    pytest.param(lambda scen: [f"-s{scen}", "--seed", "1"], id="attached-short-option"),
+])
+def test_any_flag_spelling_beats_the_config_file(small_files, tmp_path, override):
+    scen, _ = small_files
+    other = tmp_path / "other.json"
+    assert main(["generate", "--sensors", "30", "--edges", "3", "-o", str(other)]) == 0
+    cfg = tmp_path / "plan.cfg"
+    cfg.write_text(f"seed = 3\nscenario = {other}\n")
+    out = tmp_path / "out"
+    assert main(["plan", "--config", str(cfg), *override(scen), "-o", str(out)]) == 0
+    assert json.loads((out / "plan.json").read_text())["seed"] == 1
+    with open(out / "metrics.csv") as f:
+        assert [r["n_sensors"] for r in csv.DictReader(f)] == ["40"]
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "gen.cfg"
     cfg.write_text("bogus = 1\n")
@@ -582,6 +599,12 @@ _COMPARE = ["compare", "--methods", "greedy", "--seeds", "1"]
                  "--sensors 0: n_sensors must be >= 1, got 0", id="generate-sensors"),
     pytest.param(["generate", "--edges", "0"], 2, "--edges 0: n_edges must be >= 1, got 0",
                  id="generate-edges"),
+    pytest.param(["generate", "--sensors", "40", "--hotspot-sigma", "nan"], 2,
+                 "--hotspot-sigma nan: hotspot_sigma_m must be finite and > 0, got nan",
+                 id="generate-hotspot-sigma-nan"),
+    pytest.param(["generate", "--sensors", "40", "--hotspot-sigma", "inf"], 2,
+                 "--hotspot-sigma inf: hotspot_sigma_m must be finite and > 0, got inf",
+                 id="generate-hotspot-sigma-inf"),
 ])
 def test_bad_config_flag_is_named_with_its_value(tmp_path, capsys, argv, code, message):
     rc = main(argv + ["-o", str(tmp_path / "out")])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -83,6 +84,19 @@ def test_two_opt_brute_force_oracle():
         opt = brute_force_tour_optimum(depot, xy)
         got = tour_length(depot, xy[improved])
         assert opt - 1e-6 <= got <= tour_length(depot, xy[nn]) + 1e-9
+
+
+def test_brute_force_oracle_equals_a_tour_length_loop():
+    """The batched oracle scores every kept permutation with tour_length's
+    arithmetic, so it equals the loop's minimum exactly, not approximately."""
+    rng = np.random.default_rng(33)
+    for n in range(2, 9):
+        for _ in range(3):
+            xy = rng.uniform(0, 1000, size=(n, 2))
+            depot = tuple(rng.uniform(0, 1000, size=2))
+            loop = min(tour_length(depot, xy[list(p)])
+                       for p in itertools.permutations(range(n)) if p[0] < p[-1])
+            assert brute_force_tour_optimum(depot, xy) == loop
 
 
 # coordinates on a coarse grid half the time, so points and the depot often

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -34,19 +33,25 @@ def brute_force_tour_optimum(depot_xy, xy: np.ndarray) -> float:
     """Exact optimum of the closed tour depot -> points -> depot.
 
     Mirror tours have equal length, so permutations with first > last are
-    skipped.  Only sane for <= 8 points.
+    skipped.  The rest are scored at once with ``tour_length``'s arithmetic,
+    so the result equals the minimum of ``tour_length`` over them bit for
+    bit: the legs in visiting order are a norm over the last axis, summed
+    per tour, and the closing leg is ``sqrt(c @ c)``, the dot kernel a 1-D
+    ``np.linalg.norm`` uses (a norm over an axis may round differently).
+    Only sane for <= 8 points.
     """
     n = len(xy)
     if n == 0:
         return 0.0
     if n == 1:
         return tour_length(depot_xy, xy)
-    best = math.inf
-    for perm in itertools.permutations(range(n)):
-        if perm[0] > perm[-1]:
-            continue
-        best = min(best, tour_length(depot_xy, xy[list(perm)]))
-    return best
+    perms = np.array([p for p in itertools.permutations(range(n)) if p[0] < p[-1]])
+    depot = np.broadcast_to(np.asarray(depot_xy, dtype=float), (len(perms), 1, 2))
+    pts = np.concatenate([depot, xy[perms]], axis=1)
+    legs = np.linalg.norm(np.diff(pts, axis=1), axis=2).sum(axis=1)
+    c = pts[:, -1] - pts[:, 0]
+    closing = np.sqrt(c[:, None, :] @ c[:, :, None])[:, 0, 0]
+    return float((legs + closing).min())
 
 
 def blob(center, offsets):
