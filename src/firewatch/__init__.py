@@ -2,10 +2,10 @@
 monitoring with edge computing.
 
 Modules:
-    model            core value types, geometry, link ranges, sensor partition
-    scenario         scenario generation and JSON (de)serialization
+    model            core value types, geometry, link ranges
+    scenario         scenario generation, JSON (de)serialization, read-only columns
     clustering       fire-history-weighted k-means and coverage check
-    edge_assignment  two-phase cluster/sensor -> edge assignment with repair
+    edge_assignment  direct/UAV split, cluster -> edge assignment with repair
     routing          nearest-neighbor tours, 2-opt improvement, route energy
     timing           response-time model
     planner          adaptive fleet sizing loop and plan validation/export
@@ -26,7 +26,6 @@ from .model import (
     derive_seed,
     distance,
     link_ranges,
-    partition_sensors,
 )
 from .scenario import GenConfig, Scenario, generate, load_scenario, save_scenario
 
@@ -46,7 +45,6 @@ __all__ = [
     "generate",
     "link_ranges",
     "load_scenario",
-    "partition_sensors",
     "save_scenario",
 ]
 

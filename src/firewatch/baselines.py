@@ -38,11 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# assign_clusters and repair_overload stay importable here: bench/tracer.py
-# wraps them under this module's name
+from . import planner
+# assign_clusters and repair_overload stay importable here, and phase 1 is
+# looked up as planner.assign_direct: bench/tracer.py wraps those names
 from .edge_assignment import assign_clusters, repair_overload  # noqa: F401
 from .model import MB_TO_MBIT, AlgoParams, derive_seed
-from .planner import Plan, size_fleet, split_and_assign_direct
+from .planner import Plan, size_fleet
 from .routing import Route, build_route, route_energy, tour_length
 from .timing import execution_time, transmission_time
 
@@ -93,7 +94,7 @@ class _Workspace:
     def __init__(self, scenario, algo: AlgoParams):
         self.algo = algo
         self.p = p = scenario.physical
-        self.uav_ids, self.direct_map, self.load0 = split_and_assign_direct(scenario)
+        self.uav_ids, self.direct_map, self.load0 = planner.assign_direct(scenario)
         self.n = len(self.uav_ids)
         xy = scenario.xy[self.uav_ids]
         self.alpha = scenario.alpha_mb[self.uav_ids]
@@ -507,11 +508,11 @@ def greedy_plan(scenario, algo: AlgoParams) -> Plan:
     positions (cycling), append each sensor in id order to the cluster whose
     current route end is nearest, then route nearest-neighbor only."""
     t0 = time.perf_counter()
-    uav_ids, direct_map, load0 = split_and_assign_direct(scenario)
+    uav_ids, direct_map, load0 = planner.assign_direct(scenario)
     xy = scenario.xy[uav_ids]
 
     def clusters_at(m):
-        ends = scenario.edge_xy[np.arange(m) % len(scenario.edges)]
+        ends = scenario.edge_xy[np.arange(m) % len(scenario.edge_xy)]
         labels = np.empty(len(uav_ids), dtype=int)
         for i in range(len(uav_ids)):   # uav_ids ascend
             k = int(np.argmin(np.linalg.norm(ends - xy[i], axis=1)))

@@ -274,11 +274,15 @@ def _parse_sweep(text: str) -> list[int]:
 def cmd_compare(args: argparse.Namespace) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     bad = [m for m in methods if m not in METHODS]
-    if bad or not methods:
-        print(f"error: unknown methods {bad}", file=sys.stderr)
-        return EXIT_BADSPEC
-    if args.seeds < 1:
-        print("error: --seeds must be >= 1", file=sys.stderr)
+    repeated = [m for k, m in enumerate(methods) if m in methods[:k]]
+    spec_error = (
+        f"unknown methods {bad}" if bad or not methods
+        else f"--methods names {repeated[0]} more than once" if repeated
+        else "-s/--scenario fixes the sensor count; it cannot be combined with "
+             "--sweep-sensors" if args.scenario and args.sweep_sensors
+        else "--seeds must be >= 1" if args.seeds < 1 else None)
+    if spec_error:
+        print(f"error: {spec_error}", file=sys.stderr)
         return EXIT_BADSPEC
     try:
         # --sensors is not read when --sweep-sensors is given

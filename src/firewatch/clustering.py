@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import derive_seed, partition_sensors
+from .edge_assignment import assign_direct
+from .model import derive_seed
 
 MAX_ITERS = 300
 # coverage_improvement_check: k-means convergence threshold (m) of both arms,
@@ -166,8 +167,7 @@ def coverage_improvement_check(scenario, m: int, omega_h: float,
     Both arms start from identical initial centers per seed; the experienced
     distances are averaged over seeds.
     """
-    _, uav_ids = partition_sensors(scenario.sensors, scenario.edges, scenario.physical)
-    ids = np.array(uav_ids, dtype=int)
+    ids = assign_direct(scenario)[0]
     weights = sensor_weight(scenario.fire_history[ids], omega_h)
     w_max = float(weights.max())
     high_mask = scenario.fire_history[ids] > HIGH_RISK_MIN

@@ -1,8 +1,9 @@
 """Two-phase assignment of service load onto edge nodes.
 
-Phase 1 maps direct sensors to their nearest in-range edge.  Phase 2 maps
-clusters, in ascending cluster id, to the edge minimizing a blend of
-normalized mean distance and prospective utilization:
+Phase 1 maps a sensor to its nearest edge when that edge is in range; the
+rest are UAV-served.  Phase 2 maps clusters, in ascending cluster id, to the
+edge minimizing a blend of normalized mean distance and prospective
+utilization:
 
     score = omega_d * (mean_dist / d_norm) + omega_l * (load + demand) / capacity
 
@@ -13,11 +14,12 @@ fails and the caller should grow the fleet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EdgeNode, PhysicalParams, Sensor, distance, link_ranges
+from .model import link_ranges
 
 
 class RepairFailure(Exception):
@@ -47,24 +49,26 @@ class Assignment:
     load: EdgeLoadState
 
 
-def assign_direct(direct_sensors: list[Sensor], edges: list[EdgeNode],
-                  p: PhysicalParams) -> tuple[dict[int, int], EdgeLoadState]:
-    """Phase 1: each direct sensor joins its nearest in-range edge (ties by
-    lowest edge id) and adds compute_mi / t_period to that edge's load."""
+def assign_direct(scenario) -> tuple[np.ndarray, dict[int, int], EdgeLoadState]:
+    """Phase 1, one pass in ascending sensor id: a sensor whose nearest edge
+    (ties to the lowest id) is within r_se, inclusive, is direct, joins that
+    edge and adds beta / t_period to its load.  Returns the UAV-served ids
+    (ascending), the direct sensor -> edge map and the load state."""
+    p = scenario.physical
     _, _, r_se = link_ranges(p)
-    load = EdgeLoadState([0.0] * len(edges), [e.capacity_mips for e in edges])
-    direct_map: dict[int, int] = {}
-    for s in sorted(direct_sensors, key=lambda s: s.id):
-        best, best_d = None, None
-        for e in edges:
-            d = distance(s.pos, e.pos)
-            if d <= r_se and (best_d is None or d < best_d):
-                best, best_d = e.id, d
-        if best is None:
-            raise ValueError(f"sensor {s.id} has no edge within {r_se} m")
-        direct_map[s.id] = best
-        load.loads_mips[best] += s.request.compute_mi / p.t_period_s
-    return direct_map, load
+    edges, beta = scenario.edge_xy.tolist(), scenario.beta_mi.tolist()
+    load = EdgeLoadState([0.0] * len(edges), scenario.capacity.tolist())
+    direct_map, uav_ids = {}, []
+    for i, (x, y) in enumerate(scenario.xy.tolist()):
+        d = [math.hypot(x - ex, y - ey) for ex, ey in edges]
+        d_min = min(d, default=math.inf)
+        if d_min <= r_se:
+            k = d.index(d_min)    # the first minimum, so ties go to the lowest id
+            direct_map[i] = k
+            load.loads_mips[k] += beta[i] / p.t_period_s
+        else:
+            uav_ids.append(i)
+    return np.array(uav_ids, dtype=int), direct_map, load
 
 
 def cluster_demand(beta_mi, t_period_s: float) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 from . import timing
 from .clustering import cluster_radius
 from .edge_assignment import EdgeLoadState
-from .model import AlgoParams, Point2D, derive_seed, distance, link_ranges
+from .model import AlgoParams, derive_seed, link_ranges
 from .reader import read
 # kept importable: bench/tracer.py wraps response_time under this module's name
 from .timing import execution_time, expected_wait, response_time  # noqa: F401
@@ -109,39 +109,44 @@ class RouteGeometry:
         """Arc length from the depot to waypoint widx (0-based tour index)."""
         return float(self.cum[widx + 1])
 
-    def position_at_arc(self, arc_m: float) -> Point2D:
+    def position_at_arc(self, arc_m: float) -> tuple[float, float]:
+        """The (x, y) point at arc length arc_m along the closed tour."""
         xy = self._xy
         if self.length_m == 0.0:
-            return Point2D(*xy[0])
+            return tuple(xy[0])
         cum = self._cum
         arc = arc_m % self.length_m
         i = min(bisect.bisect_right(cum, arc) - 1, len(xy) - 1)
         leg = cum[i + 1] - cum[i]
         (ax, ay), (bx, by) = xy[i], xy[(i + 1) % len(xy)]
         frac = (arc - cum[i]) / leg if leg > 0 else 0.0
-        return Point2D(ax + frac * (bx - ax), ay + frac * (by - ay))
+        return ax + frac * (bx - ax), ay + frac * (by - ay)
 
 
-def select_dispatch_uav(candidates: list[tuple[int, Point2D]], sensor_pos: Point2D,
-                        edges) -> int:
-    """Dispatch rule: among available UAVs minimize straight-line distance to
-    the sensor plus sensor-to-nearest-edge distance (ties by lowest uav id)."""
+def select_dispatch_uav(candidates: list[tuple[int, tuple[float, float]]],
+                        sensor_xy: tuple[float, float], edge_xy) -> int:
+    """Dispatch rule: among available (uav id, (x, y)) candidates minimize
+    straight-line distance to the sensor plus sensor-to-nearest-edge distance
+    (ties by lowest uav id)."""
     if not candidates:
         raise ValueError("no available UAV")
-    to_edge = min(distance(sensor_pos, e.pos) for e in edges)
-    return min(candidates, key=lambda c: (distance(c[1], sensor_pos) + to_edge, c[0]))[0]
+    sx, sy = sensor_xy
+    to_edge = min(math.hypot(sx - ex, sy - ey) for ex, ey in edge_xy)
+    return min(candidates, key=lambda c: (math.hypot(c[1][0] - sx, c[1][1] - sy) + to_edge,
+                                          c[0]))[0]
 
 
-def select_delivery_edge(sensor_pos: Point2D, edges, load: EdgeLoadState,
+def select_delivery_edge(sensor_xy: tuple[float, float], edge_xy, load: EdgeLoadState,
                          theta_max: float) -> tuple[int, bool]:
-    """Nearest edge with utilization below theta_max (ties by lowest id).
-    When every edge is saturated, falls back to the least utilized one and
-    reports it via the second return value."""
-    ok = [e for e in edges if load.utilization(e.id) < theta_max]
+    """Nearest of the (x, y) ``edge_xy`` rows with utilization below theta_max
+    (ties by lowest id).  When every edge is saturated, falls back to the
+    least utilized one and reports it via the second return value."""
+    sx, sy = sensor_xy
+    ok = [k for k in range(len(edge_xy)) if load.utilization(k) < theta_max]
+    # min keeps the first of equal keys, so ties go to the lowest id
     if ok:
-        return min(ok, key=lambda e: (distance(sensor_pos, e.pos), e.id)).id, False
-    least = min(edges, key=lambda e: (load.utilization(e.id), e.id))
-    return least.id, True
+        return min(ok, key=lambda k: math.hypot(sx - edge_xy[k][0], sy - edge_xy[k][1])), False
+    return min(range(len(edge_xy)), key=load.utilization), True
 
 
 def resume_waypoint(current_xy, geom: RouteGeometry) -> int | None:
@@ -158,6 +163,8 @@ def generate_events(scenario, plan, n_events: int, horizon_s: float, seed: int,
                     min_history: int = 50) -> list[EmergencyEvent]:
     """Auto-generate alerts at the n highest-fire-history UAV-served sensors
     scoring above min_history, at uniform-random times within the horizon."""
+    if n_events < 0:
+        raise ValueError(f"n_events must be >= 0, got {n_events}")
     assignment = plan.clustering.assignment
     ids = np.fromiter(assignment, dtype=int, count=len(assignment))
     history = scenario.fire_history[ids]
@@ -209,7 +216,7 @@ class _UavState:
         self.ref_arc = phase_m
         self.available = True
 
-    def patrol_pos(self, t: float, v_g: float) -> Point2D:
+    def patrol_pos(self, t: float, v_g: float) -> tuple[float, float]:
         return self.geom.position_at_arc(self.ref_arc + v_g * (t - self.ref_time))
 
 
@@ -226,7 +233,7 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
         raise ValueError(f"unknown dispatch_policy {dispatch_policy!r}")
     if horizon_s <= 0:
         raise ValueError(f"horizon_s must be > 0, got {horizon_s}")
-    n = len(scenario.sensors)
+    n = len(scenario.xy)
     for k, e in enumerate(events):
         if not 0 <= e.sensor_id < n:
             raise ValueError(f"events[{k}].sensor_id: {e.sensor_id} is not a sensor id "
@@ -239,6 +246,7 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
     v = p.v_g
     terms, cluster = timing.all_responses(plan, scenario)
     tra_s, exe_s = terms[:, 1].tolist(), terms[:, 2].tolist()
+    edge_xy, capacity = scenario.edge_xy.tolist(), scenario.capacity.tolist()
     geoms = [RouteGeometry.from_route(r, scenario) for r in plan.routes]
     rng = np.random.default_rng(derive_seed(algo.seed, "patrol-phase"))
     phases = tuple(float(rng.uniform(0.0, g.length_m)) if g.length_m > 0 else 0.0
@@ -275,31 +283,27 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
 
     def dispatch(seq: int, ev: EmergencyEvent, uav_id: int, now: float):
         nonlocal free_seq
-        uav = uavs[uav_id]
-        s = scenario.sensors[ev.sensor_id]
-        pos0 = uav.patrol_pos(now, v)
-        t_disp = distance(pos0, s.pos) / v
-        t_tra = tra_s[ev.sensor_id]
-        if ev.sensor_id not in delivery:
-            delivery[ev.sensor_id] = select_delivery_edge(
-                s.pos, scenario.edges, plan.assignment.load, algo.theta_max)
-        eid, fb = delivery[ev.sensor_id]
-        edge = scenario.edges[eid]
-        t_del = distance(s.pos, edge.pos) / v
-        t_exe = execution_time(s.request.compute_mi, edge.capacity_mips)
+        uav, sid = uavs[uav_id], ev.sensor_id
+        sx, sy = scenario.xy[sid].tolist()
+        px, py = uav.patrol_pos(now, v)
+        t_disp = math.hypot(px - sx, py - sy) / v
+        t_tra = tra_s[sid]
+        if sid not in delivery:
+            delivery[sid] = select_delivery_edge(
+                (sx, sy), edge_xy, plan.assignment.load, algo.theta_max)
+        eid, fb = delivery[sid]
+        ex, ey = edge_xy[eid]
+        t_del = math.hypot(sx - ex, sy - ey) / v
+        t_exe = execution_time(float(scenario.beta_mi[sid]), capacity[eid])
         arrive = now + t_disp + t_tra + t_del
         t_queue = now - ev.alert_time_s
         resp = t_queue + t_disp + t_tra + t_del + t_exe
 
-        widx = resume_waypoint(scenario.edge_xy[eid], uav.geom)
-        if widx is None:
-            target = Point2D(float(uav.geom.points[0, 0]), float(uav.geom.points[0, 1]))
-            arc = 0.0
-        else:
-            target = Point2D(float(uav.geom.points[widx + 1, 0]),
-                             float(uav.geom.points[widx + 1, 1]))
-            arc = uav.geom.arc_of_waypoint(widx)
-        t_back = arrive + distance(edge.pos, target) / v
+        widx = resume_waypoint((ex, ey), uav.geom)
+        # the depot for an empty tour, else the resume waypoint
+        tx, ty = uav.geom.points[0 if widx is None else widx + 1].tolist()
+        arc = 0.0 if widx is None else uav.geom.arc_of_waypoint(widx)
+        t_back = arrive + math.hypot(ex - tx, ey - ty) / v
 
         uav.available = False
         absences[uav_id].append((now, t_back))
@@ -307,7 +311,7 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
         free_seq += 1
 
         traces[seq] = EmergencyTrace(
-            event_seq=seq, sensor_id=ev.sensor_id, alert_time_s=ev.alert_time_s,
+            event_seq=seq, sensor_id=sid, alert_time_s=ev.alert_time_s,
             priority=ev.priority, uav_id=uav_id, edge_id=eid, t_queue_s=t_queue,
             t_dispatch_travel_s=t_disp, t_tra_s=t_tra, t_delivery_travel_s=t_del,
             t_exe_s=t_exe, response_time_s=resp, resume_waypoint=widx,
@@ -324,7 +328,7 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
             _, seq, ev = heapq.heappop(pending[key])
             uav_id = key if own else select_dispatch_uav(
                 [(i, u.patrol_pos(now, v)) for i, u in enumerate(uavs) if u.available],
-                scenario.sensors[ev.sensor_id].pos, scenario.edges)
+                scenario.xy[ev.sensor_id].tolist(), edge_xy)
             dispatch(seq, ev, uav_id, now)
 
     while timeline:
@@ -405,14 +409,13 @@ def emergency_response_bound(plan, scenario, theta_max: float) -> float:
     if not uav_ids:
         raise ValueError("plan has no UAV-served sensors")
     t_tra_max = float(timing.all_responses(plan, scenario)[0][uav_ids, 1].max())
+    edge_xy, capacity = scenario.edge_xy.tolist(), scenario.capacity.tolist()
     d_del, t_exe_max = 0.0, 0.0
     for sid in uav_ids:
-        s = scenario.sensors[sid]
-        eid, _ = select_delivery_edge(s.pos, scenario.edges, plan.assignment.load,
-                                      theta_max)
-        d_del = max(d_del, distance(s.pos, scenario.edges[eid].pos))
-        t_exe_max = max(t_exe_max, execution_time(
-            s.request.compute_mi, scenario.edges[eid].capacity_mips))
+        sx, sy = scenario.xy[sid].tolist()
+        eid, _ = select_delivery_edge((sx, sy), edge_xy, plan.assignment.load, theta_max)
+        d_del = max(d_del, math.hypot(sx - edge_xy[eid][0], sy - edge_xy[eid][1]))
+        t_exe_max = max(t_exe_max, execution_time(float(scenario.beta_mi[sid]), capacity[eid]))
     return 2.0 * r_max / p.v_g + d_del / p.v_g + t_tra_max + t_exe_max
 
 

@@ -179,22 +179,6 @@ def link_ranges(p: PhysicalParams) -> tuple[float, float, float]:
     return r_sg, r_ge, r_se
 
 
-def partition_sensors(sensors, edges, p: PhysicalParams):
-    """Split sensors into direct-to-edge and UAV-served groups.
-
-    A sensor is direct iff some edge node lies within the sensor-edge link
-    range (inclusive).  Returns (direct_ids, uav_ids), both ascending.
-    """
-    _, _, r_se = link_ranges(p)
-    direct, uav = [], []
-    for s in sorted(sensors, key=lambda s: s.id):
-        if any(distance(s.pos, e.pos) <= r_se for e in edges):
-            direct.append(s.id)
-        else:
-            uav.append(s.id)
-    return direct, uav
-
-
 def derive_seed(base_seed: int, label: str) -> int:
     """Derive a labeled 63-bit sub-seed from a base seed.
 

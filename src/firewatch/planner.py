@@ -32,8 +32,7 @@ from .clustering import Clustering, sensor_weight, weighted_kmeans
 from .edge_assignment import (Assignment, EdgeLoadState, RepairFailure,
                               assign_clusters, assign_direct, cluster_demand,
                               repair_overload)
-from .model import (AlgoParams, FleetInitMode, PhysicalParams, Variant, derive_seed,
-                    link_ranges, partition_sensors)
+from .model import AlgoParams, FleetInitMode, PhysicalParams, Variant, derive_seed, link_ranges
 from .reader import Doc, InputError, read
 from .routing import Route, build_route, route_energy, tour_length, tour_lower_bound
 
@@ -93,17 +92,6 @@ def initial_fleet_size(p: PhysicalParams, mode: FleetInitMode) -> int:
     r_sg, _, _ = link_ranges(p)
     count = math.ceil(p.area_m2 / (math.pi * r_sg * r_sg))
     return max(1, min(count, p.m_max))
-
-
-def split_and_assign_direct(scenario):
-    """Phase-1 work shared by the planner and all baselines: the ascending
-    ids of the UAV-served sensors, plus the direct-sensor edge map and its
-    load state."""
-    p = scenario.physical
-    direct_ids, uav_ids = partition_sensors(scenario.sensors, scenario.edges, p)
-    direct_map, load0 = assign_direct([scenario.sensors[i] for i in direct_ids],
-                                      scenario.edges, p)
-    return np.array(uav_ids, dtype=int), direct_map, load0
 
 
 def _weighted_centroid(ids: np.ndarray, scenario, omega_h: float) -> tuple[float, float]:
@@ -251,7 +239,7 @@ def plan_at_fleet(scenario, algo: AlgoParams, m: int,
 
 def _proposed(scenario, algo: AlgoParams, variant: Variant, at_m: int | None) -> Plan:
     t0 = time.perf_counter()
-    uav_ids, direct_map, load0 = split_and_assign_direct(scenario)
+    uav_ids, direct_map, load0 = assign_direct(scenario)
     route = build_route
     if variant in (Variant.NO_2OPT, Variant.NO_BOTH):
         route = functools.partial(build_route, use_two_opt=False)
@@ -259,6 +247,20 @@ def _proposed(scenario, algo: AlgoParams, variant: Variant, at_m: int | None) ->
                       lambda m: _cluster_for_m(uav_ids, m, scenario, algo, variant),
                       route, method="proposed", seed=algo.seed, t0=t0,
                       variant=variant.value, at_m=at_m, binding=None)
+
+
+def _edge_loads(assignment: Assignment, routes, scenario) -> list[float]:
+    """Each edge's load recomputed from the direct and cluster maps: a direct
+    sensor's demand, then each cluster's summed in its route's visit order."""
+    p = scenario.physical
+    beta = scenario.beta_mi.tolist()
+    loads = [0.0] * len(scenario.edge_xy)
+    for sid, eid in assignment.direct_map.items():
+        loads[eid] += beta[sid] / p.t_period_s
+    for j, eid in assignment.cluster_map.items():
+        loads[eid] += cluster_demand(scenario.beta_mi[list(routes[j].waypoints)],
+                                     p.t_period_s)
+    return loads
 
 
 def validate_plan(pl: Plan, scenario) -> ConstraintReport:
@@ -274,13 +276,7 @@ def validate_plan(pl: Plan, scenario) -> ConstraintReport:
         revisit_margin = min(revisit_margin, p.t_max_s - length / p.v_g)
         energy_margin = min(energy_margin, p.e_max_wh - energy)
 
-    beta = scenario.beta_mi.tolist()
-    loads = [0.0] * len(scenario.edges)
-    for sid, eid in pl.assignment.direct_map.items():
-        loads[eid] += beta[sid] / p.t_period_s
-    for j, eid in pl.assignment.cluster_map.items():
-        loads[eid] += cluster_demand(scenario.beta_mi[list(pl.routes[j].waypoints)],
-                                     p.t_period_s)
+    loads = _edge_loads(pl.assignment, pl.routes, scenario)
     capacity_margin = min(c - l for c, l in zip(scenario.capacity.tolist(), loads))
 
     fleet_margin = float(p.m_max - pl.m)
@@ -345,7 +341,7 @@ def _check_structure(clustering: Clustering, assignment: Assignment, routes, sce
     if direct & uav:
         raise InputError(f"plan assignment.direct_map: sensor {min(direct & uav)} is "
                          f"also in clustering.assignment")
-    unserved = set(range(len(scenario.sensors))) - direct - uav
+    unserved = set(range(len(scenario.xy))) - direct - uav
     if unserved:
         raise InputError(f"plan clustering.assignment: sensor {min(unserved)} is in neither "
                          f"clustering.assignment nor assignment.direct_map")
@@ -394,7 +390,7 @@ def load_plan(path: str, scenario) -> Plan:
     outside the scenario or parts that disagree raise InputError naming the
     plan field."""
     doc = read(path, PLAN_SCHEMA_VERSION, "plan ")
-    n, p, m = len(scenario.sensors), len(scenario.edges), doc["m"].integer(1)
+    n, p, m = len(scenario.xy), len(scenario.edge_xy), doc["m"].integer(1)
     clust = doc["clustering"]
     centers = tuple(_pair(c) for c in clust["centers"].rows())
     if len(centers) != m:
@@ -403,7 +399,8 @@ def load_plan(path: str, scenario) -> Plan:
                             centers=centers,
                             iterations_run=clust["iterations_run"].integer(0))
     assign = doc["assignment"]
-    loads = [v.number() for v in assign["loads_mips"].rows()]
+    load_rows = assign["loads_mips"].rows()
+    loads = [v.number() for v in load_rows]
     if len(loads) != p:
         assign["loads_mips"].fail(f"{len(loads)} loads for {p} edges")
     assignment = Assignment(direct_map=assign["direct_map"].id_map(n, p),
@@ -426,6 +423,12 @@ def load_plan(path: str, scenario) -> Plan:
     # after the structure checks, so a wrong waypoint list is named as such
     for r, route in zip(rows, routes):
         _check_waypoint_xy(r["waypoint_xy"], route.waypoints, scenario)
+    # the capacity-scaled part absorbs a repair move's residue on an emptied edge
+    for row, got, want, cap in zip(load_rows, loads, _edge_loads(assignment, routes, scenario),
+                                   scenario.capacity.tolist()):
+        if not math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9 * cap):
+            row.fail(f"{got!r} differs from {want!r} recomputed from the direct and "
+                     f"cluster maps")
     return Plan(m=m, clustering=clustering, assignment=assignment, routes=routes,
                 planning_time_s=0.0, method=doc["method"].string(),
                 variant=doc["variant"].string(), seed=doc["seed"].integer())

@@ -16,11 +16,12 @@ emergency simulator read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MB_TO_MBIT, PhysicalParams, Point2D, distance, link_ranges
+from .model import MB_TO_MBIT, PhysicalParams, link_ranges
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ def all_responses(plan, scenario) -> tuple[np.ndarray, np.ndarray]:
     are computed once per cluster."""
     p = scenario.physical
     uav, direct = plan.clustering.assignment, plan.assignment.direct_map
-    cluster = np.full(len(scenario.sensors), -1)
+    cluster = np.full(len(scenario.xy), -1)
     cluster[list(uav)] = list(uav.values())
     cluster[list(direct)] = -1
     # per-cluster lists end with the entry that cluster -1 (direct) reads
@@ -94,9 +95,9 @@ def all_responses(plan, scenario) -> tuple[np.ndarray, np.ndarray]:
     if (edge < 0).any():
         raise ValueError(f"sensor {np.argmax(edge < 0)} is not assigned in the plan")
     wait = [expected_wait(r.length_m, p) for r in plan.routes] + [0.0]
-    ferry = [moving_time(distance(Point2D(*plan.clustering.centers[j]),
-                                  scenario.edges[k].pos), p.v_g)
-             for j, k in enumerate(cluster_edge)] + [0.0]
+    edge_xy = scenario.edge_xy.tolist()
+    ferry = [moving_time(math.hypot(cx - edge_xy[k][0], cy - edge_xy[k][1]), p.v_g)
+             for (cx, cy), k in zip(plan.clustering.centers, cluster_edge)] + [0.0]
     terms = np.column_stack([
         np.where(cluster >= 0, 2.0 * p.per_hop_latency_s, p.per_hop_latency_s),
         scenario.alpha_mb * MB_TO_MBIT / p.data_rate_mbps,

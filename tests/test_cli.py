@@ -158,6 +158,16 @@ def test_simulate_too_many_events_exit_code(small_files, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_negative_event_count_exit_code(small_files, tmp_path, capsys):
+    scen, plandir = small_files
+    out = tmp_path / "sim"
+    rc = main(["simulate", "-s", str(scen), "-p", str(plandir / "plan.json"),
+               "--n-events", "-2", "-o", str(out)])
+    assert rc == 4
+    assert capsys.readouterr().err == "error: --n-events -2: n_events must be >= 0, got -2\n"
+    assert not out.exists()
+
+
 def test_simulate_bad_horizon(small_files, tmp_path, capsys):
     scen, plandir = small_files
     rc = main(["simulate", "-s", str(scen), "-p", str(plandir / "plan.json"),
@@ -236,6 +246,24 @@ def test_compare_bad_method(tmp_path, capsys):
     rc = main(["compare", "--methods", "proposed,bogus", "-o", str(tmp_path)])
     assert rc == 4
     assert "bogus" in capsys.readouterr().err
+
+
+def test_compare_rejects_a_repeated_method(tmp_path, capsys):
+    rc = main(["compare", "--methods", "greedy,proposed,greedy", "--seeds", "2",
+               "--sensors", "30", "-o", str(tmp_path / "c")])
+    assert rc == 4
+    assert capsys.readouterr().err == "error: --methods names greedy more than once\n"
+    assert not (tmp_path / "c").exists()
+
+
+def test_compare_rejects_a_scenario_file_with_a_sweep(small_files, tmp_path, capsys):
+    scen, _ = small_files
+    rc = main(["compare", "-s", str(scen), "--sweep-sensors", "20:40:20", "--methods",
+               "greedy", "--seeds", "1", "-o", str(tmp_path / "c")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "-s/--scenario" in err and "--sweep-sensors" in err
+    assert not (tmp_path / "c").exists()
 
 
 def test_compare_zero_seeds(tmp_path):
@@ -443,6 +471,14 @@ def _scale(field, factor):
                  lambda d: d["assignment"].__setitem__("loads_mips", 5), id="loads-int"),
     pytest.param("assignment.loads_mips",
                  lambda d: d["assignment"]["loads_mips"].__setitem__(0, "a"), id="load-string"),
+    # loads must equal those recomputed from the direct and cluster maps
+    pytest.param("assignment.loads_mips[0]",
+                 lambda d: d["assignment"].__setitem__(
+                     "loads_mips", [1e12] * len(d["assignment"]["loads_mips"])),
+                 id="loads-1e12"),
+    pytest.param("assignment.loads_mips[0]",
+                 lambda d: d["assignment"]["loads_mips"].__setitem__(
+                     0, d["assignment"]["loads_mips"][0] + 1.0), id="load-plus-one"),
     pytest.param("routes[0].uav_id", lambda d: d["routes"][0].__setitem__("uav_id", 7),
                  id="uav_id-7"),
     pytest.param("routes[0].uav_id", lambda d: d["routes"][0].__setitem__("uav_id", "x"),

@@ -10,7 +10,7 @@ from firewatch.clustering import (
     sensor_weight,
     weighted_kmeans,
 )
-from firewatch.model import partition_sensors
+from firewatch.edge_assignment import assign_direct
 from testutil import blob, build_scenario
 
 RNG = lambda seed=0: np.random.default_rng(seed)  # noqa: E731
@@ -257,7 +257,5 @@ def test_coverage_check_default_scenario_holds(default_scenario):
 
 def test_partition_feeds_clustering(default_scenario):
     # sanity: the default scenario leaves most sensors to the UAV side
-    direct, uav = partition_sensors(default_scenario.sensors,
-                                    default_scenario.edges,
-                                    default_scenario.physical)
-    assert len(uav) > len(direct)
+    uav, direct_map, _ = assign_direct(default_scenario)
+    assert len(uav) > len(direct_map)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from firewatch.edge_assignment import (
@@ -12,7 +12,7 @@ from firewatch.edge_assignment import (
     repair_overload,
 )
 from firewatch.model import PhysicalParams
-from testutil import build_scenario
+from testutil import build_scenario, phase1_oracle
 
 
 def test_assign_direct_tie_prefers_lowest_edge_id():
@@ -21,23 +21,81 @@ def test_assign_direct_tie_prefers_lowest_edge_id():
         [(400.0, 0.0, 0, 1.0, 360.0)],
         [(9000.0, 9000.0, 5000.0), (0.0, 0.0, 5000.0),
          (8000.0, 100.0, 5000.0), (800.0, 0.0, 5000.0)])
-    direct_map, load = assign_direct(list(sc.sensors), list(sc.edges), sc.physical)
+    uav_ids, direct_map, load = assign_direct(sc)
+    assert uav_ids.tolist() == []
     assert direct_map == {0: 1}
     assert load.loads_mips[1] == pytest.approx(360.0 / 3600.0)  # 0.1 MIPS
     assert load.loads_mips[0] == load.loads_mips[2] == load.loads_mips[3] == 0.0
 
 
 def test_assign_direct_empty_input():
-    sc = build_scenario([(0.0, 0.0, 0, 1.0, 100.0)], [(0.0, 0.0, 5000.0)])
-    direct_map, load = assign_direct([], list(sc.edges), sc.physical)
+    # no sensor within r_se = 500 m of the edge: nothing is direct
+    sc = build_scenario([(600.0, 0.0, 0, 1.0, 100.0)], [(0.0, 0.0, 5000.0)])
+    uav_ids, direct_map, load = assign_direct(sc)
+    assert uav_ids.tolist() == [0]
     assert direct_map == {}
     assert load.loads_mips == [0.0]
 
 
 def test_assign_direct_out_of_range_rejected():
-    sc = build_scenario([(5000.0, 5000.0, 0, 1.0, 100.0)], [(0.0, 0.0, 5000.0)])
-    with pytest.raises(ValueError):
-        assign_direct(list(sc.sensors), list(sc.edges), sc.physical)
+    # an out-of-range sensor is not taken as direct; it is left to the UAVs
+    sc = build_scenario([(5000.0, 5000.0, 0, 1.0, 100.0), (0.0, 400.0, 0, 1.0, 100.0)],
+                        [(0.0, 0.0, 5000.0)])
+    uav_ids, direct_map, _ = assign_direct(sc)
+    assert uav_ids.tolist() == [0]
+    assert direct_map == {1: 0}
+
+
+# multiples of 100 m put sensors exactly at r_se = 500 m from an edge (for
+# example at (300, 400) from it) and equally far from two edges
+_coord = st.one_of(st.integers(0, 20).map(lambda k: 100.0 * k), st.floats(0.0, 2000.0))
+
+
+@st.composite
+def _phase1_scenarios(draw):
+    """Up to 12 sensors drawn from a pool of at most 6 positions, so some
+    coincide, and 1-5 edges, the last one often the mirror image of the
+    first through a sensor, so that sensor is equally far from both."""
+    pool = draw(st.lists(st.tuples(_coord, _coord), min_size=1, max_size=6))
+    xy = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    beta = draw(st.lists(st.floats(100.0, 500.0), min_size=len(xy), max_size=len(xy)))
+    edges = draw(st.lists(st.tuples(_coord, _coord), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        (sx, sy), (ex, ey) = draw(st.sampled_from(xy)), edges[0]
+        edges.append((2.0 * sx - ex, 2.0 * sy - ey))
+    return build_scenario([(x, y, 0, 1.0, b) for (x, y), b in zip(xy, beta)],
+                          [(x, y, 5000.0) for x, y in edges])
+
+
+def _sensors(*xy):
+    return [(x, y, 0, 1.0, 100.0 + 37.0 * i) for i, (x, y) in enumerate(xy)]
+
+
+@given(_phase1_scenarios())
+# a sensor equally far from edges 1 and 2, another from edges 0 and 3
+@example(build_scenario(_sensors((400.0, 0.0), (1000.0, 1000.0)),
+                        [(1000.0, 700.0, 5000.0), (0.0, 0.0, 5000.0), (800.0, 0.0, 5000.0),
+                         (1000.0, 1300.0, 5000.0)]))
+# exactly at r_se, inside it and just outside it
+@example(build_scenario(_sensors((500.0, 0.0), (300.0, 400.0), (500.0, 1e-9)),
+                        [(0.0, 0.0, 5000.0)]))
+# coincident sensors
+@example(build_scenario(_sensors((100.0, 100.0), (100.0, 100.0), (100.0, 100.0)),
+                        [(0.0, 0.0, 5000.0), (200.0, 200.0, 5000.0)]))
+# no sensor in range, and every sensor in range
+@example(build_scenario(_sensors((1500.0, 1500.0), (2000.0, 0.0)), [(0.0, 0.0, 5000.0)]))
+@example(build_scenario(_sensors((0.0, 0.0), (250.0, 0.0), (0.0, 500.0)),
+                        [(0.0, 0.0, 5000.0), (250.0, 250.0, 5000.0)]))
+def test_assign_direct_equals_the_two_pass_object_oracle(sc):
+    """The one-pass columnar phase 1 gives the UAV-served ids, direct map
+    and loads of the partition-then-assign passes over the objects, with
+    ``==`` on every load."""
+    uav_ids, direct_map, load = assign_direct(sc)
+    want_uav, want_map, want_loads = phase1_oracle(sc)
+    assert uav_ids.tolist() == want_uav
+    assert direct_map == want_map
+    assert load.loads_mips == want_loads
+    assert load.capacities_mips == [e.capacity_mips for e in sc.edges]
 
 
 def test_cluster_demand_examples():
@@ -174,17 +232,13 @@ def test_edge_load_state_helpers():
 
 def test_phase1_phase2_composition(default_scenario):
     """End-to-end conservation over the real pipeline inputs."""
-    from firewatch.model import partition_sensors
-
     sc = default_scenario
     p = sc.physical
-    direct_ids, uav_ids = partition_sensors(sc.sensors, sc.edges, p)
-    direct = [sc.sensors[i] for i in direct_ids]
-    direct_map, load0 = assign_direct(direct, list(sc.edges), p)
-    assert set(direct_map) == set(direct_ids)
+    uav_ids, direct_map, load0 = assign_direct(sc)
+    assert sorted([*direct_map, *uav_ids.tolist()]) == list(range(len(sc.sensors)))
 
     m = 4
-    members = [[i for k, i in enumerate(uav_ids) if k % m == j] for j in range(m)]
+    members = [[i for k, i in enumerate(uav_ids.tolist()) if k % m == j] for j in range(m)]
     _, load = assign_clusters(members, sc, load0, 0.7, 0.3,
                               p.diag_m, p.t_period_s)
     total = sum(s.request.compute_mi for s in sc.sensors) / p.t_period_s

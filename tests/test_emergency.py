@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from firewatch.edge_assignment import EdgeLoadState
-from firewatch.model import AlgoParams, PhysicalParams, Point2D, derive_seed
+from firewatch.model import AlgoParams, PhysicalParams, derive_seed
 from firewatch.planner import plan, plan_at_fleet
 from firewatch.emergency import (
     EmergencyEvent,
@@ -37,20 +37,18 @@ class TestRouteGeometry:
 
     def test_position_at_arc(self):
         g = _square_geom()
-        assert g.position_at_arc(0.0) == Point2D(0.0, 0.0)
-        p = g.position_at_arc(15.0)
-        assert (p.x, p.y) == (pytest.approx(10.0), pytest.approx(5.0))
+        assert g.position_at_arc(0.0) == (0.0, 0.0)
+        assert g.position_at_arc(15.0) == (pytest.approx(10.0), pytest.approx(5.0))
         # wraps modulo the perimeter
-        q = g.position_at_arc(55.0)
-        assert (q.x, q.y) == (pytest.approx(10.0), pytest.approx(5.0))
+        assert g.position_at_arc(55.0) == (pytest.approx(10.0), pytest.approx(5.0))
 
     @given(st.floats(0.0, 500.0), st.floats(0.0, 39.9))
     def test_speed_bound(self, t, phase):
         # a UAV at 10 m/s moves at most 2.5 m in 0.25 s along its loop
         g = _square_geom()
-        a = g.position_at_arc(phase + 10.0 * t)
-        b = g.position_at_arc(phase + 10.0 * (t + 0.25))
-        assert math.hypot(a.x - b.x, a.y - b.y) <= 10.0 * 0.25 + 1e-9
+        ax, ay = g.position_at_arc(phase + 10.0 * t)
+        bx, by = g.position_at_arc(phase + 10.0 * (t + 0.25))
+        assert math.hypot(ax - bx, ay - by) <= 10.0 * 0.25 + 1e-9
 
 
 def _oracle_geometry(points):
@@ -64,7 +62,7 @@ def _oracle_geometry(points):
 def _oracle_position(points, cum, length_m, arc_m):
     """position_at_arc on numpy rows with np.searchsorted."""
     if length_m == 0.0:
-        return Point2D(float(points[0, 0]), float(points[0, 1]))
+        return float(points[0, 0]), float(points[0, 1])
     arc = arc_m % length_m
     i = int(np.searchsorted(cum, arc, side="right")) - 1
     i = min(i, len(points) - 1)
@@ -73,7 +71,7 @@ def _oracle_position(points, cum, length_m, arc_m):
     b = points[(i + 1) % len(points)]
     frac = (arc - cum[i]) / leg if leg > 0 else 0.0
     pt = a + frac * (b - a)
-    return Point2D(float(pt[0]), float(pt[1]))
+    return float(pt[0]), float(pt[1])
 
 
 @st.composite
@@ -121,48 +119,36 @@ def test_geometry_matches_per_leg_norm_bit_for_bit(points, fractions):
         assert g.position_at_arc(arc) == _oracle_position(points, cum, length_m, arc)
 
 
-def _edges(*xy, cap=5000.0):
-    sc = build_scenario([(0.0, 0.0, 0, 1.0, 100.0)],
-                        [(x, y, cap) for x, y in xy])
-    return sc.edges
-
-
 class TestDispatchSelection:
     def test_nearest_combined_distance_wins(self):
-        edges = _edges((0.0, 0.0))
-        sensor = Point2D(1000.0, 0.0)
-        cands = [(0, Point2D(3000.0, 0.0)), (1, Point2D(1500.0, 0.0))]
-        assert select_dispatch_uav(cands, sensor, edges) == 1
+        cands = [(0, (3000.0, 0.0)), (1, (1500.0, 0.0))]
+        assert select_dispatch_uav(cands, (1000.0, 0.0), [(0.0, 0.0)]) == 1
 
     def test_tie_breaks_lowest_id(self):
-        edges = _edges((0.0, 0.0))
-        sensor = Point2D(0.0, 0.0)
-        cands = [(4, Point2D(100.0, 0.0)), (2, Point2D(0.0, 100.0))]
-        assert select_dispatch_uav(cands, sensor, edges) == 2
+        cands = [(4, (100.0, 0.0)), (2, (0.0, 100.0))]
+        assert select_dispatch_uav(cands, (0.0, 0.0), [(0.0, 0.0)]) == 2
 
     def test_empty_raises(self):
-        edges = _edges((0.0, 0.0))
         with pytest.raises(ValueError):
-            select_dispatch_uav([], Point2D(0.0, 0.0), edges)
+            select_dispatch_uav([], (0.0, 0.0), [(0.0, 0.0)])
 
 
 class TestDeliveryEdge:
+    EDGE_XY = [(0.0, 0.0), (4000.0, 0.0)]
+
     def test_nearest_free_edge(self):
-        edges = _edges((0.0, 0.0), (4000.0, 0.0))
         load = EdgeLoadState([0.0, 0.0], [5000.0, 5000.0])
-        eid, fb = select_delivery_edge(Point2D(3000.0, 0.0), edges, load, 0.8)
+        eid, fb = select_delivery_edge((3000.0, 0.0), self.EDGE_XY, load, 0.8)
         assert (eid, fb) == (1, False)
 
     def test_saturated_nearest_skipped(self):
-        edges = _edges((0.0, 0.0), (4000.0, 0.0))
         load = EdgeLoadState([0.0, 4500.0], [5000.0, 5000.0])
-        eid, fb = select_delivery_edge(Point2D(3000.0, 0.0), edges, load, 0.8)
+        eid, fb = select_delivery_edge((3000.0, 0.0), self.EDGE_XY, load, 0.8)
         assert (eid, fb) == (0, False)
 
     def test_all_saturated_falls_back_least_utilized(self):
-        edges = _edges((0.0, 0.0), (4000.0, 0.0))
         load = EdgeLoadState([4500.0, 4600.0], [5000.0, 5000.0])
-        eid, fb = select_delivery_edge(Point2D(3900.0, 0.0), edges, load, 0.8)
+        eid, fb = select_delivery_edge((3900.0, 0.0), self.EDGE_XY, load, 0.8)
         assert (eid, fb) == (0, True)
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from firewatch.edge_assignment import assign_direct
 from firewatch.model import (
     MB_TO_MBIT,
     AlgoParams,
@@ -16,7 +17,6 @@ from firewatch.model import (
     derive_seed,
     distance,
     link_ranges,
-    partition_sensors,
 )
 from testutil import build_scenario
 
@@ -112,16 +112,17 @@ def test_partition_boundary_inclusive():
     specs = [(499.0, 0, 0, 1, 100), (500.0, 0, 0, 1, 100), (500.1, 0, 0, 1, 100)]
     sc = build_scenario([(x, y, h, a, b) for x, y, h, a, b in specs],
                         [(0, 0, 5000)])
-    direct, uav = partition_sensors(sc.sensors, sc.edges, sc.physical)
-    assert direct == [0, 1]
-    assert uav == [2]
+    uav, direct_map, _ = assign_direct(sc)
+    assert sorted(direct_map) == [0, 1]
+    assert uav.tolist() == [2]
 
 
 def test_partition_no_edges_all_uav():
-    sc = build_scenario([(10, 10, 0, 1, 100), (20, 20, 0, 1, 100)], [(0, 0, 5000)])
-    direct, uav = partition_sensors(sc.sensors, [], sc.physical)
-    assert direct == []
-    assert uav == [0, 1]
+    sc = build_scenario([(10, 10, 0, 1, 100), (20, 20, 0, 1, 100)], [])
+    uav, direct_map, load = assign_direct(sc)
+    assert direct_map == {}
+    assert uav.tolist() == [0, 1]
+    assert load.loads_mips == []
 
 
 @given(st.lists(st.tuples(st.floats(0, 10000), st.floats(0, 10000)),
@@ -131,9 +132,9 @@ def test_partition_no_edges_all_uav():
 def test_partition_disjoint_exhaustive(sensor_xy, edge_xy):
     sc = build_scenario([(x, y, 0, 1.0, 100.0) for x, y in sensor_xy],
                         [(x, y, 5000.0) for x, y in edge_xy])
-    direct, uav = partition_sensors(sc.sensors, sc.edges, sc.physical)
-    assert sorted(direct + uav) == [s.id for s in sc.sensors]
-    assert not (set(direct) & set(uav))
+    uav, direct_map, _ = assign_direct(sc)
+    assert sorted([*direct_map, *uav.tolist()]) == [s.id for s in sc.sensors]
+    assert not (set(direct_map) & set(uav.tolist()))
 
 
 def test_derive_seed_stable_and_label_sensitive():

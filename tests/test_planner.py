@@ -16,7 +16,6 @@ from firewatch.planner import (
     load_plan,
     save_plan,
     size_fleet,
-    split_and_assign_direct,
     validate_plan,
     write_route_csv,
 )
@@ -119,7 +118,7 @@ def test_bound_never_prunes_at_fleet_ceiling(monkeypatch):
 
 def test_routing_stops_at_first_route_over_a_limit():
     sc = dataclasses.replace(_far_blobs_scenario(), physical=PhysicalParams(m_max=3))
-    _, direct_map, load0 = split_and_assign_direct(sc)
+    _, direct_map, load0 = planner.assign_direct(sc)
     sizes, calls = [], []
 
     def clusters_at(m):

@@ -6,7 +6,8 @@ import itertools
 
 import numpy as np
 
-from firewatch.model import EdgeNode, PhysicalParams, Point2D, RequestProfile, Sensor
+from firewatch.model import (EdgeNode, PhysicalParams, Point2D, RequestProfile, Sensor,
+                             distance, link_ranges)
 from firewatch.routing import tour_length
 from firewatch.scenario import Scenario, ScenarioMeta
 
@@ -27,6 +28,32 @@ def build_scenario(sensor_specs, edge_specs, physical: PhysicalParams | None = N
         for k, (x, y, c) in enumerate(edge_specs))
     meta = ScenarioMeta(seed=0, hotspots=(), hotspot_sensor_ids=())
     return Scenario(physical=p, sensors=sensors, edges=edges, meta=meta)
+
+
+def phase1_oracle(scenario):
+    """Phase 1 as two passes over the Sensor and EdgeNode objects: split the
+    sensors, in ascending id, by whether any edge is within r_se; then attach
+    each direct sensor to its nearest in-range edge (ties by lowest edge id)
+    and add compute_mi / t_period to that edge's load.  Returns the UAV-served
+    ids, the direct map and the loads, as lists and a dict."""
+    p = scenario.physical
+    _, _, r_se = link_ranges(p)
+    direct, uav = [], []
+    for s in sorted(scenario.sensors, key=lambda s: s.id):
+        if any(distance(s.pos, e.pos) <= r_se for e in scenario.edges):
+            direct.append(s)
+        else:
+            uav.append(s.id)
+    direct_map, loads = {}, [0.0] * len(scenario.edges)
+    for s in direct:
+        best, best_d = None, None
+        for e in scenario.edges:
+            d = distance(s.pos, e.pos)
+            if d <= r_se and (best_d is None or d < best_d):
+                best, best_d = e.id, d
+        direct_map[s.id] = best
+        loads[best] += s.request.compute_mi / p.t_period_s
+    return uav, direct_map, loads
 
 
 def brute_force_tour_optimum(depot_xy, xy: np.ndarray) -> float:
