@@ -24,7 +24,6 @@ from .model import (
     Sensor,
     Variant,
     derive_seed,
-    distance,
     link_ranges,
 )
 from .scenario import GenConfig, Scenario, generate, load_scenario, save_scenario
@@ -41,7 +40,6 @@ __all__ = [
     "Sensor",
     "Variant",
     "derive_seed",
-    "distance",
     "generate",
     "link_ranges",
     "load_scenario",

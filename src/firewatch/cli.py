@@ -275,19 +275,26 @@ def cmd_compare(args: argparse.Namespace) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     bad = [m for m in methods if m not in METHODS]
     repeated = [m for k, m in enumerate(methods) if m in methods[:k]]
+    # the generator flags given; a fixed scenario takes none of them
+    gen_given = [flag for flag, value in (("--sweep-sensors", args.sweep_sensors),
+                                          ("--sensors", args.sensors), ("--edges", args.edges))
+                 if value is not None]
     spec_error = (
         f"unknown methods {bad}" if bad or not methods
         else f"--methods names {repeated[0]} more than once" if repeated
-        else "-s/--scenario fixes the sensor count; it cannot be combined with "
-             "--sweep-sensors" if args.scenario and args.sweep_sensors
+        else "-s/--scenario fixes the sensors and edges; it cannot be combined with "
+             + ", ".join(gen_given) if args.scenario and gen_given
         else "--seeds must be >= 1" if args.seeds < 1 else None)
     if spec_error:
         print(f"error: {spec_error}", file=sys.stderr)
         return EXIT_BADSPEC
     try:
-        # --sensors is not read when --sweep-sensors is given
-        base = _from_flags(GenConfig, args, {"n_edges": "--edges"} if args.sweep_sensors
-                           else {"n_sensors": "--sensors", "n_edges": "--edges"})
+        # --sensors is not read when --sweep-sensors is given, and a flag
+        # not given keeps GenConfig's default
+        flags = ({"n_edges": "--edges"} if args.sweep_sensors
+                 else {"n_sensors": "--sensors", "n_edges": "--edges"})
+        base = _from_flags(GenConfig, args,
+                           {field: flag for field, flag in flags.items() if flag in gen_given})
         ns = _parse_sweep(args.sweep_sensors) if args.sweep_sensors else [base.n_sensors]
         gens = {n: replace(base, n_sensors=n) for n in ns}
     except ValueError as exc:
@@ -465,8 +472,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fixed scenario file (else generated per seed)")
     co.add_argument("--methods", default="proposed,ga,pso,greedy")
     co.add_argument("--seeds", type=int, default=20, help="number of seeds (0..N-1)")
-    co.add_argument("--sensors", type=int, default=gen.n_sensors)
-    co.add_argument("--edges", type=int, default=gen.n_edges)
+    # no default value, so that -s/--scenario can tell a given flag
+    co.add_argument("--sensors", type=int, default=None,
+                    help=f"sensors per generated scenario (default {gen.n_sensors})")
+    co.add_argument("--edges", type=int, default=None,
+                    help=f"edges per generated scenario (default {gen.n_edges})")
     co.add_argument("--sweep-sensors", default=None, metavar="START:STOP:STEP")
     _add_algo_flags(co)
     _add_search_flags(co)

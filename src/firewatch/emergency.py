@@ -11,6 +11,13 @@ Each launch takes the highest fire-history pending alert (FIFO within equal
 priority) whose server is free: any UAV under the "nearest" policy, the
 sensor's own patrol UAV under "own_cluster".  Events at direct sensors are
 served straight from the edge, with terms from ``timing.all_responses``.
+
+What depends on the plan and scenario alone is built once per pair and
+reused while later ``simulate`` calls pass the same two objects: each
+route's geometry, the edge columns as lists, the resume waypoint of each
+(UAV, delivery edge) pair and the delivery edge of each (sensor,
+theta_max) pair.  The response-term table, the patrol phases (drawn from
+the call's seed) and the event timeline stay per call.
 """
 
 from __future__ import annotations
@@ -207,6 +214,38 @@ def load_events(path: str, n_sensors: int, horizon_s: float) -> list[EmergencyEv
     return events
 
 
+class _PlanState:
+    """What simulate derives from a plan and its scenario alone.  Plans and
+    scenarios are frozen and nothing changes a plan's loads after planning,
+    so none of it changes between calls on the same pair; a copy or a
+    reloaded file is another object and gets its own state."""
+
+    __slots__ = ("plan", "scenario", "geoms", "edge_xy", "capacity", "resume", "delivery")
+
+    def __init__(self, plan, scenario):
+        self.plan, self.scenario = plan, scenario
+        self.geoms = [RouteGeometry.from_route(r, scenario) for r in plan.routes]
+        self.edge_xy, self.capacity = scenario.edge_xy.tolist(), scenario.capacity.tolist()
+        # (uav id, edge id) -> (resume waypoint, its arc, edge-to-waypoint metres)
+        self.resume: dict[tuple[int, int], tuple[int | None, float, float]] = {}
+        # (sensor id, theta_max) -> (delivery edge id, fallback)
+        self.delivery: dict[tuple[int, float], tuple[int, bool]] = {}
+
+
+# one slot: daily drills call simulate on one deployed plan many times over
+_last_state: _PlanState | None = None
+
+
+def _plan_state(plan, scenario) -> _PlanState:
+    """The state of the last (plan, scenario) pair when both are the same
+    objects (``is``), else a new one that replaces it."""
+    global _last_state
+    state = _last_state
+    if state is None or state.plan is not plan or state.scenario is not scenario:
+        state = _last_state = _PlanState(plan, scenario)
+    return state
+
+
 class _UavState:
     __slots__ = ("geom", "ref_time", "ref_arc", "available")
 
@@ -244,10 +283,13 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
 
     p = scenario.physical
     v = p.v_g
+    # per call, not in the plan state: the benchmark tracer needs a timing
+    # span inside every simulate call
     terms, cluster = timing.all_responses(plan, scenario)
     tra_s, exe_s = terms[:, 1].tolist(), terms[:, 2].tolist()
-    edge_xy, capacity = scenario.edge_xy.tolist(), scenario.capacity.tolist()
-    geoms = [RouteGeometry.from_route(r, scenario) for r in plan.routes]
+    state = _plan_state(plan, scenario)
+    edge_xy, capacity, geoms = state.edge_xy, state.capacity, state.geoms
+    resume, delivery = state.resume, state.delivery
     rng = np.random.default_rng(derive_seed(algo.seed, "patrol-phase"))
     phases = tuple(float(rng.uniform(0.0, g.length_m)) if g.length_m > 0 else 0.0
                    for g in geoms)
@@ -266,9 +308,6 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
     pending: list[list] = [[] for _ in range(len(uavs) if own else 1)]
     traces: dict[int, EmergencyTrace] = {}
     absences: dict[int, list[tuple[float, float]]] = {j: [] for j in range(plan.m)}
-    # (edge id, fallback) per alerted sensor: the plan's edge loads do not
-    # change within a call, so each sensor's delivery edge is chosen once
-    delivery: dict[int, tuple[int, bool]] = {}
 
     def serve_direct(seq: int, ev: EmergencyEvent):
         sid = ev.sensor_id
@@ -288,10 +327,11 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
         px, py = uav.patrol_pos(now, v)
         t_disp = math.hypot(px - sx, py - sy) / v
         t_tra = tra_s[sid]
-        if sid not in delivery:
-            delivery[sid] = select_delivery_edge(
+        chosen = delivery.get((sid, algo.theta_max))
+        if chosen is None:
+            chosen = delivery[sid, algo.theta_max] = select_delivery_edge(
                 (sx, sy), edge_xy, plan.assignment.load, algo.theta_max)
-        eid, fb = delivery[sid]
+        eid, fb = chosen
         ex, ey = edge_xy[eid]
         t_del = math.hypot(sx - ex, sy - ey) / v
         t_exe = execution_time(float(scenario.beta_mi[sid]), capacity[eid])
@@ -299,11 +339,15 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
         t_queue = now - ev.alert_time_s
         resp = t_queue + t_disp + t_tra + t_del + t_exe
 
-        widx = resume_waypoint((ex, ey), uav.geom)
-        # the depot for an empty tour, else the resume waypoint
-        tx, ty = uav.geom.points[0 if widx is None else widx + 1].tolist()
-        arc = 0.0 if widx is None else uav.geom.arc_of_waypoint(widx)
-        t_back = arrive + math.hypot(ex - tx, ey - ty) / v
+        back = resume.get((uav_id, eid))
+        if back is None:
+            widx = resume_waypoint((ex, ey), uav.geom)
+            # the depot for an empty tour, else the resume waypoint
+            tx, ty = uav.geom.points[0 if widx is None else widx + 1].tolist()
+            arc = 0.0 if widx is None else uav.geom.arc_of_waypoint(widx)
+            back = resume[uav_id, eid] = (widx, arc, math.hypot(ex - tx, ey - ty))
+        widx, arc, d_back = back
+        t_back = arrive + d_back / v
 
         uav.available = False
         absences[uav_id].append((now, t_back))

@@ -56,11 +56,6 @@ class Point2D:
             raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
 
 
-def distance(a: Point2D, b: Point2D) -> float:
-    """Euclidean distance in meters."""
-    return math.hypot(a.x - b.x, a.y - b.y)
-
-
 @dataclass(frozen=True)
 class RequestProfile:
     """Per-period service request: data to collect and compute to run."""

@@ -266,6 +266,23 @@ def test_compare_rejects_a_scenario_file_with_a_sweep(small_files, tmp_path, cap
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("flags,named", [
+    (["--sensors", "100"], "--sensors"),
+    (["--edges", "9"], "--edges"),
+    (["--sensors", "100", "--edges", "9"], "--sensors, --edges"),
+])
+def test_compare_rejects_a_scenario_file_with_generator_flags(small_files, tmp_path, capsys,
+                                                              flags, named):
+    scen, _ = small_files
+    rc = main(["compare", "-s", str(scen), *flags, "--methods", "greedy", "--seeds", "1",
+               "-o", str(tmp_path / "c")])
+    assert rc == 4
+    assert capsys.readouterr().err == (
+        "error: -s/--scenario fixes the sensors and edges; it cannot be combined with "
+        f"{named}\n")
+    assert not (tmp_path / "c").exists()
+
+
 def test_compare_zero_seeds(tmp_path):
     rc = main(["compare", "--methods", "greedy", "--seeds", "0",
                "-o", str(tmp_path)])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, strategies as st
 from firewatch.edge_assignment import EdgeLoadState
 from firewatch.model import AlgoParams, PhysicalParams, derive_seed
 from firewatch.planner import plan, plan_at_fleet
+from firewatch.scenario import GenConfig, generate, load_scenario, save_scenario
 from firewatch.emergency import (
     EmergencyEvent,
     RouteGeometry,
@@ -392,13 +394,72 @@ def test_benchmark_tracer_sees_the_simulator_layers(monkeypatch, small_scenario)
     try:
         events = emergency.generate_events(small_scenario, pl, 3, 86400.0, seed=1)
         emergency.simulate(pl, small_scenario, events, 86400.0, AlgoParams())
+        emergency.simulate(pl, small_scenario, events, 86400.0, AlgoParams(seed=1))
     finally:
         rec.uninstall()
     spans = rec.take()
     sim = [s for s in spans if s.name == "emergency.simulate"]
-    assert len(sim) == 1
+    assert len(sim) == 2
     inside = [s for s in spans if s.parent == sim[0].sid]
     assert {s.layer for s in inside} >= {"emergency", "timing"}
     # one geometry per route, and the selection rules still called by name
     assert sum(s.name == "emergency.geometry" for s in inside) == pl.m
     assert any(s.name == "emergency.select" for s in inside)
+    # the same plan and scenario again: the geometry is reused, the response
+    # table and the dispatch rule still run inside the call
+    again = [s for s in spans if s.parent == sim[1].sid]
+    assert {s.name for s in again} >= {"timing.mean_response", "emergency.select"}
+    assert not any(s.name == "emergency.geometry" for s in again)
+
+
+_MEMO_HORIZON_S = 7200.0
+# theta_max 1e-5 is below every edge's utilization on both plans below, so
+# every delivery falls back; 0.8 leaves every edge free
+_THETAS = (0.8, 1e-5)
+
+
+@pytest.fixture(scope="module")
+def memo_pairs(tmp_path_factory):
+    """Two plans on one 80-sensor scenario (3 of them direct), and that
+    scenario saved and loaded back as another object."""
+    sc = generate(GenConfig(n_sensors=80, n_edges=3, seed=1))
+    first = plan(sc, AlgoParams())
+    plans = (first, plan_at_fleet(sc, AlgoParams(), first.m + 1))
+    path = tmp_path_factory.mktemp("memo") / "scenario.json"
+    save_scenario(sc, str(path))
+    return sc, plans, load_scenario(str(path))
+
+
+_memo_calls = st.lists(st.tuples(
+    st.integers(0, 1),                              # which plan
+    st.sampled_from(["nearest", "own_cluster"]),
+    st.sampled_from(_THETAS),
+    st.integers(0, 3),                              # seed of the patrol phases
+    # (sensor id, whole-second alert time, priority): instants often coincide
+    st.lists(st.tuples(st.integers(0, 79), st.integers(0, int(_MEMO_HORIZON_S)),
+                       st.integers(0, 100)), max_size=8)),
+    min_size=1, max_size=6)
+
+
+@given(calls=_memo_calls)
+@example(calls=[(0, "nearest", 0.8, 0, [(10, 100, 50)]),
+                (0, "nearest", 1e-5, 0, [(10, 100, 50)])])
+@example(calls=[(1, "own_cluster", 0.8, 0, [(10, 100, 50), (11, 100, 40)]),
+                (1, "nearest", 0.8, 2, [(10, 100, 50), (12, 100, 40)]),
+                (0, "nearest", 0.8, 2, [(10, 100, 50)]),
+                (1, "nearest", 1e-5, 1, [(10, 5, 50), (10, 5, 50)])])
+def test_simulate_on_a_reused_plan_equals_a_fresh_copy(memo_pairs, calls):
+    """Calls that switch plans, policies and theta_max give, bit for bit,
+    what the same call gives on copies of the plan and scenario, which
+    share no state with any earlier call."""
+    sc, plans, sc_copy = memo_pairs
+
+    def run(pl, scenario, policy, theta_max, seed, events):
+        evs = [EmergencyEvent(sid, float(t), prio) for sid, t, prio in events]
+        return simulate(pl, scenario, evs, _MEMO_HORIZON_S,
+                        AlgoParams(seed=seed, theta_max=theta_max), dispatch_policy=policy)
+
+    got = [run(plans[i], sc, *rest) for i, *rest in calls]
+    for (i, *rest), result in zip(calls, got):
+        # repr tells -0.0 from 0.0 and shows every float's bits
+        assert repr(result) == repr(run(replace(plans[i]), sc_copy, *rest))

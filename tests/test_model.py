@@ -15,30 +15,13 @@ from firewatch.model import (
     RequestProfile,
     Sensor,
     derive_seed,
-    distance,
     link_ranges,
 )
 from testutil import build_scenario
 
-coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-
 
 def test_mb_to_mbit_factor():
     assert MB_TO_MBIT == 8.0
-
-
-def test_distance_examples():
-    assert distance(Point2D(0, 0), Point2D(0, 0)) == 0.0
-    assert distance(Point2D(0, 0), Point2D(3, 4)) == 5.0
-    assert distance(Point2D(10, 10), Point2D(10, 25)) == 15.0
-
-
-@given(coords, coords, coords, coords, coords, coords)
-def test_distance_metric_properties(ax, ay, bx, by, cx, cy):
-    a, b, c = Point2D(ax, ay), Point2D(bx, by), Point2D(cx, cy)
-    assert distance(a, b) == distance(b, a)
-    assert distance(a, b) >= 0.0
-    assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-7
 
 
 def test_point_rejects_non_finite():

@@ -1,10 +1,12 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from firewatch.clustering import Clustering
 from firewatch.edge_assignment import Assignment, EdgeLoadState
-from firewatch.model import PhysicalParams, Point2D, distance
+from firewatch.model import PhysicalParams
 from firewatch.planner import Plan
 from firewatch.routing import Route
 from firewatch.timing import (
@@ -148,7 +150,8 @@ def test_all_responses_matches_scalar_model(default_plan, default_scenario):
                 transmission_time(s.request.data_size_mb, p.data_rate_mbps),
                 execution_time(s.request.compute_mi, edge.capacity_mips), 0.0, 0.0]
         if j >= 0:
-            ferry = distance(Point2D(*pl.clustering.centers[j]), edge.pos)
+            cx, cy = pl.clustering.centers[j]
+            ferry = math.hypot(cx - edge.pos.x, cy - edge.pos.y)
             want[3:] = [expected_wait(pl.routes[j].length_m, p), moving_time(ferry, p.v_g)]
         assert (terms[s.id].tolist(), cluster[s.id]) == (want, j)
 

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from firewatch.model import (EdgeNode, PhysicalParams, Point2D, RequestProfile, Sensor,
-                             distance, link_ranges)
+                             link_ranges)
 from firewatch.routing import tour_length
 from firewatch.scenario import Scenario, ScenarioMeta
 
@@ -40,7 +41,8 @@ def phase1_oracle(scenario):
     _, _, r_se = link_ranges(p)
     direct, uav = [], []
     for s in sorted(scenario.sensors, key=lambda s: s.id):
-        if any(distance(s.pos, e.pos) <= r_se for e in scenario.edges):
+        if any(math.hypot(s.pos.x - e.pos.x, s.pos.y - e.pos.y) <= r_se
+               for e in scenario.edges):
             direct.append(s)
         else:
             uav.append(s.id)
@@ -48,7 +50,7 @@ def phase1_oracle(scenario):
     for s in direct:
         best, best_d = None, None
         for e in scenario.edges:
-            d = distance(s.pos, e.pos)
+            d = math.hypot(s.pos.x - e.pos.x, s.pos.y - e.pos.y)
             if d <= r_se and (best_d is None or d < best_d):
                 best, best_d = e.id, d
         direct_map[s.id] = best
