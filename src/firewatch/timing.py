@@ -11,7 +11,12 @@ cluster-center-to-edge ferry leg.
 
 ``all_responses`` is the one implementation of this model: an (n, 5) table of
 every sensor's terms that ``response_time``, ``mean_response`` and the
-emergency simulator read.
+emergency simulator read.  The table is memoized per (plan, scenario) pair,
+in one slot compared with ``is`` (plans and scenarios are frozen; a copy or a
+reloaded file is another object and gets a fresh table), and its arrays are
+read-only, so a repeated pair -- a drill's simulate calls on one deployed
+plan, or ``mean_response`` and then the table on the same plan -- builds it
+once.
 """
 
 from __future__ import annotations
@@ -77,12 +82,23 @@ def moving_time(d_m: float, v_g: float) -> float:
     return d_m / v_g
 
 
+# one slot: (plan, scenario, terms, cluster) of the last table built
+_last_table: tuple | None = None
+
+
 def all_responses(plan, scenario) -> tuple[np.ndarray, np.ndarray]:
     """Every sensor's response terms under a plan, from the scenario's
     columns: an (n, 5) array whose row i is sensor i's (t_lat, t_tra,
     t_exe, t_wait, t_moving), and each sensor's cluster index (-1 for a
     direct sensor).  The wait and ferry terms depend only on the cluster and
-    are computed once per cluster."""
+    are computed once per cluster.  Both arrays are read-only and shared by
+    every call on the same (plan, scenario) pair of objects while it is the
+    last pair built; a call that raises stores nothing."""
+    global _last_table
+    # read once and replaced whole, so a check never mixes two pairs' fields
+    last = _last_table
+    if last is not None and last[0] is plan and last[1] is scenario:
+        return last[2], last[3]
     p = scenario.physical
     uav, direct = plan.clustering.assignment, plan.assignment.direct_map
     cluster = np.full(len(scenario.xy), -1)
@@ -103,6 +119,9 @@ def all_responses(plan, scenario) -> tuple[np.ndarray, np.ndarray]:
         scenario.alpha_mb * MB_TO_MBIT / p.data_rate_mbps,
         scenario.beta_mi / scenario.capacity[edge],
         np.array(wait)[cluster], np.array(ferry)[cluster]])
+    terms.setflags(write=False)
+    cluster.setflags(write=False)
+    _last_table = (plan, scenario, terms, cluster)
     return terms, cluster
 
 

@@ -264,6 +264,23 @@ def test_alert_past_horizon_rejected(default_scenario, default_plan,
         simulate(default_plan, default_scenario, [ev], 3600.0, default_algo)
 
 
+_BAD_HORIZONS = [float("nan"), float("inf"), 0.0, -3600.0]
+
+
+@pytest.mark.parametrize("horizon", _BAD_HORIZONS)
+def test_simulate_needs_a_finite_positive_horizon(default_scenario, default_plan,
+                                                  default_algo, horizon):
+    with pytest.raises(ValueError, match="horizon_s"):
+        simulate(default_plan, default_scenario, [], horizon, default_algo)
+
+
+@pytest.mark.parametrize("horizon", _BAD_HORIZONS)
+def test_generate_events_needs_a_finite_positive_horizon(default_scenario, default_plan,
+                                                         horizon):
+    with pytest.raises(ValueError, match="horizon_s"):
+        generate_events(default_scenario, default_plan, 3, horizon, seed=0)
+
+
 def test_own_cluster_policy(default_scenario, default_plan, default_algo):
     owner = {}
     for k, r in enumerate(default_plan.routes):
@@ -463,3 +480,29 @@ def test_simulate_on_a_reused_plan_equals_a_fresh_copy(memo_pairs, calls):
     for (i, *rest), result in zip(calls, got):
         # repr tells -0.0 from 0.0 and shows every float's bits
         assert repr(result) == repr(run(replace(plans[i]), sc_copy, *rest))
+
+
+def test_simulate_and_the_term_table_memo_never_mix_pairs(memo_pairs):
+    """mean_response on plan B between simulate calls on plan A leaves the
+    term table memo holding B while the simulator's plan state holds A; each
+    result still equals, bit for bit, the same call on copies."""
+    from firewatch import emergency, timing
+
+    sc, (first, second), sc_copy = memo_pairs
+    calls = [("nearest", 0.8, 0, [(10, 100, 50)]),
+             ("own_cluster", 0.8, 1, [(10, 100, 50), (11, 100, 40)]),
+             ("nearest", 1e-5, 2, [(10, 5, 50), (12, 900, 40)])]
+
+    def run(pl, scenario, policy, theta_max, seed, events):
+        evs = [EmergencyEvent(sid, float(t), prio) for sid, t, prio in events]
+        return simulate(pl, scenario, evs, _MEMO_HORIZON_S,
+                        AlgoParams(seed=seed, theta_max=theta_max), dispatch_policy=policy)
+
+    got = []
+    for call in calls:
+        got.append(run(first, sc, *call))
+        timing.mean_response(second, sc)
+        assert timing._last_table[0] is second
+        assert emergency._last_state.plan is first
+    for call, result in zip(calls, got):
+        assert repr(result) == repr(run(replace(first), sc_copy, *call))

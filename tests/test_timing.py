@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from firewatch.clustering import Clustering
 from firewatch.edge_assignment import Assignment, EdgeLoadState
-from firewatch.model import PhysicalParams
+from firewatch.model import AlgoParams, PhysicalParams
 from firewatch.planner import Plan
 from firewatch.routing import Route
 from firewatch.timing import (
@@ -158,3 +159,68 @@ def test_all_responses_matches_scalar_model(default_plan, default_scenario):
 
 def test_mean_response_positive(default_plan, default_scenario):
     assert mean_response(default_plan, default_scenario) > 0.0
+
+
+def test_all_responses_memo_returns_the_same_read_only_arrays(default_plan,
+                                                              default_scenario):
+    from firewatch.timing import all_responses
+
+    terms, cluster = all_responses(default_plan, default_scenario)
+    again = all_responses(default_plan, default_scenario)
+    assert again[0] is terms and again[1] is cluster
+    with pytest.raises(ValueError, match="read-only"):
+        terms[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        cluster[0] = 0
+
+
+def test_all_responses_memo_copies_get_fresh_equal_tables(tmp_path, default_plan,
+                                                          default_scenario):
+    """A copy of the plan and a reloaded scenario are other objects: they get
+    a table of their own, with the same bits."""
+    from firewatch.scenario import load_scenario, save_scenario
+    from firewatch.timing import all_responses
+
+    path = tmp_path / "scenario.json"
+    save_scenario(default_scenario, str(path))
+    terms, cluster = all_responses(default_plan, default_scenario)
+    for pl, sc in ((replace(default_plan), default_scenario),
+                   (default_plan, load_scenario(str(path)))):
+        fresh, fresh_cluster = all_responses(pl, sc)
+        assert fresh is not terms and fresh_cluster is not cluster
+        assert fresh.tobytes() == terms.tobytes()
+        assert fresh_cluster.tolist() == cluster.tolist()
+
+
+def test_all_responses_memo_alternating_plans(default_plan, default_scenario,
+                                              small_scenario):
+    """Plans A, B, then A again: every table equals one built on copies."""
+    from firewatch.planner import plan
+    from firewatch.timing import all_responses
+
+    pairs = [(default_plan, default_scenario),
+             (plan(small_scenario, AlgoParams()), small_scenario)]
+    for pl, sc in (pairs[0], pairs[1], pairs[0], pairs[1]):
+        terms, cluster = all_responses(pl, sc)
+        fresh, fresh_cluster = all_responses(replace(pl), replace(sc))
+        assert terms.tobytes() == fresh.tobytes()
+        assert cluster.tolist() == fresh_cluster.tolist()
+
+
+def test_all_responses_memo_keeps_no_failed_call():
+    """An unassigned sensor raises on every call, and the failure leaves the
+    last good pair stored."""
+    from firewatch.timing import all_responses
+
+    sc = build_scenario([(3000.0, 0.0, 0, 5.0, 500.0)], [(0.0, 0.0, 5000.0)])
+    route = Route(0, 0, (0,), 9000.0, 600.0, 1.0)
+    good = _hand_plan(sc, direct_map={}, cluster_assignment={0: 0},
+                      centers=((1500.0, 0.0),), routes=(route,), cluster_map={0: 0})
+    bad = _hand_plan(sc, direct_map={}, cluster_assignment={}, centers=(),
+                     routes=(), cluster_map={})
+    terms, cluster = all_responses(good, sc)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="sensor 0 is not assigned"):
+            all_responses(bad, sc)
+    again = all_responses(good, sc)
+    assert again[0] is terms and again[1] is cluster
