@@ -16,6 +16,9 @@ def main() -> int:
     ap.add_argument("--sensors", type=int, default=200)
     ap.add_argument("-o", "--out-dir", default="results/ablation")
     args = ap.parse_args()
+    for flag in ("seeds", "sensors"):
+        if getattr(args, flag) < 1:
+            ap.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
 
     from firewatch.model import AlgoParams, Variant
     from firewatch.planner import plan, plan_at_fleet

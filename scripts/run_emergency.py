@@ -18,6 +18,9 @@ def main() -> int:
     ap.add_argument("--policy", choices=["nearest", "own_cluster"],
                     default="nearest")
     args = ap.parse_args()
+    for flag in ("seeds", "sensors"):
+        if getattr(args, flag) < 1:
+            ap.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
 
     from firewatch.emergency import (emergency_response_bound, generate_events,
                                      simulate)

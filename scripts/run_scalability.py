@@ -31,6 +31,10 @@ def main() -> int:
              "--pso-swarm", str(args.pso_swarm),
              "--pso-iters", str(args.pso_iters),
              "-o", args.out_dir])
+    # summary.json is written on success and with infeasible cells (exit 3);
+    # after any other failure it is absent or left from an earlier run
+    if rc not in (0, 3):
+        return rc
 
     with open(os.path.join(args.out_dir, "summary.json")) as f:
         summary = json.load(f)

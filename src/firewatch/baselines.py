@@ -44,7 +44,7 @@ from . import planner
 from .edge_assignment import assign_clusters, repair_overload  # noqa: F401
 from .model import MB_TO_MBIT, AlgoParams, derive_seed
 from .planner import Plan, size_fleet
-from .routing import Route, build_route, route_energy, tour_length
+from .routing import build_route, ordered_route
 from .timing import execution_time, transmission_time
 
 PENALTY = 1e6
@@ -216,15 +216,6 @@ class _Workspace:
         """size_fleet clusters of one individual: per-cluster sensor ids in
         visit order (`order` = workspace indices grouped by cluster)."""
         return [self.uav_ids[order[genes[order] == j]] for j in range(m)], 0
-
-
-def evolved_route(uav_id: int, depot_edge_id: int, ids: np.ndarray, scenario) -> Route:
-    """Route builder for size_fleet: the sensors in the visit order the
-    search evolved; upload sizes are summed in that order."""
-    p = scenario.physical
-    length = tour_length(scenario.edge_xy[depot_edge_id], scenario.xy[ids])
-    energy = route_energy(length, scenario.alpha_mb[ids].tolist(), p)
-    return Route(uav_id, depot_edge_id, tuple(ids.tolist()), length, length / p.v_g, energy)
 
 
 def _order_by_priority(genes: np.ndarray, priorities: np.ndarray) -> np.ndarray:
@@ -439,7 +430,7 @@ def ga_plan(scenario, algo: AlgoParams, cfg: GaConfig | None = None) -> Plan:
     t0 = time.perf_counter()
     ws = _Workspace(scenario, algo)
     return size_fleet(scenario, algo, ws.direct_map, ws.load0,
-                      lambda m: _ga_search(ws, cfg, m), evolved_route,
+                      lambda m: _ga_search(ws, cfg, m), ordered_route,
                       method="ga", seed=cfg.seed, t0=t0, variant="-", at_m=None,
                       binding=["revisit period, energy budget, or edge capacity"])
 
@@ -498,7 +489,7 @@ def pso_plan(scenario, algo: AlgoParams, cfg: PsoConfig | None = None) -> Plan:
     t0 = time.perf_counter()
     ws = _Workspace(scenario, algo)
     return size_fleet(scenario, algo, ws.direct_map, ws.load0,
-                      lambda m: _pso_search(ws, cfg, m), evolved_route,
+                      lambda m: _pso_search(ws, cfg, m), ordered_route,
                       method="pso", seed=cfg.seed, t0=t0, variant="-", at_m=None,
                       binding=["no feasible particle"])
 

@@ -168,7 +168,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     scenario = generate(cfg, physical)
     save_scenario(scenario, args.out)
-    print(f"scenario: {len(scenario.sensors)} sensors, {len(scenario.edges)} edges, "
+    print(f"scenario: {len(scenario.xy)} sensors, {len(scenario.edge_xy)} edges, "
           f"{len(scenario.meta.hotspots)} hotspots, seed {cfg.seed} -> {args.out}")
     return EXIT_OK
 
@@ -178,7 +178,7 @@ def _plan_metrics(pl, scenario) -> dict:
         "method": pl.method,
         "variant": pl.variant,
         "seed": pl.seed,
-        "n_sensors": len(scenario.sensors),
+        "n_sensors": len(scenario.xy),
         "fleet": pl.m,
         "total_route_length_m": sum(r.length_m for r in pl.routes),
         "total_energy_wh": sum(r.energy_wh for r in pl.routes),
@@ -219,7 +219,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     algo = _algo_from_args(args)
 
     if args.events:
-        events = load_events(args.events, len(scenario.sensors), args.horizon)
+        events = load_events(args.events, len(scenario.xy), args.horizon)
     else:
         try:
             events = generate_events(scenario, pl, args.n_events, args.horizon, args.seed,
@@ -305,7 +305,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     fixed_scenario = load_scenario(args.scenario) if args.scenario else None
     if fixed_scenario is not None:
-        ns = [len(fixed_scenario.sensors)]
+        ns = [len(fixed_scenario.xy)]
     seeds = list(range(args.seeds))
 
     cells: dict[tuple[int, int, str], dict] = {}

@@ -12,16 +12,15 @@ priority) whose server is free: any UAV under the "nearest" policy, the
 sensor's own patrol UAV under "own_cluster".  Events at direct sensors are
 served straight from the edge, with terms from ``timing.all_responses``.
 
-What depends on the plan and scenario alone is built once per pair and
-reused while later ``simulate`` calls pass the same two objects: each
-route's geometry, the edge columns as lists, the upload and execution
-columns of the response-term table as lists, the normal-service totals with
-and without the wait term, each route's expected wait, the resume waypoint
-of each (UAV, delivery edge) pair and the delivery edge of each (sensor,
-theta_max) pair.  Each call reads the term table through
-``timing.all_responses``, which memoizes it per (plan, scenario) pair,
-read-only.  The patrol phases (drawn from the call's seed) and the event
-timeline stay per call.
+What depends on the plan and scenario alone is kept with the pair's
+response-term table, which ``timing.all_responses`` memoizes per pair:
+each route's geometry, the edge columns and the table's upload and
+execution columns as lists, the normal-service totals with and without the
+wait term, each route's expected wait, the resume waypoint of each (UAV,
+delivery edge) pair and the delivery leg (edge, fallback, travel and
+execution seconds) of each (sensor, theta_max) pair, which
+``emergency_response_bound`` reads too.  The patrol phases (drawn from the
+call's seed) and the event timeline stay per call.
 """
 
 from __future__ import annotations
@@ -226,18 +225,20 @@ def load_events(path: str, n_sensors: int, horizon_s: float) -> list[EmergencyEv
 
 
 class _PlanState:
-    """What simulate derives from a plan and its scenario alone.  Plans and
-    scenarios are frozen and nothing changes a plan's loads after planning,
-    so none of it changes between calls on the same pair; a copy or a
-    reloaded file is another object and gets its own state."""
+    """What simulate derives from a plan and its scenario alone, held with
+    the pair's term table: ``timing.all_responses`` returns the same array
+    for the same pair and a new one for any other.  Plans and scenarios are
+    frozen and a plan's loads never change after planning."""
 
-    __slots__ = ("plan", "scenario", "geoms", "edge_xy", "capacity", "tra_s", "exe_s",
-                 "total", "no_wait", "base_wait", "resume", "delivery")
+    __slots__ = ("terms", "cluster", "geoms", "xy", "edge_xy", "capacity", "beta", "load",
+                 "v", "tra_s", "exe_s", "total", "no_wait", "base_wait", "resume", "legs")
 
-    def __init__(self, plan, scenario, terms):
-        self.plan, self.scenario = plan, scenario
+    def __init__(self, plan, scenario, terms, cluster):
+        self.terms, self.cluster = terms, cluster
         self.geoms = [RouteGeometry.from_route(r, scenario) for r in plan.routes]
+        self.xy, self.beta, self.v = scenario.xy, scenario.beta_mi, scenario.physical.v_g
         self.edge_xy, self.capacity = scenario.edge_xy.tolist(), scenario.capacity.tolist()
+        self.load = plan.assignment.load
         # from the pair's response-term table: upload and execution times per
         # sensor, normal-service totals, the totals less the wait term, and
         # each route's expected wait without alerts
@@ -247,22 +248,35 @@ class _PlanState:
         self.base_wait = [expected_wait(r.length_m, scenario.physical) for r in plan.routes]
         # (uav id, edge id) -> (resume waypoint, its arc, edge-to-waypoint metres)
         self.resume: dict[tuple[int, int], tuple[int | None, float, float]] = {}
-        # (sensor id, theta_max) -> (delivery edge id, fallback)
-        self.delivery: dict[tuple[int, float], tuple[int, bool]] = {}
+        # (sensor id, theta_max) -> (delivery edge id, fallback, travel s, execution s)
+        self.legs: dict[tuple[int, float], tuple[int, bool, float, float]] = {}
+
+    def leg(self, sid: int, theta_max: float) -> tuple[int, bool, float, float]:
+        """The delivery leg of an alert at sensor sid, built on first need."""
+        leg = self.legs.get((sid, theta_max))
+        if leg is None:
+            sx, sy = self.xy[sid].tolist()
+            eid, fb = select_delivery_edge((sx, sy), self.edge_xy, self.load, theta_max)
+            ex, ey = self.edge_xy[eid]
+            leg = self.legs[sid, theta_max] = (
+                eid, fb, math.hypot(sx - ex, sy - ey) / self.v,
+                execution_time(float(self.beta[sid]), self.capacity[eid]))
+        return leg
 
 
 # one slot: daily drills call simulate on one deployed plan many times over
 _last_state: _PlanState | None = None
 
 
-def _plan_state(plan, scenario, terms) -> _PlanState:
-    """The state of the last (plan, scenario) pair when both are the same
-    objects (``is``), else a new one, built with the pair's term table,
-    that replaces it."""
+def _plan_state(plan, scenario) -> _PlanState:
+    """The state of the pair's term table: the last one built when it holds
+    the table ``timing.all_responses`` returns, else a new one that
+    replaces it."""
     global _last_state
+    terms, cluster = timing.all_responses(plan, scenario)
     state = _last_state
-    if state is None or state.plan is not plan or state.scenario is not scenario:
-        state = _last_state = _PlanState(plan, scenario, terms)
+    if state is None or state.terms is not terms:
+        state = _last_state = _PlanState(plan, scenario, terms, cluster)
     return state
 
 
@@ -302,12 +316,10 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
 
     p = scenario.physical
     v = p.v_g
-    # a memo hit on a repeated pair; a new pair's state is built from this table
-    terms, cluster = timing.all_responses(plan, scenario)
-    state = _plan_state(plan, scenario, terms)
-    edge_xy, capacity, geoms = state.edge_xy, state.capacity, state.geoms
-    tra_s, exe_s = state.tra_s, state.exe_s
-    resume, delivery = state.resume, state.delivery
+    # a memo hit on a repeated pair; a new pair's state is built from its table
+    state = _plan_state(plan, scenario)
+    edge_xy, geoms = state.edge_xy, state.geoms
+    tra_s, exe_s, resume = state.tra_s, state.exe_s, state.resume
     rng = np.random.default_rng(derive_seed(algo.seed, "patrol-phase"))
     phases = tuple(float(rng.uniform(0.0, g.length_m)) if g.length_m > 0 else 0.0
                    for g in geoms)
@@ -327,16 +339,18 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
     traces: dict[int, EmergencyTrace] = {}
     absences: dict[int, list[tuple[float, float]]] = {j: [] for j in range(plan.m)}
 
-    def serve_direct(seq: int, ev: EmergencyEvent):
+    def record(seq: int, ev: EmergencyEvent, uav_id: int | None, eid: int, t_queue: float,
+               t_disp: float, t_del: float, t_exe: float, widx: int | None, fb: bool):
+        """The event's trace; uav_id None is a direct sensor served from its edge."""
         sid = ev.sensor_id
-        resp = tra_s[sid] + exe_s[sid]
+        resp = t_queue + t_disp + tra_s[sid] + t_del + t_exe
         traces[seq] = EmergencyTrace(
             event_seq=seq, sensor_id=sid, alert_time_s=ev.alert_time_s,
-            priority=ev.priority, uav_id=None, edge_id=plan.assignment.direct_map[sid],
-            t_queue_s=0.0, t_dispatch_travel_s=0.0, t_tra_s=tra_s[sid],
-            t_delivery_travel_s=0.0, t_exe_s=exe_s[sid], response_time_s=resp,
-            resume_waypoint=None, deadline_met=resp <= p.t_urgent_s,
-            delivery_fallback=False, served_direct=True)
+            priority=ev.priority, uav_id=uav_id, edge_id=eid, t_queue_s=t_queue,
+            t_dispatch_travel_s=t_disp, t_tra_s=tra_s[sid], t_delivery_travel_s=t_del,
+            t_exe_s=t_exe, response_time_s=resp, resume_waypoint=widx,
+            deadline_met=resp <= p.t_urgent_s, delivery_fallback=fb,
+            served_direct=uav_id is None)
 
     def dispatch(seq: int, ev: EmergencyEvent, uav_id: int, now: float):
         nonlocal free_seq
@@ -344,21 +358,12 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
         sx, sy = scenario.xy[sid].tolist()
         px, py = uav.patrol_pos(now, v)
         t_disp = math.hypot(px - sx, py - sy) / v
-        t_tra = tra_s[sid]
-        chosen = delivery.get((sid, algo.theta_max))
-        if chosen is None:
-            chosen = delivery[sid, algo.theta_max] = select_delivery_edge(
-                (sx, sy), edge_xy, plan.assignment.load, algo.theta_max)
-        eid, fb = chosen
-        ex, ey = edge_xy[eid]
-        t_del = math.hypot(sx - ex, sy - ey) / v
-        t_exe = execution_time(float(scenario.beta_mi[sid]), capacity[eid])
-        arrive = now + t_disp + t_tra + t_del
-        t_queue = now - ev.alert_time_s
-        resp = t_queue + t_disp + t_tra + t_del + t_exe
+        eid, fb, t_del, t_exe = state.leg(sid, algo.theta_max)
+        arrive = now + t_disp + tra_s[sid] + t_del
 
         back = resume.get((uav_id, eid))
         if back is None:
+            ex, ey = edge_xy[eid]
             widx = resume_waypoint((ex, ey), uav.geom)
             # the depot for an empty tour, else the resume waypoint
             tx, ty = uav.geom.points[0 if widx is None else widx + 1].tolist()
@@ -371,14 +376,7 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
         absences[uav_id].append((now, t_back))
         heapq.heappush(timeline, (t_back, 1, free_seq, (uav_id, arc)))
         free_seq += 1
-
-        traces[seq] = EmergencyTrace(
-            event_seq=seq, sensor_id=sid, alert_time_s=ev.alert_time_s,
-            priority=ev.priority, uav_id=uav_id, edge_id=eid, t_queue_s=t_queue,
-            t_dispatch_travel_s=t_disp, t_tra_s=t_tra, t_delivery_travel_s=t_del,
-            t_exe_s=t_exe, response_time_s=resp, resume_waypoint=widx,
-            deadline_met=resp <= p.t_urgent_s, delivery_fallback=fb,
-            served_direct=False)
+        record(seq, ev, uav_id, eid, now - ev.alert_time_s, t_disp, t_del, t_exe, widx, fb)
 
     def try_dispatch(now: float):
         while True:
@@ -400,8 +398,9 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
             _, rank, seq, payload = heapq.heappop(timeline)
             if rank == 0:
                 ev = payload
-                if ev.sensor_id in plan.assignment.direct_map:
-                    serve_direct(seq, ev)
+                edge = plan.assignment.direct_map.get(ev.sensor_id)
+                if edge is not None:
+                    record(seq, ev, None, edge, 0.0, 0.0, 0.0, exe_s[ev.sensor_id], None, False)
                 else:
                     key = plan.clustering.assignment[ev.sensor_id] if own else 0
                     heapq.heappush(pending[key], (-ev.priority, seq, ev))
@@ -413,12 +412,12 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
                 uav.available = True
         try_dispatch(now)
 
-    impact = _normal_impact(plan, scenario, state, cluster, events, absences, horizon_s)
+    impact = _normal_impact(plan, scenario, state, events, absences, horizon_s)
     return SimulationResult(traces=tuple(traces[i] for i in sorted(traces)),
                             impact=impact, horizon_s=horizon_s, phases_m=phases)
 
 
-def _normal_impact(plan, scenario, state: _PlanState, cluster, events, absences,
+def _normal_impact(plan, scenario, state: _PlanState, events, absences,
                    horizon_s: float) -> NormalImpactReport:
     """Mean normal-service response over non-alert sensors, with the per-
     cluster expected wait recomputed under revisit periods inflated by the
@@ -443,7 +442,7 @@ def _normal_impact(plan, scenario, state: _PlanState, cluster, events, absences,
         wait_with[j] = num / (normal_share + inflated_share)
 
     # a direct sensor (cluster -1) has t_wait 0.0 and reads the appended 0.0
-    with_wait = state.no_wait + np.append(wait_with, 0.0)[cluster]
+    with_wait = state.no_wait + np.append(wait_with, 0.0)[state.cluster]
     alert_ids = [e.sensor_id for e in events]
     base_vals, with_vals = np.delete(state.total, alert_ids), np.delete(with_wait, alert_ids)
     if not base_vals.size:
@@ -468,15 +467,10 @@ def emergency_response_bound(plan, scenario, theta_max: float) -> float:
     uav_ids = sorted(plan.clustering.assignment)
     if not uav_ids:
         raise ValueError("plan has no UAV-served sensors")
-    t_tra_max = float(timing.all_responses(plan, scenario)[0][uav_ids, 1].max())
-    edge_xy, capacity = scenario.edge_xy.tolist(), scenario.capacity.tolist()
-    d_del, t_exe_max = 0.0, 0.0
-    for sid in uav_ids:
-        sx, sy = scenario.xy[sid].tolist()
-        eid, _ = select_delivery_edge((sx, sy), edge_xy, plan.assignment.load, theta_max)
-        d_del = max(d_del, math.hypot(sx - edge_xy[eid][0], sy - edge_xy[eid][1]))
-        t_exe_max = max(t_exe_max, execution_time(float(scenario.beta_mi[sid]), capacity[eid]))
-    return 2.0 * r_max / p.v_g + d_del / p.v_g + t_tra_max + t_exe_max
+    state = _plan_state(plan, scenario)
+    _, _, t_del, t_exe = zip(*(state.leg(sid, theta_max) for sid in uav_ids))
+    t_tra_max = max(state.tra_s[sid] for sid in uav_ids)
+    return 2.0 * r_max / p.v_g + max(t_del) + t_tra_max + max(t_exe)
 
 
 def write_trace_csv(result: SimulationResult, path: str) -> None:

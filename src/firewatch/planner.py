@@ -34,7 +34,7 @@ from .edge_assignment import (Assignment, EdgeLoadState, RepairFailure,
                               repair_overload)
 from .model import AlgoParams, FleetInitMode, PhysicalParams, Variant, derive_seed, link_ranges
 from .reader import Doc, InputError, read
-from .routing import Route, build_route, route_energy, tour_length, tour_lower_bound
+from .routing import Route, build_route, ordered_route, route_energy, tour_lower_bound
 
 PLAN_SCHEMA_VERSION = 1
 
@@ -270,11 +270,9 @@ def validate_plan(pl: Plan, scenario) -> ConstraintReport:
 
     revisit_margin, energy_margin = p.t_max_s, p.e_max_wh
     for r in pl.routes:
-        ids = list(r.waypoints)
-        length = tour_length(scenario.edge_xy[r.depot_edge_id], scenario.xy[ids])
-        energy = route_energy(length, scenario.alpha_mb[ids].tolist(), p)
-        revisit_margin = min(revisit_margin, p.t_max_s - length / p.v_g)
-        energy_margin = min(energy_margin, p.e_max_wh - energy)
+        again = ordered_route(r.uav_id, r.depot_edge_id, r.waypoints, scenario)
+        revisit_margin = min(revisit_margin, p.t_max_s - again.revisit_s)
+        energy_margin = min(energy_margin, p.e_max_wh - again.energy_wh)
 
     loads = _edge_loads(pl.assignment, pl.routes, scenario)
     capacity_margin = min(c - l for c, l in zip(scenario.capacity.tolist(), loads))
@@ -348,7 +346,6 @@ def _check_structure(clustering: Clustering, assignment: Assignment, routes, sce
     members: list[list[int]] = [[] for _ in routes]
     for sid, j in sorted(clustering.assignment.items()):
         members[j].append(sid)
-    p = scenario.physical
     for j, r in enumerate(routes):
         if r.depot_edge_id != assignment.cluster_map[j]:
             raise InputError(f"plan routes[{j}].depot_edge_id: {r.depot_edge_id} is not "
@@ -356,12 +353,9 @@ def _check_structure(clustering: Clustering, assignment: Assignment, routes, sce
         if sorted(r.waypoints) != members[j]:
             raise InputError(f"plan routes[{j}].waypoints: must visit the members of "
                              f"cluster {j} once each")
-        ids = list(r.waypoints)
-        length = tour_length(scenario.edge_xy[r.depot_edge_id], scenario.xy[ids])
-        energy = route_energy(length, scenario.alpha_mb[ids].tolist(), p)
-        for field, want in (("length_m", length), ("revisit_s", length / p.v_g),
-                            ("energy_wh", energy)):
-            got = getattr(r, field)
+        again = ordered_route(r.uav_id, r.depot_edge_id, r.waypoints, scenario)
+        for field in ("length_m", "revisit_s", "energy_wh"):
+            got, want = getattr(r, field), getattr(again, field)
             if not math.isclose(got, want, rel_tol=1e-9):
                 raise InputError(f"plan routes[{j}].{field}: {got!r} differs from "
                                  f"{want!r} recomputed from the waypoints")

@@ -171,3 +171,14 @@ def build_route(uav_id: int, depot_edge_id: int, ids, scenario,
     return Route(uav_id=uav_id, depot_edge_id=depot_edge_id,
                  waypoints=tuple(ids[order].tolist()),
                  length_m=length, revisit_s=length / p.v_g, energy_wh=energy)
+
+
+def ordered_route(uav_id: int, depot_edge_id: int, ids, scenario) -> Route:
+    """The closed tour from the depot edge over the sensors with the given
+    ids in the given visit order, packaged with its revisit period and
+    per-lap energy; upload sizes are summed in that order."""
+    ids = np.asarray(ids, dtype=int)
+    p = scenario.physical
+    length = tour_length(scenario.edge_xy[depot_edge_id], scenario.xy[ids])
+    energy = route_energy(length, scenario.alpha_mb[ids].tolist(), p)
+    return Route(uav_id, depot_edge_id, tuple(ids.tolist()), length, length / p.v_g, energy)

@@ -16,7 +16,9 @@ in one slot compared with ``is`` (plans and scenarios are frozen; a copy or a
 reloaded file is another object and gets a fresh table), and its arrays are
 read-only, so a repeated pair -- a drill's simulate calls on one deployed
 plan, or ``mean_response`` and then the table on the same plan -- builds it
-once.
+once.  It is the one check of "the same pair": the emergency simulator
+keeps its plan-only state with the table it was built from and rebuilds
+that state whenever this function returns another array.
 """
 
 from __future__ import annotations

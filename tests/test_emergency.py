@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from firewatch.baselines import GaConfig, PsoConfig, ga_plan, greedy_plan, pso_plan
 from firewatch.edge_assignment import EdgeLoadState
 from firewatch.model import AlgoParams, PhysicalParams, derive_seed
 from firewatch.planner import plan, plan_at_fleet
@@ -22,7 +23,7 @@ from firewatch.emergency import (
     simulate,
     write_trace_csv,
 )
-from testutil import build_scenario
+from testutil import build_scenario, response_bound_oracle
 
 
 def _square_geom():
@@ -503,6 +504,43 @@ def test_simulate_and_the_term_table_memo_never_mix_pairs(memo_pairs):
         got.append(run(first, sc, *call))
         timing.mean_response(second, sc)
         assert timing._last_table[0] is second
-        assert emergency._last_state.plan is first
+        assert emergency._last_state.terms is not timing._last_table[2]
     for call, result in zip(calls, got):
         assert repr(result) == repr(run(replace(first), sc_copy, *call))
+
+
+@pytest.fixture(scope="module")
+def bound_plans():
+    """Proposed, greedy, GA and PSO plans of one 80-sensor scenario, GA and
+    PSO at the acceptance tests' fast budgets."""
+    sc = generate(GenConfig(n_sensors=80, n_edges=3, seed=1))
+    algo = AlgoParams()
+    return sc, {"proposed": plan(sc, algo), "greedy": greedy_plan(sc, algo),
+                "ga": ga_plan(sc, algo, GaConfig(seed=0, population=16, generations=12)),
+                "pso": pso_plan(sc, algo, PsoConfig(seed=0, swarm=10, iterations=15))}
+
+
+def _alert_every_uav_sensor(pl, sc, theta_max):
+    """Simulate one alert at every UAV-served sensor, so each gets a
+    delivery leg at theta_max."""
+    ids = sorted(pl.clustering.assignment)
+    events = [EmergencyEvent(sid, float(k), 60) for k, sid in enumerate(ids)]
+    simulate(pl, sc, events, _MEMO_HORIZON_S, AlgoParams(theta_max=theta_max))
+
+
+@pytest.mark.parametrize("theta_max", _THETAS)
+def test_response_bound_equals_the_per_sensor_loop(bound_plans, theta_max):
+    """The bound read from the simulator's delivery legs equals the loop
+    that chooses every delivery edge afresh: called cold, after a simulate
+    on the same pair at the other theta_max, and after one on another plan."""
+    sc, plans = bound_plans
+    other_theta = _THETAS[1] if theta_max == _THETAS[0] else _THETAS[0]
+    names = list(plans)
+    for k, name in enumerate(names):
+        pl, other = plans[name], plans[names[(k + 1) % len(names)]]
+        want = response_bound_oracle(pl, sc, theta_max)
+        assert emergency_response_bound(replace(pl), sc, theta_max) == want, name
+        _alert_every_uav_sensor(pl, sc, other_theta)
+        assert emergency_response_bound(pl, sc, theta_max) == want, name
+        _alert_every_uav_sensor(other, sc, other_theta)
+        assert emergency_response_bound(pl, sc, theta_max) == want, name

@@ -7,6 +7,9 @@ import math
 
 import numpy as np
 
+from firewatch import timing
+from firewatch.clustering import cluster_radius
+from firewatch.emergency import select_delivery_edge
 from firewatch.model import (EdgeNode, PhysicalParams, Point2D, RequestProfile, Sensor,
                              link_ranges)
 from firewatch.routing import tour_length
@@ -87,3 +90,28 @@ def blob(center, offsets):
     """Positions around a center; offsets are (dx, dy) pairs."""
     cx, cy = center
     return [(cx + dx, cy + dy) for dx, dy in offsets]
+
+
+def response_bound_oracle(plan, scenario, theta_max: float) -> float:
+    """``emergency_response_bound`` as one loop over the UAV-served sensors
+    that chooses each delivery edge afresh: two max-cluster-radius legs, the
+    longest sensor-to-delivery-edge leg, and the largest upload and
+    execution windows."""
+    p = scenario.physical
+    radii = [cluster_radius(scenario.xy[list(route.waypoints)], plan.clustering.centers[j])
+             for j, route in enumerate(plan.routes)]
+    r_max = max(radii) if radii else 0.0
+
+    uav_ids = sorted(plan.clustering.assignment)
+    if not uav_ids:
+        raise ValueError("plan has no UAV-served sensors")
+    t_tra_max = float(timing.all_responses(plan, scenario)[0][uav_ids, 1].max())
+    edge_xy, capacity = scenario.edge_xy.tolist(), scenario.capacity.tolist()
+    d_del, t_exe_max = 0.0, 0.0
+    for sid in uav_ids:
+        sx, sy = scenario.xy[sid].tolist()
+        eid, _ = select_delivery_edge((sx, sy), edge_xy, plan.assignment.load, theta_max)
+        d_del = max(d_del, math.hypot(sx - edge_xy[eid][0], sy - edge_xy[eid][1]))
+        t_exe_max = max(t_exe_max, timing.execution_time(float(scenario.beta_mi[sid]),
+                                                         capacity[eid]))
+    return 2.0 * r_max / p.v_g + d_del / p.v_g + t_tra_max + t_exe_max
