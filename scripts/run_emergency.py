@@ -4,6 +4,7 @@ report response times against the urgent deadline, the analytic worst-case
 bound, and the knock-on effect on routine patrol service."""
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -18,9 +19,11 @@ def main() -> int:
     ap.add_argument("--policy", choices=["nearest", "own_cluster"],
                     default="nearest")
     args = ap.parse_args()
-    for flag in ("seeds", "sensors"):
+    for flag in ("seeds", "sensors", "events"):
         if getattr(args, flag) < 1:
             ap.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+    if not (math.isfinite(args.horizon) and args.horizon > 0):
+        ap.error(f"--horizon must be a finite number > 0, got {args.horizon}")
 
     from firewatch.emergency import (emergency_response_bound, generate_events,
                                      simulate)
@@ -33,7 +36,11 @@ def main() -> int:
         scenario = generate(GenConfig(n_sensors=args.sensors, seed=s))
         algo = AlgoParams(seed=s)
         pl = plan(scenario, algo)
-        events = generate_events(scenario, pl, args.events, args.horizon, seed=s)
+        try:
+            events = generate_events(scenario, pl, args.events, args.horizon, seed=s)
+        except ValueError as exc:   # fewer hot UAV-served sensors than events
+            ap.error(f"--events {args.events} with --sensors {args.sensors} "
+                     f"(seed {s}): {exc}")
         result = simulate(pl, scenario, events, args.horizon, algo,
                           dispatch_policy=args.policy)
         bound = emergency_response_bound(pl, scenario, algo.theta_max)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edge_assignment import assign_direct
-from .model import derive_seed
+from .model import column_distances, derive_seed
 
 MAX_ITERS = 300
 # coverage_improvement_check: k-means convergence threshold (m) of both arms,
@@ -73,15 +73,23 @@ def weighted_kmeans(scenario, ids, m: int, omega_h: float, epsilon_m: float,
     Stops when every center moves less than epsilon_m, or after MAX_ITERS.
     Empty clusters are reseeded at the weighted-farthest sensor (ties by id)
     before the next iteration, so the result has no empty cluster.
+
+    Works on x/y columns: each iteration writes sqrt(dx*dx + dy*dy) into
+    reused (n, m) buffers, the operations ``np.linalg.norm`` applies over a
+    last axis of length 2, so every distance has the same bits.  The
+    weighted centroid sums come from ``np.bincount``, which adds in index
+    order from 0.0 as ``np.add.at`` does.
     """
     ids = np.asarray(ids, dtype=int)
     n = len(ids)
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= {n} sensors, got m={m}")
     xy = scenario.xy[ids]
+    x, y = xy[:, 0].copy(), xy[:, 1].copy()
     w = sensor_weight(scenario.fire_history[ids], omega_h)
     w_max = float(w.max())
     factor = 2.0 - w / w_max   # per-sensor discount applied to all distances
+    xw, yw = x * w, y * w
 
     if initial_centers is not None:
         centers = np.asarray(initial_centers, dtype=float).copy()
@@ -89,41 +97,46 @@ def weighted_kmeans(scenario, ids, m: int, omega_h: float, epsilon_m: float,
             raise ValueError(f"initial_centers must have shape ({m}, 2)")
     else:
         centers = init_centers(m, scenario.edge_xy, xy, w, rng)
+    cx, cy = centers[:, 0].copy(), centers[:, 1].copy()
+
+    d = np.empty((n, m))        # distance of sensor i to center j
+    scaled = np.empty((n, m))   # d * factor, and column_distances' scratch
+    rows = np.arange(n)
+
+    def nearest():
+        column_distances(x[:, None], y[:, None], cx, cy, d, scaled)
+        np.multiply(d, factor[:, None], out=scaled)
+        return scaled.argmin(axis=1)   # ties -> lowest center id
 
     assign = np.zeros(n, dtype=int)
     iterations = 0
     for iterations in range(1, MAX_ITERS + 1):
-        d = np.linalg.norm(xy[:, None, :] - centers[None, :, :], axis=2)
-        assign = np.argmin(d * factor[:, None], axis=1)  # ties -> lowest center id
+        assign = nearest()
 
         counts = np.bincount(assign, minlength=m)
         empty = np.flatnonzero(counts == 0)
         if empty.size:
-            taken: set[int] = set()
-            for j in empty:
-                dd = d[np.arange(n), assign] * factor
-                order = np.lexsort((np.arange(n), -dd))
-                pick = next(i for i in order if i not in taken)
-                taken.add(pick)
-                centers[j] = xy[pick]
+            dd = d[rows, assign] * factor
+            order = np.lexsort((rows, -dd))   # weighted-farthest first, then id
+            for j, pick in zip(empty, order):
+                cx[j], cy[j] = x[pick], y[pick]
             continue  # reassign against reseeded centers before updating
 
-        sums = np.zeros((m, 2))
-        np.add.at(sums, assign, xy * w[:, None])
         wsum = np.bincount(assign, weights=w, minlength=m)
-        new_centers = sums / wsum[:, None]
-        moved = np.linalg.norm(new_centers - centers, axis=1).max()
-        centers = new_centers
+        new_cx = np.bincount(assign, weights=xw, minlength=m) / wsum
+        new_cy = np.bincount(assign, weights=yw, minlength=m) / wsum
+        dx, dy = new_cx - cx, new_cy - cy
+        moved = np.sqrt(dx * dx + dy * dy).max()
+        cx[:], cy[:] = new_cx, new_cy
         if moved < epsilon_m:
             break
 
     if np.bincount(assign, minlength=m).min() == 0:
         # MAX_ITERS landed on a reseed round; one more assignment pass
-        d = np.linalg.norm(xy[:, None, :] - centers[None, :, :], axis=2)
-        assign = np.argmin(d * factor[:, None], axis=1)
+        assign = nearest()
 
     return Clustering(m=m, assignment=dict(zip(ids.tolist(), assign.tolist())),
-                      centers=tuple((float(c[0]), float(c[1])) for c in centers),
+                      centers=tuple(zip(cx.tolist(), cy.tolist())),
                       iterations_run=iterations)
 
 

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 MB_TO_MBIT = 8.0
 
 
@@ -163,6 +165,20 @@ class AlgoParams:
             raise ValueError("omega_d + omega_l must equal 1")
         if not 0.0 < self.theta_max <= 1.0:
             raise ValueError(f"theta_max must be in (0, 1], got {self.theta_max}")
+
+
+def column_distances(x, y, px, py, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """sqrt(dx*dx + dy*dy) between the points (x, y) and (px, py), broadcast
+    and written into ``out`` (``scratch`` holds dy).  These are the
+    operations ``np.linalg.norm`` applies over a last axis of length 2, so
+    every distance has the same bits as that norm; a point at x = inf is
+    infinitely far."""
+    np.subtract(x, px, out=out)
+    np.subtract(y, py, out=scratch)
+    np.multiply(out, out, out=out)
+    np.multiply(scratch, scratch, out=scratch)
+    np.add(out, scratch, out=out)
+    return np.sqrt(out, out=out)
 
 
 def link_ranges(p: PhysicalParams) -> tuple[float, float, float]:

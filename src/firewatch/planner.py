@@ -119,7 +119,10 @@ def _cluster_for_m(uav_ids: np.ndarray, m: int, scenario, algo: AlgoParams,
                               algo.epsilon_m, rng)
         labels = np.array([sub.assignment[i] for i in uav_ids.tolist()])
         iterations = sub.iterations_run
-    return [uav_ids[labels == j] for j in range(m)], iterations
+    # a stable sort keeps each cluster's ids in uav_ids' (ascending) order
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.bincount(labels, minlength=m))[:-1]
+    return np.split(uav_ids[order], ends), iterations
 
 
 def _bound_breaks(depot_edge_id: int, ids: np.ndarray, scenario) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PhysicalParams, MB_TO_MBIT
+from .model import PhysicalParams, MB_TO_MBIT, column_distances
 
 # strictly-improving moves only; tiny negative guard keeps float noise from
 # cycling through equal-length tours
@@ -48,22 +48,22 @@ def nearest_neighbor_tour(depot_xy, xy: np.ndarray) -> list[int]:
     """Visit order by repeated nearest neighbor from the depot.
 
     xy rows must be in ascending sensor-id order; exact distance ties then
-    resolve to the lowest id.  Returns indices into xy.
+    resolve to the lowest id.  Returns indices into xy.  Each step's
+    distances are computed on x/y columns into two reused buffers, and a
+    visited point leaves the race by moving to x = inf.
     """
-    n = len(xy)
-    if n == 0:
-        return []
-    xy = np.asarray(xy, dtype=float)
-    remaining = np.ones(n, dtype=bool)
+    pts = np.asarray(xy, dtype=float).reshape(-1, 2)
+    n = len(pts)
+    x, y = pts[:, 0].copy(), pts[:, 1].copy()
+    dx, dy = np.empty(n), np.empty(n)
     order = []
-    cur = np.asarray(depot_xy, dtype=float)
+    px, py = float(depot_xy[0]), float(depot_xy[1])
     for _ in range(n):
-        d = np.linalg.norm(xy - cur, axis=1)
-        d[~remaining] = np.inf
-        pick = int(np.argmin(d))     # first minimum = lowest id on ties
+        # first minimum = lowest id on ties
+        pick = int(column_distances(x, y, px, py, dx, dy).argmin())
         order.append(pick)
-        remaining[pick] = False
-        cur = xy[pick]
+        px, py = x[pick], y[pick]
+        x[pick] = np.inf
     return order
 
 
@@ -72,24 +72,22 @@ def tour_lower_bound(depot_xy, xy: np.ndarray) -> float:
 
     No closed tour through them is shorter (Held & Karp 1970).  Prim's
     algorithm over one full-length vector of distances to the tree, O(n)
-    work and memory per step: a point joins the tree by becoming infinitely
+    work and memory per step, each step's distances computed on x/y columns
+    into two reused buffers: a point joins the tree by becoming infinitely
     far from everything, so ties still go to the lowest index.
     """
     pts = np.asarray(xy, dtype=float).reshape(-1, 2)
-    if len(pts) == 0:
-        return 0.0
-    # sqrt(dx*dx + dy*dy) is the arithmetic of np.linalg.norm(..., axis=1)
+    n = len(pts)
     x, y = pts[:, 0].copy(), pts[:, 1].copy()
-    dx, dy = x - float(depot_xy[0]), y - float(depot_xy[1])
-    to_tree = np.sqrt(dx * dx + dy * dy)
+    dx, dy = np.empty(n), np.empty(n)
+    to_tree = column_distances(x, y, float(depot_xy[0]), float(depot_xy[1]), dx, dy).copy()
     total = 0.0
-    for _ in range(len(pts)):
-        pick = int(np.argmin(to_tree))
+    for _ in range(n):
+        pick = int(to_tree.argmin())
         total += float(to_tree[pick])
         px, py = x[pick], y[pick]
         x[pick] = to_tree[pick] = np.inf
-        dx, dy = x - px, y - py
-        np.minimum(to_tree, np.sqrt(dx * dx + dy * dy), out=to_tree)
+        np.minimum(to_tree, column_distances(x, y, px, py, dx, dy), out=to_tree)
     return total
 
 

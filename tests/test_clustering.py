@@ -1,8 +1,13 @@
 import itertools
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from firewatch import clustering
 from firewatch.clustering import (
     cluster_radius,
     coverage_improvement_check,
@@ -11,7 +16,7 @@ from firewatch.clustering import (
     weighted_kmeans,
 )
 from firewatch.edge_assignment import assign_direct
-from testutil import blob, build_scenario
+from testutil import blob, build_scenario, weighted_kmeans_oracle
 
 RNG = lambda seed=0: np.random.default_rng(seed)  # noqa: E731
 
@@ -202,6 +207,103 @@ def test_kmeans_reseeds_empty_cluster_at_farthest_sensor():
     assert sorted(out.members(0) + out.members(1)) == [0, 1, 2, 3]
     lone = out.members(0) if len(out.members(0)) == 1 else out.members(1)
     assert lone == [3]
+
+
+def _coords(rng, k, kind):
+    """k points on a 5 x 5 grid of spacing 250 m (sensors, edges and centers
+    coincide and distances tie), uniform in 1 km (full mantissas, so the
+    order of a centroid sum changes its last bits), or each either way."""
+    grid = 250.0 * rng.integers(0, 5, size=(k, 2))
+    uniform = rng.uniform(0.0, 1000.0, size=(k, 2))
+    if kind == "mixed":
+        return np.where(rng.random((k, 1)) < 0.5, grid, uniform)
+    return grid if kind == "grid" else uniform
+
+
+@st.composite
+def _kmeans_inputs(draw):
+    """A scenario of 1-40 sensors and 1-3 edges, a subset of its sensor ids,
+    m, optional initial centers, omega_h, epsilon_m (0 never converges), a
+    seed and a MAX_ITERS of 1-3 or the real one."""
+    n, p = draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["grid", "km", "mixed"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    hs = rng.choice([0, 0, 10, 51, 100], size=n) if kind == "grid" else rng.integers(0, 101, n)
+    sc = build_scenario([(x, y, h, 1.0, 100.0) for (x, y), h in zip(_coords(rng, n, kind), hs)],
+                        [(x, y, 5000.0) for x, y in _coords(rng, p, kind)])
+    ids = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    m = draw(st.integers(1, len(ids)))
+    init = _coords(rng, m, kind) if draw(st.booleans()) else None
+    return (sc, sorted(ids), m, init,
+            draw(st.sampled_from([0.0, 0.5, 1.5])), draw(st.sampled_from([0.0, 1.0, 1e9])),
+            seed, draw(st.sampled_from([1, 2, 3, clustering.MAX_ITERS])))
+
+
+def _both(sc, ids, m, init, omega_h, epsilon_m, seed, max_iters, seen=None):
+    """weighted_kmeans and its oracle on the same inputs and seed."""
+    with mock.patch.object(clustering, "MAX_ITERS", max_iters), \
+            mock.patch("testutil.MAX_ITERS", max_iters):
+        got = weighted_kmeans(sc, ids, m, omega_h, epsilon_m, RNG(seed),
+                              initial_centers=init)
+        want = weighted_kmeans_oracle(sc, ids, m, omega_h, epsilon_m, RNG(seed),
+                                      initial_centers=init, seen=seen)
+    return got, want
+
+
+def _case(pts, edges, m, init=None, hs=None, epsilon_m=1.0, max_iters=clustering.MAX_ITERS):
+    hs = hs if hs is not None else [0] * len(pts)
+    sc = build_scenario([(x, y, h, 1.0, 100.0) for (x, y), h in zip(pts, hs)],
+                        [(x, y, 5000.0) for x, y in edges])
+    init = None if init is None else np.array(init, dtype=float)
+    return sc, list(range(len(pts))), m, init, 1.5, epsilon_m, 0, max_iters
+
+
+# inputs that reach each path of weighted_kmeans, with the paths they reach
+_KMEANS_PATHS = {
+    "reseed": (_case([(0.0, 0.0), (10.0, 0.0), (20.0, 0.0), (1000.0, 0.0)], [(0.0, 0.0)], 2,
+                     init=[(0.0, 0.0), (0.0, 0.0)]), {"reseed"}),
+    "reseed-far-edge": (_case([(0.0, 0.0), (3.5, 1.25), (7.0, 2.0)],
+                              [(0.0, 0.0), (900.0, 900.0)], 2), {"reseed"}),
+    "max-iters": (_case([(0.0, 0.0), (100.0, 0.0), (0.0, 100.0), (500.0, 500.0)],
+                        [(0.0, 0.0)], 2, hs=[0, 100, 10, 51], epsilon_m=0.0),
+                  {"sensor-seeded", "max-iters"}),
+    "sensor-seeded": (_case([(1.5, 2.0), (300.25, 0.0), (0.0, 300.75), (310.0, 5.0),
+                             (2.0, 299.0)], [(0.0, 0.0)], 3, hs=[0, 100, 51, 0, 10]),
+                      {"sensor-seeded"}),
+    "tie": (_case([(100.0, 0.0), (0.0, 0.0), (200.0, 0.0)], [(0.0, 0.0)], 2,
+                  init=[(0.0, 0.0), (200.0, 0.0)], epsilon_m=1e9), {"tie"}),
+    # 30 sensors in one cluster: a sum taken in blocks, as np.sum does from
+    # 8 terms on, rounds differently from one taken in index order
+    "one-cluster": (_case(np.random.default_rng(9).uniform(0.0, 1000.0, (30, 2)).tolist(),
+                          [(0.0, 0.0)], 1, hs=list(range(0, 90, 3))), set()),
+    # every sensor at one point: the second center always ties with the
+    # first, loses, empties and is reseeded, until MAX_ITERS ends on a
+    # reseed round and one more assignment pass runs
+    "coincident": (_case([(250.0, 250.0)] * 3, [(0.0, 0.0)], 2, hs=[0, 51, 51], max_iters=3),
+                   {"sensor-seeded", "tie", "reseed", "max-iters", "final-pass"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KMEANS_PATHS))
+def test_kmeans_matches_oracle_on_each_path(name):
+    args, paths = _KMEANS_PATHS[name]
+    seen = set()
+    got, want = _both(*args, seen=seen)
+    assert paths <= seen
+    assert got == want
+
+
+@settings(max_examples=100)
+@given(_kmeans_inputs())
+@example(_KMEANS_PATHS["coincident"][0])
+@example(_KMEANS_PATHS["max-iters"][0])
+def test_kmeans_matches_norm_oracle(args):
+    """Column distances and bincount centroid sums give the assignment,
+    centers and iteration count of the (n, m, 2) norm and np.add.at version,
+    bit for bit."""
+    got, want = _both(*args)
+    assert got == want
 
 
 def test_cluster_radius_examples():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import firewatch.planner as planner
-from firewatch.model import AlgoParams, FleetInitMode, PhysicalParams, Variant
+from firewatch.clustering import weighted_kmeans
+from firewatch.edge_assignment import assign_direct
+from firewatch.model import AlgoParams, FleetInitMode, PhysicalParams, Variant, derive_seed
 from firewatch.planner import (
     InfeasibleError,
     initial_fleet_size,
@@ -295,3 +297,39 @@ def test_plan_at_fleet_allows_violations():
     pl = plan_at_fleet(sc, AlgoParams(), 1)
     assert pl.m == 1
     assert not validate_plan(pl, sc).all_ok
+
+
+def _cluster_for_m_oracle(uav_ids, m, scenario, algo, variant):
+    """_cluster_for_m with one ``labels == j`` mask per cluster: the member
+    arrays the single stable sort and split must reproduce."""
+    n, iterations = len(uav_ids), 0
+    labels = np.zeros(n, dtype=int)
+    if variant in (Variant.NO_KMEANS, Variant.NO_BOTH):
+        rng = np.random.default_rng(derive_seed(algo.seed, f"random-clusters-m{m}"))
+        labels = rng.integers(0, m, size=n)
+        if n >= m and np.bincount(labels, minlength=m).min() == 0:
+            labels = rng.integers(0, m, size=n)
+    elif n:
+        rng = np.random.default_rng(derive_seed(algo.seed, f"kmeans-m{m}"))
+        sub = weighted_kmeans(scenario, uav_ids, min(m, n), algo.omega_h,
+                              algo.epsilon_m, rng)
+        labels = np.array([sub.assignment[i] for i in uav_ids.tolist()])
+        iterations = sub.iterations_run
+    return [uav_ids[labels == j] for j in range(m)], iterations
+
+
+@pytest.mark.parametrize("variant", [Variant.FULL, Variant.NO_KMEANS])
+def test_cluster_members_match_per_cluster_masks(small_scenario, variant):
+    """Members are the same ascending id arrays as one mask per cluster, for
+    every m up to three times the UAV-served count (empty clusters included)
+    and with no UAV-served sensor at all."""
+    algo = AlgoParams(seed=3)
+    uav_ids = assign_direct(small_scenario)[0]
+    for ids in (uav_ids, uav_ids[:0]):
+        for m in range(1, 3 * len(uav_ids) + 1):
+            members, iterations = planner._cluster_for_m(ids, m, small_scenario, algo, variant)
+            want, want_iterations = _cluster_for_m_oracle(ids, m, small_scenario, algo, variant)
+            assert iterations == want_iterations
+            assert len(members) == m
+            for got, exp in zip(members, want):
+                assert got.dtype == exp.dtype and got.tolist() == exp.tolist()

@@ -18,7 +18,7 @@ from firewatch.routing import (
     tour_lower_bound,
     two_opt,
 )
-from testutil import brute_force_tour_optimum, build_scenario
+from testutil import brute_force_tour_optimum, build_scenario, nearest_neighbor_tour_oracle
 
 
 def test_tour_length_square():
@@ -252,6 +252,28 @@ def test_two_opt_finds_a_move_past_the_second_block():
 def test_tour_lower_bound_matches_prim_oracle(n, seed, kind):
     depot, xy = _points(n, seed, kind)
     assert tour_lower_bound(depot, xy) == _tour_lower_bound_oracle(depot, xy)
+
+
+@given(_point, st.lists(_point, max_size=40))
+@example((0.0, 0.0), [(250.0, 0.0), (-250.0, 0.0), (0.0, 250.0), (250.0, 0.0)])
+@example((250.0, 250.0), [(250.0, 250.0)] * 3)
+# squared distances differ in the last bit but their square roots tie, so
+# the lower index wins only when the square root is taken
+@example((0.0, 0.0), [(959.5403937895036, 0.0), (144.159613, 948.649447)])
+def test_nearest_neighbor_tour_matches_norm_oracle(depot, points):
+    """Column distances with visited points at x = inf give the visit order
+    of the per-step norm with a visited mask, tied and coincident points
+    included."""
+    xy = _xy(points)
+    assert nearest_neighbor_tour(depot, xy) == nearest_neighbor_tour_oracle(depot, xy)
+
+
+@given(st.integers(0, 3 * _BLOCK), st.integers(0, 2**32 - 1), _kinds)
+@example(0, 0, "km")
+@example(13, 16, "grid")
+def test_nearest_neighbor_tour_matches_oracle_on_larger_sets(n, seed, kind):
+    depot, xy = _points(n, seed, kind)
+    assert nearest_neighbor_tour(depot, xy) == nearest_neighbor_tour_oracle(depot, xy)
 
 
 def test_route_energy_examples():

@@ -36,6 +36,22 @@ def test_direct_script_rejects_a_count_below_one(script, flag):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--events", "0"], "--events must be >= 1, got 0"),
+    (["--horizon", "-5"], "--horizon must be a finite number > 0, got -5.0"),
+    (["--horizon", "nan"], "--horizon must be a finite number > 0, got nan"),
+    (["--sensors", "3"], "--events 5 with --sensors 3 (seed 0): only 2 UAV-served sensors"),
+])
+def test_run_emergency_rejects_inputs_it_cannot_drill(argv, message):
+    """No events, a horizon that is not a positive number, or fewer hot
+    UAV-served sensors than events is a usage error naming the flags, not a
+    traceback."""
+    done = _run_script("run_emergency.py", "--seeds", "1", *argv)
+    assert done.returncode == 2, done.stderr
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("script", ["reproduce_headline.py", "run_scalability.py"])
 @pytest.mark.parametrize("stale", [False, True], ids=["fresh", "stale"])
 def test_compare_wrapper_returns_a_failed_compare_without_a_table(tmp_path, script, stale):

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from firewatch import timing
-from firewatch.clustering import cluster_radius
+from firewatch.clustering import MAX_ITERS, Clustering, cluster_radius, init_centers, sensor_weight
 from firewatch.emergency import select_delivery_edge
 from firewatch.model import (EdgeNode, PhysicalParams, Point2D, RequestProfile, Sensor,
                              link_ranges)
@@ -115,3 +115,93 @@ def response_bound_oracle(plan, scenario, theta_max: float) -> float:
         t_exe_max = max(t_exe_max, timing.execution_time(float(scenario.beta_mi[sid]),
                                                          capacity[eid]))
     return 2.0 * r_max / p.v_g + d_del / p.v_g + t_tra_max + t_exe_max
+
+
+def weighted_kmeans_oracle(scenario, ids, m, omega_h, epsilon_m, rng,
+                           initial_centers=None, seen=None):
+    """``weighted_kmeans`` on an (n, m, 2) difference array, one
+    ``np.linalg.norm`` per iteration and ``np.add.at`` centroid sums: the
+    assignments, centers and iteration count the column version must
+    reproduce bit for bit.  When ``seen`` is a set, the paths taken are added
+    to it: "sensor-seeded" (m above the number of edges), "tie" (a sensor
+    equally near two centers), "reseed", "max-iters" and "final-pass" (the
+    last iteration was a reseed round)."""
+    ids = np.asarray(ids, dtype=int)
+    n = len(ids)
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 <= m <= {n} sensors, got m={m}")
+    seen = set() if seen is None else seen
+    xy = scenario.xy[ids]
+    w = sensor_weight(scenario.fire_history[ids], omega_h)
+    w_max = float(w.max())
+    factor = 2.0 - w / w_max
+
+    if initial_centers is not None:
+        centers = np.asarray(initial_centers, dtype=float).copy()
+    else:
+        centers = init_centers(m, scenario.edge_xy, xy, w, rng)
+        if m > len(scenario.edge_xy):
+            seen.add("sensor-seeded")
+
+    assign = np.zeros(n, dtype=int)
+    iterations = 0
+    for iterations in range(1, MAX_ITERS + 1):
+        d = np.linalg.norm(xy[:, None, :] - centers[None, :, :], axis=2)
+        scaled = d * factor[:, None]
+        assign = np.argmin(scaled, axis=1)
+        if (scaled == scaled.min(axis=1, keepdims=True)).sum(axis=1).max() > 1:
+            seen.add("tie")
+
+        counts = np.bincount(assign, minlength=m)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            seen.add("reseed")
+            taken: set[int] = set()
+            for j in empty:
+                dd = d[np.arange(n), assign] * factor
+                order = np.lexsort((np.arange(n), -dd))
+                pick = next(i for i in order if i not in taken)
+                taken.add(pick)
+                centers[j] = xy[pick]
+            continue
+
+        sums = np.zeros((m, 2))
+        np.add.at(sums, assign, xy * w[:, None])
+        wsum = np.bincount(assign, weights=w, minlength=m)
+        new_centers = sums / wsum[:, None]
+        moved = np.linalg.norm(new_centers - centers, axis=1).max()
+        centers = new_centers
+        if moved < epsilon_m:
+            break
+    else:
+        seen.add("max-iters")
+
+    if np.bincount(assign, minlength=m).min() == 0:
+        seen.add("final-pass")
+        d = np.linalg.norm(xy[:, None, :] - centers[None, :, :], axis=2)
+        assign = np.argmin(d * factor[:, None], axis=1)
+
+    return Clustering(m=m, assignment=dict(zip(ids.tolist(), assign.tolist())),
+                      centers=tuple((float(c[0]), float(c[1])) for c in centers),
+                      iterations_run=iterations)
+
+
+def nearest_neighbor_tour_oracle(depot_xy, xy):
+    """Nearest neighbour with one ``np.linalg.norm(xy - cur, axis=1)`` per
+    step and visited points masked to inf: the visit order the column
+    version must reproduce."""
+    n = len(xy)
+    if n == 0:
+        return []
+    xy = np.asarray(xy, dtype=float)
+    remaining = np.ones(n, dtype=bool)
+    order = []
+    cur = np.asarray(depot_xy, dtype=float)
+    for _ in range(n):
+        d = np.linalg.norm(xy - cur, axis=1)
+        d[~remaining] = np.inf
+        pick = int(np.argmin(d))
+        order.append(pick)
+        remaining[pick] = False
+        cur = xy[pick]
+    return order
