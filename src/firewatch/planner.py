@@ -1,14 +1,21 @@
 """Adaptive fleet sizing and plan assembly.
 
 One sizing loop, ``size_fleet``, serves this planner and every baseline: it
-starts from the configured initial fleet size and grows it by one whenever
-the method has no clusters, edge assignment fails after overload repair, or
-a route breaks the revisit/energy limits, up to the fleet ceiling.  Methods
-supply only their clusters, each an array of sensor ids, and a route builder;
-every layer reads positions, request sizes and fire histories from the
-scenario's columns by id.  This planner re-runs clustering at each fleet
-size with a deterministic (run seed, m) stream, so plans are pure functions
-of (scenario, algo params, variant).
+starts from the configured initial fleet size, or from the fleet lower bound
+when that is larger, and grows it by one whenever the method has no clusters,
+edge assignment fails after overload repair, or a route breaks the
+revisit/energy limits, up to the fleet ceiling.  The m tours of any plan,
+their depots merged into one node, connect it to every UAV-served sensor, so
+in total they are at least the spanning tree over those sensors and the
+merged edges (``tour_lower_bound``); below the fleet lower bound that tree
+already exceeds m revisit periods or m energy budgets, so every plan has a
+route over a limit.  Each fleet size draws from its own seed stream, so
+skipping those changes no plan.  Methods supply only their clusters, each an
+array of sensor ids, and a route builder; every layer reads positions,
+request sizes and fire histories from the scenario's columns by id.  This
+planner re-runs clustering at each fleet size with a deterministic (run
+seed, m) stream, so plans are pure functions of (scenario, algo params,
+variant).
 
 Ablation variants:
     FULL       weighted k-means clusters, 2-opt improved routes
@@ -125,17 +132,38 @@ def _cluster_for_m(uav_ids: np.ndarray, m: int, scenario, algo: AlgoParams,
     return np.split(uav_ids[order], ends), iterations
 
 
+def _over_limits(lb: float, alpha_mb, p: PhysicalParams, m: int = 1) -> bool:
+    """True when m routes at least ``lb`` long in total, with these uploads,
+    must include one over the revisit or energy limit by more than float
+    noise."""
+    return (lb / p.v_g > m * p.t_max_s * (1 + _BOUND_RTOL)
+            or route_energy(lb, alpha_mb, p) > m * p.e_max_wh * (1 + _BOUND_RTOL))
+
+
 def _bound_breaks(depot_edge_id: int, ids: np.ndarray, scenario) -> bool:
     """True when no tour over the sensors from the depot can meet the revisit
-    or energy limit: the spanning-tree bound already breaks one by more than
-    float noise."""
+    or energy limit: the spanning-tree bound already breaks one."""
     if not len(ids):
         return False
-    p = scenario.physical
     lb = tour_lower_bound(scenario.edge_xy[depot_edge_id], scenario.xy[ids])
-    energy = route_energy(lb, scenario.alpha_mb[ids].tolist(), p)
-    return (lb / p.v_g > p.t_max_s * (1 + _BOUND_RTOL)
-            or energy > p.e_max_wh * (1 + _BOUND_RTOL))
+    return _over_limits(lb, scenario.alpha_mb[ids].tolist(), scenario.physical)
+
+
+def _fleet_lower_bound(scenario, direct_map: dict[int, int], first: int) -> int:
+    """The smallest fleet size from ``first`` up to m_max at which the
+    spanning tree over the UAV-served sensors and every edge merged into one
+    depot flies within m revisit periods and, with every member's upload,
+    within m energy budgets."""
+    p = scenario.physical
+    uav = np.ones(len(scenario.xy), dtype=bool)
+    uav[list(direct_map)] = False
+    lb = tour_lower_bound(scenario.edge_xy, scenario.xy[uav])
+    # every upload summed once, not once per m
+    alpha = [sum(scenario.alpha_mb[uav].tolist())]
+    m = first
+    while m < p.m_max and _over_limits(lb, alpha, p, m):
+        m += 1
+    return m
 
 
 def size_fleet(scenario, algo: AlgoParams, direct_map: dict[int, int],
@@ -151,10 +179,16 @@ def size_fleet(scenario, algo: AlgoParams, direct_map: dict[int, int],
     is routed with ``route(j, depot_edge_id, ids, scenario)``; the first m
     whose routes meet the revisit and energy limits becomes the Plan, idle
     UAVs parked at their edge.
+    The loop starts at the fleet lower bound (``_fleet_lower_bound``) instead
+    when that is larger: the m tours of any plan, their depots merged, connect
+    the UAV-served sensors and the merged edges, so in total they are at
+    least the spanning tree over them, and below the bound that tree exceeds
+    m revisit periods or m energy budgets.  Each m has its own clusters, so
+    skipping these changes no plan.
     Below m_max an m is dropped without routing when a cluster's spanning-tree
-    bound (``tour_lower_bound``) already breaks a limit, and its routing stops
-    at the first route that breaks one; m_max is always routed in full, so
-    the binding constraints come from complete routes.  ``at_m`` builds the
+    bound already breaks a limit, and its routing stops at the first route
+    that breaks one; m_max is always tried and routed in full, so the binding
+    constraints come from complete routes.  ``at_m`` builds the
     plan at that one m without the gate (a failed repair keeps the
     unrepaired assignment; route limits go unchecked).  Raises
     InfeasibleError naming the constraints the last m failed, or ``binding``
@@ -162,7 +196,9 @@ def size_fleet(scenario, algo: AlgoParams, direct_map: dict[int, int],
     """
     p = scenario.physical
     gate = at_m is None
-    sizes = (range(initial_fleet_size(p, algo.fleet_init_mode), p.m_max + 1)
+    sizes = (range(_fleet_lower_bound(scenario, direct_map,
+                                      initial_fleet_size(p, algo.fleet_init_mode)),
+                   p.m_max + 1)
              if gate else (at_m,))
     failed: list[str] = []
     for m in sizes:

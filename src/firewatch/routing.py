@@ -7,7 +7,12 @@ participates in leg costs but never moves).  The 2-opt scan evaluates the
 deltas of a block of rows at once and takes the first hit in row-major
 order, which is the move the row-by-row scan makes.  ``tour_lower_bound``
 is Prim's minimum spanning tree over one full-length distance vector, with
-the same picks and running sum as Prim over shrinking vectors.
+the same picks and running sum as Prim over shrinking vectors.  Given
+several depots it merges them into one node, each point's distance to it
+the nearest depot's: closed tours from any of those depots, taken together,
+connect that node to every point, so their total length is at least the
+tree's.  The fleet-sizing loop uses this to skip fleet sizes no plan can
+meet.
 """
 
 from __future__ import annotations
@@ -70,17 +75,23 @@ def nearest_neighbor_tour(depot_xy, xy: np.ndarray) -> list[int]:
 def tour_lower_bound(depot_xy, xy: np.ndarray) -> float:
     """Length of a minimum spanning tree over the depot and the points.
 
-    No closed tour through them is shorter (Held & Karp 1970).  Prim's
-    algorithm over one full-length vector of distances to the tree, O(n)
-    work and memory per step, each step's distances computed on x/y columns
-    into two reused buffers: a point joins the tree by becoming infinitely
-    far from everything, so ties still go to the lowest index.
+    No closed tour through them is shorter (Held & Karp 1970).  ``depot_xy``
+    is one (x, y) depot or a (k, 2) array of them, merged into one node at
+    each point's nearest depot: no set of closed tours from those depots
+    that visits every point is shorter in total.  Prim's algorithm over one
+    full-length vector of distances to the tree, O(n) work and memory per
+    step, each step's distances computed on x/y columns into two reused
+    buffers: a point joins the tree by becoming infinitely far from
+    everything, so ties still go to the lowest index.
     """
     pts = np.asarray(xy, dtype=float).reshape(-1, 2)
     n = len(pts)
     x, y = pts[:, 0].copy(), pts[:, 1].copy()
     dx, dy = np.empty(n), np.empty(n)
-    to_tree = column_distances(x, y, float(depot_xy[0]), float(depot_xy[1]), dx, dy).copy()
+    (ex, ey), *more = np.asarray(depot_xy, dtype=float).reshape(-1, 2).tolist()
+    to_tree = column_distances(x, y, ex, ey, dx, dy).copy()
+    for ex, ey in more:
+        np.minimum(to_tree, column_distances(x, y, ex, ey, dx, dy), out=to_tree)
     total = 0.0
     for _ in range(n):
         pick = int(to_tree.argmin())
@@ -112,11 +123,11 @@ def two_opt(depot_xy, xy: np.ndarray, order: list[int]) -> list[int]:
     later = ~np.tri(_BLOCK, n, -1, dtype=bool)
     first = later.copy()
     first[0, n - 3] = False           # i = 1, k = n-1: the pair shares the depot
+    nxt = np.roll(tour, -1)           # tour[(k + 1) % n]
+    legs = dist[tour, nxt]            # dist[t[k], t[k+1]]
     improved = True
     while improved:
         improved = False
-        nxt = np.roll(tour, -1)       # tour[(k + 1) % n]
-        legs = dist[tour, nxt]        # dist[t[k], t[k+1]]
         for i0 in range(1, n - 1, _BLOCK):
             i1 = min(i0 + _BLOCK, n - 1)
             a, b = tour[i0 - 1:i1 - 1], tour[i0:i1]
@@ -132,6 +143,9 @@ def two_opt(depot_xy, xy: np.ndarray, order: list[int]) -> list[int]:
                 r, j = divmod(int(hit[0]), n - i0 - 1)
                 i, k = i0 + r, i0 + 1 + j
                 tour[i:k + 1] = tour[i:k + 1][::-1]
+                # only the legs from position i - 1 through k changed
+                nxt[i - 1:k] = tour[i:k + 1]
+                legs[i - 1:k + 1] = dist[tour[i - 1:k + 1], nxt[i - 1:k + 1]]
                 improved = True
                 break
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from firewatch import baselines
+from firewatch import baselines, planner
 from firewatch.baselines import (
     CROSSOVER_RATE,
     MUTATION_RATE,
@@ -15,19 +15,22 @@ from firewatch.baselines import (
     PsoConfig,
     _ga_search,
     _order_by_priority,
+    _pso_search,
     _Stream,
     _Workspace,
     ga_plan,
     greedy_plan,
     pso_plan,
 )
-from firewatch.model import AlgoParams, PhysicalParams, derive_seed
+from firewatch.model import MB_TO_MBIT, AlgoParams, PhysicalParams, derive_seed
 from firewatch.planner import InfeasibleError, plan, plan_to_doc, validate_plan
 from firewatch.routing import nearest_neighbor_tour, tour_length
 from firewatch.scenario import GenConfig, generate
 from firewatch.timing import all_responses, execution_time, transmission_time
-from testutil import blob, build_scenario
+from testutil import (blob, bound_scenarios, build_scenario, fleet_start, fleet_tree_bound,
+                      outcomes, unskip_fleet_sizes)
 
+# the GA/PSO budgets of the acceptance soundness sweep, seed 0
 GA_SMALL = GaConfig(population=16, generations=12, seed=0)
 PSO_SMALL = PsoConfig(swarm=10, iterations=15, seed=0)
 
@@ -429,3 +432,64 @@ def test_config_validation():
         PsoConfig(swarm=1)
     with pytest.raises(ValueError):
         PsoConfig(iterations=-1)
+
+
+def test_greedy_fleet_sizes_below_the_bound_break_a_limit(monkeypatch):
+    """Greedy's clusters at every fleet size the loop skips, routed and
+    assigned as the loop would, have a route over the revisit or energy
+    limit and are no shorter in total than the tree."""
+    algo, real, seen = AlgoParams(), planner.size_fleet, {}
+
+    def spy(scenario, algo, direct_map, load0, clusters_at, route, **kw):
+        seen.update(direct_map=direct_map, load0=load0, clusters_at=clusters_at, route=route)
+        return real(scenario, algo, direct_map, load0, clusters_at, route, **kw)
+
+    monkeypatch.setattr(baselines, "size_fleet", spy)
+    for name, sc in bound_scenarios().items():
+        p, lb = sc.physical, fleet_tree_bound(sc)
+        try:
+            greedy_plan(sc, algo)
+        except InfeasibleError:
+            pass
+        for m in range(1, fleet_start(sc)):
+            pl = real(sc, algo, seen["direct_map"], seen["load0"], seen["clusters_at"],
+                      seen["route"], method="greedy", seed=0, t0=0.0, variant="-",
+                      at_m=m, binding=None)
+            assert any(r.revisit_s > p.t_max_s or r.energy_wh > p.e_max_wh
+                       for r in pl.routes), (name, m)
+            assert sum(r.length_m for r in pl.routes) >= lb, (name, m)
+
+
+@pytest.mark.parametrize("search", ["ga", "pso"])
+def test_search_fleet_sizes_below_the_bound_offer_no_clusters(search):
+    """Below the fleet bound GA and PSO find no individual without a
+    violation, and no clustering of a random population meets the revisit
+    and energy limits or is shorter in total than the tree."""
+    algo = AlgoParams()
+    rng = np.random.default_rng(5)
+    for name, sc in bound_scenarios().items():
+        ws, p, lb = _Workspace(sc, algo), sc.physical, fleet_tree_bound(sc)
+        for m in range(1, fleet_start(sc)):
+            if search == "ga":
+                assert _ga_search(ws, GA_SMALL, m) is None, (name, m)
+            else:
+                assert _pso_search(ws, PSO_SMALL, m) is None, (name, m)
+            genes = rng.integers(0, m, size=(20, ws.n))
+            assigned = ws.assign_edges(genes, m)
+            orders = ws.nn_orders(genes, assigned)
+            _, _, lengths = ws.evaluate(genes, orders, assigned)
+            energy = (p.p_fly_w * lengths / p.v_g + p.p_comm_w * assigned[1] * MB_TO_MBIT
+                      / p.data_rate_mbps) / 3600.0
+            assert ((lengths / p.v_g > p.t_max_s) | (energy > p.e_max_wh)).any(axis=1).all()
+            assert (lengths.sum(axis=1) >= lb).all(), (name, m)
+
+
+@pytest.mark.parametrize("method", ["greedy", "ga", "pso"])
+def test_skipping_fleet_sizes_changes_no_baseline_plan(monkeypatch, method):
+    algo = AlgoParams()
+    make_plan = {"greedy": lambda sc: greedy_plan(sc, algo),
+                 "ga": lambda sc: ga_plan(sc, algo, GA_SMALL),
+                 "pso": lambda sc: pso_plan(sc, algo, PSO_SMALL)}[method]
+    got = outcomes(make_plan, bound_scenarios())
+    unskip_fleet_sizes(monkeypatch)
+    assert outcomes(make_plan, bound_scenarios()) == got

@@ -22,7 +22,8 @@ from firewatch.planner import (
     write_route_csv,
 )
 from firewatch.routing import build_route, route_energy, tour_lower_bound
-from testutil import blob, brute_force_tour_optimum, build_scenario
+from testutil import (blob, bound_scenarios, brute_force_tour_optimum, build_scenario,
+                      fleet_start, fleet_tree_bound, outcomes, unskip_fleet_sizes)
 
 
 def test_initial_fleet_size_modes():
@@ -139,6 +140,53 @@ def test_routing_stops_at_first_route_over_a_limit():
                     method="t", seed=0, t0=0.0, variant="-", at_m=None, binding=None)
     assert pl.m == 3
     assert calls == [(1, 0), (2, 0), (3, 0), (3, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_fleet_sizes_below_the_bound_break_a_limit(variant):
+    """Every fleet size the loop skips gives a plan with a route over the
+    revisit or energy limit, its routes no shorter in total than the tree."""
+    algo = AlgoParams()
+    starts = []
+    for name, sc in bound_scenarios().items():
+        p, lb = sc.physical, fleet_tree_bound(sc)
+        starts.append(start := fleet_start(sc))
+        for m in range(1, start):
+            pl = plan_at_fleet(sc, algo, m, variant)
+            assert any(r.revisit_s > p.t_max_s or r.energy_wh > p.e_max_wh
+                       for r in pl.routes), (name, m)
+            assert sum(r.length_m for r in pl.routes) >= lb, (name, m)
+    assert sorted(set(starts)) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_skipping_fleet_sizes_changes_no_plan(monkeypatch, variant):
+    def make_plan(sc):
+        return plan(sc, AlgoParams(), variant)
+
+    got = outcomes(make_plan, bound_scenarios())
+    unskip_fleet_sizes(monkeypatch)
+    assert outcomes(make_plan, bound_scenarios()) == got
+
+
+def test_fleet_bound_above_the_ceiling_tries_only_the_ceiling(monkeypatch):
+    wide = bound_scenarios()["infeasible-s0"]
+    assert fleet_start(wide) == 4
+    sc = dataclasses.replace(wide, physical=dataclasses.replace(wide.physical, m_max=3))
+    tried = []
+    cluster_for_m = planner._cluster_for_m
+    monkeypatch.setattr(planner, "_cluster_for_m",
+                        lambda uav_ids, m, *args: tried.append(m) or cluster_for_m(
+                            uav_ids, m, *args))
+    with pytest.raises(InfeasibleError) as err:
+        plan(sc, AlgoParams())
+    assert tried == [3]
+    assert err.value.binding == ["energy budget"]
+    unskip_fleet_sizes(monkeypatch)
+    with pytest.raises(InfeasibleError) as unskipped:
+        plan(sc, AlgoParams())
+    assert tried == [3, 1, 2, 3]
+    assert unskipped.value.binding == err.value.binding
 
 
 def test_returned_fleet_is_minimal(default_scenario, default_algo, default_plan):

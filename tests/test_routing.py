@@ -119,6 +119,20 @@ def _dense_mst(depot, xy):
     return float(minimum_spanning_tree(d).sum())
 
 
+def _merged_depot_mst(depots, xy):
+    """The minimum spanning tree over the points and one node standing for
+    every depot, each point's distance to it the nearest depot's."""
+    d = np.zeros((len(xy) + 1, len(xy) + 1))
+    d[1:, 1:] = np.linalg.norm(xy[:, None, :] - xy[None, :, :], axis=2)
+    d[0, 1:] = d[1:, 0] = np.linalg.norm(xy[:, None, :] - depots[None, :, :],
+                                         axis=2).min(axis=1, initial=np.inf)
+    # csgraph reads (near-)zero as "no edge", so every edge is lengthened by
+    # 1 m: each spanning tree has len(xy) edges, so the same tree is minimal
+    off = ~np.eye(len(d), dtype=bool)
+    d[off] += 1.0
+    return float(minimum_spanning_tree(d).sum()) - len(xy)
+
+
 def test_tour_lower_bound_examples():
     assert tour_lower_bound((0.0, 0.0), np.empty((0, 2))) == 0.0
     assert tour_lower_bound((0.0, 0.0), _xy([(3.0, 4.0)])) == 5.0
@@ -126,6 +140,39 @@ def test_tour_lower_bound_examples():
     # square with the depot at a corner: three sides
     assert tour_lower_bound((0.0, 0.0), _xy([(10.0, 0.0), (10.0, 10.0),
                                              (0.0, 10.0)])) == 30.0
+
+
+def test_tour_lower_bound_two_depot_examples():
+    depots = np.array([[0.0, 0.0], [100.0, 0.0]])
+    assert tour_lower_bound(depots, np.empty((0, 2))) == 0.0
+    # each point joins the tree at its nearest depot
+    assert tour_lower_bound(depots, _xy([(90.0, 0.0)])) == 10.0
+    assert tour_lower_bound(depots, _xy([(3.0, 4.0), (103.0, 4.0)])) == 10.0
+    assert tour_lower_bound(depots, _xy([(100.0, 0.0), (103.0, 4.0)])) == 5.0
+    # the square of the one-depot example, a far depot changing nothing
+    square = _xy([(10.0, 0.0), (10.0, 10.0), (0.0, 10.0)])
+    assert tour_lower_bound([[0.0, 0.0], [1e4, 1e4]], square) == 30.0
+    # depots in the order given or reversed: the same tree
+    pts = _xy([(30.0, 40.0), (130.0, 40.0), (100.0, -50.0)])
+    assert tour_lower_bound(depots, pts) == tour_lower_bound(depots[::-1], pts) == 150.0
+
+
+@given(st.lists(_point, min_size=1, max_size=3), st.lists(_point, max_size=40))
+def test_multi_depot_bound_equals_merged_depot_mst(depots, points):
+    xy, depots = _xy(points), _xy(depots)
+    assert tour_lower_bound(depots, xy) == pytest.approx(
+        _merged_depot_mst(depots, xy), rel=1e-12, abs=1e-9)
+
+
+@given(st.lists(_point, min_size=1, max_size=3), st.lists(_point, max_size=7))
+def test_multi_depot_bound_below_split_tours(depots, points):
+    """Any split of the points into one closed tour per depot is at least
+    the bound in total, the tours taken at their optimum."""
+    xy, depots = _xy(points), _xy(depots)
+    labels = np.arange(len(xy)) % len(depots)
+    total = sum(brute_force_tour_optimum(depots[k], xy[labels == k])
+                for k in range(len(depots)))
+    assert tour_lower_bound(depots, xy) <= total + 1e-9
 
 
 @given(_point, st.lists(_point, max_size=7))
@@ -182,11 +229,13 @@ def _two_opt_oracle(depot_xy, xy, order):
 
 def _tour_lower_bound_oracle(depot_xy, xy):
     """Prim over shrinking vectors, one np.delete per step: the pick order and
-    the running sum tour_lower_bound must reproduce bit for bit."""
+    the running sum tour_lower_bound must reproduce bit for bit.  Several
+    depots start as each point's distance to the nearest."""
     rest = np.asarray(xy, dtype=float).reshape(-1, 2)
     if len(rest) == 0:
         return 0.0
-    to_tree = np.linalg.norm(rest - np.asarray(depot_xy, dtype=float), axis=1)
+    depots = np.asarray(depot_xy, dtype=float).reshape(-1, 2)
+    to_tree = np.min([np.linalg.norm(rest - d, axis=1) for d in depots], axis=0)
     total = 0.0
     while len(rest):
         pick = int(np.argmin(to_tree))
@@ -250,8 +299,21 @@ def test_two_opt_finds_a_move_past_the_second_block():
 @example(3, 0, "grid")
 @example(13, 16, "grid")
 def test_tour_lower_bound_matches_prim_oracle(n, seed, kind):
+    """One depot, as an (x, y) pair or a (1, 2) array, gives the oracle's
+    bits."""
     depot, xy = _points(n, seed, kind)
-    assert tour_lower_bound(depot, xy) == _tour_lower_bound_oracle(depot, xy)
+    want = _tour_lower_bound_oracle(depot, xy)
+    assert tour_lower_bound(depot, xy) == want
+    assert tour_lower_bound(np.array([depot]), xy) == want
+
+
+@given(st.integers(0, 3 * _BLOCK), st.integers(0, 2**32 - 1), _kinds,
+       st.integers(2, 5))
+@example(13, 16, "grid", 3)
+def test_multi_depot_bound_matches_prim_oracle(n, seed, kind, k):
+    depot, xy = _points(n + k - 1, seed, kind)
+    depots = np.vstack([depot, xy[n:]])
+    assert tour_lower_bound(depots, xy[:n]) == _tour_lower_bound_oracle(depots, xy[:n])
 
 
 @given(_point, st.lists(_point, max_size=40))

@@ -7,13 +7,13 @@ import math
 
 import numpy as np
 
-from firewatch import timing
+from firewatch import planner, timing
 from firewatch.clustering import MAX_ITERS, Clustering, cluster_radius, init_centers, sensor_weight
 from firewatch.emergency import select_delivery_edge
 from firewatch.model import (EdgeNode, PhysicalParams, Point2D, RequestProfile, Sensor,
                              link_ranges)
-from firewatch.routing import tour_length
-from firewatch.scenario import Scenario, ScenarioMeta
+from firewatch.routing import tour_length, tour_lower_bound
+from firewatch.scenario import GenConfig, Scenario, ScenarioMeta, generate
 
 
 def build_scenario(sensor_specs, edge_specs, physical: PhysicalParams | None = None) -> Scenario:
@@ -84,6 +84,69 @@ def brute_force_tour_optimum(depot_xy, xy: np.ndarray) -> float:
     c = pts[:, -1] - pts[:, 0]
     closing = np.sqrt(c[:, None, :] @ c[:, :, None])[:, 0, 0]
     return float((legs + closing).min())
+
+
+def _rings(**limit):
+    """Two rings of 16 sensors, each on a 2.5 km circle through its own edge,
+    and 6 direct sensors 400 m from each edge.  Two UAVs can fly the rings,
+    each within 0.1% of the limit, and the whole-fleet bound is 94% of two
+    limits: a bound 7% too high, or one counting the direct sensors, would
+    skip the fleet size the planner returns."""
+    ang = np.linspace(0.3, 2 * np.pi - 0.3, 16)
+    pts = [(cx + 2500.0 * np.sin(a), 10000.0 + 2500.0 * (1 - np.cos(a)))
+           for cx in (5000.0, 15000.0) for a in ang]
+    pts += [(cx + 400.0 * np.sin(a), 10000.0 - 400.0 * np.cos(a))
+            for cx in (5000.0, 15000.0) for a in np.linspace(1.0, 2 * np.pi - 1.0, 6)]
+    return build_scenario([(x, y, 0, 1.0, 100.0) for x, y in pts],
+                          [(5000.0, 10000.0, 5000.0), (15000.0, 10000.0, 5000.0)],
+                          PhysicalParams(area_km2=400.0, m_max=6, **limit))
+
+
+def bound_scenarios():
+    """Scenarios where the whole-fleet bound rules out one UAV or more.  40
+    sensors in 16 km^2, seeds 0 and 1: a short revisit period (the planner
+    needs 3 or 2 UAVs), a small energy budget (10 or 5 UAVs) and a smaller
+    one (infeasible up to m_max); and the two rings, 2 UAVs under a revisit
+    or an energy limit."""
+    out = {f"{name}-s{seed}": generate(GenConfig(n_sensors=40, n_edges=3, seed=seed),
+                                       PhysicalParams(area_km2=16.0, m_max=10, **limit))
+           for name, limit in (("revisit", {"t_max_s": 900.0}),
+                               ("energy", {"e_max_wh": 15.0}),
+                               ("infeasible", {"e_max_wh": 10.0}))
+           for seed in (0, 1)}
+    out["rings-revisit"] = _rings(t_max_s=1042.0)
+    out["rings-energy"] = _rings(e_max_wh=29.0)
+    return out
+
+
+def fleet_tree_bound(scenario) -> float:
+    """The spanning tree over the UAV-served sensors and every edge merged
+    into one depot: no plan's routes are shorter in total."""
+    uav_ids = phase1_oracle(scenario)[0]
+    return tour_lower_bound(scenario.edge_xy, scenario.xy[uav_ids])
+
+
+def fleet_start(scenario) -> int:
+    """The fleet size the sizing loop starts at from one UAV."""
+    return planner._fleet_lower_bound(scenario, phase1_oracle(scenario)[1], 1)
+
+
+def unskip_fleet_sizes(monkeypatch) -> None:
+    """Make the sizing loop start at the initial fleet size again."""
+    monkeypatch.setattr(planner, "_fleet_lower_bound",
+                        lambda scenario, direct_map, first: first)
+
+
+def outcomes(make_plan, scenarios) -> dict:
+    """Per scenario name, plan_to_doc of ``make_plan(scenario)``, or the
+    binding constraints it raised InfeasibleError with."""
+    out = {}
+    for name, sc in scenarios.items():
+        try:
+            out[name] = planner.plan_to_doc(make_plan(sc), sc)
+        except planner.InfeasibleError as e:
+            out[name] = e.binding
+    return out
 
 
 def blob(center, offsets):
