@@ -28,11 +28,28 @@ the loop for positions only, then builds every child with whole-population
 array operations, so the plans are those of the loop.  If numpy changes its
 Generator stream, ``tests/test_baselines.py::test_stream_replays_the_generator``
 fails first.
+
+Each GA/PSO fleet size is searched from its own seed stream, so the sizes
+after m can be searched while m is.  ``ga_plan`` and ``pso_plan`` keep the
+searches for m .. m + W - 1 (never above m_max) in flight, one worker
+process per usable CPU (W of them), and hand size_fleet m's result; the
+queued searches are cancelled when size_fleet returns or raises.  The plans
+are those of searching one size at a time, which is what one usable CPU
+does, in process.  The workers are forked at first use and live until the
+interpreter exits, so they see module state as it was when they were
+forked: a test that patches search internals calls ``_ga_search`` or
+``_pso_search`` itself.  A worker that dies makes that call raise
+``BrokenProcessPool``; the next call starts a fresh pool.
 """
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import functools
+import os
+import signal
+import threading
 import time
 from dataclasses import dataclass
 
@@ -423,16 +440,88 @@ def _ga_search(ws: _Workspace, cfg: GaConfig, m: int):
     return ws.clusters(genes[best], orders[best], m)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_pool = None            # the search workers, forked at the first look-ahead
+_pool_lock = threading.Lock()
+
+
+def _executor():
+    """The process-wide worker pool, one worker per usable CPU, made on
+    first use.  Workers ignore SIGINT: an interrupt ends the caller, whose
+    exit waits for the searches still running and then ends them."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported here: importing firewatch loads no multiprocessing
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            _pool = ProcessPoolExecutor(
+                _usable_cpus(), mp_context=multiprocessing.get_context("fork"),
+                initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
+        return _pool
+
+
+@atexit.register
+def _shutdown_pool(pool=None) -> None:
+    """Shut down and join the worker pool (``pool`` only if it is still the
+    current one) and drop it, so the next look-ahead starts a fresh one."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or (pool is not None and pool is not _pool):
+            return
+        pool, _pool = _pool, None
+    pool.shutdown(wait=True, cancel_futures=True)
+
+
+@contextlib.contextmanager
+def _searched_ahead(search, ws: _Workspace, cfg, m_max: int):
+    """size_fleet's ``clusters_at`` for ``search(ws, cfg, m)``.  The call for
+    m keeps the searches for m .. m + W - 1 (never above m_max) running on
+    the worker pool, W the usable CPUs, and returns m's result; leaving the
+    block cancels the searches not yet started.  One CPU (or no fork)
+    searches in process, one size per call."""
+    width = _usable_cpus() if hasattr(os, "fork") else 1
+    if width == 1:
+        yield lambda m: search(ws, cfg, m)
+        return
+    from concurrent.futures.process import BrokenProcessPool
+    ahead = {}
+
+    def clusters_at(m):
+        pool = _executor()
+        try:
+            for k in range(m, min(m + width, m_max + 1)):
+                if k not in ahead:
+                    ahead[k] = pool.submit(search, ws, cfg, k)
+            return ahead[m].result()
+        except BrokenProcessPool:
+            _shutdown_pool(pool)
+            raise
+
+    try:
+        yield clusters_at
+    finally:
+        for future in ahead.values():
+            future.cancel()
+
+
 def ga_plan(scenario, algo: AlgoParams, cfg: GaConfig | None = None) -> Plan:
     """Genetic-algorithm baseline: joint cluster-assignment + visit-priority
     chromosome per fleet size, penalty-driven feasibility."""
     cfg = cfg if cfg is not None else GaConfig(seed=algo.seed)
     t0 = time.perf_counter()
     ws = _Workspace(scenario, algo)
-    return size_fleet(scenario, algo, ws.direct_map, ws.load0,
-                      lambda m: _ga_search(ws, cfg, m), ordered_route,
-                      method="ga", seed=cfg.seed, t0=t0, variant="-", at_m=None,
-                      binding=["revisit period, energy budget, or edge capacity"])
+    with _searched_ahead(_ga_search, ws, cfg, scenario.physical.m_max) as clusters_at:
+        return size_fleet(scenario, algo, ws.direct_map, ws.load0, clusters_at,
+                          ordered_route, method="ga", seed=cfg.seed, t0=t0, variant="-",
+                          at_m=None,
+                          binding=["revisit period, energy budget, or edge capacity"])
 
 
 def _pso_search(ws: _Workspace, cfg: PsoConfig, m: int):
@@ -488,10 +577,10 @@ def pso_plan(scenario, algo: AlgoParams, cfg: PsoConfig | None = None) -> Plan:
     cfg = cfg if cfg is not None else PsoConfig(seed=algo.seed)
     t0 = time.perf_counter()
     ws = _Workspace(scenario, algo)
-    return size_fleet(scenario, algo, ws.direct_map, ws.load0,
-                      lambda m: _pso_search(ws, cfg, m), ordered_route,
-                      method="pso", seed=cfg.seed, t0=t0, variant="-", at_m=None,
-                      binding=["no feasible particle"])
+    with _searched_ahead(_pso_search, ws, cfg, scenario.physical.m_max) as clusters_at:
+        return size_fleet(scenario, algo, ws.direct_map, ws.load0, clusters_at,
+                          ordered_route, method="pso", seed=cfg.seed, t0=t0, variant="-",
+                          at_m=None, binding=["no feasible particle"])
 
 
 def greedy_plan(scenario, algo: AlgoParams) -> Plan:

@@ -1,4 +1,8 @@
 import math
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -28,7 +32,7 @@ from firewatch.routing import nearest_neighbor_tour, tour_length
 from firewatch.scenario import GenConfig, generate
 from firewatch.timing import all_responses, execution_time, transmission_time
 from testutil import (blob, bound_scenarios, build_scenario, fleet_start, fleet_tree_bound,
-                      outcomes, unskip_fleet_sizes)
+                      outcomes, processes_where, unskip_fleet_sizes)
 
 # the GA/PSO budgets of the acceptance soundness sweep, seed 0
 GA_SMALL = GaConfig(population=16, generations=12, seed=0)
@@ -410,12 +414,17 @@ def test_all_methods_feasible_small():
         assert served == {s.id for s in sc.sensors}, name
 
 
-def test_all_methods_raise_on_capacity_wall():
-    p = PhysicalParams(m_max=3)
-    sc = build_scenario(
+def _capacity_wall():
+    """Three sensors whose compute no fleet up to m_max = 3 fits on the one
+    edge."""
+    return build_scenario(
         [(3000.0, 0.0, 0, 1.0, 1e6), (3200.0, 0.0, 0, 1.0, 1e6),
          (3400.0, 0.0, 0, 1.0, 1e6)],
-        [(0.0, 0.0, 10.0)], p)
+        [(0.0, 0.0, 10.0)], PhysicalParams(m_max=3))
+
+
+def test_all_methods_raise_on_capacity_wall():
+    sc = _capacity_wall()
     algo = AlgoParams()
     with pytest.raises(InfeasibleError):
         greedy_plan(sc, algo)
@@ -493,3 +502,92 @@ def test_skipping_fleet_sizes_changes_no_baseline_plan(monkeypatch, method):
     got = outcomes(make_plan, bound_scenarios())
     unskip_fleet_sizes(monkeypatch)
     assert outcomes(make_plan, bound_scenarios()) == got
+
+
+class _Submissions:
+    """The worker pool, noting the fleet size of every search submitted."""
+
+    def __init__(self, pool, sizes: list):
+        self.pool, self.sizes = pool, sizes
+
+    def submit(self, search, ws, cfg, m):
+        self.sizes.append(m)
+        return self.pool.submit(search, ws, cfg, m)
+
+
+def _at_fleet_bound():
+    """Bound scenarios with m_max lowered to the fleet size the sizing loop
+    starts at, so it tries m_max alone."""
+    out = {}
+    for name in ("revisit-s0", "energy-s1"):
+        sc = bound_scenarios()[name]
+        out[f"{name}-m_max-at-bound"] = replace(
+            sc, physical=replace(sc.physical, m_max=fleet_start(sc)))
+    return out
+
+
+@pytest.mark.parametrize("method", ["ga", "pso"])
+def test_searching_ahead_on_workers_matches_searching_inline(monkeypatch, method):
+    """GA and PSO give the same plans and bindings with fleet sizes searched
+    ahead on two workers as with one CPU, which searches in process; the
+    workers get each size from the loop's start once, none above m_max."""
+    algo = AlgoParams()
+    make_plan = {"ga": lambda sc: ga_plan(sc, algo, GA_SMALL),
+                 "pso": lambda sc: pso_plan(sc, algo, PSO_SMALL)}[method]
+    bound = bound_scenarios()
+    scenarios = {"feasible-40": generate(GenConfig(n_sensors=40, n_edges=3, seed=7)),
+                 "blob": _blob_scenario(), "capacity-wall": _capacity_wall(),
+                 **{name: bound[name] for name in ("revisit-s0", "energy-s1", "infeasible-s0",
+                                                   "rings-energy")},
+                 **_at_fleet_bound()}
+    pool = baselines._executor
+
+    def run(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        got, sizes = {}, {}
+        for name, sc in scenarios.items():
+            seen = sizes[name] = []
+            monkeypatch.setattr(baselines, "_executor", lambda: _Submissions(pool(), seen))
+            got.update(outcomes(make_plan, {name: sc}))
+        return got, sizes
+
+    inline, inline_sizes = run(1)
+    ahead, ahead_sizes = run(2)
+    assert ahead == inline
+    assert inline["capacity-wall"] == ["revisit period, energy budget, or edge capacity"
+                                       if method == "ga" else "no feasible particle"]
+    assert not any(inline_sizes.values())
+    for name, sc in scenarios.items():
+        sizes, m_max = ahead_sizes[name], sc.physical.m_max
+        assert sizes == list(range(fleet_start(sc), max(sizes) + 1)), name
+        assert max(sizes) <= m_max, name
+    for name, sc in _at_fleet_bound().items():
+        assert ahead_sizes[name] == [sc.physical.m_max], name
+
+
+_TEST_PID = os.getpid()
+
+
+def _search_killing_its_worker(ws, cfg, m):
+    """``_ga_search``, except that a worker process asked for one UAV kills
+    itself."""
+    if m == 1 and os.getpid() != _TEST_PID:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _ga_search(ws, cfg, m)
+
+
+def test_a_killed_worker_breaks_that_call_only(monkeypatch):
+    sc, algo = _blob_scenario(), AlgoParams()
+    assert fleet_start(sc) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    inline = planner.plan_to_doc(ga_plan(sc, algo, GA_SMALL), sc)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with monkeypatch.context() as patched:
+        patched.setattr(baselines, "_ga_search", _search_killing_its_worker)
+        with pytest.raises(BrokenProcessPool):
+            ga_plan(sc, algo, GA_SMALL)
+    # the broken pool is shut down, its workers joined, and dropped
+    assert baselines._pool is None
+    assert not processes_where("ppid", os.getpid())
+    assert planner.plan_to_doc(ga_plan(sc, algo, GA_SMALL), sc) == inline
+    assert baselines._pool is not None

@@ -1,18 +1,21 @@
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import firewatch
+from firewatch.baselines import _usable_cpus
 from firewatch.cli import main
 from firewatch.model import PhysicalParams
 from firewatch.scenario import load_scenario, save_scenario
 from firewatch.emergency import EmergencyEvent, save_events
-from testutil import build_scenario
+from testutil import build_scenario, processes_where
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +343,57 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr or "firewatch.cli imported scipy.stats"
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    """The GA/PSO worker pool is imported at its first use, not with the
+    CLI."""
+    src = str(Path(firewatch.__file__).resolve().parents[1])
+    code = ("import sys, firewatch, firewatch.cli; sys.exit(' '.join({'multiprocessing', "
+            "'concurrent.futures.process'} & set(sys.modules)) or None)")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def _compare_in_own_session(out_dir, *flags):
+    """``firewatch compare --methods ga,pso`` on 100 sensors as the leader
+    of a new session, so the session id finds every process it starts."""
+    src = str(Path(firewatch.__file__).resolve().parents[1])
+    return subprocess.Popen(
+        [sys.executable, "-m", "firewatch.cli", "compare", "--methods", "ga,pso",
+         "--sensors", "100", *flags, "-o", str(out_dir)],
+        env=dict(os.environ, PYTHONPATH=src), start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+
+
+def test_compare_leaves_no_process_running(tmp_path):
+    run = _compare_in_own_session(tmp_path, "--seeds", "2", "--ga-pop", "16",
+                                  "--ga-gens", "12", "--pso-swarm", "10", "--pso-iters", "15")
+    _, err = run.communicate(timeout=300)
+    assert run.returncode == 0, err
+    assert not processes_where("session", run.pid)
+    assert "Exception ignored" not in err and "Traceback" not in err, err
+
+
+@pytest.mark.skipif(_usable_cpus() == 1, reason="one usable CPU searches in process")
+def test_compare_interrupted_mid_search_ends_promptly(tmp_path):
+    run = _compare_in_own_session(tmp_path, "--seeds", "3")
+    # the GA search is under way once the workers are up
+    deadline = time.monotonic() + 120
+    while len(processes_where("session", run.pid)) < 2 and run.poll() is None:
+        assert time.monotonic() < deadline, "no worker process started"
+        time.sleep(0.02)
+    time.sleep(0.3)     # past the workers' start, into the search
+    assert run.poll() is None, "compare ended before it could be interrupted"
+    os.killpg(run.pid, signal.SIGINT)      # as ctrl-C does
+    sent = time.monotonic()
+    _, err = run.communicate(timeout=60)
+    assert time.monotonic() - sent < 10
+    assert run.returncode == -signal.SIGINT, err
+    assert "KeyboardInterrupt" in err
+    assert not processes_where("session", run.pid)
 
 
 @pytest.mark.parametrize("rows,index,key,value", [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import glob
 import itertools
 import math
 
@@ -147,6 +148,23 @@ def outcomes(make_plan, scenarios) -> dict:
         except planner.InfeasibleError as e:
             out[name] = e.binding
     return out
+
+
+def processes_where(field: str, value: int) -> list[int]:
+    """Pids of the live processes whose ``field`` ("ppid" or "session") in
+    /proc/<pid>/stat equals ``value``."""
+    at = {"ppid": 1, "session": 3}[field]      # counted from the state field
+    pids = []
+    for path in glob.glob("/proc/[0-9]*/stat"):
+        try:
+            with open(path) as f:
+                stat = f.read()
+        except OSError:                         # the process has gone
+            continue
+        # the command name is in parentheses and may hold spaces
+        if int(stat.rsplit(")", 1)[1].split()[at]) == value:
+            pids.append(int(path.split("/")[2]))
+    return pids
 
 
 def blob(center, offsets):
