@@ -11,9 +11,11 @@ penalty (1e6 per violated route/edge constraint) and hand the best
 zero-violation individual, routed in its evolved visit order, to the loop;
 a fleet size with none is rejected.  Each GA generation and PSO step is
 evaluated as one population: (P, n) gene and visit-order arrays, with the
-per-row sums, edge choices and nearest-neighbor steps vectorised across rows
-and every per-cluster sum taken in the same order as for one individual, so
-each row gets the numbers it would get on its own.
+per-row sums and nearest-neighbor steps vectorised across rows and every
+per-cluster sum taken in the same order as for one individual, so each row
+gets the numbers it would get on its own.  The edge choice is the planner's
+phase-2 kernel (``edge_assignment.assign_batch``) run on the population, so
+fitness scores the edges and loads the loop then gives the plan.
 
 GA children are built a generation at a time from the values a loop over
 the pairs of children would draw from the search's numpy Generator, one
@@ -58,7 +60,7 @@ import numpy as np
 from . import planner
 # assign_clusters and repair_overload stay importable here, and phase 1 is
 # looked up as planner.assign_direct: bench/tracer.py wraps those names
-from .edge_assignment import assign_clusters, repair_overload  # noqa: F401
+from .edge_assignment import assign_batch, assign_clusters, repair_overload  # noqa: F401
 from .model import MB_TO_MBIT, AlgoParams, derive_seed
 from .planner import Plan, size_fleet
 from .routing import build_route, ordered_route
@@ -119,9 +121,9 @@ class _Workspace:
         self.cap = scenario.capacity
         self.d_se = np.linalg.norm(xy[:, None, :] - scenario.edge_xy[None, :, :], axis=2)
         self.d_ss = np.linalg.norm(xy[:, None, :] - xy[None, :, :], axis=2)
-        # the per-sensor values assign_edges sums by cluster, one per row
-        self.gene_columns = np.vstack([self.beta, self.alpha, self.d_se.T])
-        self.base_loads = np.array(self.load0.loads_mips)
+        # assign_batch's arguments after the labels and m
+        self.phase2 = (self.beta, self.d_se, np.array(self.load0.loads_mips), self.cap,
+                       algo.omega_d, algo.omega_l, p.diag_m, p.t_period_s)
         self.t_tra_sum = (self.alpha * MB_TO_MBIT / p.data_rate_mbps).sum()
         # direct sensors contribute a constant to the service-time objective
         alpha, beta, cap = (c.tolist() for c in (scenario.alpha_mb, scenario.beta_mi,
@@ -130,41 +132,18 @@ class _Workspace:
             transmission_time(alpha[i], p.data_rate_mbps) + execution_time(beta[i], cap[k])
             for i, k in self.direct_map.items())
 
-    def assign_edges(self, genes: np.ndarray, m: int):
-        """Sequential lowest-score edge per cluster (same score as the shared
-        phase-2 op), each step across all rows.  Returns the (P, m) member
-        counts, upload sums and edge indices and the (P, edges) loads."""
-        a = self.algo
-        P, n = genes.shape
-        # bin r*m + j is cluster j of row r, so each bin sums its members in
-        # id order, as a per-row bincount would
-        bins = (genes + m * np.arange(P)[:, None]).ravel()
-        beta_sum, alpha_sum, *edge_sums = (
-            np.bincount(bins, weights=w, minlength=P * m).reshape(P, m)
-            for w in np.tile(self.gene_columns, P))
-        counts = np.bincount(bins, minlength=P * m).reshape(P, m)
-        demands = beta_sum / self.p.t_period_s
-        dbar = np.divide(np.stack(edge_sums, axis=2), np.maximum(counts, 1)[..., None])
-        distance_term = a.omega_d * dbar / self.p.diag_m
-        rows = np.arange(P)
-        loads = np.tile(self.base_loads, (P, 1))
-        edge_of = np.empty((P, m), dtype=int)
-        for j in range(m):
-            scores = distance_term[:, j] + a.omega_l * (loads + demands[:, j, None]) / self.cap
-            edge_of[:, j] = k = scores.argmin(axis=1)
-            loads[rows, k] += demands[:, j]
-        return counts, alpha_sum, edge_of, loads
-
     def evaluate(self, genes: np.ndarray, orders: np.ndarray, assigned):
         """Objective + violation count per row for clusterings with fixed
         visit orders (each row of `orders` = sensor indices grouped by
-        cluster, in visit order) and their ``assign_edges`` result.
+        cluster, in visit order) and their ``assign_batch`` result.
 
         Returns the (P,) fitness and violations and the (P, m) tour lengths."""
         p = self.p
-        counts, alpha_sum, edge_of, loads = assigned
+        counts, edge_of, loads = assigned
         P, m = counts.shape
         rows = np.arange(P)[:, None]
+        alpha_sum = np.bincount((genes + m * rows).ravel(), weights=np.tile(self.alpha, P),
+                                minlength=P * m).reshape(P, m)
 
         # tour lengths: inner legs along the order, broken at cluster
         # boundaries, plus the two depot legs per non-empty cluster
@@ -184,7 +163,7 @@ class _Workspace:
         revisit = lengths / p.v_g
         energy = (p.p_fly_w * revisit + p.p_comm_w * alpha_sum * MB_TO_MBIT
                   / p.data_rate_mbps) / 3600.0
-        # assign_edges' loads are the base loads plus each cluster's demand,
+        # assign_batch's loads are the base loads plus each cluster's demand,
         # added in cluster order: the capacity check's loads
         violations = ((revisit > p.t_max_s).sum(axis=1) + (energy > p.e_max_wh).sum(axis=1)
                       + (loads > self.cap).sum(axis=1))
@@ -197,7 +176,7 @@ class _Workspace:
         """Nearest-neighbor visit order of every cluster of every row from
         its assigned edge, grouped by cluster; ties go to the lowest sensor
         id.  One step per visit, taken across all P*m clusters at once."""
-        counts, _, edge_of, _ = assigned
+        counts, edge_of, _ = assigned
         P, n = genes.shape
         size = counts.ravel()
         width = int(size.max())
@@ -425,7 +404,7 @@ def _ga_search(ws: _Workspace, cfg: GaConfig, m: int):
 
     def evaluate(g, pr):
         orders = _order_by_priority(g, pr)
-        fits, viols, _ = ws.evaluate(g, orders, ws.assign_edges(g, m))
+        fits, viols, _ = ws.evaluate(g, orders, assign_batch(g, m, *ws.phase2))
         return fits, viols, orders
 
     fits, viols, orders = evaluate(genes, prios)
@@ -539,7 +518,7 @@ def _pso_search(ws: _Workspace, cfg: PsoConfig, m: int):
         g = decode(x)
         # order: NN within each cluster from its phase-2 edge, so edge
         # assignment runs before routing
-        assigned = ws.assign_edges(g, m)
+        assigned = assign_batch(g, m, *ws.phase2)
         orders = ws.nn_orders(g, assigned)
         fits, viols, _ = ws.evaluate(g, orders, assigned)
         return fits, viols, orders

@@ -1,11 +1,11 @@
 """Command-line front end: scenario generation, planning, emergency
 simulation, and method comparison.
 
-Exit codes: 0 ok, 1 I/O or file-format failure, 2 usage error,
-3 infeasible under the fleet cap, 4 bad experiment spec.  A bad scenario,
-plan or events file exits 1 with a message naming the JSON path of the
-field, for example ``plan routes[0].waypoints[3]``; a bad flag or config
-value exits 2 naming the flag or config key.
+Exit codes: 0 ok, 1 I/O or file-format failure, 2 usage error, 3 infeasible
+under the fleet cap, 4 bad experiment spec, 130 interrupted by Ctrl-C (one
+line on stderr).  A bad scenario, plan or events file exits 1 with a message
+naming the JSON path of the field, for example ``plan routes[0].waypoints[3]``;
+a bad flag or config value exits 2 naming the flag or config key.
 
 Config files are flat key=value text (keys are flag names with underscores).
 Their values become the subcommand's parser defaults before argv is parsed
@@ -41,6 +41,7 @@ EXIT_IO = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_BADSPEC = 4
+EXIT_INTERRUPTED = 130
 
 METHODS = ("proposed", "ga", "pso", "greedy")
 
@@ -513,6 +514,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -3,13 +3,17 @@
 Phase 1 maps a sensor to its nearest edge when that edge is in range; the
 rest are UAV-served.  Phase 2 maps clusters, in ascending cluster id, to the
 edge minimizing a blend of normalized mean distance and prospective
-utilization:
+utilization (ties to the lowest edge id):
 
-    score = omega_d * (mean_dist / d_norm) + omega_l * (load + demand) / capacity
+    score = omega_d * (dbar / d_norm) + omega_l * (load + demand) / capacity
 
-Overloads are repaired greedily by moving the smallest-demand cluster off the
-most overloaded edge; if no edge can absorb any movable cluster the repair
-fails and the caller should grow the fleet.
+dbar and demand are member sums in ascending id, whatever the visit order,
+over the count and the period; an empty cluster changes no load, so a run of
+them takes one step.  The planner and greedy run ``assign_batch`` on one
+clustering, GA and PSO on a whole population.  Overloads are repaired
+greedily by moving the smallest-demand cluster off the most overloaded edge;
+if no edge can absorb any movable cluster the repair fails and the caller
+should grow the fleet.
 """
 
 from __future__ import annotations
@@ -37,9 +41,6 @@ class EdgeLoadState:
     def overloaded(self) -> list[int]:
         return [k for k, (l, c) in enumerate(zip(self.loads_mips, self.capacities_mips))
                 if l > c]
-
-    def copy(self) -> "EdgeLoadState":
-        return EdgeLoadState(list(self.loads_mips), list(self.capacities_mips))
 
 
 @dataclass(frozen=True)
@@ -79,41 +80,68 @@ def cluster_demand(beta_mi, t_period_s: float) -> float:
     return sum(np.asarray(beta_mi, dtype=float).tolist()) / t_period_s
 
 
-def _mean_dists(cluster_ids, scenario) -> np.ndarray:
-    """dbar[j, k] = mean member distance of cluster j to edge k (0 if empty)."""
-    edge_xy = scenario.edge_xy
-    dbar = np.zeros((len(cluster_ids), len(edge_xy)))
-    for j, ids in enumerate(cluster_ids):
-        if len(ids):
-            xy = scenario.xy[ids]
-            dbar[j] = np.linalg.norm(xy[:, None, :] - edge_xy[None, :, :], axis=2).mean(axis=0)
-    return dbar
+def _cluster_terms(labels: np.ndarray, m: int, beta_mi, d_se, omega_d: float,
+                   d_norm_m: float, t_period_s: float):
+    """(P, m) member counts and demands and (P, m, edges) distance terms
+    ``omega_d * (dbar / d_norm)`` of a (P, n) batch of labels over the
+    UAV-served sensors (ascending id).  Bin r*m + j is cluster j of row r,
+    and ``np.bincount`` adds in input order, so each sum is in id order."""
+    P = len(labels)
+    bins = (labels + m * np.arange(P)[:, None]).ravel()
+    counts = np.bincount(bins, minlength=P * m).reshape(P, m)
+
+    def sums(w):
+        return np.bincount(bins, weights=w, minlength=P * m).reshape(P, m)
+    dist_sums = np.stack([sums(w) for w in np.tile(d_se.T, P)], axis=2)
+    dbar = dist_sums / np.maximum(counts, 1)[..., None]
+    return counts, sums(np.tile(beta_mi, P)) / t_period_s, omega_d * (dbar / d_norm_m)
 
 
-def _score(dbar_jk: float, load: float, demand: float, capacity: float,
-           omega_d: float, omega_l: float, d_norm_m: float) -> float:
-    return omega_d * (dbar_jk / d_norm_m) + omega_l * (load + demand) / capacity
+def _edge_scores(dist, loads, demand, capacity, omega_l: float):
+    """Phase-2 score of each edge for a cluster with distance terms ``dist``."""
+    return dist + omega_l * (loads + demand) / capacity
+
+
+def assign_batch(labels: np.ndarray, m: int, beta_mi, d_se, loads0, capacity,
+                 omega_d: float, omega_l: float, d_norm_m: float, t_period_s: float):
+    """Phase 2 for a batch of labels; ``beta_mi`` and (n, edges) ``d_se`` are
+    the sensors'.  Clusters 0 .. m-1 take their edges in turn from ``loads0``,
+    across all rows at once.  Returns (P, m) counts and edges, (P, edges) loads."""
+    counts, demands, dist = _cluster_terms(labels, m, beta_mi, d_se, omega_d, d_norm_m,
+                                           t_period_s)
+    rows = np.arange(len(labels))
+    loads = np.tile(np.asarray(loads0, dtype=float), (len(labels), 1))
+    edge_of = np.empty((len(labels), m), dtype=int)
+    # a run of clusters empty in every row: one step, the loads stay as they are
+    used = counts.any(axis=0)
+    starts = [0] + (np.flatnonzero(used[1:] | used[:-1]) + 1).tolist()
+    for a, b in zip(starts, starts[1:] + [m]):
+        k = _edge_scores(dist[:, a], loads, demands[:, a, None], capacity, omega_l).argmin(axis=1)
+        edge_of[:, a:b] = k[:, None]
+        loads[rows, k] += demands[:, a]
+    return counts, edge_of, loads
+
+
+def _one_row(cluster_ids, scenario):
+    """Clusters of sensor ids as a batch of one: the (1, n) labels of their
+    members in ascending id, and those members' demands and edge distances."""
+    ids = np.concatenate(cluster_ids).astype(int, copy=False)
+    order = np.argsort(ids, kind="stable")
+    labels = np.repeat(np.arange(len(cluster_ids)), [len(c) for c in cluster_ids])[order]
+    ids = ids[order]
+    d_se = np.linalg.norm(scenario.xy[ids][:, None, :] - scenario.edge_xy[None, :, :], axis=2)
+    return labels[None], scenario.beta_mi[ids], d_se
 
 
 def assign_clusters(cluster_ids, scenario, load: EdgeLoadState, omega_d: float,
                     omega_l: float, d_norm_m: float, t_period_s: float
                     ) -> tuple[dict[int, int], EdgeLoadState]:
-    """Phase 2: clusters (arrays of sensor ids) in ascending cluster id pick
-    the lowest-score edge of the scenario (ties by lowest edge id); the load
-    state is updated after each pick."""
-    load = load.copy()
-    dbar = _mean_dists(cluster_ids, scenario)
-    capacity = scenario.capacity.tolist()
-    cluster_map: dict[int, int] = {}
-    for j, ids in enumerate(cluster_ids):
-        demand = cluster_demand(scenario.beta_mi[ids], t_period_s)
-        scores = [_score(dbar[j, k], load.loads_mips[k], demand, cap,
-                         omega_d, omega_l, d_norm_m)
-                  for k, cap in enumerate(capacity)]
-        k_best = int(np.argmin(scores))
-        cluster_map[j] = k_best
-        load.loads_mips[k_best] += demand
-    return cluster_map, load
+    """Phase 2 for one clustering (arrays of sensor ids) from ``load``."""
+    labels, beta, d_se = _one_row(cluster_ids, scenario)
+    _, edge_of, loads = assign_batch(labels, len(cluster_ids), beta, d_se, load.loads_mips,
+                                     scenario.capacity, omega_d, omega_l, d_norm_m, t_period_s)
+    return (dict(enumerate(edge_of[0].tolist())),
+            EdgeLoadState(loads[0].tolist(), list(load.capacities_mips)))
 
 
 def repair_overload(cluster_map: dict[int, int], cluster_ids, scenario,
@@ -121,41 +149,32 @@ def repair_overload(cluster_map: dict[int, int], cluster_ids, scenario,
                     d_norm_m: float, t_period_s: float
                     ) -> tuple[dict[int, int], EdgeLoadState]:
     """Clear capacity overloads by moving clusters, least demand first, from
-    the most overloaded edge to the best-scoring edge with room.
+    the most overloaded edge to the lowest-score edge with room (ties by
+    lowest id throughout).
 
     Every applied move strictly reduces total overload, so the loop
     terminates.  Raises RepairFailure when no movable cluster fits anywhere.
     """
-    cluster_map = dict(cluster_map)
-    load = load.copy()
-    dbar = _mean_dists(cluster_ids, scenario)
-    demands = [cluster_demand(scenario.beta_mi[ids], t_period_s) for ids in cluster_ids]
-    capacity = scenario.capacity.tolist()
-
-    while True:
-        over = load.overloaded()
-        if not over:
-            return cluster_map, load
-        worst = max(over, key=lambda k: (load.loads_mips[k] - load.capacities_mips[k], -k))
-        movable = sorted((j for j, e in cluster_map.items()
-                          if e == worst and demands[j] > 0),
-                         key=lambda j: (demands[j], j))
-        moved = False
-        for j in movable:
-            fits = [k for k, cap in enumerate(capacity)
-                    if k != worst and load.loads_mips[k] + demands[j] <= cap]
-            if not fits:
-                continue
-            k_best = min(fits, key=lambda k: (
-                _score(dbar[j, k], load.loads_mips[k], demands[j],
-                       capacity[k], omega_d, omega_l, d_norm_m), k))
-            load.loads_mips[worst] -= demands[j]
-            load.loads_mips[k_best] += demands[j]
-            cluster_map[j] = k_best
-            moved = True
-            break
-        if not moved:
-            raise RepairFailure(
-                f"edge {worst} overloaded by "
-                f"{load.loads_mips[worst] - load.capacities_mips[worst]:.3f} MIPS "
-                f"and no cluster can move")
+    labels, beta, d_se = _one_row(cluster_ids, scenario)
+    _, (demands,), (dist,) = _cluster_terms(labels, len(cluster_ids), beta, d_se, omega_d,
+                                            d_norm_m, t_period_s)
+    edge_of = np.array([cluster_map[j] for j in range(len(cluster_ids))], dtype=int)
+    loads, capacity = np.array(load.loads_mips, dtype=float), scenario.capacity
+    while (loads > capacity).any():
+        worst = int((loads - capacity).argmax())
+        movable = np.flatnonzero((edge_of == worst) & (demands > 0))
+        movable = movable[np.argsort(demands[movable], kind="stable")]
+        fits = loads + demands[movable, None] <= capacity
+        fits[:, worst] = False
+        can = np.flatnonzero(fits.any(axis=1))
+        if not can.size:
+            raise RepairFailure(f"edge {worst} overloaded by {loads[worst] - capacity[worst]:.3f}"
+                                f" MIPS and no cluster can move")
+        j, room = movable[can[0]], np.flatnonzero(fits[can[0]])
+        k = room[_edge_scores(dist[j, room], loads[room], demands[j], capacity[room],
+                              omega_l).argmin()]
+        loads[worst] -= demands[j]
+        loads[k] += demands[j]
+        edge_of[j] = k
+    return dict(enumerate(edge_of.tolist())), EdgeLoadState(loads.tolist(),
+                                                            list(load.capacities_mips))

@@ -175,10 +175,10 @@ def size_fleet(scenario, algo: AlgoParams, direct_map: dict[int, int],
     For each m from the initial fleet size to m_max, ``clusters_at(m)`` gives
     ``(members, iterations)``, the method's clusters as arrays of sensor ids
     in visit order, or None for no candidate at this m.  The clusters are
-    assigned to edges (ids in ascending order) and overloads repaired; each
-    is routed with ``route(j, depot_edge_id, ids, scenario)``; the first m
-    whose routes meet the revisit and energy limits becomes the Plan, idle
-    UAVs parked at their edge.
+    assigned to edges and overloads repaired; each is routed with
+    ``route(j, depot_edge_id, ids, scenario)``; the first m whose routes
+    meet the revisit and energy limits becomes the Plan, idle UAVs parked at
+    their edge.
     The loop starts at the fleet lower bound (``_fleet_lower_bound``) instead
     when that is larger: the m tours of any plan, their depots merged, connect
     the UAV-served sensors and the merged edges, so in total they are at
@@ -201,20 +201,17 @@ def size_fleet(scenario, algo: AlgoParams, direct_map: dict[int, int],
                    p.m_max + 1)
              if gate else (at_m,))
     failed: list[str] = []
+    phase2 = (algo.omega_d, algo.omega_l, p.diag_m, p.t_period_s)
     for m in sizes:
         clusters = clusters_at(m)
         if clusters is None:
             continue
         members, iterations = clusters
-        by_id = [np.sort(ids) for ids in members]
-        cluster_map, load = assign_clusters(
-            by_id, scenario, load0, algo.omega_d, algo.omega_l,
-            p.diag_m, p.t_period_s)
+        cluster_map, load = assign_clusters(members, scenario, load0, *phase2)
         if load.overloaded():
             try:
-                cluster_map, load = repair_overload(
-                    cluster_map, by_id, scenario, load, algo.omega_d,
-                    algo.omega_l, p.diag_m, p.t_period_s)
+                cluster_map, load = repair_overload(cluster_map, members, scenario, load,
+                                                    *phase2)
             except RepairFailure:
                 if gate:
                     failed = ["edge capacity"]

@@ -26,6 +26,7 @@ from firewatch.baselines import (
     greedy_plan,
     pso_plan,
 )
+from firewatch.edge_assignment import assign_batch
 from firewatch.model import MB_TO_MBIT, AlgoParams, PhysicalParams, derive_seed
 from firewatch.planner import InfeasibleError, plan, plan_to_doc, validate_plan
 from firewatch.routing import nearest_neighbor_tour, tour_length
@@ -48,13 +49,14 @@ def _oracle_eval(ws, scenario, algo, genes, order, m):
 
     demands = [sum(ws.beta[i] for i in members[j]) / p.t_period_s
                for j in range(m)]
-    loads = [float(x) for x in ws.base_loads]
+    loads = list(ws.load0.loads_mips)
     edge_of = []
     for j in range(m):
         def score(k):
-            dbar = (sum(ws.d_se[i, k] for i in members[j]) / len(members[j])
+            # summed in id order, as phase 2 sums every cluster
+            dbar = (sum(ws.d_se[i, k] for i in sorted(members[j])) / len(members[j])
                     if members[j] else 0.0)
-            return (algo.omega_d * dbar / p.diag_m
+            return (algo.omega_d * (dbar / p.diag_m)
                     + algo.omega_l * (loads[k] + demands[j]) / edges[k].capacity_mips)
         k = min(range(n_edges), key=lambda k: (score(k), k))
         edge_of.append(k)
@@ -99,8 +101,8 @@ def test_eval_clusters_matches_oracle(m, gene_hi):
     prios = rng.random((6, ws.n))
     orders = _order_by_priority(genes, prios)
 
-    assigned = ws.assign_edges(genes, m)
-    edge_of = assigned[2]
+    assigned = assign_batch(genes, m, *ws.phase2)
+    edge_of = assigned[1]
     fits, viols, lengths = ws.evaluate(genes, orders, assigned)
     for r in range(len(genes)):
         w_fit, w_viol, w_edge, w_len = _oracle_eval(ws, scenario, algo, genes[r],
@@ -148,7 +150,7 @@ def _ga_search_oracle(ws, cfg, m, generations):
 
     def evaluate(g, pr):
         orders = _order_by_priority_oracle(g, pr)
-        fits, viols, _ = ws.evaluate(g, orders, ws.assign_edges(g, m))
+        fits, viols, _ = ws.evaluate(g, orders, assign_batch(g, m, *ws.phase2))
         return fits, viols, orders
 
     fits, viols, orders = evaluate(genes, prios)
@@ -315,8 +317,8 @@ def test_nn_orders_match_nearest_neighbor_tour(points, m, rows, data):
     genes = np.array(data.draw(st.lists(st.lists(st.integers(0, m - 1), min_size=ws.n,
                                                  max_size=ws.n),
                                         min_size=rows, max_size=rows)))
-    assigned = ws.assign_edges(genes, m)
-    edge_of = assigned[2]
+    assigned = assign_batch(genes, m, *ws.phase2)
+    edge_of = assigned[1]
     orders = ws.nn_orders(genes, assigned)
     for r in range(rows):
         want = []
@@ -484,10 +486,12 @@ def test_search_fleet_sizes_below_the_bound_offer_no_clusters(search):
             else:
                 assert _pso_search(ws, PSO_SMALL, m) is None, (name, m)
             genes = rng.integers(0, m, size=(20, ws.n))
-            assigned = ws.assign_edges(genes, m)
+            assigned = assign_batch(genes, m, *ws.phase2)
             orders = ws.nn_orders(genes, assigned)
             _, _, lengths = ws.evaluate(genes, orders, assigned)
-            energy = (p.p_fly_w * lengths / p.v_g + p.p_comm_w * assigned[1] * MB_TO_MBIT
+            alpha_sum = np.array([[sum(ws.alpha[g == j].tolist()) for j in range(m)]
+                                  for g in genes])
+            energy = (p.p_fly_w * lengths / p.v_g + p.p_comm_w * alpha_sum * MB_TO_MBIT
                       / p.data_rate_mbps) / 3600.0
             assert ((lengths / p.v_g > p.t_max_s) | (energy > p.e_max_wh)).any(axis=1).all()
             assert (lengths.sum(axis=1) >= lb).all(), (name, m)

@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from firewatch.baselines import _Workspace
 from firewatch.edge_assignment import (
     EdgeLoadState,
     RepairFailure,
+    assign_batch,
     assign_clusters,
     assign_direct,
     cluster_demand,
     repair_overload,
 )
-from firewatch.model import PhysicalParams
-from testutil import build_scenario, phase1_oracle
+from firewatch.model import AlgoParams, PhysicalParams
+from testutil import (assign_clusters_oracle, assign_edges_oracle, build_scenario,
+                      phase1_oracle, repair_overload_oracle)
 
 
 def test_assign_direct_tie_prefers_lowest_edge_id():
@@ -162,6 +165,17 @@ def test_assign_clusters_sequential_load_coupling():
     assert load.loads_mips == pytest.approx([1.0, 1.0])
 
 
+def test_distance_term_divides_before_weighting():
+    """The distance term is omega_d * (dbar / d_norm), not omega_d * dbar /
+    d_norm.  Each sensor's two edge distances are one ulp apart: the first's
+    round to two scores in the planner's order and tie in the other, the
+    second's the other way round.  Demand 0 leaves only the distance term."""
+    d_se = np.array([[3529.5430000000006, 3529.543], [3044.2690000000002, 3044.269]])
+    _, edge_of, _ = assign_batch(np.array([[0, 1]]), 2, np.zeros(2), d_se, [0.0, 0.0],
+                                 np.ones(2), 0.7, 0.3, 10000.0, 3600.0)
+    assert edge_of.tolist() == [[1, 0]]
+
+
 def test_single_edge_takes_everything():
     sc = build_scenario([(0.0, 0.0, 0, 1.0, 50.0), (900.0, 900.0, 0, 1.0, 70.0)],
                         [(5000.0, 5000.0, 10.0)])
@@ -225,9 +239,6 @@ def test_edge_load_state_helpers():
     load = EdgeLoadState([5.0, 0.5], [10.0, 0.4])
     assert load.utilization(0) == 0.5
     assert load.overloaded() == [1]
-    dup = load.copy()
-    dup.loads_mips[0] = 9.0
-    assert load.loads_mips[0] == 5.0
 
 
 def test_phase1_phase2_composition(default_scenario):
@@ -243,3 +254,102 @@ def test_phase1_phase2_composition(default_scenario):
                               p.diag_m, p.t_period_s)
     total = sum(s.request.compute_mi for s in sc.sensors) / p.t_period_s
     assert sum(load.loads_mips) == pytest.approx(total)
+
+
+# three edges, the first two 4 km apart; sensors on x = 2000 are equally far
+# from both, and sensors within 500 m of an edge are direct and load it
+_EDGES = [(0.0, 0.0), (4000.0, 0.0), (2000.0, 4000.0)]
+_POOL = [(2000.0, 0.0), (2000.0, 1500.0), (1000.0, 1000.0), (3000.0, 1000.0),
+         (100.0, 100.0), (3900.0, 50.0)]
+
+
+def _phase2_scenario(points, capacities):
+    """(x, y, compute) sensors and the first edges, of these capacities."""
+    return build_scenario([(x, y, 0, 1.0, b) for x, y, b in points],
+                          [(x, y, c) for (x, y), c in zip(_EDGES, capacities)])
+
+
+def _phase2_case(points, capacities, omega_d, m, genes, perms):
+    """A phase-2 case: the scenario, the distance weight, the cluster count,
+    a (P, n) population over the UAV-served sensors and, per row, an order
+    to list each cluster's members in."""
+    return (_phase2_scenario(points, capacities), omega_d, m,
+            np.array(genes, dtype=int).reshape(len(genes), -1), perms)
+
+
+@st.composite
+def _phase2_cases(draw):
+    """Up to 10 sensors, some coincident, some direct, with demands of
+    0.03-1 MIPS on 1-3 edges of equal or unequal capacity 0.05-1 MIPS, so
+    scores tie and edges overload; m from 1 to 3n, so clusters and runs of
+    them are empty; 1-4 rows."""
+    coord = st.one_of(st.sampled_from(_POOL),
+                      st.tuples(st.floats(0.0, 4000.0), st.floats(0.0, 4000.0)))
+    xy = draw(st.lists(coord, min_size=1, max_size=14))
+    beta = draw(st.lists(st.sampled_from([100.0, 360.0, 720.0, 3600.0]),
+                         min_size=len(xy), max_size=len(xy)))
+    caps = draw(st.lists(st.sampled_from([0.1, 1.0, 3.0]), min_size=1, max_size=3))
+    points = [(x, y, b) for (x, y), b in zip(xy, beta)]
+    n = len(assign_direct(_phase2_scenario(points, caps))[0])
+    m = draw(st.integers(1, max(3 * n, 1)))
+    rows = draw(st.integers(1, 4))
+    genes = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=n, max_size=n),
+                          min_size=rows, max_size=rows))
+    perms = draw(st.lists(st.permutations(range(n)), min_size=rows, max_size=rows))
+    return _phase2_case(points, caps, draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])), m,
+                        genes, perms)
+
+
+def _outcome(repair, *args):
+    try:
+        cluster_map, load = repair(*args)
+    except RepairFailure as exc:
+        return str(exc)
+    return cluster_map, load.loads_mips
+
+
+@settings(max_examples=150, deadline=None)
+@given(_phase2_cases())
+# three coincident sensors equally far from two equal edges, clusters 0 and
+# 8 of 9 used, so runs of empty clusters lie between and after them
+@example(_phase2_case([(2000.0, 0.0, 360.0)] * 3, [1.0, 1.0], 0.7, 9, [[0, 0, 8]],
+                      [[2, 0, 1]]))
+# every edge overloaded by one sensor: the repair fails
+@example(_phase2_case([(2000.0, 0.0, 3600.0), (2000.0, 1500.0, 3600.0)], [0.05, 0.05],
+                      0.7, 2, [[0, 1], [1, 1]], [[0, 1], [1, 0]]))
+# a direct sensor loads edge 0, so the repair moves a cluster off edge 1
+@example(_phase2_case([(100.0, 100.0, 720.0), (3000.0, 1000.0, 360.0),
+                       (2000.0, 1500.0, 360.0)], [1.0, 0.2], 0.3, 3, [[0, 1], [2, 2]],
+                      [[1, 0], [0, 1]]))
+def test_phase2_kernel_equals_the_per_method_oracles(case):
+    """One batch of the kernel gives every row the counts, edges and loads
+    of the GA/PSO population loop, and each row alone, with its clusters'
+    members in any order, gives the planner's Python score lists, before
+    and after overload repair (also of every cluster put on edge 0):
+    ``==`` throughout."""
+    sc, omega_d, m, genes, perms = case
+    algo = AlgoParams(omega_d=omega_d, omega_l=1.0 - omega_d)
+    ws = _Workspace(sc, algo)
+    counts, edge_of, loads = assign_batch(genes, m, *ws.phase2)
+    want_counts, _, want_edges, want_loads = assign_edges_oracle(ws, genes, m)
+    assert counts.tolist() == want_counts.tolist()
+    assert edge_of.tolist() == want_edges.tolist()
+    assert loads.tolist() == want_loads.tolist()
+
+    weights = (algo.omega_d, algo.omega_l, sc.physical.diag_m, sc.physical.t_period_s)
+    for r, perm in enumerate(perms):
+        by_id = [ws.uav_ids[genes[r] == j] for j in range(m)]
+        shuffled = [ws.uav_ids[perm][genes[r][perm] == j] for j in range(m)]
+        cluster_map, load = assign_clusters(shuffled, sc, ws.load0, *weights)
+        want_map, want_load = assign_clusters_oracle(by_id, sc, ws.load0, *weights)
+        assert cluster_map == want_map == dict(enumerate(edge_of[r].tolist()))
+        assert load.loads_mips == want_load.loads_mips == loads[r].tolist()
+        assert (_outcome(repair_overload, cluster_map, shuffled, sc, load, *weights)
+                == _outcome(repair_overload_oracle, want_map, by_id, sc, want_load, *weights))
+        # every cluster on edge 0, so the repair has more to move
+        on_0 = dict.fromkeys(range(m), 0)
+        forced = EdgeLoadState(list(ws.load0.loads_mips), list(ws.load0.capacities_mips))
+        for ids in by_id:
+            forced.loads_mips[0] += cluster_demand(sc.beta_mi[ids], sc.physical.t_period_s)
+        assert (_outcome(repair_overload, on_0, shuffled, sc, forced, *weights)
+                == _outcome(repair_overload_oracle, on_0, by_id, sc, forced, *weights))

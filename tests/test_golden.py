@@ -143,6 +143,9 @@ def bindings() -> dict[str, list[str] | None]:
         # the capacity wall with a ceiling above its 3 sensors: GA and PSO
         # search fleet sizes with more clusters than sensors
         "wall-m5": _capacity_wall(m_max=5),
+        # ... and far above it: every method sizes up to 300 clusters, nearly
+        # all of them empty
+        "wall-m300": _capacity_wall(m_max=300),
     }
     out = {}
     for name, sc in cases.items():
@@ -269,6 +272,10 @@ GOLDEN = {
     'wall-m5/greedy': ['edge capacity'],
     'wall-m5/ga': ['revisit period, energy budget, or edge capacity'],
     'wall-m5/pso': ['no feasible particle'],
+    'wall-m300/proposed': ['edge capacity'],
+    'wall-m300/greedy': ['edge capacity'],
+    'wall-m300/ga': ['revisit period, energy budget, or edge capacity'],
+    'wall-m300/pso': ['no feasible particle'],
     'simulate/trace.csv': 'e5ed8df1eda1ebd722d1e68320f8ddbff0e28d8519c7befb175f9d51dc12d56f',
     'simulate/impact.json': '7e8fc3cc3c318c4d2f11d465d50023b049bce307cecfea0172a29f431b4829d4',
     'compare/summary.json': '414af4678977ceb4e983ac16a95b5939bb354702457424d63b43a28c67e0ce20',

@@ -10,6 +10,7 @@ import numpy as np
 
 from firewatch import planner, timing
 from firewatch.clustering import MAX_ITERS, Clustering, cluster_radius, init_centers, sensor_weight
+from firewatch.edge_assignment import EdgeLoadState, RepairFailure, cluster_demand
 from firewatch.emergency import select_delivery_edge
 from firewatch.model import (EdgeNode, PhysicalParams, Point2D, RequestProfile, Sensor,
                              link_ranges)
@@ -286,3 +287,114 @@ def nearest_neighbor_tour_oracle(depot_xy, xy):
         remaining[pick] = False
         cur = xy[pick]
     return order
+
+
+# Phase 2 as it was written twice before one kernel served every method: the
+# planner's per-cluster Python score lists and the GA/PSO population loop.
+# Each is kept as it was except where noted (and for copying the load state
+# by hand), and each steps through every cluster, empty ones included.
+
+def _mean_dists_oracle(cluster_ids, scenario) -> np.ndarray:
+    """dbar[j, k] = mean member distance of cluster j to edge k (0 if empty).
+    Changed: the distances are summed in the order given, by
+    ``np.add.accumulate``, then divided by the count; ``np.mean(axis=0)``
+    sums in another order."""
+    edge_xy = scenario.edge_xy
+    dbar = np.zeros((len(cluster_ids), len(edge_xy)))
+    for j, ids in enumerate(cluster_ids):
+        if len(ids):
+            xy = scenario.xy[ids]
+            d = np.linalg.norm(xy[:, None, :] - edge_xy[None, :, :], axis=2)
+            dbar[j] = np.add.accumulate(d, axis=0)[-1] / len(ids)
+    return dbar
+
+
+def _score_oracle(dbar_jk, load, demand, capacity, omega_d, omega_l, d_norm_m):
+    return omega_d * (dbar_jk / d_norm_m) + omega_l * (load + demand) / capacity
+
+
+def assign_clusters_oracle(cluster_ids, scenario, load, omega_d, omega_l, d_norm_m,
+                           t_period_s):
+    """Phase 2 for clusters given in ascending id: each, in ascending cluster
+    id, picks its lowest-score edge from a Python list (ties by lowest id);
+    the load state is updated after each pick.  Unchanged apart from
+    ``_mean_dists_oracle``."""
+    load = EdgeLoadState(list(load.loads_mips), list(load.capacities_mips))
+    dbar = _mean_dists_oracle(cluster_ids, scenario)
+    capacity = scenario.capacity.tolist()
+    cluster_map = {}
+    for j, ids in enumerate(cluster_ids):
+        demand = cluster_demand(scenario.beta_mi[ids], t_period_s)
+        scores = [_score_oracle(dbar[j, k], load.loads_mips[k], demand, cap,
+                                omega_d, omega_l, d_norm_m)
+                  for k, cap in enumerate(capacity)]
+        k_best = int(np.argmin(scores))
+        cluster_map[j] = k_best
+        load.loads_mips[k_best] += demand
+    return cluster_map, load
+
+
+def repair_overload_oracle(cluster_map, cluster_ids, scenario, load, omega_d, omega_l,
+                           d_norm_m, t_period_s):
+    """Overload repair for clusters given in ascending id, one Python score
+    per edge with room.  Unchanged apart from ``_mean_dists_oracle``."""
+    cluster_map = dict(cluster_map)
+    load = EdgeLoadState(list(load.loads_mips), list(load.capacities_mips))
+    dbar = _mean_dists_oracle(cluster_ids, scenario)
+    demands = [cluster_demand(scenario.beta_mi[ids], t_period_s) for ids in cluster_ids]
+    capacity = scenario.capacity.tolist()
+    while True:
+        over = load.overloaded()
+        if not over:
+            return cluster_map, load
+        worst = max(over, key=lambda k: (load.loads_mips[k] - load.capacities_mips[k], -k))
+        movable = sorted((j for j, e in cluster_map.items()
+                          if e == worst and demands[j] > 0),
+                         key=lambda j: (demands[j], j))
+        moved = False
+        for j in movable:
+            fits = [k for k, cap in enumerate(capacity)
+                    if k != worst and load.loads_mips[k] + demands[j] <= cap]
+            if not fits:
+                continue
+            k_best = min(fits, key=lambda k: (
+                _score_oracle(dbar[j, k], load.loads_mips[k], demands[j],
+                              capacity[k], omega_d, omega_l, d_norm_m), k))
+            load.loads_mips[worst] -= demands[j]
+            load.loads_mips[k_best] += demands[j]
+            cluster_map[j] = k_best
+            moved = True
+            break
+        if not moved:
+            raise RepairFailure(
+                f"edge {worst} overloaded by "
+                f"{load.loads_mips[worst] - load.capacities_mips[worst]:.3f} MIPS "
+                f"and no cluster can move")
+
+
+def assign_edges_oracle(ws, genes: np.ndarray, m: int):
+    """GA/PSO phase 2 over a (P, n) population of a ``baselines._Workspace``:
+    one lowest-score edge per cluster, each step across all rows.  Returns
+    the (P, m) member counts, upload sums and edge indices and the
+    (P, edges) loads.  Changed: the distance term is ``omega_d * (dbar /
+    d_norm)``, the planner's order, not ``omega_d * dbar / d_norm``."""
+    a = ws.algo
+    P, n = genes.shape
+    # bin r*m + j is cluster j of row r, so each bin sums its members in
+    # id order, as a per-row bincount would
+    bins = (genes + m * np.arange(P)[:, None]).ravel()
+    beta_sum, alpha_sum, *edge_sums = (
+        np.bincount(bins, weights=w, minlength=P * m).reshape(P, m)
+        for w in np.tile(np.vstack([ws.beta, ws.alpha, ws.d_se.T]), P))
+    counts = np.bincount(bins, minlength=P * m).reshape(P, m)
+    demands = beta_sum / ws.p.t_period_s
+    dbar = np.divide(np.stack(edge_sums, axis=2), np.maximum(counts, 1)[..., None])
+    distance_term = a.omega_d * (dbar / ws.p.diag_m)
+    rows = np.arange(P)
+    loads = np.tile(np.array(ws.load0.loads_mips), (P, 1))
+    edge_of = np.empty((P, m), dtype=int)
+    for j in range(m):
+        scores = distance_term[:, j] + a.omega_l * (loads + demands[:, j, None]) / ws.cap
+        edge_of[:, j] = k = scores.argmin(axis=1)
+        loads[rows, k] += demands[:, j]
+    return counts, alpha_sum, edge_of, loads
