@@ -155,6 +155,11 @@ def bindings() -> dict[str, list[str] | None]:
             lambda: ga_plan(sc, algo, GaConfig(population=4, generations=2, seed=0)))
         out[f"{name}/pso"] = _binding(
             lambda: pso_plan(sc, algo, PsoConfig(swarm=4, iterations=2, seed=0)))
+    # ten times wider, for the two methods that cluster each size once (GA
+    # and PSO would search all 3000)
+    wall = _capacity_wall(m_max=3000)
+    out["wall-m3000/proposed"] = _binding(lambda: plan(wall, algo))
+    out["wall-m3000/greedy"] = _binding(lambda: greedy_plan(wall, algo))
     return out
 
 
@@ -276,6 +281,8 @@ GOLDEN = {
     'wall-m300/greedy': ['edge capacity'],
     'wall-m300/ga': ['revisit period, energy budget, or edge capacity'],
     'wall-m300/pso': ['no feasible particle'],
+    'wall-m3000/proposed': ['edge capacity'],
+    'wall-m3000/greedy': ['edge capacity'],
     'simulate/trace.csv': 'e5ed8df1eda1ebd722d1e68320f8ddbff0e28d8519c7befb175f9d51dc12d56f',
     'simulate/impact.json': '7e8fc3cc3c318c4d2f11d465d50023b049bce307cecfea0172a29f431b4829d4',
     'compare/summary.json': '414af4678977ceb4e983ac16a95b5939bb354702457424d63b43a28c67e0ce20',
