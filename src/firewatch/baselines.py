@@ -4,8 +4,8 @@ nearest-route-end constructor.
 All three share the main planner's phase-1 direct assignment and run inside
 its fleet-sizing loop (``planner.size_fleet``), which does cluster-to-edge
 assignment with overload repair, the constraint checks and plan assembly for
-every method; they supply only how clusters and visit orders are produced,
-each cluster an array of sensor ids into the scenario's columns.
+every method; they supply only the clusters, as a label per UAV-served
+sensor, and the visit orders.
 Greedy routes nearest-neighbor.  GA and PSO search each fleet size with a
 penalty (1e6 per violated route/edge constraint) and hand the best
 zero-violation individual, routed in its evolved visit order, to the loop;
@@ -13,9 +13,10 @@ a fleet size with none is rejected.  Each GA generation and PSO step is
 evaluated as one population: (P, n) gene and visit-order arrays, with the
 per-row sums and nearest-neighbor steps vectorised across rows and every
 per-cluster sum taken in the same order as for one individual, so each row
-gets the numbers it would get on its own.  The edge choice is the planner's
-phase-2 kernel (``edge_assignment.assign_batch``) run on the population, so
-fitness scores the edges and loads the loop then gives the plan.
+gets the numbers it would get on its own.  Phase 2 is the planner's
+(``edge_assignment.cluster_terms``, which also sums the uploads, and
+``assign_batch``) run on the population, so fitness scores the edges and
+loads the loop then gives the plan.
 
 GA children are built a generation at a time from the values a loop over
 the pairs of children would draw from the search's numpy Generator, one
@@ -60,7 +61,8 @@ import numpy as np
 from . import planner
 # assign_clusters and repair_overload stay importable here, and phase 1 is
 # looked up as planner.assign_direct: bench/tracer.py wraps those names
-from .edge_assignment import assign_batch, assign_clusters, repair_overload  # noqa: F401
+from .edge_assignment import (assign_batch, assign_clusters, cluster_terms,  # noqa: F401
+                              edge_distances, repair_overload)
 from .model import MB_TO_MBIT, AlgoParams, derive_seed
 from .planner import Plan, size_fleet
 from .routing import build_route, ordered_route
@@ -119,11 +121,8 @@ class _Workspace:
         self.alpha = scenario.alpha_mb[self.uav_ids]
         self.beta = scenario.beta_mi[self.uav_ids]
         self.cap = scenario.capacity
-        self.d_se = np.linalg.norm(xy[:, None, :] - scenario.edge_xy[None, :, :], axis=2)
+        self.d_se = edge_distances(scenario, self.uav_ids)
         self.d_ss = np.linalg.norm(xy[:, None, :] - xy[None, :, :], axis=2)
-        # assign_batch's arguments after the labels and m
-        self.phase2 = (self.beta, self.d_se, np.array(self.load0.loads_mips), self.cap,
-                       algo.omega_d, algo.omega_l, p.diag_m, p.t_period_s)
         self.t_tra_sum = (self.alpha * MB_TO_MBIT / p.data_rate_mbps).sum()
         # direct sensors contribute a constant to the service-time objective
         alpha, beta, cap = (c.tolist() for c in (scenario.alpha_mb, scenario.beta_mi,
@@ -132,18 +131,27 @@ class _Workspace:
             transmission_time(alpha[i], p.data_rate_mbps) + execution_time(beta[i], cap[k])
             for i, k in self.direct_map.items())
 
+    def assign(self, genes: np.ndarray, m: int):
+        """Phase 2 of a population: the (P, m) member counts, upload sums and
+        edges and the (P, edges) loads, the sums from one ``cluster_terms``."""
+        a, p = self.algo, self.p
+        counts, demands, dist, alpha_sum = cluster_terms(genes, m, self.beta, self.d_se,
+                                                         a.omega_d, p.diag_m, p.t_period_s,
+                                                         self.alpha)
+        return (counts, alpha_sum,
+                *assign_batch(counts, demands, dist, self.load0.loads_mips, self.cap,
+                              a.omega_l))
+
     def evaluate(self, genes: np.ndarray, orders: np.ndarray, assigned):
         """Objective + violation count per row for clusterings with fixed
         visit orders (each row of `orders` = sensor indices grouped by
-        cluster, in visit order) and their ``assign_batch`` result.
+        cluster, in visit order) and their ``assign`` result.
 
         Returns the (P,) fitness and violations and the (P, m) tour lengths."""
         p = self.p
-        counts, edge_of, loads = assigned
+        counts, alpha_sum, edge_of, loads = assigned
         P, m = counts.shape
         rows = np.arange(P)[:, None]
-        alpha_sum = np.bincount((genes + m * rows).ravel(), weights=np.tile(self.alpha, P),
-                                minlength=P * m).reshape(P, m)
 
         # tour lengths: inner legs along the order, broken at cluster
         # boundaries, plus the two depot legs per non-empty cluster
@@ -163,7 +171,7 @@ class _Workspace:
         revisit = lengths / p.v_g
         energy = (p.p_fly_w * revisit + p.p_comm_w * alpha_sum * MB_TO_MBIT
                   / p.data_rate_mbps) / 3600.0
-        # assign_batch's loads are the base loads plus each cluster's demand,
+        # the assigned loads are the base loads plus each cluster's demand,
         # added in cluster order: the capacity check's loads
         violations = ((revisit > p.t_max_s).sum(axis=1) + (energy > p.e_max_wh).sum(axis=1)
                       + (loads > self.cap).sum(axis=1))
@@ -176,7 +184,7 @@ class _Workspace:
         """Nearest-neighbor visit order of every cluster of every row from
         its assigned edge, grouped by cluster; ties go to the lowest sensor
         id.  One step per visit, taken across all P*m clusters at once."""
-        counts, edge_of, _ = assigned
+        counts, _, edge_of, _ = assigned
         P, n = genes.shape
         size = counts.ravel()
         width = int(size.max())
@@ -207,11 +215,6 @@ class _Workspace:
         seq = np.empty_like(members)
         seq[by_size] = np.take_along_axis(members, picks, axis=1)
         return seq[valid].reshape(P, n)
-
-    def clusters(self, genes: np.ndarray, order: np.ndarray, m: int):
-        """size_fleet clusters of one individual: per-cluster sensor ids in
-        visit order (`order` = workspace indices grouped by cluster)."""
-        return [self.uav_ids[order[genes[order] == j]] for j in range(m)], 0
 
 
 def _order_by_priority(genes: np.ndarray, priorities: np.ndarray) -> np.ndarray:
@@ -404,7 +407,7 @@ def _ga_search(ws: _Workspace, cfg: GaConfig, m: int):
 
     def evaluate(g, pr):
         orders = _order_by_priority(g, pr)
-        fits, viols, _ = ws.evaluate(g, orders, assign_batch(g, m, *ws.phase2))
+        fits, viols, _ = ws.evaluate(g, orders, ws.assign(g, m))
         return fits, viols, orders
 
     fits, viols, orders = evaluate(genes, prios)
@@ -416,7 +419,7 @@ def _ga_search(ws: _Workspace, cfg: GaConfig, m: int):
     if not feasible.size:
         return None
     best = int(feasible[np.argmin(fits[feasible])])
-    return ws.clusters(genes[best], orders[best], m)
+    return genes[best], orders[best], 0
 
 
 def _usable_cpus() -> int:
@@ -497,7 +500,7 @@ def ga_plan(scenario, algo: AlgoParams, cfg: GaConfig | None = None) -> Plan:
     t0 = time.perf_counter()
     ws = _Workspace(scenario, algo)
     with _searched_ahead(_ga_search, ws, cfg, scenario.physical.m_max) as clusters_at:
-        return size_fleet(scenario, algo, ws.direct_map, ws.load0, clusters_at,
+        return size_fleet(scenario, algo, ws.uav_ids, ws.direct_map, ws.load0, clusters_at,
                           ordered_route, method="ga", seed=cfg.seed, t0=t0, variant="-",
                           at_m=None,
                           binding=["revisit period, energy budget, or edge capacity"])
@@ -518,7 +521,7 @@ def _pso_search(ws: _Workspace, cfg: PsoConfig, m: int):
         g = decode(x)
         # order: NN within each cluster from its phase-2 edge, so edge
         # assignment runs before routing
-        assigned = assign_batch(g, m, *ws.phase2)
+        assigned = ws.assign(g, m)
         orders = ws.nn_orders(g, assigned)
         fits, viols, _ = ws.evaluate(g, orders, assigned)
         return fits, viols, orders
@@ -547,7 +550,7 @@ def _pso_search(ws: _Workspace, cfg: PsoConfig, m: int):
 
     if gbest_viol != 0:
         return None
-    return ws.clusters(decode(gbest), gbest_order, m)
+    return decode(gbest), gbest_order, 0
 
 
 def pso_plan(scenario, algo: AlgoParams, cfg: PsoConfig | None = None) -> Plan:
@@ -557,7 +560,7 @@ def pso_plan(scenario, algo: AlgoParams, cfg: PsoConfig | None = None) -> Plan:
     t0 = time.perf_counter()
     ws = _Workspace(scenario, algo)
     with _searched_ahead(_pso_search, ws, cfg, scenario.physical.m_max) as clusters_at:
-        return size_fleet(scenario, algo, ws.direct_map, ws.load0, clusters_at,
+        return size_fleet(scenario, algo, ws.uav_ids, ws.direct_map, ws.load0, clusters_at,
                           ordered_route, method="pso", seed=cfg.seed, t0=t0, variant="-",
                           at_m=None, binding=["no feasible particle"])
 
@@ -577,9 +580,9 @@ def greedy_plan(scenario, algo: AlgoParams) -> Plan:
             k = int(np.argmin(np.linalg.norm(ends - xy[i], axis=1)))
             labels[i] = k
             ends[k] = xy[i]
-        return [uav_ids[labels == j] for j in range(m)], 0
+        return labels, np.argsort(labels, kind="stable"), 0
 
-    return size_fleet(scenario, algo, direct_map, load0, clusters_at,
+    return size_fleet(scenario, algo, uav_ids, direct_map, load0, clusters_at,
                       functools.partial(build_route, use_two_opt=False),
                       method="greedy", seed=algo.seed, t0=t0, variant="-", at_m=None,
                       binding=None)

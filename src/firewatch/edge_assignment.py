@@ -1,19 +1,22 @@
 """Two-phase assignment of service load onto edge nodes.
 
 Phase 1 maps a sensor to its nearest edge when that edge is in range; the
-rest are UAV-served.  Phase 2 maps clusters, in ascending cluster id, to the
-edge minimizing a blend of normalized mean distance and prospective
-utilization (ties to the lowest edge id):
+rest are UAV-served.  Phase 2 reads a clustering as labels, the cluster of
+each UAV-served sensor in ascending id, and maps clusters, in ascending
+cluster id, to the edge minimizing a blend of normalized mean distance and
+prospective utilization (ties to the lowest edge id):
 
     score = omega_d * (dbar / d_norm) + omega_l * (load + demand) / capacity
 
-dbar and demand are member sums in ascending id, whatever the visit order,
-over the count and the period; an empty cluster changes no load, so a run of
-them takes one step.  The planner and greedy run ``assign_batch`` on one
-clustering, GA and PSO on a whole population.  Overloads are repaired
-greedily by moving the smallest-demand cluster off the most overloaded edge;
-if no edge can absorb any movable cluster the repair fails and the caller
-should grow the fleet.
+``cluster_terms`` takes dbar and demand as member sums in ascending id,
+whatever the visit order, over the count and the period, for a batch of
+labels at once; an empty cluster changes no load, so a run of them takes
+one step.  The fleet-sizing loop takes these sums once per fleet size, and
+``assign_clusters`` and ``repair_overload`` both read them; GA and PSO run
+``assign_batch`` on a whole population.  Overloads are repaired greedily by
+moving the smallest-demand cluster off the most overloaded edge; if no edge
+can absorb any movable cluster the repair fails and the caller should grow
+the fleet.
 """
 
 from __future__ import annotations
@@ -37,10 +40,6 @@ class EdgeLoadState:
 
     def utilization(self, k: int) -> float:
         return self.loads_mips[k] / self.capacities_mips[k]
-
-    def overloaded(self) -> list[int]:
-        return [k for k, (l, c) in enumerate(zip(self.loads_mips, self.capacities_mips))
-                if l > c]
 
 
 @dataclass(frozen=True)
@@ -80,21 +79,27 @@ def cluster_demand(beta_mi, t_period_s: float) -> float:
     return sum(np.asarray(beta_mi, dtype=float).tolist()) / t_period_s
 
 
-def _cluster_terms(labels: np.ndarray, m: int, beta_mi, d_se, omega_d: float,
-                   d_norm_m: float, t_period_s: float):
-    """(P, m) member counts and demands and (P, m, edges) distance terms
-    ``omega_d * (dbar / d_norm)`` of a (P, n) batch of labels over the
-    UAV-served sensors (ascending id).  Bin r*m + j is cluster j of row r,
-    and ``np.bincount`` adds in input order, so each sum is in id order."""
-    P = len(labels)
+def edge_distances(scenario, ids) -> np.ndarray:
+    """(n, edges) distance from each of the sensors ``ids`` to every edge."""
+    return np.linalg.norm(scenario.xy[ids][:, None, :] - scenario.edge_xy[None, :, :], axis=2)
+
+
+def cluster_terms(labels: np.ndarray, m: int, beta_mi, d_se, omega_d: float,
+                  d_norm_m: float, t_period_s: float, *summed):
+    """Per-cluster phase-2 terms of a (P, n) batch of labels over the
+    UAV-served sensors (ascending id), whose compute demands are ``beta_mi``
+    and edge distances the (n, edges) ``d_se``: (P, m) member counts and
+    demands, (P, m, edges) distance terms ``omega_d * (dbar / d_norm)``, then
+    the (P, m) per-cluster sum of each further (n,) column in ``summed``.
+    Bin r*m + j is cluster j of row r, and ``np.bincount`` adds in input
+    order, so each sum is in id order."""
+    P, edges = len(labels), d_se.shape[1]
     bins = (labels + m * np.arange(P)[:, None]).ravel()
     counts = np.bincount(bins, minlength=P * m).reshape(P, m)
-
-    def sums(w):
-        return np.bincount(bins, weights=w, minlength=P * m).reshape(P, m)
-    dist_sums = np.stack([sums(w) for w in np.tile(d_se.T, P)], axis=2)
-    dbar = dist_sums / np.maximum(counts, 1)[..., None]
-    return counts, sums(np.tile(beta_mi, P)) / t_period_s, omega_d * (dbar / d_norm_m)
+    beta_sum, *sums = (np.bincount(bins, weights=w, minlength=P * m).reshape(P, m)
+                       for w in np.tile(np.vstack([beta_mi, d_se.T, *summed]), P))
+    dbar = np.stack(sums[:edges], axis=2) / np.maximum(counts, 1)[..., None]
+    return (counts, beta_sum / t_period_s, omega_d * (dbar / d_norm_m), *sums[edges:])
 
 
 def _edge_scores(dist, loads, demand, capacity, omega_l: float):
@@ -102,16 +107,14 @@ def _edge_scores(dist, loads, demand, capacity, omega_l: float):
     return dist + omega_l * (loads + demand) / capacity
 
 
-def assign_batch(labels: np.ndarray, m: int, beta_mi, d_se, loads0, capacity,
-                 omega_d: float, omega_l: float, d_norm_m: float, t_period_s: float):
-    """Phase 2 for a batch of labels; ``beta_mi`` and (n, edges) ``d_se`` are
-    the sensors'.  Clusters 0 .. m-1 take their edges in turn from ``loads0``,
-    across all rows at once.  Returns (P, m) counts and edges, (P, edges) loads."""
-    counts, demands, dist = _cluster_terms(labels, m, beta_mi, d_se, omega_d, d_norm_m,
-                                           t_period_s)
-    rows = np.arange(len(labels))
-    loads = np.tile(np.asarray(loads0, dtype=float), (len(labels), 1))
-    edge_of = np.empty((len(labels), m), dtype=int)
+def assign_batch(counts, demands, dist, loads0, capacity, omega_l: float):
+    """Phase 2 for a batch of ``cluster_terms``: clusters 0 .. m-1 take their
+    edges in turn from ``loads0``, across all rows at once.  Returns the
+    (P, m) edges and (P, edges) loads."""
+    P, m = counts.shape
+    rows = np.arange(P)
+    loads = np.tile(np.asarray(loads0, dtype=float), (P, 1))
+    edge_of = np.empty((P, m), dtype=int)
     # a run of clusters empty in every row: one step, the loads stay as they are
     used = counts.any(axis=0)
     starts = [0] + (np.flatnonzero(used[1:] | used[:-1]) + 1).tolist()
@@ -119,47 +122,26 @@ def assign_batch(labels: np.ndarray, m: int, beta_mi, d_se, loads0, capacity,
         k = _edge_scores(dist[:, a], loads, demands[:, a, None], capacity, omega_l).argmin(axis=1)
         edge_of[:, a:b] = k[:, None]
         loads[rows, k] += demands[:, a]
-    return counts, edge_of, loads
+    return edge_of, loads
 
 
-def _one_row(cluster_ids, scenario):
-    """Clusters of sensor ids as a batch of one: the (1, n) labels of their
-    members in ascending id, and those members' demands and edge distances."""
-    ids = np.concatenate(cluster_ids).astype(int, copy=False)
-    order = np.argsort(ids, kind="stable")
-    labels = np.repeat(np.arange(len(cluster_ids)), [len(c) for c in cluster_ids])[order]
-    ids = ids[order]
-    d_se = np.linalg.norm(scenario.xy[ids][:, None, :] - scenario.edge_xy[None, :, :], axis=2)
-    return labels[None], scenario.beta_mi[ids], d_se
+def assign_clusters(counts, demands, dist, loads0, capacity, omega_l: float):
+    """Phase 2 for one clustering, its (m,) counts and demands and (m, edges)
+    distance terms: the (m,) edges and (edges,) loads."""
+    edge_of, loads = assign_batch(counts[None], demands[None], dist[None], loads0, capacity,
+                                  omega_l)
+    return edge_of[0], loads[0]
 
 
-def assign_clusters(cluster_ids, scenario, load: EdgeLoadState, omega_d: float,
-                    omega_l: float, d_norm_m: float, t_period_s: float
-                    ) -> tuple[dict[int, int], EdgeLoadState]:
-    """Phase 2 for one clustering (arrays of sensor ids) from ``load``."""
-    labels, beta, d_se = _one_row(cluster_ids, scenario)
-    _, edge_of, loads = assign_batch(labels, len(cluster_ids), beta, d_se, load.loads_mips,
-                                     scenario.capacity, omega_d, omega_l, d_norm_m, t_period_s)
-    return (dict(enumerate(edge_of[0].tolist())),
-            EdgeLoadState(loads[0].tolist(), list(load.capacities_mips)))
-
-
-def repair_overload(cluster_map: dict[int, int], cluster_ids, scenario,
-                    load: EdgeLoadState, omega_d: float, omega_l: float,
-                    d_norm_m: float, t_period_s: float
-                    ) -> tuple[dict[int, int], EdgeLoadState]:
+def repair_overload(edge_of, demands, dist, loads, capacity, omega_l: float):
     """Clear capacity overloads by moving clusters, least demand first, from
     the most overloaded edge to the lowest-score edge with room (ties by
-    lowest id throughout).
+    lowest id throughout); the inputs are left as they are.
 
     Every applied move strictly reduces total overload, so the loop
     terminates.  Raises RepairFailure when no movable cluster fits anywhere.
     """
-    labels, beta, d_se = _one_row(cluster_ids, scenario)
-    _, (demands,), (dist,) = _cluster_terms(labels, len(cluster_ids), beta, d_se, omega_d,
-                                            d_norm_m, t_period_s)
-    edge_of = np.array([cluster_map[j] for j in range(len(cluster_ids))], dtype=int)
-    loads, capacity = np.array(load.loads_mips, dtype=float), scenario.capacity
+    edge_of, loads = np.array(edge_of), np.array(loads, dtype=float)
     while (loads > capacity).any():
         worst = int((loads - capacity).argmax())
         movable = np.flatnonzero((edge_of == worst) & (demands > 0))
@@ -176,5 +158,4 @@ def repair_overload(cluster_map: dict[int, int], cluster_ids, scenario,
         loads[worst] -= demands[j]
         loads[k] += demands[j]
         edge_of[j] = k
-    return dict(enumerate(edge_of.tolist())), EdgeLoadState(loads.tolist(),
-                                                            list(load.capacities_mips))
+    return edge_of, loads

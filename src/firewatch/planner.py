@@ -10,9 +10,12 @@ in total they are at least the spanning tree over those sensors and the
 merged edges (``tour_lower_bound``); below the fleet lower bound that tree
 already exceeds m revisit periods or m energy budgets, so every plan has a
 route over a limit.  Each fleet size draws from its own seed stream, so
-skipping those changes no plan.  Methods supply only their clusters, each an
-array of sensor ids, and a route builder; every layer reads positions,
-request sizes and fire histories from the scenario's columns by id.  This
+skipping those changes no plan.  Methods supply only a route builder and
+their clusters as labels, one cluster index per UAV-served sensor, with a
+visit order; the loop builds the sensors' edge distances once per call, the
+phase-2 sums once per fleet size, and arrays of sensor ids only for a fleet
+size whose edge assignment holds.  Every layer reads positions, request
+sizes and fire histories from the scenario's columns by id.  This
 planner re-runs clustering at each fleet size with a deterministic (run
 seed, m) stream, so plans are pure functions of (scenario, algo params,
 variant).
@@ -37,8 +40,8 @@ import numpy as np
 
 from .clustering import Clustering, sensor_weight, weighted_kmeans
 from .edge_assignment import (Assignment, EdgeLoadState, RepairFailure,
-                              assign_clusters, assign_direct, cluster_demand,
-                              repair_overload)
+                              assign_clusters, assign_direct, cluster_demand, cluster_terms,
+                              edge_distances, repair_overload)
 from .model import AlgoParams, FleetInitMode, PhysicalParams, Variant, derive_seed, link_ranges
 from .reader import Doc, InputError, read
 from .routing import Route, build_route, ordered_route, route_energy, tour_lower_bound
@@ -109,10 +112,10 @@ def _weighted_centroid(ids: np.ndarray, scenario, omega_h: float) -> tuple[float
 
 def _cluster_for_m(uav_ids: np.ndarray, m: int, scenario, algo: AlgoParams,
                    variant: Variant):
-    """Cluster UAV-served sensors into m ascending id arrays (empty ones
-    allowed when sensors are scarce or the random arm rolls them), plus the
-    k-means iteration count.  The random arm rolls a uniform cluster per
-    sensor, once more if a cluster comes up empty, then accepts it as-is."""
+    """size_fleet clusters of the UAV-served sensors at m (empty ones allowed
+    when sensors are scarce or the random arm rolls them).  The random arm
+    rolls a uniform cluster per sensor, once more if a cluster comes up
+    empty, then accepts it as-is."""
     n, iterations = len(uav_ids), 0
     labels = np.zeros(n, dtype=int)
     if variant in (Variant.NO_KMEANS, Variant.NO_BOTH):
@@ -126,10 +129,8 @@ def _cluster_for_m(uav_ids: np.ndarray, m: int, scenario, algo: AlgoParams,
                               algo.epsilon_m, rng)
         labels = np.array([sub.assignment[i] for i in uav_ids.tolist()])
         iterations = sub.iterations_run
-    # a stable sort keeps each cluster's ids in uav_ids' (ascending) order
-    order = np.argsort(labels, kind="stable")
-    ends = np.cumsum(np.bincount(labels, minlength=m))[:-1]
-    return np.split(uav_ids[order], ends), iterations
+    # a stable sort visits each cluster's members in ascending id
+    return labels, np.argsort(labels, kind="stable"), iterations
 
 
 def _over_limits(lb: float, alpha_mb, p: PhysicalParams, m: int = 1) -> bool:
@@ -166,19 +167,23 @@ def _fleet_lower_bound(scenario, direct_map: dict[int, int], first: int) -> int:
     return m
 
 
-def size_fleet(scenario, algo: AlgoParams, direct_map: dict[int, int],
+def size_fleet(scenario, algo: AlgoParams, uav_ids: np.ndarray, direct_map: dict[int, int],
                load0: EdgeLoadState, clusters_at, route, *, method: str, seed: int,
                t0: float, variant: str, at_m: int | None,
                binding: list[str] | None) -> Plan:
     """The fleet-sizing loop shared by every planning method.
 
-    For each m from the initial fleet size to m_max, ``clusters_at(m)`` gives
-    ``(members, iterations)``, the method's clusters as arrays of sensor ids
-    in visit order, or None for no candidate at this m.  The clusters are
-    assigned to edges and overloads repaired; each is routed with
-    ``route(j, depot_edge_id, ids, scenario)``; the first m whose routes
-    meet the revisit and energy limits becomes the Plan, idle UAVs parked at
-    their edge.
+    ``uav_ids``, ``direct_map`` and ``load0`` are phase 1's.  For each m
+    from the initial fleet size to m_max, ``clusters_at(m)`` gives
+    ``(labels, order, iterations)``, or None for no candidate at this m:
+    the (n,) cluster of each sensor in ``uav_ids``, and those positions
+    grouped by cluster in visit order.  The sensors' edge distances are
+    built once per call and the phase-2 sums once per m, read by both the
+    edge assignment and the overload repair.  Only an m whose assignment
+    holds gets its clusters as id arrays, slices of ``uav_ids[order]``, each
+    routed with ``route(j, depot_edge_id, ids, scenario)``; the first m whose
+    routes meet the revisit and energy limits becomes the Plan, idle UAVs
+    parked at their edge.
     The loop starts at the fleet lower bound (``_fleet_lower_bound``) instead
     when that is larger: the m tours of any plan, their depots merged, connect
     the UAV-served sensors and the merged edges, so in total they are at
@@ -201,31 +206,37 @@ def size_fleet(scenario, algo: AlgoParams, direct_map: dict[int, int],
                    p.m_max + 1)
              if gate else (at_m,))
     failed: list[str] = []
-    phase2 = (algo.omega_d, algo.omega_l, p.diag_m, p.t_period_s)
+    beta, d_se = scenario.beta_mi[uav_ids], edge_distances(scenario, uav_ids)
+    capacity = scenario.capacity
     for m in sizes:
         clusters = clusters_at(m)
         if clusters is None:
             continue
-        members, iterations = clusters
-        cluster_map, load = assign_clusters(members, scenario, load0, *phase2)
-        if load.overloaded():
+        labels, order, iterations = clusters
+        (counts,), (demands,), (dist,) = cluster_terms(labels[None], m, beta, d_se, algo.omega_d,
+                                                       p.diag_m, p.t_period_s)
+        edge_of, loads = assign_clusters(counts, demands, dist, load0.loads_mips, capacity,
+                                         algo.omega_l)
+        if (loads > capacity).any():
             try:
-                cluster_map, load = repair_overload(cluster_map, members, scenario, load,
-                                                    *phase2)
+                edge_of, loads = repair_overload(edge_of, demands, dist, loads, capacity,
+                                                 algo.omega_l)
             except RepairFailure:
                 if gate:
                     failed = ["edge capacity"]
                     continue
+        edges, ends = edge_of.tolist(), np.cumsum(counts).tolist()
+        ids = uav_ids[order]
+        members = [ids[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
         # below the ceiling a failed m only leads on to m + 1, so skip it as
         # soon as one cluster cannot meet the limits
         prune = gate and m < p.m_max
-        if prune and any(_bound_breaks(cluster_map[j], members[j], scenario)
-                         for j in range(m)):
+        if prune and any(_bound_breaks(edges[j], members[j], scenario) for j in range(m)):
             continue
         routes = []
         for j in range(m):
-            r = route(j, cluster_map[j], members[j], scenario)
+            r = route(j, edges[j], members[j], scenario)
             routes.append(r)
             if prune and (r.revisit_s > p.t_max_s or r.energy_wh > p.e_max_wh):
                 break
@@ -239,14 +250,15 @@ def size_fleet(scenario, algo: AlgoParams, direct_map: dict[int, int],
             continue
 
         centers = tuple(_weighted_centroid(ids, scenario, algo.omega_h) if len(ids)
-                        else tuple(scenario.edge_xy[cluster_map[j]].tolist())
+                        else tuple(scenario.edge_xy[edges[j]].tolist())
                         for j, ids in enumerate(members))
         clustering = Clustering(m=m, assignment={i: j for j, ids in enumerate(members)
                                                  for i in ids.tolist()},
                                 centers=centers, iterations_run=iterations)
+        load = EdgeLoadState(loads.tolist(), list(load0.capacities_mips))
         return Plan(m=m, clustering=clustering,
                     assignment=Assignment(direct_map=direct_map,
-                                          cluster_map=cluster_map, load=load),
+                                          cluster_map=dict(enumerate(edges)), load=load),
                     routes=routes, planning_time_s=time.perf_counter() - t0,
                     method=method, variant=variant, seed=seed)
     raise InfeasibleError(p.m_max, binding or failed)
@@ -279,7 +291,7 @@ def _proposed(scenario, algo: AlgoParams, variant: Variant, at_m: int | None) ->
     route = build_route
     if variant in (Variant.NO_2OPT, Variant.NO_BOTH):
         route = functools.partial(build_route, use_two_opt=False)
-    return size_fleet(scenario, algo, direct_map, load0,
+    return size_fleet(scenario, algo, uav_ids, direct_map, load0,
                       lambda m: _cluster_for_m(uav_ids, m, scenario, algo, variant),
                       route, method="proposed", seed=algo.seed, t0=t0,
                       variant=variant.value, at_m=at_m, binding=None)

@@ -26,7 +26,6 @@ from firewatch.baselines import (
     greedy_plan,
     pso_plan,
 )
-from firewatch.edge_assignment import assign_batch
 from firewatch.model import MB_TO_MBIT, AlgoParams, PhysicalParams, derive_seed
 from firewatch.planner import InfeasibleError, plan, plan_to_doc, validate_plan
 from firewatch.routing import nearest_neighbor_tour, tour_length
@@ -101,8 +100,8 @@ def test_eval_clusters_matches_oracle(m, gene_hi):
     prios = rng.random((6, ws.n))
     orders = _order_by_priority(genes, prios)
 
-    assigned = assign_batch(genes, m, *ws.phase2)
-    edge_of = assigned[1]
+    assigned = ws.assign(genes, m)
+    edge_of = assigned[2]
     fits, viols, lengths = ws.evaluate(genes, orders, assigned)
     for r in range(len(genes)):
         w_fit, w_viol, w_edge, w_len = _oracle_eval(ws, scenario, algo, genes[r],
@@ -150,7 +149,7 @@ def _ga_search_oracle(ws, cfg, m, generations):
 
     def evaluate(g, pr):
         orders = _order_by_priority_oracle(g, pr)
-        fits, viols, _ = ws.evaluate(g, orders, assign_batch(g, m, *ws.phase2))
+        fits, viols, _ = ws.evaluate(g, orders, ws.assign(g, m))
         return fits, viols, orders
 
     fits, viols, orders = evaluate(genes, prios)
@@ -187,7 +186,7 @@ def _ga_search_oracle(ws, cfg, m, generations):
     if not feasible.size:
         return None
     best = int(feasible[np.argmin(fits[feasible])])
-    return ws.clusters(genes[best], orders[best], m)
+    return genes[best], orders[best], 0
 
 
 def _ga_workspace(n):
@@ -232,8 +231,8 @@ def test_ga_search_matches_per_pair_loop(seed, pop, n, m_kind, generations):
     if want is None:
         assert got is None
     else:
-        assert [c.tolist() for c in got[0]] == [c.tolist() for c in want[0]]
-        assert got[1] == want[1]
+        assert [a.tolist() for a in got[:2]] == [a.tolist() for a in want[:2]]
+        assert got[2] == want[2]
 
 
 # a bound near 2**31 makes Lemire's method reject about half of all words
@@ -317,8 +316,8 @@ def test_nn_orders_match_nearest_neighbor_tour(points, m, rows, data):
     genes = np.array(data.draw(st.lists(st.lists(st.integers(0, m - 1), min_size=ws.n,
                                                  max_size=ws.n),
                                         min_size=rows, max_size=rows)))
-    assigned = assign_batch(genes, m, *ws.phase2)
-    edge_of = assigned[1]
+    assigned = ws.assign(genes, m)
+    edge_of = assigned[2]
     orders = ws.nn_orders(genes, assigned)
     for r in range(rows):
         want = []
@@ -451,9 +450,10 @@ def test_greedy_fleet_sizes_below_the_bound_break_a_limit(monkeypatch):
     limit and are no shorter in total than the tree."""
     algo, real, seen = AlgoParams(), planner.size_fleet, {}
 
-    def spy(scenario, algo, direct_map, load0, clusters_at, route, **kw):
-        seen.update(direct_map=direct_map, load0=load0, clusters_at=clusters_at, route=route)
-        return real(scenario, algo, direct_map, load0, clusters_at, route, **kw)
+    def spy(scenario, algo, uav_ids, direct_map, load0, clusters_at, route, **kw):
+        seen.update(uav_ids=uav_ids, direct_map=direct_map, load0=load0,
+                    clusters_at=clusters_at, route=route)
+        return real(scenario, algo, uav_ids, direct_map, load0, clusters_at, route, **kw)
 
     monkeypatch.setattr(baselines, "size_fleet", spy)
     for name, sc in bound_scenarios().items():
@@ -463,9 +463,9 @@ def test_greedy_fleet_sizes_below_the_bound_break_a_limit(monkeypatch):
         except InfeasibleError:
             pass
         for m in range(1, fleet_start(sc)):
-            pl = real(sc, algo, seen["direct_map"], seen["load0"], seen["clusters_at"],
-                      seen["route"], method="greedy", seed=0, t0=0.0, variant="-",
-                      at_m=m, binding=None)
+            pl = real(sc, algo, seen["uav_ids"], seen["direct_map"], seen["load0"],
+                      seen["clusters_at"], seen["route"], method="greedy", seed=0, t0=0.0,
+                      variant="-", at_m=m, binding=None)
             assert any(r.revisit_s > p.t_max_s or r.energy_wh > p.e_max_wh
                        for r in pl.routes), (name, m)
             assert sum(r.length_m for r in pl.routes) >= lb, (name, m)
@@ -486,7 +486,7 @@ def test_search_fleet_sizes_below_the_bound_offer_no_clusters(search):
             else:
                 assert _pso_search(ws, PSO_SMALL, m) is None, (name, m)
             genes = rng.integers(0, m, size=(20, ws.n))
-            assigned = assign_batch(genes, m, *ws.phase2)
+            assigned = ws.assign(genes, m)
             orders = ws.nn_orders(genes, assigned)
             _, _, lengths = ws.evaluate(genes, orders, assigned)
             alpha_sum = np.array([[sum(ws.alpha[g == j].tolist()) for j in range(m)]

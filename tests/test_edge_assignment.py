@@ -11,6 +11,8 @@ from firewatch.edge_assignment import (
     assign_clusters,
     assign_direct,
     cluster_demand,
+    cluster_terms,
+    edge_distances,
     repair_overload,
 )
 from firewatch.model import AlgoParams, PhysicalParams
@@ -120,49 +122,63 @@ def _cluster_scenario():
         [(0.0, 0.0, 10.0), (1000.0, 0.0, 10.0)])
 
 
+def _terms(members, sc, omega_d, d_norm_m, t_period_s):
+    """The (m,) counts and demands and (m, edges) distance terms of clusters
+    given as lists of sensor ids, from their labels in ascending id, as
+    size_fleet takes them."""
+    ids = np.array(sorted(i for c in members for i in c), dtype=int)
+    labels = np.empty(len(ids), dtype=int)
+    for j, c in enumerate(members):
+        labels[np.searchsorted(ids, c)] = j
+    (counts,), (demands,), (dist,) = cluster_terms(labels[None], len(members), sc.beta_mi[ids],
+                                                   edge_distances(sc, ids), omega_d, d_norm_m,
+                                                   t_period_s)
+    return counts, demands, dist
+
+
 def test_assign_clusters_hand_computed_scores():
     sc = _cluster_scenario()
     members = [[0, 1]]                             # dbar: e0 250, e1 750
-    load0 = EdgeLoadState([0.0, 0.0], [10.0, 10.0])
-    cmap, load = assign_clusters(members, sc, load0,
-                                 0.7, 0.3, 1000.0, 100.0)
+    edge_of, loads = assign_clusters(*_terms(members, sc, 0.7, 1000.0, 100.0), [0.0, 0.0],
+                                     sc.capacity, 0.3)
     demand = 100.0 / 100.0
     s0 = 0.7 * 250.0 / 1000.0 + 0.3 * (0.0 + demand) / 10.0
     s1 = 0.7 * 750.0 / 1000.0 + 0.3 * (0.0 + demand) / 10.0
     assert s0 == pytest.approx(0.205) and s1 == pytest.approx(0.555)
-    assert cmap == {0: 0}
-    assert load.loads_mips == pytest.approx([demand, 0.0])
+    assert edge_of.tolist() == [0]
+    assert loads.tolist() == pytest.approx([demand, 0.0])
 
 
 def test_assign_clusters_pure_distance_and_pure_load():
     sc = _cluster_scenario()
     near_e0 = [[0]]
-    load0 = EdgeLoadState([0.0, 0.0], [10.0, 10.0])
-    cmap, _ = assign_clusters(near_e0, sc, load0, 1.0, 0.0, 1000.0, 100.0)
-    assert cmap == {0: 0}
+    edge_of, _ = assign_clusters(*_terms(near_e0, sc, 1.0, 1000.0, 100.0), [0.0, 0.0],
+                                 sc.capacity, 0.0)
+    assert edge_of.tolist() == [0]
 
     # omega_d = 0: utilization-after 0.9 on e0 vs 0.2 on e1 -> e1
-    load0 = EdgeLoadState([8.0, 1.0], [10.0, 10.0])
-    cmap, _ = assign_clusters(near_e0, sc, load0, 0.0, 1.0, 1000.0, 100.0)
-    assert cmap == {0: 1}
+    edge_of, _ = assign_clusters(*_terms(near_e0, sc, 0.0, 1000.0, 100.0), [8.0, 1.0],
+                                 sc.capacity, 1.0)
+    assert edge_of.tolist() == [1]
 
 
 def test_assign_clusters_tie_prefers_lowest_edge():
     sc = _cluster_scenario()
     centered = [[1]]                               # 500 m from both edges
-    load0 = EdgeLoadState([0.0, 0.0], [10.0, 10.0])
-    cmap, _ = assign_clusters(centered, sc, load0, 0.7, 0.3, 1000.0, 100.0)
-    assert cmap == {0: 0}
+    edge_of, _ = assign_clusters(*_terms(centered, sc, 0.7, 1000.0, 100.0), [0.0, 0.0],
+                                 sc.capacity, 0.3)
+    assert edge_of.tolist() == [0]
 
 
 def test_assign_clusters_sequential_load_coupling():
-    sc = _cluster_scenario()
-    clusters = [[1], [1]]                          # identical demands and dbar
-    load0 = EdgeLoadState([0.0, 0.0], [1.2, 1.0])
-    cmap, load = assign_clusters(clusters, sc, load0, 0.0, 1.0, 1000.0, 50.0)
+    # two sensors at one point: identical demands and dbar
+    sc = build_scenario([(500.0, 0.0, 0, 1.0, 50.0)] * 2,
+                        [(0.0, 0.0, 1.2), (1000.0, 0.0, 1.0)])
+    edge_of, loads = assign_clusters(*_terms([[0], [1]], sc, 0.0, 1000.0, 50.0), [0.0, 0.0],
+                                     sc.capacity, 1.0)
     # each demand = 1.0; after c0 takes e0, e1 scores lower for c1
-    assert cmap == {0: 0, 1: 1}
-    assert load.loads_mips == pytest.approx([1.0, 1.0])
+    assert edge_of.tolist() == [0, 1]
+    assert loads.tolist() == pytest.approx([1.0, 1.0])
 
 
 def test_distance_term_divides_before_weighting():
@@ -171,18 +187,18 @@ def test_distance_term_divides_before_weighting():
     round to two scores in the planner's order and tie in the other, the
     second's the other way round.  Demand 0 leaves only the distance term."""
     d_se = np.array([[3529.5430000000006, 3529.543], [3044.2690000000002, 3044.269]])
-    _, edge_of, _ = assign_batch(np.array([[0, 1]]), 2, np.zeros(2), d_se, [0.0, 0.0],
-                                 np.ones(2), 0.7, 0.3, 10000.0, 3600.0)
+    counts, demands, dist = cluster_terms(np.array([[0, 1]]), 2, np.zeros(2), d_se, 0.7,
+                                          10000.0, 3600.0)
+    edge_of, _ = assign_batch(counts, demands, dist, [0.0, 0.0], np.ones(2), 0.3)
     assert edge_of.tolist() == [[1, 0]]
 
 
 def test_single_edge_takes_everything():
     sc = build_scenario([(0.0, 0.0, 0, 1.0, 50.0), (900.0, 900.0, 0, 1.0, 70.0)],
                         [(5000.0, 5000.0, 10.0)])
-    members = [[0], [1]]
-    load0 = EdgeLoadState([0.0], [10.0])
-    cmap, _ = assign_clusters(members, sc, load0, 0.7, 0.3, 1000.0, 100.0)
-    assert cmap == {0: 0, 1: 0}
+    edge_of, _ = assign_clusters(*_terms([[0], [1]], sc, 0.7, 1000.0, 100.0), [0.0],
+                                 sc.capacity, 0.3)
+    assert edge_of.tolist() == [0, 0]
 
 
 @given(st.lists(st.tuples(st.floats(0, 10000), st.floats(0, 10000),
@@ -192,53 +208,47 @@ def test_load_conservation(rows, m):
     sc = build_scenario([(x, y, 0, 1.0, b) for x, y, b in rows],
                         [(0.0, 0.0, 1e9), (9000.0, 9000.0, 1e9)])
     members = [[i for i in range(len(sc.sensors)) if i % m == j] for j in range(m)]
-    load0 = EdgeLoadState([0.0, 0.0], [1e9, 1e9])
-    _, load = assign_clusters(members, sc, load0, 0.7, 0.3,
-                              sc.physical.diag_m, 3600.0)
+    _, loads = assign_clusters(*_terms(members, sc, 0.7, sc.physical.diag_m, 3600.0),
+                               [0.0, 0.0], sc.capacity, 0.3)
     total = sum(b for _, _, b in rows) / 3600.0
-    assert sum(load.loads_mips) == pytest.approx(total)
+    assert sum(loads.tolist()) == pytest.approx(total)
 
 
 def test_repair_single_move_fixes_overload():
     sc = build_scenario(
         [(0.0, 0.0, 0, 1.0, 60.0), (10.0, 0.0, 0, 1.0, 50.0)],
         [(0.0, 0.0, 1.0), (1000.0, 0.0, 10.0)])
-    members = [[0], [1]]
+    _, demands, dist = _terms([[0], [1]], sc, 0.7, 1000.0, 100.0)
     # both clusters forced onto e0: 1.1 MIPS on a 1.0 MIPS edge
-    load = EdgeLoadState([1.1, 0.0], [1.0, 10.0])
-    cmap, fixed = repair_overload({0: 0, 1: 0}, members, sc, load,
-                                  0.7, 0.3, 1000.0, 100.0)
+    edge_of, loads = repair_overload(np.array([0, 0]), demands, dist, [1.1, 0.0],
+                                     sc.capacity, 0.3)
     # least-demand cluster (c1, 0.5) moves to the edge with slack
-    assert cmap == {0: 0, 1: 1}
-    assert fixed.loads_mips == pytest.approx([0.6, 0.5])
-    assert not fixed.overloaded()
+    assert edge_of.tolist() == [0, 1]
+    assert loads.tolist() == pytest.approx([0.6, 0.5])
+    assert not (loads > sc.capacity).any()
 
 
 def test_repair_no_overload_is_identity():
     sc = build_scenario([(0.0, 0.0, 0, 1.0, 50.0)], [(0.0, 0.0, 10.0)])
-    members = [[0]]
-    load = EdgeLoadState([0.5], [10.0])
-    cmap, out = repair_overload({0: 0}, members, sc, load,
-                                0.7, 0.3, 1000.0, 100.0)
-    assert cmap == {0: 0}
-    assert out.loads_mips == [0.5]
+    _, demands, dist = _terms([[0]], sc, 0.7, 1000.0, 100.0)
+    edge_of, loads = repair_overload(np.array([0]), demands, dist, [0.5], sc.capacity, 0.3)
+    assert edge_of.tolist() == [0]
+    assert loads.tolist() == [0.5]
 
 
 def test_repair_pigeonhole_failure():
     sc = build_scenario(
         [(0.0, 0.0, 0, 1.0, 100.0), (10.0, 0.0, 0, 1.0, 100.0)],
         [(0.0, 0.0, 1.0), (1000.0, 0.0, 1.0)])
-    members = [[0], [1]]
-    load = EdgeLoadState([4.0, 0.0], [1.0, 1.0])   # total demand 4 > total cap 2
-    with pytest.raises(RepairFailure):
-        repair_overload({0: 0, 1: 0}, members, sc, load,
-                        0.7, 0.3, 1000.0, 50.0)
+    _, demands, dist = _terms([[0], [1]], sc, 0.7, 1000.0, 50.0)
+    with pytest.raises(RepairFailure):   # total demand 4 > total cap 2
+        repair_overload(np.array([0, 0]), demands, dist, [4.0, 0.0], sc.capacity, 0.3)
 
 
 def test_edge_load_state_helpers():
     load = EdgeLoadState([5.0, 0.5], [10.0, 0.4])
     assert load.utilization(0) == 0.5
-    assert load.overloaded() == [1]
+    assert load.utilization(1) == 1.25
 
 
 def test_phase1_phase2_composition(default_scenario):
@@ -250,10 +260,10 @@ def test_phase1_phase2_composition(default_scenario):
 
     m = 4
     members = [[i for k, i in enumerate(uav_ids.tolist()) if k % m == j] for j in range(m)]
-    _, load = assign_clusters(members, sc, load0, 0.7, 0.3,
-                              p.diag_m, p.t_period_s)
+    _, loads = assign_clusters(*_terms(members, sc, 0.7, p.diag_m, p.t_period_s),
+                               load0.loads_mips, sc.capacity, 0.3)
     total = sum(s.request.compute_mi for s in sc.sensors) / p.t_period_s
-    assert sum(load.loads_mips) == pytest.approx(total)
+    assert sum(loads.tolist()) == pytest.approx(total)
 
 
 # three edges, the first two 4 km apart; sensors on x = 2000 are equally far
@@ -269,12 +279,11 @@ def _phase2_scenario(points, capacities):
                           [(x, y, c) for (x, y), c in zip(_EDGES, capacities)])
 
 
-def _phase2_case(points, capacities, omega_d, m, genes, perms):
-    """A phase-2 case: the scenario, the distance weight, the cluster count,
-    a (P, n) population over the UAV-served sensors and, per row, an order
-    to list each cluster's members in."""
+def _phase2_case(points, capacities, omega_d, m, genes):
+    """A phase-2 case: the scenario, the distance weight, the cluster count
+    and a (P, n) population over the UAV-served sensors."""
     return (_phase2_scenario(points, capacities), omega_d, m,
-            np.array(genes, dtype=int).reshape(len(genes), -1), perms)
+            np.array(genes, dtype=int).reshape(len(genes), -1))
 
 
 @st.composite
@@ -295,61 +304,72 @@ def _phase2_cases(draw):
     rows = draw(st.integers(1, 4))
     genes = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=n, max_size=n),
                           min_size=rows, max_size=rows))
-    perms = draw(st.lists(st.permutations(range(n)), min_size=rows, max_size=rows))
-    return _phase2_case(points, caps, draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])), m,
-                        genes, perms)
+    return _phase2_case(points, caps, draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])), m, genes)
 
 
-def _outcome(repair, *args):
+def _outcome(*args):
+    """``repair_overload``'s edges and loads as lists, or its message."""
     try:
-        cluster_map, load = repair(*args)
+        edge_of, loads = repair_overload(*args)
     except RepairFailure as exc:
         return str(exc)
-    return cluster_map, load.loads_mips
+    return edge_of.tolist(), loads.tolist()
+
+
+def _oracle_outcome(*args):
+    """The same of ``repair_overload_oracle``."""
+    try:
+        cluster_map, load = repair_overload_oracle(*args)
+    except RepairFailure as exc:
+        return str(exc)
+    return [cluster_map[j] for j in range(len(cluster_map))], load.loads_mips
 
 
 @settings(max_examples=150, deadline=None)
 @given(_phase2_cases())
 # three coincident sensors equally far from two equal edges, clusters 0 and
 # 8 of 9 used, so runs of empty clusters lie between and after them
-@example(_phase2_case([(2000.0, 0.0, 360.0)] * 3, [1.0, 1.0], 0.7, 9, [[0, 0, 8]],
-                      [[2, 0, 1]]))
+@example(_phase2_case([(2000.0, 0.0, 360.0)] * 3, [1.0, 1.0], 0.7, 9, [[0, 0, 8]]))
 # every edge overloaded by one sensor: the repair fails
 @example(_phase2_case([(2000.0, 0.0, 3600.0), (2000.0, 1500.0, 3600.0)], [0.05, 0.05],
-                      0.7, 2, [[0, 1], [1, 1]], [[0, 1], [1, 0]]))
+                      0.7, 2, [[0, 1], [1, 1]]))
 # a direct sensor loads edge 0, so the repair moves a cluster off edge 1
 @example(_phase2_case([(100.0, 100.0, 720.0), (3000.0, 1000.0, 360.0),
-                       (2000.0, 1500.0, 360.0)], [1.0, 0.2], 0.3, 3, [[0, 1], [2, 2]],
-                      [[1, 0], [0, 1]]))
+                       (2000.0, 1500.0, 360.0)], [1.0, 0.2], 0.3, 3, [[0, 1], [2, 2]]))
 def test_phase2_kernel_equals_the_per_method_oracles(case):
-    """One batch of the kernel gives every row the counts, edges and loads
-    of the GA/PSO population loop, and each row alone, with its clusters'
-    members in any order, gives the planner's Python score lists, before
-    and after overload repair (also of every cluster put on edge 0):
-    ``==`` throughout."""
-    sc, omega_d, m, genes, perms = case
+    """One batch of the kernel gives every row the counts, upload sums,
+    edges and loads of the GA/PSO population loop, and each row's labels
+    alone, as size_fleet passes them, give the planner's Python score
+    lists, before and after overload repair (also of every cluster put on
+    edge 0): ``==`` throughout."""
+    sc, omega_d, m, genes = case
     algo = AlgoParams(omega_d=omega_d, omega_l=1.0 - omega_d)
+    p = sc.physical
     ws = _Workspace(sc, algo)
-    counts, edge_of, loads = assign_batch(genes, m, *ws.phase2)
-    want_counts, _, want_edges, want_loads = assign_edges_oracle(ws, genes, m)
-    assert counts.tolist() == want_counts.tolist()
-    assert edge_of.tolist() == want_edges.tolist()
-    assert loads.tolist() == want_loads.tolist()
+    got = ws.assign(genes, m)
+    want = assign_edges_oracle(ws, genes, m)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+    _, _, edge_of, loads = got
 
-    weights = (algo.omega_d, algo.omega_l, sc.physical.diag_m, sc.physical.t_period_s)
-    for r, perm in enumerate(perms):
-        by_id = [ws.uav_ids[genes[r] == j] for j in range(m)]
-        shuffled = [ws.uav_ids[perm][genes[r][perm] == j] for j in range(m)]
-        cluster_map, load = assign_clusters(shuffled, sc, ws.load0, *weights)
-        want_map, want_load = assign_clusters_oracle(by_id, sc, ws.load0, *weights)
-        assert cluster_map == want_map == dict(enumerate(edge_of[r].tolist()))
-        assert load.loads_mips == want_load.loads_mips == loads[r].tolist()
-        assert (_outcome(repair_overload, cluster_map, shuffled, sc, load, *weights)
-                == _outcome(repair_overload_oracle, want_map, by_id, sc, want_load, *weights))
+    uav_ids, _, load0 = assign_direct(sc)
+    beta, d_se = sc.beta_mi[uav_ids], edge_distances(sc, uav_ids)
+    weights = (algo.omega_d, algo.omega_l, p.diag_m, p.t_period_s)
+    for r, labels in enumerate(genes):
+        (counts,), (demands,), (dist,) = cluster_terms(labels[None], m, beta, d_se,
+                                                       algo.omega_d, p.diag_m, p.t_period_s)
+        row_edges, row_loads = assign_clusters(counts, demands, dist, load0.loads_mips,
+                                               sc.capacity, algo.omega_l)
+        by_id = [uav_ids[labels == j] for j in range(m)]
+        want_map, want_load = assign_clusters_oracle(by_id, sc, load0, *weights)
+        assert (row_edges.tolist() == [want_map[j] for j in range(m)]
+                == edge_of[r].tolist())
+        assert row_loads.tolist() == want_load.loads_mips == loads[r].tolist()
+        assert (_outcome(row_edges, demands, dist, row_loads, sc.capacity, algo.omega_l)
+                == _oracle_outcome(want_map, by_id, sc, want_load, *weights))
         # every cluster on edge 0, so the repair has more to move
-        on_0 = dict.fromkeys(range(m), 0)
-        forced = EdgeLoadState(list(ws.load0.loads_mips), list(ws.load0.capacities_mips))
+        forced = EdgeLoadState(list(load0.loads_mips), list(load0.capacities_mips))
         for ids in by_id:
-            forced.loads_mips[0] += cluster_demand(sc.beta_mi[ids], sc.physical.t_period_s)
-        assert (_outcome(repair_overload, on_0, shuffled, sc, forced, *weights)
-                == _outcome(repair_overload_oracle, on_0, by_id, sc, forced, *weights))
+            forced.loads_mips[0] += cluster_demand(sc.beta_mi[ids], p.t_period_s)
+        assert (_outcome(np.zeros(m, dtype=int), demands, dist, forced.loads_mips,
+                         sc.capacity, algo.omega_l)
+                == _oracle_outcome(dict.fromkeys(range(m), 0), by_id, sc, forced, *weights))

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from firewatch.baselines import GaConfig, PsoConfig, ga_plan, greedy_plan, pso_plan
-from firewatch.edge_assignment import EdgeLoadState
+from firewatch.edge_assignment import EdgeLoadState, RepairFailure
 from firewatch.model import AlgoParams, PhysicalParams, derive_seed
-from firewatch.planner import plan, plan_at_fleet
+from firewatch.planner import InfeasibleError, plan, plan_at_fleet
 from firewatch.scenario import GenConfig, generate, load_scenario, save_scenario
 from firewatch.emergency import (
     EmergencyEvent,
@@ -428,6 +428,69 @@ def test_benchmark_tracer_sees_the_simulator_layers(monkeypatch, small_scenario)
     again = [s for s in spans if s.parent == sim[1].sid]
     assert {s.name for s in again} >= {"timing.mean_response", "emergency.select"}
     assert not any(s.name == "emergency.geometry" for s in again)
+
+
+def test_benchmark_tracer_reads_the_fleet_size_of_each_assignment(monkeypatch):
+    """The benchmark's traced runs take the fleet size of each 2-opt call from
+    the first argument of the edge assignment before it, so that argument
+    must have one entry per cluster.  Here the loop routes one UAV, rejects
+    its route and accepts two; on the capacity wall every size fails its
+    overload repair before any route is built."""
+    import importlib
+    from pathlib import Path
+
+    from firewatch import planner
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    tracer = importlib.import_module("tracer")
+    # nine sensors on a line between two edges 10 km apart: one UAV's
+    # 18 km lap breaks the 12 km revisit limit, its 9 km spanning tree does not
+    line = build_scenario([(1000.0 * k, 0.0, 0, 1.0, 100.0) for k in range(1, 10)],
+                          [(0.0, 0.0, 5000.0), (10000.0, 0.0, 5000.0)],
+                          PhysicalParams(t_max_s=800.0))
+    wall = build_scenario([(3000.0 + 200.0 * k, 0.0, 0, 1.0, 1e6) for k in range(3)],
+                          [(0.0, 0.0, 10.0)], PhysicalParams(m_max=3))
+    rec = tracer.Tracer()
+    rec.install()
+    try:
+        for module, attr, _ in tracer.WRAP_POINTS:
+            owner = importlib.import_module(module)
+            for part in attr.split("."):
+                owner = getattr(owner, part)
+            assert hasattr(owner, "__wrapped__"), (module, attr)
+        pl = planner.plan(line, AlgoParams())
+        with pytest.raises(InfeasibleError):
+            planner.plan(wall, AlgoParams())
+    finally:
+        rec.uninstall()
+    spans = sorted(rec.take(), key=lambda s: (s.t0, s.sid))
+    top = [s for s in spans if s.name == "planner.plan"]
+    assert len(top) == 2
+    line_spans = [s for s in spans if s.t1 <= top[0].t1]
+    wall_spans = [s for s in spans if s.t0 >= top[1].t0]
+
+    def routes_after_each_assignment(group):
+        counts = []
+        for s in group:
+            if s.name == "edge_assignment.assign_clusters":
+                counts.append([len(s.args[0]), 0])
+            elif s.name == "routing.build_route":
+                counts[-1][1] += 1
+        return counts
+
+    assert pl.m == 2
+    assert routes_after_each_assignment(line_spans) == [[1, 1], [2, 2]]
+    share = tracer.self_times(spans)
+    accepted = [s for s in line_spans if s.name == "edge_assignment.assign_clusters"][-1]
+    rejected = [share[s.sid] for s in line_spans
+                if s.name == "routing.two_opt" and s.t0 < accepted.t0]
+    metrics = tracer.pass_metrics(spans, tracer.covered_seconds(top))
+    assert rejected and metrics["routing.two_opt_rejected_s"] == pytest.approx(sum(rejected))
+
+    assert routes_after_each_assignment(wall_spans) == [[1, 0], [2, 0], [3, 0]]
+    repairs = [s for s in wall_spans if s.name == "edge_assignment.repair"]
+    assert len(repairs) == 3 and all(isinstance(s.error, RepairFailure) for s in repairs)
+    assert metrics["edge_assignment.repair_failures"] == 3
 
 
 _MEMO_HORIZON_S = 7200.0

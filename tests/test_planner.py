@@ -21,7 +21,7 @@ from firewatch.planner import (
     validate_plan,
     write_route_csv,
 )
-from firewatch.routing import build_route, route_energy, tour_lower_bound
+from firewatch.routing import build_route, ordered_route, route_energy, tour_lower_bound
 from testutil import (blob, bound_scenarios, brute_force_tour_optimum, build_scenario,
                       fleet_start, fleet_tree_bound, outcomes, unskip_fleet_sizes)
 
@@ -121,12 +121,14 @@ def test_bound_never_prunes_at_fleet_ceiling(monkeypatch):
 
 def test_routing_stops_at_first_route_over_a_limit():
     sc = dataclasses.replace(_far_blobs_scenario(), physical=PhysicalParams(m_max=3))
-    _, direct_map, load0 = planner.assign_direct(sc)
+    uav_ids, direct_map, load0 = planner.assign_direct(sc)
+    assert uav_ids.tolist() == list(range(len(sc.sensors)))
     sizes, calls = [], []
 
     def clusters_at(m):
         sizes.append(m)
-        return [np.arange(len(sc.sensors))[j::m] for j in range(m)], 0
+        labels = np.arange(len(uav_ids)) % m
+        return labels, np.argsort(labels, kind="stable"), 0
 
     def route(j, depot_edge_id, ids, scenario):
         # every route breaks the revisit limit below three UAVs
@@ -136,7 +138,7 @@ def test_routing_stops_at_first_route_over_a_limit():
         return r if m == 3 else dataclasses.replace(
             r, revisit_s=scenario.physical.t_max_s + 1.0)
 
-    pl = size_fleet(sc, AlgoParams(), direct_map, load0, clusters_at, route,
+    pl = size_fleet(sc, AlgoParams(), uav_ids, direct_map, load0, clusters_at, route,
                     method="t", seed=0, t0=0.0, variant="-", at_m=None, binding=None)
     assert pl.m == 3
     assert calls == [(1, 0), (2, 0), (3, 0), (3, 1), (3, 2)]
@@ -368,16 +370,26 @@ def _cluster_for_m_oracle(uav_ids, m, scenario, algo, variant):
 
 @pytest.mark.parametrize("variant", [Variant.FULL, Variant.NO_KMEANS])
 def test_cluster_members_match_per_cluster_masks(small_scenario, variant):
-    """Members are the same ascending id arrays as one mask per cluster, for
-    every m up to three times the UAV-served count (empty clusters included)
-    and with no UAV-served sensor at all."""
-    algo = AlgoParams(seed=3)
-    uav_ids = assign_direct(small_scenario)[0]
+    """The clusters size_fleet routes, sliced from the labels and visit
+    order of _cluster_for_m, are the same ascending id arrays as one mask
+    per cluster, for every m up to three times the UAV-served count (empty
+    clusters included) and with no UAV-served sensor at all."""
+    sc, algo = small_scenario, AlgoParams(seed=3)
+    uav_ids, direct_map, load0 = assign_direct(sc)
+    routed = {}
+
+    def route(j, depot_edge_id, ids, scenario):
+        routed[j] = ids
+        return ordered_route(j, depot_edge_id, ids, scenario)
+
     for ids in (uav_ids, uav_ids[:0]):
         for m in range(1, 3 * len(uav_ids) + 1):
-            members, iterations = planner._cluster_for_m(ids, m, small_scenario, algo, variant)
-            want, want_iterations = _cluster_for_m_oracle(ids, m, small_scenario, algo, variant)
-            assert iterations == want_iterations
-            assert len(members) == m
-            for got, exp in zip(members, want):
-                assert got.dtype == exp.dtype and got.tolist() == exp.tolist()
+            routed.clear()
+            pl = size_fleet(sc, algo, ids, direct_map, load0,
+                            lambda m: planner._cluster_for_m(ids, m, sc, algo, variant), route,
+                            method="t", seed=0, t0=0.0, variant="-", at_m=m, binding=None)
+            want, want_iterations = _cluster_for_m_oracle(ids, m, sc, algo, variant)
+            assert pl.clustering.iterations_run == want_iterations
+            assert sorted(routed) == list(range(m))
+            for j, exp in enumerate(want):
+                assert routed[j].dtype == exp.dtype and routed[j].tolist() == exp.tolist()

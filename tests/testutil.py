@@ -337,14 +337,17 @@ def assign_clusters_oracle(cluster_ids, scenario, load, omega_d, omega_l, d_norm
 def repair_overload_oracle(cluster_map, cluster_ids, scenario, load, omega_d, omega_l,
                            d_norm_m, t_period_s):
     """Overload repair for clusters given in ascending id, one Python score
-    per edge with room.  Unchanged apart from ``_mean_dists_oracle``."""
+    per edge with room.  Unchanged apart from ``_mean_dists_oracle`` and the
+    overloaded edges, listed here as the deleted ``EdgeLoadState.overloaded``
+    listed them."""
     cluster_map = dict(cluster_map)
     load = EdgeLoadState(list(load.loads_mips), list(load.capacities_mips))
     dbar = _mean_dists_oracle(cluster_ids, scenario)
     demands = [cluster_demand(scenario.beta_mi[ids], t_period_s) for ids in cluster_ids]
     capacity = scenario.capacity.tolist()
     while True:
-        over = load.overloaded()
+        over = [k for k, (l, c) in enumerate(zip(load.loads_mips, load.capacities_mips))
+                if l > c]
         if not over:
             return cluster_map, load
         worst = max(over, key=lambda k: (load.loads_mips[k] - load.capacities_mips[k], -k))
