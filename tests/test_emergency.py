@@ -225,6 +225,30 @@ def test_priority_preempts_queue():
     assert by_sensor[0].response_time_s > by_sensor[1].response_time_s
 
 
+def test_alert_at_a_return_instant_is_drained_before_the_return():
+    """UAV 1 parks at the edge 1500 m from the only sensor, so its sortie
+    of 100 + 4 + 100 s from t = 0 ends at exactly 204.0.  The alert due at
+    that instant is taken into the queue before UAV 1 is freed, and the one
+    launch pass after both gives UAV 1 to it over the lower-priority alert
+    queued since t = 1, which waits for UAV 0."""
+    sc = build_scenario([(1500.0, 0.0, 60, 5.0, 100.0)], [(0.0, 0.0, 10000.0)])
+    pl = plan_at_fleet(sc, AlgoParams(), 2)
+    assert [r.length_m for r in pl.routes] == [3000.0, 0.0]
+    events = [EmergencyEvent(0, 0.0, 90), EmergencyEvent(0, 0.0, 80),
+              EmergencyEvent(0, 1.0, 10), EmergencyEvent(0, 204.0, 70)]
+    first, parked, waiting, on_return = simulate(pl, sc, events, 4000.0, AlgoParams()).traces
+    assert (parked.uav_id, parked.resume_waypoint) == (1, None)
+    assert (parked.t_dispatch_travel_s, parked.t_tra_s, parked.t_delivery_travel_s) == (
+        100.0, 4.0, 100.0)
+    assert (on_return.uav_id, on_return.t_queue_s, on_return.t_dispatch_travel_s) == (
+        1, 0.0, 100.0)
+    # UAV 0 left its patrol at t = 0 and is back after its approach, the
+    # upload, the delivery leg and the 1500 m back to its only waypoint
+    assert first.uav_id == waiting.uav_id == 0
+    assert waiting.t_queue_s == first.t_dispatch_travel_s + 4.0 + 100.0 + 100.0 - 1.0
+    assert waiting.t_dispatch_travel_s == 0.0
+
+
 def test_direct_sensor_served_without_uav(default_scenario, default_plan,
                                           default_algo):
     direct_ids = sorted(default_plan.assignment.direct_map)
