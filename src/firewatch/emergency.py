@@ -7,20 +7,25 @@ window, ferries it to a delivery edge with spare utilization, and rejoins its
 tour at the nearest waypoint.  All motion is piecewise linear, so every stage
 time is closed-form; there is no tick loop.
 
-Each launch takes the highest fire-history pending alert (FIFO within equal
-priority) whose server is free: any UAV under the "nearest" policy, the
-sensor's own patrol UAV under "own_cluster".  Events at direct sensors are
-served straight from the edge, with terms from ``timing.all_responses``.
+The alerts are walked in time order beside a heap of the UAVs out on
+alerts, keyed by return time, which holds at most m entries.  At each
+instant every alert due is queued, then every UAV due back is freed, then
+one launch pass runs, skipped while no UAV is free.  Each launch takes the
+highest fire-history pending alert (FIFO within equal priority) whose
+server is free: any UAV under the "nearest" policy, the sensor's own patrol
+UAV under "own_cluster".  Events at direct sensors are served straight
+from the edge, with terms from ``timing.all_responses``.
 
 What depends on the plan and scenario alone is kept with the pair's
 response-term table, which ``timing.all_responses`` memoizes per pair:
-each route's geometry, the edge columns and the table's upload and
-execution columns as lists, the normal-service totals with and without the
-wait term, each route's expected wait, the resume waypoint of each (UAV,
-delivery edge) pair and the delivery leg (edge, fallback, travel and
-execution seconds) of each (sensor, theta_max) pair, which
-``emergency_response_bound`` reads too.  The patrol phases (drawn from the
-call's seed) and the event timeline stay per call.
+each route's geometry, the sensor and edge columns and the table's upload
+and execution columns as lists, each sensor's nearest-edge distance, the
+normal-service totals with and without the wait term, each route's
+expected wait, the resume waypoint of each (UAV, delivery edge) pair and
+the delivery leg (edge, fallback, travel and execution seconds) of each
+(sensor, theta_max) pair, which ``emergency_response_bound`` reads too.
+The patrol phases (drawn from the call's seed) and the event timeline stay
+per call.
 """
 
 from __future__ import annotations
@@ -134,15 +139,16 @@ class RouteGeometry:
 
 
 def select_dispatch_uav(candidates: list[tuple[int, tuple[float, float]]],
-                        sensor_xy: tuple[float, float], edge_xy) -> int:
+                        sensor_xy: tuple[float, float], to_edge_m: float) -> int:
     """Dispatch rule: among available (uav id, (x, y)) candidates minimize
-    straight-line distance to the sensor plus sensor-to-nearest-edge distance
-    (ties by lowest uav id)."""
+    straight-line distance to the sensor plus ``to_edge_m``, the sensor's
+    distance to its nearest edge (ties by lowest uav id)."""
     if not candidates:
         raise ValueError("no available UAV")
     sx, sy = sensor_xy
-    to_edge = min(math.hypot(sx - ex, sy - ey) for ex, ey in edge_xy)
-    return min(candidates, key=lambda c: (math.hypot(c[1][0] - sx, c[1][1] - sy) + to_edge,
+    # the constant term stays in every key: adding it can round two
+    # distances that differ by an ulp to one sum, which the id then breaks
+    return min(candidates, key=lambda c: (math.hypot(c[1][0] - sx, c[1][1] - sy) + to_edge_m,
                                           c[0]))[0]
 
 
@@ -230,13 +236,13 @@ class _PlanState:
     for the same pair and a new one for any other.  Plans and scenarios are
     frozen and a plan's loads never change after planning."""
 
-    __slots__ = ("terms", "cluster", "geoms", "xy", "edge_xy", "capacity", "beta", "load",
-                 "v", "tra_s", "exe_s", "total", "no_wait", "base_wait", "resume", "legs")
+    __slots__ = ("terms", "cluster", "geoms", "xy", "edge_xy", "capacity", "beta", "load", "v",
+                 "tra_s", "exe_s", "total", "no_wait", "base_wait", "resume", "legs", "to_edge")
 
     def __init__(self, plan, scenario, terms, cluster):
         self.terms, self.cluster = terms, cluster
         self.geoms = [RouteGeometry.from_route(r, scenario) for r in plan.routes]
-        self.xy, self.beta, self.v = scenario.xy, scenario.beta_mi, scenario.physical.v_g
+        self.xy, self.beta, self.v = scenario.xy.tolist(), scenario.beta_mi, scenario.physical.v_g
         self.edge_xy, self.capacity = scenario.edge_xy.tolist(), scenario.capacity.tolist()
         self.load = plan.assignment.load
         # from the pair's response-term table: upload and execution times per
@@ -250,12 +256,22 @@ class _PlanState:
         self.resume: dict[tuple[int, int], tuple[int | None, float, float]] = {}
         # (sensor id, theta_max) -> (delivery edge id, fallback, travel s, execution s)
         self.legs: dict[tuple[int, float], tuple[int, bool, float, float]] = {}
+        # sensor id -> metres to its nearest edge, the dispatch rule's constant
+        self.to_edge: dict[int, float] = {}
+
+    def nearest_edge_m(self, sid: int) -> float:
+        """Sensor sid's distance to its nearest edge, built on first need."""
+        d = self.to_edge.get(sid)
+        if d is None:
+            sx, sy = self.xy[sid]
+            d = self.to_edge[sid] = min(math.hypot(sx - ex, sy - ey) for ex, ey in self.edge_xy)
+        return d
 
     def leg(self, sid: int, theta_max: float) -> tuple[int, bool, float, float]:
         """The delivery leg of an alert at sensor sid, built on first need."""
         leg = self.legs.get((sid, theta_max))
         if leg is None:
-            sx, sy = self.xy[sid].tolist()
+            sx, sy = self.xy[sid]
             eid, fb = select_delivery_edge((sx, sy), self.edge_xy, self.load, theta_max)
             ex, ey = self.edge_xy[eid]
             leg = self.legs[sid, theta_max] = (
@@ -311,26 +327,26 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
             raise ValueError(f"events[{k}].sensor_id: {e.sensor_id} is not a sensor id "
                              f"of the scenario [0, {n})")
         if e.alert_time_s > horizon_s:
-            raise ValueError(f"event at sensor {e.sensor_id} alerts past the horizon")
+            raise ValueError(f"events[{k}].alert_time_s: {e.alert_time_s} is past the "
+                             f"horizon {horizon_s}")
     events = sorted(events, key=lambda e: e.alert_time_s)
 
     p = scenario.physical
     v = p.v_g
     # a memo hit on a repeated pair; a new pair's state is built from its table
     state = _plan_state(plan, scenario)
-    edge_xy, geoms = state.edge_xy, state.geoms
+    edge_xy, geoms, sensor_xy = state.edge_xy, state.geoms, state.xy
     tra_s, exe_s, resume = state.tra_s, state.exe_s, state.resume
     rng = np.random.default_rng(derive_seed(algo.seed, "patrol-phase"))
     phases = tuple(float(rng.uniform(0.0, g.length_m)) if g.length_m > 0 else 0.0
                    for g in geoms)
     uavs = [_UavState(g, ph) for g, ph in zip(geoms, phases)]
+    n_free = len(uavs)
 
-    # timeline entries: (time, rank, seq, payload); alerts outrank frees so a
-    # UAV freed at an alert instant can take that alert
-    timeline: list = []
-    for seq, ev in enumerate(events):
-        heapq.heappush(timeline, (ev.alert_time_s, 0, seq, ev))
-    free_seq = len(events)
+    # the alerts are walked in time order, seq their sorted position; UAVs out
+    # on alerts return through a heap of (t_back, uav id, resume arc), which
+    # holds each UAV at most once, so the id breaks ties and it holds at most m
+    returns: list = []
 
     # pending alerts as (-priority, seq, event) heaps keyed by who may serve
     # them: one heap per UAV under "own_cluster", one for any UAV under "nearest"
@@ -343,20 +359,17 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
                t_disp: float, t_del: float, t_exe: float, widx: int | None, fb: bool):
         """The event's trace; uav_id None is a direct sensor served from its edge."""
         sid = ev.sensor_id
-        resp = t_queue + t_disp + tra_s[sid] + t_del + t_exe
+        t_tra = tra_s[sid]
+        resp = t_queue + t_disp + t_tra + t_del + t_exe
+        # positional, in field order: keywords cost a quarter more per trace
         traces[seq] = EmergencyTrace(
-            event_seq=seq, sensor_id=sid, alert_time_s=ev.alert_time_s,
-            priority=ev.priority, uav_id=uav_id, edge_id=eid, t_queue_s=t_queue,
-            t_dispatch_travel_s=t_disp, t_tra_s=tra_s[sid], t_delivery_travel_s=t_del,
-            t_exe_s=t_exe, response_time_s=resp, resume_waypoint=widx,
-            deadline_met=resp <= p.t_urgent_s, delivery_fallback=fb,
-            served_direct=uav_id is None)
+            seq, sid, ev.alert_time_s, ev.priority, uav_id, eid, t_queue, t_disp, t_tra, t_del,
+            t_exe, resp, widx, resp <= p.t_urgent_s, fb, uav_id is None)
 
-    def dispatch(seq: int, ev: EmergencyEvent, uav_id: int, now: float):
-        nonlocal free_seq
+    def dispatch(seq: int, ev: EmergencyEvent, uav_id: int, now: float, pos):
+        nonlocal n_free
         uav, sid = uavs[uav_id], ev.sensor_id
-        sx, sy = scenario.xy[sid].tolist()
-        px, py = uav.patrol_pos(now, v)
+        (sx, sy), (px, py) = sensor_xy[sid], pos
         t_disp = math.hypot(px - sx, py - sy) / v
         eid, fb, t_del, t_exe = state.leg(sid, algo.theta_max)
         arrive = now + t_disp + tra_s[sid] + t_del
@@ -373,44 +386,47 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
         t_back = arrive + d_back / v
 
         uav.available = False
+        n_free -= 1
         absences[uav_id].append((now, t_back))
-        heapq.heappush(timeline, (t_back, 1, free_seq, (uav_id, arc)))
-        free_seq += 1
+        heapq.heappush(returns, (t_back, uav_id, arc))
         record(seq, ev, uav_id, eid, now - ev.alert_time_s, t_disp, t_del, t_exe, widx, fb)
 
-    def try_dispatch(now: float):
-        while True:
-            tops = [(heap[0], key) for key, heap in enumerate(pending) if heap and
-                    (uavs[key].available if own else any(u.available for u in uavs))]
+    direct_map, owner = plan.assignment.direct_map, plan.clustering.assignment
+    times, k = [e.alert_time_s for e in events] + [math.inf], 0
+    while k < len(events) or returns:
+        # min keeps the alert's time when a return's compares equal to it
+        now = min(times[k], returns[0][0]) if returns else times[k]
+        # drain everything at this instant, alerts first so a UAV freed at an
+        # alert instant can take that alert
+        while times[k] == now:
+            ev = events[k]
+            edge = direct_map.get(ev.sensor_id)
+            if edge is not None:
+                record(k, ev, None, edge, 0.0, 0.0, 0.0, exe_s[ev.sensor_id], None, False)
+            else:
+                heapq.heappush(pending[owner[ev.sensor_id] if own else 0], (-ev.priority, k, ev))
+            k += 1
+        while returns and returns[0][0] == now:
+            _, uav_id, arc = heapq.heappop(returns)
+            uav = uavs[uav_id]
+            uav.ref_time, uav.ref_arc, uav.available = now, arc, True
+            n_free += 1
+        # one launch pass, skipped while no UAV is free
+        while n_free:
+            tops = [(heap[0], key) for key, heap in enumerate(pending)
+                    if heap and (not own or uavs[key].available)]
             if not tops:
-                return
+                break
             key = min(tops)[1]
             _, seq, ev = heapq.heappop(pending[key])
-            uav_id = key if own else select_dispatch_uav(
-                [(i, u.patrol_pos(now, v)) for i, u in enumerate(uavs) if u.available],
-                scenario.xy[ev.sensor_id].tolist(), edge_xy)
-            dispatch(seq, ev, uav_id, now)
-
-    while timeline:
-        now = timeline[0][0]
-        # drain everything at this instant (alerts first) before dispatching
-        while timeline and timeline[0][0] == now:
-            _, rank, seq, payload = heapq.heappop(timeline)
-            if rank == 0:
-                ev = payload
-                edge = plan.assignment.direct_map.get(ev.sensor_id)
-                if edge is not None:
-                    record(seq, ev, None, edge, 0.0, 0.0, 0.0, exe_s[ev.sensor_id], None, False)
-                else:
-                    key = plan.clustering.assignment[ev.sensor_id] if own else 0
-                    heapq.heappush(pending[key], (-ev.priority, seq, ev))
+            if own:
+                uav_id, pos = key, uavs[key].patrol_pos(now, v)
             else:
-                uav_id, arc = payload
-                uav = uavs[uav_id]
-                uav.ref_time = now
-                uav.ref_arc = arc
-                uav.available = True
-        try_dispatch(now)
+                cands = [(i, u.patrol_pos(now, v)) for i, u in enumerate(uavs) if u.available]
+                sid = ev.sensor_id
+                uav_id = select_dispatch_uav(cands, sensor_xy[sid], state.nearest_edge_m(sid))
+                pos = next(p for i, p in cands if i == uav_id)
+            dispatch(seq, ev, uav_id, now, pos)
 
     impact = _normal_impact(plan, scenario, state, events, absences, horizon_s)
     return SimulationResult(traces=tuple(traces[i] for i in sorted(traces)),
@@ -443,8 +459,9 @@ def _normal_impact(plan, scenario, state: _PlanState, events, absences,
 
     # a direct sensor (cluster -1) has t_wait 0.0 and reads the appended 0.0
     with_wait = state.no_wait + np.append(wait_with, 0.0)[state.cluster]
-    alert_ids = [e.sensor_id for e in events]
-    base_vals, with_vals = np.delete(state.total, alert_ids), np.delete(with_wait, alert_ids)
+    keep = np.ones(len(with_wait), dtype=bool)
+    keep[[e.sensor_id for e in events]] = False
+    base_vals, with_vals = state.total[keep], with_wait[keep]
     if not base_vals.size:
         return NormalImpactReport(0.0, 0.0, 0.0, 0.0)
     base_mean = float(np.mean(base_vals))

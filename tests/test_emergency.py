@@ -23,7 +23,7 @@ from firewatch.emergency import (
     simulate,
     write_trace_csv,
 )
-from testutil import build_scenario, response_bound_oracle
+from testutil import build_scenario, response_bound_oracle, simulate_oracle
 
 
 def _square_geom():
@@ -123,17 +123,28 @@ def test_geometry_matches_per_leg_norm_bit_for_bit(points, fractions):
 
 
 class TestDispatchSelection:
+    # the last argument is the sensor's distance to its nearest edge, here
+    # one edge at the origin
     def test_nearest_combined_distance_wins(self):
         cands = [(0, (3000.0, 0.0)), (1, (1500.0, 0.0))]
-        assert select_dispatch_uav(cands, (1000.0, 0.0), [(0.0, 0.0)]) == 1
+        assert select_dispatch_uav(cands, (1000.0, 0.0), 1000.0) == 1
 
     def test_tie_breaks_lowest_id(self):
         cands = [(4, (100.0, 0.0)), (2, (0.0, 100.0))]
-        assert select_dispatch_uav(cands, (0.0, 0.0), [(0.0, 0.0)]) == 2
+        assert select_dispatch_uav(cands, (0.0, 0.0), 0.0) == 2
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            select_dispatch_uav([], (0.0, 0.0), [(0.0, 0.0)])
+            select_dispatch_uav([], (0.0, 0.0), 0.0)
+
+    def test_edge_term_rounds_in_every_key(self):
+        """Distances 1 and 1 + 2**-52 differ by one ulp; adding 1 rounds
+        both to 2, so the lower id wins as in a tie."""
+        cands = [(3, (1.0 + 2.0**-52, 0.0)), (1, (1.0, 0.0))]
+        assert select_dispatch_uav(cands, (0.0, 0.0), 0.0) == 1
+        cands = [(1, (1.0 + 2.0**-52, 0.0)), (3, (1.0, 0.0))]
+        assert select_dispatch_uav(cands, (0.0, 0.0), 0.0) == 3
+        assert select_dispatch_uav(cands, (0.0, 0.0), 1.0) == 1
 
 
 class TestDeliveryEdge:
@@ -284,9 +295,18 @@ def test_event_needs_a_finite_alert_time(t):
 
 def test_alert_past_horizon_rejected(default_scenario, default_plan,
                                      default_algo):
-    ev = EmergencyEvent(0, 5000.0, 60)
-    with pytest.raises(ValueError, match="horizon"):
-        simulate(default_plan, default_scenario, [ev], 3600.0, default_algo)
+    events = [EmergencyEvent(0, 3600.0, 60), EmergencyEvent(3, 3600.5, 60)]
+    with pytest.raises(ValueError, match=r"^events\[1\]\.alert_time_s: 3600\.5 is past "
+                                         r"the horizon 3600\.0$"):
+        simulate(default_plan, default_scenario, events, 3600.0, default_algo)
+
+
+def test_sensor_outside_the_scenario_rejected(default_scenario, default_plan,
+                                              default_algo):
+    events = [EmergencyEvent(0, 10.0, 60), EmergencyEvent(200, 10.0, 60)]
+    with pytest.raises(ValueError, match=r"^events\[1\]\.sensor_id: 200 is not a sensor "
+                                         r"id of the scenario \[0, 200\)$"):
+        simulate(default_plan, default_scenario, events, 3600.0, default_algo)
 
 
 _BAD_HORIZONS = [float("nan"), float("inf"), 0.0, -3600.0]
@@ -594,6 +614,65 @@ def test_simulate_and_the_term_table_memo_never_mix_pairs(memo_pairs):
         assert emergency._last_state.terms is not timing._last_table[2]
     for call, result in zip(calls, got):
         assert repr(result) == repr(run(replace(first), sc_copy, *call))
+
+
+@pytest.fixture(scope="module")
+def oracle_cases(memo_pairs):
+    """The two plans of memo_pairs, and a plan whose second UAV parks at the
+    edge on a zero-length route: its two UAV-served sensors share one spot,
+    one more is direct, and it is planned at one UAV over plan's fleet."""
+    sc, plans, _ = memo_pairs
+    small = build_scenario([(1500.0, 0.0, 60, 5.0, 100.0), (1500.0, 0.0, 70, 5.0, 100.0),
+                            (100.0, 0.0, 90, 5.0, 100.0)], [(0.0, 0.0, 10000.0)])
+    idle = plan_at_fleet(small, AlgoParams(), plan(small, AlgoParams()).m + 1)
+    assert [r.length_m for r in idle.routes] == [3000.0, 0.0]
+    assert idle.assignment.direct_map == {2: 0}
+    return [(sc, plans[0]), (sc, plans[1]), (small, idle)]
+
+
+_oracle_calls = st.tuples(
+    st.integers(0, 2),                              # which plan
+    st.sampled_from(["nearest", "own_cluster"]),
+    st.sampled_from(_THETAS),
+    st.integers(0, 3),                              # seed of the patrol phases
+    # (sensor id mod the scenario's size, whole-second alert time, priority / 30):
+    # instants coincide, queues form and equal priorities fall back on FIFO
+    st.lists(st.tuples(st.integers(0, 79), st.integers(0, 900), st.integers(0, 3)),
+             max_size=30))
+
+
+@given(call=_oracle_calls)
+@example(call=(0, "nearest", 0.8, 0, []))
+# the parked UAV is back from its 204 s sortie when sensor 1 alerts
+@example(call=(2, "nearest", 0.8, 0, [(0, 0, 3), (1, 0, 2), (2, 0, 1), (0, 1, 0),
+                                      (1, 204, 2)]))
+# sensors 54 and 60 are direct; every delivery falls back
+@example(call=(1, "own_cluster", 1e-5, 1, [(54, 5, 1), (60, 5, 1), (10, 5, 2), (11, 5, 2),
+                                           (10, 6, 0), (12, 6, 3)]))
+def test_simulate_equals_the_one_heap_oracle(oracle_cases, call):
+    """Traces, impact and phases equal, bit for bit, the simulator that keeps
+    every alert and return in one heap and tries a launch at every instant."""
+    which, policy, theta_max, seed, alerts = call
+    sc, pl = oracle_cases[which]
+    n = len(sc.xy)
+    events = [EmergencyEvent(sid % n, float(t), 30 * prio) for sid, t, prio in alerts]
+    algo = AlgoParams(seed=seed, theta_max=theta_max)
+    got = simulate(pl, sc, events, _MEMO_HORIZON_S, algo, dispatch_policy=policy)
+    assert repr(got) == repr(simulate_oracle(pl, sc, events, _MEMO_HORIZON_S, algo, policy))
+
+
+def test_nearest_edge_distance_equals_the_inline_minimum():
+    """The plan state's nearest-edge distance has the bits of the minimum the
+    dispatch rule once took per call, for every sensor of the 300-sensor
+    scenario."""
+    from firewatch import emergency
+
+    sc = generate(GenConfig(n_sensors=300, seed=0))
+    state = emergency._plan_state(plan(sc, AlgoParams()), sc)
+    edge_xy = sc.edge_xy.tolist()
+    for sid, (sx, sy) in enumerate(sc.xy.tolist()):
+        want = min(math.hypot(sx - ex, sy - ey) for ex, ey in edge_xy)
+        assert state.nearest_edge_m(sid).hex() == want.hex()
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import glob
+import heapq
 import itertools
 import math
 
@@ -11,9 +12,10 @@ import numpy as np
 from firewatch import planner, timing
 from firewatch.clustering import MAX_ITERS, Clustering, cluster_radius, init_centers, sensor_weight
 from firewatch.edge_assignment import EdgeLoadState, RepairFailure, cluster_demand
+from firewatch import emergency
 from firewatch.emergency import select_delivery_edge
 from firewatch.model import (EdgeNode, PhysicalParams, Point2D, RequestProfile, Sensor,
-                             link_ranges)
+                             derive_seed, link_ranges)
 from firewatch.routing import tour_length, tour_lower_bound
 from firewatch.scenario import GenConfig, Scenario, ScenarioMeta, generate
 
@@ -197,6 +199,123 @@ def response_bound_oracle(plan, scenario, theta_max: float) -> float:
         t_exe_max = max(t_exe_max, timing.execution_time(float(scenario.beta_mi[sid]),
                                                          capacity[eid]))
     return 2.0 * r_max / p.v_g + d_del / p.v_g + t_tra_max + t_exe_max
+
+
+def _select_dispatch_uav_oracle(candidates, sensor_xy, edge_xy) -> int:
+    """The dispatch rule with the nearest-edge distance worked out per call."""
+    if not candidates:
+        raise ValueError("no available UAV")
+    sx, sy = sensor_xy
+    to_edge = min(math.hypot(sx - ex, sy - ey) for ex, ey in edge_xy)
+    return min(candidates, key=lambda c: (math.hypot(c[1][0] - sx, c[1][1] - sy) + to_edge,
+                                          c[0]))[0]
+
+
+def simulate_oracle(plan, scenario, events, horizon_s: float, algo,
+                    dispatch_policy: str = "nearest"):
+    """``emergency.simulate`` on one heap of every alert and UAV return,
+    keyed (time, rank, seq) with alerts at rank 0 ahead of returns at rank
+    1, a launch attempt after every instant whether or not a UAV is free,
+    the nearest-edge distance and the patrol position of the chosen UAV
+    worked out afresh at each dispatch, and the alert sensors dropped from
+    the normal-service means with ``np.delete``.  The route geometry, term
+    columns and delivery legs come from the simulator's own plan state, so
+    a comparison checks the event loop, the dispatch and the means only."""
+    own = dispatch_policy == "own_cluster"
+    events = sorted(events, key=lambda e: e.alert_time_s)
+    p = scenario.physical
+    v = p.v_g
+    state = emergency._plan_state(plan, scenario)
+    edge_xy, geoms, tra_s, exe_s = state.edge_xy, state.geoms, state.tra_s, state.exe_s
+    rng = np.random.default_rng(derive_seed(algo.seed, "patrol-phase"))
+    phases = tuple(float(rng.uniform(0.0, g.length_m)) if g.length_m > 0 else 0.0
+                   for g in geoms)
+    uavs = [emergency._UavState(g, ph) for g, ph in zip(geoms, phases)]
+    timeline = []
+    for seq, ev in enumerate(events):
+        heapq.heappush(timeline, (ev.alert_time_s, 0, seq, ev))
+    free_seq = len(events)
+    pending = [[] for _ in range(len(uavs) if own else 1)]
+    traces, absences = {}, {j: [] for j in range(plan.m)}
+
+    def record(seq, ev, uav_id, eid, t_queue, t_disp, t_del, t_exe, widx, fb):
+        sid = ev.sensor_id
+        resp = t_queue + t_disp + tra_s[sid] + t_del + t_exe
+        traces[seq] = emergency.EmergencyTrace(
+            seq, sid, ev.alert_time_s, ev.priority, uav_id, eid, t_queue, t_disp, tra_s[sid],
+            t_del, t_exe, resp, widx, resp <= p.t_urgent_s, fb, uav_id is None)
+
+    def dispatch(seq, ev, uav_id, now):
+        nonlocal free_seq
+        uav, sid = uavs[uav_id], ev.sensor_id
+        sx, sy = scenario.xy[sid].tolist()
+        px, py = uav.patrol_pos(now, v)
+        t_disp = math.hypot(px - sx, py - sy) / v
+        eid, fb, t_del, t_exe = state.leg(sid, algo.theta_max)
+        ex, ey = edge_xy[eid]
+        widx = emergency.resume_waypoint((ex, ey), uav.geom)
+        tx, ty = uav.geom.points[0 if widx is None else widx + 1].tolist()
+        arc = 0.0 if widx is None else uav.geom.arc_of_waypoint(widx)
+        t_back = now + t_disp + tra_s[sid] + t_del + math.hypot(ex - tx, ey - ty) / v
+        uav.available = False
+        absences[uav_id].append((now, t_back))
+        heapq.heappush(timeline, (t_back, 1, free_seq, (uav_id, arc)))
+        free_seq += 1
+        record(seq, ev, uav_id, eid, now - ev.alert_time_s, t_disp, t_del, t_exe, widx, fb)
+
+    while timeline:
+        now = timeline[0][0]
+        while timeline and timeline[0][0] == now:
+            _, rank, seq, payload = heapq.heappop(timeline)
+            if rank == 0:
+                edge = plan.assignment.direct_map.get(payload.sensor_id)
+                if edge is not None:
+                    record(seq, payload, None, edge, 0.0, 0.0, 0.0, exe_s[payload.sensor_id],
+                           None, False)
+                else:
+                    key = plan.clustering.assignment[payload.sensor_id] if own else 0
+                    heapq.heappush(pending[key], (-payload.priority, seq, payload))
+            else:
+                uav_id, arc = payload
+                uavs[uav_id].ref_time, uavs[uav_id].ref_arc = now, arc
+                uavs[uav_id].available = True
+        while True:
+            tops = [(heap[0], key) for key, heap in enumerate(pending) if heap and
+                    (uavs[key].available if own else any(u.available for u in uavs))]
+            if not tops:
+                break
+            key = min(tops)[1]
+            _, seq, ev = heapq.heappop(pending[key])
+            uav_id = key if own else _select_dispatch_uav_oracle(
+                [(i, u.patrol_pos(now, v)) for i, u in enumerate(uavs) if u.available],
+                scenario.xy[ev.sensor_id].tolist(), edge_xy)
+            dispatch(seq, ev, uav_id, now)
+
+    r_sg, _, _ = link_ranges(p)
+    contact = 2.0 * r_sg / v
+    wait_with = np.zeros(len(plan.routes))
+    for j, (route, base) in enumerate(zip(plan.routes, state.base_wait)):
+        episodes = [max(0.0, min(e, horizon_s) - min(s, horizon_s)) for s, e in absences[j]]
+        episodes = [a for a in episodes if a > 0]
+        if not episodes or route.revisit_s == 0.0:
+            wait_with[j] = base
+            continue
+        inflated = [route.revisit_s + a for a in episodes]
+        normal_share = max(0.0, horizon_s - sum(inflated))
+        num = normal_share * base + sum(T * max(0.0, (T - contact) / 2.0) for T in inflated)
+        wait_with[j] = num / (normal_share + sum(inflated))
+    with_wait = state.no_wait + np.append(wait_with, 0.0)[state.cluster]
+    alert_ids = [e.sensor_id for e in events]
+    base_vals, with_vals = np.delete(state.total, alert_ids), np.delete(with_wait, alert_ids)
+    if not base_vals.size:
+        impact = emergency.NormalImpactReport(0.0, 0.0, 0.0, 0.0)
+    else:
+        base_mean, with_mean = float(np.mean(base_vals)), float(np.mean(with_vals))
+        delta = with_mean - base_mean
+        impact = emergency.NormalImpactReport(
+            base_mean, with_mean, delta, delta / base_mean if base_mean > 0 else 0.0)
+    return emergency.SimulationResult(tuple(traces[i] for i in sorted(traces)), impact,
+                                      horizon_s, phases)
 
 
 def weighted_kmeans_oracle(scenario, ids, m, omega_h, epsilon_m, rng,
