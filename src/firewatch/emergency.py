@@ -396,8 +396,8 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
     while k < len(events) or returns:
         # min keeps the alert's time when a return's compares equal to it
         now = min(times[k], returns[0][0]) if returns else times[k]
-        # drain everything at this instant, alerts first so a UAV freed at an
-        # alert instant can take that alert
+        # every alert due at this instant, then every UAV due back, so the
+        # launch pass after both can give a freed UAV an alert of the instant
         while times[k] == now:
             ev = events[k]
             edge = direct_map.get(ev.sensor_id)
@@ -425,7 +425,7 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
                 cands = [(i, u.patrol_pos(now, v)) for i, u in enumerate(uavs) if u.available]
                 sid = ev.sensor_id
                 uav_id = select_dispatch_uav(cands, sensor_xy[sid], state.nearest_edge_m(sid))
-                pos = next(p for i, p in cands if i == uav_id)
+                pos = next(xy for i, xy in cands if i == uav_id)
             dispatch(seq, ev, uav_id, now, pos)
 
     impact = _normal_impact(plan, scenario, state, events, absences, horizon_s)
