@@ -28,7 +28,8 @@ from dataclasses import replace
 import numpy as np
 
 from .baselines import GaConfig, PsoConfig, ga_plan, greedy_plan, pso_plan
-from .emergency import generate_events, load_events, save_events, simulate, write_trace_csv
+from .emergency import (generate_events, load_events, queue_report, save_events, simulate,
+                        write_trace_csv)
 from .model import AlgoParams, FleetInitMode, PhysicalParams, Variant
 from .planner import InfeasibleError, plan as plan_scenario
 from .planner import load_plan, save_plan, write_route_csv
@@ -254,6 +255,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     }
     with open(os.path.join(args.out_dir, "impact.json"), "w") as f:
         json.dump(impact, f, indent=1, sort_keys=True)
+        f.write("\n")
+    with open(os.path.join(args.out_dir, "queue.json"), "w") as f:
+        json.dump(queue_report(result, pl, scenario), f, indent=1, sort_keys=True)
         f.write("\n")
     print(f"simulate: {len(result.traces)} events, "
           f"mean_response_s={impact['mean_response_s']:.1f}, "

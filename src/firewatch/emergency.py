@@ -12,8 +12,10 @@ alerts, keyed by return time, which holds at most m entries.  At each
 instant every alert due is queued, then every UAV due back is freed, then
 one launch pass runs, skipped while no UAV is free.  Each launch takes the
 highest fire-history pending alert (FIFO within equal priority) whose
-server is free: any UAV under the "nearest" policy, the sensor's own patrol
-UAV under "own_cluster".  Events at direct sensors are served straight
+server is free.  The pass has one loop per policy: under "nearest" it pops
+the one pending heap while a UAV is free and the dispatch rule picks among
+the free UAVs; under "own_cluster" it takes the best top alert of the
+heaps whose own UAV is free.  Events at direct sensors are served straight
 from the edge, with terms from ``timing.all_responses``.
 
 What depends on the plan and scenario alone is kept with the pair's
@@ -24,8 +26,13 @@ normal-service totals with and without the wait term, each route's
 expected wait, the resume waypoint of each (UAV, delivery edge) pair and
 the delivery leg (edge, fallback, travel and execution seconds) of each
 (sensor, theta_max) pair, which ``emergency_response_bound`` reads too.
-The patrol phases (drawn from the call's seed) and the event timeline stay
-per call.
+The state also keeps a one-slot memo, keyed by the sorted alert sensor ids,
+of what the normal-service impact needs from that set alone: the other
+sensors' no-wait totals and clusters, their count and baseline mean.  A
+drill's generated alerts are the same hottest sensors every day, so each
+of its calls hits it.  The patrol phases (drawn from the call's seed) and
+the event timeline stay per call.  ``queue_report`` derives the queue
+waits, pending depth and UAV busy time from a result afterwards.
 """
 
 from __future__ import annotations
@@ -237,7 +244,8 @@ class _PlanState:
     frozen and a plan's loads never change after planning."""
 
     __slots__ = ("terms", "cluster", "geoms", "xy", "edge_xy", "capacity", "beta", "load", "v",
-                 "tra_s", "exe_s", "total", "no_wait", "base_wait", "resume", "legs", "to_edge")
+                 "tra_s", "exe_s", "total", "no_wait", "base_wait", "resume", "legs", "to_edge",
+                 "kept")
 
     def __init__(self, plan, scenario, terms, cluster):
         self.terms, self.cluster = terms, cluster
@@ -258,6 +266,8 @@ class _PlanState:
         self.legs: dict[tuple[int, float], tuple[int, bool, float, float]] = {}
         # sensor id -> metres to its nearest edge, the dispatch rule's constant
         self.to_edge: dict[int, float] = {}
+        # one slot: (sorted alert sensor ids, kept_columns of that set)
+        self.kept: tuple | None = None
 
     def nearest_edge_m(self, sid: int) -> float:
         """Sensor sid's distance to its nearest edge, built on first need."""
@@ -266,6 +276,23 @@ class _PlanState:
             sx, sy = self.xy[sid]
             d = self.to_edge[sid] = min(math.hypot(sx - ex, sy - ey) for ex, ey in self.edge_xy)
         return d
+
+    def kept_columns(self, alerted: set[int]) -> tuple[np.ndarray, np.ndarray, int, float]:
+        """The no-wait totals and cluster indices of the sensors not in
+        ``alerted``, their count and their mean normal-service total (0.0
+        when none is left), memoized for the last set: the generated alerts
+        of a drill are the hottest sensors, the same set every day."""
+        key = tuple(sorted(alerted))
+        kept = self.kept
+        if kept is None or kept[0] != key:
+            keep = np.ones(len(self.total), dtype=bool)
+            keep[list(key)] = False
+            count = int(keep.sum())
+            # x.sum() / count is np.mean's add.reduce over the same elements
+            # and its exact integer-to-float division, so the same bits
+            base_mean = float(self.total[keep].sum()) / count if count else 0.0
+            kept = self.kept = (key, (self.no_wait[keep], self.cluster[keep], count, base_mean))
+        return kept[1]
 
     def leg(self, sid: int, theta_max: float) -> tuple[int, bool, float, float]:
         """The delivery leg of an alert at sensor sid, built on first need."""
@@ -297,6 +324,8 @@ def _plan_state(plan, scenario) -> _PlanState:
 
 
 class _UavState:
+    """A UAV on patrol is at arc ref_arc + v_g * (t - ref_time) of its tour."""
+
     __slots__ = ("geom", "ref_time", "ref_arc", "available")
 
     def __init__(self, geom: RouteGeometry, phase_m: float):
@@ -304,9 +333,6 @@ class _UavState:
         self.ref_time = 0.0
         self.ref_arc = phase_m
         self.available = True
-
-    def patrol_pos(self, t: float, v_g: float) -> tuple[float, float]:
-        return self.geom.position_at_arc(self.ref_arc + v_g * (t - self.ref_time))
 
 
 def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
@@ -323,8 +349,12 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
     _check_horizon(horizon_s)
     n = len(scenario.xy)
     for k, e in enumerate(events):
-        if not 0 <= e.sensor_id < n:
-            raise ValueError(f"events[{k}].sensor_id: {e.sensor_id} is not a sensor id "
+        sid = e.sensor_id
+        # a bool passes as an int, and a float would fail later as a list index
+        if isinstance(sid, bool) or not isinstance(sid, (int, np.integer)):
+            raise ValueError(f"events[{k}].sensor_id: {sid!r} is not an integer")
+        if not 0 <= sid < n:
+            raise ValueError(f"events[{k}].sensor_id: {sid} is not a sensor id "
                              f"of the scenario [0, {n})")
         if e.alert_time_s > horizon_s:
             raise ValueError(f"events[{k}].alert_time_s: {e.alert_time_s} is past the "
@@ -332,7 +362,7 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
     events = sorted(events, key=lambda e: e.alert_time_s)
 
     p = scenario.physical
-    v = p.v_g
+    v, t_urgent = p.v_g, p.t_urgent_s
     # a memo hit on a repeated pair; a new pair's state is built from its table
     state = _plan_state(plan, scenario)
     edge_xy, geoms, sensor_xy = state.edge_xy, state.geoms, state.xy
@@ -349,11 +379,12 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
     returns: list = []
 
     # pending alerts as (-priority, seq, event) heaps keyed by who may serve
-    # them: one heap per UAV under "own_cluster", one for any UAV under "nearest"
+    # them: one per UAV under "own_cluster", one queue for any UAV under "nearest"
     own = dispatch_policy == "own_cluster"
-    pending: list[list] = [[] for _ in range(len(uavs) if own else 1)]
-    traces: dict[int, EmergencyTrace] = {}
-    absences: dict[int, list[tuple[float, float]]] = {j: [] for j in range(plan.m)}
+    pending: list[list] = [[] for _ in uavs] if own else []
+    queue: list = []
+    traces: list = [None] * len(events)       # indexed by seq
+    absences: list[list[tuple[float, float]]] = [[] for _ in uavs]
 
     def record(seq: int, ev: EmergencyEvent, uav_id: int | None, eid: int, t_queue: float,
                t_disp: float, t_del: float, t_exe: float, widx: int | None, fb: bool):
@@ -364,7 +395,7 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
         # positional, in field order: keywords cost a quarter more per trace
         traces[seq] = EmergencyTrace(
             seq, sid, ev.alert_time_s, ev.priority, uav_id, eid, t_queue, t_disp, t_tra, t_del,
-            t_exe, resp, widx, resp <= p.t_urgent_s, fb, uav_id is None)
+            t_exe, resp, widx, resp <= t_urgent, fb, uav_id is None)
 
     def dispatch(seq: int, ev: EmergencyEvent, uav_id: int, now: float, pos):
         nonlocal n_free
@@ -392,80 +423,89 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
         record(seq, ev, uav_id, eid, now - ev.alert_time_s, t_disp, t_del, t_exe, widx, fb)
 
     direct_map, owner = plan.assignment.direct_map, plan.clustering.assignment
-    times, k = [e.alert_time_s for e in events] + [math.inf], 0
-    while k < len(events) or returns:
-        # min keeps the alert's time when a return's compares equal to it
-        now = min(times[k], returns[0][0]) if returns else times[k]
+    times, k, n_events = [e.alert_time_s for e in events] + [math.inf], 0, len(events)
+    while k < n_events or returns:
+        # the next alert or return, the alert's time when the two compare equal
+        now = times[k]
+        if returns and returns[0][0] < now:
+            now = returns[0][0]
         # every alert due at this instant, then every UAV due back, so the
         # launch pass after both can give a freed UAV an alert of the instant
         while times[k] == now:
             ev = events[k]
-            edge = direct_map.get(ev.sensor_id)
+            sid = ev.sensor_id
+            edge = direct_map.get(sid)
             if edge is not None:
-                record(k, ev, None, edge, 0.0, 0.0, 0.0, exe_s[ev.sensor_id], None, False)
+                record(k, ev, None, edge, 0.0, 0.0, 0.0, exe_s[sid], None, False)
             else:
-                heapq.heappush(pending[owner[ev.sensor_id] if own else 0], (-ev.priority, k, ev))
+                heapq.heappush(pending[owner[sid]] if own else queue, (-ev.priority, k, ev))
             k += 1
         while returns and returns[0][0] == now:
             _, uav_id, arc = heapq.heappop(returns)
             uav = uavs[uav_id]
             uav.ref_time, uav.ref_arc, uav.available = now, arc, True
             n_free += 1
-        # one launch pass, skipped while no UAV is free
-        while n_free:
-            tops = [(heap[0], key) for key, heap in enumerate(pending)
-                    if heap and (not own or uavs[key].available)]
-            if not tops:
-                break
-            key = min(tops)[1]
-            _, seq, ev = heapq.heappop(pending[key])
-            if own:
-                uav_id, pos = key, uavs[key].patrol_pos(now, v)
-            else:
-                cands = [(i, u.patrol_pos(now, v)) for i, u in enumerate(uavs) if u.available]
+        # one launch pass, skipped while no UAV is free; a free UAV is at
+        # arc ref_arc + v * (now - ref_time) along its tour
+        if own:
+            # the top alert of each free UAV's own heap, best first
+            while n_free:
+                tops = [(heap[0], j) for j, heap in enumerate(pending)
+                        if heap and uavs[j].available]
+                if not tops:
+                    break
+                j = min(tops)[1]
+                _, seq, ev = heapq.heappop(pending[j])
+                u = uavs[j]
+                pos = u.geom.position_at_arc(u.ref_arc + v * (now - u.ref_time))
+                dispatch(seq, ev, j, now, pos)
+        else:
+            # the one heap's top alert goes to the rule's pick of the free UAVs
+            while n_free and queue:
+                _, seq, ev = heapq.heappop(queue)
+                free = {i: u.geom.position_at_arc(u.ref_arc + v * (now - u.ref_time))
+                        for i, u in enumerate(uavs) if u.available}
                 sid = ev.sensor_id
-                uav_id = select_dispatch_uav(cands, sensor_xy[sid], state.nearest_edge_m(sid))
-                pos = next(xy for i, xy in cands if i == uav_id)
-            dispatch(seq, ev, uav_id, now, pos)
+                uav_id = select_dispatch_uav(list(free.items()), sensor_xy[sid],
+                                             state.nearest_edge_m(sid))
+                dispatch(seq, ev, uav_id, now, free[uav_id])
 
     impact = _normal_impact(plan, scenario, state, events, absences, horizon_s)
-    return SimulationResult(traces=tuple(traces[i] for i in sorted(traces)),
-                            impact=impact, horizon_s=horizon_s, phases_m=phases)
+    return SimulationResult(traces=tuple(traces), impact=impact, horizon_s=horizon_s,
+                            phases_m=phases)
 
 
 def _normal_impact(plan, scenario, state: _PlanState, events, absences,
                    horizon_s: float) -> NormalImpactReport:
     """Mean normal-service response over non-alert sensors, with the per-
     cluster expected wait recomputed under revisit periods inflated by the
-    measured UAV absence episodes (weighted by their share of the horizon)."""
+    measured UAV absence episodes (weighted by their share of the horizon).
+    What depends on the set of alert sensors alone comes from the plan
+    state's one-slot memo."""
     p = scenario.physical
     r_sg, _, _ = link_ranges(p)
     contact = 2.0 * r_sg / p.v_g
 
-    wait_with = np.zeros(len(plan.routes))
-    for j, (route, base) in enumerate(zip(plan.routes, state.base_wait)):
+    waits = []
+    for route, base, spans in zip(plan.routes, state.base_wait, absences):
         t_r = route.revisit_s
-        episodes = [(max(0.0, min(e, horizon_s) - min(s, horizon_s)))
-                    for s, e in absences.get(j, [])]
+        episodes = [(max(0.0, min(e, horizon_s) - min(s, horizon_s))) for s, e in spans]
         episodes = [a for a in episodes if a > 0]
         if not episodes or t_r == 0.0:
-            wait_with[j] = base
+            waits.append(base)
             continue
         inflated = [t_r + a for a in episodes]
         inflated_share = sum(inflated)
         normal_share = max(0.0, horizon_s - inflated_share)
         num = normal_share * base + sum(T * max(0.0, (T - contact) / 2.0) for T in inflated)
-        wait_with[j] = num / (normal_share + inflated_share)
-
+        waits.append(num / (normal_share + inflated_share))
     # a direct sensor (cluster -1) has t_wait 0.0 and reads the appended 0.0
-    with_wait = state.no_wait + np.append(wait_with, 0.0)[state.cluster]
-    keep = np.ones(len(with_wait), dtype=bool)
-    keep[[e.sensor_id for e in events]] = False
-    base_vals, with_vals = state.total[keep], with_wait[keep]
-    if not base_vals.size:
+    waits.append(0.0)
+
+    no_wait, cluster, count, base_mean = state.kept_columns({e.sensor_id for e in events})
+    if not count:
         return NormalImpactReport(0.0, 0.0, 0.0, 0.0)
-    base_mean = float(np.mean(base_vals))
-    with_mean = float(np.mean(with_vals))
+    with_mean = float((no_wait + np.array(waits)[cluster]).sum()) / count
     delta = with_mean - base_mean
     return NormalImpactReport(
         baseline_mean_s=base_mean, with_events_mean_s=with_mean, delta_s=delta,
@@ -488,6 +528,42 @@ def emergency_response_bound(plan, scenario, theta_max: float) -> float:
     _, _, t_del, t_exe = zip(*(state.leg(sid, theta_max) for sid in uav_ids))
     t_tra_max = max(state.tra_s[sid] for sid in uav_ids)
     return 2.0 * r_max / p.v_g + max(t_del) + t_tra_max + max(t_exe)
+
+
+def queue_report(result: SimulationResult, plan, scenario) -> dict:
+    """How loaded the UAVs were in a ``simulate`` result on the plan: the
+    mean and longest queue wait over all alerts (0 for an alert served at
+    once or at a direct sensor), the most alerts waiting for a UAV at one
+    instant (an arrival counted before a dispatch at the same time), and
+    each UAV's share of the horizon spent away from patrol on alerts, from
+    its launch to its return to the tour, cut at the horizon."""
+    state = _plan_state(plan, scenario)
+    v, horizon = scenario.physical.v_g, result.horizon_s
+    busy = [0.0] * len(state.geoms)
+    marks = []
+    for tr in result.traces:
+        if tr.uav_id is None:
+            continue
+        launch = tr.alert_time_s + tr.t_queue_s
+        marks += [(tr.alert_time_s, 0), (launch, 1)]      # arrivals first at a tie
+        # the delivery edge back to the resume waypoint, or the depot
+        points = state.geoms[tr.uav_id].points
+        tx, ty = points[0 if tr.resume_waypoint is None else tr.resume_waypoint + 1].tolist()
+        ex, ey = state.edge_xy[tr.edge_id]
+        back = (launch + tr.t_dispatch_travel_s + tr.t_tra_s + tr.t_delivery_travel_s
+                + math.hypot(ex - tx, ey - ty) / v)
+        busy[tr.uav_id] += min(back, horizon) - min(launch, horizon)
+    depth = peak = 0
+    for _, kind in sorted(marks):
+        depth += 1 if kind == 0 else -1
+        peak = max(peak, depth)
+    waits = [tr.t_queue_s for tr in result.traces]
+    return {
+        "mean_queue_wait_s": sum(waits) / len(waits) if waits else 0.0,
+        "max_queue_wait_s": max(waits, default=0.0),
+        "peak_pending": peak,
+        "uav_busy_fraction": [b / horizon for b in busy],
+    }
 
 
 def write_trace_csv(result: SimulationResult, path: str) -> None:

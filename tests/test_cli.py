@@ -7,14 +7,16 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import firewatch
 from firewatch.baselines import _usable_cpus
 from firewatch.cli import main
-from firewatch.model import PhysicalParams
+from firewatch.model import AlgoParams, PhysicalParams
+from firewatch.planner import load_plan
 from firewatch.scenario import load_scenario, save_scenario
-from firewatch.emergency import EmergencyEvent, save_events
+from firewatch.emergency import EmergencyEvent, save_events, simulate
 from testutil import build_scenario, processes_where
 
 
@@ -109,7 +111,7 @@ def test_simulate_artifacts(small_files, tmp_path):
     rc = main(["simulate", "-s", str(scen), "-p", str(plandir / "plan.json"),
                "--n-events", "3", "--horizon", "7200", "-o", str(out)])
     assert rc == 0
-    for name in ("events.json", "trace.csv", "impact.json"):
+    for name in ("events.json", "trace.csv", "impact.json", "queue.json"):
         assert (out / name).exists()
     impact = json.loads((out / "impact.json").read_text())
     assert impact["horizon_s"] == 7200.0
@@ -132,6 +134,84 @@ def test_simulate_accepts_events_file(small_files, tmp_path):
     assert impact["n_events"] == 0
     assert impact["normal_delta_s"] == 0.0
     assert impact["deadline_hit_rate"] == 1.0
+
+
+def _bench_checks(monkeypatch):
+    """The benchmark's output checks, the oracles of the queue profile."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import checks
+    return checks
+
+
+def _simulate_queue(tmp_path, scen, plan_path, events, horizon, seed=0):
+    """queue.json of `firewatch simulate` on the events, and the simulate
+    result of the same inputs in process."""
+    save_events(events, str(tmp_path / "events.json"))
+    out = tmp_path / "sim"
+    assert main(["simulate", "-s", str(scen), "-p", str(plan_path), "--horizon", str(horizon),
+                 "--events", str(tmp_path / "events.json"), "--seed", str(seed),
+                 "-o", str(out)]) == 0
+    sc = load_scenario(str(scen))
+    pl = load_plan(str(plan_path), sc)
+    return json.loads((out / "queue.json").read_text()), simulate(
+        pl, sc, events, horizon, AlgoParams(seed=seed)), pl, sc
+
+
+def test_simulate_writes_the_queue_profile(tmp_path, monkeypatch):
+    """queue.json holds the peak pending depth and longest wait of the
+    benchmark's queue_profile, the mean wait, and each UAV's time from launch
+    to service_end, cut at the horizon, over the horizon; a burst of alerts
+    on whole seconds shares instants, and some are at direct sensors."""
+    checks = _bench_checks(monkeypatch)
+    scen, plan_path = tmp_path / "scenario.json", tmp_path / "plan" / "plan.json"
+    assert main(["generate", "--sensors", "200", "--seed", "0", "-o", str(scen)]) == 0
+    assert main(["plan", "-s", str(scen), "-o", str(plan_path.parent)]) == 0
+    sc = load_scenario(str(scen))
+    pl = load_plan(str(plan_path), sc)
+    rng = np.random.default_rng(3)
+    ids = rng.choice(sorted(pl.clustering.assignment), size=60).tolist()
+    ids += sorted(pl.assignment.direct_map)[:2]
+    times = np.floor(rng.uniform(0.0, 600.0, size=len(ids))).tolist()
+    events = [EmergencyEvent(i, t, sc.sensors[i].fire_history) for i, t in zip(ids, times)]
+    horizon = 3600.0      # the backlog runs past it, so the busy time is cut
+    queue, res, pl, sc = _simulate_queue(tmp_path, scen, plan_path, events, horizon)
+    peak, longest = checks.queue_profile(res.traces)
+    assert pl.m == 3 and peak > 1 and longest > horizon
+    assert (queue["peak_pending"], queue["max_queue_wait_s"]) == (peak, longest)
+    assert queue["mean_queue_wait_s"] == pytest.approx(
+        np.mean([t.t_queue_s for t in res.traces]), rel=1e-12)
+    busy = [0.0] * pl.m
+    for t in res.traces:
+        if t.uav_id is not None:
+            launch = t.alert_time_s + t.t_queue_s
+            end = checks.service_end(t, pl, sc)
+            busy[t.uav_id] += min(end, horizon) - min(launch, horizon)
+    assert max(busy) > 0.9 * horizon
+    assert queue["uav_busy_fraction"] == pytest.approx([b / horizon for b in busy], rel=1e-9)
+
+
+def test_queue_profile_shows_the_surge_backlog(tmp_path):
+    """The benchmark's surge at seed 1, 2000 alerts within an hour at the hot
+    UAV-served sensors of the 300-sensor plan over a week: its alerts wait
+    71 hours on the mean, the longest twice that, nearly all at once, and
+    every UAV is away on alerts most of the week."""
+    scen = tmp_path / "scenario.json"
+    assert main(["generate", "--sensors", "300", "--seed", "0", "-o", str(scen)]) == 0
+    assert main(["plan", "-s", str(scen), "-o", str(tmp_path / "plan")]) == 0
+    sc = load_scenario(str(scen))
+    pl = load_plan(str(tmp_path / "plan" / "plan.json"), sc)
+    hot = [i for i in sorted(pl.clustering.assignment) if sc.sensors[i].fire_history > 50]
+    rng = np.random.default_rng([1, 1])
+    ids = rng.choice(hot, size=2000).tolist()
+    times = np.sort(rng.uniform(0.0, 3600.0, size=2000)).tolist()
+    events = [EmergencyEvent(i, t, sc.sensors[i].fire_history) for i, t in zip(ids, times)]
+    queue, _, _, _ = _simulate_queue(tmp_path, scen, tmp_path / "plan" / "plan.json", events,
+                                     7 * 86400.0, seed=1)
+    assert round(queue["mean_queue_wait_s"] / 3600.0) == 71
+    assert round(queue["max_queue_wait_s"] / 3600.0) == 142
+    assert queue["peak_pending"] > 1900
+    assert len(queue["uav_busy_fraction"]) == 3
+    assert all(0.8 < b < 1.0 for b in queue["uav_busy_fraction"])
 
 
 def test_simulate_no_high_risk_exit_code(tmp_path, capsys):

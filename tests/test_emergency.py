@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from firewatch.planner import InfeasibleError, plan, plan_at_fleet
 from firewatch.scenario import GenConfig, generate, load_scenario, save_scenario
 from firewatch.emergency import (
     EmergencyEvent,
+    EmergencyTrace,
     RouteGeometry,
     emergency_response_bound,
     generate_events,
@@ -307,6 +309,29 @@ def test_sensor_outside_the_scenario_rejected(default_scenario, default_plan,
     with pytest.raises(ValueError, match=r"^events\[1\]\.sensor_id: 200 is not a sensor "
                                          r"id of the scenario \[0, 200\)$"):
         simulate(default_plan, default_scenario, events, 3600.0, default_algo)
+
+
+@pytest.mark.parametrize("sid, shown", [(10.0, "10.0"), (True, "True")])
+def test_sensor_id_must_be_an_integer(default_scenario, default_plan, default_algo,
+                                      sid, shown):
+    """A float or a bool sensor id is refused at the call, not deep in the
+    event loop as a list index or an array conversion."""
+    events = [EmergencyEvent(0, 10.0, 60), EmergencyEvent(sid, 10.0, 60)]
+    with pytest.raises(ValueError, match=rf"^events\[1\]\.sensor_id: {shown} is not an "
+                                         r"integer$"):
+        simulate(default_plan, default_scenario, events, 3600.0, default_algo)
+
+
+def test_trace_stays_a_frozen_dataclass_with_an_instance_dict():
+    """Traces are built by keyword and read through __dict__ by the
+    benchmark's checks, and must not be changed after the simulator made
+    them."""
+    assert dataclasses.is_dataclass(EmergencyTrace)
+    fields = {f.name: k for k, f in enumerate(dataclasses.fields(EmergencyTrace))}
+    tr = EmergencyTrace(**fields)
+    assert tr.__dict__ == fields
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tr.t_queue_s = 1.0
 
 
 _BAD_HORIZONS = [float("nan"), float("inf"), 0.0, -3600.0]
@@ -659,6 +684,52 @@ def test_simulate_equals_the_one_heap_oracle(oracle_cases, call):
     algo = AlgoParams(seed=seed, theta_max=theta_max)
     got = simulate(pl, sc, events, _MEMO_HORIZON_S, algo, dispatch_policy=policy)
     assert repr(got) == repr(simulate_oracle(pl, sc, events, _MEMO_HORIZON_S, algo, policy))
+
+
+# a pool of alert lists, (sensor id, whole-second alert time, priority), and
+# the calls that draw from it, so alert-sensor sets repeat and change
+_impact_memo_calls = st.tuples(
+    st.lists(st.lists(st.tuples(st.integers(0, 79), st.integers(0, 900),
+                                st.integers(0, 100)), max_size=6),
+             min_size=1, max_size=3),
+    st.lists(st.tuples(st.integers(0, 2), st.sampled_from(["nearest", "own_cluster"]),
+                       st.integers(0, 3)), min_size=2, max_size=8),
+    st.integers(0, 8))                              # where the every-sensor call goes
+
+
+@given(case=_impact_memo_calls)
+# sensors 54, 60 and 68 are direct on the first plan of memo_pairs
+@example(case=([[(54, 5, 10), (10, 5, 20)], [(60, 7, 30), (68, 9, 40), (11, 9, 50)]],
+               [(0, "nearest", 0), (1, "own_cluster", 1), (0, "own_cluster", 2),
+                (1, "nearest", 3), (1, "nearest", 0)], 2))
+def test_normal_impact_memo_equals_the_unmemoized_means(memo_pairs, case):
+    """A run of simulate calls on one plan whose alert-sensor sets repeat,
+    change and include direct sensors, and one call that alerts every sensor
+    (no sensor left for the means): traces and every impact field equal,
+    bit for bit, the oracle that masks and averages afresh on every call,
+    and the memo holds the last call's set alone."""
+    from firewatch import emergency
+
+    sc, (pl, _), _ = memo_pairs
+    pool, calls, every_at = case
+    every = [(sid, sid, 60) for sid in range(len(sc.xy))]
+    runs = [(pool[i % len(pool)], policy, seed) for i, policy, seed in calls]
+    runs.insert(min(every_at, len(runs)), (every, "nearest", 0))
+    keys = set()
+    for alerts, policy, seed in runs:
+        events = [EmergencyEvent(sid, float(t), prio) for sid, t, prio in alerts]
+        algo = AlgoParams(seed=seed)
+        got = simulate(pl, sc, events, _MEMO_HORIZON_S, algo, dispatch_policy=policy)
+        key = tuple(sorted({sid for sid, _, _ in alerts}))
+        keys.add(key)
+        assert emergency._last_state.kept[0] == key
+        want = simulate_oracle(pl, sc, events, _MEMO_HORIZON_S, algo, policy)
+        assert repr(got.traces) == repr(want.traces)
+        assert ([x.hex() for x in dataclasses.astuple(got.impact)]
+                == [x.hex() for x in dataclasses.astuple(want.impact)])
+    assert len(keys) >= 2
+    # one slot: (the last set, its kept columns), whatever sets came before
+    assert len(emergency._last_state.kept) == 2
 
 
 def test_nearest_edge_distance_equals_the_inline_minimum():

@@ -207,7 +207,7 @@ def burst_digests(tmp: Path) -> dict[str, str]:
         assert main(["simulate", "-s", str(tmp / "scenario.json"), "-p", str(tmp / "plan.json"),
                      "--events", str(tmp / "events.json"), "--policy", policy,
                      "-o", str(sim)]) == 0
-        for name in ("trace.csv", "impact.json"):
+        for name in ("trace.csv", "impact.json", "queue.json"):
             out[f"burst/{policy}/{name}"] = _digest((sim / name).read_bytes())
     return out
 
@@ -288,8 +288,10 @@ GOLDEN = {
     'compare/summary.json': '414af4678977ceb4e983ac16a95b5939bb354702457424d63b43a28c67e0ce20',
     'burst/nearest/trace.csv': 'c7c58bfe141b813bcb3fc0dbf2e906f2432862b42aa580b9b945d6f638fc8d11',
     'burst/nearest/impact.json': 'a30159110b1db05af059343c588bc7def7e4a448d0e1b8a91d14709a1907e176',
+    'burst/nearest/queue.json': 'c7228f821c0b416c6cc5722ecec0af58ef5b94a4c92033f3ae5b822eb82fff0d',
     'burst/own_cluster/trace.csv': 'ac6c1a719d5e9024b5414c7bf226e478fd1d91fd257e10f2a034498aa2308119',
     'burst/own_cluster/impact.json': '2360fb267b0cb78bb5e271d7e70533f3954adeb6598cee4727c4f4ee16ab1bc5',
+    'burst/own_cluster/queue.json': '71cce1404078b95cbbbb8f35345092253c448238aaa6244a3c626b351721bb25',
     'drill/nearest/trace.csv': 'e00394c122b384f14c5a962f4a8d3e55a57b2ed26a8e95132bf799549da243d9',
     'drill/nearest/impact': 'bf4c992835ddc7a2c160042a3020b43da58970616fc0801dee346e330f28c683',
     'drill/nearest/phases_m': 'b2c3ca9f66e070afbf621bd1e454e19875741319cabdff1b8ca92e664fe469d5',

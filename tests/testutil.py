@@ -217,10 +217,10 @@ def simulate_oracle(plan, scenario, events, horizon_s: float, algo,
     keyed (time, rank, seq) with alerts at rank 0 ahead of returns at rank
     1, a launch attempt after every instant whether or not a UAV is free,
     the nearest-edge distance and the patrol position of the chosen UAV
-    worked out afresh at each dispatch, and the alert sensors dropped from
-    the normal-service means with ``np.delete``.  The route geometry, term
-    columns and delivery legs come from the simulator's own plan state, so
-    a comparison checks the event loop, the dispatch and the means only."""
+    worked out afresh at each dispatch, and the impact from
+    ``normal_impact_oracle``.  The route geometry, term columns and delivery
+    legs come from the simulator's own plan state, so a comparison checks
+    the event loop, the dispatch and the means only."""
     own = dispatch_policy == "own_cluster"
     events = sorted(events, key=lambda e: e.alert_time_s)
     p = scenario.physical
@@ -231,6 +231,10 @@ def simulate_oracle(plan, scenario, events, horizon_s: float, algo,
     phases = tuple(float(rng.uniform(0.0, g.length_m)) if g.length_m > 0 else 0.0
                    for g in geoms)
     uavs = [emergency._UavState(g, ph) for g, ph in zip(geoms, phases)]
+
+    def patrol_pos(uav, t):
+        return uav.geom.position_at_arc(uav.ref_arc + v * (t - uav.ref_time))
+
     timeline = []
     for seq, ev in enumerate(events):
         heapq.heappush(timeline, (ev.alert_time_s, 0, seq, ev))
@@ -249,7 +253,7 @@ def simulate_oracle(plan, scenario, events, horizon_s: float, algo,
         nonlocal free_seq
         uav, sid = uavs[uav_id], ev.sensor_id
         sx, sy = scenario.xy[sid].tolist()
-        px, py = uav.patrol_pos(now, v)
+        px, py = patrol_pos(uav, now)
         t_disp = math.hypot(px - sx, py - sy) / v
         eid, fb, t_del, t_exe = state.leg(sid, algo.theta_max)
         ex, ey = edge_xy[eid]
@@ -287,35 +291,52 @@ def simulate_oracle(plan, scenario, events, horizon_s: float, algo,
             key = min(tops)[1]
             _, seq, ev = heapq.heappop(pending[key])
             uav_id = key if own else _select_dispatch_uav_oracle(
-                [(i, u.patrol_pos(now, v)) for i, u in enumerate(uavs) if u.available],
+                [(i, patrol_pos(u, now)) for i, u in enumerate(uavs) if u.available],
                 scenario.xy[ev.sensor_id].tolist(), edge_xy)
             dispatch(seq, ev, uav_id, now)
 
-    r_sg, _, _ = link_ranges(p)
-    contact = 2.0 * r_sg / v
-    wait_with = np.zeros(len(plan.routes))
-    for j, (route, base) in enumerate(zip(plan.routes, state.base_wait)):
-        episodes = [max(0.0, min(e, horizon_s) - min(s, horizon_s)) for s, e in absences[j]]
-        episodes = [a for a in episodes if a > 0]
-        if not episodes or route.revisit_s == 0.0:
-            wait_with[j] = base
-            continue
-        inflated = [route.revisit_s + a for a in episodes]
-        normal_share = max(0.0, horizon_s - sum(inflated))
-        num = normal_share * base + sum(T * max(0.0, (T - contact) / 2.0) for T in inflated)
-        wait_with[j] = num / (normal_share + sum(inflated))
-    with_wait = state.no_wait + np.append(wait_with, 0.0)[state.cluster]
-    alert_ids = [e.sensor_id for e in events]
-    base_vals, with_vals = np.delete(state.total, alert_ids), np.delete(with_wait, alert_ids)
-    if not base_vals.size:
-        impact = emergency.NormalImpactReport(0.0, 0.0, 0.0, 0.0)
-    else:
-        base_mean, with_mean = float(np.mean(base_vals)), float(np.mean(with_vals))
-        delta = with_mean - base_mean
-        impact = emergency.NormalImpactReport(
-            base_mean, with_mean, delta, delta / base_mean if base_mean > 0 else 0.0)
+    impact = normal_impact_oracle(plan, scenario, state, events, absences, horizon_s)
     return emergency.SimulationResult(tuple(traces[i] for i in sorted(traces)), impact,
                                       horizon_s, phases)
+
+
+def normal_impact_oracle(plan, scenario, state, events, absences,
+                         horizon_s: float) -> emergency.NormalImpactReport:
+    """``emergency._normal_impact`` without its memo: the alert sensors
+    dropped with one boolean mask on every call and each mean taken by
+    ``np.mean``; ``absences`` maps a route index to its (start, end) spans."""
+    p = scenario.physical
+    r_sg, _, _ = link_ranges(p)
+    contact = 2.0 * r_sg / p.v_g
+
+    wait_with = np.zeros(len(plan.routes))
+    for j, (route, base) in enumerate(zip(plan.routes, state.base_wait)):
+        t_r = route.revisit_s
+        episodes = [(max(0.0, min(e, horizon_s) - min(s, horizon_s)))
+                    for s, e in absences.get(j, [])]
+        episodes = [a for a in episodes if a > 0]
+        if not episodes or t_r == 0.0:
+            wait_with[j] = base
+            continue
+        inflated = [t_r + a for a in episodes]
+        inflated_share = sum(inflated)
+        normal_share = max(0.0, horizon_s - inflated_share)
+        num = normal_share * base + sum(T * max(0.0, (T - contact) / 2.0) for T in inflated)
+        wait_with[j] = num / (normal_share + inflated_share)
+
+    # a direct sensor (cluster -1) has t_wait 0.0 and reads the appended 0.0
+    with_wait = state.no_wait + np.append(wait_with, 0.0)[state.cluster]
+    keep = np.ones(len(with_wait), dtype=bool)
+    keep[[e.sensor_id for e in events]] = False
+    base_vals, with_vals = state.total[keep], with_wait[keep]
+    if not base_vals.size:
+        return emergency.NormalImpactReport(0.0, 0.0, 0.0, 0.0)
+    base_mean = float(np.mean(base_vals))
+    with_mean = float(np.mean(with_vals))
+    delta = with_mean - base_mean
+    return emergency.NormalImpactReport(
+        baseline_mean_s=base_mean, with_events_mean_s=with_mean, delta_s=delta,
+        delta_fraction=delta / base_mean if base_mean > 0 else 0.0)
 
 
 def weighted_kmeans_oracle(scenario, ids, m, omega_h, epsilon_m, rng,
