@@ -23,15 +23,13 @@ response-term table, which ``timing.all_responses`` memoizes per pair:
 each route's geometry, the sensor and edge columns and the table's upload
 and execution columns as lists, each sensor's nearest-edge distance, the
 normal-service totals with and without the wait term, each route's
-expected wait, the resume waypoint of each (UAV, delivery edge) pair and
-the delivery leg (edge, fallback, travel and execution seconds) of each
-(sensor, theta_max) pair, which ``emergency_response_bound`` reads too.
-The state also keeps a one-slot memo, keyed by the sorted alert sensor ids,
-of what the normal-service impact needs from that set alone: the other
-sensors' no-wait totals and clusters, their count and baseline mean.  A
-drill's generated alerts are the same hottest sensors every day, so each
-of its calls hits it.  The patrol phases (drawn from the call's seed) and
-the event timeline stay per call.  ``queue_report`` derives the queue
+expected wait, the in-contact window, the resume leg (waypoint, its arc,
+edge-to-waypoint metres) of each (UAV, delivery edge) pair, which
+``queue_report`` reads too, and the delivery leg (edge, fallback, travel
+and execution seconds) of each (sensor, theta_max) pair, which
+``emergency_response_bound`` reads too.  The patrol phases (drawn from the
+call's seed), the event timeline and the mask of alert sensors left out of
+the normal-service means stay per call.  ``queue_report`` derives the queue
 waits, pending depth and UAV busy time from a result afterwards.
 """
 
@@ -245,7 +243,7 @@ class _PlanState:
 
     __slots__ = ("terms", "cluster", "geoms", "xy", "edge_xy", "capacity", "beta", "load", "v",
                  "tra_s", "exe_s", "total", "no_wait", "base_wait", "resume", "legs", "to_edge",
-                 "kept")
+                 "contact")
 
     def __init__(self, plan, scenario, terms, cluster):
         self.terms, self.cluster = terms, cluster
@@ -260,14 +258,14 @@ class _PlanState:
         self.total = timing.totals(terms)
         self.no_wait = self.total - terms[:, 3]
         self.base_wait = [expected_wait(r.length_m, scenario.physical) for r in plan.routes]
+        # seconds a patrolling UAV is in range of a sensor it passes
+        self.contact = 2.0 * link_ranges(scenario.physical)[0] / self.v
         # (uav id, edge id) -> (resume waypoint, its arc, edge-to-waypoint metres)
         self.resume: dict[tuple[int, int], tuple[int | None, float, float]] = {}
         # (sensor id, theta_max) -> (delivery edge id, fallback, travel s, execution s)
         self.legs: dict[tuple[int, float], tuple[int, bool, float, float]] = {}
         # sensor id -> metres to its nearest edge, the dispatch rule's constant
         self.to_edge: dict[int, float] = {}
-        # one slot: (sorted alert sensor ids, kept_columns of that set)
-        self.kept: tuple | None = None
 
     def nearest_edge_m(self, sid: int) -> float:
         """Sensor sid's distance to its nearest edge, built on first need."""
@@ -277,22 +275,20 @@ class _PlanState:
             d = self.to_edge[sid] = min(math.hypot(sx - ex, sy - ey) for ex, ey in self.edge_xy)
         return d
 
-    def kept_columns(self, alerted: set[int]) -> tuple[np.ndarray, np.ndarray, int, float]:
-        """The no-wait totals and cluster indices of the sensors not in
-        ``alerted``, their count and their mean normal-service total (0.0
-        when none is left), memoized for the last set: the generated alerts
-        of a drill are the hottest sensors, the same set every day."""
-        key = tuple(sorted(alerted))
-        kept = self.kept
-        if kept is None or kept[0] != key:
-            keep = np.ones(len(self.total), dtype=bool)
-            keep[list(key)] = False
-            count = int(keep.sum())
-            # x.sum() / count is np.mean's add.reduce over the same elements
-            # and its exact integer-to-float division, so the same bits
-            base_mean = float(self.total[keep].sum()) / count if count else 0.0
-            kept = self.kept = (key, (self.no_wait[keep], self.cluster[keep], count, base_mean))
-        return kept[1]
+    def resume_leg(self, uav_id: int, eid: int) -> tuple[int | None, float, float]:
+        """Where UAV uav_id rejoins its tour after delivering at edge eid:
+        the resume waypoint (None for an empty tour, which returns to the
+        depot), its arc, and the metres from the edge to it, built on first
+        need."""
+        back = self.resume.get((uav_id, eid))
+        if back is None:
+            geom = self.geoms[uav_id]
+            ex, ey = self.edge_xy[eid]
+            widx = resume_waypoint((ex, ey), geom)
+            tx, ty = geom.points[0 if widx is None else widx + 1].tolist()
+            arc = 0.0 if widx is None else geom.arc_of_waypoint(widx)
+            back = self.resume[uav_id, eid] = (widx, arc, math.hypot(ex - tx, ey - ty))
+        return back
 
     def leg(self, sid: int, theta_max: float) -> tuple[int, bool, float, float]:
         """The delivery leg of an alert at sensor sid, built on first need."""
@@ -324,8 +320,6 @@ def _plan_state(plan, scenario) -> _PlanState:
 
 
 class _UavState:
-    """A UAV on patrol is at arc ref_arc + v_g * (t - ref_time) of its tour."""
-
     __slots__ = ("geom", "ref_time", "ref_arc", "available")
 
     def __init__(self, geom: RouteGeometry, phase_m: float):
@@ -333,6 +327,9 @@ class _UavState:
         self.ref_time = 0.0
         self.ref_arc = phase_m
         self.available = True
+
+    def patrol_pos(self, t: float, v_g: float) -> tuple[float, float]:
+        return self.geom.position_at_arc(self.ref_arc + v_g * (t - self.ref_time))
 
 
 def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
@@ -365,11 +362,13 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
     v, t_urgent = p.v_g, p.t_urgent_s
     # a memo hit on a repeated pair; a new pair's state is built from its table
     state = _plan_state(plan, scenario)
-    edge_xy, geoms, sensor_xy = state.edge_xy, state.geoms, state.xy
-    tra_s, exe_s, resume = state.tra_s, state.exe_s, state.resume
+    geoms, sensor_xy, tra_s, exe_s = state.geoms, state.xy, state.tra_s, state.exe_s
+    # one draw per tour of positive length, as rng.uniform(0.0, length) did
+    # one call each: that is 0.0 + length * u for the next double u, so the
+    # same bits as length * u
     rng = np.random.default_rng(derive_seed(algo.seed, "patrol-phase"))
-    phases = tuple(float(rng.uniform(0.0, g.length_m)) if g.length_m > 0 else 0.0
-                   for g in geoms)
+    draws = iter(rng.random(sum(g.length_m > 0 for g in geoms)).tolist())
+    phases = tuple(g.length_m * next(draws) if g.length_m > 0 else 0.0 for g in geoms)
     uavs = [_UavState(g, ph) for g, ph in zip(geoms, phases)]
     n_free = len(uavs)
 
@@ -404,16 +403,7 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
         t_disp = math.hypot(px - sx, py - sy) / v
         eid, fb, t_del, t_exe = state.leg(sid, algo.theta_max)
         arrive = now + t_disp + tra_s[sid] + t_del
-
-        back = resume.get((uav_id, eid))
-        if back is None:
-            ex, ey = edge_xy[eid]
-            widx = resume_waypoint((ex, ey), uav.geom)
-            # the depot for an empty tour, else the resume waypoint
-            tx, ty = uav.geom.points[0 if widx is None else widx + 1].tolist()
-            arc = 0.0 if widx is None else uav.geom.arc_of_waypoint(widx)
-            back = resume[uav_id, eid] = (widx, arc, math.hypot(ex - tx, ey - ty))
-        widx, arc, d_back = back
+        widx, arc, d_back = state.resume_leg(uav_id, eid)
         t_back = arrive + d_back / v
 
         uav.available = False
@@ -445,8 +435,7 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
             uav = uavs[uav_id]
             uav.ref_time, uav.ref_arc, uav.available = now, arc, True
             n_free += 1
-        # one launch pass, skipped while no UAV is free; a free UAV is at
-        # arc ref_arc + v * (now - ref_time) along its tour
+        # one launch pass, skipped while no UAV is free
         if own:
             # the top alert of each free UAV's own heap, best first
             while n_free:
@@ -456,45 +445,36 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
                     break
                 j = min(tops)[1]
                 _, seq, ev = heapq.heappop(pending[j])
-                u = uavs[j]
-                pos = u.geom.position_at_arc(u.ref_arc + v * (now - u.ref_time))
-                dispatch(seq, ev, j, now, pos)
+                dispatch(seq, ev, j, now, uavs[j].patrol_pos(now, v))
         else:
             # the one heap's top alert goes to the rule's pick of the free UAVs
             while n_free and queue:
                 _, seq, ev = heapq.heappop(queue)
-                free = {i: u.geom.position_at_arc(u.ref_arc + v * (now - u.ref_time))
-                        for i, u in enumerate(uavs) if u.available}
+                free = {i: u.patrol_pos(now, v) for i, u in enumerate(uavs) if u.available}
                 sid = ev.sensor_id
                 uav_id = select_dispatch_uav(list(free.items()), sensor_xy[sid],
                                              state.nearest_edge_m(sid))
                 dispatch(seq, ev, uav_id, now, free[uav_id])
 
-    impact = _normal_impact(plan, scenario, state, events, absences, horizon_s)
+    impact = _normal_impact(plan, state, events, absences, horizon_s)
     return SimulationResult(traces=tuple(traces), impact=impact, horizon_s=horizon_s,
                             phases_m=phases)
 
 
-def _normal_impact(plan, scenario, state: _PlanState, events, absences,
+def _normal_impact(plan, state: _PlanState, events, absences,
                    horizon_s: float) -> NormalImpactReport:
     """Mean normal-service response over non-alert sensors, with the per-
     cluster expected wait recomputed under revisit periods inflated by the
-    measured UAV absence episodes (weighted by their share of the horizon).
-    What depends on the set of alert sensors alone comes from the plan
-    state's one-slot memo."""
-    p = scenario.physical
-    r_sg, _, _ = link_ranges(p)
-    contact = 2.0 * r_sg / p.v_g
-
-    waits = []
+    measured UAV absence episodes (weighted by their share of the horizon)."""
+    contact, waits = state.contact, []
     for route, base, spans in zip(plan.routes, state.base_wait, absences):
         t_r = route.revisit_s
-        episodes = [(max(0.0, min(e, horizon_s) - min(s, horizon_s))) for s, e in spans]
-        episodes = [a for a in episodes if a > 0]
-        if not episodes or t_r == 0.0:
+        # each absence episode cut at the horizon, the empty ones dropped
+        inflated = [t_r + a for a in (min(e, horizon_s) - min(s, horizon_s) for s, e in spans)
+                    if a > 0]
+        if not inflated or t_r == 0.0:
             waits.append(base)
             continue
-        inflated = [t_r + a for a in episodes]
         inflated_share = sum(inflated)
         normal_share = max(0.0, horizon_s - inflated_share)
         num = normal_share * base + sum(T * max(0.0, (T - contact) / 2.0) for T in inflated)
@@ -502,10 +482,17 @@ def _normal_impact(plan, scenario, state: _PlanState, events, absences,
     # a direct sensor (cluster -1) has t_wait 0.0 and reads the appended 0.0
     waits.append(0.0)
 
-    no_wait, cluster, count, base_mean = state.kept_columns({e.sensor_id for e in events})
+    alerted = {e.sensor_id for e in events}
+    count = len(state.total) - len(alerted)
     if not count:
         return NormalImpactReport(0.0, 0.0, 0.0, 0.0)
-    with_mean = float((no_wait + np.array(waits)[cluster]).sum()) / count
+    keep = np.ones(len(state.total), dtype=bool)
+    keep[list(alerted)] = False
+    # add.reduce(x) / count is np.mean's sum over the same elements and its
+    # exact integer-to-float division, so the same bits
+    base_mean = float(np.add.reduce(state.total[keep])) / count
+    with_wait = state.no_wait + np.array(waits)[state.cluster]
+    with_mean = float(np.add.reduce(with_wait[keep])) / count
     delta = with_mean - base_mean
     return NormalImpactReport(
         baseline_mean_s=base_mean, with_events_mean_s=with_mean, delta_s=delta,
@@ -546,12 +533,9 @@ def queue_report(result: SimulationResult, plan, scenario) -> dict:
             continue
         launch = tr.alert_time_s + tr.t_queue_s
         marks += [(tr.alert_time_s, 0), (launch, 1)]      # arrivals first at a tie
-        # the delivery edge back to the resume waypoint, or the depot
-        points = state.geoms[tr.uav_id].points
-        tx, ty = points[0 if tr.resume_waypoint is None else tr.resume_waypoint + 1].tolist()
-        ex, ey = state.edge_xy[tr.edge_id]
+        _, _, d_back = state.resume_leg(tr.uav_id, tr.edge_id)
         back = (launch + tr.t_dispatch_travel_s + tr.t_tra_s + tr.t_delivery_travel_s
-                + math.hypot(ex - tx, ey - ty) / v)
+                + d_back / v)
         busy[tr.uav_id] += min(back, horizon) - min(launch, horizon)
     depth = peak = 0
     for _, kind in sorted(marks):

@@ -688,7 +688,7 @@ def test_simulate_equals_the_one_heap_oracle(oracle_cases, call):
 
 # a pool of alert lists, (sensor id, whole-second alert time, priority), and
 # the calls that draw from it, so alert-sensor sets repeat and change
-_impact_memo_calls = st.tuples(
+_alert_set_calls = st.tuples(
     st.lists(st.lists(st.tuples(st.integers(0, 79), st.integers(0, 900),
                                 st.integers(0, 100)), max_size=6),
              min_size=1, max_size=3),
@@ -697,39 +697,47 @@ _impact_memo_calls = st.tuples(
     st.integers(0, 8))                              # where the every-sensor call goes
 
 
-@given(case=_impact_memo_calls)
+@given(case=_alert_set_calls)
 # sensors 54, 60 and 68 are direct on the first plan of memo_pairs
 @example(case=([[(54, 5, 10), (10, 5, 20)], [(60, 7, 30), (68, 9, 40), (11, 9, 50)]],
                [(0, "nearest", 0), (1, "own_cluster", 1), (0, "own_cluster", 2),
                 (1, "nearest", 3), (1, "nearest", 0)], 2))
-def test_normal_impact_memo_equals_the_unmemoized_means(memo_pairs, case):
+def test_alert_sets_that_repeat_and_change_equal_the_oracle(memo_pairs, case):
     """A run of simulate calls on one plan whose alert-sensor sets repeat,
     change and include direct sensors, and one call that alerts every sensor
     (no sensor left for the means): traces and every impact field equal,
-    bit for bit, the oracle that masks and averages afresh on every call,
-    and the memo holds the last call's set alone."""
-    from firewatch import emergency
-
+    bit for bit, the oracle's, whatever the plan state kept from the calls
+    before."""
     sc, (pl, _), _ = memo_pairs
     pool, calls, every_at = case
     every = [(sid, sid, 60) for sid in range(len(sc.xy))]
     runs = [(pool[i % len(pool)], policy, seed) for i, policy, seed in calls]
     runs.insert(min(every_at, len(runs)), (every, "nearest", 0))
-    keys = set()
     for alerts, policy, seed in runs:
         events = [EmergencyEvent(sid, float(t), prio) for sid, t, prio in alerts]
         algo = AlgoParams(seed=seed)
         got = simulate(pl, sc, events, _MEMO_HORIZON_S, algo, dispatch_policy=policy)
-        key = tuple(sorted({sid for sid, _, _ in alerts}))
-        keys.add(key)
-        assert emergency._last_state.kept[0] == key
         want = simulate_oracle(pl, sc, events, _MEMO_HORIZON_S, algo, policy)
         assert repr(got.traces) == repr(want.traces)
         assert ([x.hex() for x in dataclasses.astuple(got.impact)]
                 == [x.hex() for x in dataclasses.astuple(want.impact)])
-    assert len(keys) >= 2
-    # one slot: (the last set, its kept columns), whatever sets came before
-    assert len(emergency._last_state.kept) == 2
+
+
+def test_patrol_phases_skip_a_zero_length_tour_between_two_others():
+    """One rng.random draw per tour of positive length, times its length,
+    gives the bits one rng.uniform(0.0, length) call per such tour gives,
+    when the parked UAV's zero-length tour sits between two others."""
+    sc = build_scenario([(1500.0, 0.0, 60, 5.0, 100.0), (1500.0, 0.0, 70, 5.0, 100.0),
+                         (-1500.0, 0.0, 60, 5.0, 100.0), (-1500.0, 0.0, 60, 5.0, 100.0)],
+                        [(0.0, 0.0, 10000.0)])
+    pl = plan_at_fleet(sc, AlgoParams(), 3)
+    assert [r.length_m for r in pl.routes] == [3000.0, 0.0, 3000.0]
+    for seed in range(20):
+        algo = AlgoParams(seed=seed)
+        rng = np.random.default_rng(derive_seed(seed, "patrol-phase"))
+        want = [rng.uniform(0.0, 3000.0), 0.0, rng.uniform(0.0, 3000.0)]
+        got = simulate(pl, sc, [], 3600.0, algo).phases_m
+        assert [x.hex() for x in got] == [float(x).hex() for x in want]
 
 
 def test_nearest_edge_distance_equals_the_inline_minimum():

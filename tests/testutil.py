@@ -231,10 +231,6 @@ def simulate_oracle(plan, scenario, events, horizon_s: float, algo,
     phases = tuple(float(rng.uniform(0.0, g.length_m)) if g.length_m > 0 else 0.0
                    for g in geoms)
     uavs = [emergency._UavState(g, ph) for g, ph in zip(geoms, phases)]
-
-    def patrol_pos(uav, t):
-        return uav.geom.position_at_arc(uav.ref_arc + v * (t - uav.ref_time))
-
     timeline = []
     for seq, ev in enumerate(events):
         heapq.heappush(timeline, (ev.alert_time_s, 0, seq, ev))
@@ -253,7 +249,7 @@ def simulate_oracle(plan, scenario, events, horizon_s: float, algo,
         nonlocal free_seq
         uav, sid = uavs[uav_id], ev.sensor_id
         sx, sy = scenario.xy[sid].tolist()
-        px, py = patrol_pos(uav, now)
+        px, py = uav.patrol_pos(now, v)
         t_disp = math.hypot(px - sx, py - sy) / v
         eid, fb, t_del, t_exe = state.leg(sid, algo.theta_max)
         ex, ey = edge_xy[eid]
@@ -291,7 +287,7 @@ def simulate_oracle(plan, scenario, events, horizon_s: float, algo,
             key = min(tops)[1]
             _, seq, ev = heapq.heappop(pending[key])
             uav_id = key if own else _select_dispatch_uav_oracle(
-                [(i, patrol_pos(u, now)) for i, u in enumerate(uavs) if u.available],
+                [(i, u.patrol_pos(now, v)) for i, u in enumerate(uavs) if u.available],
                 scenario.xy[ev.sensor_id].tolist(), edge_xy)
             dispatch(seq, ev, uav_id, now)
 
@@ -302,8 +298,8 @@ def simulate_oracle(plan, scenario, events, horizon_s: float, algo,
 
 def normal_impact_oracle(plan, scenario, state, events, absences,
                          horizon_s: float) -> emergency.NormalImpactReport:
-    """``emergency._normal_impact`` without its memo: the alert sensors
-    dropped with one boolean mask on every call and each mean taken by
+    """``emergency._normal_impact`` with the per-route waits in an array,
+    the episodes cut and filtered in two passes and each mean taken by
     ``np.mean``; ``absences`` maps a route index to its (start, end) spans."""
     p = scenario.physical
     r_sg, _, _ = link_ranges(p)
