@@ -32,9 +32,11 @@ array operations, so the plans are those of the loop.  If numpy changes its
 Generator stream, ``tests/test_baselines.py::test_stream_replays_the_generator``
 fails first.
 
-Each GA/PSO fleet size is searched from its own seed stream, so the sizes
-after m can be searched while m is.  ``ga_plan`` and ``pso_plan`` keep the
-searches for m .. m + W - 1 (never above m_max) in flight, one worker
+Each GA/PSO fleet size is searched from its own seed stream,
+``derive_seed(algo.seed, "ga-m{m}")`` (``"pso-m{m}"``), so the sizes after m
+can be searched while m is; ``GaConfig`` and ``PsoConfig`` hold only the
+search budgets.  ``ga_plan`` and ``pso_plan`` keep the searches for
+m .. m + W - 1 (never above m_max) in flight, one worker
 process per usable CPU (W of them), and hand size_fleet m's result; the
 queued searches are cancelled when size_fleet returns or raises.  The plans
 are those of searching one size at a time, which is what one usable CPU
@@ -83,7 +85,6 @@ C2 = 1.5
 class GaConfig:
     population: int = 50
     generations: int = 100
-    seed: int = 0
 
     def __post_init__(self):
         if self.population < 2:
@@ -96,7 +97,6 @@ class GaConfig:
 class PsoConfig:
     swarm: int = 30
     iterations: int = 100
-    seed: int = 0
 
     def __post_init__(self):
         if self.swarm < 2:
@@ -400,7 +400,7 @@ def _breed(stream: _Stream, genes: np.ndarray, prios: np.ndarray, fits: np.ndarr
 def _ga_search(ws: _Workspace, cfg: GaConfig, m: int):
     """Evolve m-cluster chromosomes; the best zero-violation individual as
     size_fleet clusters, or None."""
-    rng = np.random.default_rng(derive_seed(cfg.seed, f"ga-m{m}"))
+    rng = np.random.default_rng(derive_seed(ws.algo.seed, f"ga-m{m}"))
     genes = rng.integers(0, m, size=(cfg.population, ws.n))
     prios = rng.random((cfg.population, ws.n))
     stream = _Stream(rng)
@@ -496,12 +496,12 @@ def _searched_ahead(search, ws: _Workspace, cfg, m_max: int):
 def ga_plan(scenario, algo: AlgoParams, cfg: GaConfig | None = None) -> Plan:
     """Genetic-algorithm baseline: joint cluster-assignment + visit-priority
     chromosome per fleet size, penalty-driven feasibility."""
-    cfg = cfg if cfg is not None else GaConfig(seed=algo.seed)
+    cfg = cfg if cfg is not None else GaConfig()
     t0 = time.perf_counter()
     ws = _Workspace(scenario, algo)
     with _searched_ahead(_ga_search, ws, cfg, scenario.physical.m_max) as clusters_at:
         return size_fleet(scenario, algo, ws.uav_ids, ws.direct_map, ws.load0, clusters_at,
-                          ordered_route, method="ga", seed=cfg.seed, t0=t0, variant="-",
+                          ordered_route, method="ga", seed=algo.seed, t0=t0, variant="-",
                           at_m=None,
                           binding=["revisit period, energy budget, or edge capacity"])
 
@@ -510,7 +510,7 @@ def _pso_search(ws: _Workspace, cfg: PsoConfig, m: int):
     """Fly an m-cluster swarm; the global best as size_fleet clusters if it
     has no violation, else None."""
     n = ws.n
-    rng = np.random.default_rng(derive_seed(cfg.seed, f"pso-m{m}"))
+    rng = np.random.default_rng(derive_seed(ws.algo.seed, f"pso-m{m}"))
     pos = rng.uniform(1.0, m, size=(cfg.swarm, n))
     vel = rng.uniform(-1.0, 1.0, size=(cfg.swarm, n))
 
@@ -556,12 +556,12 @@ def _pso_search(ws: _Workspace, cfg: PsoConfig, m: int):
 def pso_plan(scenario, algo: AlgoParams, cfg: PsoConfig | None = None) -> Plan:
     """Particle-swarm baseline: continuous cluster-assignment positions with
     round-half-up decode and nearest-neighbor visit orders."""
-    cfg = cfg if cfg is not None else PsoConfig(seed=algo.seed)
+    cfg = cfg if cfg is not None else PsoConfig()
     t0 = time.perf_counter()
     ws = _Workspace(scenario, algo)
     with _searched_ahead(_pso_search, ws, cfg, scenario.physical.m_max) as clusters_at:
         return size_fleet(scenario, algo, ws.uav_ids, ws.direct_map, ws.load0, clusters_at,
-                          ordered_route, method="pso", seed=cfg.seed, t0=t0, variant="-",
+                          ordered_route, method="pso", seed=algo.seed, t0=t0, variant="-",
                           at_m=None, binding=["no feasible particle"])
 
 

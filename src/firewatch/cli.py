@@ -7,10 +7,18 @@ line on stderr).  A bad scenario, plan or events file exits 1 with a message
 naming the JSON path of the field, for example ``plan routes[0].waypoints[3]``;
 a bad flag or config value exits 2 naming the flag or config key.
 
-Config files are flat key=value text (keys are flag names with underscores).
-Their values become the subcommand's parser defaults before argv is parsed
-again, so precedence is CLI flag > config file > built-in default for any
-spelling of a flag that argparse accepts.  All randomness
+Each subcommand declares only the flags it reads: ``plan`` and ``compare``
+take the eight algorithm flags and the four GA/PSO budgets, ``simulate``
+only ``--seed`` and ``--theta-max``.  ``compare`` prints one row per
+(sensor count, method) from the aggregates it writes, and the fleet growth
+factors of a sweep, before its closing summary line.
+
+Config files are flat key=value text (keys are flag names with underscores,
+``out_dir`` included); ``scripts/headline.cfg`` and ``scripts/scalability.cfg``
+are the paper's two ``compare`` runs.  Their values become the subcommand's
+parser defaults before argv is parsed again, so precedence is CLI flag >
+config file > built-in default for any spelling of a flag that argparse
+accepts, and a key the subcommand has no flag for exits 2.  All randomness
 flows from --seed through labeled sub-seed hashing, so repeated runs produce
 byte-identical outputs apart from the *_time_s timing columns.
 """
@@ -75,10 +83,16 @@ def _config_as_defaults(parser: argparse.ArgumentParser, path: str) -> None:
 
 # --------------------------------------------------------------- shared flags
 
-def _add_algo_flags(sp: argparse.ArgumentParser) -> None:
+def _add_algo_flags(sp: argparse.ArgumentParser, planning: bool = True) -> None:
+    """--seed and --theta-max, the two algorithm flags simulate reads, and
+    with ``planning`` the six that only planning reads."""
     d = AlgoParams()
     sp.add_argument("--seed", type=int, default=d.seed,
                     help="base seed (all sub-seeds derive from it)")
+    sp.add_argument("--theta-max", type=float, default=d.theta_max,
+                    help="delivery-edge utilization cap")
+    if not planning:
+        return
     sp.add_argument("--omega-h", type=float, default=d.omega_h, help="fire-history weight")
     sp.add_argument("--omega-d", type=float, default=d.omega_d,
                     help="distance weight in edge scoring")
@@ -86,8 +100,6 @@ def _add_algo_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--lam", type=float, default=d.lam, help="service-time weight in the objective")
     sp.add_argument("--epsilon-m", type=float, default=d.epsilon_m,
                     help="k-means convergence threshold, m")
-    sp.add_argument("--theta-max", type=float, default=d.theta_max,
-                    help="delivery-edge utilization cap")
     sp.add_argument("--fleet-init", choices=[m.value for m in FleetInitMode],
                     default=d.fleet_init_mode.value,
                     help="initial fleet size rule for the sizing loop")
@@ -102,10 +114,17 @@ def _add_search_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _algo_from_args(args: argparse.Namespace, seed: int | None = None) -> AlgoParams:
-    return AlgoParams(omega_h=args.omega_h, omega_d=args.omega_d, omega_l=args.omega_l,
-                      lam=args.lam, epsilon_m=args.epsilon_m, theta_max=args.theta_max,
-                      seed=args.seed if seed is None else seed,
-                      fleet_init_mode=FleetInitMode(args.fleet_init))
+    """AlgoParams from the algorithm flags the subcommand has, any other
+    field at its default.  A --omega-h, --lam, --epsilon-m or --theta-max
+    value AlgoParams rejects raises a ValueError naming the flag; --omega-d
+    and --omega-l are checked as a pair."""
+    flags = {field: "--" + field.replace("_", "-")
+             for field in ("omega_h", "lam", "epsilon_m", "theta_max") if hasattr(args, field)}
+    fixed = {"seed": args.seed if seed is None else seed}
+    if hasattr(args, "fleet_init"):
+        fixed.update(omega_d=args.omega_d, omega_l=args.omega_l,
+                     fleet_init_mode=FleetInitMode(args.fleet_init))
+    return _from_flags(AlgoParams, args, flags, **fixed)
 
 
 def _from_flags(cls, args: argparse.Namespace, flags: dict[str, str], **fixed):
@@ -122,11 +141,9 @@ def _from_flags(cls, args: argparse.Namespace, flags: dict[str, str], **fixed):
     return cls(**values, **fixed)
 
 
-def _search_from_args(args: argparse.Namespace, seed: int) -> tuple[GaConfig, PsoConfig]:
-    return (_from_flags(GaConfig, args, {"population": "--ga-pop", "generations": "--ga-gens"},
-                        seed=seed),
-            _from_flags(PsoConfig, args, {"swarm": "--pso-swarm", "iterations": "--pso-iters"},
-                        seed=seed))
+def _search_from_args(args: argparse.Namespace) -> tuple[GaConfig, PsoConfig]:
+    return (_from_flags(GaConfig, args, {"population": "--ga-pop", "generations": "--ga-gens"}),
+            _from_flags(PsoConfig, args, {"swarm": "--pso-swarm", "iterations": "--pso-iters"}))
 
 
 def _make_plan(method: str, scenario, algo: AlgoParams, args: argparse.Namespace,
@@ -135,7 +152,7 @@ def _make_plan(method: str, scenario, algo: AlgoParams, args: argparse.Namespace
         return plan_scenario(scenario, algo, variant)
     if method == "greedy":
         return greedy_plan(scenario, algo)
-    ga, pso = _search_from_args(args, algo.seed)
+    ga, pso = _search_from_args(args)
     if method == "ga":
         return ga_plan(scenario, algo, ga)
     return pso_plan(scenario, algo, pso)
@@ -267,12 +284,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _parse_sweep(text: str) -> list[int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"sweep spec must be START:STOP:STEP, got {text!r}")
-    start, stop, step = (int(x) for x in parts)
+    """The sensor counts of a --sweep-sensors START:STOP:STEP spec, STOP
+    included; a bad spec raises a ValueError naming the flag and the spec."""
+    try:
+        start, stop, step = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise ValueError(f"--sweep-sensors {text}: must be START:STOP:STEP, "
+                         "three integers") from None
     if step <= 0 or start <= 0 or stop < start:
-        raise ValueError(f"invalid sweep spec {text!r}")
+        raise ValueError(f"--sweep-sensors {text}: need 1 <= START <= STOP and STEP >= 1")
     return list(range(start, stop + 1, step))
 
 
@@ -406,6 +426,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
         json.dump(summary, f, indent=1, sort_keys=True)
         f.write("\n")
 
+    print(f"{'n':>6}{'method':>10}{'seeds':>6}{'response s':>12}{'energy Wh':>12}{'fleet':>8}")
+    for (n, meth), agg in aggs.items():
+        print(f"{n:>6}{meth:>10}{agg['seeds_ok']:>6}{agg['mean_response_s']:>12.1f}"
+              f"{agg['total_energy_wh']:>12.1f}{agg['fleet']:>8.2f}")
+    if growth:
+        print("fleet growth factors: "
+              + ", ".join(f"{meth} {g:.2f}" for meth, g in growth.items()))
     ok_cells = {(n, s) for (n, s, _m) in cells}
     all_cells = {(n, s) for n in ns for s in seeds}
     print(f"compare: {len(cells)}/{len(ns) * len(seeds) * len(methods)} cells ok, "
@@ -467,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("--horizon", type=float, default=86400.0,
                     help="simulated horizon, s (default: one monitoring day)")
     si.add_argument("--policy", choices=["nearest", "own_cluster"], default="nearest")
-    _add_algo_flags(si)
+    _add_algo_flags(si, planning=False)
     si.add_argument("-o", "--out-dir", default=".")
     si.add_argument("--config", default=None, help="key=value config file")
     si.set_defaults(func=cmd_simulate, _parser=si)
@@ -501,10 +528,10 @@ def main(argv: list[str] | None = None) -> int:
             _config_as_defaults(args._parser, args.config)
             args = parser.parse_args(argv)
         # a bad algorithm or search flag is a usage error
-        if hasattr(args, "omega_h"):
+        if hasattr(args, "theta_max"):
             _algo_from_args(args)
         if hasattr(args, "ga_pop"):
-            _search_from_args(args, args.seed)
+            _search_from_args(args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code == 2 else int(exc.code or 0)
     except (InputError, OSError) as exc:

@@ -40,7 +40,7 @@ import csv
 import heapq
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,6 +65,9 @@ class EmergencyEvent:
         # NaN fails every comparison; simulate would never leave its instant
         if not (math.isfinite(self.alert_time_s) and self.alert_time_s >= 0):
             raise ValueError(f"alert_time_s must be finite and >= 0, got {self.alert_time_s}")
+        # simulate orders the pending alerts by -priority
+        if isinstance(self.priority, bool) or not isinstance(self.priority, (int, np.integer)):
+            raise ValueError(f"priority must be an integer, got {self.priority!r}")
 
 
 @dataclass(frozen=True)
@@ -551,13 +554,10 @@ def queue_report(result: SimulationResult, plan, scenario) -> dict:
 
 
 def write_trace_csv(result: SimulationResult, path: str) -> None:
-    fields = ["event_seq", "sensor_id", "alert_time_s", "priority", "uav_id",
-              "edge_id", "t_queue_s", "t_dispatch_travel_s", "t_tra_s",
-              "t_delivery_travel_s", "t_exe_s", "response_time_s",
-              "resume_waypoint", "deadline_met", "delivery_fallback",
-              "served_direct"]
+    """One row per trace, one column per ``EmergencyTrace`` field in order."""
+    names = [f.name for f in fields(EmergencyTrace)]
     with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=fields)
+        writer = csv.DictWriter(f, fieldnames=names)
         writer.writeheader()
         for tr in result.traces:
-            writer.writerow({k: getattr(tr, k) for k in fields})
+            writer.writerow({k: getattr(tr, k) for k in names})

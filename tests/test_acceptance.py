@@ -60,8 +60,8 @@ def _try_method(method, scenario, algo):
         if method == "greedy":
             return greedy_plan(scenario, algo)
         if method == "ga":
-            return ga_plan(scenario, algo, GaConfig(seed=algo.seed, **GA_ACC))
-        return pso_plan(scenario, algo, PsoConfig(seed=algo.seed, **PSO_ACC))
+            return ga_plan(scenario, algo, GaConfig(**GA_ACC))
+        return pso_plan(scenario, algo, PsoConfig(**PSO_ACC))
     except InfeasibleError:
         return None
 
@@ -79,8 +79,8 @@ def test_constraint_soundness():
                 greedy_plan(scenario, algo),
             ]
             for mk in (
-                lambda: ga_plan(scenario, algo, GaConfig(seed=s, **GA_FAST)),
-                lambda: pso_plan(scenario, algo, PsoConfig(seed=s, **PSO_FAST)),
+                lambda: ga_plan(scenario, algo, GaConfig(**GA_FAST)),
+                lambda: pso_plan(scenario, algo, PsoConfig(**PSO_FAST)),
             ):
                 try:
                     plans.append(mk())

@@ -35,8 +35,8 @@ from testutil import (blob, bound_scenarios, build_scenario, fleet_start, fleet_
                       outcomes, processes_where, unskip_fleet_sizes)
 
 # the GA/PSO budgets of the acceptance soundness sweep, seed 0
-GA_SMALL = GaConfig(population=16, generations=12, seed=0)
-PSO_SMALL = PsoConfig(swarm=10, iterations=15, seed=0)
+GA_SMALL = GaConfig(population=16, generations=12)
+PSO_SMALL = PsoConfig(swarm=10, iterations=15)
 
 
 def _oracle_eval(ws, scenario, algo, genes, order, m):
@@ -143,7 +143,7 @@ def _ga_search_oracle(ws, cfg, m, generations):
     Generator; appends each generation's (genes, priorities) to
     ``generations``."""
     n = ws.n
-    rng = np.random.default_rng(derive_seed(cfg.seed, f"ga-m{m}"))
+    rng = np.random.default_rng(derive_seed(ws.algo.seed, f"ga-m{m}"))
     genes = rng.integers(0, m, size=(cfg.population, n))
     prios = rng.random((cfg.population, n))
 
@@ -189,14 +189,15 @@ def _ga_search_oracle(ws, cfg, m, generations):
     return genes[best], orders[best], 0
 
 
-def _ga_workspace(n):
+def _ga_workspace(n, seed=0):
     """n UAV-served sensors (out of every edge's range, on a coarse grid so
-    tours and fitnesses tie) plus one direct sensor."""
+    tours and fitnesses tie) plus one direct sensor; searches seeded with
+    ``seed``."""
     points = [(1000.0 + 150.0 * (i % 4), 1000.0 + 150.0 * (i // 4)) for i in range(n)]
     sc = build_scenario([(10.0, 0.0, 5, 1.0, 100.0)]
                         + [(x, y, 10, 1.0, 100.0) for x, y in points],
                         [(0.0, 0.0, 5000.0), (3000.0, 0.0, 5000.0), (0.0, 3000.0, 5000.0)])
-    ws = _Workspace(sc, AlgoParams())
+    ws = _Workspace(sc, AlgoParams(seed=seed))
     assert ws.n == n
     return ws
 
@@ -211,9 +212,9 @@ def _ga_workspace(n):
 def test_ga_search_matches_per_pair_loop(seed, pop, n, m_kind, generations):
     """Every generation's genes and priorities and the search's result equal
     those of the per-pair child loop, bit for bit."""
-    ws = _ga_workspace(n)
+    ws = _ga_workspace(n, seed)
     m = {"one": 1, "two": 2, "past_n": n + 2}[m_kind]
-    cfg = GaConfig(population=pop, generations=generations, seed=seed)
+    cfg = GaConfig(population=pop, generations=generations)
     want_generations = []
     want = _ga_search_oracle(ws, cfg, m, want_generations)
 
@@ -346,9 +347,9 @@ def _plan_objective(pl, scenario, lam):
 
 def test_ga_generations_do_not_hurt():
     sc = _blob_scenario()
-    algo = AlgoParams()
-    p0 = ga_plan(sc, algo, GaConfig(population=12, generations=0, seed=4))
-    p8 = ga_plan(sc, algo, GaConfig(population=12, generations=8, seed=4))
+    algo = AlgoParams(seed=4)
+    p0 = ga_plan(sc, algo, GaConfig(population=12, generations=0))
+    p8 = ga_plan(sc, algo, GaConfig(population=12, generations=8))
     assert p0.m == p8.m == 1
     assert _plan_objective(p8, sc, algo.lam) <= _plan_objective(p0, sc, algo.lam) + 1e-9
 
@@ -405,7 +406,7 @@ def test_all_methods_feasible_small():
     plans = {
         "proposed": plan(sc, algo),
         "greedy": greedy_plan(sc, algo),
-        "ga": ga_plan(sc, algo, GaConfig(population=24, generations=25, seed=0)),
+        "ga": ga_plan(sc, algo, GaConfig(population=24, generations=25)),
         "pso": pso_plan(sc, algo, PSO_SMALL),
     }
     for name, pl in plans.items():
@@ -430,9 +431,9 @@ def test_all_methods_raise_on_capacity_wall():
     with pytest.raises(InfeasibleError):
         greedy_plan(sc, algo)
     with pytest.raises(InfeasibleError):
-        ga_plan(sc, algo, GaConfig(population=4, generations=2, seed=0))
+        ga_plan(sc, algo, GaConfig(population=4, generations=2))
     with pytest.raises(InfeasibleError):
-        pso_plan(sc, algo, PsoConfig(swarm=4, iterations=2, seed=0))
+        pso_plan(sc, algo, PsoConfig(swarm=4, iterations=2))
 
 
 def test_config_validation():

@@ -366,10 +366,11 @@ def test_compare_rejects_a_scenario_file_with_generator_flags(small_files, tmp_p
     assert not (tmp_path / "c").exists()
 
 
-def test_compare_zero_seeds(tmp_path):
+def test_compare_zero_seeds(tmp_path, capsys):
     rc = main(["compare", "--methods", "greedy", "--seeds", "0",
                "-o", str(tmp_path)])
     assert rc == 4
+    assert capsys.readouterr().out == ""    # no table
 
 
 def test_config_file_defaults_and_precedence(tmp_path):
@@ -499,7 +500,8 @@ def test_plan_rejects_non_finite_scenario_numbers(tmp_path, capsys, rows, index,
 @pytest.mark.parametrize("flag,field", [("--lam", "lam"), ("--epsilon-m", "epsilon_m"),
                                         ("--omega-h", "omega_h")])
 @pytest.mark.parametrize("command", [["plan", "-s", "x.json"],
-                                     ["simulate", "-s", "x.json", "-p", "p.json"],
+                                     ["compare", "--methods", "proposed", "--seeds", "1",
+                                      "--sweep-sensors", "20:40:20"],
                                      ["compare", "--methods", "proposed", "--seeds", "1",
                                       "--sensors", "20"]])
 def test_non_finite_algorithm_flag_is_a_usage_error(tmp_path, capsys, command, flag,
@@ -507,6 +509,21 @@ def test_non_finite_algorithm_flag_is_a_usage_error(tmp_path, capsys, command, f
     rc = main(command + [flag, value, "-o", str(tmp_path / "out")])
     assert rc == 2
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_SIMULATE = ["simulate", "-s", "x.json", "-p", "p.json"]
+
+
+@pytest.mark.parametrize("flag,value", [("--omega-h", "9"), ("--omega-d", "0.5"),
+                                        ("--omega-l", "0.5"), ("--lam", "5"),
+                                        ("--epsilon-m", "1"), ("--fleet-init", "coverage")])
+def test_simulate_takes_no_planning_flag(tmp_path, capsys, flag, value):
+    """simulate reads only --seed and --theta-max of the algorithm flags; the
+    six that only planning reads are unrecognized arguments."""
+    rc = main(_SIMULATE + [flag, value, "-o", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -782,6 +799,17 @@ _COMPARE = ["compare", "--methods", "greedy", "--seeds", "1"]
                  "--sensors 0: n_sensors must be >= 1, got 0", id="compare-sensors"),
     pytest.param(_COMPARE + ["--sweep-sensors", "20:40:20", "--edges", "-1"], 4,
                  "--edges -1: n_edges must be >= 1, got -1", id="compare-sweep-edges"),
+    pytest.param(_SIMULATE + ["--theta-max", "1.5"], 2,
+                 "--theta-max 1.5: theta_max must be in (0, 1], got 1.5", id="simulate-theta-max"),
+    pytest.param(_COMPARE + ["--sweep-sensors", "a:b:c"], 4,
+                 "--sweep-sensors a:b:c: must be START:STOP:STEP, three integers",
+                 id="compare-sweep-not-integers"),
+    pytest.param(_COMPARE + ["--sweep-sensors", "5:10"], 4,
+                 "--sweep-sensors 5:10: must be START:STOP:STEP, three integers",
+                 id="compare-sweep-two-parts"),
+    pytest.param(_COMPARE + ["--sweep-sensors", "10:5:1"], 4,
+                 "--sweep-sensors 10:5:1: need 1 <= START <= STOP and STEP >= 1",
+                 id="compare-sweep-descending"),
     pytest.param(["generate", "--sensors", "0"], 2,
                  "--sensors 0: n_sensors must be >= 1, got 0", id="generate-sensors"),
     pytest.param(["generate", "--edges", "0"], 2, "--edges 0: n_edges must be >= 1, got 0",

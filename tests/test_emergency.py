@@ -295,6 +295,22 @@ def test_event_needs_a_finite_alert_time(t):
         EmergencyEvent(0, t, 60)
 
 
+@pytest.mark.parametrize("priority", [None, "5", 2.5, True])
+def test_event_needs_an_integer_priority(priority):
+    """A priority simulate cannot order by -priority, or a bool, is rejected
+    when the event is built."""
+    with pytest.raises(ValueError, match="priority"):
+        EmergencyEvent(0, 10.0, priority)
+
+
+def test_event_takes_a_numpy_integer_priority(default_scenario, default_plan,
+                                             default_algo):
+    sid = next(iter(default_plan.clustering.assignment))
+    event = EmergencyEvent(sid, 10.0, np.int64(5))
+    res = simulate(default_plan, default_scenario, [event], 4000.0, default_algo)
+    assert res.traces[0].priority == 5
+
+
 def test_alert_past_horizon_rejected(default_scenario, default_plan,
                                      default_algo):
     events = [EmergencyEvent(0, 3600.0, 60), EmergencyEvent(3, 3600.5, 60)]
@@ -761,8 +777,8 @@ def bound_plans():
     sc = generate(GenConfig(n_sensors=80, n_edges=3, seed=1))
     algo = AlgoParams()
     return sc, {"proposed": plan(sc, algo), "greedy": greedy_plan(sc, algo),
-                "ga": ga_plan(sc, algo, GaConfig(seed=0, population=16, generations=12)),
-                "pso": pso_plan(sc, algo, PsoConfig(seed=0, swarm=10, iterations=15))}
+                "ga": ga_plan(sc, algo, GaConfig(population=16, generations=12)),
+                "pso": pso_plan(sc, algo, PsoConfig(swarm=10, iterations=15))}
 
 
 def _alert_every_uav_sensor(pl, sc, theta_max):

@@ -107,8 +107,8 @@ def plan_digests(name: str) -> dict[str, str]:
     idle = plan_at_fleet(sc, algo, len(sc.sensors) + 1)
     out[f"{name}/plan_at_fleet/idle"] = _plan_digest(idle, sc)
     out[f"{name}/greedy"] = _plan_digest(greedy_plan(sc, algo), sc)
-    out[f"{name}/ga"] = _plan_digest(ga_plan(sc, algo, GaConfig(seed=0, **GA_FAST)), sc)
-    out[f"{name}/pso"] = _plan_digest(pso_plan(sc, algo, PsoConfig(seed=0, **PSO_FAST)), sc)
+    out[f"{name}/ga"] = _plan_digest(ga_plan(sc, algo, GaConfig(**GA_FAST)), sc)
+    out[f"{name}/pso"] = _plan_digest(pso_plan(sc, algo, PsoConfig(**PSO_FAST)), sc)
     return out
 
 
@@ -120,8 +120,8 @@ def search_digests() -> dict[str, str]:
              "direct": (_all_direct(), GA_FAST, PSO_FAST)}
     for name, (sc, ga, pso) in cases.items():
         algo = AlgoParams()
-        out[f"{name}/ga"] = _plan_digest(ga_plan(sc, algo, GaConfig(seed=0, **ga)), sc)
-        out[f"{name}/pso"] = _plan_digest(pso_plan(sc, algo, PsoConfig(seed=0, **pso)), sc)
+        out[f"{name}/ga"] = _plan_digest(ga_plan(sc, algo, GaConfig(**ga)), sc)
+        out[f"{name}/pso"] = _plan_digest(pso_plan(sc, algo, PsoConfig(**pso)), sc)
     return out
 
 
@@ -152,9 +152,9 @@ def bindings() -> dict[str, list[str] | None]:
         out[f"{name}/proposed"] = _binding(lambda: plan(sc, algo))
         out[f"{name}/greedy"] = _binding(lambda: greedy_plan(sc, algo))
         out[f"{name}/ga"] = _binding(
-            lambda: ga_plan(sc, algo, GaConfig(population=4, generations=2, seed=0)))
+            lambda: ga_plan(sc, algo, GaConfig(population=4, generations=2)))
         out[f"{name}/pso"] = _binding(
-            lambda: pso_plan(sc, algo, PsoConfig(swarm=4, iterations=2, seed=0)))
+            lambda: pso_plan(sc, algo, PsoConfig(swarm=4, iterations=2)))
     # ten times wider, for the two methods that cluster each size once (GA
     # and PSO would search all 3000)
     wall = _capacity_wall(m_max=3000)

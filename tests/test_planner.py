@@ -298,8 +298,8 @@ def test_every_method_round_trips_through_the_structural_check(tmp_path):
     sc = generate(GenConfig(n_sensors=60, n_edges=3, seed=0))
     algo = AlgoParams()
     plans = [plan(sc, algo, Variant.NO_BOTH), plan_at_fleet(sc, algo, 61), greedy_plan(sc, algo),
-             ga_plan(sc, algo, GaConfig(population=8, generations=4, seed=0)),
-             pso_plan(sc, algo, PsoConfig(swarm=6, iterations=4, seed=0))]
+             ga_plan(sc, algo, GaConfig(population=8, generations=4)),
+             pso_plan(sc, algo, PsoConfig(swarm=6, iterations=4))]
     for k, pl in enumerate(plans):
         path = tmp_path / f"plan{k}.json"
         save_plan(pl, sc, str(path))
