@@ -65,7 +65,7 @@ from . import planner
 # looked up as planner.assign_direct: bench/tracer.py wraps those names
 from .edge_assignment import (assign_batch, assign_clusters, cluster_terms,  # noqa: F401
                               edge_distances, repair_overload)
-from .model import MB_TO_MBIT, AlgoParams, derive_seed
+from .model import MB_TO_MBIT, AlgoParams, derive_seed, distance_matrix
 from .planner import Plan, size_fleet
 from .routing import build_route, ordered_route
 from .timing import execution_time, transmission_time
@@ -122,7 +122,7 @@ class _Workspace:
         self.beta = scenario.beta_mi[self.uav_ids]
         self.cap = scenario.capacity
         self.d_se = edge_distances(scenario, self.uav_ids)
-        self.d_ss = np.linalg.norm(xy[:, None, :] - xy[None, :, :], axis=2)
+        self.d_ss = distance_matrix(xy, xy)
         self.t_tra_sum = (self.alpha * MB_TO_MBIT / p.data_rate_mbps).sum()
         # direct sensors contribute a constant to the service-time objective
         alpha, beta, cap = (c.tolist() for c in (scenario.alpha_mb, scenario.beta_mi,

@@ -18,9 +18,13 @@ Config files are flat key=value text (keys are flag names with underscores,
 are the paper's two ``compare`` runs.  Their values become the subcommand's
 parser defaults before argv is parsed again, so precedence is CLI flag >
 config file > built-in default for any spelling of a flag that argparse
-accepts, and a key the subcommand has no flag for exits 2.  All randomness
-flows from --seed through labeled sub-seed hashing, so repeated runs produce
-byte-identical outputs apart from the *_time_s timing columns.
+accepts, and a key the subcommand has no flag for exits 2.  ``compare -s
+FILE`` rejects a generator flag (``--sensors``, ``--edges``,
+``--sweep-sensors``) typed on the command line, but the same key from a
+config file yields to the fixed scenario, so a shipped config can be pointed
+at one.  All randomness flows from --seed through labeled sub-seed hashing,
+so repeated runs produce byte-identical outputs apart from the *_time_s
+timing columns.
 """
 
 from __future__ import annotations
@@ -300,9 +304,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     bad = [m for m in methods if m not in METHODS]
     repeated = [m for k, m in enumerate(methods) if m in methods[:k]]
-    # the generator flags given; a fixed scenario takes none of them
-    gen_given = [flag for flag, value in (("--sweep-sensors", args.sweep_sensors),
-                                          ("--sensors", args.sensors), ("--edges", args.edges))
+    # the generator flags given; a fixed scenario takes none of them, so with
+    # -s only those typed on argv count, and a config file's keys yield
+    given = args._argv if args.scenario else args
+    gen_given = [flag for flag, value in (("--sweep-sensors", given.sweep_sensors),
+                                          ("--sensors", given.sensors), ("--edges", given.edges))
                  if value is not None]
     spec_error = (
         f"unknown methods {bad}" if bad or not methods
@@ -316,11 +322,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     try:
         # --sensors is not read when --sweep-sensors is given, and a flag
         # not given keeps GenConfig's default
-        flags = ({"n_edges": "--edges"} if args.sweep_sensors
+        sweep = "--sweep-sensors" in gen_given
+        flags = ({"n_edges": "--edges"} if sweep
                  else {"n_sensors": "--sensors", "n_edges": "--edges"})
         base = _from_flags(GenConfig, args,
                            {field: flag for field, flag in flags.items() if flag in gen_given})
-        ns = _parse_sweep(args.sweep_sensors) if args.sweep_sensors else [base.n_sensors]
+        ns = _parse_sweep(args.sweep_sensors) if sweep else [base.n_sensors]
         gens = {n: replace(base, n_sensors=n) for n in ns}
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -522,11 +529,13 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = typed = parser.parse_args(argv)
         if args.config:
             # config values become defaults, so argv, parsed again, overrides them
             _config_as_defaults(args._parser, args.config)
             args = parser.parse_args(argv)
+        # the flags argv alone gave, before any config default
+        args._argv = typed
         # a bad algorithm or search flag is a usage error
         if hasattr(args, "theta_max"):
             _algo_from_args(args)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import link_ranges
+from .model import distance_matrix, link_ranges
 
 
 class RepairFailure(Exception):
@@ -81,7 +81,7 @@ def cluster_demand(beta_mi, t_period_s: float) -> float:
 
 def edge_distances(scenario, ids) -> np.ndarray:
     """(n, edges) distance from each of the sensors ``ids`` to every edge."""
-    return np.linalg.norm(scenario.xy[ids][:, None, :] - scenario.edge_xy[None, :, :], axis=2)
+    return distance_matrix(scenario.xy[ids], scenario.edge_xy)
 
 
 def cluster_terms(labels: np.ndarray, m: int, beta_mi, d_se, omega_d: float,

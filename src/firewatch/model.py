@@ -181,6 +181,17 @@ def column_distances(x, y, px, py, out: np.ndarray, scratch: np.ndarray) -> np.n
     return np.sqrt(out, out=out)
 
 
+def distance_matrix(a, b) -> np.ndarray:
+    """(len(a), len(b)) distances between the rows of two (., 2) point
+    arrays, one ``column_distances`` call broadcast over a's x/y columns:
+    the bits of ``np.linalg.norm(a[:, None] - b[None], axis=2)`` without its
+    (len(a), len(b), 2) temporary.  Neither input is written."""
+    a = np.asarray(a, dtype=float).reshape(-1, 2)
+    b = np.asarray(b, dtype=float).reshape(-1, 2)
+    out = np.empty((len(a), len(b)))
+    return column_distances(a[:, :1], a[:, 1:], b[:, 0], b[:, 1], out, np.empty_like(out))
+
+
 def link_ranges(p: PhysicalParams) -> tuple[float, float, float]:
     """Effective pairwise link ranges (r_sg, r_ge, r_se): each pair can talk
     up to the smaller of the two device ranges."""

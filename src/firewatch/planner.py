@@ -150,6 +150,13 @@ def _bound_breaks(depot_edge_id: int, ids: np.ndarray, scenario) -> bool:
     return _over_limits(lb, scenario.alpha_mb[ids].tolist(), scenario.physical)
 
 
+def _largest_first(members) -> list[int]:
+    """Cluster indices, most members first, ties by index: the order the
+    sizing loop takes the clusters' bounds in, the likeliest to break a
+    limit first.  ``any`` over the bounds answers the same in any order."""
+    return sorted(range(len(members)), key=lambda j: -len(members[j]))
+
+
 def _fleet_lower_bound(scenario, direct_map: dict[int, int], first: int) -> int:
     """The smallest fleet size from ``first`` up to m_max at which the
     spanning tree over the UAV-served sensors and every edge merged into one
@@ -191,9 +198,10 @@ def size_fleet(scenario, algo: AlgoParams, uav_ids: np.ndarray, direct_map: dict
     m revisit periods or m energy budgets.  Each m has its own clusters, so
     skipping these changes no plan.
     Below m_max an m is dropped without routing when a cluster's spanning-tree
-    bound already breaks a limit, and its routing stops at the first route
-    that breaks one; m_max is always tried and routed in full, so the binding
-    constraints come from complete routes.  ``at_m`` builds the
+    bound already breaks a limit, the bounds taken largest cluster first (ties
+    by index), which decides the same as any order; its routing stops at the
+    first route that breaks one; m_max is always tried and routed in full, so
+    the binding constraints come from complete routes.  ``at_m`` builds the
     plan at that one m without the gate (a failed repair keeps the
     unrepaired assignment; route limits go unchecked).  Raises
     InfeasibleError naming the constraints the last m failed, or ``binding``
@@ -232,7 +240,8 @@ def size_fleet(scenario, algo: AlgoParams, uav_ids: np.ndarray, direct_map: dict
         # below the ceiling a failed m only leads on to m + 1, so skip it as
         # soon as one cluster cannot meet the limits
         prune = gate and m < p.m_max
-        if prune and any(_bound_breaks(edges[j], members[j], scenario) for j in range(m)):
+        if prune and any(_bound_breaks(edges[j], members[j], scenario)
+                         for j in _largest_first(members)):
             continue
         routes = []
         for j in range(m):

@@ -2,17 +2,21 @@
 depot through every cluster member and back.
 
 Tours start nearest-neighbor and are optionally improved with
-first-improvement 2-opt (scan restarts after every applied move; the depot
-participates in leg costs but never moves).  The 2-opt scan evaluates the
-deltas of a block of rows at once and takes the first hit in row-major
-order, which is the move the row-by-row scan makes.  ``tour_lower_bound``
-is Prim's minimum spanning tree over one full-length distance vector, with
-the same picks and running sum as Prim over shrinking vectors.  Given
-several depots it merges them into one node, each point's distance to it
-the nearest depot's: closed tours from any of those depots, taken together,
-connect that node to every point, so their total length is at least the
-tree's.  The fleet-sizing loop uses this to skip fleet sizes no plan can
-meet.
+first-improvement 2-opt (the depot participates in leg costs but never
+moves).  Each move is the first strictly improving pair (i, k) in row-major
+order, the move a scan restarted at i = 1 after every reversal makes, but
+the scan does not restart: after reversing positions i..k, rows 1..i-1 are
+rescanned only in columns i-1..k, the only deltas there the move changed,
+and then rows i, i+1, ... in blocks that grow from a few rows, since the
+next move is most often a row or two past the last.  Distances are held in
+tour order, so a reversal reverses the matrix's rows and columns and each
+block's deltas are sums of slices.  ``tour_lower_bound`` is Prim's minimum
+spanning tree over one full-length distance vector, with the same picks and
+running sum as Prim over shrinking vectors.  Given several depots it merges
+them into one node, each point's distance to it the nearest depot's: closed
+tours from any of those depots, taken together, connect that node to every
+point, so their total length is at least the tree's.  The fleet-sizing loop
+uses this to skip fleet sizes no plan can meet.
 """
 
 from __future__ import annotations
@@ -21,12 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PhysicalParams, MB_TO_MBIT, column_distances
+from .model import PhysicalParams, MB_TO_MBIT, column_distances, distance_matrix
 
 # strictly-improving moves only; tiny negative guard keeps float noise from
 # cycling through equal-length tours
 _IMPROVE_EPS = 1e-9
-# rows i of the 2-opt scan whose deltas are evaluated in one array
+# rows i of the 2-opt scan whose deltas are evaluated in one array: the
+# first block after a move, doubling up to the largest
+_FIRST_BLOCK = 8
 _BLOCK = 64
 
 
@@ -105,53 +111,68 @@ def tour_lower_bound(depot_xy, xy: np.ndarray) -> float:
 def two_opt(depot_xy, xy: np.ndarray, order: list[int]) -> list[int]:
     """First-improvement 2-opt over the closed tour (depot fixed).
 
-    Scans (i, k) pairs in ascending order, applies the first strictly
-    improving segment reversal, and restarts until no move improves.  Leg
-    costs come from one distance matrix over the depot and the points; the
-    deltas of _BLOCK rows i are evaluated at once, and the first hit in
-    row-major order is the move a row-by-row scan would make.
+    Applies the first strictly improving segment reversal (i, k) in
+    row-major order until no move improves: each move is the one a scan
+    restarted at i = 1 would find, with the same deltas bit for bit.  The
+    scan that found (i, k) saw no improving move in rows 1..i-1, and a
+    reversal of positions i..k changes a delta there only in columns
+    i-1..k, so those rows are rescanned in that band alone; without a hit
+    there, rows i, i+1, ... follow in blocks of _FIRST_BLOCK rows doubling
+    up to _BLOCK, whose first hit in row-major order is the move.  ``d``
+    holds the distances between tour positions, the depot again as column
+    n, built once and reversed with each move, so a block's deltas are
+    sums of slices.
     """
     if len(order) < 2:
         return list(order)
     pts = np.vstack([np.asarray(depot_xy, dtype=float),
                      np.asarray(xy, dtype=float)[order]])
-    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     n = len(pts)                      # tour positions 0..n-1, 0 = depot
+    d = distance_matrix(pts, np.vstack([pts, pts[:1]]))
+    legs = d.diagonal(1)              # legs[k] = d[k, k + 1], a view of d
     tour = np.arange(n)
     # row r of a block starting at i0 is i = i0 + r and column j is
     # k = i0 + 1 + j, so k > i is j >= r
     later = ~np.tri(_BLOCK, n, -1, dtype=bool)
     first = later.copy()
     first[0, n - 3] = False           # i = 1, k = n-1: the pair shares the depot
-    nxt = np.roll(tour, -1)           # tour[(k + 1) % n]
-    legs = dist[tour, nxt]            # dist[t[k], t[k+1]]
-    improved = True
-    while improved:
-        improved = False
-        for i0 in range(1, n - 1, _BLOCK):
-            i1 = min(i0 + _BLOCK, n - 1)
-            a, b = tour[i0 - 1:i1 - 1], tour[i0:i1]
-            c, d_next = tour[i0 + 1:], nxt[i0 + 1:]
-            # dist[a, c] + dist[b, d] - dist[a, b] - dist[c, d], left to right
-            delta = dist[a][:, c]
-            delta += dist[b][:, d_next]
+    start = lo = hi = 1               # rows 1..start-1 to rescan in columns lo..hi
+    while True:
+        # d[i-1, k] + d[i, k+1] - d[i-1, i] - d[k, k+1], left to right
+        move = None
+        if start > 1:
+            delta = d[:start - 1, lo:hi + 1] + d[1:start, lo + 1:hi + 2]
+            delta -= legs[:start - 1, None]
+            delta -= legs[lo:hi + 1]
+            delta[-1, 0] = np.inf     # i = k = start - 1
+            if hi == n - 1:
+                delta[0, -1] = np.inf     # i = 1, k = n-1
+            hit = np.flatnonzero(delta < -_IMPROVE_EPS)
+            if hit.size:
+                r, j = divmod(int(hit[0]), hi + 1 - lo)
+                move = 1 + r, lo + j
+        i0, size = start, _FIRST_BLOCK
+        while move is None and i0 < n - 1:
+            i1 = min(i0 + size, n - 1)
+            delta = d[i0 - 1:i1 - 1, i0 + 1:n] + d[i0:i1, i0 + 2:]
             delta -= legs[i0 - 1:i1 - 1, None]
             delta -= legs[i0 + 1:]
             valid = (first if i0 == 1 else later)[:i1 - i0, :n - i0 - 1]
             hit = np.flatnonzero((delta < -_IMPROVE_EPS) & valid)
             if hit.size:
                 r, j = divmod(int(hit[0]), n - i0 - 1)
-                i, k = i0 + r, i0 + 1 + j
-                tour[i:k + 1] = tour[i:k + 1][::-1]
-                # only the legs from position i - 1 through k changed
-                nxt[i - 1:k] = tour[i:k + 1]
-                legs[i - 1:k + 1] = dist[tour[i - 1:k + 1], nxt[i - 1:k + 1]]
-                improved = True
-                break
+                move = i0 + r, i0 + 1 + j
+            i0, size = i1, min(2 * size, _BLOCK)
+        if move is None:
+            break
+        i, k = move
+        tour[i:k + 1] = tour[i:k + 1][::-1]
+        d[i:k + 1] = d[i:k + 1][::-1]
+        d[:, i:k + 1] = d[:, i:k + 1][:, ::-1]
+        start, lo, hi = i, i - 1, k
 
     # map tour positions back to the caller's ordering
-    out = [order[t - 1] for t in tour[1:]]
-    return out
+    return [order[t - 1] for t in tour[1:]]
 
 
 def route_energy(length_m: float, member_alpha_mb, p: PhysicalParams) -> float:

@@ -26,7 +26,7 @@ from firewatch.baselines import (
     greedy_plan,
     pso_plan,
 )
-from firewatch.model import MB_TO_MBIT, AlgoParams, PhysicalParams, derive_seed
+from firewatch.model import MB_TO_MBIT, AlgoParams, PhysicalParams, Variant, derive_seed
 from firewatch.planner import InfeasibleError, plan, plan_to_doc, validate_plan
 from firewatch.routing import nearest_neighbor_tour, tour_length
 from firewatch.scenario import GenConfig, generate
@@ -596,3 +596,22 @@ def test_a_killed_worker_breaks_that_call_only(monkeypatch):
     assert not processes_where("ppid", os.getpid())
     assert planner.plan_to_doc(ga_plan(sc, algo, GA_SMALL), sc) == inline
     assert baselines._pool is not None
+
+
+def test_bound_order_changes_no_plan(monkeypatch):
+    """The sizing loop takes the clusters' bounds largest first; in index
+    order every plan and binding is the same, on the bound scenarios and on
+    the capacity wall, for the proposed planner in each variant and greedy."""
+    scenarios = {**bound_scenarios(), "capacity-wall": _capacity_wall()}
+    makers = [lambda sc, v=v: plan(sc, AlgoParams(), v) for v in Variant]
+    makers.append(lambda sc: greedy_plan(sc, AlgoParams()))
+    bounds = []
+    real = planner.tour_lower_bound
+    monkeypatch.setattr(planner, "tour_lower_bound",
+                        lambda depot, xy: bounds.append(len(xy)) or real(depot, xy))
+    got = [outcomes(make, scenarios) for make in makers]
+    largest_first = len(bounds)
+    monkeypatch.setattr(planner, "_largest_first", lambda members: range(len(members)))
+    assert [outcomes(make, scenarios) for make in makers] == got
+    # index order took more bounds (695 against 565), so the orders differed
+    assert len(bounds) - largest_first > largest_first

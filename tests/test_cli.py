@@ -366,6 +366,38 @@ def test_compare_rejects_a_scenario_file_with_generator_flags(small_files, tmp_p
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("config", ["headline", "scalability"])
+def test_config_generator_keys_yield_to_a_scenario_file(small_files, tmp_path, capsys,
+                                                        config):
+    """A shipped config's sensors or sweep key is not a flag the user typed:
+    with -s it yields to the fixed scenario, whose 40 sensors are planned."""
+    scen, _ = small_files
+    cfg = Path(__file__).resolve().parents[1] / "scripts" / f"{config}.cfg"
+    out = tmp_path / "c"
+    rc = main(["compare", "--config", str(cfg), "-s", str(scen), "--seeds", "1",
+               "--ga-pop", "4", "--ga-gens", "1", "--pso-swarm", "2", "--pso-iters", "1",
+               "-o", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    with open(out / "means.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [(r["n_sensors"], r["method"]) for r in rows] == [
+        ("40", m) for m in ("proposed", "ga", "pso", "greedy")]
+
+
+def test_typed_generator_flag_with_a_config_and_scenario_file(small_files, tmp_path, capsys):
+    """--sensors typed on the command line is still an error with -s, and the
+    message names it alone, not the config file's keys."""
+    scen, _ = small_files
+    cfg = Path(__file__).resolve().parents[1] / "scripts" / "headline.cfg"
+    rc = main(["compare", "--config", str(cfg), "--sensors", "100", "-s", str(scen),
+               "--seeds", "1", "-o", str(tmp_path / "c")])
+    assert rc == 4
+    assert capsys.readouterr().err == (
+        "error: -s/--scenario fixes the sensors and edges; it cannot be combined with "
+        "--sensors\n")
+    assert not (tmp_path / "c").exists()
+
+
 def test_compare_zero_seeds(tmp_path, capsys):
     rc = main(["compare", "--methods", "greedy", "--seeds", "0",
                "-o", str(tmp_path)])

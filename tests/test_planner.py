@@ -22,6 +22,7 @@ from firewatch.planner import (
     write_route_csv,
 )
 from firewatch.routing import build_route, ordered_route, route_energy, tour_lower_bound
+from firewatch.scenario import GenConfig, generate
 from testutil import (blob, bound_scenarios, brute_force_tour_optimum, build_scenario,
                       fleet_start, fleet_tree_bound, outcomes, unskip_fleet_sizes)
 
@@ -189,6 +190,19 @@ def test_fleet_bound_above_the_ceiling_tries_only_the_ceiling(monkeypatch):
         plan(sc, AlgoParams())
     assert tried == [3, 1, 2, 3]
     assert unskipped.value.binding == err.value.binding
+
+
+def test_large_plan_takes_nine_bounds_largest_first(monkeypatch):
+    """On the 600-sensor input (generator seed 0, m_max 60, planner seed 0)
+    the whole-fleet bound and the clusters' bounds, largest first, are 9
+    spanning trees over 1,820 points; in index order they were 12 over
+    2,212."""
+    sc = generate(GenConfig(n_sensors=600, seed=0), PhysicalParams(m_max=60))
+    sizes = []
+    monkeypatch.setattr(planner, "tour_lower_bound",
+                        lambda depot, xy: sizes.append(len(xy)) or tour_lower_bound(depot, xy))
+    assert plan(sc, AlgoParams(seed=0)).m == 5
+    assert (len(sizes), sum(sizes)) == (9, 1820)
 
 
 def test_returned_fleet_is_minimal(default_scenario, default_algo, default_plan):

@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import event, example, given
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from firewatch.model import PhysicalParams
+from firewatch.model import PhysicalParams, distance_matrix
 from firewatch.routing import (
     _BLOCK,
+    _FIRST_BLOCK,
     _IMPROVE_EPS,
     build_route,
     nearest_neighbor_tour,
@@ -195,9 +196,12 @@ def test_tour_lower_bound_equals_dense_mst(depot, points):
                                                         rel=1e-12, abs=1e-9)
 
 
-def _two_opt_oracle(depot_xy, xy, order):
+def _two_opt_oracle(depot_xy, xy, order, seen=None):
     """The row-by-row first-improvement scan that two_opt's block scan must
-    reproduce move for move."""
+    reproduce move for move.  ``seen``, when given, collects what the scan
+    met: "band" (a move in a row before the last move's), "i=1" and "k=n-1"
+    (moves at either tour end) and "excluded" (the pair (1, n-1), which
+    shares the depot, with a delta below -_IMPROVE_EPS)."""
     if len(order) < 2:
         return list(order)
     pts = np.vstack([np.asarray(depot_xy, dtype=float),
@@ -205,6 +209,8 @@ def _two_opt_oracle(depot_xy, xy, order):
     dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     n = len(pts)
     tour = np.arange(n)
+    seen = set() if seen is None else seen
+    last = n
     improved = True
     while improved:
         improved = False
@@ -212,6 +218,9 @@ def _two_opt_oracle(depot_xy, xy, order):
             a, b = tour[i - 1], tour[i]
             ks = np.arange(i + 1, n)
             if i == 1 and ks[-1] == n - 1:
+                c = tour[n - 1]
+                if dist[a, c] + dist[b, 0] - dist[a, b] - dist[c, 0] < -_IMPROVE_EPS:
+                    seen.add("excluded")
                 ks = ks[:-1]
                 if ks.size == 0:
                     continue
@@ -221,7 +230,10 @@ def _two_opt_oracle(depot_xy, xy, order):
             hit = np.flatnonzero(delta < -_IMPROVE_EPS)
             if hit.size:
                 k = int(ks[hit[0]])
+                seen.update(case for case, met in (("band", i < last), ("i=1", i == 1),
+                                                   ("k=n-1", k == n - 1)) if met)
                 tour[i:k + 1] = tour[i:k + 1][::-1]
+                last = i
                 improved = True
                 break
     return [order[t - 1] for t in tour[1:]]
@@ -291,6 +303,110 @@ def test_two_opt_finds_a_move_past_the_second_block():
     p = 2 * _BLOCK + 10
     order[p], order[p + 1] = order[p + 1], order[p]
     assert two_opt(depot, xy, order) == _two_opt_oracle(depot, xy, order) == list(range(n))
+
+
+def _rescan_cases(n, seed, kind, shuffled):
+    """two_opt's tour of a test_two_opt_matches_row_by_row_oracle input, the
+    oracle's, and the cases the oracle's scan met: its ``seen`` ones, plus
+    "short" (a tour with a move and fewer rows than the first block),
+    "coincident" (one with a move and two points, or a point and the depot,
+    in one place) and "huge" (the 1e9-m kind with a zero delta, the excluded
+    pair's, rounded below -_IMPROVE_EPS)."""
+    depot, xy = _points(n, seed, kind)
+    if shuffled:
+        order = np.random.default_rng(seed).permutation(n).tolist()
+    else:
+        order = nearest_neighbor_tour(depot, xy)
+    seen = set()
+    want = _two_opt_oracle(depot, xy, order, seen)
+    moved = bool(seen - {"excluded"})
+    pts = np.vstack([depot, xy])
+    if moved and n - 1 < _FIRST_BLOCK:
+        seen.add("short")
+    if moved and len(np.unique(pts, axis=0)) < len(pts):
+        seen.add("coincident")
+    if kind == "huge" and "excluded" in seen:
+        seen.add("huge")
+    return two_opt(depot, xy, order), want, seen
+
+
+_RESCAN_CASES = {"band", "i=1", "k=n-1", "excluded", "short", "coincident", "huge"}
+_RESCAN_EXAMPLES = [
+    (3, 3, "huge", True),          # every case but coincident points
+    (6, 34, "grid", True),         # coincident points, band moves, both ends
+    (2 * _BLOCK + 9, 1, "km", True),
+    (2 * _BLOCK + 9, 2, "grid", False),
+]
+
+
+def test_rescan_examples_reach_every_case():
+    reached = set().union(*(_rescan_cases(*ex)[2] for ex in _RESCAN_EXAMPLES))
+    assert reached == _RESCAN_CASES
+
+
+@given(st.one_of(st.integers(0, _FIRST_BLOCK), st.integers(0, 3 * _BLOCK)),
+       st.integers(0, 2**32 - 1), _kinds, st.booleans())
+def test_two_opt_rescan_makes_the_restarted_scans_moves(n, seed, kind, shuffled):
+    """Rescanning the band a move changed, then the rows from the move's on
+    in growing blocks, ends in the tour of the scan restarted at i = 1."""
+    got, want, seen = _rescan_cases(n, seed, kind, shuffled)
+    for case in sorted(seen):
+        event(case)
+    assert got == want
+
+
+for _ex in _RESCAN_EXAMPLES:
+    test_two_opt_rescan_makes_the_restarted_scans_moves = example(*_ex)(
+        test_two_opt_rescan_makes_the_restarted_scans_moves)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@given(st.integers(0, 3 * _BLOCK), st.integers(0, 2**32 - 1), _kinds)
+@example(0, 0, "km")
+@example(1, 0, "huge")
+@example(13, 16, "grid")
+def test_distance_matrix_is_the_norm_bit_for_bit(n, seed, kind):
+    depot, xy = _points(n, seed, kind)
+    pts = np.vstack([depot, xy])
+    for a, b in ((pts, pts), (xy, pts[:3]), (pts[:1], xy), (pts, pts[::-1].T.copy().T)):
+        want = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+        assert _same_bits(distance_matrix(a, b), want)
+
+
+def _unchanged_after(call, *args):
+    before = [np.array(a, copy=True) if isinstance(a, np.ndarray) else list(a) for a in args]
+    call(*args)
+    for was, now in zip(before, args):
+        if isinstance(now, np.ndarray):
+            assert _same_bits(np.ascontiguousarray(now), was)
+        else:
+            assert list(now) == was
+
+
+@given(st.lists(_point, max_size=12), st.lists(_point, min_size=1, max_size=3),
+       st.booleans(), st.data())
+@example([], [(0.0, 0.0)], True, None)
+@example([(5.0, 5.0)], [(0.0, 0.0)], True, None)
+@example([(5.0, 5.0)], [(0.0, 0.0), (9.0, 9.0)], False, None)
+def test_routing_kernels_leave_their_inputs_alone(points, depots, transposed, data):
+    """(0, 2) and (1, 2) arrays, transposed views of (2, n) arrays and order
+    lists come back as they were given: no kernel writes into its input."""
+    xy, depots = _xy(points), _xy(depots)
+    if transposed:
+        xy, depots = np.ascontiguousarray(xy.T).T, np.ascontiguousarray(depots.T).T
+    n = len(xy)
+    order = (data.draw(st.permutations(range(n))) if data is not None
+             else list(range(n)))
+    depot = depots[0]
+    _unchanged_after(nearest_neighbor_tour, depot, xy)
+    _unchanged_after(two_opt, depot, xy, order)
+    _unchanged_after(two_opt, depots[:1], xy, order)
+    _unchanged_after(tour_lower_bound, depot, xy)
+    _unchanged_after(tour_lower_bound, depots, xy)
+    assert _same_bits(depots[0], depot)
 
 
 @given(st.integers(0, 3 * _BLOCK), st.integers(0, 2**32 - 1), _kinds)
