@@ -8,8 +8,8 @@ naming the JSON path of the field, for example ``plan routes[0].waypoints[3]``;
 a bad flag or config value exits 2 naming the flag or config key.
 
 Each subcommand declares only the flags it reads: ``plan`` and ``compare``
-take the eight algorithm flags and the four GA/PSO budgets, ``simulate``
-only ``--seed`` and ``--theta-max``.  ``compare`` prints one row per
+take the seven planning flags and the four GA/PSO budgets, ``simulate`` only
+``--seed`` and ``--theta-max``.  ``compare`` prints one row per
 (sensor count, method) from the aggregates it writes, and the fleet growth
 factors of a sweep, before its closing summary line.
 
@@ -88,14 +88,15 @@ def _config_as_defaults(parser: argparse.ArgumentParser, path: str) -> None:
 # --------------------------------------------------------------- shared flags
 
 def _add_algo_flags(sp: argparse.ArgumentParser, planning: bool = True) -> None:
-    """--seed and --theta-max, the two algorithm flags simulate reads, and
-    with ``planning`` the six that only planning reads."""
+    """--seed and, with ``planning``, the six flags only planning reads, the
+    seven ``plan`` and ``compare`` take; without it --theta-max, the delivery
+    cap only simulate reads."""
     d = AlgoParams()
     sp.add_argument("--seed", type=int, default=d.seed,
                     help="base seed (all sub-seeds derive from it)")
-    sp.add_argument("--theta-max", type=float, default=d.theta_max,
-                    help="delivery-edge utilization cap")
     if not planning:
+        sp.add_argument("--theta-max", type=float, default=d.theta_max,
+                        help="delivery-edge utilization cap")
         return
     sp.add_argument("--omega-h", type=float, default=d.omega_h, help="fire-history weight")
     sp.add_argument("--omega-d", type=float, default=d.omega_d,
@@ -537,7 +538,7 @@ def main(argv: list[str] | None = None) -> int:
         # the flags argv alone gave, before any config default
         args._argv = typed
         # a bad algorithm or search flag is a usage error
-        if hasattr(args, "theta_max"):
+        if hasattr(args, "fleet_init") or hasattr(args, "theta_max"):
             _algo_from_args(args)
         if hasattr(args, "ga_pop"):
             _search_from_args(args)

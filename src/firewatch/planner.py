@@ -49,7 +49,11 @@ from .routing import Route, build_route, ordered_route, route_energy, tour_lower
 PLAN_SCHEMA_VERSION = 1
 
 # a fleet size is skipped only when the tour bound breaks a limit by more
-# than this relative margin, so rounding never rejects a feasible m
+# than this relative margin.  The bound's distances (a complex modulus) and
+# the routes' (np.linalg.norm's bits) may round apart by an ulp each, far
+# less: a feasible m's tours are at least the exact tree, so no feasible m
+# is skipped, and an m skipped under either rounding has a route over a
+# limit, so the rounding changes no plan
 _BOUND_RTOL = 1e-9
 
 

@@ -12,11 +12,15 @@ next move is most often a row or two past the last.  Distances are held in
 tour order, so a reversal reverses the matrix's rows and columns and each
 block's deltas are sums of slices.  ``tour_lower_bound`` is Prim's minimum
 spanning tree over one full-length distance vector, with the same picks and
-running sum as Prim over shrinking vectors.  Given several depots it merges
-them into one node, each point's distance to it the nearest depot's: closed
-tours from any of those depots, taken together, connect that node to every
-point, so their total length is at least the tree's.  The fleet-sizing loop
-uses this to skip fleet sizes no plan can meet.
+running sum as Prim over shrinking vectors, its distances the complex
+modulus ``abs(z - z_pick)`` over the points as one column ``z = x + 1j*y``.
+That modulus can differ from the ``np.linalg.norm`` bits of 2-opt, nearest
+neighbour and tour lengths in the last bit, which the fleet-sizing loop's
+relative margin absorbs.  Given several depots it merges them into one
+node, each point's distance to it the nearest depot's: closed tours from any
+of those depots, taken together, connect that node to every point, so their
+total length is at least the tree's.  The fleet-sizing loop uses this to
+skip fleet sizes no plan can meet.
 """
 
 from __future__ import annotations
@@ -86,25 +90,31 @@ def tour_lower_bound(depot_xy, xy: np.ndarray) -> float:
     each point's nearest depot: no set of closed tours from those depots
     that visits every point is shorter in total.  Prim's algorithm over one
     full-length vector of distances to the tree, O(n) work and memory per
-    step, each step's distances computed on x/y columns into two reused
-    buffers: a point joins the tree by becoming infinitely far from
-    everything, so ties still go to the lowest index.
+    step.  The points are one complex column ``z = x + 1j*y``, so a step is
+    three ufunc calls into reused buffers: the distances to the point that
+    just joined, ``abs(z - z_pick)``, and their minimum with the tree's.  A
+    point joins the tree by moving to z = inf, infinitely far from
+    everything, so ties still go to the lowest index.  The complex modulus
+    is not ``column_distances``'s sqrt(dx*dx + dy*dy) and may differ from it
+    in the last bit, so the tree may too, by far less than the planner's
+    relative margin ``_BOUND_RTOL``.
     """
     pts = np.asarray(xy, dtype=float).reshape(-1, 2)
     n = len(pts)
-    x, y = pts[:, 0].copy(), pts[:, 1].copy()
-    dx, dy = np.empty(n), np.empty(n)
-    (ex, ey), *more = np.asarray(depot_xy, dtype=float).reshape(-1, 2).tolist()
-    to_tree = column_distances(x, y, ex, ey, dx, dy).copy()
-    for ex, ey in more:
-        np.minimum(to_tree, column_distances(x, y, ex, ey, dx, dy), out=to_tree)
+    z = np.empty(n, dtype=complex)
+    z.real, z.imag = pts[:, 0], pts[:, 1]
+    buf, d = np.empty(n, dtype=complex), np.empty(n)
+    to_tree = np.full(n, np.inf)
+    for ex, ey in np.asarray(depot_xy, dtype=float).reshape(-1, 2).tolist():
+        np.minimum(to_tree, np.abs(np.subtract(z, complex(ex, ey), out=buf), out=d),
+                   out=to_tree)
     total = 0.0
     for _ in range(n):
         pick = int(to_tree.argmin())
         total += float(to_tree[pick])
-        px, py = x[pick], y[pick]
-        x[pick] = to_tree[pick] = np.inf
-        np.minimum(to_tree, column_distances(x, y, px, py, dx, dy), out=to_tree)
+        z_pick = z[pick]
+        z[pick] = to_tree[pick] = np.inf
+        np.minimum(to_tree, np.abs(np.subtract(z, z_pick, out=buf), out=d), out=to_tree)
     return total
 
 

@@ -32,7 +32,7 @@ from firewatch.routing import nearest_neighbor_tour, tour_length
 from firewatch.scenario import GenConfig, generate
 from firewatch.timing import all_responses, execution_time, transmission_time
 from testutil import (blob, bound_scenarios, build_scenario, fleet_start, fleet_tree_bound,
-                      outcomes, processes_where, unskip_fleet_sizes)
+                      norm_tour_lower_bound, outcomes, processes_where, unskip_fleet_sizes)
 
 # the GA/PSO budgets of the acceptance soundness sweep, seed 0
 GA_SMALL = GaConfig(population=16, generations=12)
@@ -615,3 +615,37 @@ def test_bound_order_changes_no_plan(monkeypatch):
     assert [outcomes(make, scenarios) for make in makers] == got
     # index order took more bounds (695 against 565), so the orders differed
     assert len(bounds) - largest_first > largest_first
+
+
+def test_norm_bound_changes_no_plan(monkeypatch):
+    """With the norm Prim's bound in place of the complex modulus's, the gate
+    sees every bound within a relative 1e-12 and decides the same, and every
+    plan and binding is the same: on the bound scenarios, whose rings fly
+    within 0.1% of their limits, and on the capacity wall, for the proposed
+    planner in each variant and greedy, and on the 600-sensor input
+    (generator seed 0, m_max 60)."""
+    scenarios = {**bound_scenarios(), "capacity-wall": _capacity_wall()}
+    makers = [lambda sc, v=v: plan(sc, AlgoParams(), v) for v in Variant]
+    makers.append(lambda sc: greedy_plan(sc, AlgoParams()))
+    large = generate(GenConfig(n_sensors=600, seed=0), PhysicalParams(m_max=60))
+    real_over_limits, gate = planner._over_limits, []
+
+    def over_limits(lb, *args):
+        gate.append((lb, real_over_limits(lb, *args)))
+        return gate[-1][1]
+
+    def run():
+        gate.clear()
+        return ([outcomes(make, scenarios) for make in makers],
+                plan_to_doc(plan(large, AlgoParams(seed=0)), large)), list(gate)
+
+    monkeypatch.setattr(planner, "_over_limits", over_limits)
+    got, got_gate = run()
+    monkeypatch.setattr(planner, "tour_lower_bound", norm_tour_lower_bound)
+    want, want_gate = run()
+    assert got == want
+    assert [skip for _, skip in got_gate] == [skip for _, skip in want_gate]
+    assert [lb for lb, _ in got_gate] == pytest.approx([lb for lb, _ in want_gate],
+                                                       rel=1e-12, abs=0.0)
+    # the gate skips fleet sizes here, so a bound that never skips would fail
+    assert any(skip for _, skip in got_gate)

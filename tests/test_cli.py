@@ -559,6 +559,22 @@ def test_simulate_takes_no_planning_flag(tmp_path, capsys, flag, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["plan", "-s", "x.json"],
+                                     ["compare", "--methods", "greedy", "--seeds", "1"]])
+def test_planning_takes_no_theta_max(tmp_path, capsys, command):
+    """plan and compare never read the delivery cap: --theta-max is an
+    unrecognized argument there, and theta_max an unknown config key."""
+    rc = main(command + ["--theta-max", "0.5", "-o", str(tmp_path / "out")])
+    assert rc == 2
+    assert "unrecognized arguments: --theta-max 0.5" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theta_max = 0.5\n")
+    rc = main(command + ["--config", str(cfg), "-o", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"unknown config key 'theta_max' in {cfg}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("sensor_id", [9999, 40, -1])
 def test_simulate_rejects_an_event_at_an_unknown_sensor(small_files, tmp_path, capsys,
                                                         sensor_id):

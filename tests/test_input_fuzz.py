@@ -25,11 +25,11 @@ from hypothesis import strategies as st
 from firewatch.cli import main
 
 N_SENSORS, N_EDGES, HORIZON_S = 40, 3, 7200.0
-CONFIG = {"seed": "3", "omega_h": "1.5", "lam": "0.1", "theta_max": "0.8",
-          "fleet_init": "one", "ga_pop": "50", "pso_iters": "100"}
+CONFIG = {"seed": "3", "omega_h": "1.5", "lam": "0.1", "fleet_init": "one",
+          "ga_pop": "50", "pso_iters": "100"}
 # a config value of the right type that the flag's range rejects
-CONFIG_OUT_OF_RANGE = {"omega_h": "-1", "lam": "-1", "theta_max": "1.5",
-                       "fleet_init": "most", "ga_pop": "1", "pso_iters": "-1"}
+CONFIG_OUT_OF_RANGE = {"omega_h": "-1", "lam": "-1", "fleet_init": "most", "ga_pop": "1",
+                       "pso_iters": "-1"}
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from firewatch.routing import (
     tour_lower_bound,
     two_opt,
 )
-from testutil import brute_force_tour_optimum, build_scenario, nearest_neighbor_tour_oracle
+from testutil import (brute_force_tour_optimum, build_scenario, nearest_neighbor_tour_oracle,
+                      norm_tour_lower_bound)
 
 
 def test_tour_length_square():
@@ -239,24 +241,36 @@ def _two_opt_oracle(depot_xy, xy, order, seen=None):
     return [order[t - 1] for t in tour[1:]]
 
 
-def _tour_lower_bound_oracle(depot_xy, xy):
-    """Prim over shrinking vectors, one np.delete per step: the pick order and
-    the running sum tour_lower_bound must reproduce bit for bit.  Several
-    depots start as each point's distance to the nearest."""
+def _prim_oracle(depot_xy, xy, dist):
+    """Prim over shrinking vectors, one np.delete per step, each point's
+    distances to the rows of ``rest`` given by ``dist(rest, point)``.
+    Several depots start as each point's distance to the nearest."""
     rest = np.asarray(xy, dtype=float).reshape(-1, 2)
     if len(rest) == 0:
         return 0.0
     depots = np.asarray(depot_xy, dtype=float).reshape(-1, 2)
-    to_tree = np.min([np.linalg.norm(rest - d, axis=1) for d in depots], axis=0)
+    to_tree = np.min([dist(rest, d) for d in depots], axis=0)
     total = 0.0
     while len(rest):
         pick = int(np.argmin(to_tree))
         total += float(to_tree[pick])
         cur = rest[pick]
         rest = np.delete(rest, pick, axis=0)
-        to_tree = np.minimum(np.delete(to_tree, pick),
-                             np.linalg.norm(rest - cur, axis=1))
+        to_tree = np.minimum(np.delete(to_tree, pick), dist(rest, cur))
     return total
+
+
+def _tour_lower_bound_oracle(depot_xy, xy):
+    """Prim with np.linalg.norm distances: the spanning tree tour_lower_bound
+    must agree with to a relative 1e-12."""
+    return _prim_oracle(depot_xy, xy, lambda rest, p: np.linalg.norm(rest - p, axis=1))
+
+
+def _complex_bound_oracle(depot_xy, xy):
+    """Prim with complex-modulus distances: the pick order and the running
+    sum tour_lower_bound must reproduce bit for bit."""
+    return _prim_oracle(depot_xy, xy, lambda rest, p: np.abs(
+        (rest[:, 0] + 1j * rest[:, 1]) - complex(p[0], p[1])))
 
 
 def _points(n, seed, kind):
@@ -414,22 +428,49 @@ def test_routing_kernels_leave_their_inputs_alone(points, depots, transposed, da
 @example(1, 0, "grid")
 @example(3, 0, "grid")
 @example(13, 16, "grid")
+# one point whose complex modulus and norm differ in the last bit
+@example(1, 1, "km")
 def test_tour_lower_bound_matches_prim_oracle(n, seed, kind):
-    """One depot, as an (x, y) pair or a (1, 2) array, gives the oracle's
+    """One depot, as an (x, y) pair or a (1, 2) array, gives the complex
+    oracle's bits and the norm oracle's tree to a relative 1e-12; the norm
+    Prim the planner's gate was checked against gives the norm oracle's
     bits."""
     depot, xy = _points(n, seed, kind)
-    want = _tour_lower_bound_oracle(depot, xy)
+    want = _complex_bound_oracle(depot, xy)
     assert tour_lower_bound(depot, xy) == want
     assert tour_lower_bound(np.array([depot]), xy) == want
+    norm = _tour_lower_bound_oracle(depot, xy)
+    assert want == pytest.approx(norm, rel=1e-12, abs=0.0)
+    assert norm_tour_lower_bound(depot, xy) == norm
 
 
 @given(st.integers(0, 3 * _BLOCK), st.integers(0, 2**32 - 1), _kinds,
        st.integers(2, 5))
 @example(13, 16, "grid", 3)
+@example(1, 1, "km", 2)
 def test_multi_depot_bound_matches_prim_oracle(n, seed, kind, k):
     depot, xy = _points(n + k - 1, seed, kind)
-    depots = np.vstack([depot, xy[n:]])
-    assert tour_lower_bound(depots, xy[:n]) == _tour_lower_bound_oracle(depots, xy[:n])
+    depots, xy = np.vstack([depot, xy[n:]]), xy[:n]
+    want = _complex_bound_oracle(depots, xy)
+    assert tour_lower_bound(depots, xy) == want
+    norm = _tour_lower_bound_oracle(depots, xy)
+    assert want == pytest.approx(norm, rel=1e-12, abs=0.0)
+    assert norm_tour_lower_bound(depots, xy) == norm
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_tour_lower_bound_memory_is_linear(k):
+    """At 3,000 points the bound allocates well under 1 MB at its peak, with
+    one depot or five: a distance matrix over them would take 72 MB."""
+    rng = np.random.default_rng(3)
+    xy, depots = rng.uniform(0.0, 2e4, size=(3000, 2)), rng.uniform(0.0, 2e4, size=(k, 2))
+    tracemalloc.start()
+    try:
+        tour_lower_bound(depots, xy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @given(_point, st.lists(_point, max_size=40))

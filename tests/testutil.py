@@ -15,7 +15,7 @@ from firewatch.edge_assignment import EdgeLoadState, RepairFailure, cluster_dema
 from firewatch import emergency
 from firewatch.emergency import select_delivery_edge
 from firewatch.model import (EdgeNode, PhysicalParams, Point2D, RequestProfile, Sensor,
-                             derive_seed, link_ranges)
+                             column_distances, derive_seed, link_ranges)
 from firewatch.routing import tour_length, tour_lower_bound
 from firewatch.scenario import GenConfig, Scenario, ScenarioMeta, generate
 
@@ -121,6 +121,28 @@ def bound_scenarios():
     out["rings-revisit"] = _rings(t_max_s=1042.0)
     out["rings-energy"] = _rings(e_max_wh=29.0)
     return out
+
+
+def norm_tour_lower_bound(depot_xy, xy: np.ndarray) -> float:
+    """``routing.tour_lower_bound`` before its distances became a complex
+    modulus: the same Prim over one full-length vector, each step's
+    distances ``column_distances``, the bits of ``np.linalg.norm``."""
+    pts = np.asarray(xy, dtype=float).reshape(-1, 2)
+    n = len(pts)
+    x, y = pts[:, 0].copy(), pts[:, 1].copy()
+    dx, dy = np.empty(n), np.empty(n)
+    (ex, ey), *more = np.asarray(depot_xy, dtype=float).reshape(-1, 2).tolist()
+    to_tree = column_distances(x, y, ex, ey, dx, dy).copy()
+    for ex, ey in more:
+        np.minimum(to_tree, column_distances(x, y, ex, ey, dx, dy), out=to_tree)
+    total = 0.0
+    for _ in range(n):
+        pick = int(to_tree.argmin())
+        total += float(to_tree[pick])
+        px, py = x[pick], y[pick]
+        x[pick] = to_tree[pick] = np.inf
+        np.minimum(to_tree, column_distances(x, y, px, py, dx, dy), out=to_tree)
+    return total
 
 
 def fleet_tree_bound(scenario) -> float:
