@@ -10,12 +10,12 @@ import sys
 import numpy as np
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=int, default=20)
     ap.add_argument("--sensors", type=int, default=200)
     ap.add_argument("-o", "--out-dir", default="results/ablation")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     for flag in ("seeds", "sensors"):
         if getattr(args, flag) < 1:
             ap.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")

@@ -493,17 +493,23 @@ def _searched_ahead(search, ws: _Workspace, cfg, m_max: int):
             future.cancel()
 
 
+def _search_plan(search, scenario, algo: AlgoParams, cfg, method: str,
+                 binding: list[str]) -> Plan:
+    """The fleet-sizing loop over ``search``'s clusters, each routed in the
+    order it gives; ``binding`` names what failed at the fleet ceiling."""
+    t0 = time.perf_counter()
+    ws = _Workspace(scenario, algo)
+    with _searched_ahead(search, ws, cfg, scenario.physical.m_max) as clusters_at:
+        return size_fleet(scenario, algo, ws.uav_ids, ws.direct_map, ws.load0, clusters_at,
+                          ordered_route, method=method, t0=t0, variant="-", at_m=None,
+                          binding=binding)
+
+
 def ga_plan(scenario, algo: AlgoParams, cfg: GaConfig | None = None) -> Plan:
     """Genetic-algorithm baseline: joint cluster-assignment + visit-priority
     chromosome per fleet size, penalty-driven feasibility."""
-    cfg = cfg if cfg is not None else GaConfig()
-    t0 = time.perf_counter()
-    ws = _Workspace(scenario, algo)
-    with _searched_ahead(_ga_search, ws, cfg, scenario.physical.m_max) as clusters_at:
-        return size_fleet(scenario, algo, ws.uav_ids, ws.direct_map, ws.load0, clusters_at,
-                          ordered_route, method="ga", seed=algo.seed, t0=t0, variant="-",
-                          at_m=None,
-                          binding=["revisit period, energy budget, or edge capacity"])
+    return _search_plan(_ga_search, scenario, algo, cfg if cfg is not None else GaConfig(),
+                        "ga", ["revisit period, energy budget, or edge capacity"])
 
 
 def _pso_search(ws: _Workspace, cfg: PsoConfig, m: int):
@@ -556,13 +562,8 @@ def _pso_search(ws: _Workspace, cfg: PsoConfig, m: int):
 def pso_plan(scenario, algo: AlgoParams, cfg: PsoConfig | None = None) -> Plan:
     """Particle-swarm baseline: continuous cluster-assignment positions with
     round-half-up decode and nearest-neighbor visit orders."""
-    cfg = cfg if cfg is not None else PsoConfig()
-    t0 = time.perf_counter()
-    ws = _Workspace(scenario, algo)
-    with _searched_ahead(_pso_search, ws, cfg, scenario.physical.m_max) as clusters_at:
-        return size_fleet(scenario, algo, ws.uav_ids, ws.direct_map, ws.load0, clusters_at,
-                          ordered_route, method="pso", seed=algo.seed, t0=t0, variant="-",
-                          at_m=None, binding=["no feasible particle"])
+    return _search_plan(_pso_search, scenario, algo, cfg if cfg is not None else PsoConfig(),
+                        "pso", ["no feasible particle"])
 
 
 def greedy_plan(scenario, algo: AlgoParams) -> Plan:
@@ -584,5 +585,5 @@ def greedy_plan(scenario, algo: AlgoParams) -> Plan:
 
     return size_fleet(scenario, algo, uav_ids, direct_map, load0, clusters_at,
                       functools.partial(build_route, use_two_opt=False),
-                      method="greedy", seed=algo.seed, t0=t0, variant="-", at_m=None,
+                      method="greedy", t0=t0, variant="-", at_m=None,
                       binding=None)

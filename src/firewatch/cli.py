@@ -24,7 +24,7 @@ FILE`` rejects a generator flag (``--sensors``, ``--edges``,
 config file yields to the fixed scenario, so a shipped config can be pointed
 at one.  All randomness flows from --seed through labeled sub-seed hashing,
 so repeated runs produce byte-identical outputs apart from the *_time_s
-timing columns.
+timing columns.  A config file is UTF-8 and names each key once.
 """
 
 from __future__ import annotations
@@ -63,26 +63,36 @@ METHODS = ("proposed", "ga", "pso", "greedy")
 
 def _config_as_defaults(parser: argparse.ArgumentParser, path: str) -> None:
     """Make each key=value of the config file at ``path`` the default of
-    ``parser``'s flag of that name, converted and checked as argparse would."""
+    ``parser``'s flag of that name, converted and checked as argparse would.
+    A key may appear once; a file that is not UTF-8 raises InputError."""
     by_dest = {a.dest: a for a in parser._actions if a.option_strings}
-    with open(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InputError(f"{path}:{lineno}: expected key=value")
-            key, text = (part.strip() for part in line.split("=", 1))
-            action = by_dest.get(key)
-            if action is None or key in ("config", "help"):
-                parser.error(f"unknown config key {key!r} in {path}")
-            try:
-                value = (action.type or str)(text)
-            except ValueError:
-                parser.error(f"config key {key!r}: invalid value {text!r}")
-            if action.choices is not None and value not in action.choices:
-                parser.error(f"config key {key!r}: invalid choice {text!r}")
-            parser.set_defaults(**{key: value})
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = list(f)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    seen: dict[str, int] = {}
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InputError(f"{path}:{lineno}: expected key=value")
+        key, text = (part.strip() for part in line.split("=", 1))
+        action = by_dest.get(key)
+        if action is None or key in ("config", "help"):
+            parser.error(f"unknown config key {key!r} in {path}")
+        if key in seen:
+            parser.error(f"config key {key!r} given twice in {path}, "
+                         f"lines {seen[key]} and {lineno}")
+        seen[key] = lineno
+        try:
+            value = (action.type or str)(text)
+        except ValueError:
+            parser.error(f"config key {key!r}: invalid value {text!r}")
+        if action.choices is not None and value not in action.choices:
+            parser.error(f"config key {key!r}: invalid choice {text!r}")
+        parser.set_defaults(**{key: value})
 
 
 # --------------------------------------------------------------- shared flags
@@ -552,7 +562,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (InputError, OSError, json.JSONDecodeError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except KeyboardInterrupt:

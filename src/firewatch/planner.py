@@ -179,7 +179,7 @@ def _fleet_lower_bound(scenario, direct_map: dict[int, int], first: int) -> int:
 
 
 def size_fleet(scenario, algo: AlgoParams, uav_ids: np.ndarray, direct_map: dict[int, int],
-               load0: EdgeLoadState, clusters_at, route, *, method: str, seed: int,
+               load0: EdgeLoadState, clusters_at, route, *, method: str,
                t0: float, variant: str, at_m: int | None,
                binding: list[str] | None) -> Plan:
     """The fleet-sizing loop shared by every planning method.
@@ -273,7 +273,7 @@ def size_fleet(scenario, algo: AlgoParams, uav_ids: np.ndarray, direct_map: dict
                     assignment=Assignment(direct_map=direct_map,
                                           cluster_map=dict(enumerate(edges)), load=load),
                     routes=routes, planning_time_s=time.perf_counter() - t0,
-                    method=method, variant=variant, seed=seed)
+                    method=method, variant=variant, seed=algo.seed)
     raise InfeasibleError(p.m_max, binding or failed)
 
 
@@ -306,7 +306,7 @@ def _proposed(scenario, algo: AlgoParams, variant: Variant, at_m: int | None) ->
         route = functools.partial(build_route, use_two_opt=False)
     return size_fleet(scenario, algo, uav_ids, direct_map, load0,
                       lambda m: _cluster_for_m(uav_ids, m, scenario, algo, variant),
-                      route, method="proposed", seed=algo.seed, t0=t0,
+                      route, method="proposed", t0=t0,
                       variant=variant.value, at_m=at_m, binding=None)
 
 

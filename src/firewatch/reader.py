@@ -21,9 +21,14 @@ class InputError(ValueError):
 def read(path: str, schema_version: int, name: str) -> Doc:
     """The JSON document at ``path``, whose ``schema_version`` field must be
     ``schema_version``; ``name`` (for example ``"plan "``) starts every error
-    message about it."""
-    with open(path) as f:
-        doc = Doc(json.load(f), name, "")
+    message about it.  Text that is not UTF-8 JSON, nests too deep or holds
+    an integer literal too long to convert raises InputError naming ``path``."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            value = json.load(f)
+    except (ValueError, RecursionError) as exc:     # JSONDecodeError, UnicodeDecodeError
+        raise InputError(f"{path}: {exc}") from None
+    doc = Doc(value, name, "")
     version = doc["schema_version"]
     if version.integer() != schema_version:
         version.fail(f"unsupported value {version.value!r}, expected {schema_version}")

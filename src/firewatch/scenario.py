@@ -211,8 +211,8 @@ def _placed(row: Doc, k: int, side: float) -> Point2D:
 def load_scenario(path: str) -> Scenario:
     """Load and validate a scenario document.
 
-    Raises InputError naming the offending field on semantic problems;
-    json.JSONDecodeError (with line info) on malformed JSON.
+    Raises InputError naming the offending field on semantic problems, and
+    naming the file (with line info) on text that is not UTF-8 JSON.
     """
     doc = read(path, SCHEMA_VERSION, "")
 

@@ -6,7 +6,11 @@ family cannot meet on this implementation fail here honestly rather than
 being relaxed; the numbers in the printed line are the evidence.
 """
 
+import csv
+import importlib.util
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,25 +18,18 @@ import pytest
 from firewatch.baselines import GaConfig, PsoConfig, ga_plan, greedy_plan, pso_plan
 from firewatch.clustering import coverage_improvement_check
 from firewatch.cli import main
-from firewatch.emergency import (
-    emergency_response_bound,
-    generate_events,
-    simulate,
-)
 from firewatch.model import AlgoParams, Variant
-from firewatch.planner import InfeasibleError, plan, plan_at_fleet, validate_plan
+from firewatch.planner import InfeasibleError, plan, validate_plan
 from firewatch.routing import nearest_neighbor_tour, tour_length, two_opt
 from firewatch.scenario import GenConfig, generate
-from firewatch.timing import mean_response
 from testutil import brute_force_tour_optimum
 
+ROOT = Path(__file__).resolve().parents[1]
 N_SEEDS = 20
-HORIZON_S = 86400.0
+METHODS = ("proposed", "ga", "pso", "greedy")
 
-# search budgets for the baseline metaheuristics in the long criteria
-GA_ACC = dict(population=30, generations=40)
-PSO_ACC = dict(swarm=20, iterations=40)
-# smaller budgets for the 100-scenario soundness sweep
+# budgets for the 100-scenario soundness sweep; the long criteria judge the
+# shipped reproduction (scripts/), which alone sets their sizes and budgets
 GA_FAST = dict(population=16, generations=12)
 PSO_FAST = dict(swarm=10, iterations=15)
 
@@ -53,17 +50,34 @@ def default_cases():
     return cases
 
 
-def _try_method(method, scenario, algo):
-    try:
-        if method == "proposed":
-            return plan(scenario, algo)
-        if method == "greedy":
-            return greedy_plan(scenario, algo)
-        if method == "ga":
-            return ga_plan(scenario, algo, GaConfig(**GA_ACC))
-        return pso_plan(scenario, algo, PsoConfig(**PSO_ACC))
-    except InfeasibleError:
-        return None
+def _script(name: str):
+    """The module of ``scripts/<name>.py``."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _compare(config: str, out: Path) -> tuple[dict, float]:
+    """``firewatch compare --config scripts/<config>.cfg`` into ``out``: its
+    summary.json and the seconds it took."""
+    t0 = time.perf_counter()
+    main(["compare", "--config", str(ROOT / "scripts" / f"{config}.cfg"), "-o", str(out)])
+    dt = time.perf_counter() - t0
+    return json.loads((out / "summary.json").read_text()), dt
+
+
+@pytest.fixture(scope="module")
+def drills():
+    """run_emergency.py's drill at its defaults under each dispatch policy:
+    per policy, one (plan, scenario, result, bound) per seed."""
+    script = _script("run_emergency")
+    out = {policy: list(script.drill(script.parser().parse_args(["--policy", policy])))
+           for policy in ("nearest", "own_cluster")}
+    for runs in out.values():
+        assert len(runs) == N_SEEDS
+        assert all(len(sc.xy) == 200 and len(res.traces) == 5 for _, sc, res, _ in runs)
+    return out
 
 
 def test_constraint_soundness():
@@ -144,15 +158,11 @@ def test_coverage_improvement(default_cases):
             f"strict {strict}/{N_SEEDS} (need >= 18)")
 
 
-def test_emergency_response_bound(default_cases):
+def test_emergency_response_bound(drills):
     """Own-cluster dispatch: every simulated response within the analytic
     worst case (tolerance 1e-6 s)."""
     total = over = queued = 0
-    for s, scenario, algo, pl in default_cases:
-        bound = emergency_response_bound(pl, scenario, algo.theta_max)
-        events = generate_events(scenario, pl, 5, HORIZON_S, seed=s)
-        result = simulate(pl, scenario, events, HORIZON_S, algo,
-                          dispatch_policy="own_cluster")
+    for _, _, result, bound in drills["own_cluster"]:
         for tr in result.traces:
             total += 1
             queued += tr.t_queue_s > 0.0
@@ -162,14 +172,11 @@ def test_emergency_response_bound(default_cases):
             f"{over}/{total} responses above bound, {queued} queued")
 
 
-def test_emergency_deadline(default_cases):
+def test_emergency_deadline(drills):
     """Mean emergency response over 20 seeds x 5 high-risk events vs the
     300 s urgent deadline."""
-    responses = []
-    for s, scenario, algo, pl in default_cases:
-        events = generate_events(scenario, pl, 5, HORIZON_S, seed=s)
-        result = simulate(pl, scenario, events, HORIZON_S, algo)
-        responses.extend(t.response_time_s for t in result.traces)
+    responses = [t.response_time_s for _, _, result, _ in drills["nearest"]
+                 for t in result.traces]
     mean = float(np.mean(responses))
     ok = mean <= 300.0
     _report("emergency-deadline", ok,
@@ -177,40 +184,27 @@ def test_emergency_deadline(default_cases):
             f"(deadline 300s)")
 
 
-def test_normal_impact(default_cases):
+def test_normal_impact(drills):
     """Patrol service degradation from absorbing 5 emergencies stays
     within 5%."""
-    fracs = []
-    for s, scenario, algo, pl in default_cases:
-        events = generate_events(scenario, pl, 5, HORIZON_S, seed=s)
-        result = simulate(pl, scenario, events, HORIZON_S, algo)
-        fracs.append(result.impact.delta_fraction)
+    fracs = [result.impact.delta_fraction for _, _, result, _ in drills["nearest"]]
     mean, worst = float(np.mean(fracs)), float(np.max(fracs))
     ok = mean <= 0.05 and worst <= 0.05
     _report("normal-impact", ok,
             f"mean +{mean * 100:.2f}%, worst +{worst * 100:.2f}% (cap 5%)")
 
 
-def test_method_ordering(default_cases):
+def test_method_ordering(tmp_path):
     """Proposed beats GA, PSO, and Greedy on mean response, energy, and
     fleet, with >= 50% margins on response and energy vs Greedy. < 30 min."""
-    t0 = time.perf_counter()
-    metrics = {m: {"resp": [], "energy": [], "fleet": [], "done": 0}
-               for m in ("proposed", "ga", "pso", "greedy")}
-    for s, scenario, algo, pl in default_cases:
-        for name in metrics:
-            got = pl if name == "proposed" else _try_method(name, scenario, algo)
-            if got is None:
-                continue
-            metrics[name]["done"] += 1
-            metrics[name]["resp"].append(mean_response(got, scenario))
-            metrics[name]["energy"].append(sum(r.energy_wh for r in got.routes))
-            metrics[name]["fleet"].append(got.m)
-    dt = time.perf_counter() - t0
-
-    means = {name: {k: float(np.mean(v[k])) if v[k] else float("nan")
-                    for k in ("resp", "energy", "fleet")}
-             for name, v in metrics.items()}
+    summary, dt = _compare("headline", tmp_path)
+    assert (summary["seeds"], summary["n_sensors"]) == (N_SEEDS, [200])
+    # a method with no completed seed has no entry: 0 completions, NaN means
+    none = {"seeds_ok": 0, "mean_response_s": np.nan, "total_energy_wh": np.nan, "fleet": np.nan}
+    aggs = {m: summary["means"].get(f"n=200,method={m}", none) for m in METHODS}
+    done = {m: a["seeds_ok"] for m, a in aggs.items()}
+    means = {m: {"resp": a["mean_response_s"], "energy": a["total_energy_wh"],
+                 "fleet": a["fleet"]} for m, a in aggs.items()}
     p = means["proposed"]
     clauses = []
     for base in ("ga", "pso", "greedy"):
@@ -225,24 +219,22 @@ def test_method_ordering(default_cases):
     clauses.append(("energy 50% vs greedy", ener_cut >= 0.5))
     clauses.append(("runtime", dt < 1800.0))
     failed = [n for n, ok in clauses if not ok]
-    done = {n: v["done"] for n, v in metrics.items()}
     _report("method-ordering", not failed,
             f"completions {done}, response cut vs greedy {resp_cut * 100:.1f}% "
             f"energy cut {ener_cut * 100:.1f}% (need >= 50%), "
             f"unmet: {failed or 'none'}, {dt:.0f}s (cap 1800s)")
 
 
-def test_ablation_ordering(default_cases):
+def test_ablation_ordering(tmp_path):
     """At the full planner's fleet size: FULL <= NO_2OPT <= NO_KMEANS <=
     NO_BOTH on >= 18/20 seeds; dropping weighted clustering hurts more
     than dropping 2-opt on every seed."""
+    assert _script("run_ablation").main(["-o", str(tmp_path)]) == 0
+    with open(tmp_path / "ablation.csv", newline="") as f:
+        rows = [{v: float(row[v.value]) for v in Variant} for row in csv.DictReader(f)]
+    assert len(rows) == N_SEEDS
     chain_ok = kmeans_worse = 0
-    for s, scenario, algo, pl in default_cases:
-        resp = {}
-        for v in Variant:
-            arm = pl if v is Variant.FULL else plan_at_fleet(scenario, algo,
-                                                             pl.m, variant=v)
-            resp[v] = mean_response(arm, scenario)
+    for resp in rows:
         tol = 1e-9
         chain_ok += (resp[Variant.FULL] <= resp[Variant.NO_2OPT] + tol
                      and resp[Variant.NO_2OPT] <= resp[Variant.NO_KMEANS] + tol
@@ -254,32 +246,19 @@ def test_ablation_ordering(default_cases):
             f"kmeans-removal worse {kmeans_worse}/{N_SEEDS} (need {N_SEEDS})")
 
 
-def test_scalability():
+def test_scalability(tmp_path):
     """100 -> 300 sensors: proposed fleet growth below every baseline's,
     and proposed planning under 5 s at 300 sensors."""
-    ns = (100, 200, 300)
-    seeds = (0, 1, 2)
-    fleets = {m: {n: [] for n in ns} for m in ("proposed", "ga", "pso", "greedy")}
-    plan_time_300 = 0.0
-    for n in ns:
-        for s in seeds:
-            scenario = generate(GenConfig(n_sensors=n, seed=s))
-            algo = AlgoParams(seed=s)
-            for name in fleets:
-                got = _try_method(name, scenario, algo)
-                if got is None:
-                    continue
-                fleets[name][n].append(got.m)
-                if name == "proposed" and n == 300:
-                    plan_time_300 = max(plan_time_300, got.planning_time_s)
+    summary, _ = _compare("scalability", tmp_path)
+    assert (summary["seeds"], summary["n_sensors"]) == (3, [100, 200, 300])
+    # compare reports the mean planning time; the cap is on the slowest seed
+    n = summary["n_sensors"][-1]
+    plan_time_300 = max(plan(generate(GenConfig(n_sensors=n, seed=s)),
+                             AlgoParams(seed=s)).planning_time_s
+                        for s in range(summary["seeds"]))
 
-    def growth(name):
-        lo, hi = fleets[name][ns[0]], fleets[name][ns[-1]]
-        if not lo or not hi:
-            return None
-        return float(np.mean(hi)) / float(np.mean(lo))
-
-    g = {name: growth(name) for name in fleets}
+    # a method with no plan at either end has no growth factor: undefined
+    g = {m: summary["fleet_growth_factor"].get(m) for m in METHODS}
     ordered = all(g[b] is not None and g["proposed"] < g[b]
                   for b in ("ga", "pso", "greedy"))
     ok = ordered and plan_time_300 < 5.0

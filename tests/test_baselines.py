@@ -465,7 +465,7 @@ def test_greedy_fleet_sizes_below_the_bound_break_a_limit(monkeypatch):
             pass
         for m in range(1, fleet_start(sc)):
             pl = real(sc, algo, seen["uav_ids"], seen["direct_map"], seen["load0"],
-                      seen["clusters_at"], seen["route"], method="greedy", seed=0, t0=0.0,
+                      seen["clusters_at"], seen["route"], method="greedy", t0=0.0,
                       variant="-", at_m=m, binding=None)
             assert any(r.revisit_s > p.t_max_s or r.energy_wh > p.e_max_wh
                        for r in pl.routes), (name, m)

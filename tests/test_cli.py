@@ -87,14 +87,20 @@ def test_plan_variant_requires_proposed(small_files, tmp_path, capsys):
     assert "variant" in capsys.readouterr().err
 
 
-def test_plan_infeasible_exit_code(tmp_path, capsys):
+def _capacity_wall(tmp_path) -> Path:
+    """A scenario file of three sensors whose compute no fleet up to
+    m_max = 3 fits on the one edge."""
     sc = build_scenario(
         [(3000.0, 0.0, 0, 1.0, 1e6), (3200.0, 0.0, 0, 1.0, 1e6),
          (3400.0, 0.0, 0, 1.0, 1e6)],
         [(0.0, 0.0, 10.0)], PhysicalParams(m_max=3))
     path = tmp_path / "wall.json"
     save_scenario(sc, str(path))
-    rc = main(["plan", "-s", str(path), "-o", str(tmp_path / "out")])
+    return path
+
+
+def test_plan_infeasible_exit_code(tmp_path, capsys):
+    rc = main(["plan", "-s", str(_capacity_wall(tmp_path)), "-o", str(tmp_path / "out")])
     assert rc == 3
     assert "infeasible" in capsys.readouterr().err
 
@@ -398,6 +404,28 @@ def test_typed_generator_flag_with_a_config_and_scenario_file(small_files, tmp_p
     assert not (tmp_path / "c").exists()
 
 
+def test_compare_exits_3_when_a_cell_has_no_plan(tmp_path, capsys):
+    """No method plans the capacity wall, so its one cell has no plan."""
+    rc = main(["compare", "-s", str(_capacity_wall(tmp_path)), "--methods", "proposed,greedy",
+               "--seeds", "1", "-o", str(tmp_path / "out")])
+    assert rc == 3
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert [f["method"] for f in summary["failures"]] == ["proposed", "greedy"]
+    assert "compare: 0/2 cells ok, 2 failures" in capsys.readouterr().out
+
+
+def test_compare_records_a_method_failure_where_another_plans(tmp_path, capsys):
+    """A GA with no generations finds no feasible plan, but the proposed
+    planner plans the cell, so compare exits 0 and records GA's failure."""
+    rc = main(["compare", "--methods", "proposed,ga", "--seeds", "1", "--ga-pop", "2",
+               "--ga-gens", "0", "-o", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert [(f["method"], f["seed"]) for f in summary["failures"]] == [("ga", 0)]
+    assert list(summary["means"]) == ["n=200,method=proposed"]
+    assert "compare: 1/2 cells ok, 1 failures" in capsys.readouterr().out
+
+
 def test_compare_zero_seeds(tmp_path, capsys):
     rc = main(["compare", "--methods", "greedy", "--seeds", "0",
                "-o", str(tmp_path)])
@@ -441,6 +469,28 @@ def test_config_file_unknown_key(tmp_path, capsys):
     rc = main(["generate", "--config", str(cfg),
                "-o", str(tmp_path / "x.json")])
     assert rc == 2
+
+
+def test_config_file_repeated_key(tmp_path, capsys):
+    """A key given twice is a usage error naming it and both lines, not a
+    silent last-one-wins."""
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("seed = 1\n# comment\nsensors = 30\nseed = 2\n")
+    rc = main(["generate", "--config", str(cfg), "-o", str(tmp_path / "x.json")])
+    assert rc == 2
+    assert f"config key 'seed' given twice in {cfg}, lines 1 and 4" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_config_file_not_utf8(tmp_path, capsys):
+    """A config file that is not UTF-8 is a bad file: exit 1 naming it."""
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_bytes(b"seed = 1\n\xff\n")
+    rc = main(["generate", "--config", str(cfg), "-o", str(tmp_path / "x.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
 
 
 def test_config_file_missing(tmp_path):
@@ -797,6 +847,36 @@ def test_plan_rejects_a_mistyped_scenario_field(small_files, tmp_path, capsys, f
     assert f"error: {field}:" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# input files the JSON decoder cannot read: not UTF-8 (a UTF-16 byte-order
+# mark), nested past the recursion limit, an integer literal past the
+# int-from-string digit limit, and cut off mid-object
+UNREADABLE = {
+    "utf16-bom": b"\xff\xfe{\x00}\x00",
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+    "long-integer": b'{"schema_version": ' + b"1" * 5000 + b"}",
+    "truncated": b'{"schema_version": 1, ',
+}
+
+
+@pytest.mark.parametrize("text", list(UNREADABLE.values()), ids=list(UNREADABLE))
+@pytest.mark.parametrize("kind", ["scenario", "plan", "events"])
+def test_unreadable_input_file_exits_1_naming_it(small_files, tmp_path, capsys, kind, text):
+    """A scenario, plan or events file the decoder cannot read exits 1 with
+    one line naming that file, not a traceback."""
+    scen, plan_dir = small_files
+    bad = tmp_path / f"{kind}.json"
+    bad.write_bytes(text)
+    argv = {"scenario": ["plan", "-s", str(bad)],
+            "plan": ["simulate", "-s", str(scen), "-p", str(bad)],
+            "events": ["simulate", "-s", str(scen), "-p", str(plan_dir / "plan.json"),
+                       "--events", str(bad)]}[kind]
+    rc = main(argv + ["-o", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err[:500]
+    assert "Traceback" not in err
 
 
 def test_simulate_rejects_an_event_past_the_horizon(small_files, tmp_path, capsys):

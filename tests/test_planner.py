@@ -140,7 +140,7 @@ def test_routing_stops_at_first_route_over_a_limit():
             r, revisit_s=scenario.physical.t_max_s + 1.0)
 
     pl = size_fleet(sc, AlgoParams(), uav_ids, direct_map, load0, clusters_at, route,
-                    method="t", seed=0, t0=0.0, variant="-", at_m=None, binding=None)
+                    method="t", t0=0.0, variant="-", at_m=None, binding=None)
     assert pl.m == 3
     assert calls == [(1, 0), (2, 0), (3, 0), (3, 1), (3, 2)]
 
@@ -401,7 +401,7 @@ def test_cluster_members_match_per_cluster_masks(small_scenario, variant):
             routed.clear()
             pl = size_fleet(sc, algo, ids, direct_map, load0,
                             lambda m: planner._cluster_for_m(ids, m, sc, algo, variant), route,
-                            method="t", seed=0, t0=0.0, variant="-", at_m=m, binding=None)
+                            method="t", t0=0.0, variant="-", at_m=m, binding=None)
             want, want_iterations = _cluster_for_m_oracle(ids, m, sc, algo, variant)
             assert pl.clustering.iterations_run == want_iterations
             assert sorted(routed) == list(range(m))
