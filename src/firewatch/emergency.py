@@ -16,7 +16,9 @@ server is free.  The pass has one loop per policy: under "nearest" it pops
 the one pending heap while a UAV is free and the dispatch rule picks among
 the free UAVs; under "own_cluster" it takes the best top alert of the
 heaps whose own UAV is free.  Events at direct sensors are served straight
-from the edge, with terms from ``timing.all_responses``.
+from the edge, with terms from ``timing.all_responses``.  With one UAV
+free, the dispatch rule returns it without a distance.  Each trace's
+fields are stored straight into its instance dict, in field order.
 
 What depends on the plan and scenario alone is kept with the pair's
 response-term table, which ``timing.all_responses`` memoizes per pair:
@@ -27,10 +29,13 @@ expected wait, the in-contact window, the resume leg (waypoint, its arc,
 edge-to-waypoint metres) of each (UAV, delivery edge) pair, which
 ``queue_report`` reads too, and the delivery leg (edge, fallback, travel
 and execution seconds) of each (sensor, theta_max) pair, which
-``emergency_response_bound`` reads too.  The patrol phases (drawn from the
-call's seed), the event timeline and the mask of alert sensors left out of
-the normal-service means stay per call.  ``queue_report`` derives the queue
-waits, pending depth and UAV busy time from a result afterwards.
+``emergency_response_bound`` reads too.  One slot holds what the
+normal-service means read of the sensors outside the last alerted set:
+their count, the baseline mean, and their totals less the wait term and
+clusters; daily drills alert the same sensors.  The patrol phases (drawn
+from the call's seed) and the event timeline stay per call.
+``queue_report`` derives the queue waits, pending depth and UAV busy time
+from a result afterwards.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import csv
 import heapq
 import json
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -151,6 +157,8 @@ def select_dispatch_uav(candidates: list[tuple[int, tuple[float, float]]],
     """Dispatch rule: among available (uav id, (x, y)) candidates minimize
     straight-line distance to the sensor plus ``to_edge_m``, the sensor's
     distance to its nearest edge (ties by lowest uav id)."""
+    if len(candidates) == 1:
+        return candidates[0][0]     # the rule's pick of one; no distance needed
     if not candidates:
         raise ValueError("no available UAV")
     sx, sy = sensor_xy
@@ -246,7 +254,7 @@ class _PlanState:
 
     __slots__ = ("terms", "cluster", "geoms", "xy", "edge_xy", "capacity", "beta", "load", "v",
                  "tra_s", "exe_s", "total", "no_wait", "base_wait", "resume", "legs", "to_edge",
-                 "contact")
+                 "contact", "kept")
 
     def __init__(self, plan, scenario, terms, cluster):
         self.terms, self.cluster = terms, cluster
@@ -269,6 +277,8 @@ class _PlanState:
         self.legs: dict[tuple[int, float], tuple[int, bool, float, float]] = {}
         # sensor id -> metres to its nearest edge, the dispatch rule's constant
         self.to_edge: dict[int, float] = {}
+        # one slot: the last alert-sensor set's means inputs, see kept_sensors
+        self.kept: tuple | None = None
 
     def nearest_edge_m(self, sid: int) -> float:
         """Sensor sid's distance to its nearest edge, built on first need."""
@@ -304,6 +314,26 @@ class _PlanState:
                 eid, fb, math.hypot(sx - ex, sy - ey) / self.v,
                 execution_time(float(self.beta[sid]), self.capacity[eid]))
         return leg
+
+    def kept_sensors(self, alerted: set[int]):
+        """What the normal-service means read of the sensors outside the
+        alerted set: their count, the baseline mean over them, and their
+        totals less the wait term and their cluster columns, in id order;
+        None when no sensor is left.  Kept for the last set, which a day's
+        drills repeat: they alert the same top-history sensors."""
+        kept = self.kept      # read once: a thread may replace it meanwhile
+        if kept is None or kept[0] != alerted:
+            count, means = len(self.total) - len(alerted), None
+            if count:
+                keep = np.ones(len(self.total), dtype=bool)
+                keep[list(alerted)] = False
+                # add.reduce(x) / count is np.mean's sum over the same
+                # elements and its exact integer-to-float division, so the
+                # same bits
+                base_mean = float(np.add.reduce(self.total[keep])) / count
+                means = (count, base_mean, self.no_wait[keep], self.cluster[keep])
+            self.kept = kept = (alerted, means)
+        return kept[1]
 
 
 # one slot: daily drills call simulate on one deployed plan many times over
@@ -351,7 +381,8 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
     for k, e in enumerate(events):
         sid = e.sensor_id
         # a bool passes as an int, and a float would fail later as a list index
-        if isinstance(sid, bool) or not isinstance(sid, (int, np.integer)):
+        if type(sid) is not int and (isinstance(sid, bool)
+                                     or not isinstance(sid, (int, np.integer))):
             raise ValueError(f"events[{k}].sensor_id: {sid!r} is not an integer")
         if not 0 <= sid < n:
             raise ValueError(f"events[{k}].sensor_id: {sid} is not a sensor id "
@@ -359,7 +390,7 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
         if e.alert_time_s > horizon_s:
             raise ValueError(f"events[{k}].alert_time_s: {e.alert_time_s} is past the "
                              f"horizon {horizon_s}")
-    events = sorted(events, key=lambda e: e.alert_time_s)
+    events = sorted(events, key=operator.attrgetter("alert_time_s"))
 
     p = scenario.physical
     v, t_urgent = p.v_g, p.t_urgent_s
@@ -394,10 +425,19 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
         sid = ev.sensor_id
         t_tra = tra_s[sid]
         resp = t_queue + t_disp + t_tra + t_del + t_exe
-        # positional, in field order: keywords cost a quarter more per trace
-        traces[seq] = EmergencyTrace(
-            seq, sid, ev.alert_time_s, ev.priority, uav_id, eid, t_queue, t_disp, t_tra, t_del,
-            t_exe, resp, widx, resp <= t_urgent, fb, uav_id is None)
+        # the fields stored straight into the instance dict, in field order,
+        # skipping the generated __init__'s 16 object.__setattr__ calls; the
+        # order keeps the dict sharing its keys with every other trace
+        traces[seq] = tr = object.__new__(EmergencyTrace)
+        d = tr.__dict__
+        d["event_seq"], d["sensor_id"], d["alert_time_s"], d["priority"] = (
+            seq, sid, ev.alert_time_s, ev.priority)
+        d["uav_id"], d["edge_id"], d["t_queue_s"], d["t_dispatch_travel_s"] = (
+            uav_id, eid, t_queue, t_disp)
+        d["t_tra_s"], d["t_delivery_travel_s"], d["t_exe_s"], d["response_time_s"] = (
+            t_tra, t_del, t_exe, resp)
+        d["resume_waypoint"], d["deadline_met"], d["delivery_fallback"], d["served_direct"] = (
+            widx, resp <= t_urgent, fb, uav_id is None)
 
     def dispatch(seq: int, ev: EmergencyEvent, uav_id: int, now: float, pos):
         nonlocal n_free
@@ -453,11 +493,10 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
             # the one heap's top alert goes to the rule's pick of the free UAVs
             while n_free and queue:
                 _, seq, ev = heapq.heappop(queue)
-                free = {i: u.patrol_pos(now, v) for i, u in enumerate(uavs) if u.available}
+                free = [(i, u.patrol_pos(now, v)) for i, u in enumerate(uavs) if u.available]
                 sid = ev.sensor_id
-                uav_id = select_dispatch_uav(list(free.items()), sensor_xy[sid],
-                                             state.nearest_edge_m(sid))
-                dispatch(seq, ev, uav_id, now, free[uav_id])
+                uav_id = select_dispatch_uav(free, sensor_xy[sid], state.nearest_edge_m(sid))
+                dispatch(seq, ev, uav_id, now, free[0][1] if n_free == 1 else dict(free)[uav_id])
 
     impact = _normal_impact(plan, state, events, absences, horizon_s)
     return SimulationResult(traces=tuple(traces), impact=impact, horizon_s=horizon_s,
@@ -485,17 +524,13 @@ def _normal_impact(plan, state: _PlanState, events, absences,
     # a direct sensor (cluster -1) has t_wait 0.0 and reads the appended 0.0
     waits.append(0.0)
 
-    alerted = {e.sensor_id for e in events}
-    count = len(state.total) - len(alerted)
-    if not count:
+    kept = state.kept_sensors({e.sensor_id for e in events})
+    if kept is None:
         return NormalImpactReport(0.0, 0.0, 0.0, 0.0)
-    keep = np.ones(len(state.total), dtype=bool)
-    keep[list(alerted)] = False
-    # add.reduce(x) / count is np.mean's sum over the same elements and its
-    # exact integer-to-float division, so the same bits
-    base_mean = float(np.add.reduce(state.total[keep])) / count
-    with_wait = state.no_wait + np.array(waits)[state.cluster]
-    with_mean = float(np.add.reduce(with_wait[keep])) / count
+    count, base_mean, no_wait, cluster = kept
+    # the kept sensors' with-wait totals summed as the masked full column
+    # was: the same elements in the same order, so the same bits
+    with_mean = float(np.add.reduce(no_wait + np.array(waits)[cluster])) / count
     delta = with_mean - base_mean
     return NormalImpactReport(
         baseline_mean_s=base_mean, with_events_mean_s=with_mean, delta_s=delta,

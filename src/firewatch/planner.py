@@ -43,7 +43,7 @@ from .edge_assignment import (Assignment, EdgeLoadState, RepairFailure,
                               assign_clusters, assign_direct, cluster_demand, cluster_terms,
                               edge_distances, repair_overload)
 from .model import AlgoParams, FleetInitMode, PhysicalParams, Variant, derive_seed, link_ranges
-from .reader import Doc, InputError, read
+from .reader import Doc, InputError, read, shown
 from .routing import Route, build_route, ordered_route, route_energy, tour_lower_bound
 
 PLAN_SCHEMA_VERSION = 1
@@ -425,7 +425,7 @@ def _check_structure(clustering: Clustering, assignment: Assignment, routes, sce
 def _pair(row: Doc) -> tuple[float, float]:
     xy = tuple(v.number() for v in row.rows())
     if len(xy) != 2:
-        row.fail(f"expected an [x, y] pair, got {row.value!r}")
+        row.fail(f"expected an [x, y] pair, got {shown(row.value)}")
     return xy
 
 

@@ -12,6 +12,7 @@ import json
 import math
 
 _INT_LIMIT = 2 ** 63    # integers must fit the int64 columns they may land in
+_SHOWN_CHARS = 80       # an offending value echoed in a message is cut past this
 
 
 class InputError(ValueError):
@@ -31,8 +32,16 @@ def read(path: str, schema_version: int, name: str) -> Doc:
     doc = Doc(value, name, "")
     version = doc["schema_version"]
     if version.integer() != schema_version:
-        version.fail(f"unsupported value {version.value!r}, expected {schema_version}")
+        version.fail(f"unsupported value {shown(version.value)}, expected {schema_version}")
     return doc
+
+
+def shown(value) -> str:
+    """The repr of ``value`` when it is at most _SHOWN_CHARS characters,
+    else its first _SHOWN_CHARS characters and "...": an error message is
+    one line, whatever the document held."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
 
 
 class Doc:
@@ -71,9 +80,9 @@ class Doc:
         """A finite number (a bool is not one), as a float."""
         v = self.value
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            self.fail(f"must be a number, got {v!r}")
+            self.fail(f"must be a number, got {shown(v)}")
         if not (math.isfinite(v) if isinstance(v, float) else abs(v) < _INT_LIMIT):
-            self.fail(f"must be finite, got {v!r}")
+            self.fail(f"must be finite, got {shown(v)}")
         return float(v)
 
     def integer(self, floor: int | None = None) -> int:
@@ -81,19 +90,19 @@ class Doc:
         v, lo = self.value, -_INT_LIMIT if floor is None else floor
         if isinstance(v, bool) or not isinstance(v, int) or not lo <= v < _INT_LIMIT:
             self.fail(f"must be an integer{'' if floor is None else f' >= {floor}'}, "
-                      f"got {v!r}")
+                      f"got {shown(v)}")
         return v
 
     def id(self, bound: int) -> int:
         """An integer id in [0, bound); numpy would wrap a negative one silently."""
         v = self.value
         if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < bound:
-            self.fail(f"{v!r} is not an id in [0, {bound})")
+            self.fail(f"{shown(v)} is not an id in [0, {bound})")
         return v
 
     def string(self) -> str:
         if not isinstance(self.value, str):
-            self.fail(f"must be a string, got {self.value!r}")
+            self.fail(f"must be a string, got {shown(self.value)}")
         return self.value
 
     def id_map(self, key_bound: int, value_bound: int) -> dict[int, int]:

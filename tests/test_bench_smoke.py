@@ -1,0 +1,28 @@
+"""The benchmark's simulator workloads, run once each as the benchmark runs
+them: their own checks (``bench/checks.py``) recompute every trace of the
+pass independently, and the summed emergency response pins every trace."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the sum of the response times of every trace of one pass, seed 1
+EMERGENCY_S = {"surge": 255691.2773052456, "drill": 485.8118580463803}
+
+
+@pytest.mark.parametrize("workload", sorted(EMERGENCY_S))
+def test_simulator_workload_passes_its_checks(workload):
+    run = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout)
+    assert result["correct"] is True and result["failed"] == 0, result
+    assert result["attempted"] > 0
+    assert repr(result["metrics"]["emergency_s"]["value"]) == repr(EMERGENCY_S[workload])

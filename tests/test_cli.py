@@ -879,6 +879,42 @@ def test_unreadable_input_file_exits_1_naming_it(small_files, tmp_path, capsys, 
     assert "Traceback" not in err
 
 
+# a schema_version no reader accepts, whose repr would fill a screen
+LONG_VALUES = {
+    "long-string": "x" * 100_000,
+    "deep-array": json.loads("[" * 900 + "]" * 900),
+}
+
+
+@pytest.mark.parametrize("value", list(LONG_VALUES.values()), ids=list(LONG_VALUES))
+def test_a_long_bad_value_is_cut_in_the_message(tmp_path, capsys, value):
+    """The value echoed in an error message is cut to about a line: one
+    stderr line under 200 characters that still names the field."""
+    bad = tmp_path / "scenario.json"
+    bad.write_text(json.dumps({"schema_version": value}))
+    rc = main(["plan", "-s", str(bad), "-o", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200, err[:500]
+    assert err.startswith("error: schema_version: ") and err.rstrip().endswith("...")
+    assert "Traceback" not in err
+
+
+def test_a_long_center_row_is_cut_in_the_message(small_files, tmp_path, capsys):
+    """A plan center of 100,000 numbers, not an [x, y] pair, is named in one
+    short line."""
+    scen, plan_dir = small_files
+    doc = json.loads((plan_dir / "plan.json").read_text())
+    doc["clustering"]["centers"][0] = [1.0] * 100_000
+    bad = tmp_path / "plan.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["simulate", "-s", str(scen), "-p", str(bad), "-o", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: plan clustering.centers[0]: expected an [x, y] pair, got ")
+    assert err.count("\n") == 1 and len(err) < 200, err[:500]
+
+
 def test_simulate_rejects_an_event_past_the_horizon(small_files, tmp_path, capsys):
     scen, out = small_files
     events = tmp_path / "events.json"

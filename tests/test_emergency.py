@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -124,6 +125,9 @@ def test_geometry_matches_per_leg_norm_bit_for_bit(points, fractions):
         assert g.position_at_arc(arc) == _oracle_position(points, cum, length_m, arc)
 
 
+_COORD = st.floats(-1e5, 1e5)
+
+
 class TestDispatchSelection:
     # the last argument is the sensor's distance to its nearest edge, here
     # one edge at the origin
@@ -138,6 +142,17 @@ class TestDispatchSelection:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             select_dispatch_uav([], (0.0, 0.0), 0.0)
+
+    @given(uav=st.integers(0, 100), xy=st.tuples(_COORD, _COORD),
+           sensor=st.tuples(_COORD, _COORD), to_edge=st.floats(0.0, 1e5))
+    def test_one_candidate_is_the_distance_rules_pick(self, uav, xy, sensor, to_edge):
+        """The one free UAV, returned without its distance, is the pick the
+        distance rule makes over a list of one."""
+        cands = [(uav, xy)]
+        sx, sy = sensor
+        want = min(cands, key=lambda c: (math.hypot(c[1][0] - sx, c[1][1] - sy) + to_edge,
+                                         c[0]))[0]
+        assert select_dispatch_uav(cands, sensor, to_edge) == want == uav
 
     def test_edge_term_rounds_in_every_key(self):
         """Distances 1 and 1 + 2**-52 differ by one ulp; adding 1 rounds
@@ -339,15 +354,43 @@ def test_sensor_id_must_be_an_integer(default_scenario, default_plan, default_al
 
 
 def test_trace_stays_a_frozen_dataclass_with_an_instance_dict():
-    """Traces are built by keyword and read through __dict__ by the
-    benchmark's checks, and must not be changed after the simulator made
-    them."""
+    """The benchmark's checks build traces by keyword and read them through
+    __dict__, and a trace must not be changed after it is made."""
     assert dataclasses.is_dataclass(EmergencyTrace)
     fields = {f.name: k for k, f in enumerate(dataclasses.fields(EmergencyTrace))}
     tr = EmergencyTrace(**fields)
     assert tr.__dict__ == fields
     with pytest.raises(dataclasses.FrozenInstanceError):
         tr.t_queue_s = 1.0
+
+
+def test_simulated_traces_equal_traces_built_by_keyword(memo_pairs):
+    """simulate fills each trace's instance dict itself, not through the
+    generated __init__.  Each trace it returns, dispatched, queued or served
+    direct, equals the trace built by keyword from the same fields: ==,
+    repr, hash, a pickle round trip, dataclasses.replace and the field order
+    of __dict__, and it is as frozen.  That build would skip a __post_init__,
+    so the class must not have one."""
+    assert not hasattr(EmergencyTrace, "__post_init__")
+    sc, (pl, _), _ = memo_pairs
+    # sensor 54 is direct; the alerts at t = 5 outnumber the UAVs
+    events = [EmergencyEvent(sid, 5.0, 10 * k) for k, sid in enumerate([54, 10, 11, 12, 13])]
+    traces = simulate(pl, sc, events, _MEMO_HORIZON_S, AlgoParams()).traces
+    assert {t.served_direct for t in traces} == {True, False}
+    assert any(t.t_queue_s > 0 for t in traces)
+    names = [f.name for f in dataclasses.fields(EmergencyTrace)]
+    for tr in traces:
+        want = EmergencyTrace(**{name: getattr(tr, name) for name in names})
+        assert type(tr) is EmergencyTrace
+        assert list(tr.__dict__.items()) == list(want.__dict__.items())
+        assert tr == want and repr(tr) == repr(want) and hash(tr) == hash(want)
+        back = pickle.loads(pickle.dumps(tr))
+        assert repr(back) == repr(tr) and list(back.__dict__) == names
+        assert repr(replace(tr, t_queue_s=1.0)) == repr(replace(want, t_queue_s=1.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tr.t_queue_s = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del tr.uav_id
 
 
 _BAD_HORIZONS = [float("nan"), float("inf"), 0.0, -3600.0]
@@ -734,6 +777,25 @@ def test_alert_sets_that_repeat_and_change_equal_the_oracle(memo_pairs, case):
         algo = AlgoParams(seed=seed)
         got = simulate(pl, sc, events, _MEMO_HORIZON_S, algo, dispatch_policy=policy)
         want = simulate_oracle(pl, sc, events, _MEMO_HORIZON_S, algo, policy)
+        assert repr(got.traces) == repr(want.traces)
+        assert ([x.hex() for x in dataclasses.astuple(got.impact)]
+                == [x.hex() for x in dataclasses.astuple(want.impact)])
+
+
+def test_alert_sets_a_b_a_of_one_size_equal_the_oracle(memo_pairs):
+    """The plan state keeps the means inputs of the last alert-sensor set
+    only: sets A, B, A of one size (B with a direct sensor), then one with
+    a sensor alerted twice, each give the oracle's traces and impact bit
+    for bit."""
+    sc, (pl, _), _ = memo_pairs
+    a = [(10, 100, 50), (11, 200, 40), (12, 300, 30)]
+    b = [(13, 100, 50), (54, 200, 40), (14, 300, 30)]
+    twice = [(10, 100, 50), (10, 200, 40), (12, 300, 30)]
+    for k, alerts in enumerate([a, b, a, twice]):
+        events = [EmergencyEvent(sid, float(t), prio) for sid, t, prio in alerts]
+        algo = AlgoParams(seed=k)
+        got = simulate(pl, sc, events, _MEMO_HORIZON_S, algo)
+        want = simulate_oracle(pl, sc, events, _MEMO_HORIZON_S, algo)
         assert repr(got.traces) == repr(want.traces)
         assert ([x.hex() for x in dataclasses.astuple(got.impact)]
                 == [x.hex() for x in dataclasses.astuple(want.impact)])
