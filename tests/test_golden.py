@@ -1,5 +1,6 @@
 """Golden artifacts: sha256 digests of the plans, infeasibility reports,
-simulation outputs and comparison summary on a few small fixed inputs.
+simulation outputs and every file the CLI writes on a few small fixed
+inputs.
 
 Every determinism test elsewhere runs the same code twice; these digests
 instead pin the bytes across code changes, so a refactor that alters a plan,
@@ -163,11 +164,30 @@ def bindings() -> dict[str, list[str] | None]:
     return out
 
 
+def _without_column(data: bytes, column: str) -> bytes:
+    """The bytes of a CSV file with one column cut out of every line; the
+    other fields keep their bytes (no field of these files holds a comma)."""
+    lines = data.split(b"\r\n")
+    header = lines[0].split(b",")
+    k = header.index(column.encode())
+    out = []
+    for line in lines:
+        fields = line.split(b",")
+        if line:
+            assert len(fields) == len(header)
+            del fields[k]
+        out.append(b",".join(fields))
+    return b"\r\n".join(out)
+
+
 def cli_digests(tmp: Path) -> dict[str, str]:
+    """Every file the CLI writes, byte for byte, except the wall-clock
+    planning-time column of metrics.csv and means.csv."""
     sc = SCENARIOS["small"]()
     save_scenario(sc, str(tmp / "scenario.json"))
-    save_plan(plan(sc, AlgoParams()), sc, str(tmp / "plan.json"))
-    assert main(["simulate", "-s", str(tmp / "scenario.json"), "-p", str(tmp / "plan.json"),
+    assert main(["plan", "-s", str(tmp / "scenario.json"), "-o", str(tmp / "plan")]) == 0
+    assert main(["simulate", "-s", str(tmp / "scenario.json"),
+                 "-p", str(tmp / "plan" / "plan.json"),
                  "--n-events", "4", "-o", str(tmp / "sim")]) == 0
     assert main(["compare", "--methods", "proposed,ga,pso,greedy", "--seeds", "2",
                  "--sensors", "60", "--edges", "3",
@@ -176,11 +196,19 @@ def cli_digests(tmp: Path) -> dict[str, str]:
                  "--pso-swarm", str(PSO_FAST["swarm"]),
                  "--pso-iters", str(PSO_FAST["iterations"]),
                  "-o", str(tmp / "cmp")]) == 0
-    return {
-        "simulate/trace.csv": _digest((tmp / "sim" / "trace.csv").read_bytes()),
-        "simulate/impact.json": _digest((tmp / "sim" / "impact.json").read_bytes()),
-        "compare/summary.json": _digest((tmp / "cmp" / "summary.json").read_bytes()),
-    }
+    timed = {"plan/metrics.csv": "planning_time_s", "compare/means.csv": "planning_time_s_mean"}
+    files = {"scenario.json": tmp / "scenario.json"}
+    for cmd, out, names in (("plan", "plan", ("plan.json", "routes.csv", "metrics.csv")),
+                            ("simulate", "sim",
+                             ("events.json", "trace.csv", "impact.json", "queue.json")),
+                            ("compare", "cmp",
+                             ("means.csv", "cdf.csv", "pairwise.csv", "summary.json"))):
+        files.update({f"{cmd}/{name}": tmp / out / name for name in names})
+    out = {}
+    for key, path in files.items():
+        data = path.read_bytes()
+        out[key] = _digest(_without_column(data, timed[key]) if key in timed else data)
+    return out
 
 
 def burst_events(sc, pl) -> list[EmergencyEvent]:
@@ -283,8 +311,17 @@ GOLDEN = {
     'wall-m300/pso': ['no feasible particle'],
     'wall-m3000/proposed': ['edge capacity'],
     'wall-m3000/greedy': ['edge capacity'],
+    'scenario.json': 'ea2e19a7f897723ac22e1fb67f2c815c4a36bc9db7f18b6161be6c4d85dcb8e6',
+    'plan/plan.json': '0a876d22375deeb6d1c714b5070b9b287506d061bee063e8671f75b756e6d8aa',
+    'plan/routes.csv': '63555e4b8b0ab25eaef78530be8befc2472174ff9e91e5cea78f8c0a25b1d9f4',
+    'plan/metrics.csv': 'f76b0805a176cb30f31b09443f23711abb6217d04644e33734feb90015fb5dcf',
+    'simulate/events.json': '677f870e6f8a626028ad22010f45f3a77a62fc53f0c39f9b59df57bc12a93758',
     'simulate/trace.csv': 'e5ed8df1eda1ebd722d1e68320f8ddbff0e28d8519c7befb175f9d51dc12d56f',
     'simulate/impact.json': '7e8fc3cc3c318c4d2f11d465d50023b049bce307cecfea0172a29f431b4829d4',
+    'simulate/queue.json': 'c6ed753192de1134c832c42e83be4524cf8d149bf6a9e55b4531010d87e32aaf',
+    'compare/means.csv': 'eaa6cf1f4c79d3157bc928867b9a76c720a14128d98cd0ede6f8a2e6ae4c9818',
+    'compare/cdf.csv': '6b7da2f1572d06e44cb7adc3bf211b841413b7244708f451bf95b693840fa88f',
+    'compare/pairwise.csv': 'b3997b91dc6f0156793b75be291f0032be344b98ae8b7d4b04005f4e0a09f058',
     'compare/summary.json': '414af4678977ceb4e983ac16a95b5939bb354702457424d63b43a28c67e0ce20',
     'burst/nearest/trace.csv': 'c7c58bfe141b813bcb3fc0dbf2e906f2432862b42aa580b9b945d6f638fc8d11',
     'burst/nearest/impact.json': 'a30159110b1db05af059343c588bc7def7e4a448d0e1b8a91d14709a1907e176',
