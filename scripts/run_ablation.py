@@ -3,7 +3,6 @@
 k-means disabled at the full planner's chosen fleet, per seed."""
 
 import argparse
-import csv
 import os
 import sys
 
@@ -22,6 +21,7 @@ def main(argv=None) -> int:
 
     from firewatch.model import AlgoParams, Variant
     from firewatch.planner import plan, plan_at_fleet
+    from firewatch.reader import write_csv
     from firewatch.scenario import GenConfig, generate
     from firewatch.timing import mean_response
 
@@ -42,10 +42,7 @@ def main(argv=None) -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "ablation.csv")
-    with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=list(rows[0]))
-        w.writeheader()
-        w.writerows(rows)
+    write_csv(path, list(rows[0]), rows)
 
     print("\nmeans: " + " ".join(
         f"{v.value}={np.mean([r[v.value] for r in rows]):.1f}s" for v in order))

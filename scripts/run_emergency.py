@@ -54,6 +54,9 @@ def main(argv=None) -> int:
             ap.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     if not (math.isfinite(args.horizon) and args.horizon > 0):
         ap.error(f"--horizon must be a finite number > 0, got {args.horizon}")
+    from firewatch.emergency import MAX_HORIZON_S
+    if args.horizon > MAX_HORIZON_S:
+        ap.error(f"--horizon must be at most {MAX_HORIZON_S:g}, got {args.horizon}")
 
     responses, fracs, over_bound = [], [], 0
     try:

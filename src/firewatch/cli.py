@@ -30,8 +30,6 @@ timing columns.  A config file is UTF-8 and names each key once.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import os
 import sys
@@ -40,12 +38,12 @@ from dataclasses import replace
 import numpy as np
 
 from .baselines import GaConfig, PsoConfig, ga_plan, greedy_plan, pso_plan
-from .emergency import (generate_events, load_events, queue_report, save_events, simulate,
-                        write_trace_csv)
+from .emergency import (MAX_HORIZON_S, generate_events, load_events, queue_report, save_events,
+                        simulate, write_trace_csv)
 from .model import AlgoParams, FleetInitMode, PhysicalParams, Variant
 from .planner import InfeasibleError, plan as plan_scenario
 from .planner import load_plan, save_plan, write_route_csv
-from .reader import InputError
+from .reader import InputError, read_text, write_csv, write_json
 from .scenario import GenConfig, generate, load_scenario, save_scenario
 from .timing import all_responses, mean_response, totals
 
@@ -66,13 +64,9 @@ def _config_as_defaults(parser: argparse.ArgumentParser, path: str) -> None:
     ``parser``'s flag of that name, converted and checked as argparse would.
     A key may appear once; a file that is not UTF-8 raises InputError."""
     by_dest = {a.dest: a for a in parser._actions if a.option_strings}
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = list(f)
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: {exc}") from None
     seen: dict[str, int] = {}
-    for lineno, raw in enumerate(lines, 1):
+    # "\n" only: splitlines() also splits at form feeds, and would renumber lines
+    for lineno, raw in enumerate(read_text(path).split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -128,14 +122,14 @@ def _add_search_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--pso-iters", type=int, default=pso.iterations, help="PSO iterations")
 
 
-def _algo_from_args(args: argparse.Namespace, seed: int | None = None) -> AlgoParams:
+def _algo_from_args(args: argparse.Namespace) -> AlgoParams:
     """AlgoParams from the algorithm flags the subcommand has, any other
     field at its default.  A --omega-h, --lam, --epsilon-m or --theta-max
     value AlgoParams rejects raises a ValueError naming the flag; --omega-d
     and --omega-l are checked as a pair."""
     flags = {field: "--" + field.replace("_", "-")
              for field in ("omega_h", "lam", "epsilon_m", "theta_max") if hasattr(args, field)}
-    fixed = {"seed": args.seed if seed is None else seed}
+    fixed = {"seed": args.seed}
     if hasattr(args, "fleet_init"):
         fixed.update(omega_d=args.omega_d, omega_l=args.omega_l,
                      fleet_init_mode=FleetInitMode(args.fleet_init))
@@ -156,21 +150,15 @@ def _from_flags(cls, args: argparse.Namespace, flags: dict[str, str], **fixed):
     return cls(**values, **fixed)
 
 
-def _search_from_args(args: argparse.Namespace) -> tuple[GaConfig, PsoConfig]:
-    return (_from_flags(GaConfig, args, {"population": "--ga-pop", "generations": "--ga-gens"}),
-            _from_flags(PsoConfig, args, {"swarm": "--pso-swarm", "iterations": "--pso-iters"}))
-
-
 def _make_plan(method: str, scenario, algo: AlgoParams, args: argparse.Namespace,
                variant: Variant = Variant.FULL):
     if method == "proposed":
         return plan_scenario(scenario, algo, variant)
     if method == "greedy":
         return greedy_plan(scenario, algo)
-    ga, pso = _search_from_args(args)
     if method == "ga":
-        return ga_plan(scenario, algo, ga)
-    return pso_plan(scenario, algo, pso)
+        return ga_plan(scenario, algo, args.ga)
+    return pso_plan(scenario, algo, args.pso)
 
 
 def _mean_ci(xs: list[float]) -> tuple[float, float | None, float | None]:
@@ -226,9 +214,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
         print("error: --variant applies to --method proposed only", file=sys.stderr)
         return EXIT_USAGE
     scenario = load_scenario(args.scenario)
-    algo = _algo_from_args(args)
     try:
-        pl = _make_plan(args.method, scenario, algo, args, Variant(args.variant))
+        pl = _make_plan(args.method, scenario, args.algo, args, Variant(args.variant))
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -236,7 +223,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     save_plan(pl, scenario, os.path.join(args.out_dir, "plan.json"))
     write_route_csv(pl, scenario, os.path.join(args.out_dir, "routes.csv"))
     row = _plan_metrics(pl, scenario)
-    _write_rows(os.path.join(args.out_dir, "metrics.csv"), list(row), [row])
+    write_csv(os.path.join(args.out_dir, "metrics.csv"), list(row), [row])
     print(f"plan: method={pl.method} variant={pl.variant} fleet={pl.m} "
           f"route_m={row['total_route_length_m']:.0f} "
           f"mean_response_s={row['mean_response_s']:.1f} -> {args.out_dir}")
@@ -248,9 +235,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"error: --horizon must be a finite number > 0, got {args.horizon}",
               file=sys.stderr)
         return EXIT_USAGE
+    if args.horizon > MAX_HORIZON_S:
+        print(f"error: --horizon must be at most {MAX_HORIZON_S:g}, got {args.horizon}",
+              file=sys.stderr)
+        return EXIT_USAGE
     scenario = load_scenario(args.scenario)
     pl = load_plan(args.plan, scenario)
-    algo = _algo_from_args(args)
 
     if args.events:
         events = load_events(args.events, len(scenario.xy), args.horizon)
@@ -262,7 +252,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             print(f"error: --n-events {args.n_events}: {exc}", file=sys.stderr)
             return EXIT_BADSPEC
 
-    result = simulate(pl, scenario, events, args.horizon, algo,
+    result = simulate(pl, scenario, events, args.horizon, args.algo,
                       dispatch_policy=args.policy)
     os.makedirs(args.out_dir, exist_ok=True)
     save_events(events, os.path.join(args.out_dir, "events.json"))
@@ -285,12 +275,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "normal_delta_s": result.impact.delta_s,
         "normal_delta_fraction": result.impact.delta_fraction,
     }
-    with open(os.path.join(args.out_dir, "impact.json"), "w") as f:
-        json.dump(impact, f, indent=1, sort_keys=True)
-        f.write("\n")
-    with open(os.path.join(args.out_dir, "queue.json"), "w") as f:
-        json.dump(queue_report(result, pl, scenario), f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(os.path.join(args.out_dir, "impact.json"), impact, sort_keys=True)
+    write_json(os.path.join(args.out_dir, "queue.json"), queue_report(result, pl, scenario),
+               sort_keys=True)
     print(f"simulate: {len(result.traces)} events, "
           f"mean_response_s={impact['mean_response_s']:.1f}, "
           f"deadline_hit_rate={impact['deadline_hit_rate']:.2f}, "
@@ -357,7 +344,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         for s in seeds:
             scenario = (fixed_scenario if fixed_scenario is not None
                         else generate(replace(gens[n], seed=s)))
-            algo = _algo_from_args(args, seed=s)
+            algo = replace(args.algo, seed=s)
             for meth in methods:
                 try:
                     pl = _make_plan(meth, scenario, algo, args)
@@ -414,16 +401,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
                                       "n_pairs": len(diffs), "mean_diff": dm,
                                       "ci_lo": _fmt(dlo), "ci_hi": _fmt(dhi)})
 
-    _write_rows(os.path.join(args.out_dir, "means.csv"),
-                ["n_sensors", "method", "seeds_ok", "mean_response_s", "response_ci_lo",
-                 "response_ci_hi", "total_energy_wh", "energy_ci_lo", "energy_ci_hi",
-                 "fleet", "fleet_ci_lo", "fleet_ci_hi", "total_route_length_m",
-                 "planning_time_s_mean"], means_rows)
-    _write_rows(os.path.join(args.out_dir, "cdf.csv"),
-                ["n_sensors", "method", "response_s", "cum_fraction"], cdf_rows)
-    _write_rows(os.path.join(args.out_dir, "pairwise.csv"),
-                ["n_sensors", "metric", "baseline", "n_pairs", "mean_diff",
-                 "ci_lo", "ci_hi"], pair_rows)
+    write_csv(os.path.join(args.out_dir, "means.csv"),
+              ["n_sensors", "method", "seeds_ok", "mean_response_s", "response_ci_lo",
+               "response_ci_hi", "total_energy_wh", "energy_ci_lo", "energy_ci_hi",
+               "fleet", "fleet_ci_lo", "fleet_ci_hi", "total_route_length_m",
+               "planning_time_s_mean"], means_rows)
+    write_csv(os.path.join(args.out_dir, "cdf.csv"),
+              ["n_sensors", "method", "response_s", "cum_fraction"], cdf_rows)
+    write_csv(os.path.join(args.out_dir, "pairwise.csv"),
+              ["n_sensors", "metric", "baseline", "n_pairs", "mean_diff", "ci_lo", "ci_hi"],
+              pair_rows)
 
     growth = {}
     if len(ns) > 1:
@@ -440,9 +427,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "failures": failures,
         "ci": "t-based 95% from per-seed values; null below 2 seeds",
     }
-    with open(os.path.join(args.out_dir, "summary.json"), "w") as f:
-        json.dump(summary, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(os.path.join(args.out_dir, "summary.json"), summary, sort_keys=True)
 
     print(f"{'n':>6}{'method':>10}{'seeds':>6}{'response s':>12}{'energy Wh':>12}{'fleet':>8}")
     for (n, meth), agg in aggs.items():
@@ -460,13 +445,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def _fmt(x: float | None):
     return "" if x is None else x
-
-
-def _write_rows(path: str, fields: list[str], rows: list[dict]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=fields)
-        w.writeheader()
-        w.writerows(rows)
 
 
 # ----------------------------------------------------------------------- main
@@ -547,11 +525,15 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv)
         # the flags argv alone gave, before any config default
         args._argv = typed
-        # a bad algorithm or search flag is a usage error
+        # the algorithm and search settings, built once for the command to
+        # read; a bad algorithm or search flag is a usage error
         if hasattr(args, "fleet_init") or hasattr(args, "theta_max"):
-            _algo_from_args(args)
+            args.algo = _algo_from_args(args)
         if hasattr(args, "ga_pop"):
-            _search_from_args(args)
+            args.ga = _from_flags(GaConfig, args, {"population": "--ga-pop",
+                                                   "generations": "--ga-gens"})
+            args.pso = _from_flags(PsoConfig, args, {"swarm": "--pso-swarm",
+                                                     "iterations": "--pso-iters"})
     except SystemExit as exc:
         return EXIT_USAGE if exc.code == 2 else int(exc.code or 0)
     except (InputError, OSError) as exc:

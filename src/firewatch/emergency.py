@@ -41,9 +41,7 @@ from a result afterwards.
 from __future__ import annotations
 
 import bisect
-import csv
 import heapq
-import json
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -54,11 +52,15 @@ from . import timing
 from .clustering import cluster_radius
 from .edge_assignment import EdgeLoadState
 from .model import AlgoParams, derive_seed, link_ranges
-from .reader import read
+from .reader import read, write_csv, write_json
 # kept importable: bench/tracer.py wraps response_time under this module's name
 from .timing import execution_time, expected_wait, response_time  # noqa: F401
 
 EVENTS_SCHEMA_VERSION = 1
+
+# the longest horizon, s (about 31,700 years): far past it a patrol position,
+# v_g * t metres along its tour, loses all precision, then overflows to inf
+MAX_HORIZON_S = 1e12
 
 
 @dataclass(frozen=True)
@@ -195,6 +197,8 @@ def _check_horizon(horizon_s: float) -> None:
     # NaN fails every comparison, so "<= 0" alone would let it through
     if not (math.isfinite(horizon_s) and horizon_s > 0):
         raise ValueError(f"horizon_s must be finite and > 0, got {horizon_s}")
+    if horizon_s > MAX_HORIZON_S:
+        raise ValueError(f"horizon_s must be at most {MAX_HORIZON_S:g}, got {horizon_s}")
 
 
 def generate_events(scenario, plan, n_events: int, horizon_s: float, seed: int,
@@ -224,9 +228,7 @@ def save_events(events: list[EmergencyEvent], path: str) -> None:
     doc = {"schema_version": EVENTS_SCHEMA_VERSION,
            "events": [{"sensor_id": e.sensor_id, "alert_time_s": e.alert_time_s,
                        "priority": e.priority} for e in events]}
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+    write_json(path, doc)
 
 
 def load_events(path: str, n_sensors: int, horizon_s: float) -> list[EmergencyEvent]:
@@ -590,9 +592,4 @@ def queue_report(result: SimulationResult, plan, scenario) -> dict:
 
 def write_trace_csv(result: SimulationResult, path: str) -> None:
     """One row per trace, one column per ``EmergencyTrace`` field in order."""
-    names = [f.name for f in fields(EmergencyTrace)]
-    with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=names)
-        writer.writeheader()
-        for tr in result.traces:
-            writer.writerow({k: getattr(tr, k) for k in names})
+    write_csv(path, [f.name for f in fields(EmergencyTrace)], map(vars, result.traces))

@@ -121,6 +121,9 @@ class PhysicalParams:
             "p_fly_w", "p_comm_w", "e_max_wh", "t_max_s", "t_period_s",
             "t_urgent_s",
         ), non_negative=("per_hop_latency_s",))
+        if math.isinf(self.area_m2):
+            raise ValueError(f"area_km2 must be finite in m^2 (area_km2 * 1e6), "
+                             f"got {self.area_km2}")
         if self.m_max < 1:
             raise ValueError(f"m_max must be >= 1, got {self.m_max}")
         if self.t_urgent_s > self.t_max_s:

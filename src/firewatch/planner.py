@@ -29,9 +29,7 @@ Ablation variants:
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -43,7 +41,7 @@ from .edge_assignment import (Assignment, EdgeLoadState, RepairFailure,
                               assign_clusters, assign_direct, cluster_demand, cluster_terms,
                               edge_distances, repair_overload)
 from .model import AlgoParams, FleetInitMode, PhysicalParams, Variant, derive_seed, link_ranges
-from .reader import Doc, InputError, read, shown
+from .reader import Doc, InputError, read, shown, write_csv, write_json
 from .routing import Route, build_route, ordered_route, route_energy, tour_lower_bound
 
 PLAN_SCHEMA_VERSION = 1
@@ -382,9 +380,7 @@ def plan_to_doc(pl: Plan, scenario) -> dict:
 
 
 def save_plan(pl: Plan, scenario, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(plan_to_doc(pl, scenario), f, indent=1)
-        f.write("\n")
+    write_json(path, plan_to_doc(pl, scenario))
 
 
 def _check_structure(clustering: Clustering, assignment: Assignment, routes, scenario) -> None:
@@ -504,8 +500,4 @@ def route_geometry_rows(pl: Plan, scenario) -> list[dict]:
 
 
 def write_route_csv(pl: Plan, scenario, path: str) -> None:
-    rows = route_geometry_rows(pl, scenario)
-    with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=["uav_id", "leg", "x1", "y1", "x2", "y2"])
-        writer.writeheader()
-        writer.writerows(rows)
+    write_csv(path, ["uav_id", "leg", "x1", "y1", "x2", "y2"], route_geometry_rows(pl, scenario))

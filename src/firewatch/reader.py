@@ -1,13 +1,16 @@
-"""Checked reading of the JSON documents that enter the program.
+"""Every file the program reads or writes goes through this module.
 
-``Doc`` wraps one JSON value with the path it was read at.  Each typed
-accessor returns the plain value or raises ``InputError`` naming that path,
-for example ``plan routes[0].waypoints[3]: 40 is not an id in [0, 40)``.
-Scenario, plan and events files are read only through it.
+``read_text`` reads config files; ``read`` reads scenario, plan and events
+files as a ``Doc``, a JSON value with its path, whose typed accessors raise
+``InputError`` naming that path (``plan routes[0].waypoints[3]: 40 is not an
+id in [0, 40)``); text that is not UTF-8 JSON raises it naming the file.
+``write_json`` indents by one space and ends in a newline, keys sorted in
+reports; ``write_csv`` writes a header, then one "\r\n"-ended line per row.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 
@@ -19,21 +22,45 @@ class InputError(ValueError):
     """A bad input document or value; the message names where it is."""
 
 
+def read_text(path: str) -> str:
+    """The UTF-8 text at ``path``, every line ending read as "\n"."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def read(path: str, schema_version: int, name: str) -> Doc:
     """The JSON document at ``path``, whose ``schema_version`` field must be
     ``schema_version``; ``name`` (for example ``"plan "``) starts every error
     message about it.  Text that is not UTF-8 JSON, nests too deep or holds
     an integer literal too long to convert raises InputError naming ``path``."""
+    text = read_text(path)
     try:
-        with open(path, encoding="utf-8") as f:
-            value = json.load(f)
-    except (ValueError, RecursionError) as exc:     # JSONDecodeError, UnicodeDecodeError
+        value = json.loads(text)
+    except (ValueError, RecursionError) as exc:     # JSONDecodeError, the digit limit
         raise InputError(f"{path}: {exc}") from None
     doc = Doc(value, name, "")
     version = doc["schema_version"]
     if version.integer() != schema_version:
         version.fail(f"unsupported value {shown(version.value)}, expected {schema_version}")
     return doc
+
+
+def write_json(path: str, doc, sort_keys: bool = False) -> None:
+    """``doc`` as JSON at ``path``: indented by one space, a final newline."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=1, sort_keys=sort_keys)
+        f.write("\n")
+
+
+def write_csv(path: str, fields: list[str], rows) -> None:
+    """A header line of ``fields``, then one line per dict of ``rows``."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=fields)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def shown(value) -> str:

@@ -13,14 +13,13 @@ function of its config.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import EdgeNode, PhysicalParams, Point2D, RequestProfile, Sensor, _require_finite
-from .reader import Doc, read
+from .reader import Doc, read, write_json
 
 SCHEMA_VERSION = 1
 
@@ -193,9 +192,7 @@ def _to_doc(sc: Scenario) -> dict:
 
 
 def save_scenario(sc: Scenario, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(_to_doc(sc), f, indent=1)
-        f.write("\n")
+    write_json(path, _to_doc(sc))
 
 
 def _placed(row: Doc, k: int, side: float) -> Point2D:

@@ -43,6 +43,25 @@ def test_generate_deterministic(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
+def test_generate_rejects_an_area_that_overflows_in_m2(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert main(["generate", "--area-km2", "1e303", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: --area-km2 1e+303: area_km2 must be finite "
+                                       "in m^2 (area_km2 * 1e6), got 1e+303\n")
+    assert not out.exists()
+
+
+def test_plan_rejects_a_scenario_area_that_overflows_in_m2(tmp_path, capsys):
+    scen = tmp_path / "scenario.json"
+    assert main(["generate", "--sensors", "30", "-o", str(scen)]) == 0
+    doc = json.loads(scen.read_text())
+    doc["physical"]["area_km2"] = 1e303
+    scen.write_text(json.dumps(doc))
+    assert main(["plan", "-s", str(scen), "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: physical: area_km2 must be finite")
+    assert not (tmp_path / "out").exists()
+
+
 def test_generate_rejects_zero_sensors(tmp_path, capsys):
     rc = main(["generate", "--sensors", "0", "-o", str(tmp_path / "x.json")])
     assert rc == 2
@@ -262,6 +281,18 @@ def test_simulate_bad_horizon(small_files, tmp_path, capsys):
     rc = main(["simulate", "-s", str(scen), "-p", str(plandir / "plan.json"),
                "--horizon", "-5", "-o", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("horizon", ["1.0000000000000002e12", "5e307", "1e308", "1.7e308"])
+def test_simulate_horizon_past_the_ceiling(small_files, tmp_path, capsys, horizon):
+    scen, plandir = small_files
+    out = tmp_path / "sim"
+    rc = main(["simulate", "-s", str(scen), "-p", str(plandir / "plan.json"),
+               "--horizon", horizon, "-o", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: --horizon must be at most 1e+12, "
+                                       f"got {float(horizon)}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("horizon", ["inf", "nan"])

@@ -13,6 +13,7 @@ from firewatch.model import AlgoParams, PhysicalParams, derive_seed
 from firewatch.planner import InfeasibleError, plan, plan_at_fleet
 from firewatch.scenario import GenConfig, generate, load_scenario, save_scenario
 from firewatch.emergency import (
+    MAX_HORIZON_S,
     EmergencyEvent,
     EmergencyTrace,
     RouteGeometry,
@@ -393,7 +394,10 @@ def test_simulated_traces_equal_traces_built_by_keyword(memo_pairs):
             del tr.uav_id
 
 
-_BAD_HORIZONS = [float("nan"), float("inf"), 0.0, -3600.0]
+# past MAX_HORIZON_S too: from 5e307 on, v_g * t overflowed and simulate
+# raised IndexError from its alert loop
+_BAD_HORIZONS = [float("nan"), float("inf"), 0.0, -3600.0,
+                 math.nextafter(MAX_HORIZON_S, math.inf), 5e307, 1e308, 1.7e308]
 
 
 @pytest.mark.parametrize("horizon", _BAD_HORIZONS)
@@ -408,6 +412,14 @@ def test_generate_events_needs_a_finite_positive_horizon(default_scenario, defau
                                                          horizon):
     with pytest.raises(ValueError, match="horizon_s"):
         generate_events(default_scenario, default_plan, 3, horizon, seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_simulate_runs_at_the_horizon_ceiling(default_scenario, default_plan, seed):
+    events = generate_events(default_scenario, default_plan, 5, MAX_HORIZON_S, seed=seed)
+    res = simulate(default_plan, default_scenario, events, MAX_HORIZON_S, AlgoParams(seed=seed))
+    assert len(res.traces) == 5
+    assert all(math.isfinite(t.response_time_s) for t in res.traces)
 
 
 def test_own_cluster_policy(default_scenario, default_plan, default_algo):

@@ -62,6 +62,10 @@ def test_physical_params_validation():
         PhysicalParams(m_max=0)
     with pytest.raises(ValueError):
         PhysicalParams(per_hop_latency_s=-1.0)
+    # finite in km^2, infinite in m^2: numpy cannot draw in that square
+    with pytest.raises(ValueError, match="area_km2"):
+        PhysicalParams(area_km2=1e303)
+    assert math.isfinite(PhysicalParams(area_km2=1e302).area_m2)
     # deadline cannot exceed the revisit ceiling
     with pytest.raises(ValueError):
         PhysicalParams(t_urgent_s=4000.0, t_max_s=3600.0)

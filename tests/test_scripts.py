@@ -138,6 +138,7 @@ def test_direct_script_rejects_a_count_below_one(script, flag):
     (["--horizon", "-5"], "--horizon must be a finite number > 0, got -5.0"),
     (["--horizon", "nan"], "--horizon must be a finite number > 0, got nan"),
     (["--sensors", "3"], "--events 5 with --sensors 3 (seed 0): only 2 UAV-served sensors"),
+    (["--horizon", "1e308"], "--horizon must be at most 1e+12, got 1e+308"),
 ])
 def test_run_emergency_rejects_inputs_it_cannot_drill(argv, message):
     """No events, a horizon that is not a positive number, or fewer hot
