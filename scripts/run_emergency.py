@@ -4,7 +4,6 @@ report response times against the urgent deadline, the analytic worst-case
 bound, and the knock-on effect on routine patrol service."""
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -52,11 +51,11 @@ def main(argv=None) -> int:
     for flag in ("seeds", "sensors", "events"):
         if getattr(args, flag) < 1:
             ap.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
-    if not (math.isfinite(args.horizon) and args.horizon > 0):
-        ap.error(f"--horizon must be a finite number > 0, got {args.horizon}")
-    from firewatch.emergency import MAX_HORIZON_S
-    if args.horizon > MAX_HORIZON_S:
-        ap.error(f"--horizon must be at most {MAX_HORIZON_S:g}, got {args.horizon}")
+    from firewatch.emergency import _check_horizon
+    try:
+        _check_horizon(args.horizon, "--horizon")
+    except ValueError as exc:
+        ap.error(str(exc))
 
     responses, fracs, over_bound = [], [], 0
     try:

@@ -4,11 +4,11 @@ monitoring with edge computing.
 Modules:
     model            core value types, geometry, link ranges
     scenario         scenario generation, JSON (de)serialization, read-only columns
-    clustering       fire-history-weighted k-means and coverage check
+    clustering       fire-history-weighted k-means
     edge_assignment  direct/UAV split, cluster -> edge assignment with repair
     routing          nearest-neighbor tours, 2-opt improvement, route energy
     timing           response-time model
-    planner          adaptive fleet sizing loop and plan validation/export
+    planner          adaptive fleet sizing loop, plan export and checked plan loading
     emergency        event-driven emergency response simulation
     baselines        GA / PSO / greedy planning baselines
     cli              command line interface (generate / plan / simulate / compare)

@@ -38,8 +38,8 @@ from dataclasses import replace
 import numpy as np
 
 from .baselines import GaConfig, PsoConfig, ga_plan, greedy_plan, pso_plan
-from .emergency import (MAX_HORIZON_S, generate_events, load_events, queue_report, save_events,
-                        simulate, write_trace_csv)
+from .emergency import (_check_horizon, generate_events, load_events, queue_report,
+                        save_events, simulate, write_trace_csv)
 from .model import AlgoParams, FleetInitMode, PhysicalParams, Variant
 from .planner import InfeasibleError, plan as plan_scenario
 from .planner import load_plan, save_plan, write_route_csv
@@ -231,13 +231,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if not (math.isfinite(args.horizon) and args.horizon > 0):
-        print(f"error: --horizon must be a finite number > 0, got {args.horizon}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if args.horizon > MAX_HORIZON_S:
-        print(f"error: --horizon must be at most {MAX_HORIZON_S:g}, got {args.horizon}",
-              file=sys.stderr)
+    try:
+        _check_horizon(args.horizon, "--horizon")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     scenario = load_scenario(args.scenario)
     pl = load_plan(args.plan, scenario)

@@ -193,12 +193,14 @@ def resume_waypoint(current_xy, geom: RouteGeometry) -> int | None:
     return int(np.argmin(d))
 
 
-def _check_horizon(horizon_s: float) -> None:
+def _check_horizon(horizon_s: float, name: str = "horizon_s") -> None:
+    """Raise ValueError naming ``name`` unless the horizon is a finite
+    number > 0 and at most MAX_HORIZON_S."""
     # NaN fails every comparison, so "<= 0" alone would let it through
     if not (math.isfinite(horizon_s) and horizon_s > 0):
-        raise ValueError(f"horizon_s must be finite and > 0, got {horizon_s}")
+        raise ValueError(f"{name} must be a finite number > 0, got {horizon_s}")
     if horizon_s > MAX_HORIZON_S:
-        raise ValueError(f"horizon_s must be at most {MAX_HORIZON_S:g}, got {horizon_s}")
+        raise ValueError(f"{name} must be at most {MAX_HORIZON_S:g}, got {horizon_s}")
 
 
 def generate_events(scenario, plan, n_events: int, horizon_s: float, seed: int,

@@ -20,6 +20,11 @@ import numpy as np
 
 MB_TO_MBIT = 8.0
 
+# the fastest cruise speed, m/s: a patrol position is v_g * t metres along
+# its tour, and this keeps that finite for t up to 1e18 s, a million times
+# emergency.MAX_HORIZON_S, so alerts queued past the horizon still dispatch
+MAX_V_G = 1e290
+
 
 class FleetInitMode(str, Enum):
     """Starting fleet size for the sizing loop: a single UAV, or the
@@ -124,6 +129,8 @@ class PhysicalParams:
         if math.isinf(self.area_m2):
             raise ValueError(f"area_km2 must be finite in m^2 (area_km2 * 1e6), "
                              f"got {self.area_km2}")
+        if self.v_g > MAX_V_G:
+            raise ValueError(f"v_g must be at most {MAX_V_G:g}, got {self.v_g}")
         if self.m_max < 1:
             raise ValueError(f"m_max must be >= 1, got {self.m_max}")
         if self.t_urgent_s > self.t_max_s:

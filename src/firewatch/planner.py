@@ -77,25 +77,6 @@ class Plan:
     seed: int
 
 
-@dataclass(frozen=True)
-class ConstraintCheck:
-    ok: bool
-    margin: float   # positive = slack, negative = violation
-
-
-@dataclass(frozen=True)
-class ConstraintReport:
-    revisit: ConstraintCheck
-    energy: ConstraintCheck
-    capacity: ConstraintCheck
-    fleet: ConstraintCheck
-
-    @property
-    def all_ok(self) -> bool:
-        return (self.revisit.ok and self.energy.ok and self.capacity.ok
-                and self.fleet.ok)
-
-
 def initial_fleet_size(p: PhysicalParams, mode: FleetInitMode) -> int:
     """Starting fleet size: 1, or the disc-coverage count clamped to
     [1, m_max]."""
@@ -290,8 +271,8 @@ def plan_at_fleet(scenario, algo: AlgoParams, m: int,
     the feasibility gate.
 
     Used for component ablations at a common operating fleet; the returned
-    plan may violate revisit/energy/capacity constraints (validate_plan
-    reports them), which plan() itself would never emit.
+    plan may break the revisit, energy, capacity or fleet-ceiling limits,
+    which plan() itself would never emit.
     """
     return _proposed(scenario, algo, variant, at_m=m)
 
@@ -320,29 +301,6 @@ def _edge_loads(assignment: Assignment, routes, scenario) -> list[float]:
         loads[eid] += cluster_demand(scenario.beta_mi[list(routes[j].waypoints)],
                                      p.t_period_s)
     return loads
-
-
-def validate_plan(pl: Plan, scenario) -> ConstraintReport:
-    """Re-check every constraint from scratch (route lengths, energies and
-    edge loads are all recomputed from positions and request profiles)."""
-    p = scenario.physical
-
-    revisit_margin, energy_margin = p.t_max_s, p.e_max_wh
-    for r in pl.routes:
-        again = ordered_route(r.uav_id, r.depot_edge_id, r.waypoints, scenario)
-        revisit_margin = min(revisit_margin, p.t_max_s - again.revisit_s)
-        energy_margin = min(energy_margin, p.e_max_wh - again.energy_wh)
-
-    loads = _edge_loads(pl.assignment, pl.routes, scenario)
-    capacity_margin = min(c - l for c, l in zip(scenario.capacity.tolist(), loads))
-
-    fleet_margin = float(p.m_max - pl.m)
-    return ConstraintReport(
-        revisit=ConstraintCheck(revisit_margin >= 0, revisit_margin),
-        energy=ConstraintCheck(energy_margin >= 0, energy_margin),
-        capacity=ConstraintCheck(capacity_margin >= 0, capacity_margin),
-        fleet=ConstraintCheck(fleet_margin >= 0, fleet_margin),
-    )
 
 
 def plan_to_doc(pl: Plan, scenario) -> dict:
@@ -485,8 +443,8 @@ def load_plan(path: str, scenario) -> Plan:
                 variant=doc["variant"].string(), seed=doc["seed"].integer())
 
 
-def route_geometry_rows(pl: Plan, scenario) -> list[dict]:
-    """One CSV row per tour leg: uav_id, leg index, endpoints."""
+def write_route_csv(pl: Plan, scenario, path: str) -> None:
+    """Write one CSV row per tour leg: uav_id, leg index, endpoints."""
     rows = []
     for r in pl.routes:
         pts = [scenario.edge_xy[r.depot_edge_id].tolist()]
@@ -496,8 +454,4 @@ def route_geometry_rows(pl: Plan, scenario) -> list[dict]:
         for leg, (a, b) in enumerate(zip(pts[:-1], pts[1:])):
             rows.append({"uav_id": r.uav_id, "leg": leg,
                          "x1": a[0], "y1": a[1], "x2": b[0], "y2": b[1]})
-    return rows
-
-
-def write_route_csv(pl: Plan, scenario, path: str) -> None:
-    write_csv(path, ["uav_id", "leg", "x1", "y1", "x2", "y2"], route_geometry_rows(pl, scenario))
+    write_csv(path, ["uav_id", "leg", "x1", "y1", "x2", "y2"], rows)

@@ -16,13 +16,12 @@ import numpy as np
 import pytest
 
 from firewatch.baselines import GaConfig, PsoConfig, ga_plan, greedy_plan, pso_plan
-from firewatch.clustering import coverage_improvement_check
 from firewatch.cli import main
 from firewatch.model import AlgoParams, Variant
-from firewatch.planner import InfeasibleError, plan, validate_plan
+from firewatch.planner import InfeasibleError, plan
 from firewatch.routing import nearest_neighbor_tour, tour_length, two_opt
 from firewatch.scenario import GenConfig, generate
-from testutil import brute_force_tour_optimum
+from testutil import brute_force_tour_optimum, coverage_improvement_check, feasible
 
 ROOT = Path(__file__).resolve().parents[1]
 N_SEEDS = 20
@@ -102,7 +101,7 @@ def test_constraint_soundness():
                     infeasible += 1
             for pl in plans:
                 checked += 1
-                if not validate_plan(pl, scenario).all_ok:
+                if not feasible(pl, scenario):
                     violations += 1
     dt = time.perf_counter() - t0
     ok = checked >= 100 and violations == 0 and dt < 300.0

@@ -27,12 +27,13 @@ from firewatch.baselines import (
     pso_plan,
 )
 from firewatch.model import MB_TO_MBIT, AlgoParams, PhysicalParams, Variant, derive_seed
-from firewatch.planner import InfeasibleError, plan, plan_to_doc, validate_plan
+from firewatch.planner import InfeasibleError, plan, plan_to_doc
 from firewatch.routing import nearest_neighbor_tour, tour_length
 from firewatch.scenario import GenConfig, generate
 from firewatch.timing import all_responses, execution_time, transmission_time
-from testutil import (blob, bound_scenarios, build_scenario, fleet_start, fleet_tree_bound,
-                      norm_tour_lower_bound, outcomes, processes_where, unskip_fleet_sizes)
+from testutil import (blob, bound_scenarios, build_scenario, feasible, fleet_start,
+                      fleet_tree_bound, norm_tour_lower_bound, outcomes, processes_where,
+                      unskip_fleet_sizes)
 
 # the GA/PSO budgets of the acceptance soundness sweep, seed 0
 GA_SMALL = GaConfig(population=16, generations=12)
@@ -370,7 +371,7 @@ def test_pso_deterministic_and_nn_ordered():
     b = pso_plan(sc, algo, PSO_SMALL)
     assert plan_to_doc(a, sc) == plan_to_doc(b, sc)
     assert a.method == "pso"
-    assert validate_plan(a, sc).all_ok
+    assert feasible(a, sc)
     for r in a.routes:
         if not r.waypoints:
             continue
@@ -390,7 +391,7 @@ def test_greedy_single_cluster_routes_nearest_neighbor():
     xy = np.array([[s.pos.x, s.pos.y] for s in sc.sensors])
     nn = nearest_neighbor_tour((depot.x, depot.y), xy)
     assert tuple(nn) == pl.routes[0].waypoints
-    assert validate_plan(pl, sc).all_ok
+    assert feasible(pl, sc)
 
 
 def test_greedy_never_beats_proposed_fleet():
@@ -410,7 +411,7 @@ def test_all_methods_feasible_small():
         "pso": pso_plan(sc, algo, PSO_SMALL),
     }
     for name, pl in plans.items():
-        assert validate_plan(pl, sc).all_ok, name
+        assert feasible(pl, sc), name
         assert pl.method == name
         served = set(pl.assignment.direct_map) | set(pl.clustering.assignment)
         assert served == {s.id for s in sc.sensors}, name

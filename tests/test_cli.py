@@ -62,6 +62,26 @@ def test_plan_rejects_a_scenario_area_that_overflows_in_m2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_scenario_cruise_speed_past_the_ceiling_exits_1(tmp_path, capsys):
+    """At v_g = 1e305 a patrol position, v_g * t metres along its tour,
+    overflows within a day: ``plan`` and ``simulate`` reject the scenario
+    file, naming the field."""
+    scen, moved = tmp_path / "scenario.json", tmp_path / "fast.json"
+    assert main(["generate", "--sensors", "60", "--seed", "0", "-o", str(scen)]) == 0
+    assert main(["plan", "-s", str(scen), "-o", str(tmp_path / "plan")]) == 0
+    doc = json.loads(scen.read_text())
+    doc["physical"]["v_g"] = 1e305
+    moved.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for argv in (["plan", "-s", str(moved), "-o", str(tmp_path / "out")],
+                 ["simulate", "-s", str(moved), "-p", str(tmp_path / "plan" / "plan.json"),
+                  "-o", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == ("error: physical: v_g must be at most 1e+290, "
+                                           "got 1e+305\n")
+        assert not (tmp_path / "out").exists()
+
+
 def test_generate_rejects_zero_sensors(tmp_path, capsys):
     rc = main(["generate", "--sensors", "0", "-o", str(tmp_path / "x.json")])
     assert rc == 2

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from firewatch import clustering
 from firewatch.clustering import (
     cluster_radius,
-    coverage_improvement_check,
     init_centers,
     sensor_weight,
     weighted_kmeans,
 )
 from firewatch.edge_assignment import assign_direct
-from testutil import blob, build_scenario, weighted_kmeans_oracle
+from testutil import (blob, build_scenario, coverage_improvement_check, members,
+                      weighted_kmeans_oracle)
 
 RNG = lambda seed=0: np.random.default_rng(seed)  # noqa: E731
 
@@ -86,7 +86,7 @@ def test_kmeans_single_cluster_closed_form():
     w = np.array([sensor_weight(h, 1.5) for h in hs])
     expect = (np.array(xy) * w[:, None]).sum(axis=0) / w.sum()
     np.testing.assert_allclose(out.centers[0], expect)
-    assert out.members(0) == [0, 1, 2]
+    assert members(out, 0) == [0, 1, 2]
 
 
 def test_kmeans_equal_weights_match_unweighted():
@@ -133,7 +133,7 @@ def test_kmeans_two_groups_match_exhaustive_enumeration():
     init = np.array([[500.0, 500.0], [4500.0, 4500.0]])
     out = weighted_kmeans(sc, _all(sc), 2, 1.5, 0.5, RNG(),
                           initial_centers=init)
-    got = [frozenset(out.members(0)), frozenset(out.members(1))]
+    got = [frozenset(members(out, 0)), frozenset(members(out, 1))]
     want = [frozenset(np.flatnonzero(best_labels == 0).tolist()),
             frozenset(np.flatnonzero(best_labels == 1).tolist())]
     assert sorted(got, key=min) == sorted(want, key=min)
@@ -148,8 +148,8 @@ def test_kmeans_two_far_groups_of_ten():
     init = np.array([[200.0, 200.0], [8200.0, 8200.0]])
     out = weighted_kmeans(sc, _all(sc), 2, 1.5, 0.5, RNG(),
                           initial_centers=init)
-    assert out.members(0) == list(range(10))
-    assert out.members(1) == list(range(10, 20))
+    assert members(out, 0) == list(range(10))
+    assert members(out, 1) == list(range(10, 20))
 
 
 def test_kmeans_centers_are_weighted_centroids_of_final_assignment():
@@ -162,7 +162,7 @@ def test_kmeans_centers_are_weighted_centroids_of_final_assignment():
     assert out.iterations_run < 300
     w = np.array([sensor_weight(h, 1.5) for h in hs])
     for j in range(4):
-        ids = out.members(j)
+        ids = members(out, j)
         assert ids, "no empty cluster may be returned"
         c = (xy[ids] * w[ids, None]).sum(axis=0) / w[ids].sum()
         np.testing.assert_allclose(out.centers[j], c, atol=1e-9)
@@ -203,9 +203,9 @@ def test_kmeans_reseeds_empty_cluster_at_farthest_sensor():
     init = np.array([[0.0, 0.0], [0.0, 0.0]])   # duplicate centers -> one empties
     out = weighted_kmeans(sc, _all(sc), 2, 1.5, 1.0, RNG(),
                           initial_centers=init)
-    assert out.members(0) and out.members(1)
-    assert sorted(out.members(0) + out.members(1)) == [0, 1, 2, 3]
-    lone = out.members(0) if len(out.members(0)) == 1 else out.members(1)
+    assert members(out, 0) and members(out, 1)
+    assert sorted(members(out, 0) + members(out, 1)) == [0, 1, 2, 3]
+    lone = members(out, 0) if len(members(out, 0)) == 1 else members(out, 1)
     assert lone == [3]
 
 

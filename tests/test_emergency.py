@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from firewatch.baselines import GaConfig, PsoConfig, ga_plan, greedy_plan, pso_plan
 from firewatch.edge_assignment import EdgeLoadState, RepairFailure
-from firewatch.model import AlgoParams, PhysicalParams, derive_seed
+from firewatch.model import MAX_V_G, AlgoParams, PhysicalParams, derive_seed
 from firewatch.planner import InfeasibleError, plan, plan_at_fleet
 from firewatch.scenario import GenConfig, generate, load_scenario, save_scenario
 from firewatch.emergency import (
@@ -420,6 +420,20 @@ def test_simulate_runs_at_the_horizon_ceiling(default_scenario, default_plan, se
     res = simulate(default_plan, default_scenario, events, MAX_HORIZON_S, AlgoParams(seed=seed))
     assert len(res.traces) == 5
     assert all(math.isfinite(t.response_time_s) for t in res.traces)
+
+
+def test_simulate_runs_at_the_fastest_cruise_speed():
+    """At MAX_V_G and the horizon ceiling, a backlog of alerts all raised at
+    the horizon's end is served past it with finite responses (at 1e298 m/s
+    v_g * t overflows before the horizon ends)."""
+    sc = generate(GenConfig(n_sensors=60, seed=0), PhysicalParams(v_g=MAX_V_G))
+    pl = plan(sc, AlgoParams())
+    events = generate_events(sc, pl, 5, MAX_HORIZON_S, seed=0)
+    backlog = [replace(e, alert_time_s=MAX_HORIZON_S) for e in events] * 40
+    for evs in (events, backlog):
+        res = simulate(pl, sc, evs, MAX_HORIZON_S, AlgoParams())
+        assert len(res.traces) == len(evs)
+        assert all(math.isfinite(t.response_time_s) for t in res.traces)
 
 
 def test_own_cluster_policy(default_scenario, default_plan, default_algo):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from firewatch.edge_assignment import assign_direct
 from firewatch.model import (
+    MAX_V_G,
     MB_TO_MBIT,
     AlgoParams,
     EdgeNode,
@@ -66,6 +67,11 @@ def test_physical_params_validation():
     with pytest.raises(ValueError, match="area_km2"):
         PhysicalParams(area_km2=1e303)
     assert math.isfinite(PhysicalParams(area_km2=1e302).area_m2)
+    # v_g * t must stay finite far past the longest horizon
+    assert PhysicalParams(v_g=MAX_V_G).v_g == MAX_V_G
+    for v_g in (math.nextafter(MAX_V_G, math.inf), 1e305, 1.7e308):
+        with pytest.raises(ValueError, match="v_g must be at most 1e\\+290"):
+            PhysicalParams(v_g=v_g)
     # deadline cannot exceed the revisit ceiling
     with pytest.raises(ValueError):
         PhysicalParams(t_urgent_s=4000.0, t_max_s=3600.0)

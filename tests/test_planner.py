@@ -18,12 +18,12 @@ from firewatch.planner import (
     load_plan,
     save_plan,
     size_fleet,
-    validate_plan,
     write_route_csv,
 )
+from firewatch.reader import InputError
 from firewatch.routing import build_route, ordered_route, route_energy, tour_lower_bound
 from firewatch.scenario import GenConfig, generate
-from testutil import (blob, bound_scenarios, brute_force_tour_optimum, build_scenario,
+from testutil import (blob, bound_scenarios, brute_force_tour_optimum, build_scenario, feasible,
                       fleet_start, fleet_tree_bound, outcomes, unskip_fleet_sizes)
 
 
@@ -63,8 +63,7 @@ def test_minimal_fleet_two_blobs():
 
     pl = plan(sc, AlgoParams())
     assert pl.m == 2
-    report = validate_plan(pl, sc)
-    assert report.all_ok
+    assert feasible(pl, sc)
     groups = sorted([sorted(r.waypoints) for r in pl.routes])
     assert groups == [[0, 1, 2, 3], [4, 5, 6, 7]]
 
@@ -210,7 +209,7 @@ def test_returned_fleet_is_minimal(default_scenario, default_algo, default_plan)
     assert m >= 1
     if m > 1:
         shrunk = plan_at_fleet(default_scenario, default_algo, m - 1)
-        assert not validate_plan(shrunk, default_scenario).all_ok
+        assert not feasible(shrunk, default_scenario)
 
 
 def test_plan_at_fleet_matches_plan_at_chosen_m(default_scenario, default_algo,
@@ -227,15 +226,14 @@ def test_degenerate_all_direct():
     assert pl.assignment.direct_map == {0: 0}
     assert pl.clustering.assignment == {}
     assert pl.routes[0].waypoints == ()
-    assert validate_plan(pl, sc).all_ok
+    assert feasible(pl, sc)
 
 
 def test_plan_constraints_and_structure(default_scenario, default_plan):
     sc, pl = default_scenario, default_plan
     p = sc.physical
     assert len(pl.routes) == pl.m
-    report = validate_plan(pl, sc)
-    assert report.all_ok
+    assert feasible(pl, sc)
     for r in pl.routes:
         assert r.revisit_s <= p.t_max_s
         assert r.energy_wh <= p.e_max_wh
@@ -249,31 +247,50 @@ def test_plan_constraints_and_structure(default_scenario, default_plan):
 def test_coverage_fleet_mode(default_scenario):
     pl = plan(default_scenario, AlgoParams(fleet_init_mode=FleetInitMode.COVERAGE))
     assert pl.m == 20
-    assert validate_plan(pl, default_scenario).all_ok
+    assert feasible(pl, default_scenario)
 
 
-def test_validate_margin_arithmetic():
-    """A route one meter over the revisit budget shows margin -1/v."""
+def test_a_route_one_metre_over_the_revisit_limit():
+    """A route one meter over the revisit budget is 1/v over t_max_s."""
     p = PhysicalParams(area_km2=3600.0)   # side 60 km so the long leg fits
     sc = build_scenario([(27000.5, 0.0, 0, 1.0, 100.0)], [(0.0, 0.0, 5000.0)], p)
     pl = plan_at_fleet(sc, AlgoParams(), 1)
-    assert pl.routes[0].length_m == pytest.approx(54001.0)
-    report = validate_plan(pl, sc)
-    assert not report.revisit.ok
-    assert report.revisit.margin == pytest.approx(-1.0 / 15.0)
-    assert not report.all_ok
+    route = pl.routes[0]
+    assert route.length_m == pytest.approx(54001.0)
+    assert route.revisit_s - p.t_max_s == pytest.approx(1.0 / 15.0)
+    assert not feasible(pl, sc)
     # energy stays within budget on that same route
-    assert report.energy.ok
+    assert route.energy_wh <= p.e_max_wh
 
 
-def test_validate_fleet_ceiling():
+def test_plan_within_the_fleet_ceiling():
     sc = build_scenario([(3000.0, 0.0, 0, 1.0, 100.0)],
                         [(0.0, 0.0, 5000.0)],
                         PhysicalParams(m_max=2))
     pl = plan(sc, AlgoParams())
-    report = validate_plan(pl, sc)
-    assert report.fleet.ok
-    assert report.fleet.margin == pytest.approx(2 - pl.m)
+    assert pl.m <= sc.physical.m_max
+    assert feasible(pl, sc)
+
+
+def test_feasible_judges_each_limit_on_recomputed_routes(default_scenario, default_plan):
+    """A plan past m_max, or with an edge over its capacity, is infeasible;
+    a route whose stored revisit period understates its waypoints' is
+    rejected, not judged by the stored figure."""
+    sc, pl = default_scenario, default_plan
+    assert not feasible(plan_at_fleet(sc, AlgoParams(), sc.physical.m_max + 1), sc)
+    # the capacity wall: no repair fits the three sensors' compute on one edge
+    wall = build_scenario([(3000.0, 0.0, 0, 1.0, 1e6), (3200.0, 0.0, 0, 1.0, 1e6),
+                           (3400.0, 0.0, 0, 1.0, 1e6)], [(0.0, 0.0, 10.0)],
+                          PhysicalParams(m_max=3))
+    over = plan_at_fleet(wall, AlgoParams(), 1)
+    assert all(r.revisit_s <= wall.physical.t_max_s and r.energy_wh <= wall.physical.e_max_wh
+               for r in over.routes)
+    assert not feasible(over, wall)
+    busy = max(pl.routes, key=lambda r: r.revisit_s)
+    understated = dataclasses.replace(pl, routes=tuple(
+        dataclasses.replace(r, revisit_s=0.0) if r is busy else r for r in pl.routes))
+    with pytest.raises(InputError, match="revisit_s"):
+        feasible(understated, sc)
 
 
 def test_infeasible_capacity_reports_binding():
@@ -350,7 +367,7 @@ def test_route_csv_leg_counts(tmp_path, default_scenario, default_plan):
 def test_ablation_variants_all_plan(default_scenario, default_algo):
     plans = {v: plan(default_scenario, default_algo, v) for v in Variant}
     for v, pl in plans.items():
-        assert validate_plan(pl, default_scenario).all_ok, v
+        assert feasible(pl, default_scenario), v
         assert pl.variant == v.value
     # random clustering can never use fewer UAVs than the fleet floor
     assert plans[Variant.NO_KMEANS].m >= 1
@@ -360,7 +377,7 @@ def test_plan_at_fleet_allows_violations():
     sc = _two_blob_scenario()
     pl = plan_at_fleet(sc, AlgoParams(), 1)
     assert pl.m == 1
-    assert not validate_plan(pl, sc).all_ok
+    assert not feasible(pl, sc)
 
 
 def _cluster_for_m_oracle(uav_ids, m, scenario, algo, variant):

@@ -6,12 +6,14 @@ import glob
 import heapq
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from firewatch import planner, timing
-from firewatch.clustering import MAX_ITERS, Clustering, cluster_radius, init_centers, sensor_weight
-from firewatch.edge_assignment import EdgeLoadState, RepairFailure, cluster_demand
+from firewatch.clustering import (MAX_ITERS, Clustering, cluster_radius, init_centers,
+                                  sensor_weight, weighted_kmeans)
+from firewatch.edge_assignment import EdgeLoadState, RepairFailure, assign_direct, cluster_demand
 from firewatch import emergency
 from firewatch.emergency import select_delivery_edge
 from firewatch.model import (EdgeNode, PhysicalParams, Point2D, RequestProfile, Sensor,
@@ -190,6 +192,96 @@ def processes_where(field: str, value: int) -> list[int]:
         if int(stat.rsplit(")", 1)[1].split()[at]) == value:
             pids.append(int(path.split("/")[2]))
     return pids
+
+
+def feasible(pl, scenario) -> bool:
+    """True when the plan meets every limit.  ``planner._check_structure``
+    recomputes every route from its waypoints and raises InputError where a
+    stored length, revisit period or energy differs, or where the parts
+    disagree; then each edge's load recomputed from the direct and cluster
+    maps must be within its capacity, each route within the revisit period
+    and the energy budget, and the fleet within m_max."""
+    p = scenario.physical
+    planner._check_structure(pl.clustering, pl.assignment, pl.routes, scenario)
+    loads = planner._edge_loads(pl.assignment, pl.routes, scenario)
+    return (all(load <= cap for load, cap in zip(loads, scenario.capacity.tolist()))
+            and all(r.revisit_s <= p.t_max_s and r.energy_wh <= p.e_max_wh for r in pl.routes)
+            and pl.m <= p.m_max)
+
+
+def members(clustering: Clustering, j: int) -> list[int]:
+    """The ids of cluster j's sensors, ascending."""
+    return sorted(s for s, c in clustering.assignment.items() if c == j)
+
+
+# coverage_improvement_check: k-means convergence threshold (m) of both arms,
+# and the fire-history score above which a sensor counts as high-risk
+COVERAGE_EPSILON_M = 10.0
+HIGH_RISK_MIN = 50
+
+
+@dataclass(frozen=True)
+class CoverageCheckResult:
+    """Weighted-vs-unweighted comparison of the cluster radius experienced by
+    high-risk sensors (each sensor's own distance to its assigned center,
+    averaged over the high-risk set).  holds iff lhs <= rhs where
+    rhs = 2 / (1 + mean_high_risk_weight / w_max) * unweighted mean."""
+
+    lhs_m: float                 # mean experienced distance, weighted run
+    rhs_m: float                 # factor * unweighted mean
+    holds: bool
+    weighted_mean_distance_m: float
+    unweighted_mean_distance_m: float
+    factor: float
+
+
+def _experienced_mean(xy: np.ndarray, ids: np.ndarray, high_mask: np.ndarray,
+                      clustering: Clustering) -> float:
+    centers = np.asarray(clustering.centers)
+    a = np.array([clustering.assignment[i] for i in ids.tolist()])
+    d = np.linalg.norm(xy - centers[a], axis=1)
+    return float(d[high_mask].mean())
+
+
+def coverage_improvement_check(scenario, m: int, omega_h: float,
+                               seeds: list[int]) -> CoverageCheckResult:
+    """Check that weighting shrinks the cluster radius experienced by
+    high-risk sensors (fire_history > HIGH_RISK_MIN) relative to the analytic
+    bound on the unweighted run, both arms clustered by the shipped
+    ``weighted_kmeans``.
+
+    Both arms start from identical initial centers per seed; the experienced
+    distances are averaged over seeds.
+    """
+    ids = assign_direct(scenario)[0]
+    weights = sensor_weight(scenario.fire_history[ids], omega_h)
+    w_max = float(weights.max())
+    high_mask = scenario.fire_history[ids] > HIGH_RISK_MIN
+    if not high_mask.any():
+        raise ValueError(
+            f"no high-risk sensor (fire_history > {HIGH_RISK_MIN}) present")
+    factor = 2.0 / (1.0 + float(weights[high_mask].mean()) / w_max)
+
+    xy = scenario.xy[ids]
+    lhs_vals, base_vals = [], []
+    for seed in seeds:
+        rng = np.random.default_rng(derive_seed(seed, "coverage-check-init"))
+        centers0 = init_centers(m, scenario.edge_xy, xy, weights, rng)
+        weighted = weighted_kmeans(scenario, ids, m, omega_h, COVERAGE_EPSILON_M,
+                                   rng, initial_centers=centers0)
+        unweighted = weighted_kmeans(scenario, ids, m, 0.0, COVERAGE_EPSILON_M,
+                                     rng, initial_centers=centers0)
+        lhs_vals.append(_experienced_mean(xy, ids, high_mask, weighted))
+        base_vals.append(_experienced_mean(xy, ids, high_mask, unweighted))
+
+    lhs = float(np.mean(lhs_vals))
+    base = float(np.mean(base_vals))
+    rhs = factor * base
+    # float noise must not flip a mathematically tied case (equal weights)
+    tol = 1e-9 * max(1.0, abs(rhs))
+    return CoverageCheckResult(lhs_m=lhs, rhs_m=rhs, holds=lhs <= rhs + tol,
+                               weighted_mean_distance_m=lhs,
+                               unweighted_mean_distance_m=base, factor=factor)
 
 
 def blob(center, offsets):
