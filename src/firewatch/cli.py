@@ -8,7 +8,7 @@ naming the JSON path of the field, for example ``plan routes[0].waypoints[3]``;
 a bad flag or config value exits 2 naming the flag or config key.
 
 Each subcommand declares only the flags it reads: ``plan`` and ``compare``
-take the seven planning flags and the four GA/PSO budgets, ``simulate`` only
+take the six planning flags and the four GA/PSO budgets, ``simulate`` only
 ``--seed`` and ``--theta-max``.  ``compare`` prints one row per
 (sensor count, method) from the aggregates it writes, and the fleet growth
 factors of a sweep, before its closing summary line.
@@ -34,13 +34,14 @@ import math
 import os
 import sys
 from dataclasses import replace
+from enum import Enum
 
 import numpy as np
 
 from .baselines import GaConfig, PsoConfig, ga_plan, greedy_plan, pso_plan
 from .emergency import (_check_horizon, generate_events, load_events, queue_report,
                         save_events, simulate, write_trace_csv)
-from .model import AlgoParams, FleetInitMode, PhysicalParams, Variant
+from .model import AlgoParams, PhysicalParams, Variant
 from .planner import InfeasibleError, plan as plan_scenario
 from .planner import load_plan, save_plan, write_route_csv
 from .reader import InputError, read_text, write_csv, write_json
@@ -89,65 +90,67 @@ def _config_as_defaults(parser: argparse.ArgumentParser, path: str) -> None:
         parser.set_defaults(**{key: value})
 
 
-# --------------------------------------------------------------- shared flags
+# ------------------------------------------------------------- settings flags
 
-def _add_algo_flags(sp: argparse.ArgumentParser, planning: bool = True) -> None:
-    """--seed and, with ``planning``, the six flags only planning reads, the
-    seven ``plan`` and ``compare`` take; without it --theta-max, the delivery
-    cap only simulate reads."""
-    d = AlgoParams()
-    sp.add_argument("--seed", type=int, default=d.seed,
-                    help="base seed (all sub-seeds derive from it)")
-    if not planning:
-        sp.add_argument("--theta-max", type=float, default=d.theta_max,
-                        help="delivery-edge utilization cap")
-        return
-    sp.add_argument("--omega-h", type=float, default=d.omega_h, help="fire-history weight")
-    sp.add_argument("--omega-d", type=float, default=d.omega_d,
-                    help="distance weight in edge scoring")
-    sp.add_argument("--omega-l", type=float, default=d.omega_l, help="load weight in edge scoring")
-    sp.add_argument("--lam", type=float, default=d.lam, help="service-time weight in the objective")
-    sp.add_argument("--epsilon-m", type=float, default=d.epsilon_m,
-                    help="k-means convergence threshold, m")
-    sp.add_argument("--fleet-init", choices=[m.value for m in FleetInitMode],
-                    default=d.fleet_init_mode.value,
-                    help="initial fleet size rule for the sizing loop")
-
-
-def _add_search_flags(sp: argparse.ArgumentParser) -> None:
-    ga, pso = GaConfig(), PsoConfig()
-    sp.add_argument("--ga-pop", type=int, default=ga.population, help="GA population size")
-    sp.add_argument("--ga-gens", type=int, default=ga.generations, help="GA generations")
-    sp.add_argument("--pso-swarm", type=int, default=pso.swarm, help="PSO swarm size")
-    sp.add_argument("--pso-iters", type=int, default=pso.iterations, help="PSO iterations")
+# Each settings flag, declared once: a group is the class it sets, the
+# attribute of the parsed arguments that holds the object built from it, and
+# each flag's field and help.  A flag's type and default are its field's.
+GENERATOR = (GenConfig, "gen", {
+    "--sensors": ("n_sensors", "sensor count"), "--edges": ("n_edges", "edge node count"),
+    "--hotspots": ("n_hotspots", "fire-prone hotspot count"),
+    "--hotspot-fraction": ("hotspot_fraction", "share of the sensors in hotspots"),
+    "--hotspot-sigma": ("hotspot_sigma_m", "hotspot spread, m"),
+    "--fire-history-max": ("fire_history_max", "top of the fire-history scale"),
+    "--seed": ("seed", "scenario seed")})
+AREA = (PhysicalParams, "area", {"--area-km2": ("area_km2", "monitored area, km^2")})
+SEED = ("seed", "base seed (all sub-seeds derive from it)")
+PLANNING = (AlgoParams, "algo", {
+    "--seed": SEED, "--omega-h": ("omega_h", "fire-history weight"),
+    "--omega-l": ("omega_l", "load weight in edge scoring; the distance weight is 1 minus it"),
+    "--lam": ("lam", "service-time weight in the objective"),
+    "--epsilon-m": ("epsilon_m", "k-means convergence threshold, m"),
+    "--fleet-init": ("fleet_init_mode", "initial fleet size rule for the sizing loop")})
+DELIVERY = (AlgoParams, "algo", {"--seed": SEED,
+                                 "--theta-max": ("theta_max", "delivery-edge utilization cap")})
+GA = (GaConfig, "ga", {"--ga-pop": ("population", "GA population size"),
+                       "--ga-gens": ("generations", "GA generations")})
+PSO = (PsoConfig, "pso", {"--pso-swarm": ("swarm", "PSO swarm size"),
+                          "--pso-iters": ("iterations", "PSO iterations")})
 
 
-def _algo_from_args(args: argparse.Namespace) -> AlgoParams:
-    """AlgoParams from the algorithm flags the subcommand has, any other
-    field at its default.  A --omega-h, --lam, --epsilon-m or --theta-max
-    value AlgoParams rejects raises a ValueError naming the flag; --omega-d
-    and --omega-l are checked as a pair."""
-    flags = {field: "--" + field.replace("_", "-")
-             for field in ("omega_h", "lam", "epsilon_m", "theta_max") if hasattr(args, field)}
-    fixed = {"seed": args.seed}
-    if hasattr(args, "fleet_init"):
-        fixed.update(omega_d=args.omega_d, omega_l=args.omega_l,
-                     fleet_init_mode=FleetInitMode(args.fleet_init))
-    return _from_flags(AlgoParams, args, flags, **fixed)
+def _add_flags(sp: argparse.ArgumentParser, *groups, names=None) -> None:
+    """Add each group's flags to ``sp``, for ``main`` to build the groups'
+    objects from; with ``names``, only those flags, left to the command."""
+    for cls, _attr, flags in groups:
+        for flag in names or flags:
+            field, text = flags[flag]
+            value = getattr(cls(), field)
+            if isinstance(value, Enum):
+                sp.add_argument(flag, choices=[m.value for m in type(value)],
+                                default=value.value, help=text)
+            else:
+                sp.add_argument(flag, type=type(value), default=value, help=text)
+    if names is None:
+        sp.set_defaults(_groups=groups)
 
 
-def _from_flags(cls, args: argparse.Namespace, flags: dict[str, str], **fixed):
-    """``cls`` with each field in ``flags`` taken from that flag's value and
-    the ``fixed`` ones as given.  Each flag's value is first checked alone,
-    every other field at its default, so a value the class rejects raises a
-    ValueError naming the flag and the value."""
-    values = {field: getattr(args, flag[2:].replace("-", "_")) for field, flag in flags.items()}
-    for field, flag in flags.items():
+def _settings(group, args: argparse.Namespace, names=None):
+    """The class of ``group`` with the field of each flag (those in ``names``
+    when given) taken from ``args``, any other at its default.  Each value is
+    checked alone first, so a value the class rejects raises a ValueError
+    naming the flag and the value."""
+    cls, _attr, flags = group
+    values = {}
+    for flag in flags if names is None else names:
+        field = flags[flag][0]
+        # the field's own type: the identity on a number, a member of an enum
+        value = type(getattr(cls(), field))(getattr(args, flag[2:].replace("-", "_")))
         try:
-            cls(**{field: values[field]})
+            cls(**{field: value})
         except ValueError as exc:
-            raise ValueError(f"{flag} {values[field]}: {exc}") from None
-    return cls(**values, **fixed)
+            raise ValueError(f"{flag} {value}: {exc}") from None
+        values[field] = value
+    return cls(**values)
 
 
 def _make_plan(method: str, scenario, algo: AlgoParams, args: argparse.Namespace,
@@ -179,19 +182,10 @@ def _mean_ci(xs: list[float]) -> tuple[float, float | None, float | None]:
 # ----------------------------------------------------------------- subcommands
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    try:
-        cfg = _from_flags(GenConfig, args, {
-            "n_sensors": "--sensors", "n_edges": "--edges", "n_hotspots": "--hotspots",
-            "hotspot_fraction": "--hotspot-fraction", "hotspot_sigma_m": "--hotspot-sigma",
-            "fire_history_max": "--fire-history-max", "seed": "--seed"})
-        physical = _from_flags(PhysicalParams, args, {"area_km2": "--area-km2"})
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    scenario = generate(cfg, physical)
+    scenario = generate(args.gen, args.area)
     save_scenario(scenario, args.out)
     print(f"scenario: {len(scenario.xy)} sensors, {len(scenario.edge_xy)} edges, "
-          f"{len(scenario.meta.hotspots)} hotspots, seed {cfg.seed} -> {args.out}")
+          f"{len(scenario.meta.hotspots)} hotspots, seed {args.gen.seed} -> {args.out}")
     return EXIT_OK
 
 
@@ -318,10 +312,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         # --sensors is not read when --sweep-sensors is given, and a flag
         # not given keeps GenConfig's default
         sweep = "--sweep-sensors" in gen_given
-        flags = ({"n_edges": "--edges"} if sweep
-                 else {"n_sensors": "--sensors", "n_edges": "--edges"})
-        base = _from_flags(GenConfig, args,
-                           {field: flag for field, flag in flags.items() if flag in gen_given})
+        read = ("--edges",) if sweep else ("--sensors", "--edges")
+        base = _settings(GENERATOR, args, [flag for flag in gen_given if flag in read])
         ns = _parse_sweep(args.sweep_sensors) if sweep else [base.n_sensors]
         gens = {n: replace(base, n_sensors=n) for n in ns}
     except ValueError as exc:
@@ -451,17 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="firewatch",
         description="UAV wildfire-monitoring planner and simulator")
     sub = ap.add_subparsers(dest="command", required=True)
-    gen = GenConfig()
 
     g = sub.add_parser("generate", help="write a scenario JSON file")
-    g.add_argument("--sensors", type=int, default=gen.n_sensors)
-    g.add_argument("--edges", type=int, default=gen.n_edges)
-    g.add_argument("--hotspots", type=int, default=gen.n_hotspots)
-    g.add_argument("--hotspot-fraction", type=float, default=gen.hotspot_fraction)
-    g.add_argument("--hotspot-sigma", type=float, default=gen.hotspot_sigma_m)
-    g.add_argument("--fire-history-max", type=int, default=gen.fire_history_max)
-    g.add_argument("--area-km2", type=float, default=PhysicalParams().area_km2)
-    g.add_argument("--seed", type=int, default=gen.seed)
+    _add_flags(g, GENERATOR, AREA)
     g.add_argument("-o", "--out", default="scenario.json")
     g.add_argument("--config", default=None, help="key=value config file")
     g.set_defaults(func=cmd_generate, _parser=g)
@@ -472,8 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--variant", choices=[v.value for v in Variant],
                     default=Variant.FULL.value,
                     help="ablation arm (proposed method only)")
-    _add_algo_flags(pl)
-    _add_search_flags(pl)
+    _add_flags(pl, PLANNING, GA, PSO)
     pl.add_argument("-o", "--out-dir", default=".")
     pl.add_argument("--config", default=None, help="key=value config file")
     pl.set_defaults(func=cmd_plan, _parser=pl)
@@ -487,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("--horizon", type=float, default=86400.0,
                     help="simulated horizon, s (default: one monitoring day)")
     si.add_argument("--policy", choices=["nearest", "own_cluster"], default="nearest")
-    _add_algo_flags(si, planning=False)
+    _add_flags(si, DELIVERY)
     si.add_argument("-o", "--out-dir", default=".")
     si.add_argument("--config", default=None, help="key=value config file")
     si.set_defaults(func=cmd_simulate, _parser=si)
@@ -497,14 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fixed scenario file (else generated per seed)")
     co.add_argument("--methods", default="proposed,ga,pso,greedy")
     co.add_argument("--seeds", type=int, default=20, help="number of seeds (0..N-1)")
+    _add_flags(co, GENERATOR, names=("--sensors", "--edges"))
     # no default value, so that -s/--scenario can tell a given flag
-    co.add_argument("--sensors", type=int, default=None,
-                    help=f"sensors per generated scenario (default {gen.n_sensors})")
-    co.add_argument("--edges", type=int, default=None,
-                    help=f"edges per generated scenario (default {gen.n_edges})")
+    co.set_defaults(sensors=None, edges=None)
     co.add_argument("--sweep-sensors", default=None, metavar="START:STOP:STEP")
-    _add_algo_flags(co)
-    _add_search_flags(co)
+    _add_flags(co, PLANNING, GA, PSO)
     co.add_argument("-o", "--out-dir", default=".")
     co.add_argument("--config", default=None, help="key=value config file")
     co.set_defaults(func=cmd_compare, _parser=co)
@@ -522,15 +502,10 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv)
         # the flags argv alone gave, before any config default
         args._argv = typed
-        # the algorithm and search settings, built once for the command to
-        # read; a bad algorithm or search flag is a usage error
-        if hasattr(args, "fleet_init") or hasattr(args, "theta_max"):
-            args.algo = _algo_from_args(args)
-        if hasattr(args, "ga_pop"):
-            args.ga = _from_flags(GaConfig, args, {"population": "--ga-pop",
-                                                   "generations": "--ga-gens"})
-            args.pso = _from_flags(PsoConfig, args, {"swarm": "--pso-swarm",
-                                                     "iterations": "--pso-iters"})
+        # each settings object, built once for the command to read; a bad
+        # settings flag is a usage error
+        for group in args._groups:
+            setattr(args, group[1], _settings(group, args))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code == 2 else int(exc.code or 0)
     except (InputError, OSError) as exc:

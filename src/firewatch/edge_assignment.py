@@ -8,6 +8,8 @@ prospective utilization (ties to the lowest edge id):
 
     score = omega_d * (dbar / d_norm) + omega_l * (load + demand) / capacity
 
+where the distance weight omega_d is 1 - omega_l (``AlgoParams.omega_d``).
+
 ``cluster_terms`` takes dbar and demand as member sums in ascending id,
 whatever the visit order, over the count and the period, for a batch of
 labels at once; an empty cluster changes no load, so a run of them takes

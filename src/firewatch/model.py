@@ -20,6 +20,10 @@ import numpy as np
 
 MB_TO_MBIT = 8.0
 
+# integers must fit the int64 columns they may land in: a seed, a fire
+# history and every integer a file holds lie in [-INT_LIMIT, INT_LIMIT)
+INT_LIMIT = 2 ** 63
+
 # the fastest cruise speed, m/s: a patrol position is v_g * t metres along
 # its tour, and this keeps that finite for t up to 1e18 s, a million times
 # emergency.MAX_HORIZON_S, so alerts queued past the horizon still dispatch
@@ -157,7 +161,6 @@ class AlgoParams:
     """Tunables of the planning pipeline."""
 
     omega_h: float = 1.5      # fire-history weight gain
-    omega_d: float = 0.7      # distance weight in edge assignment score
     omega_l: float = 0.3      # load weight in edge assignment score
     lam: float = 0.1          # route-length / service-time trade-off
     epsilon_m: float = 10.0   # k-means convergence threshold, m
@@ -167,14 +170,18 @@ class AlgoParams:
 
     def __post_init__(self):
         _require_finite(self, positive=("epsilon_m",), non_negative=("omega_h", "lam"))
-        for name in ("omega_d", "omega_l"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if abs(self.omega_d + self.omega_l - 1.0) > 1e-9:
-            raise ValueError("omega_d + omega_l must equal 1")
+        if not 0.0 <= self.omega_l <= 1.0:
+            raise ValueError(f"omega_l must be in [0, 1], got {self.omega_l}")
         if not 0.0 < self.theta_max <= 1.0:
             raise ValueError(f"theta_max must be in (0, 1], got {self.theta_max}")
+        if not -INT_LIMIT <= self.seed < INT_LIMIT:
+            raise ValueError(f"seed must be in [-2^63, 2^63), got {self.seed}")
+
+    @property
+    def omega_d(self) -> float:
+        """Distance weight in the edge assignment score: the two weights
+        sum to 1, so it is 1 - omega_l (0.7 exactly at the default)."""
+        return 1.0 - self.omega_l
 
 
 def column_distances(x, y, px, py, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:

@@ -14,7 +14,8 @@ import csv
 import json
 import math
 
-_INT_LIMIT = 2 ** 63    # integers must fit the int64 columns they may land in
+from .model import INT_LIMIT
+
 _SHOWN_CHARS = 80       # an offending value echoed in a message is cut past this
 
 
@@ -108,14 +109,14 @@ class Doc:
         v = self.value
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             self.fail(f"must be a number, got {shown(v)}")
-        if not (math.isfinite(v) if isinstance(v, float) else abs(v) < _INT_LIMIT):
+        if not (math.isfinite(v) if isinstance(v, float) else abs(v) < INT_LIMIT):
             self.fail(f"must be finite, got {shown(v)}")
         return float(v)
 
     def integer(self, floor: int | None = None) -> int:
         """An integer, at least ``floor`` when given; a bool or a float is not one."""
-        v, lo = self.value, -_INT_LIMIT if floor is None else floor
-        if isinstance(v, bool) or not isinstance(v, int) or not lo <= v < _INT_LIMIT:
+        v, lo = self.value, -INT_LIMIT if floor is None else floor
+        if isinstance(v, bool) or not isinstance(v, int) or not lo <= v < INT_LIMIT:
             self.fail(f"must be an integer{'' if floor is None else f' >= {floor}'}, "
                       f"got {shown(v)}")
         return v

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import EdgeNode, PhysicalParams, Point2D, RequestProfile, Sensor, _require_finite
+from .model import (INT_LIMIT, EdgeNode, PhysicalParams, Point2D, RequestProfile, Sensor,
+                    _require_finite)
 from .reader import Doc, read, write_json
 
 SCHEMA_VERSION = 1
@@ -50,8 +51,10 @@ class GenConfig:
         if not 0.0 <= self.hotspot_fraction <= 1.0:
             raise ValueError("hotspot_fraction must be in [0, 1]")
         _require_finite(self, positive=("hotspot_sigma_m",))
-        if self.fire_history_max < 1:
-            raise ValueError("fire_history_max must be >= 1")
+        if not 1 <= self.fire_history_max < INT_LIMIT:
+            raise ValueError(f"fire_history_max must be in [1, 2^63), got {self.fire_history_max}")
+        if not 0 <= self.seed < INT_LIMIT:
+            raise ValueError(f"seed must be in [0, 2^63), got {self.seed}")
         for name in ("alpha_range_mb", "beta_range_mi", "edge_capacity_range_mips"):
             lo, hi = getattr(self, name)
             if not 0 < lo <= hi < math.inf:

@@ -648,15 +648,34 @@ def test_non_finite_algorithm_flag_is_a_usage_error(tmp_path, capsys, command, f
 _SIMULATE = ["simulate", "-s", "x.json", "-p", "p.json"]
 
 
-@pytest.mark.parametrize("flag,value", [("--omega-h", "9"), ("--omega-d", "0.5"),
-                                        ("--omega-l", "0.5"), ("--lam", "5"),
-                                        ("--epsilon-m", "1"), ("--fleet-init", "coverage")])
+@pytest.mark.parametrize("flag,value", [("--omega-h", "9"), ("--omega-l", "0.5"),
+                                        ("--lam", "5"), ("--epsilon-m", "1"),
+                                        ("--fleet-init", "coverage")])
 def test_simulate_takes_no_planning_flag(tmp_path, capsys, flag, value):
     """simulate reads only --seed and --theta-max of the algorithm flags; the
-    six that only planning reads are unrecognized arguments."""
+    five that only planning reads are unrecognized arguments."""
     rc = main(_SIMULATE + [flag, value, "-o", str(tmp_path / "out")])
     assert rc == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(["plan", "-s", "x.json"], id="plan"),
+    pytest.param(["compare", "--methods", "greedy", "--seeds", "1"], id="compare"),
+    pytest.param(_SIMULATE, id="simulate")])
+def test_the_distance_weight_is_no_setting(tmp_path, capsys, command):
+    """The distance weight is 1 - --omega-l, worked out, not asked for:
+    --omega-d is an unrecognized argument and omega_d an unknown config key
+    on every subcommand."""
+    rc = main(command + ["--omega-d", "0.7", "-o", str(tmp_path / "out")])
+    assert rc == 2
+    assert "unrecognized arguments: --omega-d 0.7" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("omega_d = 0.7\n")
+    rc = main(command + ["--config", str(cfg), "-o", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"unknown config key 'omega_d' in {cfg}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -1016,6 +1035,27 @@ _COMPARE = ["compare", "--methods", "greedy", "--seeds", "1"]
                  "--edges -1: n_edges must be >= 1, got -1", id="compare-sweep-edges"),
     pytest.param(_SIMULATE + ["--theta-max", "1.5"], 2,
                  "--theta-max 1.5: theta_max must be in (0, 1], got 1.5", id="simulate-theta-max"),
+    pytest.param(["plan", "-s", "x.json", "--omega-l", "1.5"], 2,
+                 "--omega-l 1.5: omega_l must be in [0, 1], got 1.5", id="plan-omega-l"),
+    pytest.param(_COMPARE + ["--omega-l", "-0.5"], 2,
+                 "--omega-l -0.5: omega_l must be in [0, 1], got -0.5", id="compare-omega-l"),
+    pytest.param(["generate", "--seed", "-1"], 2,
+                 "--seed -1: seed must be in [0, 2^63), got -1", id="generate-seed-negative"),
+    pytest.param(["generate", "--seed", str(2 ** 63)], 2,
+                 f"--seed {2 ** 63}: seed must be in [0, 2^63), got {2 ** 63}",
+                 id="generate-seed-past-int64"),
+    pytest.param(["generate", "--fire-history-max", str(2 ** 63)], 2,
+                 f"--fire-history-max {2 ** 63}: fire_history_max must be in [1, 2^63), "
+                 f"got {2 ** 63}", id="generate-fire-history-max-past-int64"),
+    pytest.param(["plan", "-s", "x.json", "--seed", str(2 ** 63)], 2,
+                 f"--seed {2 ** 63}: seed must be in [-2^63, 2^63), got {2 ** 63}",
+                 id="plan-seed-past-int64"),
+    pytest.param(_COMPARE + ["--seed", str(-2 ** 63 - 1)], 2,
+                 f"--seed {-2 ** 63 - 1}: seed must be in [-2^63, 2^63), got {-2 ** 63 - 1}",
+                 id="compare-seed-past-int64"),
+    pytest.param(_SIMULATE + ["--seed", str(2 ** 63)], 2,
+                 f"--seed {2 ** 63}: seed must be in [-2^63, 2^63), got {2 ** 63}",
+                 id="simulate-seed-past-int64"),
     pytest.param(_COMPARE + ["--sweep-sensors", "a:b:c"], 4,
                  "--sweep-sensors a:b:c: must be START:STOP:STEP, three integers",
                  id="compare-sweep-not-integers"),
@@ -1041,6 +1081,29 @@ def test_bad_config_flag_is_named_with_its_value(tmp_path, capsys, argv, code, m
     assert rc == code
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_the_extreme_accepted_seeds_round_trip(tmp_path, capsys):
+    """A seed at either end of the int64 range that generate and plan take
+    gives files the next command reads: generate at 2^63 - 1 and plan at
+    -2^63, then simulate, each exit 0; one past each end exits 2 naming the
+    flag, with nothing written."""
+    top, bottom = str(2 ** 63 - 1), str(-2 ** 63)
+    scen, out, sim = tmp_path / "s.json", tmp_path / "plan", tmp_path / "sim"
+    assert main(["generate", "--sensors", "30", "--edges", "3", "--seed", top,
+                 "-o", str(scen)]) == 0
+    assert json.loads(scen.read_text())["meta"]["seed"] == 2 ** 63 - 1
+    assert main(["plan", "-s", str(scen), "--seed", bottom, "-o", str(out)]) == 0
+    assert json.loads((out / "plan.json").read_text())["seed"] == -2 ** 63
+    assert main(["simulate", "-s", str(scen), "-p", str(out / "plan.json"), "--seed", bottom,
+                 "-o", str(sim)]) == 0
+    capsys.readouterr()
+    past = tmp_path / "past"
+    for argv, value in ((["generate", "-o", str(past / "s.json")], 2 ** 63),
+                        (["plan", "-s", str(scen), "-o", str(past)], -2 ** 63 - 1)):
+        assert main(argv + ["--seed", str(value)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --seed {value}: seed must be in ")
+    assert not past.exists()
 
 
 @pytest.mark.parametrize("line,code,named", [

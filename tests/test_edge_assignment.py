@@ -279,10 +279,10 @@ def _phase2_scenario(points, capacities):
                           [(x, y, c) for (x, y), c in zip(_EDGES, capacities)])
 
 
-def _phase2_case(points, capacities, omega_d, m, genes):
-    """A phase-2 case: the scenario, the distance weight, the cluster count
-    and a (P, n) population over the UAV-served sensors."""
-    return (_phase2_scenario(points, capacities), omega_d, m,
+def _phase2_case(points, capacities, omega_l, m, genes):
+    """A phase-2 case: the scenario, the load weight, the cluster count and
+    a (P, n) population over the UAV-served sensors."""
+    return (_phase2_scenario(points, capacities), omega_l, m,
             np.array(genes, dtype=int).reshape(len(genes), -1))
 
 
@@ -329,21 +329,21 @@ def _oracle_outcome(*args):
 @given(_phase2_cases())
 # three coincident sensors equally far from two equal edges, clusters 0 and
 # 8 of 9 used, so runs of empty clusters lie between and after them
-@example(_phase2_case([(2000.0, 0.0, 360.0)] * 3, [1.0, 1.0], 0.7, 9, [[0, 0, 8]]))
+@example(_phase2_case([(2000.0, 0.0, 360.0)] * 3, [1.0, 1.0], 0.3, 9, [[0, 0, 8]]))
 # every edge overloaded by one sensor: the repair fails
 @example(_phase2_case([(2000.0, 0.0, 3600.0), (2000.0, 1500.0, 3600.0)], [0.05, 0.05],
-                      0.7, 2, [[0, 1], [1, 1]]))
+                      0.3, 2, [[0, 1], [1, 1]]))
 # a direct sensor loads edge 0, so the repair moves a cluster off edge 1
 @example(_phase2_case([(100.0, 100.0, 720.0), (3000.0, 1000.0, 360.0),
-                       (2000.0, 1500.0, 360.0)], [1.0, 0.2], 0.3, 3, [[0, 1], [2, 2]]))
+                       (2000.0, 1500.0, 360.0)], [1.0, 0.2], 0.7, 3, [[0, 1], [2, 2]]))
 def test_phase2_kernel_equals_the_per_method_oracles(case):
     """One batch of the kernel gives every row the counts, upload sums,
     edges and loads of the GA/PSO population loop, and each row's labels
     alone, as size_fleet passes them, give the planner's Python score
     lists, before and after overload repair (also of every cluster put on
     edge 0): ``==`` throughout."""
-    sc, omega_d, m, genes = case
-    algo = AlgoParams(omega_d=omega_d, omega_l=1.0 - omega_d)
+    sc, omega_l, m, genes = case
+    algo = AlgoParams(omega_l=omega_l)
     p = sc.physical
     ws = _Workspace(sc, algo)
     got = ws.assign(genes, m)

@@ -25,11 +25,11 @@ from hypothesis import strategies as st
 from firewatch.cli import main
 
 N_SENSORS, N_EDGES, HORIZON_S = 40, 3, 7200.0
-CONFIG = {"seed": "3", "omega_h": "1.5", "lam": "0.1", "fleet_init": "one",
+CONFIG = {"seed": "3", "omega_h": "1.5", "omega_l": "0.3", "lam": "0.1", "fleet_init": "one",
           "ga_pop": "50", "pso_iters": "100"}
 # a config value of the right type that the flag's range rejects
-CONFIG_OUT_OF_RANGE = {"omega_h": "-1", "lam": "-1", "fleet_init": "most", "ga_pop": "1",
-                       "pso_iters": "-1"}
+CONFIG_OUT_OF_RANGE = {"seed": str(2 ** 63), "omega_h": "-1", "omega_l": "1.5", "lam": "-1",
+                       "fleet_init": "most", "ga_pop": "1", "pso_iters": "-1"}
 
 
 @pytest.fixture(scope="module")

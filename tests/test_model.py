@@ -80,13 +80,25 @@ def test_physical_params_validation():
 def test_algo_params_validation():
     with pytest.raises(ValueError):
         AlgoParams(omega_h=-0.1)
-    with pytest.raises(ValueError):
-        AlgoParams(omega_d=0.6, omega_l=0.3)   # must sum to 1
+    for omega_l in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="omega_l must be in"):
+            AlgoParams(omega_l=omega_l)
     with pytest.raises(ValueError):
         AlgoParams(theta_max=0.0)
     with pytest.raises(ValueError):
         AlgoParams(epsilon_m=0.0)
-    assert AlgoParams(omega_d=0.5, omega_l=0.5).omega_d == 0.5
+    # the distance weight is worked out, not set: exactly 0.7 at the default
+    assert AlgoParams().omega_d == 0.7
+    assert AlgoParams(omega_l=0.5).omega_d == 0.5
+    assert AlgoParams(omega_l=1.0).omega_d == 0.0
+    with pytest.raises(TypeError):
+        AlgoParams(omega_d=0.7)
+    # a seed must fit int64, as a plan file's seed must
+    for seed in (-2 ** 63, 2 ** 63 - 1):
+        assert AlgoParams(seed=seed).seed == seed
+    for seed in (-2 ** 63 - 1, 2 ** 63):
+        with pytest.raises(ValueError, match=r"seed must be in \[-2\^63, 2\^63\)"):
+            AlgoParams(seed=seed)
 
 
 def test_enums_round_trip():

@@ -19,6 +19,19 @@ def test_gen_config_validation():
         GenConfig(alpha_range_mb=(5.0, 1.0))
 
 
+def test_gen_config_integers_fit_int64():
+    """The generator's seed and fire-history ceiling stay in the range numpy
+    and the scenario reader take: a seed in [0, 2^63), a ceiling below 2^63."""
+    assert GenConfig(seed=2 ** 63 - 1, fire_history_max=2 ** 63 - 1).seed == 2 ** 63 - 1
+    for seed in (-1, 2 ** 63):
+        with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\^63\), got {seed}"):
+            GenConfig(seed=seed)
+    for top in (0, 2 ** 63):
+        with pytest.raises(ValueError,
+                           match=rf"fire_history_max must be in \[1, 2\^63\), got {top}"):
+            GenConfig(fire_history_max=top)
+
+
 def test_generate_is_deterministic(tmp_path):
     a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
     save_scenario(generate(GenConfig()), str(a))
