@@ -21,16 +21,19 @@ loads the loop then gives the plan.
 GA children are built a generation at a time from the values a loop over
 the pairs of children would draw from the search's numpy Generator, one
 call per tournament, crossover and mutation, in that order.  ``_Stream``
-replays those draws from blocks of the PCG64 bit generator's raw 64-bit
-outputs (``random_raw``) by numpy's rules: a double is ``(raw >> 11) *
+holds the PCG64 bit generator's raw 64-bit outputs (``random_raw``), from
+which those draws follow by numpy's rules: a double is ``(raw >> 11) *
 2**-53``; a 32-bit draw takes the low half of a raw output, then its high
 half, which waits across calls and is skipped by doubles; ``integers(0, r)``
 is ``(u32 * r) >> 32``, drawn again while ``(u32 * r) mod 2**32 < 2**32 mod
-r`` (Lemire 2019); r == 1 and size 0 draw nothing.  A generation first walks
-the loop for positions only, then builds every child with whole-population
-array operations, so the plans are those of the loop.  If numpy changes its
-Generator stream, ``tests/test_baselines.py::test_stream_replays_the_generator``
-fails first.
+r`` (Lemire 2019); r == 1 and size 0 draw nothing.  A generation first
+reserves the most raw outputs its draws can read, then ``_walk`` steps
+through the loop on plain integers for positions only, taking every word as
+accepted, and every child is built with whole-population array operations,
+so the plans are those of the loop.  A word Lemire's method rejects sends
+the generation through the same walk again, word by word.  If numpy changes
+its Generator stream,
+``tests/test_baselines.py::test_stream_replays_the_generator`` fails first.
 
 Each GA/PSO fleet size is searched from its own seed stream,
 ``derive_seed(algo.seed, "ga-m{m}")`` (``"pso-m{m}"``), so the sizes after m
@@ -52,6 +55,7 @@ from __future__ import annotations
 import atexit
 import contextlib
 import functools
+import math
 import os
 import signal
 import threading
@@ -64,7 +68,7 @@ from . import planner
 # assign_clusters and repair_overload stay importable here, and phase 1 is
 # looked up as planner.assign_direct: bench/tracer.py wraps those names
 from .edge_assignment import (assign_batch, assign_clusters, cluster_terms,  # noqa: F401
-                              edge_distances, repair_overload)
+                              edge_distances, repair_overload, weight_rows)
 from .model import MB_TO_MBIT, AlgoParams, derive_seed, distance_matrix
 from .planner import Plan, size_fleet
 from .routing import build_route, ordered_route
@@ -130,14 +134,18 @@ class _Workspace:
         self.direct_service = sum(
             transmission_time(alpha[i], p.data_rate_mbps) + execution_time(beta[i], cap[k])
             for i, k in self.direct_map.items())
+        self._weights = {}      # population size -> its cluster_terms weight rows
 
     def assign(self, genes: np.ndarray, m: int):
         """Phase 2 of a population: the (P, m) member counts, upload sums and
-        edges and the (P, edges) loads, the sums from one ``cluster_terms``."""
-        a, p = self.algo, self.p
+        edges and the (P, edges) loads, the sums from one ``cluster_terms``
+        over weight rows tiled once per population size."""
+        a, p, P = self.algo, self.p, len(genes)
+        if P not in self._weights:
+            self._weights[P] = weight_rows(P, self.beta, self.d_se, self.alpha)
         counts, demands, dist, alpha_sum = cluster_terms(genes, m, self.beta, self.d_se,
                                                          a.omega_d, p.diag_m, p.t_period_s,
-                                                         self.alpha)
+                                                         self.alpha, weights=self._weights[P])
         return (counts, alpha_sum,
                 *assign_batch(counts, demands, dist, self.load0.loads_mips, self.cap,
                               a.omega_l))
@@ -150,21 +158,23 @@ class _Workspace:
         Returns the (P,) fitness and violations and the (P, m) tour lengths."""
         p = self.p
         counts, alpha_sum, edge_of, loads = assigned
-        P, m = counts.shape
+        (P, m), n = counts.shape, self.n
         rows = np.arange(P)[:, None]
 
         # tour lengths: inner legs along the order, broken at cluster
-        # boundaries, plus the two depot legs per non-empty cluster
-        og = genes[rows, orders]
-        seg = self.d_ss[orders[:, :-1], orders[:, 1:]]
+        # boundaries, plus the two depot legs per non-empty cluster; every
+        # (row, column) pair is read as one flat offset
+        og = genes.ravel().take(orders + n * rows)
+        seg = self.d_ss.ravel().take(orders[:, :-1] * n + orders[:, 1:])
         same = og[:, 1:] == og[:, :-1]
         # (bincount gives ints when no leg is inside a cluster)
         lengths = np.bincount((og[:, 1:] + m * rows)[same], weights=seg[same],
                               minlength=P * m).reshape(P, m).astype(float, copy=False)
         r, j = np.nonzero(counts)
-        starts = (np.cumsum(counts, axis=1) - counts)[r, j]
-        first = orders[r, starts]
-        last = orders[r, starts + counts[r, j] - 1]
+        starts = (np.cumsum(counts, axis=1) - counts)[r, j] + n * r
+        flat_orders = orders.ravel()
+        first = flat_orders[starts]
+        last = flat_orders[starts + counts[r, j] - 1]
         k = edge_of[r, j]
         lengths[r, j] += self.d_se[first, k] + self.d_se[last, k]
 
@@ -176,63 +186,94 @@ class _Workspace:
         violations = ((revisit > p.t_max_s).sum(axis=1) + (energy > p.e_max_wh).sum(axis=1)
                       + (loads > self.cap).sum(axis=1))
 
-        service = self.t_tra_sum + (self.beta / self.cap[edge_of[rows, genes]]).sum(axis=1)
+        # each sensor's edge capacity: its cluster's, read at flat offset r * m + gene
+        cap = self.cap[edge_of].ravel().take(genes + m * rows)
+        service = self.t_tra_sum + (self.beta / cap).sum(axis=1)
         objective = lengths.sum(axis=1) + self.algo.lam * (service + self.direct_service)
         return objective + PENALTY * violations, violations, lengths
 
     def nn_orders(self, genes: np.ndarray, assigned) -> np.ndarray:
         """Nearest-neighbor visit order of every cluster of every row from
         its assigned edge, grouped by cluster; ties go to the lowest sensor
-        id.  One step per visit, taken across all P*m clusters at once."""
+        id.  One step per visit, taken across all P*m clusters at once: the
+        clusters are sorted largest first, so step t runs on the leading
+        block of those with more than t members, all counts from one
+        ``searchsorted``."""
         counts, _, edge_of, _ = assigned
         P, n = genes.shape
         size = counts.ravel()
         width = int(size.max())
+        if not width:           # no UAV-served sensor
+            return np.empty((P, 0), dtype=int)
         valid = np.arange(width) < size[:, None]
         # row c = cluster c % m of row c // m: its members in ascending id
         # order, padding after
         members = np.zeros((len(size), width), dtype=int)
         members[valid] = np.argsort(genes, axis=1, kind="stable").ravel()
-        # largest clusters first, so step t runs on a leading block of rows
         by_size = np.argsort(-size, kind="stable")
         members, size = members[by_size], size[by_size]
+        live = np.searchsorted(-size, -np.arange(width), side="left").tolist()
+        valid = valid[by_size]
         # inf on padding and visited members, 0 elsewhere: adding it leaves
         # every open distance as it is
-        blocked = np.where(valid[by_size], 0.0, np.inf)
+        blocked = np.where(valid, 0.0, np.inf)
         edge = edge_of.ravel()[by_size]
         d_ss = self.d_ss.ravel()
-        picks = np.zeros_like(members)
-        for t in range(width):
-            live = int(np.count_nonzero(size > t))
-            rows = np.arange(live)
+        # slot base[c] + j: member j of row c, in members, blocked and bases;
+        # bases holds the members' row offsets into d_ss
+        base = np.arange(len(size)) * width
+        bases, flat_blocked = (members * n).ravel(), blocked.ravel()
+        visits = []             # per step, the slot each live row visits
+        for t, rows in enumerate(live):
             if t == 0:
-                d = self.d_se[members[:live], edge[:live, None]]
+                d = self.d_se[members[:rows], edge[:rows, None]]
             else:
-                d = d_ss.take(members[rows, cur[:live], None] * n + members[:live])
-            d += blocked[:live]
-            picks[:live, t] = cur = d.argmin(axis=1)
-            blocked[rows, cur] = np.inf
-        seq = np.empty_like(members)
-        seq[by_size] = np.take_along_axis(members, picks, axis=1)
-        return seq[valid].reshape(P, n)
+                d = d_ss.take(bases[visits[-1][:rows], None] + members[:rows])
+            d += blocked[:rows]
+            visits.append(base[:rows] + d.argmin(axis=1))
+            flat_blocked[visits[-1]] = np.inf
+        # visit t of row c goes to its cluster's start in the output plus t
+        step, row = np.nonzero(valid.T)
+        start = (np.cumsum(counts) - counts.ravel())[by_size]
+        seq = np.empty(P * n, dtype=members.dtype)
+        seq[start[row] + step] = members.ravel()[np.concatenate(visits)]
+        return seq.reshape(P, n)
+
+
+# genes below this fit above a 53-bit priority in one int64 key
+_KEY_GENES = 2 ** 10
 
 
 def _order_by_priority(genes: np.ndarray, priorities: np.ndarray) -> np.ndarray:
     """Per row: sensor indices grouped by cluster, each group by ascending
-    priority (ties by index): one stable lexsort over the whole population."""
-    return np.lexsort((priorities, genes), axis=-1)
+    priority (ties by index).  Priorities are the GA's, numpy doubles
+    ``k * 2**-53`` with integer 0 <= k < 2**53, so while every gene is below
+    1024 ``(gene << 53) | k`` is one exact int64 key, and a stable argsort
+    of it gives lexsort's order.  With a gene of 1024 or more (m > 1024) the
+    key would overflow, and one stable ``np.lexsort`` by gene, then
+    priority, gives that order."""
+    if genes.size and genes.max() >= _KEY_GENES:
+        return np.lexsort((priorities, genes), axis=-1)
+    key = (genes.astype(np.int64, copy=False) << 53) | (priorities * 2.0 ** 53).astype(np.int64)
+    return np.argsort(key, axis=-1, kind="stable")
+
+
+# a double (raw >> 11) * 2**-53 is < MUTATION_RATE exactly when raw is
+# below this: scaling by a power of two is exact, so the double is below the
+# rate when the integer raw >> 11 is below ceil(MUTATION_RATE * 2**53)
+_LOW_RAW = math.ceil(MUTATION_RATE * 2 ** 53) << 11
 
 
 class _Stream:
-    """The ``random()`` and ``integers(0, r)`` draws of a numpy Generator,
-    replayed from blocks of its PCG64 bit generator's raw 64-bit outputs.
+    """The raw 64-bit outputs of a numpy Generator's PCG64 bit generator,
+    from which the ``random()`` and ``integers(0, r)`` draws the Generator
+    would make are replayed by numpy's rules, in passes.
 
-    The draw methods hand out where each value sits, not the value: a double
-    is raw output i, its value ``dbl[i]``; a 32-bit word w is the low (w
-    even) or high (w odd) half of raw output w // 2, and ``bounded`` turns
-    words into integers.  The rules are numpy's, so the values are those the
-    Generator itself would draw, in the same order.  Draws are made in
-    passes, through ``replay``."""
+    A double is raw output i, its value ``(raw[i] >> 11) * 2**-53``.  A
+    32-bit word w is the low (w even) or high (w odd) half of raw output
+    w // 2, ``half[w]``, and ``bounded`` turns words into integers.  A pass
+    starts at raw output ``pos``; ``carry`` is the raw output whose high
+    half waits for the next 32-bit draw, or -1."""
 
     def __init__(self, rng: np.random.Generator):
         self._bitgen = rng.bit_generator
@@ -241,105 +282,133 @@ class _Stream:
         # half for the next one; after an odd count of them that half waits,
         # and it becomes the high half of a raw output 0
         waiting = [state["uinteger"] << 32] if state["has_uint32"] else []
-        self._carry = 0 if waiting else None
-        # raw outputs fetched at a time: at least the last pass's use
-        self.pos, self._chunk = len(waiting), 1024
-        self._exact = self._rejected = False
-        self.raw, self.dbl = np.empty(0, dtype=np.uint64), np.empty(0)
-        # _below[i]: how many doubles before raw output i are < MUTATION_RATE
-        self._below = np.zeros(1, dtype=np.intp)
-        self._append(np.array(waiting, dtype=np.uint64))
+        self.pos, self.carry = len(waiting), len(waiting) - 1
+        self.raw = np.array(waiting, dtype="<u8")
 
-    def _append(self, raw: np.ndarray) -> None:
-        dbl = (raw >> 11) * 2.0 ** -53
+    @property
+    def half(self) -> np.ndarray:
+        """The 32-bit words, word w at index w."""
+        return self.raw.view("<u4")
+
+    def extend(self, k: int) -> None:
+        """Append the bit generator's next k raw outputs; every position
+        already handed out stays valid."""
+        raw = self._bitgen.random_raw(k).astype("<u8", copy=False)
         self.raw = np.concatenate([self.raw, raw])
-        self.dbl = np.concatenate([self.dbl, dbl])
-        self._below = np.concatenate([self._below,
-                                      self._below[-1] + np.cumsum(dbl < MUTATION_RATE)])
 
-    def _grow(self) -> None:
-        """Make raw outputs up to pos available; appending keeps every
-        position already handed out valid."""
-        self._append(self._bitgen.random_raw(max(self.pos - len(self.raw), self._chunk)))
-
-    def doubles(self, k: int) -> int:
-        """``random(k)`` reads raw outputs start .. start + k - 1; returns
-        start.  A double leaves a waiting high half waiting."""
-        start = self.pos
-        self.pos += k
-        if self.pos > len(self.raw):
-            self._grow()
-        return start
-
-    def mask(self, k: int) -> tuple[int, int]:
-        """``random(k) < MUTATION_RATE``: where its doubles start and how
-        many of them are below."""
-        start = self.doubles(k)
-        return start, int(self._below[self.pos] - self._below[start])
-
-    def words(self, k: int, r: int) -> list[int]:
-        """The words ``integers(0, r, size=k)`` reads, in order, for
-        1 <= r <= 2**32; r == 1 and k == 0 read none.  Lemire's method draws
-        again while ``u * r mod 2**32 < 2**32 mod r``: a fast pass assumes it
-        never does, and ``replay`` checks that."""
-        if r == 1 or not k:
-            return []
-        if not self._exact:
-            return self._take(k)
-        out = []
-        while len(out) < k:
-            w = self._take(1)
-            if (int(self._values(w)[0]) * r) & 0xFFFFFFFF >= (2 ** 32 - r) % r:
-                out += w
-        return out
-
-    def _take(self, k: int) -> list[int]:
-        """The next k >= 1 words: a waiting high half first, then both halves
-        of new raw outputs, low first; an odd count leaves a half waiting."""
-        out = [] if self._carry is None else [2 * self._carry + 1]
-        j, pos = k - len(out), self.pos     # j words from new raw outputs
-        out += range(2 * pos, 2 * pos + j)
-        self.pos += (j + 1) // 2
-        self._carry = pos + j // 2 if j % 2 else None
-        if self.pos > len(self.raw):
-            self._grow()
-        return out
-
-    def _values(self, words) -> np.ndarray:
-        """The 32-bit values of ``words``, as uint64."""
-        w = np.asarray(words, dtype=np.intp)
-        raw = self.raw[w >> 1]
-        return np.where(w & 1, raw >> 32, raw & 0xFFFFFFFF)
-
-    def bounded(self, words, r: int) -> np.ndarray:
-        """The values of ``integers(0, r)`` read from ``words``; a fast pass
-        also notes whether Lemire's method rejects any of them."""
-        u = self._values(words) * np.uint64(r)
-        if not self._exact:
-            self._rejected |= bool(((u & 0xFFFFFFFF) < (2 ** 32 - r) % r).any())
-        return (u >> 32).astype(np.intp)
-
-    def replay(self, walk):
-        """``walk(self)``: one pass of draws (a GA generation, say) made
-        through the methods above, which reads every word it draws through
-        ``bounded`` before it returns.  If a fast pass read a word that
-        Lemire's method rejects, the pass is walked again from its start,
-        word by word.  A pass first drops the raw outputs before it, so
-        read a pass's doubles before the next one."""
-        spent = self.pos if self._carry is None else self._carry
-        self.raw, self.dbl, self._below = (a[spent:] for a in (self.raw, self.dbl,
-                                                               self._below))
+    def reserve(self, k: int) -> None:
+        """Start a pass that reads at most k raw outputs from ``pos``: drop
+        the raw outputs before it and fetch the ones missing."""
+        spent = self.pos if self.carry < 0 else self.carry
+        self.raw = self.raw[spent:]
         self.pos -= spent
-        if self._carry is not None:
-            self._carry = 0
-        start, self._rejected = (self.pos, self._carry), False
-        out = walk(self)
-        if self._rejected:
-            (self.pos, self._carry), self._exact = start, True
-            out = walk(self)
-            self._exact = False
-        self._chunk = max(self.pos, 1024)
-        return out
+        if self.carry >= 0:
+            self.carry = 0
+        missing = self.pos + k - len(self.raw)
+        if missing > 0:
+            self.extend(missing)
+
+    def bounded(self, words, r) -> tuple[np.ndarray, bool]:
+        """The values of ``integers(0, r)`` read from ``words`` (r one bound,
+        or one per word, each 2 <= r <= 2**32), and whether Lemire's method
+        rejects any of the words: it draws again while ``u * r mod 2**32 <
+        2**32 mod r`` (Lemire 2019)."""
+        r = np.asarray(r, dtype=np.uint64)
+        u = self.half[np.asarray(words, dtype=np.intp)] * r
+        rejected = bool(((u & 0xFFFFFFFF) < (2 ** 32 - r) % r).any())
+        return (u >> 32).astype(np.intp), rejected
+
+
+def _reservation(pop: int, n: int) -> int:
+    """The most raw outputs one generation's draws read, when every
+    crossover happens, every gene and priority mutates and every word is
+    accepted: per pair one crossover double and 3n doubles per child, and
+    six tournament words, one cut word and n gene words per child, two
+    words to a raw output."""
+    pairs = pop // 2
+    if not n:               # the tournaments only
+        return pairs * TOURNAMENT_SIZE
+    return pairs * (1 + 6 * n) + (pairs * (2 * TOURNAMENT_SIZE + 1 + 2 * n) + 1) // 2
+
+
+def _walk(s: _Stream, pop: int, n: int, m: int, exact: bool):
+    """Where the draws of a loop over the pairs of children sit in ``s``,
+    from its ``pos`` and ``carry``: per pair the tournament words, the
+    crossover double and cut word, then per child its gene mask doubles,
+    gene words, priority mask doubles and new priorities.  A fast pass
+    (``exact`` false) takes every word as accepted; an exact one reads each
+    word and draws again where Lemire's method would, growing ``s`` by one
+    raw output per rejected word, so the reservation still covers the rest.
+
+    Returns the end's pos and carry, the tournament, cut and gene word
+    lists, the pairs that cross, each child's gene then priority masks (n
+    bytes each, 1 where the double is < MUTATION_RATE) and the raw outputs
+    of the new priorities, as bytes."""
+    pos, carry = s.pos, s.carry
+    tour, crossed, cuts, gene_words, masks, new_prios = [], [], [], [], [], []
+
+    def views():
+        """The raw outputs and words as native integers for memoryview
+        reads (no copy on a little-endian host), the raw outputs' bytes and
+        the low flags as bytes."""
+        raw = s.raw.astype(np.uint64, copy=False)
+        return (memoryview(raw), memoryview(s.raw.view(np.uint8)),
+                memoryview(s.half.astype(np.uint32, copy=False)), (raw < _LOW_RAW).tobytes())
+
+    raw, raw_bytes, half, low = views()
+
+    def take(out: list, k: int, r: int) -> None:
+        """Append to ``out`` the k >= 1 words ``integers(0, r, size=k)``
+        reads: a waiting high half first, then both halves of new raw
+        outputs, low first; an odd count leaves a half waiting."""
+        nonlocal pos, carry, raw, raw_bytes, half, low
+        if not exact:
+            if carry >= 0:
+                out.append(2 * carry + 1)
+                k -= 1
+                carry = -1
+            out += range(2 * pos, 2 * pos + k)
+            pos += k >> 1
+            if k & 1:
+                carry = pos
+                pos += 1
+            return
+        floor = (2 ** 32 - r) % r
+        while k:
+            if carry >= 0:
+                w, carry = 2 * carry + 1, -1
+            else:
+                w, carry = 2 * pos, pos
+                pos += 1
+            if (half[w] * r) & 0xFFFFFFFF >= floor:
+                out.append(w)
+                k -= 1
+            else:
+                s.extend(1)
+                raw, raw_bytes, half, low = views()
+
+    for pair in range(pop // 2):
+        take(tour, 2 * TOURNAMENT_SIZE, pop)
+        if not n:
+            continue
+        pos += 1
+        if (raw[pos - 1] >> 11) * 2.0 ** -53 < CROSSOVER_RATE:
+            crossed.append(pair)
+            if n > 1:
+                take(cuts, 1, 2 * n - 1)            # integers(1, 2n)
+        for _ in range(2):
+            mask = low[pos:pos + n]
+            masks.append(mask)
+            pos += n
+            if m > 1 and (k := mask.count(1)):
+                take(gene_words, k, m)
+            mask = low[pos:pos + n]
+            masks.append(mask)
+            pos += n
+            if k := mask.count(1):
+                new_prios.append(raw_bytes[8 * pos:8 * (pos + k)])
+                pos += k
+    return pos, carry, tour, cuts, gene_words, crossed, masks, new_prios
 
 
 def _breed(stream: _Stream, genes: np.ndarray, prios: np.ndarray, fits: np.ndarray,
@@ -347,54 +416,43 @@ def _breed(stream: _Stream, genes: np.ndarray, prios: np.ndarray, fits: np.ndarr
     """The next generation: the elite, then children in pairs, each pair two
     tournament winners, one-point crossover and per-gene mutation.  The
     draws are those of a loop over the pairs (the last pair's second child
-    is dropped when the population is even): a pass walks that loop for
-    positions only, then every child is built at once."""
+    is dropped when the population is even): ``_walk`` finds where they sit,
+    then every child is built at once.  If a word the fast walk read is one
+    Lemire's method rejects, the generation is walked again, exactly."""
     pop, n = genes.shape
     pairs = pop // 2
-
-    def walk(s: _Stream):
-        tour, cross, cuts, gene_at, gene_words, prio_at = [], [], [], [], [], []
-        for _ in range(pairs):
-            tour += s.words(2 * TOURNAMENT_SIZE, pop)
-            if not n:
-                continue
-            cross.append(s.doubles(1))
-            if s.dbl[cross[-1]] < CROSSOVER_RATE:
-                cuts += s.words(1, 2 * n - 1)     # integers(1, 2n)
-            for _ in range(2):
-                start, k = s.mask(n)
-                gene_at.append(start)
-                gene_words += s.words(k, m)
-                start, k = s.mask(n)
-                prio_at.append(start)
-                s.doubles(k)                      # the new priorities
-        return (s.bounded(tour, pop), cross, s.bounded(cuts, 2 * n - 1) if n > 1 else 0,
-                gene_at, s.bounded(gene_words, m) if m > 1 else 0, prio_at)
-
-    tour, cross, cuts, gene_at, new_genes, prio_at = stream.replay(walk)
-    # two tournaments per pair; the first of the lowest fitness wins
-    contenders = tour.reshape(2 * pairs, TOURNAMENT_SIZE)
-    parents = contenders[np.arange(2 * pairs), fits[contenders].argmin(axis=1)]
-    g, pr = genes[parents], prios[parents]
+    stream.reserve(_reservation(pop, n))
+    for exact in (False, True):
+        pos, carry, tour, cuts, gene_words, crossed, masks, new_prios = _walk(stream, pop, n, m,
+                                                                              exact)
+        bounds = np.repeat([pop, 2 * n - 1, m], [len(tour), len(cuts), len(gene_words)])
+        values, rejected = stream.bounded(tour + cuts + gene_words, bounds)
+        if exact or not rejected:
+            break
+    stream.pos, stream.carry = pos, carry
+    a, b = len(tour), len(tour) + len(cuts)
+    # the elite, then two tournaments per pair; the first of the lowest
+    # fitness wins
+    contenders = values[:a].reshape(2 * pairs, TOURNAMENT_SIZE)
+    rows = np.empty(1 + 2 * pairs, dtype=np.intp)
+    rows[0] = np.argmin(fits)
+    rows[1:] = contenders[np.arange(2 * pairs), fits[contenders].argmin(axis=1)]
+    g, pr = genes[rows], prios[rows]
     if n:
         # one-point crossover of the genes-then-priorities chromosome: the two
         # children swap everything from cut on; cut = 2n swaps nothing
         cut = np.full(pairs, 2 * n)
-        cut[stream.dbl[cross] < CROSSOVER_RATE] = 1 + cuts
+        cut[crossed] = 1 + values[a:b] if n > 1 else 1
         col = np.arange(n)
         for x, start in ((g, cut), (pr, cut - n)):
-            both = x.reshape(pairs, 2, n)
+            both = x[1:].reshape(pairs, 2, n)
             both[:] = np.where((col >= start[:, None])[:, None], both[:, ::-1], both)
-        # mutation, child by child in row-major (pair, child) order; child
-        # i's new priorities follow its n mask doubles
-        g[stream.dbl[np.add.outer(gene_at, col)] < MUTATION_RATE] = new_genes
-        mask = stream.dbl[np.add.outer(prio_at, col)] < MUTATION_RATE
-        counts = mask.sum(axis=1)
-        first = np.asarray(prio_at) + n - (np.cumsum(counts) - counts)
-        pr[mask] = stream.dbl[np.repeat(first, counts) + np.arange(counts.sum())]
-    elite = int(np.argmin(fits))
-    return (np.concatenate([genes[elite][None], g])[:pop],
-            np.concatenate([prios[elite][None], pr])[:pop])
+        # mutation, child by child in row-major (pair, child) order
+        mutated = np.frombuffer(b"".join(masks), dtype=bool).reshape(2 * pairs, 2, n)
+        g[1:][mutated[:, 0]] = values[b:] if m > 1 else 0
+        raw = np.frombuffer(b"".join(new_prios), dtype="<u8")
+        pr[1:][mutated[:, 1]] = (raw >> 11) * 2.0 ** -53
+    return g[:pop], pr[:pop]
 
 
 def _ga_search(ws: _Workspace, cfg: GaConfig, m: int):

@@ -44,7 +44,7 @@ from .emergency import (_check_horizon, generate_events, load_events, queue_repo
 from .model import AlgoParams, PhysicalParams, Variant
 from .planner import InfeasibleError, plan as plan_scenario
 from .planner import load_plan, save_plan, write_route_csv
-from .reader import InputError, read_text, write_csv, write_json
+from .reader import InputError, OutputError, read_text, write_csv, write_json
 from .scenario import GenConfig, generate, load_scenario, save_scenario
 from .timing import all_responses, mean_response, totals
 
@@ -516,7 +516,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (InputError, OSError) as exc:
+    except (InputError, OutputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except KeyboardInterrupt:

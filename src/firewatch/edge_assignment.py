@@ -86,27 +86,42 @@ def edge_distances(scenario, ids) -> np.ndarray:
     return distance_matrix(scenario.xy[ids], scenario.edge_xy)
 
 
+def weight_rows(P: int, beta_mi, d_se, *summed) -> np.ndarray:
+    """The rows ``cluster_terms`` bins for a batch of P rows of labels: the
+    demands, each edge's distances and each summed column, tiled P times."""
+    return np.tile(np.vstack([beta_mi, d_se.T, *summed]), P)
+
+
 def cluster_terms(labels: np.ndarray, m: int, beta_mi, d_se, omega_d: float,
-                  d_norm_m: float, t_period_s: float, *summed):
+                  d_norm_m: float, t_period_s: float, *summed, weights=None):
     """Per-cluster phase-2 terms of a (P, n) batch of labels over the
     UAV-served sensors (ascending id), whose compute demands are ``beta_mi``
     and edge distances the (n, edges) ``d_se``: (P, m) member counts and
     demands, (P, m, edges) distance terms ``omega_d * (dbar / d_norm)``, then
     the (P, m) per-cluster sum of each further (n,) column in ``summed``.
     Bin r*m + j is cluster j of row r, and ``np.bincount`` adds in input
-    order, so each sum is in id order."""
+    order, so each sum is in id order.  ``weights`` is ``weight_rows`` of
+    these columns, for a caller that bins many batches of one size."""
     P, edges = len(labels), d_se.shape[1]
+    if weights is None:
+        weights = weight_rows(P, beta_mi, d_se, *summed)
     bins = (labels + m * np.arange(P)[:, None]).ravel()
     counts = np.bincount(bins, minlength=P * m).reshape(P, m)
     beta_sum, *sums = (np.bincount(bins, weights=w, minlength=P * m).reshape(P, m)
-                       for w in np.tile(np.vstack([beta_mi, d_se.T, *summed]), P))
+                       for w in weights)
     dbar = np.stack(sums[:edges], axis=2) / np.maximum(counts, 1)[..., None]
     return (counts, beta_sum / t_period_s, omega_d * (dbar / d_norm_m), *sums[edges:])
 
 
 def _edge_scores(dist, loads, demand, capacity, omega_l: float):
-    """Phase-2 score of each edge for a cluster with distance terms ``dist``."""
-    return dist + omega_l * (loads + demand) / capacity
+    """Phase-2 score of each edge for a cluster with distance terms ``dist``:
+    ``dist + omega_l * (loads + demand) / capacity``, each step in place on
+    the one temporary (IEEE + and * commute exactly)."""
+    score = loads + demand
+    score *= omega_l
+    score /= capacity
+    score += dist
+    return score
 
 
 def assign_batch(counts, demands, dist, loads0, capacity, omega_l: float):
@@ -114,8 +129,9 @@ def assign_batch(counts, demands, dist, loads0, capacity, omega_l: float):
     edges in turn from ``loads0``, across all rows at once.  Returns the
     (P, m) edges and (P, edges) loads."""
     P, m = counts.shape
-    rows = np.arange(P)
     loads = np.tile(np.asarray(loads0, dtype=float), (P, 1))
+    # edge k of row r is flat[offset[r] + k]
+    flat, offset = loads.ravel(), np.arange(P) * loads.shape[1]
     edge_of = np.empty((P, m), dtype=int)
     # a run of clusters empty in every row: one step, the loads stay as they are
     used = counts.any(axis=0)
@@ -123,7 +139,7 @@ def assign_batch(counts, demands, dist, loads0, capacity, omega_l: float):
     for a, b in zip(starts, starts[1:] + [m]):
         k = _edge_scores(dist[:, a], loads, demands[:, a, None], capacity, omega_l).argmin(axis=1)
         edge_of[:, a:b] = k[:, None]
-        loads[rows, k] += demands[:, a]
+        flat[offset + k] += demands[:, a]
     return edge_of, loads
 
 

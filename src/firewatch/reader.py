@@ -5,7 +5,8 @@ files as a ``Doc``, a JSON value with its path, whose typed accessors raise
 ``InputError`` naming that path (``plan routes[0].waypoints[3]: 40 is not an
 id in [0, 40)``); text that is not UTF-8 JSON raises it naming the file.
 ``write_json`` indents by one space and ends in a newline, keys sorted in
-reports; ``write_csv`` writes a header, then one "\r\n"-ended line per row.
+reports, and refuses a NaN or infinite number with ``OutputError``;
+``write_csv`` writes a header, then one "\r\n"-ended line per row.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ _SHOWN_CHARS = 80       # an offending value echoed in a message is cut past thi
 
 class InputError(ValueError):
     """A bad input document or value; the message names where it is."""
+
+
+class OutputError(ValueError):
+    """A document that cannot be written as JSON; the message names its file."""
 
 
 def read_text(path: str) -> str:
@@ -50,10 +55,15 @@ def read(path: str, schema_version: int, name: str) -> Doc:
 
 
 def write_json(path: str, doc, sort_keys: bool = False) -> None:
-    """``doc`` as JSON at ``path``: indented by one space, a final newline."""
+    """``doc`` as JSON at ``path``: indented by one space, a final newline.
+    A NaN or infinite number, which JSON cannot hold, raises OutputError
+    naming ``path`` before the file is opened."""
+    try:
+        text = json.dumps(doc, indent=1, sort_keys=sort_keys, allow_nan=False)
+    except ValueError as exc:
+        raise OutputError(f"{path}: {exc}") from None
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1, sort_keys=sort_keys)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def write_csv(path: str, fields: list[str], rows) -> None:

@@ -3,6 +3,7 @@ import os
 import signal
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -17,9 +18,12 @@ from firewatch.baselines import (
     TOURNAMENT_SIZE,
     GaConfig,
     PsoConfig,
+    _LOW_RAW,
+    _breed,
     _ga_search,
     _order_by_priority,
     _pso_search,
+    _reservation,
     _Stream,
     _Workspace,
     ga_plan,
@@ -31,9 +35,9 @@ from firewatch.planner import InfeasibleError, plan, plan_to_doc
 from firewatch.routing import nearest_neighbor_tour, tour_length
 from firewatch.scenario import GenConfig, generate
 from firewatch.timing import all_responses, execution_time, transmission_time
-from testutil import (blob, bound_scenarios, build_scenario, feasible, fleet_start,
-                      fleet_tree_bound, norm_tour_lower_bound, outcomes, processes_where,
-                      unskip_fleet_sizes)
+from testutil import (StreamOracle, blob, bound_scenarios, breed_oracle, build_scenario,
+                      feasible, fleet_start, fleet_tree_bound, norm_tour_lower_bound, outcomes,
+                      processes_where, unskip_fleet_sizes)
 
 # the GA/PSO budgets of the acceptance soundness sweep, seed 0
 GA_SMALL = GaConfig(population=16, generations=12)
@@ -126,17 +130,40 @@ def _order_by_priority_oracle(genes, priorities):
     return np.take_along_axis(by_prio, by_gene, axis=1)
 
 
-@given(st.integers(1, 6), st.integers(0, 40), st.integers(1, 5), st.data())
+# GA priorities are numpy doubles k * 2**-53: small k tie often, so the
+# index tie-break shows, and the largest lie next to 1 - 2**-53
+_PRIORITY = st.one_of(st.integers(0, 3), st.integers(2**53 - 3, 2**53 - 1)).map(
+    lambda k: k * 2.0 ** -53)
+
+
+@given(st.integers(1, 6), st.integers(0, 40), st.sampled_from([1, 2, 5, 1024, 1025]),
+       st.data())
 def test_order_by_priority_matches_two_stable_sorts(rows, n, m, data):
-    """Integer-valued priorities tie often, so the index tie-break shows."""
-    genes = np.array(data.draw(st.lists(st.lists(st.integers(0, m - 1), min_size=n,
-                                                 max_size=n), min_size=rows, max_size=rows)),
+    """Over the GA's priorities, on both sides of the 1024-gene key rule."""
+    gene = st.sampled_from(sorted(g for g in {0, 1, m - 2, m - 1} if 0 <= g < m))
+    genes = np.array(data.draw(st.lists(st.lists(gene, min_size=n, max_size=n),
+                                        min_size=rows, max_size=rows)),
                      dtype=int).reshape(rows, n)
-    prios = np.array(data.draw(st.lists(st.lists(st.integers(0, 3).map(float), min_size=n,
-                                                 max_size=n), min_size=rows, max_size=rows)),
+    prios = np.array(data.draw(st.lists(st.lists(_PRIORITY, min_size=n, max_size=n),
+                                        min_size=rows, max_size=rows)),
                      dtype=float).reshape(rows, n)
     assert (_order_by_priority(genes, prios).tolist()
             == _order_by_priority_oracle(genes, prios).tolist())
+
+
+@pytest.mark.parametrize("m,lexsorts", [(1024, False), (1025, True)])
+def test_order_by_priority_keys_genes_below_1024(m, lexsorts):
+    """Genes up to 1023 sort by the int64 key, with the largest gene over
+    the largest priority at its top; a gene of 1024 takes np.lexsort.  Both
+    give the two stable sorts' order."""
+    genes = np.array([[m - 1, 0, m - 1, 1, m - 1, 0]])
+    top = (2**53 - 1) * 2.0 ** -53
+    prios = np.array([[top, top, 0.5, 2.0 ** -53, top, 0.0]])
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        got = _order_by_priority(genes, prios)
+    assert lexsort.called == lexsorts
+    assert got.tolist() == _order_by_priority_oracle(genes, prios).tolist() == [
+        [5, 1, 3, 2, 0, 4]]
 
 
 def _ga_search_oracle(ws, cfg, m, generations):
@@ -259,25 +286,42 @@ def _draw_directly(rng, draw):
 
 
 def _draw_replayed(s, draws):
-    """One pass: every draw placed in order, then every value read."""
+    """One pass: every draw placed by numpy's rules from the stream's pos
+    and carry, each word checked on its own, then every value read."""
+    s.reserve(sum(1 if size is None else size for _, size in draws))
+    pos, carry = s.pos, s.carry
     placed = []
     for what, size in draws:
         k = 1 if size is None else size
-        if what == "random":
-            placed.append(s.doubles(k))
-        elif what == "mask":
-            placed.append(s.mask(k))
-        else:
-            placed.append(s.words(k, what))
+        if what in ("random", "mask"):
+            placed.append(pos)
+            pos += k
+            continue
+        words = []
+        while what > 1 and len(words) < k:
+            if carry >= 0:
+                w, carry = 2 * carry + 1, -1
+            else:
+                w, carry = 2 * pos, pos
+                pos += 1
+            if w // 2 >= len(s.raw):            # Lemire rejections drew past the reservation
+                s.extend(w // 2 + 1 - len(s.raw))
+            if not s.bounded([w], what)[1]:
+                words.append(w)
+        placed.append(words)
+    if pos > len(s.raw):
+        s.extend(pos - len(s.raw))
+    s.pos, s.carry = pos, carry
     out = []
     for (what, size), at in zip(draws, placed):
         k = 1 if size is None else size
         if what == "random":
-            out.append(s.dbl[at:at + k].tolist())
+            out.append(((s.raw[at:at + k] >> 11) * 2.0 ** -53).tolist())
         elif what == "mask":
-            out.append([s.dbl[at[0]:at[0] + k].tolist(), at[1]])
+            out.append([((s.raw[at:at + k] >> 11) * 2.0 ** -53).tolist(),
+                        int((s.raw[at:at + k] < _LOW_RAW).sum())])
         else:
-            out.append(s.bounded(at, what).tolist() if what > 1 else [0] * k)
+            out.append(s.bounded(at, what)[0].tolist() if what > 1 else [0] * k)
     return out
 
 
@@ -287,17 +331,156 @@ def _draw_replayed(s, draws):
 @example(7, 3, [[(2**31 + 1, 9), ("random", None), (2**31 + 1, None), (3, 9)],
                 [(2**31 + 1, 5), ("mask", 40), (2**31 - 1, 9)]])
 def test_stream_replays_the_generator(seed, first, passes):
-    """Doubles, masks and bounded integers replayed in passes from raw
-    outputs equal the Generator's own draws, after an initial integers draw
-    of odd or even size (a waiting 32-bit half or none), with r == 1, size 0
-    and Lemire rejections included."""
+    """Doubles, masks and bounded integers read in passes from the stream's
+    raw outputs and 32-bit words equal the Generator's own draws, after an
+    initial integers draw of odd or even size (a waiting 32-bit half or
+    none), with r == 1, size 0 and Lemire rejections included; a mask
+    counts the raw outputs below ``_LOW_RAW``."""
     direct, replayed = (np.random.default_rng(seed) for _ in range(2))
     for rng in (direct, replayed):
         rng.integers(0, 7, size=first)
     s = _Stream(replayed)
     for draws in passes:
         want = [_draw_directly(direct, d) for d in draws]
-        assert s.replay(lambda s: _draw_replayed(s, draws)) == want
+        assert _draw_replayed(s, draws) == want
+
+
+def test_low_raw_outputs_are_the_doubles_below_the_mutation_rate():
+    """A raw output is below ``_LOW_RAW`` exactly when numpy's double from
+    it is below MUTATION_RATE, at the threshold and next to it too."""
+    c = _LOW_RAW >> 11
+    edge = [0, (c - 1) << 11, ((c - 1) << 11) | 0x7FF, c << 11, (c << 11) + 1, (c + 1) << 11,
+            2**64 - 1]
+    raw = np.concatenate([np.array(edge, dtype=np.uint64),
+                          np.random.default_rng(0).bit_generator.random_raw(10_000)])
+    assert ((raw < _LOW_RAW) == ((raw >> 11) * 2.0 ** -53 < MUTATION_RATE)).all()
+    assert (np.array(edge[:3], dtype=np.uint64) < _LOW_RAW).all()
+
+
+class _RawSource:
+    """A stand-in bit generator: raw output i is ``shape(i, raw)`` for the
+    i-th raw output ``raw`` of a seeded PCG64, however they are fetched, and
+    no 32-bit half waits."""
+
+    def __init__(self, seed, shape):
+        self._bitgen, self._shape, self._at = np.random.PCG64(seed), shape, 0
+        self.state = {"has_uint32": 0, "uinteger": 0}
+
+    def random_raw(self, k):
+        out = self._shape(np.arange(self._at, self._at + k), self._bitgen.random_raw(k))
+        self._at += k
+        return out.astype(np.uint64)
+
+
+def _streams(seed, first=0, shape=None):
+    """A ``_Stream`` and a ``testutil.StreamOracle`` over the same raw
+    outputs: a Generator seeded ``seed`` after an integers draw of size
+    ``first``, or a ``_RawSource`` of ``shape``."""
+    if shape is None:
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        for rng in rngs:
+            rng.integers(0, 7, size=first)
+    else:
+        rngs = [SimpleNamespace(bit_generator=_RawSource(seed, shape)) for _ in range(2)]
+    return _Stream(rngs[0]), StreamOracle(rngs[1])
+
+
+def _breed_both(seed, pop, n, m, generations, **stream_args):
+    """Every generation of ``_breed`` and of ``testutil.breed_oracle`` from
+    the same population, fitnesses (ties included) and raw outputs."""
+    rng = np.random.default_rng(seed)
+    genes, prios = rng.integers(0, m, size=(pop, n)), rng.random((pop, n))
+    new, old = _streams(seed + 1, **stream_args)
+    got, want = (genes, prios), (genes, prios)
+    out = []
+    for _ in range(generations):
+        fits = rng.integers(0, 3, size=pop).astype(float)
+        got, want = _breed(new, *got, fits, m), breed_oracle(old, *want, fits, m)
+        out.append(([a.tolist() for a in got], [a.tolist() for a in want]))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4, 5, 7, 9]),
+       st.sampled_from([0, 1, 2, 3, 8, 21]), st.sampled_from(["one", "two", "past_n"]),
+       st.integers(0, 3), st.integers(1, 4))
+@example(0, 2, 0, "one", 1, 2)
+@example(1, 3, 1, "two", 3, 3)
+@example(2, 9, 21, "past_n", 1, 4)
+def test_breed_matches_the_method_per_draw_walk(seed, pop, n, m_kind, first, generations):
+    """Generation after generation, ``_breed`` gives the children that the
+    walk with one stream method call per draw gives, bit for bit: population
+    2, 3 and odd sizes, n from 0, m of 1, 2 and past n, after a first draw
+    that leaves a 32-bit half waiting (odd ``first``) or not."""
+    m = {"one": 1, "two": 2, "past_n": n + 2}[m_kind]
+    for got, want in _breed_both(seed, pop, n, m, generations, first=first):
+        assert got == want
+
+
+def _rejecting(index, raw):
+    """Raw outputs whose low half is 0 in one of every three: u = 0 is
+    rejected for every bound r that is not a power of two."""
+    return np.where(index % 3 == 1, raw & ~np.uint64(0xFFFFFFFF), raw)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([3, 5, 6, 7]), st.sampled_from([2, 3, 5]),
+       st.sampled_from([3, 5, 6]), st.integers(1, 4))
+def test_breed_walks_again_where_lemire_rejects(seed, pop, n, m, generations):
+    """Where a word is rejected the generation is walked again word by word,
+    drawing past the reservation as it must, and the children are still
+    those of the method-per-draw walk."""
+    for got, want in _breed_both(seed, pop, n, m, generations, shape=_rejecting):
+        assert got == want
+
+
+def test_a_reported_rejection_changes_no_child():
+    """A fast walk whose words ``bounded`` reports as rejected is walked
+    again exactly; no word is rejected, so the generation is unchanged."""
+    calls = []
+    bounded = _Stream.bounded
+
+    def rejecting(self, words, r):
+        calls.append(len(words))
+        return bounded(self, words, r)[0], True
+
+    want = _breed_both(4, 7, 9, 4, 3)
+    with mock.patch.object(_Stream, "bounded", rejecting):
+        got = _breed_both(4, 7, 9, 4, 3)
+    assert len(calls) == 6 and calls[::2] == calls[1::2]
+    assert [g for g, _ in got] == [g for g, _ in want]
+
+
+def _worst(index, raw):
+    """Every raw output 0x0FFF...F: each double is below the mutation and
+    crossover rates and each word is accepted for bounds below 16."""
+    return np.full(len(index), 2**60 - 1, dtype=np.uint64)
+
+
+def _worst_rejecting(index, raw):
+    """``_worst``, but every third raw output's low half is 0, a word that
+    Lemire's method rejects for every bound that is not a power of two."""
+    return np.where(index % 3 == 2, np.uint64(2**60 - 2**32), _worst(index, raw))
+
+
+@pytest.mark.parametrize("shape,pop,n,m", [(_worst, 2, 2, 2), (_worst, 5, 3, 4),
+                                           (_worst, 9, 7, 15), (_worst_rejecting, 5, 3, 3),
+                                           (_worst_rejecting, 7, 6, 11)])
+def test_the_reservation_covers_the_largest_generation(shape, pop, n, m):
+    """When every crossover happens and every gene and priority mutates, a
+    fast walk reads exactly the raw outputs ``_reservation`` allows; an
+    exact walk draws one more raw output per rejected word, and its
+    children are still those of the method-per-draw walk."""
+    new, old = _streams(0, shape=shape)
+    genes, prios = np.zeros((pop, n), dtype=int), np.full((pop, n), 0.5)
+    fits = np.arange(pop, dtype=float)
+    got = _breed(new, genes, prios, fits, m)
+    if shape is _worst:
+        assert new.pos == _reservation(pop, n)
+    else:
+        assert new.pos > _reservation(pop, n)
+    want = breed_oracle(old, genes, prios, fits, m)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
 
 # few distinct coordinates, so points coincide and distances tie

@@ -1,6 +1,8 @@
-"""The benchmark's simulator workloads, run once each as the benchmark runs
-them: their own checks (``bench/checks.py``) recompute every trace of the
-pass independently, and the summed emergency response pins every trace."""
+"""Benchmark workloads run once each as the benchmark runs them.  The
+simulator workloads' own checks (``bench/checks.py``) recompute every trace
+of the pass independently, and the summed emergency response pins every
+trace; the ``search`` workload's quality metrics pin its GA, PSO, greedy and
+proposed plans."""
 
 import json
 import subprocess
@@ -26,3 +28,20 @@ def test_simulator_workload_passes_its_checks(workload):
     assert result["correct"] is True and result["failed"] == 0, result
     assert result["attempted"] > 0
     assert repr(result["metrics"]["emergency_s"]["value"]) == repr(EMERGENCY_S[workload])
+
+
+# the search workload's quality metrics over one pass, seed 1
+SEARCH = {"fleet_uavs": 55.0, "energy_wh": 4364.824856019158,
+          "response_s": 1458.550033570418, "emergency_s": 361.306711913193}
+
+
+def test_search_workload_keeps_its_plans():
+    run = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "search", "--seed", "1",
+         "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout)
+    assert result["correct"] is True and result["failed"] == 0, result
+    assert {k: repr(result["metrics"][k]["value"]) for k in SEARCH} == {
+        k: repr(v) for k, v in SEARCH.items()}

@@ -82,6 +82,22 @@ def test_a_scenario_cruise_speed_past_the_ceiling_exits_1(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+def test_plan_writes_no_non_finite_number(tmp_path, capsys):
+    """At omega_h = 1e308 the sensor weights overflow and the plan's
+    response times are NaN, which JSON cannot hold: ``plan`` exits 1 with
+    one line naming plan.json, and writes no plan.json."""
+    scen, out = tmp_path / "scenario.json", tmp_path / "out"
+    assert main(["generate", "--sensors", "60", "--seed", "0", "-o", str(scen)]) == 0
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert main(["plan", "-s", str(scen), "--omega-h", "1e308", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'plan.json'}: Out of range float values are not "
+                          "JSON compliant")
+    assert err.count("\n") == 1
+    assert not (out / "plan.json").exists()
+
+
 def test_generate_rejects_zero_sensors(tmp_path, capsys):
     rc = main(["generate", "--sensors", "0", "-o", str(tmp_path / "x.json")])
     assert rc == 2

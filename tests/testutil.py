@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from firewatch import planner, timing
+from firewatch.baselines import CROSSOVER_RATE, MUTATION_RATE, TOURNAMENT_SIZE
 from firewatch.clustering import (MAX_ITERS, Clustering, cluster_radius, init_centers,
                                   sensor_weight, weighted_kmeans)
 from firewatch.edge_assignment import EdgeLoadState, RepairFailure, assign_direct, cluster_demand
@@ -651,3 +652,179 @@ def assign_edges_oracle(ws, genes: np.ndarray, m: int):
         edge_of[:, j] = k = scores.argmin(axis=1)
         loads[rows, k] += demands[:, j]
     return counts, alpha_sum, edge_of, loads
+
+
+class StreamOracle:
+    """The ``random()`` and ``integers(0, r)`` draws of a numpy Generator,
+    replayed from blocks of its PCG64 bit generator's raw 64-bit outputs,
+    one method call per draw: the walk ``baselines._walk`` replaced, kept as
+    its oracle.
+
+    The draw methods hand out where each value sits, not the value: a double
+    is raw output i, its value ``dbl[i]``; a 32-bit word w is the low (w
+    even) or high (w odd) half of raw output w // 2, and ``bounded`` turns
+    words into integers.  The rules are numpy's, so the values are those the
+    Generator itself would draw, in the same order.  Draws are made in
+    passes, through ``replay``."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._bitgen = rng.bit_generator
+        state = self._bitgen.state
+        # a 32-bit draw takes the low half of a raw output and leaves the high
+        # half for the next one; after an odd count of them that half waits,
+        # and it becomes the high half of a raw output 0
+        waiting = [state["uinteger"] << 32] if state["has_uint32"] else []
+        self._carry = 0 if waiting else None
+        # raw outputs fetched at a time: at least the last pass's use
+        self.pos, self._chunk = len(waiting), 1024
+        self._exact = self._rejected = False
+        self.raw, self.dbl = np.empty(0, dtype=np.uint64), np.empty(0)
+        # _below[i]: how many doubles before raw output i are < MUTATION_RATE
+        self._below = np.zeros(1, dtype=np.intp)
+        self._append(np.array(waiting, dtype=np.uint64))
+
+    def _append(self, raw: np.ndarray) -> None:
+        dbl = (raw >> 11) * 2.0 ** -53
+        self.raw = np.concatenate([self.raw, raw])
+        self.dbl = np.concatenate([self.dbl, dbl])
+        self._below = np.concatenate([self._below,
+                                      self._below[-1] + np.cumsum(dbl < MUTATION_RATE)])
+
+    def _grow(self) -> None:
+        """Make raw outputs up to pos available; appending keeps every
+        position already handed out valid."""
+        self._append(self._bitgen.random_raw(max(self.pos - len(self.raw), self._chunk)))
+
+    def doubles(self, k: int) -> int:
+        """``random(k)`` reads raw outputs start .. start + k - 1; returns
+        start.  A double leaves a waiting high half waiting."""
+        start = self.pos
+        self.pos += k
+        if self.pos > len(self.raw):
+            self._grow()
+        return start
+
+    def mask(self, k: int) -> tuple[int, int]:
+        """``random(k) < MUTATION_RATE``: where its doubles start and how
+        many of them are below."""
+        start = self.doubles(k)
+        return start, int(self._below[self.pos] - self._below[start])
+
+    def words(self, k: int, r: int) -> list[int]:
+        """The words ``integers(0, r, size=k)`` reads, in order, for
+        1 <= r <= 2**32; r == 1 and k == 0 read none.  Lemire's method draws
+        again while ``u * r mod 2**32 < 2**32 mod r``: a fast pass assumes it
+        never does, and ``replay`` checks that."""
+        if r == 1 or not k:
+            return []
+        if not self._exact:
+            return self._take(k)
+        out = []
+        while len(out) < k:
+            w = self._take(1)
+            if (int(self._values(w)[0]) * r) & 0xFFFFFFFF >= (2 ** 32 - r) % r:
+                out += w
+        return out
+
+    def _take(self, k: int) -> list[int]:
+        """The next k >= 1 words: a waiting high half first, then both halves
+        of new raw outputs, low first; an odd count leaves a half waiting."""
+        out = [] if self._carry is None else [2 * self._carry + 1]
+        j, pos = k - len(out), self.pos     # j words from new raw outputs
+        out += range(2 * pos, 2 * pos + j)
+        self.pos += (j + 1) // 2
+        self._carry = pos + j // 2 if j % 2 else None
+        if self.pos > len(self.raw):
+            self._grow()
+        return out
+
+    def _values(self, words) -> np.ndarray:
+        """The 32-bit values of ``words``, as uint64."""
+        w = np.asarray(words, dtype=np.intp)
+        raw = self.raw[w >> 1]
+        return np.where(w & 1, raw >> 32, raw & 0xFFFFFFFF)
+
+    def bounded(self, words, r: int) -> np.ndarray:
+        """The values of ``integers(0, r)`` read from ``words``; a fast pass
+        also notes whether Lemire's method rejects any of them."""
+        u = self._values(words) * np.uint64(r)
+        if not self._exact:
+            self._rejected |= bool(((u & 0xFFFFFFFF) < (2 ** 32 - r) % r).any())
+        return (u >> 32).astype(np.intp)
+
+    def replay(self, walk):
+        """``walk(self)``: one pass of draws (a GA generation, say) made
+        through the methods above, which reads every word it draws through
+        ``bounded`` before it returns.  If a fast pass read a word that
+        Lemire's method rejects, the pass is walked again from its start,
+        word by word.  A pass first drops the raw outputs before it, so
+        read a pass's doubles before the next one."""
+        spent = self.pos if self._carry is None else self._carry
+        self.raw, self.dbl, self._below = (a[spent:] for a in (self.raw, self.dbl,
+                                                               self._below))
+        self.pos -= spent
+        if self._carry is not None:
+            self._carry = 0
+        start, self._rejected = (self.pos, self._carry), False
+        out = walk(self)
+        if self._rejected:
+            (self.pos, self._carry), self._exact = start, True
+            out = walk(self)
+            self._exact = False
+        self._chunk = max(self.pos, 1024)
+        return out
+
+
+def breed_oracle(stream: StreamOracle, genes: np.ndarray, prios: np.ndarray, fits: np.ndarray,
+           m: int):
+    """``baselines._breed`` on a ``StreamOracle``: the elite, then children
+    in pairs, each pair two tournament winners, one-point crossover and
+    per-gene mutation.  A pass walks the loop over the pairs through the
+    stream's methods for positions only, then every child is built at
+    once."""
+    pop, n = genes.shape
+    pairs = pop // 2
+
+    def walk(s: StreamOracle):
+        tour, cross, cuts, gene_at, gene_words, prio_at = [], [], [], [], [], []
+        for _ in range(pairs):
+            tour += s.words(2 * TOURNAMENT_SIZE, pop)
+            if not n:
+                continue
+            cross.append(s.doubles(1))
+            if s.dbl[cross[-1]] < CROSSOVER_RATE:
+                cuts += s.words(1, 2 * n - 1)     # integers(1, 2n)
+            for _ in range(2):
+                start, k = s.mask(n)
+                gene_at.append(start)
+                gene_words += s.words(k, m)
+                start, k = s.mask(n)
+                prio_at.append(start)
+                s.doubles(k)                      # the new priorities
+        return (s.bounded(tour, pop), cross, s.bounded(cuts, 2 * n - 1) if n > 1 else 0,
+                gene_at, s.bounded(gene_words, m) if m > 1 else 0, prio_at)
+
+    tour, cross, cuts, gene_at, new_genes, prio_at = stream.replay(walk)
+    # two tournaments per pair; the first of the lowest fitness wins
+    contenders = tour.reshape(2 * pairs, TOURNAMENT_SIZE)
+    parents = contenders[np.arange(2 * pairs), fits[contenders].argmin(axis=1)]
+    g, pr = genes[parents], prios[parents]
+    if n:
+        # one-point crossover of the genes-then-priorities chromosome: the two
+        # children swap everything from cut on; cut = 2n swaps nothing
+        cut = np.full(pairs, 2 * n)
+        cut[stream.dbl[cross] < CROSSOVER_RATE] = 1 + cuts
+        col = np.arange(n)
+        for x, start in ((g, cut), (pr, cut - n)):
+            both = x.reshape(pairs, 2, n)
+            both[:] = np.where((col >= start[:, None])[:, None], both[:, ::-1], both)
+        # mutation, child by child in row-major (pair, child) order; child
+        # i's new priorities follow its n mask doubles
+        g[stream.dbl[np.add.outer(gene_at, col)] < MUTATION_RATE] = new_genes
+        mask = stream.dbl[np.add.outer(prio_at, col)] < MUTATION_RATE
+        counts = mask.sum(axis=1)
+        first = np.asarray(prio_at) + n - (np.cumsum(counts) - counts)
+        pr[mask] = stream.dbl[np.repeat(first, counts) + np.arange(counts.sum())]
+    elite = int(np.argmin(fits))
+    return (np.concatenate([genes[elite][None], g])[:pop],
+            np.concatenate([prios[elite][None], pr])[:pop])
