@@ -38,16 +38,21 @@ its Generator stream,
 Each GA/PSO fleet size is searched from its own seed stream,
 ``derive_seed(algo.seed, "ga-m{m}")`` (``"pso-m{m}"``), so the sizes after m
 can be searched while m is; ``GaConfig`` and ``PsoConfig`` hold only the
-search budgets.  ``ga_plan`` and ``pso_plan`` keep the searches for
-m .. m + W - 1 (never above m_max) in flight, one worker
-process per usable CPU (W of them), and hand size_fleet m's result; the
-queued searches are cancelled when size_fleet returns or raises.  The plans
-are those of searching one size at a time, which is what one usable CPU
-does, in process.  The workers are forked at first use and live until the
-interpreter exits, so they see module state as it was when they were
-forked: a test that patches search internals calls ``_ga_search`` or
-``_pso_search`` itself.  A worker that dies makes that call raise
-``BrokenProcessPool``; the next call starts a fresh pool.
+search budgets.  ``ga_plan`` and ``pso_plan`` search on a pool of worker
+processes, one per usable CPU (W of them), and hand size_fleet m's result.
+The call for m submits m's search unless it is in flight already, then
+m + 1 .. m + W - 1 (never above m_max) while fewer than W searches are in
+flight in the whole process: a lone loop keeps W sizes searching, and loops
+in several threads (``firewatch compare``) look ahead only into idle
+workers.  The queued searches are cancelled when size_fleet returns or
+raises.  The plans are those of searching one size at a time, which is
+what one usable CPU does, in process.  The workers are forked at the first
+search, or by ``start_workers``, and live until the interpreter exits, so
+they see module state as it was when they were forked: a test that patches
+search internals calls ``_ga_search`` or ``_pso_search`` itself.  A worker
+that dies makes that call raise ``BrokenProcessPool``; the next call starts
+a fresh pool.  GA evaluates the children of a generation only: the elite
+comes first, and its numbers carry over.
 """
 
 from __future__ import annotations
@@ -470,8 +475,14 @@ def _ga_search(ws: _Workspace, cfg: GaConfig, m: int):
 
     fits, viols, orders = evaluate(genes, prios)
     for _ in range(cfg.generations):
+        # _breed puts the elite first, and a row's numbers do not depend on
+        # the rest of the population: its fitness, violations and order
+        # carry over, and only the children are evaluated
+        elite = int(np.argmin(fits))
         genes, prios = _breed(stream, genes, prios, fits, m)
-        fits, viols, orders = evaluate(genes, prios)
+        kept = fits[elite], viols[elite], orders[elite]
+        fits, viols, orders = (np.concatenate(([old], new))
+                               for old, new in zip(kept, evaluate(genes[1:], prios[1:])))
 
     feasible = np.flatnonzero(viols == 0)
     if not feasible.size:
@@ -487,14 +498,22 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_pool = None            # the search workers, forked at the first look-ahead
+def search_workers() -> int:
+    """W, the worker processes GA and PSO search on: one per usable CPU, or
+    1 where there is no fork, which means searching in process."""
+    return _usable_cpus() if hasattr(os, "fork") else 1
+
+
+_pool = None            # the search workers, forked at the first search
 _pool_lock = threading.Lock()
+_in_flight = 0          # searches submitted to the workers and not yet done
 
 
 def _executor():
     """The process-wide worker pool, one worker per usable CPU, made on
-    first use.  Workers ignore SIGINT: an interrupt ends the caller, whose
-    exit waits for the searches still running and then ends them."""
+    first use; it forks its workers at its first ``submit``.  Workers
+    ignore SIGINT: an interrupt ends the caller, whose exit waits for the
+    searches still running and then ends them."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -507,10 +526,19 @@ def _executor():
         return _pool
 
 
+def start_workers() -> None:
+    """Fork the search workers now, if there are to be any and they are not
+    up: a fork copies only the calling thread, so one made while other
+    threads run can copy into a worker a lock that one of them holds.  Call
+    it before starting threads that plan with GA or PSO."""
+    if search_workers() > 1:
+        _executor().submit(int)
+
+
 @atexit.register
 def _shutdown_pool(pool=None) -> None:
     """Shut down and join the worker pool (``pool`` only if it is still the
-    current one) and drop it, so the next look-ahead starts a fresh one."""
+    current one) and drop it, so the next search starts a fresh one."""
     global _pool
     with _pool_lock:
         if _pool is None or (pool is not None and pool is not _pool):
@@ -519,27 +547,70 @@ def _shutdown_pool(pool=None) -> None:
     pool.shutdown(wait=True, cancel_futures=True)
 
 
+def _submit(pool, search, ws: _Workspace, cfg, m: int, ahead: bool, width: int):
+    """m's search on ``pool``, counted in flight until it is done; None,
+    submitting nothing, when it is a look-ahead (``ahead``) and ``width``
+    searches are in flight already.  Returns the future and a call that
+    uncounts it, made by the future's done callback and by the loop that
+    takes its result (a waiter can wake before the callbacks run); only the
+    first call counts."""
+    global _in_flight
+    with _pool_lock:
+        if ahead and _in_flight >= width:
+            return None
+        _in_flight += 1
+    counted = True
+
+    def done(_future=None) -> None:
+        global _in_flight
+        nonlocal counted
+        with _pool_lock:
+            if counted:
+                counted = False
+                _in_flight -= 1
+
+    try:
+        future = pool.submit(search, ws, cfg, m)
+    except BaseException:
+        done()
+        raise
+    future.add_done_callback(done)
+    return future, done
+
+
 @contextlib.contextmanager
-def _searched_ahead(search, ws: _Workspace, cfg, m_max: int):
+def _searched_ahead(search, ws: _Workspace, cfg, m_max: int, stop=None):
     """size_fleet's ``clusters_at`` for ``search(ws, cfg, m)``.  The call for
-    m keeps the searches for m .. m + W - 1 (never above m_max) running on
-    the worker pool, W the usable CPUs, and returns m's result; leaving the
-    block cancels the searches not yet started.  One CPU (or no fork)
-    searches in process, one size per call."""
-    width = _usable_cpus() if hasattr(os, "fork") else 1
-    if width == 1:
-        yield lambda m: search(ws, cfg, m)
-        return
-    from concurrent.futures.process import BrokenProcessPool
+    m submits m's search to the worker pool, W the usable CPUs, unless it
+    is there already, and then m + 1 .. m + W - 1 (never above m_max) while
+    fewer than W searches are in flight in the process, so a lone loop keeps
+    W sizes searching and loops in several threads leave the workers to
+    each other's next sizes; it returns m's result.  Leaving the block
+    cancels the searches not yet started.  With ``stop`` set, the next call
+    raises CancelledError.  One CPU (or no fork) searches in process, one
+    size per call."""
+    width = search_workers()
     ahead = {}
 
     def clusters_at(m):
+        if stop is not None and stop.is_set():
+            from concurrent.futures import CancelledError
+            raise CancelledError(f"stopped before fleet size {m}")
+        if width == 1:
+            return search(ws, cfg, m)
+        from concurrent.futures.process import BrokenProcessPool
         pool = _executor()
         try:
             for k in range(m, min(m + width, m_max + 1)):
                 if k not in ahead:
-                    ahead[k] = pool.submit(search, ws, cfg, k)
-            return ahead[m].result()
+                    submitted = _submit(pool, search, ws, cfg, k, k > m, width)
+                    if submitted is None:
+                        break
+                    ahead[k] = submitted
+            future, done = ahead[m]
+            result = future.result()
+            done()
+            return result
         except BrokenProcessPool:
             _shutdown_pool(pool)
             raise
@@ -547,27 +618,29 @@ def _searched_ahead(search, ws: _Workspace, cfg, m_max: int):
     try:
         yield clusters_at
     finally:
-        for future in ahead.values():
+        for future, _ in ahead.values():
             future.cancel()
 
 
 def _search_plan(search, scenario, algo: AlgoParams, cfg, method: str,
-                 binding: list[str]) -> Plan:
+                 binding: list[str], stop) -> Plan:
     """The fleet-sizing loop over ``search``'s clusters, each routed in the
     order it gives; ``binding`` names what failed at the fleet ceiling."""
     t0 = time.perf_counter()
     ws = _Workspace(scenario, algo)
-    with _searched_ahead(search, ws, cfg, scenario.physical.m_max) as clusters_at:
+    with _searched_ahead(search, ws, cfg, scenario.physical.m_max, stop) as clusters_at:
         return size_fleet(scenario, algo, ws.uav_ids, ws.direct_map, ws.load0, clusters_at,
                           ordered_route, method=method, t0=t0, variant="-", at_m=None,
                           binding=binding)
 
 
-def ga_plan(scenario, algo: AlgoParams, cfg: GaConfig | None = None) -> Plan:
+def ga_plan(scenario, algo: AlgoParams, cfg: GaConfig | None = None, *,
+            stop: threading.Event | None = None) -> Plan:
     """Genetic-algorithm baseline: joint cluster-assignment + visit-priority
-    chromosome per fleet size, penalty-driven feasibility."""
+    chromosome per fleet size, penalty-driven feasibility.  Once ``stop``
+    is set, the sizing loop raises CancelledError at its next fleet size."""
     return _search_plan(_ga_search, scenario, algo, cfg if cfg is not None else GaConfig(),
-                        "ga", ["revisit period, energy budget, or edge capacity"])
+                        "ga", ["revisit period, energy budget, or edge capacity"], stop)
 
 
 def _pso_search(ws: _Workspace, cfg: PsoConfig, m: int):
@@ -617,11 +690,13 @@ def _pso_search(ws: _Workspace, cfg: PsoConfig, m: int):
     return decode(gbest), gbest_order, 0
 
 
-def pso_plan(scenario, algo: AlgoParams, cfg: PsoConfig | None = None) -> Plan:
+def pso_plan(scenario, algo: AlgoParams, cfg: PsoConfig | None = None, *,
+             stop: threading.Event | None = None) -> Plan:
     """Particle-swarm baseline: continuous cluster-assignment positions with
-    round-half-up decode and nearest-neighbor visit orders."""
+    round-half-up decode and nearest-neighbor visit orders; ``stop`` as for
+    ``ga_plan``."""
     return _search_plan(_pso_search, scenario, algo, cfg if cfg is not None else PsoConfig(),
-                        "pso", ["no feasible particle"])
+                        "pso", ["no feasible particle"], stop)
 
 
 def greedy_plan(scenario, algo: AlgoParams) -> Plan:

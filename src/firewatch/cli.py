@@ -30,15 +30,19 @@ timing columns.  A config file is UTF-8 and names each key once.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
+import threading
 from dataclasses import replace
 from enum import Enum
 
 import numpy as np
 
-from .baselines import GaConfig, PsoConfig, ga_plan, greedy_plan, pso_plan
+from .baselines import (GaConfig, PsoConfig, ga_plan, greedy_plan, pso_plan, search_workers,
+                        start_workers)
+from .clustering import check_omega_h
 from .emergency import (_check_horizon, generate_events, load_events, queue_report,
                         save_events, simulate, write_trace_csv)
 from .model import AlgoParams, PhysicalParams, Variant
@@ -154,14 +158,25 @@ def _settings(group, args: argparse.Namespace, names=None):
 
 
 def _make_plan(method: str, scenario, algo: AlgoParams, args: argparse.Namespace,
-               variant: Variant = Variant.FULL):
+               variant: Variant = Variant.FULL, stop: threading.Event | None = None):
     if method == "proposed":
         return plan_scenario(scenario, algo, variant)
     if method == "greedy":
         return greedy_plan(scenario, algo)
     if method == "ga":
-        return ga_plan(scenario, algo, args.ga)
-    return pso_plan(scenario, algo, args.pso)
+        return ga_plan(scenario, algo, args.ga, stop=stop)
+    return pso_plan(scenario, algo, args.pso, stop=stop)
+
+
+class _OmegaHError(Exception):
+    """--omega-h overflows on a scenario: a usage error."""
+
+
+def _check_omega_h(scenario, algo: AlgoParams) -> None:
+    try:
+        check_omega_h(scenario, algo.omega_h)
+    except ValueError as exc:
+        raise _OmegaHError(f"--omega-h {algo.omega_h}: {exc}") from None
 
 
 def _mean_ci(xs: list[float]) -> tuple[float, float | None, float | None]:
@@ -209,7 +224,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     scenario = load_scenario(args.scenario)
     try:
+        _check_omega_h(scenario, args.algo)
         pl = _make_plan(args.method, scenario, args.algo, args, Variant(args.variant))
+    except _OmegaHError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -289,7 +308,67 @@ def _parse_sweep(text: str) -> list[int]:
     return list(range(start, stop + 1, step))
 
 
+def _compare_cell(meth: str, scenario, algo: AlgoParams, args: argparse.Namespace,
+                  stop: threading.Event | None):
+    """One compare cell: the plan's metrics row with its sorted response
+    times, or the InfeasibleError of a method with no plan."""
+    try:
+        pl = _make_plan(meth, scenario, algo, args, stop=stop)
+    except InfeasibleError as exc:
+        return exc
+    row = _plan_metrics(pl, scenario)
+    row["responses"] = sorted(totals(all_responses(pl, scenario)[0]).tolist())
+    return row
+
+
+def _run_cells(calls, threads: int) -> list:
+    """The result of each of ``calls``, each called with a stop event, in
+    their order.  With one thread they run in order in this one, with None
+    for the event.  With more, the GA/PSO workers are forked first, then the
+    calls run on ``threads`` threads, taken from ``calls`` as threads come
+    free (at most ``threads`` more wait queued).  When this thread raises,
+    ctrl-C or a call's error, the queued calls are cancelled and the event
+    is set, so a running GA/PSO loop stops at its next fleet size, and the
+    error propagates once every running call has ended."""
+    if threads == 1:
+        return [call(None) for call in calls]
+    from concurrent.futures import FIRST_COMPLETED, FIRST_EXCEPTION, ThreadPoolExecutor, wait
+    start_workers()
+    stop = threading.Event()
+    futures, running = [], set()
+    pool = ThreadPoolExecutor(threads, thread_name_prefix="compare")
+
+    def reap(until) -> set:
+        """Wait for ``until`` and raise the error of a call that ended in
+        one; the calls still running."""
+        done, still = wait(running, return_when=until)
+        for future in done:
+            future.result()
+        return still
+
+    try:
+        for call in calls:
+            if len(running) >= 2 * threads:
+                running = reap(FIRST_COMPLETED)
+            futures.append(pool.submit(call, stop))
+            running.add(futures[-1])
+        reap(FIRST_EXCEPTION)
+        return [future.result() for future in futures]
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
+    """Plan every (sensor count, seed, method) cell and write the
+    aggregates.  With GA or PSO among the methods and W > 1 GA/PSO workers
+    (one per usable CPU), the cells run on 2W threads, which only wait on
+    those workers; otherwise one after another in this thread.  Either way
+    the results are taken in (sensor count, seed, method) order, so every
+    output but a cell's ``planning_time_s``, its wall time while it shares
+    the workers, is the same."""
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     bad = [m for m in methods if m not in METHODS]
     repeated = [m for k, m in enumerate(methods) if m in methods[:k]]
@@ -326,24 +405,35 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if fixed_scenario is not None:
         ns = [len(fixed_scenario.xy)]
     seeds = list(range(args.seeds))
+    keys = [(n, s, meth) for n in ns for s in seeds for meth in methods]
 
+    def calls():
+        """Each cell's plan call, a function of the stop event; each
+        scenario is made, and checked, as its first cell is handed out."""
+        for n in ns:
+            for s in seeds:
+                scenario = (fixed_scenario if fixed_scenario is not None
+                            else generate(replace(gens[n], seed=s)))
+                algo = replace(args.algo, seed=s)
+                _check_omega_h(scenario, algo)
+                for meth in methods:
+                    yield functools.partial(_compare_cell, meth, scenario, algo, args)
+
+    # threads only wait, on the GA/PSO workers: a cell of neither takes
+    # milliseconds
+    workers = search_workers() if {"ga", "pso"} & set(methods) else 1
+    try:
+        results = _run_cells(calls(), 1 if workers == 1 else 2 * workers)
+    except _OmegaHError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     cells: dict[tuple[int, int, str], dict] = {}
     failures: list[dict] = []
-    for n in ns:
-        for s in seeds:
-            scenario = (fixed_scenario if fixed_scenario is not None
-                        else generate(replace(gens[n], seed=s)))
-            algo = replace(args.algo, seed=s)
-            for meth in methods:
-                try:
-                    pl = _make_plan(meth, scenario, algo, args)
-                except InfeasibleError as exc:
-                    failures.append({"n_sensors": n, "seed": s, "method": meth,
-                                     "error": str(exc)})
-                    continue
-                row = _plan_metrics(pl, scenario)
-                row["responses"] = sorted(totals(all_responses(pl, scenario)[0]).tolist())
-                cells[(n, s, meth)] = row
+    for (n, s, meth), result in zip(keys, results):
+        if isinstance(result, InfeasibleError):
+            failures.append({"n_sensors": n, "seed": s, "method": meth, "error": str(result)})
+        else:
+            cells[(n, s, meth)] = result
 
     os.makedirs(args.out_dir, exist_ok=True)
     # one aggregate per (n, method): summary.json's "means" entry; means.csv

@@ -36,6 +36,29 @@ def sensor_weight(fire_history, omega_h: float):
     return 1.0 + omega_h * fire_history
 
 
+# weighted_kmeans and the planner's centroids add the weights, and the
+# coordinates times them, over subsets of the sensors in other orders; a
+# total this much below the largest double leaves room for any order's
+# rounding
+_SUM_MARGIN = 1e-6
+
+
+def check_omega_h(scenario, omega_h: float) -> None:
+    """Raise a ValueError naming omega_h when, on this scenario, a sensor
+    weight ``1 + omega_h * fire_history`` is not finite, or the sum over
+    every sensor of the weights or of |x| or |y| times them is not, with a
+    relative margin of ``_SUM_MARGIN``.  Every weighted coordinate sum of
+    ``weighted_kmeans`` and of the planner's centroids is then finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = sensor_weight(scenario.fire_history, omega_h)
+        sums = np.append((np.abs(scenario.xy) * w[:, None]).sum(axis=0), w.sum())
+        ok = np.isfinite(w).all() and np.isfinite(sums * (1 + _SUM_MARGIN)).all()
+    if not ok:
+        raise ValueError(f"omega_h {omega_h} makes a sensor weight 1 + omega_h * "
+                         "fire_history, or a weighted coordinate sum, overflow on this "
+                         "scenario")
+
+
 def init_centers(m: int, edge_xy: np.ndarray, sensor_xy: np.ndarray,
                  weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Initial centers: m distinct edge positions when m <= #edges; otherwise
@@ -76,6 +99,7 @@ def weighted_kmeans(scenario, ids, m: int, omega_h: float, epsilon_m: float,
     n = len(ids)
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= {n} sensors, got m={m}")
+    check_omega_h(scenario, omega_h)
     xy = scenario.xy[ids]
     x, y = xy[:, 0].copy(), xy[:, 1].copy()
     w = sensor_weight(scenario.fire_history[ids], omega_h)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Clustering, sensor_weight, weighted_kmeans
+from .clustering import Clustering, check_omega_h, sensor_weight, weighted_kmeans
 from .edge_assignment import (Assignment, EdgeLoadState, RepairFailure,
                               assign_clusters, assign_direct, cluster_demand, cluster_terms,
                               edge_distances, repair_overload)
@@ -188,8 +188,10 @@ def size_fleet(scenario, algo: AlgoParams, uav_ids: np.ndarray, direct_map: dict
     plan at that one m without the gate (a failed repair keeps the
     unrepaired assignment; route limits go unchecked).  Raises
     InfeasibleError naming the constraints the last m failed, or ``binding``
-    when given.
+    when given, and a ValueError before any m when ``algo.omega_h`` fails
+    ``check_omega_h`` on the scenario.
     """
+    check_omega_h(scenario, algo.omega_h)
     p = scenario.physical
     gate = at_m is None
     sizes = (range(_fleet_lower_bound(scenario, direct_map,

@@ -1,6 +1,11 @@
+import functools
 import math
 import os
 import signal
+import sys
+import threading
+import time
+from concurrent.futures import CancelledError, ThreadPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from types import SimpleNamespace
@@ -36,8 +41,8 @@ from firewatch.routing import nearest_neighbor_tour, tour_length
 from firewatch.scenario import GenConfig, generate
 from firewatch.timing import all_responses, execution_time, transmission_time
 from testutil import (StreamOracle, blob, bound_scenarios, breed_oracle, build_scenario,
-                      feasible, fleet_start, fleet_tree_bound, norm_tour_lower_bound, outcomes,
-                      processes_where, unskip_fleet_sizes)
+                      feasible, fleet_start, fleet_tree_bound, ga_search_all_rows,
+                      norm_tour_lower_bound, outcomes, processes_where, unskip_fleet_sizes)
 
 # the GA/PSO budgets of the acceptance soundness sweep, seed 0
 GA_SMALL = GaConfig(population=16, generations=12)
@@ -215,6 +220,39 @@ def _ga_search_oracle(ws, cfg, m, generations):
         return None
     best = int(feasible[np.argmin(fits[feasible])])
     return genes[best], orders[best], 0
+
+
+def _breed_seen(seen: list, stream, genes, prios, fits, m):
+    """``_breed``, noting the fitnesses it breeds from."""
+    seen.append(fits.tolist())
+    return _breed(stream, genes, prios, fits, m)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ga_search_carries_the_elite_over_exactly(seed):
+    """Each generation evaluates only its children and carries the elite's
+    fitness, violations and order over; every generation's fitnesses and
+    the result are those of evaluating all P rows, at every fleet size,
+    None results included."""
+    sc = generate(GenConfig(n_sensors=60, n_edges=3, seed=seed))
+    ws = _Workspace(sc, AlgoParams(seed=seed))
+    found = set()
+    for m in range(1, 8):
+        for cfg in (GaConfig(population=2, generations=3), GaConfig(population=7, generations=5),
+                    GA_SMALL):
+            fits, runs = {"got": [], "want": []}, {}
+            for key, search in (("got", _ga_search), ("want", ga_search_all_rows)):
+                with mock.patch.object(baselines, "_breed",
+                                       functools.partial(_breed_seen, fits[key])):
+                    runs[key] = search(ws, cfg, m)
+            assert fits["got"] == fits["want"] and len(fits["got"]) == cfg.generations
+            got, want = runs["got"], runs["want"]
+            found.add(want is None)
+            if want is None:
+                assert got is None
+            else:
+                assert [x.tolist() for x in got[:2]] == [x.tolist() for x in want[:2]]
+    assert found == {True, False}
 
 
 def _ga_workspace(n, seed=0):
@@ -694,14 +732,18 @@ def test_skipping_fleet_sizes_changes_no_baseline_plan(monkeypatch, method):
 
 
 class _Submissions:
-    """The worker pool, noting the fleet size of every search submitted."""
+    """The worker pool, noting the fleet size of every search submitted
+    and, given a ``futures`` list, its future."""
 
-    def __init__(self, pool, sizes: list):
-        self.pool, self.sizes = pool, sizes
+    def __init__(self, pool, sizes: list, futures: list | None = None):
+        self.pool, self.sizes, self.futures = pool, sizes, futures
 
     def submit(self, search, ws, cfg, m):
         self.sizes.append(m)
-        return self.pool.submit(search, ws, cfg, m)
+        future = self.pool.submit(search, ws, cfg, m)
+        if self.futures is not None:
+            self.futures.append(future)
+        return future
 
 
 def _at_fleet_bound():
@@ -752,6 +794,150 @@ def test_searching_ahead_on_workers_matches_searching_inline(monkeypatch, method
         assert max(sizes) <= m_max, name
     for name, sc in _at_fleet_bound().items():
         assert ahead_sizes[name] == [sc.physical.m_max], name
+
+
+def _spied(monkeypatch, cpus: int):
+    """W patched to ``cpus``; the fleet sizes and futures of every search
+    submitted from then on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    pool, sizes, futures = baselines._executor, [], []
+    monkeypatch.setattr(baselines, "_executor", lambda: _Submissions(pool(), sizes, futures))
+    return sizes, futures
+
+
+def _in_flight_once_done(futures, others: int = 0) -> int:
+    """The count of searches in flight once every future is done and its
+    done callbacks have run (a waiter can wake before they do), ``others``
+    counted by hand."""
+    assert not wait(futures, timeout=60).not_done
+    deadline = time.monotonic() + 10
+    while baselines._in_flight > others and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return baselines._in_flight
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_lone_loop_searches_the_next_sizes_ahead(monkeypatch, cpus):
+    """With no other search in flight, the call for m submits m .. m + W - 1,
+    never above m_max: one loop submits every size from its start to W - 1
+    past the fleet it accepts, each once."""
+    sc, algo = generate(GenConfig(n_sensors=40, n_edges=3, seed=7)), AlgoParams()
+    sizes, futures = _spied(monkeypatch, cpus)
+    assert baselines._in_flight == 0
+    pl = ga_plan(sc, algo, GA_SMALL)
+    assert pl.m > fleet_start(sc)
+    assert sizes == list(range(fleet_start(sc), min(pl.m + cpus - 1, sc.physical.m_max) + 1))
+    assert _in_flight_once_done(futures) == 0
+
+
+def test_a_loop_searches_ahead_only_into_idle_workers(monkeypatch):
+    """With W searches in flight already, a loop submits only the fleet
+    sizes it asks for."""
+    sc, algo = generate(GenConfig(n_sensors=40, n_edges=3, seed=7)), AlgoParams()
+    sizes, futures = _spied(monkeypatch, 2)
+    monkeypatch.setattr(baselines, "_in_flight", 2)
+    pl = ga_plan(sc, algo, GA_SMALL)
+    assert sizes == list(range(fleet_start(sc), pl.m + 1))
+    assert _in_flight_once_done(futures, others=2) == 2
+
+
+def _search_failing(ws, cfg, m):
+    raise ValueError(f"no search at {m}")
+
+
+def _search_slowly(ws, cfg, m):
+    time.sleep(0.2)
+    return _ga_search(ws, cfg, m)
+
+
+@pytest.mark.parametrize("case", ["plans", "infeasible", "search-raises", "cancelled"])
+def test_the_in_flight_count_returns_to_zero(monkeypatch, case):
+    """Every search counted in flight is uncounted once it is done or
+    cancelled: after a plan, an InfeasibleError, a search that raises, and
+    look-aheads cancelled before a worker took them."""
+    sc = {"plans": _blob_scenario(), "infeasible": _capacity_wall(),
+          "search-raises": _blob_scenario(), "cancelled": _blob_scenario()}[case]
+    cpus = 2
+    if case == "cancelled":
+        # two workers and eight sizes submitted: three wait in the call
+        # queue, and the rest can be cancelled when the loop ends
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        baselines._shutdown_pool()
+        baselines._executor()
+        cpus = 8
+        monkeypatch.setattr(baselines, "_ga_search", _search_slowly)
+    if case == "search-raises":
+        monkeypatch.setattr(baselines, "_ga_search", _search_failing)
+    sizes, futures = _spied(monkeypatch, cpus)
+    want = {"plans": None, "infeasible": InfeasibleError, "search-raises": ValueError,
+            "cancelled": None}[case]
+    if want is None:
+        ga_plan(sc, AlgoParams(), GA_SMALL)
+    else:
+        with pytest.raises(want):
+            ga_plan(sc, AlgoParams(), GA_SMALL)
+    assert sizes
+    if case == "cancelled":
+        assert any(future.cancelled() for future in futures)
+    assert _in_flight_once_done(futures) == 0
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_set_stop_ends_the_loop_at_its_next_fleet_size(monkeypatch, cpus):
+    """A loop whose stop is set raises CancelledError at its next fleet
+    size: before any search when set before the call, after the one
+    running when set during it."""
+    sc, algo = generate(GenConfig(n_sensors=40, n_edges=3, seed=7)), AlgoParams()
+    assert ga_plan(sc, algo, GA_SMALL).m > fleet_start(sc)
+    sizes, _ = _spied(monkeypatch, cpus)
+    stop = threading.Event()
+    stop.set()
+    with pytest.raises(CancelledError):
+        ga_plan(sc, algo, GA_SMALL, stop=stop)
+    assert sizes == []
+    searched = []
+
+    def search_then_stop(ws, cfg, m):
+        searched.append(m)
+        stop.set()
+        return _ga_search(ws, cfg, m)
+
+    stop.clear()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})    # in process
+    monkeypatch.setattr(baselines, "_ga_search", search_then_stop)
+    with pytest.raises(CancelledError):
+        ga_plan(sc, algo, GA_SMALL, stop=stop)
+    assert searched == [fleet_start(sc)]
+
+
+def test_loops_in_more_threads_than_workers_plan_as_alone(monkeypatch):
+    """GA and PSO loops on six threads over two workers, the interpreter
+    switching threads every microsecond, give the plans and bindings each
+    gives alone, and leave no search counted in flight."""
+    algo = AlgoParams()
+    bound = bound_scenarios()
+    scenarios = {"feasible-40": generate(GenConfig(n_sensors=40, n_edges=3, seed=7)),
+                 "capacity-wall": _capacity_wall(), "revisit-s0": bound["revisit-s0"]}
+    makers = {"ga": lambda sc: ga_plan(sc, algo, GA_SMALL),
+              "pso": lambda sc: pso_plan(sc, algo, PSO_SMALL)}
+    cases = [(method, name) for method in makers for name in scenarios]
+
+    def run(case):
+        method, name = case
+        return outcomes(makers[method], {name: scenarios[name]})
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    alone = [run(case) for case in cases]
+    _, futures = _spied(monkeypatch, 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(6) as threads:
+            together = list(threads.map(run, cases, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert together == alone
+    assert _in_flight_once_done(futures) == 0
 
 
 _TEST_PID = os.getpid()

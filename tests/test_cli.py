@@ -4,20 +4,23 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import firewatch
-from firewatch.baselines import _usable_cpus
+from firewatch import baselines, cli, clustering, planner
+from firewatch.baselines import _usable_cpus, ga_plan
 from firewatch.cli import main
 from firewatch.model import AlgoParams, PhysicalParams
 from firewatch.planner import load_plan
 from firewatch.scenario import load_scenario, save_scenario
 from firewatch.emergency import EmergencyEvent, save_events, simulate
-from testutil import build_scenario, processes_where
+from testutil import build_scenario, processes_where, without_column
 
 
 @pytest.fixture(scope="module")
@@ -82,13 +85,16 @@ def test_a_scenario_cruise_speed_past_the_ceiling_exits_1(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
-def test_plan_writes_no_non_finite_number(tmp_path, capsys):
-    """At omega_h = 1e308 the sensor weights overflow and the plan's
-    response times are NaN, which JSON cannot hold: ``plan`` exits 1 with
-    one line naming plan.json, and writes no plan.json."""
+def test_plan_writes_no_non_finite_number(tmp_path, capsys, monkeypatch):
+    """Past the omega_h check (patched out here), at omega_h = 1e308 the
+    sensor weights overflow and the plan's response times are NaN, which
+    JSON cannot hold: ``plan`` exits 1 with one line naming plan.json, and
+    writes no plan.json."""
     scen, out = tmp_path / "scenario.json", tmp_path / "out"
     assert main(["generate", "--sensors", "60", "--seed", "0", "-o", str(scen)]) == 0
     capsys.readouterr()
+    for module in (cli, planner, clustering):
+        monkeypatch.setattr(module, "check_omega_h", lambda scenario, omega_h: None)
     with np.errstate(all="ignore"):
         assert main(["plan", "-s", str(scen), "--omega-h", "1e308", "-o", str(out)]) == 1
     err = capsys.readouterr().err
@@ -96,6 +102,31 @@ def test_plan_writes_no_non_finite_number(tmp_path, capsys):
                           "JSON compliant")
     assert err.count("\n") == 1
     assert not (out / "plan.json").exists()
+
+
+@pytest.mark.parametrize("edges", [3, 5])
+def test_an_omega_h_that_overflows_is_a_usage_error(tmp_path, capsys, edges):
+    """On the 60-sensor seed-0 scenario omega_h = 1e308 overflows the
+    sensor weights: with 3 edges ``plan`` used to exit 3 after numpy
+    warnings, with 5 to exit 1 at plan.json.  Now ``plan`` and ``compare``
+    exit 2 with one line naming --omega-h, and write nothing; 1e300 still
+    plans."""
+    scen = tmp_path / "scenario.json"
+    assert main(["generate", "--sensors", "60", "--seed", "0", "--edges", str(edges),
+                 "-o", str(scen)]) == 0
+    capsys.readouterr()
+    for argv in (["plan", "-s", str(scen)],
+                 ["compare", "-s", str(scen), "--methods", "greedy,ga", "--seeds", "2"]):
+        out = tmp_path / argv[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--omega-h", "1e308", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --omega-h 1e+308: omega_h 1e+308 makes a sensor weight")
+        assert err.count("\n") == 1
+        assert not out.exists()
+    assert main(["plan", "-s", str(scen), "--omega-h", "1e300",
+                 "-o", str(tmp_path / "plan")]) == 0
 
 
 def test_generate_rejects_zero_sensors(tmp_path, capsys):
@@ -624,6 +655,61 @@ def test_compare_interrupted_mid_search_ends_promptly(tmp_path):
     assert run.returncode == 130, err
     assert "Traceback" not in err, err
     assert not processes_where("session", run.pid)
+
+
+def test_compare_writes_the_same_files_on_two_cpus_as_on_one(tmp_path, monkeypatch):
+    """compare runs its cells on threads over two workers, or with one
+    usable CPU in order in the calling thread, which starts no thread and no
+    process; every file is the same byte for byte but the planning times,
+    the GA failures in the same order."""
+    argv = ["compare", "--methods", "proposed,ga,pso,greedy", "--seeds", "3",
+            "--sweep-sensors", "120:150:30", "--ga-pop", "6", "--ga-gens", "2",
+            "--pso-swarm", "6", "--pso-iters", "4"]
+    seen = []      # (threads, child processes) at each GA call
+
+    def ga_plan_seen(*args, **kwargs):
+        seen.append((threading.active_count(), tuple(processes_where("ppid", os.getpid()))))
+        return ga_plan(*args, **kwargs)
+
+    def run(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        out = tmp_path / f"cpus{cpus}"
+        assert main(argv + ["-o", str(out)]) == 0
+        files = {name: (out / name).read_bytes()
+                 for name in ("means.csv", "cdf.csv", "pairwise.csv", "summary.json")}
+        files["means.csv"] = without_column(files["means.csv"], "planning_time_s_mean")
+        return files
+
+    monkeypatch.setattr(cli, "ga_plan", ga_plan_seen)
+    two = run(2)
+    assert max(threads for threads, _ in seen) > 2     # compare's, the pool's and this one
+    baselines._shutdown_pool()
+    threads = threading.active_count()
+    seen.clear()
+    assert run(1) == two
+    assert seen and set(seen) == {(threads, ())}
+    failures = json.loads(two["summary.json"])["failures"]
+    assert [(f["n_sensors"], f["seed"], f["method"]) for f in failures] == [
+        (120, 0, "ga"), (150, 0, "ga"), (150, 1, "ga")]
+
+
+def test_an_error_in_one_cell_stops_the_running_cells_and_cancels_the_queued():
+    """On two threads: once a cell's error reaches compare, the stop event
+    is set for the cells running, the queued ones never start, and the
+    error propagates."""
+    ran = []
+
+    def cell(stop):
+        ran.append(stop.wait(10))
+
+    def failing(stop):
+        raise RuntimeError("cell failed")
+
+    with pytest.raises(RuntimeError, match="cell failed"):
+        cli._run_cells([cell, failing] + [cell] * 8, 2)
+    # the first cell, and the next one if the failed cell's thread took it
+    # before the queue was cancelled
+    assert ran[:1] == [True] and set(ran) == {True} and len(ran) <= 2
 
 
 @pytest.mark.parametrize("rows,index,key,value", [

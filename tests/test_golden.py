@@ -28,7 +28,7 @@ from firewatch.emergency import (EmergencyEvent, generate_events, save_events, s
 from firewatch.model import AlgoParams, PhysicalParams, Variant
 from firewatch.planner import InfeasibleError, plan, plan_at_fleet, plan_to_doc, save_plan
 from firewatch.scenario import GenConfig, generate, save_scenario
-from testutil import build_scenario
+from testutil import build_scenario, without_column
 
 # the GA/PSO budgets of the acceptance soundness sweep
 GA_FAST = dict(population=16, generations=12)
@@ -164,22 +164,6 @@ def bindings() -> dict[str, list[str] | None]:
     return out
 
 
-def _without_column(data: bytes, column: str) -> bytes:
-    """The bytes of a CSV file with one column cut out of every line; the
-    other fields keep their bytes (no field of these files holds a comma)."""
-    lines = data.split(b"\r\n")
-    header = lines[0].split(b",")
-    k = header.index(column.encode())
-    out = []
-    for line in lines:
-        fields = line.split(b",")
-        if line:
-            assert len(fields) == len(header)
-            del fields[k]
-        out.append(b",".join(fields))
-    return b"\r\n".join(out)
-
-
 def cli_digests(tmp: Path) -> dict[str, str]:
     """Every file the CLI writes, byte for byte, except the wall-clock
     planning-time column of metrics.csv and means.csv."""
@@ -207,7 +191,7 @@ def cli_digests(tmp: Path) -> dict[str, str]:
     out = {}
     for key, path in files.items():
         data = path.read_bytes()
-        out[key] = _digest(_without_column(data, timed[key]) if key in timed else data)
+        out[key] = _digest(without_column(data, timed[key]) if key in timed else data)
     return out
 
 

@@ -1,12 +1,14 @@
 import csv
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import firewatch.planner as planner
-from firewatch.clustering import weighted_kmeans
+from firewatch.baselines import GaConfig, PsoConfig, ga_plan, greedy_plan, pso_plan
+from firewatch.clustering import check_omega_h, weighted_kmeans
 from firewatch.edge_assignment import assign_direct
 from firewatch.model import AlgoParams, FleetInitMode, PhysicalParams, Variant, derive_seed
 from firewatch.planner import (
@@ -424,3 +426,29 @@ def test_cluster_members_match_per_cluster_masks(small_scenario, variant):
             assert sorted(routed) == list(range(m))
             for j, exp in enumerate(want):
                 assert routed[j].dtype == exp.dtype and routed[j].tolist() == exp.tolist()
+
+
+@pytest.mark.parametrize("edges", [3, 5])
+def test_an_omega_h_that_overflows_raises_naming_it(edges):
+    """Where omega_h meets the scenario, the k-means and every method's
+    sizing loop, a weight or weighted coordinate sum that overflows raises
+    a ValueError naming omega_h, before any fleet size and without a numpy
+    warning; the largest power of ten that passes plans."""
+    sc = generate(GenConfig(n_sensors=60, seed=0, n_edges=edges))
+    algo = dataclasses.replace(AlgoParams(), omega_h=1e308)
+    calls = [lambda: plan(sc, algo), lambda: greedy_plan(sc, algo),
+             lambda: ga_plan(sc, algo, GaConfig(population=4, generations=1)),
+             lambda: pso_plan(sc, algo, PsoConfig(swarm=4, iterations=1)),
+             lambda: weighted_kmeans(sc, np.arange(60), 2, 1e308, 10.0,
+                                     np.random.default_rng(0))]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^omega_h 1e\+308 makes a sensor weight"):
+                call()
+    check_omega_h(sc, 1e301)
+    with pytest.raises(ValueError):
+        check_omega_h(sc, 1e302)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert feasible(plan(sc, dataclasses.replace(algo, omega_h=1e301)), sc)

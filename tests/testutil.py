@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from firewatch import planner, timing
+from firewatch import baselines, planner, timing
 from firewatch.baselines import CROSSOVER_RATE, MUTATION_RATE, TOURNAMENT_SIZE
 from firewatch.clustering import (MAX_ITERS, Clustering, cluster_radius, init_centers,
                                   sensor_weight, weighted_kmeans)
@@ -193,6 +193,22 @@ def processes_where(field: str, value: int) -> list[int]:
         if int(stat.rsplit(")", 1)[1].split()[at]) == value:
             pids.append(int(path.split("/")[2]))
     return pids
+
+
+def without_column(data: bytes, column: str) -> bytes:
+    """The bytes of a CSV file with one column cut out of every line; the
+    other fields keep their bytes (no field of these files holds a comma)."""
+    lines = data.split(b"\r\n")
+    header = lines[0].split(b",")
+    k = header.index(column.encode())
+    out = []
+    for line in lines:
+        fields = line.split(b",")
+        if line:
+            assert len(fields) == len(header)
+            del fields[k]
+        out.append(b",".join(fields))
+    return b"\r\n".join(out)
 
 
 def feasible(pl, scenario) -> bool:
@@ -652,6 +668,31 @@ def assign_edges_oracle(ws, genes: np.ndarray, m: int):
         edge_of[:, j] = k = scores.argmin(axis=1)
         loads[rows, k] += demands[:, j]
     return counts, alpha_sum, edge_of, loads
+
+
+def ga_search_all_rows(ws, cfg, m: int):
+    """``baselines._ga_search`` evaluating all P rows of every generation,
+    the elite included, where the search carries the elite's fitness,
+    violations and order over from the generation before."""
+    rng = np.random.default_rng(derive_seed(ws.algo.seed, f"ga-m{m}"))
+    genes = rng.integers(0, m, size=(cfg.population, ws.n))
+    prios = rng.random((cfg.population, ws.n))
+    stream = baselines._Stream(rng)
+
+    def evaluate(g, pr):
+        orders = baselines._order_by_priority(g, pr)
+        fits, viols, _ = ws.evaluate(g, orders, ws.assign(g, m))
+        return fits, viols, orders
+
+    fits, viols, orders = evaluate(genes, prios)
+    for _ in range(cfg.generations):
+        genes, prios = baselines._breed(stream, genes, prios, fits, m)
+        fits, viols, orders = evaluate(genes, prios)
+    feasible = np.flatnonzero(viols == 0)
+    if not feasible.size:
+        return None
+    best = int(feasible[np.argmin(fits[feasible])])
+    return genes[best], orders[best], 0
 
 
 class StreamOracle:
