@@ -51,9 +51,9 @@ def main(argv=None) -> int:
     for flag in ("seeds", "sensors", "events"):
         if getattr(args, flag) < 1:
             ap.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
-    from firewatch.emergency import _check_horizon
+    from firewatch.emergency import check_horizon
     try:
-        _check_horizon(args.horizon, "--horizon")
+        check_horizon(args.horizon, "--horizon")
     except ValueError as exc:
         ap.error(str(exc))
 

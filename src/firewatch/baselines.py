@@ -40,18 +40,19 @@ Each GA/PSO fleet size is searched from its own seed stream,
 can be searched while m is; ``GaConfig`` and ``PsoConfig`` hold only the
 search budgets.  ``ga_plan`` and ``pso_plan`` search on a pool of worker
 processes, one per usable CPU (W of them), and hand size_fleet m's result.
-The call for m submits m's search unless it is in flight already, then
-m + 1 .. m + W - 1 (never above m_max) while fewer than W searches are in
-flight in the whole process: a lone loop keeps W sizes searching, and loops
-in several threads (``firewatch compare``) look ahead only into idle
-workers.  The queued searches are cancelled when size_fleet returns or
-raises.  The plans are those of searching one size at a time, which is
-what one usable CPU does, in process.  The workers are forked at the first
-search, or by ``start_workers``, and live until the interpreter exits, so
-they see module state as it was when they were forked: a test that patches
-search internals calls ``_ga_search`` or ``_pso_search`` itself.  A worker
-that dies makes that call raise ``BrokenProcessPool``; the next call starts
-a fresh pool.  GA evaluates the children of a generation only: the elite
+The call for m submits m's search unless it was submitted already, then
+m + 1 .. m + W - 1 (never above m_max) while fewer than W of the search
+futures submitted in the whole process are pending (not done): a lone loop
+keeps W sizes searching, and loops in several threads (``firewatch
+compare``) look ahead only into idle workers.  The queued searches are
+cancelled when size_fleet returns or raises.  The plans are those of
+searching one size at a time, which is what one usable CPU does, in
+process.  The workers are forked at the first search, or by
+``start_workers``, and live until the interpreter exits, so they see module
+state as it was when they were forked: a test that patches search
+internals calls ``_ga_search`` or ``_pso_search`` itself.  A worker that
+dies makes that call raise ``BrokenProcessPool``; the next call starts a
+fresh pool.  GA evaluates the children of a generation only: the elite
 comes first, and its numbers carry over.
 """
 
@@ -491,29 +492,27 @@ def _ga_search(ws: _Workspace, cfg: GaConfig, m: int):
     return genes[best], orders[best], 0
 
 
-def _usable_cpus() -> int:
+def search_workers() -> int:
+    """W, the worker processes GA and PSO search on: one per usable CPU, or
+    1 where there is no fork, which means searching in process."""
+    if not hasattr(os, "fork"):
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:      # no affinity call on this platform
         return os.cpu_count() or 1
 
 
-def search_workers() -> int:
-    """W, the worker processes GA and PSO search on: one per usable CPU, or
-    1 where there is no fork, which means searching in process."""
-    return _usable_cpus() if hasattr(os, "fork") else 1
-
-
 _pool = None            # the search workers, forked at the first search
 _pool_lock = threading.Lock()
-_in_flight = 0          # searches submitted to the workers and not yet done
+_searches = set()       # the futures of the searches submitted to the workers
 
 
 def _executor():
-    """The process-wide worker pool, one worker per usable CPU, made on
-    first use; it forks its workers at its first ``submit``.  Workers
-    ignore SIGINT: an interrupt ends the caller, whose exit waits for the
-    searches still running and then ends them."""
+    """The process-wide worker pool, W workers, made on first use; it forks
+    its workers at its first ``submit``.  Workers ignore SIGINT: an
+    interrupt ends the caller, whose exit waits for the searches still
+    running and then ends them."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -521,7 +520,7 @@ def _executor():
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
             _pool = ProcessPoolExecutor(
-                _usable_cpus(), mp_context=multiprocessing.get_context("fork"),
+                search_workers(), mp_context=multiprocessing.get_context("fork"),
                 initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
         return _pool
 
@@ -548,34 +547,17 @@ def _shutdown_pool(pool=None) -> None:
 
 
 def _submit(pool, search, ws: _Workspace, cfg, m: int, ahead: bool, width: int):
-    """m's search on ``pool``, counted in flight until it is done; None,
+    """The future of m's search on ``pool``, kept in ``_searches``; None,
     submitting nothing, when it is a look-ahead (``ahead``) and ``width``
-    searches are in flight already.  Returns the future and a call that
-    uncounts it, made by the future's done callback and by the loop that
-    takes its result (a waiter can wake before the callbacks run); only the
-    first call counts."""
-    global _in_flight
+    of the searches there are not done.  The done ones are dropped first,
+    and the count and the submission share one hold of ``_pool_lock``."""
     with _pool_lock:
-        if ahead and _in_flight >= width:
+        _searches.difference_update([future for future in _searches if future.done()])
+        if ahead and len(_searches) >= width:
             return None
-        _in_flight += 1
-    counted = True
-
-    def done(_future=None) -> None:
-        global _in_flight
-        nonlocal counted
-        with _pool_lock:
-            if counted:
-                counted = False
-                _in_flight -= 1
-
-    try:
         future = pool.submit(search, ws, cfg, m)
-    except BaseException:
-        done()
-        raise
-    future.add_done_callback(done)
-    return future, done
+        _searches.add(future)
+        return future
 
 
 @contextlib.contextmanager
@@ -583,9 +565,9 @@ def _searched_ahead(search, ws: _Workspace, cfg, m_max: int, stop=None):
     """size_fleet's ``clusters_at`` for ``search(ws, cfg, m)``.  The call for
     m submits m's search to the worker pool, W the usable CPUs, unless it
     is there already, and then m + 1 .. m + W - 1 (never above m_max) while
-    fewer than W searches are in flight in the process, so a lone loop keeps
-    W sizes searching and loops in several threads leave the workers to
-    each other's next sizes; it returns m's result.  Leaving the block
+    fewer than W search futures in the process are pending, so a lone loop
+    keeps W sizes searching and loops in several threads leave the workers
+    to each other's next sizes; it returns m's result.  Leaving the block
     cancels the searches not yet started.  With ``stop`` set, the next call
     raises CancelledError.  One CPU (or no fork) searches in process, one
     size per call."""
@@ -603,14 +585,11 @@ def _searched_ahead(search, ws: _Workspace, cfg, m_max: int, stop=None):
         try:
             for k in range(m, min(m + width, m_max + 1)):
                 if k not in ahead:
-                    submitted = _submit(pool, search, ws, cfg, k, k > m, width)
-                    if submitted is None:
+                    future = _submit(pool, search, ws, cfg, k, k > m, width)
+                    if future is None:
                         break
-                    ahead[k] = submitted
-            future, done = ahead[m]
-            result = future.result()
-            done()
-            return result
+                    ahead[k] = future
+            return ahead[m].result()
         except BrokenProcessPool:
             _shutdown_pool(pool)
             raise
@@ -618,7 +597,7 @@ def _searched_ahead(search, ws: _Workspace, cfg, m_max: int, stop=None):
     try:
         yield clusters_at
     finally:
-        for future, _ in ahead.values():
+        for future in ahead.values():
             future.cancel()
 
 

@@ -42,8 +42,8 @@ import numpy as np
 
 from .baselines import (GaConfig, PsoConfig, ga_plan, greedy_plan, pso_plan, search_workers,
                         start_workers)
-from .clustering import check_omega_h
-from .emergency import (_check_horizon, generate_events, load_events, queue_report,
+from .clustering import OmegaHError
+from .emergency import (check_horizon, generate_events, load_events, queue_report,
                         save_events, simulate, write_trace_csv)
 from .model import AlgoParams, PhysicalParams, Variant
 from .planner import InfeasibleError, plan as plan_scenario
@@ -168,17 +168,6 @@ def _make_plan(method: str, scenario, algo: AlgoParams, args: argparse.Namespace
     return pso_plan(scenario, algo, args.pso, stop=stop)
 
 
-class _OmegaHError(Exception):
-    """--omega-h overflows on a scenario: a usage error."""
-
-
-def _check_omega_h(scenario, algo: AlgoParams) -> None:
-    try:
-        check_omega_h(scenario, algo.omega_h)
-    except ValueError as exc:
-        raise _OmegaHError(f"--omega-h {algo.omega_h}: {exc}") from None
-
-
 def _mean_ci(xs: list[float]) -> tuple[float, float | None, float | None]:
     """Sample mean with a t-based 95% CI; CI is None below 2 samples."""
     n = len(xs)
@@ -224,10 +213,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     scenario = load_scenario(args.scenario)
     try:
-        _check_omega_h(scenario, args.algo)
         pl = _make_plan(args.method, scenario, args.algo, args, Variant(args.variant))
-    except _OmegaHError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OmegaHError as exc:
+        print(f"error: --omega-h {args.algo.omega_h}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
@@ -245,7 +233,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
-        _check_horizon(args.horizon, "--horizon")
+        check_horizon(args.horizon, "--horizon")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -409,13 +397,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     def calls():
         """Each cell's plan call, a function of the stop event; each
-        scenario is made, and checked, as its first cell is handed out."""
+        scenario is made as its first cell is handed out."""
         for n in ns:
             for s in seeds:
                 scenario = (fixed_scenario if fixed_scenario is not None
                             else generate(replace(gens[n], seed=s)))
                 algo = replace(args.algo, seed=s)
-                _check_omega_h(scenario, algo)
                 for meth in methods:
                     yield functools.partial(_compare_cell, meth, scenario, algo, args)
 
@@ -424,8 +411,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     workers = search_workers() if {"ga", "pso"} & set(methods) else 1
     try:
         results = _run_cells(calls(), 1 if workers == 1 else 2 * workers)
-    except _OmegaHError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OmegaHError as exc:
+        print(f"error: --omega-h {args.algo.omega_h}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     cells: dict[tuple[int, int, str], dict] = {}
     failures: list[dict] = []

@@ -43,8 +43,13 @@ def sensor_weight(fire_history, omega_h: float):
 _SUM_MARGIN = 1e-6
 
 
+class OmegaHError(ValueError):
+    """omega_h overflows a sensor weight or a weighted coordinate sum on a
+    scenario."""
+
+
 def check_omega_h(scenario, omega_h: float) -> None:
-    """Raise a ValueError naming omega_h when, on this scenario, a sensor
+    """Raise OmegaHError naming omega_h when, on this scenario, a sensor
     weight ``1 + omega_h * fire_history`` is not finite, or the sum over
     every sensor of the weights or of |x| or |y| times them is not, with a
     relative margin of ``_SUM_MARGIN``.  Every weighted coordinate sum of
@@ -54,9 +59,9 @@ def check_omega_h(scenario, omega_h: float) -> None:
         sums = np.append((np.abs(scenario.xy) * w[:, None]).sum(axis=0), w.sum())
         ok = np.isfinite(w).all() and np.isfinite(sums * (1 + _SUM_MARGIN)).all()
     if not ok:
-        raise ValueError(f"omega_h {omega_h} makes a sensor weight 1 + omega_h * "
-                         "fire_history, or a weighted coordinate sum, overflow on this "
-                         "scenario")
+        raise OmegaHError(f"omega_h {omega_h} makes a sensor weight 1 + omega_h * "
+                          "fire_history, or a weighted coordinate sum, overflow on this "
+                          "scenario")
 
 
 def init_centers(m: int, edge_xy: np.ndarray, sensor_xy: np.ndarray,

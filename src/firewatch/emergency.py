@@ -193,7 +193,7 @@ def resume_waypoint(current_xy, geom: RouteGeometry) -> int | None:
     return int(np.argmin(d))
 
 
-def _check_horizon(horizon_s: float, name: str = "horizon_s") -> None:
+def check_horizon(horizon_s: float, name: str = "horizon_s") -> None:
     """Raise ValueError naming ``name`` unless the horizon is a finite
     number > 0 and at most MAX_HORIZON_S."""
     # NaN fails every comparison, so "<= 0" alone would let it through
@@ -209,7 +209,7 @@ def generate_events(scenario, plan, n_events: int, horizon_s: float, seed: int,
     scoring above min_history, at uniform-random times within the horizon."""
     if n_events < 0:
         raise ValueError(f"n_events must be >= 0, got {n_events}")
-    _check_horizon(horizon_s)
+    check_horizon(horizon_s)
     assignment = plan.clustering.assignment
     ids = np.fromiter(assignment, dtype=int, count=len(assignment))
     history = scenario.fire_history[ids]
@@ -380,7 +380,7 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
     """
     if dispatch_policy not in ("nearest", "own_cluster"):
         raise ValueError(f"unknown dispatch_policy {dispatch_policy!r}")
-    _check_horizon(horizon_s)
+    check_horizon(horizon_s)
     n = len(scenario.xy)
     for k, e in enumerate(events):
         sid = e.sensor_id

@@ -47,7 +47,7 @@ class Variant(str, Enum):
     NO_BOTH = "no-both"
 
 
-def _require_finite(obj, positive=(), non_negative=()) -> None:
+def require_finite(obj, positive=(), non_negative=()) -> None:
     """Raise ValueError naming the first field that is not a finite number
     > 0 (``positive``) or >= 0 (``non_negative``).  NaN fails every
     comparison, so a plain ``<= 0`` test would let it through."""
@@ -75,7 +75,7 @@ class RequestProfile:
     compute_mi: float
 
     def __post_init__(self):
-        _require_finite(self, positive=("data_size_mb", "compute_mi"))
+        require_finite(self, positive=("data_size_mb", "compute_mi"))
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ class EdgeNode:
     def __post_init__(self):
         if self.id < 0:
             raise ValueError(f"edge id must be >= 0, got {self.id}")
-        _require_finite(self, positive=("capacity_mips",))
+        require_finite(self, positive=("capacity_mips",))
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ class PhysicalParams:
     per_hop_latency_s: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self, positive=(
+        require_finite(self, positive=(
             "area_km2", "r_s", "r_g", "r_e", "data_rate_mbps", "v_g",
             "p_fly_w", "p_comm_w", "e_max_wh", "t_max_s", "t_period_s",
             "t_urgent_s",
@@ -169,7 +169,7 @@ class AlgoParams:
     fleet_init_mode: FleetInitMode = FleetInitMode.ONE
 
     def __post_init__(self):
-        _require_finite(self, positive=("epsilon_m",), non_negative=("omega_h", "lam"))
+        require_finite(self, positive=("epsilon_m",), non_negative=("omega_h", "lam"))
         if not 0.0 <= self.omega_l <= 1.0:
             raise ValueError(f"omega_l must be in [0, 1], got {self.omega_l}")
         if not 0.0 < self.theta_max <= 1.0:

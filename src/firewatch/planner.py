@@ -188,7 +188,7 @@ def size_fleet(scenario, algo: AlgoParams, uav_ids: np.ndarray, direct_map: dict
     plan at that one m without the gate (a failed repair keeps the
     unrepaired assignment; route limits go unchecked).  Raises
     InfeasibleError naming the constraints the last m failed, or ``binding``
-    when given, and a ValueError before any m when ``algo.omega_h`` fails
+    when given, and an OmegaHError before any m when ``algo.omega_h`` fails
     ``check_omega_h`` on the scenario.
     """
     check_omega_h(scenario, algo.omega_h)
@@ -345,10 +345,11 @@ def save_plan(pl: Plan, scenario, path: str) -> None:
 
 def _check_structure(clustering: Clustering, assignment: Assignment, routes, scenario) -> None:
     """Reject a plan whose parts disagree: every sensor served exactly once,
-    directly or by one cluster; route j starting at cluster j's edge and
-    visiting exactly cluster j's members; stored route lengths, revisit
-    periods and energies equal to a recomputation up to a relative 1e-9,
-    which absorbs a different summation order of the upload sizes."""
+    directly (within r_se of its edge, phase 1's test) or by one cluster;
+    route j starting at cluster j's edge and visiting exactly cluster j's
+    members; stored route lengths, revisit periods and energies equal to a
+    recomputation up to a relative 1e-9, which absorbs a different
+    summation order of the upload sizes."""
     if sorted(assignment.cluster_map) != list(range(len(routes))):
         raise InputError(f"plan assignment.cluster_map: keys must be the clusters "
                          f"0..{len(routes) - 1}")
@@ -360,6 +361,14 @@ def _check_structure(clustering: Clustering, assignment: Assignment, routes, sce
     if unserved:
         raise InputError(f"plan clustering.assignment: sensor {min(unserved)} is in neither "
                          f"clustering.assignment nor assignment.direct_map")
+    _, _, r_se = link_ranges(scenario.physical)
+    sensors, edges = scenario.xy.tolist(), scenario.edge_xy.tolist()
+    for sid, eid in sorted(assignment.direct_map.items()):
+        (x, y), (ex, ey) = sensors[sid], edges[eid]
+        d = math.hypot(x - ex, y - ey)
+        if not d <= r_se:
+            raise InputError(f'plan assignment.direct_map["{sid}"]: sensor {sid} is {d:.0f} m '
+                             f"from edge {eid}, beyond r_se = {r_se:g} m")
     members: list[list[int]] = [[] for _ in routes]
     for sid, j in sorted(clustering.assignment.items()):
         members[j].append(sid)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (INT_LIMIT, EdgeNode, PhysicalParams, Point2D, RequestProfile, Sensor,
-                    _require_finite)
+                    require_finite)
 from .reader import Doc, read, write_json
 
 SCHEMA_VERSION = 1
@@ -50,7 +50,7 @@ class GenConfig:
             raise ValueError("n_hotspots must be >= 0")
         if not 0.0 <= self.hotspot_fraction <= 1.0:
             raise ValueError("hotspot_fraction must be in [0, 1]")
-        _require_finite(self, positive=("hotspot_sigma_m",))
+        require_finite(self, positive=("hotspot_sigma_m",))
         if not 1 <= self.fire_history_max < INT_LIMIT:
             raise ValueError(f"fire_history_max must be in [1, 2^63), got {self.fire_history_max}")
         if not 0 <= self.seed < INT_LIMIT:

@@ -5,7 +5,7 @@ import signal
 import sys
 import threading
 import time
-from concurrent.futures import CancelledError, ThreadPoolExecutor, wait
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from types import SimpleNamespace
@@ -805,15 +805,11 @@ def _spied(monkeypatch, cpus: int):
     return sizes, futures
 
 
-def _in_flight_once_done(futures, others: int = 0) -> int:
-    """The count of searches in flight once every future is done and its
-    done callbacks have run (a waiter can wake before they do), ``others``
-    counted by hand."""
+def _pending_once_done(futures=()) -> int:
+    """The search futures the look-ahead counts in flight, those in
+    ``baselines._searches`` not done, once every one of ``futures`` is."""
     assert not wait(futures, timeout=60).not_done
-    deadline = time.monotonic() + 10
-    while baselines._in_flight > others and time.monotonic() < deadline:
-        time.sleep(0.01)
-    return baselines._in_flight
+    return sum(not future.done() for future in baselines._searches)
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
@@ -823,22 +819,22 @@ def test_a_lone_loop_searches_the_next_sizes_ahead(monkeypatch, cpus):
     past the fleet it accepts, each once."""
     sc, algo = generate(GenConfig(n_sensors=40, n_edges=3, seed=7)), AlgoParams()
     sizes, futures = _spied(monkeypatch, cpus)
-    assert baselines._in_flight == 0
+    assert _pending_once_done() == 0
     pl = ga_plan(sc, algo, GA_SMALL)
     assert pl.m > fleet_start(sc)
     assert sizes == list(range(fleet_start(sc), min(pl.m + cpus - 1, sc.physical.m_max) + 1))
-    assert _in_flight_once_done(futures) == 0
+    assert _pending_once_done(futures) == 0
 
 
 def test_a_loop_searches_ahead_only_into_idle_workers(monkeypatch):
-    """With W searches in flight already, a loop submits only the fleet
-    sizes it asks for."""
+    """With W pending search futures in the process already, a loop submits
+    only the fleet sizes it asks for."""
     sc, algo = generate(GenConfig(n_sensors=40, n_edges=3, seed=7)), AlgoParams()
     sizes, futures = _spied(monkeypatch, 2)
-    monkeypatch.setattr(baselines, "_in_flight", 2)
+    monkeypatch.setattr(baselines, "_searches", {Future(), Future()})
     pl = ga_plan(sc, algo, GA_SMALL)
     assert sizes == list(range(fleet_start(sc), pl.m + 1))
-    assert _in_flight_once_done(futures, others=2) == 2
+    assert _pending_once_done(futures) == 2
 
 
 def _search_failing(ws, cfg, m):
@@ -852,9 +848,9 @@ def _search_slowly(ws, cfg, m):
 
 @pytest.mark.parametrize("case", ["plans", "infeasible", "search-raises", "cancelled"])
 def test_the_in_flight_count_returns_to_zero(monkeypatch, case):
-    """Every search counted in flight is uncounted once it is done or
-    cancelled: after a plan, an InfeasibleError, a search that raises, and
-    look-aheads cancelled before a worker took them."""
+    """No search future is left pending once the loop's futures are done
+    or cancelled: after a plan, an InfeasibleError, a search that raises,
+    and look-aheads cancelled before a worker took them."""
     sc = {"plans": _blob_scenario(), "infeasible": _capacity_wall(),
           "search-raises": _blob_scenario(), "cancelled": _blob_scenario()}[case]
     cpus = 2
@@ -879,7 +875,7 @@ def test_the_in_flight_count_returns_to_zero(monkeypatch, case):
     assert sizes
     if case == "cancelled":
         assert any(future.cancelled() for future in futures)
-    assert _in_flight_once_done(futures) == 0
+    assert _pending_once_done(futures) == 0
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -913,7 +909,7 @@ def test_a_set_stop_ends_the_loop_at_its_next_fleet_size(monkeypatch, cpus):
 def test_loops_in_more_threads_than_workers_plan_as_alone(monkeypatch):
     """GA and PSO loops on six threads over two workers, the interpreter
     switching threads every microsecond, give the plans and bindings each
-    gives alone, and leave no search counted in flight."""
+    gives alone, and leave no search future pending."""
     algo = AlgoParams()
     bound = bound_scenarios()
     scenarios = {"feasible-40": generate(GenConfig(n_sensors=40, n_edges=3, seed=7)),
@@ -937,7 +933,7 @@ def test_loops_in_more_threads_than_workers_plan_as_alone(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert together == alone
-    assert _in_flight_once_done(futures) == 0
+    assert _pending_once_done(futures) == 0
 
 
 _TEST_PID = os.getpid()

@@ -45,3 +45,18 @@ def test_search_workload_keeps_its_plans():
     assert result["correct"] is True and result["failed"] == 0, result
     assert {k: repr(result["metrics"][k]["value"]) for k in SEARCH} == {
         k: repr(v) for k, v in SEARCH.items()}
+
+
+def test_traced_search_workload_covers_every_layer():
+    """Traced, the benchmark raises when a layer records no span; on
+    ``search`` the cells run on threads and the GA/PSO searches on worker
+    processes, and the run still passes with GA and PSO timed."""
+    run = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "search", "--seed", "1",
+         "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout)
+    assert result["correct"] is True and result["failed"] == 0, result
+    assert result["metrics"]["baselines.ga_s"]["value"] > 0
+    assert result["metrics"]["baselines.pso_s"]["value"] > 0

@@ -14,10 +14,11 @@ import pytest
 
 import firewatch
 from firewatch import baselines, cli, clustering, planner
-from firewatch.baselines import _usable_cpus, ga_plan
+from firewatch.baselines import ga_plan, search_workers
 from firewatch.cli import main
 from firewatch.model import AlgoParams, PhysicalParams
 from firewatch.planner import load_plan
+from firewatch.routing import ordered_route
 from firewatch.scenario import load_scenario, save_scenario
 from firewatch.emergency import EmergencyEvent, save_events, simulate
 from testutil import build_scenario, processes_where, without_column
@@ -93,7 +94,7 @@ def test_plan_writes_no_non_finite_number(tmp_path, capsys, monkeypatch):
     scen, out = tmp_path / "scenario.json", tmp_path / "out"
     assert main(["generate", "--sensors", "60", "--seed", "0", "-o", str(scen)]) == 0
     capsys.readouterr()
-    for module in (cli, planner, clustering):
+    for module in (planner, clustering):
         monkeypatch.setattr(module, "check_omega_h", lambda scenario, omega_h: None)
     with np.errstate(all="ignore"):
         assert main(["plan", "-s", str(scen), "--omega-h", "1e308", "-o", str(out)]) == 1
@@ -127,6 +128,25 @@ def test_an_omega_h_that_overflows_is_a_usage_error(tmp_path, capsys, edges):
         assert not out.exists()
     assert main(["plan", "-s", str(scen), "--omega-h", "1e300",
                  "-o", str(tmp_path / "plan")]) == 0
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_compare_with_an_omega_h_that_overflows_on_a_later_seed(tmp_path, capsys,
+                                                                 monkeypatch, cpus):
+    """At 40 sensors omega_h = 1.5e301 passes the check on seed 0 (its
+    threshold is about 1.73e301) and overflows on seed 1 (about 1.24e301):
+    the first cell of seed 1 raises, in this thread with one usable CPU and
+    on compare's threads with two, and compare exits 2 with one line naming
+    --omega-h and writes nothing."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    out = tmp_path / "out"
+    assert main(["compare", "--sensors", "40", "--methods", "greedy,ga", "--seeds", "2",
+                 "--ga-pop", "4", "--ga-gens", "2", "--omega-h", "1.5e301",
+                 "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --omega-h 1.5e+301: omega_h 1.5e+301 makes a sensor weight")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_generate_rejects_zero_sensors(tmp_path, capsys):
@@ -638,7 +658,7 @@ def test_compare_leaves_no_process_running(tmp_path):
     assert "Exception ignored" not in err and "Traceback" not in err, err
 
 
-@pytest.mark.skipif(_usable_cpus() == 1, reason="one usable CPU searches in process")
+@pytest.mark.skipif(search_workers() == 1, reason="one usable CPU searches in process")
 def test_compare_interrupted_mid_search_ends_promptly(tmp_path):
     run = _compare_in_own_session(tmp_path, "--seeds", "3")
     # the GA search is under way once the workers are up
@@ -959,6 +979,39 @@ def _scale(field, factor):
 ])
 def test_simulate_rejects_an_inconsistent_plan(small_files, tmp_path, capsys, field, mutate):
     _assert_mutated_plan_rejected(small_files, tmp_path, capsys, field, mutate)
+
+
+def test_simulate_rejects_a_direct_sensor_out_of_its_edges_range(tmp_path, capsys):
+    """Sensor 35, first on route 0, moved to edge 0's direct sensors, 1598 m
+    away with r_se = 500 m, and route 0, its waypoint positions and the two
+    edge loads recomputed to match: every other check passes, and
+    ``simulate`` exits 1 naming the direct-map entry."""
+    scen, out = tmp_path / "scenario.json", tmp_path / "plan"
+    assert main(["generate", "--sensors", "40", "--edges", "3", "--seed", "2",
+                 "-o", str(scen)]) == 0
+    assert main(["plan", "-s", str(scen), "--method", "ga", "--ga-pop", "3", "--ga-gens", "2",
+                 "-o", str(out)]) == 0
+    capsys.readouterr()
+    sc, doc = load_scenario(str(scen)), json.loads((out / "plan.json").read_text())
+    route, loads = doc["routes"][0], doc["assignment"]["loads_mips"]
+    sid, edge = route["waypoints"].pop(0), route["depot_edge_id"]
+    assert sid == 35 and edge != 0
+    route["waypoint_xy"].pop(0)
+    again = ordered_route(0, edge, route["waypoints"], sc)
+    route.update(length_m=again.length_m, revisit_s=again.revisit_s,
+                 energy_wh=again.energy_wh)
+    del doc["clustering"]["assignment"][str(sid)]
+    doc["assignment"]["direct_map"][str(sid)] = 0
+    demand = float(sc.beta_mi[sid]) / sc.physical.t_period_s
+    loads[edge] -= demand
+    loads[0] += demand
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["simulate", "-s", str(scen), "-p", str(bad), "-o", str(tmp_path / "sim")])
+    assert rc == 1
+    assert capsys.readouterr().err == ('error: plan assignment.direct_map["35"]: sensor 35 is '
+                                       '1598 m from edge 0, beyond r_se = 500 m\n')
+    assert not (tmp_path / "sim").exists()
 
 
 def test_simulate_rejects_a_plan_that_is_not_an_object(small_files, tmp_path, capsys):
