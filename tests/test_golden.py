@@ -195,6 +195,22 @@ def cli_digests(tmp: Path) -> dict[str, str]:
     return out
 
 
+def sweep_digests(tmp: Path) -> dict[str, str]:
+    """The four files of a two-size sweep ``compare`` in which GA finds no
+    plan at 120 sensors, seed 0: fleet growth factors, a failure entry and
+    a pair count below the seed count, except the planning-time column."""
+    assert main(["compare", "--methods", "proposed,ga,greedy", "--sweep-sensors", "60:120:60",
+                 "--seeds", "2", "--edges", "3", "--ga-pop", "4", "--ga-gens", "2",
+                 "-o", str(tmp)]) == 0
+    out = {}
+    for name in ("means.csv", "cdf.csv", "pairwise.csv", "summary.json"):
+        data = (tmp / name).read_bytes()
+        if name == "means.csv":
+            data = without_column(data, "planning_time_s_mean")
+        out[f"sweep/{name}"] = _digest(data)
+    return out
+
+
 def burst_events(sc, pl) -> list[EmergencyEvent]:
     """About 400 alerts at hot UAV-served sensors within one hour, so the
     pending queue grows long, plus 20 at direct sensors; times are whole
@@ -307,6 +323,10 @@ GOLDEN = {
     'compare/cdf.csv': '6b7da2f1572d06e44cb7adc3bf211b841413b7244708f451bf95b693840fa88f',
     'compare/pairwise.csv': 'b3997b91dc6f0156793b75be291f0032be344b98ae8b7d4b04005f4e0a09f058',
     'compare/summary.json': '414af4678977ceb4e983ac16a95b5939bb354702457424d63b43a28c67e0ce20',
+    'sweep/means.csv': 'c404eedd6b490ef4338161ee333e1bd6dc79d8ad6b30f537b4ff3d260350fccd',
+    'sweep/cdf.csv': '1ee4fe1f9eb02a0d53d22248ce6c4a16677a562a51b92ee61b44fe0ced88fa98',
+    'sweep/pairwise.csv': '723d2c6297b7596d42d3409aa1299ef1973ac5c02681ceafc274aa34bc26dc39',
+    'sweep/summary.json': '9370bab8159a0525132b877da3c0bade505377b2749d202bc915404dc3a82429',
     'burst/nearest/trace.csv': 'c7c58bfe141b813bcb3fc0dbf2e906f2432862b42aa580b9b945d6f638fc8d11',
     'burst/nearest/impact.json': 'a30159110b1db05af059343c588bc7def7e4a448d0e1b8a91d14709a1907e176',
     'burst/nearest/queue.json': 'c7228f821c0b416c6cc5722ecec0af58ef5b94a4c92033f3ae5b822eb82fff0d',
@@ -353,6 +373,11 @@ def test_cli_artifacts_match_golden(tmp_path):
     assert got == {k: GOLDEN[k] for k in got}
 
 
+def test_sweep_compare_with_a_failed_cell_matches_golden(tmp_path):
+    got = sweep_digests(tmp_path)
+    assert got == {k: GOLDEN[k] for k in got}
+
+
 def test_queued_burst_matches_golden(tmp_path):
     got = burst_digests(tmp_path)
     assert got == {k: GOLDEN[k] for k in got}
@@ -374,6 +399,8 @@ if __name__ == "__main__":
     digests.update(bindings())
     with tempfile.TemporaryDirectory() as tmp:
         digests.update(cli_digests(Path(tmp)))
+    with tempfile.TemporaryDirectory() as tmp:
+        digests.update(sweep_digests(Path(tmp)))
     with tempfile.TemporaryDirectory() as tmp:
         digests.update(burst_digests(Path(tmp)))
     with tempfile.TemporaryDirectory() as tmp:
