@@ -443,7 +443,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                        float(np.mean([r["planning_time_s"] for r in rows]))}
             for key, value in agg.items():
                 if key.endswith("_ci"):
-                    csv_row[key + "_lo"], csv_row[key + "_hi"] = map(_fmt, value)
+                    csv_row[key + "_lo"], csv_row[key + "_hi"] = value
                 else:
                     csv_row[key] = value
             means_rows.append(csv_row)
@@ -465,7 +465,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     dm, dlo, dhi = _mean_ci([float(d) for d in diffs])
                     pair_rows.append({"n_sensors": n, "metric": metric, "baseline": meth,
                                       "n_pairs": len(diffs), "mean_diff": dm,
-                                      "ci_lo": _fmt(dlo), "ci_hi": _fmt(dhi)})
+                                      "ci_lo": dlo, "ci_hi": dhi})
 
     write_csv(os.path.join(args.out_dir, "means.csv"),
               ["n_sensors", "method", "seeds_ok", "mean_response_s", "response_ci_lo",
@@ -507,10 +507,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     print(f"compare: {len(cells)}/{len(ns) * len(seeds) * len(methods)} cells ok, "
           f"{len(failures)} failures -> {args.out_dir}")
     return EXIT_OK if ok_cells == all_cells else EXIT_INFEASIBLE
-
-
-def _fmt(x: float | None):
-    return "" if x is None else x
 
 
 # ----------------------------------------------------------------------- main

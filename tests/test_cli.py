@@ -441,6 +441,20 @@ def test_compare_single_seed_warns(tmp_path, capsys):
     assert "CIs omitted" in capsys.readouterr().err
 
 
+def test_compare_writes_null_for_a_pairwise_ci_below_two_pairs(tmp_path):
+    """With one seed each pairwise CI is undefined: summary.json writes it
+    null, as it does a mean's CI, and pairwise.csv an empty field."""
+    out = tmp_path / "c"
+    assert main(["compare", "--methods", "proposed,greedy", "--sensors", "60", "--seeds", "1",
+                 "-o", str(out)]) == 0
+    pairs = json.loads((out / "summary.json").read_text())["pairwise_proposed_minus_baseline"]
+    assert len(pairs) == 3
+    assert all(p["n_pairs"] == 1 and p["ci_lo"] is None and p["ci_hi"] is None for p in pairs)
+    with open(out / "pairwise.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [(r["ci_lo"], r["ci_hi"]) for r in rows] == [("", "")] * 3
+
+
 @pytest.mark.parametrize("sweep", ["100:50:10", "abc", "100", "0:100:10",
                                    "100:200:0"])
 def test_compare_bad_sweep(tmp_path, capsys, sweep):

@@ -326,7 +326,7 @@ GOLDEN = {
     'sweep/means.csv': 'c404eedd6b490ef4338161ee333e1bd6dc79d8ad6b30f537b4ff3d260350fccd',
     'sweep/cdf.csv': '1ee4fe1f9eb02a0d53d22248ce6c4a16677a562a51b92ee61b44fe0ced88fa98',
     'sweep/pairwise.csv': '723d2c6297b7596d42d3409aa1299ef1973ac5c02681ceafc274aa34bc26dc39',
-    'sweep/summary.json': '9370bab8159a0525132b877da3c0bade505377b2749d202bc915404dc3a82429',
+    'sweep/summary.json': 'a4f2aff2ea255ca957053d4ccacbf2f04f8638fd67130dee3a46d39fdc731bbd',
     'burst/nearest/trace.csv': 'c7c58bfe141b813bcb3fc0dbf2e906f2432862b42aa580b9b945d6f638fc8d11',
     'burst/nearest/impact.json': 'a30159110b1db05af059343c588bc7def7e4a448d0e1b8a91d14709a1907e176',
     'burst/nearest/queue.json': 'c7228f821c0b416c6cc5722ecec0af58ef5b94a4c92033f3ae5b822eb82fff0d',
