@@ -214,9 +214,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     try:
         pl = _make_plan(args.method, scenario, args.algo, args, Variant(args.variant))
-    except OmegaHError as exc:
-        print(f"error: --omega-h {args.algo.omega_h}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -298,15 +295,60 @@ def _parse_sweep(text: str) -> list[int]:
 
 def _compare_cell(meth: str, scenario, algo: AlgoParams, args: argparse.Namespace,
                   stop: threading.Event | None):
-    """One compare cell: the plan's metrics row with its sorted response
-    times, or the InfeasibleError of a method with no plan."""
+    """One compare cell: the plan's metrics row with its response times,
+    or the InfeasibleError of a method with no plan."""
     try:
         pl = _make_plan(meth, scenario, algo, args, stop=stop)
     except InfeasibleError as exc:
         return exc
     row = _plan_metrics(pl, scenario)
-    row["responses"] = sorted(totals(all_responses(pl, scenario)[0]).tolist())
+    row["responses"] = totals(all_responses(pl, scenario)[0]).tolist()
     return row
+
+
+_CI_METRICS = (("mean_response_s", "response_ci"), ("total_energy_wh", "energy_ci"),
+               ("fleet", "fleet_ci"))
+
+
+def _aggregate(cells: dict, ns: list[int], seeds: list[int], methods: list[str]):
+    """compare's aggregates of its planned ``cells``, keyed (sensor count,
+    seed, method), from one walk over each (n, method) with a plan: the
+    summary.json entries, keyed (n, method); the rows of means.csv, cdf.csv
+    and pairwise.csv (proposed minus each other method, over the seeds both
+    planned); and each method's fleet growth from the first sensor count to
+    the last, when there are two or more."""
+    means, means_rows, cdf_rows, pair_rows = {}, [], [], []
+    for n in ns:
+        for meth in methods:
+            rows = [cells[n, s, meth] for s in seeds if (n, s, meth) in cells]
+            if not rows:
+                continue
+            agg = means[n, meth] = {"seeds_ok": len(rows)}
+            row = {"n_sensors": n, "method": meth, "seeds_ok": len(rows), "planning_time_s_mean":
+                   float(np.mean([r["planning_time_s"] for r in rows]))}
+            for metric, ci in _CI_METRICS:
+                mean, lo, hi = _mean_ci([float(r[metric]) for r in rows])
+                agg[metric], agg[ci] = mean, [lo, hi]
+                row.update({metric: mean, ci + "_lo": lo, ci + "_hi": hi})
+            agg["total_route_length_m"] = row["total_route_length_m"] = float(
+                np.mean([r["total_route_length_m"] for r in rows]))
+            means_rows.append(row)
+            pooled = sorted(t for r in rows for t in r["responses"])
+            cdf_rows += ({"n_sensors": n, "method": meth, "response_s": t,
+                          "cum_fraction": (i + 1) / len(pooled)} for i, t in enumerate(pooled))
+            pairs = [(cells[n, s, "proposed"], cells[n, s, meth]) for s in seeds
+                     if meth != "proposed" and (n, s, "proposed") in cells
+                     and (n, s, meth) in cells]
+            for metric, _ci in _CI_METRICS if pairs else ():
+                diff, lo, hi = _mean_ci([float(p[metric] - b[metric]) for p, b in pairs])
+                pair_rows.append({"n_sensors": n, "metric": metric, "baseline": meth,
+                                  "n_pairs": len(pairs), "mean_diff": diff,
+                                  "ci_lo": lo, "ci_hi": hi})
+    first, last = ns[0], ns[-1]
+    growth = {meth: means[last, meth]["fleet"] / means[first, meth]["fleet"]
+              for meth in methods if len(ns) > 1 and (first, meth) in means
+              and (last, meth) in means and means[first, meth]["fleet"] > 0}
+    return means, means_rows, cdf_rows, pair_rows, growth
 
 
 def _run_cells(calls, threads: int) -> list:
@@ -382,7 +424,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         read = ("--edges",) if sweep else ("--sensors", "--edges")
         base = _settings(GENERATOR, args, [flag for flag in gen_given if flag in read])
         ns = _parse_sweep(args.sweep_sensors) if sweep else [base.n_sensors]
-        gens = {n: replace(base, n_sensors=n) for n in ns}
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BADSPEC
@@ -400,8 +441,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         scenario is made as its first cell is handed out."""
         for n in ns:
             for s in seeds:
-                scenario = (fixed_scenario if fixed_scenario is not None
-                            else generate(replace(gens[n], seed=s)))
+                scenario = fixed_scenario or generate(replace(base, n_sensors=n, seed=s))
                 algo = replace(args.algo, seed=s)
                 for meth in methods:
                     yield functools.partial(_compare_cell, meth, scenario, algo, args)
@@ -409,64 +449,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # threads only wait, on the GA/PSO workers: a cell of neither takes
     # milliseconds
     workers = search_workers() if {"ga", "pso"} & set(methods) else 1
-    try:
-        results = _run_cells(calls(), 1 if workers == 1 else 2 * workers)
-    except OmegaHError as exc:
-        print(f"error: --omega-h {args.algo.omega_h}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    cells: dict[tuple[int, int, str], dict] = {}
-    failures: list[dict] = []
-    for (n, s, meth), result in zip(keys, results):
-        if isinstance(result, InfeasibleError):
-            failures.append({"n_sensors": n, "seed": s, "method": meth, "error": str(result)})
-        else:
-            cells[(n, s, meth)] = result
+    results = _run_cells(calls(), 1 if workers == 1 else 2 * workers)
+    cells = {key: r for key, r in zip(keys, results) if not isinstance(r, InfeasibleError)}
+    failures = [{"n_sensors": n, "seed": s, "method": meth, "error": str(r)}
+                for (n, s, meth), r in zip(keys, results) if isinstance(r, InfeasibleError)]
+    means, means_rows, cdf_rows, pair_rows, growth = _aggregate(cells, ns, seeds, methods)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    # one aggregate per (n, method): summary.json's "means" entry; means.csv
-    # splits each *_ci pair into *_ci_lo/*_ci_hi and adds the mean planning time
-    aggs: dict[tuple[int, str], dict] = {}
-    means_rows, cdf_rows, pair_rows = [], [], []
-    for n in ns:
-        for meth in methods:
-            rows = [cells[(n, s, meth)] for s in seeds if (n, s, meth) in cells]
-            if not rows:
-                continue
-            agg = aggs[(n, meth)] = {"seeds_ok": len(rows)}
-            for metric, ci in (("mean_response_s", "response_ci"),
-                               ("total_energy_wh", "energy_ci"), ("fleet", "fleet_ci")):
-                mean, lo, hi = _mean_ci([float(r[metric]) for r in rows])
-                agg[metric], agg[ci] = mean, [lo, hi]
-            agg["total_route_length_m"] = float(np.mean([r["total_route_length_m"]
-                                                         for r in rows]))
-            csv_row = {"n_sensors": n, "method": meth, "planning_time_s_mean":
-                       float(np.mean([r["planning_time_s"] for r in rows]))}
-            for key, value in agg.items():
-                if key.endswith("_ci"):
-                    csv_row[key + "_lo"], csv_row[key + "_hi"] = value
-                else:
-                    csv_row[key] = value
-            means_rows.append(csv_row)
-            pooled = sorted(t for r in rows for t in r["responses"])
-            for i, t in enumerate(pooled):
-                cdf_rows.append({"n_sensors": n, "method": meth, "response_s": t,
-                                 "cum_fraction": (i + 1) / len(pooled)})
-
-        if "proposed" in methods:
-            for meth in methods:
-                if meth == "proposed":
-                    continue
-                for metric in ("mean_response_s", "total_energy_wh", "fleet"):
-                    diffs = [cells[(n, s, "proposed")][metric] - cells[(n, s, meth)][metric]
-                             for s in seeds
-                             if (n, s, "proposed") in cells and (n, s, meth) in cells]
-                    if not diffs:
-                        continue
-                    dm, dlo, dhi = _mean_ci([float(d) for d in diffs])
-                    pair_rows.append({"n_sensors": n, "metric": metric, "baseline": meth,
-                                      "n_pairs": len(diffs), "mean_diff": dm,
-                                      "ci_lo": dlo, "ci_hi": dhi})
-
     write_csv(os.path.join(args.out_dir, "means.csv"),
               ["n_sensors", "method", "seeds_ok", "mean_response_s", "response_ci_lo",
                "response_ci_hi", "total_energy_wh", "energy_ci_lo", "energy_ci_hi",
@@ -477,17 +466,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     write_csv(os.path.join(args.out_dir, "pairwise.csv"),
               ["n_sensors", "metric", "baseline", "n_pairs", "mean_diff", "ci_lo", "ci_hi"],
               pair_rows)
-
-    growth = {}
-    if len(ns) > 1:
-        for meth in methods:
-            lo, hi = aggs.get((ns[0], meth)), aggs.get((ns[-1], meth))
-            if lo and hi and lo["fleet"] > 0:
-                growth[meth] = hi["fleet"] / lo["fleet"]
-
     summary = {
         "methods": methods, "seeds": len(seeds), "n_sensors": ns,
-        "means": {f"n={n},method={meth}": agg for (n, meth), agg in aggs.items()},
+        "means": {f"n={n},method={meth}": agg for (n, meth), agg in means.items()},
         "pairwise_proposed_minus_baseline": pair_rows,
         "fleet_growth_factor": growth,
         "failures": failures,
@@ -496,17 +477,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     write_json(os.path.join(args.out_dir, "summary.json"), summary, sort_keys=True)
 
     print(f"{'n':>6}{'method':>10}{'seeds':>6}{'response s':>12}{'energy Wh':>12}{'fleet':>8}")
-    for (n, meth), agg in aggs.items():
+    for (n, meth), agg in means.items():
         print(f"{n:>6}{meth:>10}{agg['seeds_ok']:>6}{agg['mean_response_s']:>12.1f}"
               f"{agg['total_energy_wh']:>12.1f}{agg['fleet']:>8.2f}")
     if growth:
         print("fleet growth factors: "
               + ", ".join(f"{meth} {g:.2f}" for meth, g in growth.items()))
-    ok_cells = {(n, s) for (n, s, _m) in cells}
-    all_cells = {(n, s) for n in ns for s in seeds}
-    print(f"compare: {len(cells)}/{len(ns) * len(seeds) * len(methods)} cells ok, "
+    print(f"compare: {len(cells)}/{len(keys)} cells ok, "
           f"{len(failures)} failures -> {args.out_dir}")
-    return EXIT_OK if ok_cells == all_cells else EXIT_INFEASIBLE
+    # exit 3 only when some (sensor count, seed) got no plan from any method
+    planned = all(any((n, s, meth) in cells for meth in methods) for n in ns for s in seeds)
+    return EXIT_OK if planned else EXIT_INFEASIBLE
 
 
 # ----------------------------------------------------------------------- main
@@ -589,6 +570,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
+    except OmegaHError as exc:
+        # raised by plan's or compare's planning, before any file is written
+        print(f"error: --omega-h {args.algo.omega_h}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (InputError, OutputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
