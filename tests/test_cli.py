@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import signal
 import subprocess
@@ -453,6 +454,104 @@ def test_compare_writes_null_for_a_pairwise_ci_below_two_pairs(tmp_path):
     with open(out / "pairwise.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     assert [(r["ci_lo"], r["ci_hi"]) for r in rows] == [("", "")] * 3
+
+
+def _cell(fleet: float, response: float = 100.0, responses=(100.0,)) -> dict:
+    """A hand-made compare cell: a plan's metrics row and response times."""
+    return {"mean_response_s": response, "total_energy_wh": 10.0, "fleet": fleet,
+            "total_route_length_m": 1000.0, "planning_time_s": 0.5, "responses": list(responses)}
+
+
+# the 97.5% quantile of Student's t with one degree of freedom, a Cauchy quantile
+T_1DF = math.tan(0.475 * math.pi)
+
+
+def test_aggregate_gives_the_mean_and_t_interval_of_two_seeds():
+    """Fleets 1 and 3 have mean 2 and standard error 1, so the 95% CI is
+    2 -+ t(1 df); equal values give a CI of zero width, and the two cells'
+    response times pool into one sorted CDF."""
+    cells = {(60, 0, "greedy"): _cell(1, responses=(3.0, 1.0)),
+             (60, 1, "greedy"): _cell(3, responses=(2.0,))}
+    means, means_rows, cdf_rows, pair_rows, growth = cli._aggregate(
+        cells, [60], [0, 1], ["greedy"])
+    assert T_1DF == pytest.approx(12.7062047, rel=1e-8)
+    agg = means[60, "greedy"]
+    assert agg["seeds_ok"] == 2 and agg["fleet"] == 2.0
+    assert agg["fleet_ci"] == pytest.approx([2.0 - T_1DF, 2.0 + T_1DF], rel=1e-12)
+    assert agg["response_ci"] == [100.0, 100.0]
+    (row,) = means_rows
+    assert (row["n_sensors"], row["method"], row["seeds_ok"]) == (60, "greedy", 2)
+    assert [row["fleet_ci_lo"], row["fleet_ci_hi"]] == agg["fleet_ci"]
+    assert row["planning_time_s_mean"] == 0.5
+    assert [(r["response_s"], r["cum_fraction"]) for r in cdf_rows] == [
+        (1.0, 1 / 3), (2.0, 2 / 3), (3.0, 1.0)]
+    assert pair_rows == [] and growth == {}
+
+
+def test_aggregate_pairs_only_the_seeds_both_methods_planned():
+    """Greedy has no plan on seed 0, so its pairs with proposed are seeds 1
+    and 2 (differences 1 and 2: mean 1.5, standard error 0.5); with seed 2
+    gone as well, the one pair left has no CI."""
+    cells = {(60, 0, "proposed"): _cell(2, 90.0), (60, 1, "proposed"): _cell(4, 90.0),
+             (60, 2, "proposed"): _cell(7, 90.0),
+             (60, 1, "greedy"): _cell(3, 100.0), (60, 2, "greedy"): _cell(5, 100.0)}
+    _, means_rows, _, pair_rows, _ = cli._aggregate(cells, [60], [0, 1, 2],
+                                                    ["proposed", "greedy"])
+    assert [r["seeds_ok"] for r in means_rows] == [3, 2]
+    pairs = {r["metric"]: r for r in pair_rows}
+    assert list(pairs) == ["mean_response_s", "total_energy_wh", "fleet"]
+    assert all(r["baseline"] == "greedy" and r["n_pairs"] == 2 for r in pair_rows)
+    assert pairs["fleet"]["mean_diff"] == 1.5
+    assert [pairs["fleet"]["ci_lo"], pairs["fleet"]["ci_hi"]] == pytest.approx(
+        [1.5 - T_1DF / 2, 1.5 + T_1DF / 2], rel=1e-12)
+    assert (pairs["mean_response_s"]["mean_diff"], pairs["mean_response_s"]["ci_lo"]) == (
+        -10.0, -10.0)
+
+    del cells[60, 2, "greedy"]
+    _, _, _, pair_rows, _ = cli._aggregate(cells, [60], [0, 1, 2], ["proposed", "greedy"])
+    assert [(r["n_pairs"], r["mean_diff"], r["ci_lo"], r["ci_hi"]) for r in pair_rows] == [
+        (1, -10.0, None, None), (1, 0.0, None, None), (1, 1.0, None, None)]
+
+
+def test_aggregate_has_no_pairs_without_proposed():
+    cells = {(60, s, meth): _cell(s + 1) for s in (0, 1) for meth in ("ga", "greedy")}
+    means, _, _, pair_rows, _ = cli._aggregate(cells, [60], [0, 1], ["ga", "greedy"])
+    assert list(means) == [(60, "ga"), (60, "greedy")]
+    assert pair_rows == []
+
+
+def test_aggregate_has_fleet_growth_only_over_two_or_more_sensor_counts():
+    """Growth is the mean fleet at the last sensor count over the first, for
+    each method planned at both; a single count gives none."""
+    cells = {(60, 0, "proposed"): _cell(2), (120, 0, "proposed"): _cell(3),
+             (60, 0, "greedy"): _cell(2)}
+    assert cli._aggregate(cells, [60], [0], ["proposed", "greedy"])[4] == {}
+    growth = cli._aggregate(cells, [60, 120], [0], ["proposed", "greedy"])[4]
+    assert growth == {"proposed": 1.5}
+
+
+def test_compare_calls_every_layer_through_the_cli_names(tmp_path, monkeypatch):
+    """The benchmark's tracer wraps these seven names on ``firewatch.cli``
+    to time compare's layers, so a cell must look each one up there when it
+    runs: a call that bypassed one would read 0 seconds for its layer
+    without failing anything."""
+    names = ("generate", "plan_scenario", "greedy_plan", "ga_plan", "pso_plan",
+             "all_responses", "mean_response")
+    calls = dict.fromkeys(names, 0)
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    for name in names:
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    assert main(["compare", "--methods", "proposed,ga,pso,greedy", "--sensors", "30",
+                 "--seeds", "1", "--ga-pop", "4", "--ga-gens", "2", "--pso-swarm", "4",
+                 "--pso-iters", "2", "-o", str(tmp_path)]) == 0
+    assert [name for name, count in calls.items() if count == 0] == []
 
 
 @pytest.mark.parametrize("sweep", ["100:50:10", "abc", "100", "0:100:10",
