@@ -21,6 +21,15 @@ node, each point's distance to it the nearest depot's: closed tours from any
 of those depots, taken together, connect that node to every point, so their
 total length is at least the tree's.  The fleet-sizing loop uses this to
 skip fleet sizes no plan can meet.
+
+``build_route`` measures its depot and n members once, in one (n+1, n+2)
+``route_matrix`` (the depot again as the last column).  The
+nearest-neighbour tour walks its rows, each step the current point's row
+with visited points held at inf, and 2-opt gathers its rows and columns in
+place into tour order.  That is 8 (n+1)(n+2) bytes per route, about 72 MB
+at 3,000 members, and a route peaks at about twice that: the matrix and
+its build's scratch, its gathered copy, or a long reversal's copy.  Routes
+without 2-opt hold the matrix as well.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PhysicalParams, MB_TO_MBIT, column_distances, distance_matrix
+from .model import PhysicalParams, MB_TO_MBIT, distance_matrix
 
 # strictly-improving moves only; tiny negative guard keeps float noise from
 # cycling through equal-length tours
@@ -59,26 +68,38 @@ def tour_length(depot_xy, xy_ordered: np.ndarray) -> float:
     return float(legs + np.linalg.norm(pts[-1] - pts[0]))
 
 
-def nearest_neighbor_tour(depot_xy, xy: np.ndarray) -> list[int]:
+def route_matrix(depot_xy, xy: np.ndarray) -> np.ndarray:
+    """(n+1, n+2) distances from the depot (row 0) and the n points (rows
+    1..n) to the same n+1 points and the depot again as column n+1, with
+    the bits of ``np.linalg.norm``: the one matrix a route's
+    nearest-neighbour tour reads and 2-opt reorders into tour order."""
+    pts = np.vstack([np.reshape(depot_xy, (1, 2)), np.reshape(xy, (-1, 2))])
+    return distance_matrix(pts, np.vstack([pts, pts[:1]]))
+
+
+def nearest_neighbor_tour(depot_xy, xy: np.ndarray, dist=None) -> list[int]:
     """Visit order by repeated nearest neighbor from the depot.
 
     xy rows must be in ascending sensor-id order; exact distance ties then
-    resolve to the lowest id.  Returns indices into xy.  Each step's
-    distances are computed on x/y columns into two reused buffers, and a
-    visited point leaves the race by moving to x = inf.
+    resolve to the lowest id.  Returns indices into xy.  Each step reads
+    the current point's row of ``dist``, the ``route_matrix`` over the
+    depot and xy (built when not given, never written), plus a vector that
+    holds visited points at inf.  (a - b)**2 == (b - a)**2 exactly, so a
+    row has the bits of the distances from the current point to every
+    other.
     """
-    pts = np.asarray(xy, dtype=float).reshape(-1, 2)
-    n = len(pts)
-    x, y = pts[:, 0].copy(), pts[:, 1].copy()
-    dx, dy = np.empty(n), np.empty(n)
+    if dist is None:
+        dist = route_matrix(depot_xy, xy)
+    n = len(dist) - 1
+    visited, buf = np.zeros(n), np.empty(n)
     order = []
-    px, py = float(depot_xy[0]), float(depot_xy[1])
+    row = 0
     for _ in range(n):
         # first minimum = lowest id on ties
-        pick = int(column_distances(x, y, px, py, dx, dy).argmin())
+        pick = int(np.add(dist[row, 1:-1], visited, out=buf).argmin())
         order.append(pick)
-        px, py = x[pick], y[pick]
-        x[pick] = np.inf
+        visited[pick] = np.inf
+        row = pick + 1
     return order
 
 
@@ -118,7 +139,7 @@ def tour_lower_bound(depot_xy, xy: np.ndarray) -> float:
     return total
 
 
-def two_opt(depot_xy, xy: np.ndarray, order: list[int]) -> list[int]:
+def two_opt(depot_xy, xy: np.ndarray, order: list[int], dist=None) -> list[int]:
     """First-improvement 2-opt over the closed tour (depot fixed).
 
     Applies the first strictly improving segment reversal (i, k) in
@@ -130,15 +151,19 @@ def two_opt(depot_xy, xy: np.ndarray, order: list[int]) -> list[int]:
     there, rows i, i+1, ... follow in blocks of _FIRST_BLOCK rows doubling
     up to _BLOCK, whose first hit in row-major order is the move.  ``d``
     holds the distances between tour positions, the depot again as column
-    n, built once and reversed with each move, so a block's deltas are
-    sums of slices.
+    n, reversed with each move, so a block's deltas are sums of slices.
+    It is ``dist``, the ``route_matrix`` over the depot and xy (built when
+    not given), with its rows and columns gathered in place into tour
+    order, so 2-opt holds no second matrix and ``dist`` is overwritten.
     """
     if len(order) < 2:
         return list(order)
-    pts = np.vstack([np.asarray(depot_xy, dtype=float),
-                     np.asarray(xy, dtype=float)[order]])
-    n = len(pts)                      # tour positions 0..n-1, 0 = depot
-    d = distance_matrix(pts, np.vstack([pts, pts[:1]]))
+    if dist is None:
+        dist = route_matrix(depot_xy, xy)
+    rows = np.concatenate([[0], np.add(order, 1)])
+    n = len(rows)                     # tour positions 0..n-1, 0 = depot
+    d = dist
+    d[...] = d[np.ix_(rows, np.append(rows, 0))]
     legs = d.diagonal(1)              # legs[k] = d[k, k + 1], a view of d
     tour = np.arange(n)
     # row r of a block starting at i0 is i = i0 + r and column j is
@@ -157,9 +182,10 @@ def two_opt(depot_xy, xy: np.ndarray, order: list[int]) -> list[int]:
             delta[-1, 0] = np.inf     # i = k = start - 1
             if hi == n - 1:
                 delta[0, -1] = np.inf     # i = 1, k = n-1
-            hit = np.flatnonzero(delta < -_IMPROVE_EPS)
-            if hit.size:
-                r, j = divmod(int(hit[0]), hi + 1 - lo)
+            mask = delta < -_IMPROVE_EPS
+            hit = int(mask.argmax())  # 0 also when no cell is True
+            if mask.flat[hit]:
+                r, j = divmod(hit, hi + 1 - lo)
                 move = 1 + r, lo + j
         i0, size = start, _FIRST_BLOCK
         while move is None and i0 < n - 1:
@@ -167,10 +193,11 @@ def two_opt(depot_xy, xy: np.ndarray, order: list[int]) -> list[int]:
             delta = d[i0 - 1:i1 - 1, i0 + 1:n] + d[i0:i1, i0 + 2:]
             delta -= legs[i0 - 1:i1 - 1, None]
             delta -= legs[i0 + 1:]
-            valid = (first if i0 == 1 else later)[:i1 - i0, :n - i0 - 1]
-            hit = np.flatnonzero((delta < -_IMPROVE_EPS) & valid)
-            if hit.size:
-                r, j = divmod(int(hit[0]), n - i0 - 1)
+            mask = delta < -_IMPROVE_EPS
+            mask &= (first if i0 == 1 else later)[:i1 - i0, :n - i0 - 1]
+            hit = int(mask.argmax())
+            if mask.flat[hit]:
+                r, j = divmod(hit, n - i0 - 1)
                 move = i0 + r, i0 + 1 + j
             i0, size = i1, min(2 * size, _BLOCK)
         if move is None:
@@ -206,9 +233,12 @@ def build_route(uav_id: int, depot_edge_id: int, ids, scenario,
     p = scenario.physical
     depot_xy = scenario.edge_xy[depot_edge_id]
     xy = scenario.xy[ids]
-    order = nearest_neighbor_tour(depot_xy, xy)
+    # by keyword: a tracer that keeps the kernels' positional arguments
+    # (bench/tracer.py) would otherwise keep every route's matrix
+    dist = route_matrix(depot_xy, xy)
+    order = nearest_neighbor_tour(depot_xy, xy, dist=dist)
     if use_two_opt:
-        order = two_opt(depot_xy, xy, order)
+        order = two_opt(depot_xy, xy, order, dist=dist)
     length = tour_length(depot_xy, xy[order])
     energy = route_energy(length, scenario.alpha_mb[ids].tolist(), p)
     return Route(uav_id=uav_id, depot_edge_id=depot_edge_id,

@@ -8,6 +8,7 @@ from hypothesis import event, example, given
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 
+from firewatch import routing
 from firewatch.model import PhysicalParams, distance_matrix
 from firewatch.routing import (
     _BLOCK,
@@ -20,8 +21,8 @@ from firewatch.routing import (
     tour_lower_bound,
     two_opt,
 )
-from testutil import (brute_force_tour_optimum, build_scenario, nearest_neighbor_tour_oracle,
-                      norm_tour_lower_bound)
+from testutil import (brute_force_tour_optimum, build_scenario, nearest_neighbor_column_oracle,
+                      nearest_neighbor_tour_oracle, norm_tour_lower_bound)
 
 
 def test_tour_length_square():
@@ -198,12 +199,24 @@ def test_tour_lower_bound_equals_dense_mst(depot, points):
                                                         rel=1e-12, abs=1e-9)
 
 
+def _block_starts(start, n):
+    """The first rows of two_opt's blocks in a scan from row ``start``."""
+    size = _FIRST_BLOCK
+    while start < n - 1:
+        yield start
+        start, size = start + size, min(2 * size, _BLOCK)
+
+
 def _two_opt_oracle(depot_xy, xy, order, seen=None):
     """The row-by-row first-improvement scan that two_opt's block scan must
     reproduce move for move.  ``seen``, when given, collects what the scan
     met: "band" (a move in a row before the last move's), "i=1" and "k=n-1"
-    (moves at either tour end) and "excluded" (the pair (1, n-1), which
-    shares the depot, with a delta below -_IMPROVE_EPS)."""
+    (moves at either tour end), "excluded" (the pair (1, n-1), which shares
+    the depot, with a delta below -_IMPROVE_EPS) and where two_opt's scan
+    from the last move's row finds the next move: "band-miss" (past a band
+    of rows before that row with no improving cell), "band-first" (at the
+    band's first cell), "block-miss" (past a block with no improving cell)
+    and "block-first" (at a block's first cell)."""
     if len(order) < 2:
         return list(order)
     pts = np.vstack([np.asarray(depot_xy, dtype=float),
@@ -212,7 +225,7 @@ def _two_opt_oracle(depot_xy, xy, order, seen=None):
     n = len(pts)
     tour = np.arange(n)
     seen = set() if seen is None else seen
-    last = n
+    last = 1
     improved = True
     while improved:
         improved = False
@@ -232,8 +245,12 @@ def _two_opt_oracle(depot_xy, xy, order, seen=None):
             hit = np.flatnonzero(delta < -_IMPROVE_EPS)
             if hit.size:
                 k = int(ks[hit[0]])
-                seen.update(case for case, met in (("band", i < last), ("i=1", i == 1),
-                                                   ("k=n-1", k == n - 1)) if met)
+                seen.update(case for case, met in (
+                    ("band", i < last), ("i=1", i == 1), ("k=n-1", k == n - 1),
+                    ("band-miss", 1 < last <= i), ("band-first", (i, k) == (1, last - 1)),
+                    ("block-miss", i >= last + _FIRST_BLOCK),
+                    ("block-first", i >= last and k == i + 1
+                     and i in _block_starts(last, n))) if met)
                 tour[i:k + 1] = tour[i:k + 1][::-1]
                 last = i
                 improved = True
@@ -344,11 +361,13 @@ def _rescan_cases(n, seed, kind, shuffled):
     return two_opt(depot, xy, order), want, seen
 
 
-_RESCAN_CASES = {"band", "i=1", "k=n-1", "excluded", "short", "coincident", "huge"}
+_RESCAN_CASES = {"band", "i=1", "k=n-1", "excluded", "short", "coincident", "huge",
+                 "band-miss", "band-first", "block-miss", "block-first"}
 _RESCAN_EXAMPLES = [
-    (3, 3, "huge", True),          # every case but coincident points
-    (6, 34, "grid", True),         # coincident points, band moves, both ends
-    (2 * _BLOCK + 9, 1, "km", True),
+    (3, 3, "huge", True),          # the excluded pair, a block's first cell
+    (4, 39, "km", True),           # a band's first cell
+    (6, 34, "grid", True),         # coincident points, a band with no move
+    (2 * _BLOCK + 9, 1, "km", True),       # bands, and blocks with no move
     (2 * _BLOCK + 9, 2, "grid", False),
 ]
 
@@ -480,11 +499,14 @@ def test_tour_lower_bound_memory_is_linear(k):
 # the lower index wins only when the square root is taken
 @example((0.0, 0.0), [(959.5403937895036, 0.0), (144.159613, 948.649447)])
 def test_nearest_neighbor_tour_matches_norm_oracle(depot, points):
-    """Column distances with visited points at x = inf give the visit order
-    of the per-step norm with a visited mask, tied and coincident points
-    included."""
+    """The rows of one route matrix, visited points held at inf, give the
+    visit order of the per-step column distances with visited points at
+    x = inf and of the per-step norm with a visited mask, tied and
+    coincident points included."""
     xy = _xy(points)
-    assert nearest_neighbor_tour(depot, xy) == nearest_neighbor_tour_oracle(depot, xy)
+    got = nearest_neighbor_tour(depot, xy)
+    assert got == nearest_neighbor_column_oracle(depot, xy)
+    assert got == nearest_neighbor_tour_oracle(depot, xy)
 
 
 @given(st.integers(0, 3 * _BLOCK), st.integers(0, 2**32 - 1), _kinds)
@@ -492,7 +514,9 @@ def test_nearest_neighbor_tour_matches_norm_oracle(depot, points):
 @example(13, 16, "grid")
 def test_nearest_neighbor_tour_matches_oracle_on_larger_sets(n, seed, kind):
     depot, xy = _points(n, seed, kind)
-    assert nearest_neighbor_tour(depot, xy) == nearest_neighbor_tour_oracle(depot, xy)
+    got = nearest_neighbor_tour(depot, xy)
+    assert got == nearest_neighbor_column_oracle(depot, xy)
+    assert got == nearest_neighbor_tour_oracle(depot, xy)
 
 
 def test_route_energy_examples():
@@ -546,3 +570,40 @@ def test_build_route_two_opt_no_worse_than_nn():
     with_opt = build_route(0, 0, ids, sc, use_two_opt=True)
     without = build_route(0, 0, ids, sc, use_two_opt=False)
     assert with_opt.length_m <= without.length_m + 1e-9
+
+
+@pytest.mark.parametrize("use_two_opt", [True, False])
+def test_build_route_builds_one_distance_matrix(monkeypatch, use_two_opt):
+    """Nearest neighbour and 2-opt read one matrix per route, built once."""
+    calls = []
+
+    def counted(a, b):
+        calls.append((len(a), len(b)))
+        return distance_matrix(a, b)
+
+    monkeypatch.setattr(routing, "distance_matrix", counted)
+    rng = np.random.default_rng(30)
+    sc = build_scenario([(x, y, 0, 1.0, 100.0) for x, y in rng.uniform(0, 5000, size=(12, 2))],
+                        [(2500.0, 2500.0, 5000.0)])
+    for ids in ([0, 1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11]):
+        build_route(0, 0, ids, sc, use_two_opt=use_two_opt)
+    assert calls == [(8, 9), (6, 7)]
+
+
+@pytest.mark.parametrize("use_two_opt", [True, False])
+def test_build_route_memory_is_one_matrix(use_two_opt):
+    """Over 999 points a route peaks at about two (n+1)^2 matrices: the
+    route matrix and its build's scratch, or that matrix and a 2-opt
+    reversal's copy of it.  A second matrix alongside the one 2-opt
+    reorders, and a reversal of it, would take three."""
+    rng = np.random.default_rng(1)
+    n = 999
+    sc = build_scenario([(x, y, 0, 1.0, 100.0) for x, y in rng.uniform(0, 2e4, size=(n, 2))],
+                        [(1e4, 1e4, 5e4)])
+    tracemalloc.start()
+    try:
+        build_route(0, 0, np.arange(n), sc, use_two_opt=use_two_opt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (n + 1) ** 2 * 8

@@ -68,6 +68,28 @@ def phase1_oracle(scenario):
     return uav, direct_map, loads
 
 
+def phase1_loop_oracle(scenario):
+    """Phase 1 as one pass over the sensors with one ``math.hypot`` list per
+    sensor, its minimum taken by ``min`` and ``.index``: the loop the
+    per-edge columns of ``assign_direct`` replaced.  Returns the UAV-served
+    ids, the direct map and the loads, as lists and a dict."""
+    p = scenario.physical
+    _, _, r_se = link_ranges(p)
+    edges, beta = scenario.edge_xy.tolist(), scenario.beta_mi.tolist()
+    loads = [0.0] * len(edges)
+    direct_map, uav_ids = {}, []
+    for i, (x, y) in enumerate(scenario.xy.tolist()):
+        d = [math.hypot(x - ex, y - ey) for ex, ey in edges]
+        d_min = min(d, default=math.inf)
+        if d_min <= r_se:
+            k = d.index(d_min)
+            direct_map[i] = k
+            loads[k] += beta[i] / p.t_period_s
+        else:
+            uav_ids.append(i)
+    return uav_ids, direct_map, loads
+
+
 def brute_force_tour_optimum(depot_xy, xy: np.ndarray) -> float:
     """Exact optimum of the closed tour depot -> points -> depot.
 
@@ -553,6 +575,24 @@ def nearest_neighbor_tour_oracle(depot_xy, xy):
         order.append(pick)
         remaining[pick] = False
         cur = xy[pick]
+    return order
+
+
+def nearest_neighbor_column_oracle(depot_xy, xy):
+    """Nearest neighbour with one ``column_distances`` call per step into two
+    reused buffers, a visited point moved to x = inf: the walk the rows of
+    one route matrix replaced, whose visit order they must reproduce."""
+    pts = np.asarray(xy, dtype=float).reshape(-1, 2)
+    n = len(pts)
+    x, y = pts[:, 0].copy(), pts[:, 1].copy()
+    dx, dy = np.empty(n), np.empty(n)
+    order = []
+    px, py = float(depot_xy[0]), float(depot_xy[1])
+    for _ in range(n):
+        pick = int(column_distances(x, y, px, py, dx, dy).argmin())
+        order.append(pick)
+        px, py = x[pick], y[pick]
+        x[pick] = np.inf
     return order
 
 
