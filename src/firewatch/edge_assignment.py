@@ -61,8 +61,10 @@ def assign_direct(scenario) -> tuple[np.ndarray, dict[int, int], EdgeLoadState]:
     edges, beta = scenario.edge_xy.tolist(), scenario.beta_mi.tolist()
     load = EdgeLoadState([0.0] * len(edges), scenario.capacity.tolist())
     direct_map, uav_ids = {}, []
-    for i, (x, y) in enumerate(scenario.xy.tolist()):
-        d = [math.hypot(x - ex, y - ey) for ex, ey in edges]
+    xy = scenario.xy.tolist()
+    # one column of distances per edge; each sensor's row is a tuple of them
+    cols = [[math.hypot(x - ex, y - ey) for x, y in xy] for ex, ey in edges]
+    for i, d in enumerate(zip(*cols) if edges else [()] * len(xy)):
         d_min = min(d, default=math.inf)
         if d_min <= r_se:
             k = d.index(d_min)    # the first minimum, so ties go to the lowest id

@@ -17,7 +17,7 @@ from firewatch.edge_assignment import (
 )
 from firewatch.model import AlgoParams, PhysicalParams
 from testutil import (assign_clusters_oracle, assign_edges_oracle, build_scenario,
-                      phase1_oracle, repair_overload_oracle)
+                      phase1_loop_oracle, phase1_oracle, repair_overload_oracle)
 
 
 def test_assign_direct_tie_prefers_lowest_edge_id():
@@ -92,14 +92,15 @@ def _sensors(*xy):
 @example(build_scenario(_sensors((0.0, 0.0), (250.0, 0.0), (0.0, 500.0)),
                         [(0.0, 0.0, 5000.0), (250.0, 250.0, 5000.0)]))
 def test_assign_direct_equals_the_two_pass_object_oracle(sc):
-    """The one-pass columnar phase 1 gives the UAV-served ids, direct map
-    and loads of the partition-then-assign passes over the objects, with
-    ``==`` on every load."""
+    """The per-edge distance columns give the UAV-served ids, direct map
+    and loads of the partition-then-assign passes over the objects and of
+    the one-pass loop with a distance list per sensor, with ``==`` on every
+    load."""
     uav_ids, direct_map, load = assign_direct(sc)
-    want_uav, want_map, want_loads = phase1_oracle(sc)
-    assert uav_ids.tolist() == want_uav
-    assert direct_map == want_map
-    assert load.loads_mips == want_loads
+    for want_uav, want_map, want_loads in (phase1_oracle(sc), phase1_loop_oracle(sc)):
+        assert uav_ids.tolist() == want_uav
+        assert direct_map == want_map
+        assert load.loads_mips == want_loads
     assert load.capacities_mips == [e.capacity_mips for e in sc.edges]
 
 
