@@ -472,7 +472,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "pairwise_proposed_minus_baseline": pair_rows,
         "fleet_growth_factor": growth,
         "failures": failures,
-        "ci": "t-based 95% from per-seed values; null below 2 seeds",
+        "ci": ("t-based 95% over per-seed values (means) or per-seed differences "
+               "(pairwise); null below 2 seeds or 2 pairs"),
     }
     write_json(os.path.join(args.out_dir, "summary.json"), summary, sort_keys=True)
 

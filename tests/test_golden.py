@@ -322,11 +322,11 @@ GOLDEN = {
     'compare/means.csv': 'eaa6cf1f4c79d3157bc928867b9a76c720a14128d98cd0ede6f8a2e6ae4c9818',
     'compare/cdf.csv': '6b7da2f1572d06e44cb7adc3bf211b841413b7244708f451bf95b693840fa88f',
     'compare/pairwise.csv': 'b3997b91dc6f0156793b75be291f0032be344b98ae8b7d4b04005f4e0a09f058',
-    'compare/summary.json': '414af4678977ceb4e983ac16a95b5939bb354702457424d63b43a28c67e0ce20',
+    'compare/summary.json': 'c50cc6a7bfdbcb842fb086a189e1e8df35056d2a82090a91f3bf27a541253012',
     'sweep/means.csv': 'c404eedd6b490ef4338161ee333e1bd6dc79d8ad6b30f537b4ff3d260350fccd',
     'sweep/cdf.csv': '1ee4fe1f9eb02a0d53d22248ce6c4a16677a562a51b92ee61b44fe0ced88fa98',
     'sweep/pairwise.csv': '723d2c6297b7596d42d3409aa1299ef1973ac5c02681ceafc274aa34bc26dc39',
-    'sweep/summary.json': 'a4f2aff2ea255ca957053d4ccacbf2f04f8638fd67130dee3a46d39fdc731bbd',
+    'sweep/summary.json': '86a6c836a88c94559909c4a7b9dea0d8bcd77ed796d7ea49240b99d1b6213160',
     'burst/nearest/trace.csv': 'c7c58bfe141b813bcb3fc0dbf2e906f2432862b42aa580b9b945d6f638fc8d11',
     'burst/nearest/impact.json': 'a30159110b1db05af059343c588bc7def7e4a448d0e1b8a91d14709a1907e176',
     'burst/nearest/queue.json': 'c7228f821c0b416c6cc5722ecec0af58ef5b94a4c92033f3ae5b822eb82fff0d',
