@@ -488,6 +488,19 @@ def test_aggregate_gives_the_mean_and_t_interval_of_two_seeds():
     assert pair_rows == [] and growth == {}
 
 
+@pytest.mark.parametrize("n", [*range(2, 201), 1000, 10_000])
+def test_mean_ci_uses_the_exact_t_quantile(n):
+    """`_mean_ci`'s bounds are m -+ t(0.975, n - 1) sd / sqrt(n) to the last
+    bit, with the quantile taken from scipy.stats, for every n it meets in
+    practice and two large ones."""
+    from scipy import stats
+
+    xs = list(np.random.default_rng(n).normal(50.0, 7.0, n))
+    m, sd = float(np.mean(xs)), float(np.std(xs, ddof=1))
+    half = float(stats.t.ppf(0.975, n - 1)) * sd / math.sqrt(n)
+    assert cli._mean_ci(xs) == (m, m - half, m + half)
+
+
 def test_aggregate_pairs_only_the_seeds_both_methods_planned():
     """Greedy has no plan on seed 0, so its pairs with proposed are seeds 1
     and 2 (differences 1 and 2: mean 1.5, standard error 0.5); with seed 2
@@ -730,13 +743,34 @@ def test_config_file_missing(tmp_path):
     assert rc == 1
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+def _run_in_fresh_interpreter(code: str) -> subprocess.CompletedProcess:
     src = str(Path(firewatch.__file__).resolve().parents[1])
-    code = "import sys, firewatch.cli; sys.exit(int('scipy.stats' in sys.modules))"
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert done.returncode == 0, done.stderr or "firewatch.cli imported scipy.stats"
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """Importing the CLI loads no scipy module at all: only compare's CIs use
+    scipy, and they import it when they first need it."""
+    done = _run_in_fresh_interpreter(
+        "import sys, firewatch.cli; "
+        "sys.exit(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')) or None)")
+    assert done.returncode == 0, done.stderr
+
+
+def test_compare_computes_its_cis_without_loading_scipy_stats(tmp_path):
+    """A compare over two seeds computes t intervals, and takes the quantile
+    from scipy.special: scipy.stats, three times its memory, stays unloaded."""
+    out = tmp_path / "c"
+    done = _run_in_fresh_interpreter(
+        "import sys; from firewatch.cli import main; "
+        "rc = main(['compare', '--methods', 'greedy', '--sensors', '40', '--seeds', '2', "
+        f"'-o', {str(out)!r}]); "
+        "sys.exit(rc or ('scipy.stats' in sys.modules and 'scipy.stats loaded') "
+        "or ('scipy.special' not in sys.modules and 'scipy.special not loaded') or None)")
+    assert done.returncode == 0, done.stderr
+    agg = json.loads((out / "summary.json").read_text())["means"]["n=40,method=greedy"]
+    assert agg["seeds_ok"] == 2 and len(agg["response_ci"]) == 2
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():
