@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import heapq
 import itertools
 import math
+import signal
+import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +25,45 @@ from firewatch.model import (EdgeNode, PhysicalParams, Point2D, RequestProfile, 
                              column_distances, derive_seed, link_ranges)
 from firewatch.routing import tour_length, tour_lower_bound
 from firewatch.scenario import GenConfig, Scenario, ScenarioMeta, generate
+
+
+# the wall time after which tests/conftest.py fails a test that is still running
+TEST_TIME_LIMIT_S = 300.0
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised by `time_limit` when its time runs out.  A BaseException, like
+    KeyboardInterrupt, so that an ``except Exception`` in the code under test
+    does not swallow it."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeLimitExceeded in the block once ``seconds`` of wall time pass.
+
+    Built on SIGALRM and ITIMER_REAL, so it acts on the main thread only and
+    does nothing elsewhere.  On exit it restores the previous handler and what
+    was left of a timer armed before it.  A forked child does not inherit the
+    timer, and a subprocess needs its own ``timeout=``."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"still running after {seconds:g} s")
+
+    old_handler = signal.signal(signal.SIGALRM, expire)
+    old_delay, old_interval = signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.monotonic()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old_handler)
+        if old_delay:
+            # an outer limit already past its time fires at once
+            left = max(old_delay - (time.monotonic() - start), 1e-6)
+            signal.setitimer(signal.ITIMER_REAL, left, old_interval)
 
 
 def build_scenario(sensor_specs, edge_specs, physical: PhysicalParams | None = None) -> Scenario:
