@@ -561,23 +561,19 @@ def _submit(pool, search, ws: _Workspace, cfg, m: int, ahead: bool, width: int):
 
 
 @contextlib.contextmanager
-def _searched_ahead(search, ws: _Workspace, cfg, m_max: int, stop=None):
+def _searched_ahead(search, ws: _Workspace, cfg, m_max: int):
     """size_fleet's ``clusters_at`` for ``search(ws, cfg, m)``.  The call for
     m submits m's search to the worker pool, W the usable CPUs, unless it
     is there already, and then m + 1 .. m + W - 1 (never above m_max) while
     fewer than W search futures in the process are pending, so a lone loop
     keeps W sizes searching and loops in several threads leave the workers
     to each other's next sizes; it returns m's result.  Leaving the block
-    cancels the searches not yet started.  With ``stop`` set, the next call
-    raises CancelledError.  One CPU (or no fork) searches in process, one
-    size per call."""
+    cancels the searches not yet started.  One CPU (or no fork) searches in
+    process, one size per call."""
     width = search_workers()
     ahead = {}
 
     def clusters_at(m):
-        if stop is not None and stop.is_set():
-            from concurrent.futures import CancelledError
-            raise CancelledError(f"stopped before fleet size {m}")
         if width == 1:
             return search(ws, cfg, m)
         from concurrent.futures.process import BrokenProcessPool
@@ -607,10 +603,10 @@ def _search_plan(search, scenario, algo: AlgoParams, cfg, method: str,
     order it gives; ``binding`` names what failed at the fleet ceiling."""
     t0 = time.perf_counter()
     ws = _Workspace(scenario, algo)
-    with _searched_ahead(search, ws, cfg, scenario.physical.m_max, stop) as clusters_at:
+    with _searched_ahead(search, ws, cfg, scenario.physical.m_max) as clusters_at:
         return size_fleet(scenario, algo, ws.uav_ids, ws.direct_map, ws.load0, clusters_at,
                           ordered_route, method=method, t0=t0, variant="-", at_m=None,
-                          binding=binding)
+                          binding=binding, stop=stop)
 
 
 def ga_plan(scenario, algo: AlgoParams, cfg: GaConfig | None = None, *,

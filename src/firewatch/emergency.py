@@ -26,9 +26,10 @@ each route's geometry, the sensor and edge columns and the table's upload
 and execution columns as lists, each sensor's nearest-edge distance, the
 normal-service totals with and without the wait term, each route's
 expected wait, the in-contact window, the resume leg (waypoint, its arc,
-edge-to-waypoint metres) of each (UAV, delivery edge) pair, which
-``queue_report`` reads too, and the delivery leg (edge, fallback, travel
-and execution seconds) of each (sensor, theta_max) pair, which
+edge-to-waypoint metres, the tour point at that arc, where a UAV relaunched
+at the instant it returns starts from) of each (UAV, delivery edge) pair,
+which ``queue_report`` reads too, and the delivery leg (edge, fallback,
+travel and execution seconds) of each (sensor, theta_max) pair, which
 ``emergency_response_bound`` reads too.  One slot holds what the
 normal-service means read of the sensors outside the last alerted set:
 their count, the baseline mean, and their totals less the wait term and
@@ -275,8 +276,10 @@ class _PlanState:
         self.base_wait = [expected_wait(r.length_m, scenario.physical) for r in plan.routes]
         # seconds a patrolling UAV is in range of a sensor it passes
         self.contact = 2.0 * link_ranges(scenario.physical)[0] / self.v
-        # (uav id, edge id) -> (resume waypoint, its arc, edge-to-waypoint metres)
-        self.resume: dict[tuple[int, int], tuple[int | None, float, float]] = {}
+        # (uav id, edge id) -> (resume waypoint, its arc, edge-to-waypoint
+        # metres, the tour point at that arc)
+        self.resume: dict[tuple[int, int],
+                          tuple[int | None, float, float, tuple[float, float]]] = {}
         # (sensor id, theta_max) -> (delivery edge id, fallback, travel s, execution s)
         self.legs: dict[tuple[int, float], tuple[int, bool, float, float]] = {}
         # sensor id -> metres to its nearest edge, the dispatch rule's constant
@@ -292,11 +295,13 @@ class _PlanState:
             d = self.to_edge[sid] = min(math.hypot(sx - ex, sy - ey) for ex, ey in self.edge_xy)
         return d
 
-    def resume_leg(self, uav_id: int, eid: int) -> tuple[int | None, float, float]:
+    def resume_leg(self, uav_id: int,
+                   eid: int) -> tuple[int | None, float, float, tuple[float, float]]:
         """Where UAV uav_id rejoins its tour after delivering at edge eid:
         the resume waypoint (None for an empty tour, which returns to the
-        depot), its arc, and the metres from the edge to it, built on first
-        need."""
+        depot), its arc, the metres from the edge to it, and the tour's
+        ``position_at_arc`` of that arc, where a UAV relaunched at the
+        instant it returns starts from; built on first need."""
         back = self.resume.get((uav_id, eid))
         if back is None:
             geom = self.geoms[uav_id]
@@ -304,7 +309,8 @@ class _PlanState:
             widx = resume_waypoint((ex, ey), geom)
             tx, ty = geom.points[0 if widx is None else widx + 1].tolist()
             arc = 0.0 if widx is None else geom.arc_of_waypoint(widx)
-            back = self.resume[uav_id, eid] = (widx, arc, math.hypot(ex - tx, ey - ty))
+            back = self.resume[uav_id, eid] = (widx, arc, math.hypot(ex - tx, ey - ty),
+                                               geom.position_at_arc(arc))
         return back
 
     def leg(self, sid: int, theta_max: float) -> tuple[int, bool, float, float]:
@@ -357,15 +363,21 @@ def _plan_state(plan, scenario) -> _PlanState:
 
 
 class _UavState:
-    __slots__ = ("geom", "ref_time", "ref_arc", "available")
+    __slots__ = ("geom", "ref_time", "ref_arc", "ref_pos", "available")
 
     def __init__(self, geom: RouteGeometry, phase_m: float):
         self.geom = geom
         self.ref_time = 0.0
         self.ref_arc = phase_m
+        # the point at ref_arc once the UAV is back from an alert, else None
+        self.ref_pos = None
         self.available = True
 
     def patrol_pos(self, t: float, v_g: float) -> tuple[float, float]:
+        # at the instant of its return the arc is ref_arc + v_g * 0.0, which
+        # is ref_arc, so the point memoized with the resume leg has its bits
+        if t == self.ref_time and self.ref_pos is not None:
+            return self.ref_pos
         return self.geom.position_at_arc(self.ref_arc + v_g * (t - self.ref_time))
 
 
@@ -411,8 +423,9 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
     n_free = len(uavs)
 
     # the alerts are walked in time order, seq their sorted position; UAVs out
-    # on alerts return through a heap of (t_back, uav id, resume arc), which
-    # holds each UAV at most once, so the id breaks ties and it holds at most m
+    # on alerts return through a heap of (t_back, uav id, resume arc, the
+    # tour point at that arc), which holds each UAV at most once, so the id
+    # breaks ties and it holds at most m
     returns: list = []
 
     # pending alerts as (-priority, seq, event) heaps keyed by who may serve
@@ -450,13 +463,13 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
         t_disp = math.hypot(px - sx, py - sy) / v
         eid, fb, t_del, t_exe = state.leg(sid, algo.theta_max)
         arrive = now + t_disp + tra_s[sid] + t_del
-        widx, arc, d_back = state.resume_leg(uav_id, eid)
+        widx, arc, d_back, back_pos = state.resume_leg(uav_id, eid)
         t_back = arrive + d_back / v
 
         uav.available = False
         n_free -= 1
         absences[uav_id].append((now, t_back))
-        heapq.heappush(returns, (t_back, uav_id, arc))
+        heapq.heappush(returns, (t_back, uav_id, arc, back_pos))
         record(seq, ev, uav_id, eid, now - ev.alert_time_s, t_disp, t_del, t_exe, widx, fb)
 
     direct_map, owner = plan.assignment.direct_map, plan.clustering.assignment
@@ -478,9 +491,9 @@ def simulate(plan, scenario, events: list[EmergencyEvent], horizon_s: float,
                 heapq.heappush(pending[owner[sid]] if own else queue, (-ev.priority, k, ev))
             k += 1
         while returns and returns[0][0] == now:
-            _, uav_id, arc = heapq.heappop(returns)
+            _, uav_id, arc, back_pos = heapq.heappop(returns)
             uav = uavs[uav_id]
-            uav.ref_time, uav.ref_arc, uav.available = now, arc, True
+            uav.ref_time, uav.ref_arc, uav.ref_pos, uav.available = now, arc, back_pos, True
             n_free += 1
         # one launch pass, skipped while no UAV is free
         if own:
@@ -575,7 +588,7 @@ def queue_report(result: SimulationResult, plan, scenario) -> dict:
             continue
         launch = tr.alert_time_s + tr.t_queue_s
         marks += [(tr.alert_time_s, 0), (launch, 1)]      # arrivals first at a tie
-        _, _, d_back = state.resume_leg(tr.uav_id, tr.edge_id)
+        _, _, d_back, _ = state.resume_leg(tr.uav_id, tr.edge_id)
         back = (launch + tr.t_dispatch_travel_s + tr.t_tra_s + tr.t_delivery_travel_s
                 + d_back / v)
         busy[tr.uav_id] += min(back, horizon) - min(launch, horizon)

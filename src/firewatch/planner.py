@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 import time
 from dataclasses import dataclass
 
@@ -157,10 +158,20 @@ def _fleet_lower_bound(scenario, direct_map: dict[int, int], first: int) -> int:
     return m
 
 
+def _over_capacity(scenario, uav_ids: np.ndarray, load0: EdgeLoadState) -> bool:
+    """True when phase 1's loads plus the demand of every UAV-served sensor
+    exceed the edges' total capacity by more than float noise: every
+    assignment then overloads an edge, and no repair can clear it (the L1
+    bound of bin packing)."""
+    demand = cluster_demand(scenario.beta_mi[uav_ids], scenario.physical.t_period_s)
+    return (sum(load0.loads_mips) + demand
+            > sum(load0.capacities_mips) * (1 + _BOUND_RTOL))
+
+
 def size_fleet(scenario, algo: AlgoParams, uav_ids: np.ndarray, direct_map: dict[int, int],
                load0: EdgeLoadState, clusters_at, route, *, method: str,
                t0: float, variant: str, at_m: int | None,
-               binding: list[str] | None) -> Plan:
+               binding: list[str] | None, stop: threading.Event | None = None) -> Plan:
     """The fleet-sizing loop shared by every planning method.
 
     ``uav_ids``, ``direct_map`` and ``load0`` are phase 1's.  For each m
@@ -190,10 +201,17 @@ def size_fleet(scenario, algo: AlgoParams, uav_ids: np.ndarray, direct_map: dict
     InfeasibleError naming the constraints the last m failed, or ``binding``
     when given, and an OmegaHError before any m when ``algo.omega_h`` fails
     ``check_omega_h`` on the scenario.
+    With the gate, when the base loads and the UAV-served sensors' demand
+    together exceed the total edge capacity (``_over_capacity``), no m can
+    pass its overload repair, so the loop clusters nothing and raises at its
+    first m with ``binding`` or ["edge capacity"], what m_max would fail.
+    Once ``stop`` is set, the loop raises CancelledError at its next m,
+    before clustering it or raising at the capacity check.
     """
     check_omega_h(scenario, algo.omega_h)
     p = scenario.physical
     gate = at_m is None
+    over_capacity = gate and _over_capacity(scenario, uav_ids, load0)
     sizes = (range(_fleet_lower_bound(scenario, direct_map,
                                       initial_fleet_size(p, algo.fleet_init_mode)),
                    p.m_max + 1)
@@ -202,6 +220,12 @@ def size_fleet(scenario, algo: AlgoParams, uav_ids: np.ndarray, direct_map: dict
     beta, d_se = scenario.beta_mi[uav_ids], edge_distances(scenario, uav_ids)
     capacity = scenario.capacity
     for m in sizes:
+        if stop is not None and stop.is_set():
+            from concurrent.futures import CancelledError
+            raise CancelledError(f"stopped before fleet size {m}")
+        if over_capacity:
+            failed = ["edge capacity"]
+            break
         clusters = clusters_at(m)
         if clusters is None:
             continue

@@ -638,24 +638,96 @@ def test_all_methods_feasible_small():
         assert served == {s.id for s in sc.sensors}, name
 
 
-def _capacity_wall():
+def _capacity_wall(m_max: int = 3):
     """Three sensors whose compute no fleet up to m_max = 3 fits on the one
     edge."""
     return build_scenario(
         [(3000.0, 0.0, 0, 1.0, 1e6), (3200.0, 0.0, 0, 1.0, 1e6),
          (3400.0, 0.0, 0, 1.0, 1e6)],
-        [(0.0, 0.0, 10.0)], PhysicalParams(m_max=3))
+        [(0.0, 0.0, 10.0)], PhysicalParams(m_max=m_max))
+
+
+def _loaded_capacity_wall(m_max: int = 3):
+    """The capacity wall's three sensors on one edge that holds their 833
+    MIPS, but not with the 556 MIPS of a direct sensor beside it."""
+    return build_scenario(
+        [(3000.0, 0.0, 0, 1.0, 1e6), (3200.0, 0.0, 0, 1.0, 1e6),
+         (3400.0, 0.0, 0, 1.0, 1e6), (100.0, 0.0, 0, 1.0, 2e6)],
+        [(0.0, 0.0, 1000.0)], PhysicalParams(m_max=m_max))
+
+
+def _split_capacity_wall():
+    """The capacity wall's three sensors, 833 MIPS in all, and four edges of
+    250 MIPS each: the total capacity suffices, but no sensor's 278 MIPS
+    fits on any edge, so every fleet size fails its overload repair."""
+    return build_scenario(
+        [(3000.0, 0.0, 0, 1.0, 1e6), (3200.0, 0.0, 0, 1.0, 1e6),
+         (3400.0, 0.0, 0, 1.0, 1e6)],
+        [(0.0, 200.0 * k, 250.0) for k in range(4)], PhysicalParams(m_max=3))
 
 
 def test_all_methods_raise_on_capacity_wall():
-    sc = _capacity_wall()
     algo = AlgoParams()
-    with pytest.raises(InfeasibleError):
-        greedy_plan(sc, algo)
-    with pytest.raises(InfeasibleError):
-        ga_plan(sc, algo, GaConfig(population=4, generations=2))
-    with pytest.raises(InfeasibleError):
-        pso_plan(sc, algo, PsoConfig(swarm=4, iterations=2))
+    for sc in (_capacity_wall(), _split_capacity_wall()):
+        with pytest.raises(InfeasibleError):
+            greedy_plan(sc, algo)
+        with pytest.raises(InfeasibleError):
+            ga_plan(sc, algo, GaConfig(population=4, generations=2))
+        with pytest.raises(InfeasibleError):
+            pso_plan(sc, algo, PsoConfig(swarm=4, iterations=2))
+
+
+_WALL_MAKERS = {
+    "proposed": lambda sc: plan(sc, AlgoParams()),
+    "greedy": lambda sc: greedy_plan(sc, AlgoParams()),
+    "ga": lambda sc: ga_plan(sc, AlgoParams(), GaConfig(population=4, generations=2)),
+    "pso": lambda sc: pso_plan(sc, AlgoParams(), PsoConfig(swarm=4, iterations=2)),
+}
+
+
+def _infeasible(make, sc) -> InfeasibleError:
+    with pytest.raises(InfeasibleError) as info:
+        make(sc)
+    return info.value
+
+
+@pytest.mark.parametrize("wall", [_capacity_wall, _loaded_capacity_wall])
+@pytest.mark.parametrize("method", sorted(_WALL_MAKERS))
+def test_a_capacity_wall_is_reported_without_clustering(monkeypatch, method, wall):
+    """Where phase 1's loads and the UAV-served demand exceed the total
+    edge capacity, every method reports at m_max = 30,000 what the loop
+    without the capacity check reports at m_max = 3, and clusters no fleet
+    size: on the capacity wall, and on one that the sensors' demand makes
+    only with a direct sensor's load."""
+    make = _WALL_MAKERS[method]
+    with monkeypatch.context() as patch:
+        patch.setattr(planner, "_over_capacity", lambda *args: False)
+        loop = _infeasible(make, wall(3))
+    real = planner.size_fleet
+
+    def spy(*args, **kw):
+        def clusters_at(m):
+            raise AssertionError(f"fleet size {m} clustered")
+        return real(*args[:5], clusters_at, *args[6:], **kw)
+
+    monkeypatch.setattr(planner, "size_fleet", spy)
+    monkeypatch.setattr(baselines, "size_fleet", spy)
+    got = _infeasible(make, wall(30_000))
+    assert got.binding == loop.binding
+    assert str(got) == str(loop).replace("m_max=3;", "m_max=30000;")
+
+
+def test_a_total_demand_at_the_total_capacity_still_plans():
+    """Two sensors whose demands are exactly their nearest edges'
+    capacities: summed in one order they round an ulp above the summed
+    capacities, but every method assigns each to its own edge and plans."""
+    sc = build_scenario([(1000.0, 0.0, 0, 1.0, 100.0), (9000.0, 0.0, 0, 1.0, 1.0)],
+                        [(0.0, 0.0, 100.0 / 3600.0), (10000.0, 0.0, 1.0 / 3600.0)])
+    assert sc.physical.t_period_s == 3600.0
+    assert 101.0 / 3600.0 > 100.0 / 3600.0 + 1.0 / 3600.0
+    for method, make in _WALL_MAKERS.items():
+        pl = make(sc)
+        assert pl.assignment.load.loads_mips == sc.capacity.tolist(), method
 
 
 def test_config_validation():
@@ -767,7 +839,7 @@ def test_searching_ahead_on_workers_matches_searching_inline(monkeypatch, method
                  "pso": lambda sc: pso_plan(sc, algo, PSO_SMALL)}[method]
     bound = bound_scenarios()
     scenarios = {"feasible-40": generate(GenConfig(n_sensors=40, n_edges=3, seed=7)),
-                 "blob": _blob_scenario(), "capacity-wall": _capacity_wall(),
+                 "blob": _blob_scenario(), "capacity-wall": _split_capacity_wall(),
                  **{name: bound[name] for name in ("revisit-s0", "energy-s1", "infeasible-s0",
                                                    "rings-energy")},
                  **_at_fleet_bound()}
@@ -851,7 +923,7 @@ def test_the_in_flight_count_returns_to_zero(monkeypatch, case):
     """No search future is left pending once the loop's futures are done
     or cancelled: after a plan, an InfeasibleError, a search that raises,
     and look-aheads cancelled before a worker took them."""
-    sc = {"plans": _blob_scenario(), "infeasible": _capacity_wall(),
+    sc = {"plans": _blob_scenario(), "infeasible": _split_capacity_wall(),
           "search-raises": _blob_scenario(), "cancelled": _blob_scenario()}[case]
     cpus = 2
     if case == "cancelled":
@@ -881,7 +953,8 @@ def test_the_in_flight_count_returns_to_zero(monkeypatch, case):
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_a_set_stop_ends_the_loop_at_its_next_fleet_size(monkeypatch, cpus):
     """A loop whose stop is set raises CancelledError at its next fleet
-    size: before any search when set before the call, after the one
+    size: before any search when set before the call, even on the capacity
+    wall, which the loop reports without a search, and after the one
     running when set during it."""
     sc, algo = generate(GenConfig(n_sensors=40, n_edges=3, seed=7)), AlgoParams()
     assert ga_plan(sc, algo, GA_SMALL).m > fleet_start(sc)
@@ -890,6 +963,8 @@ def test_a_set_stop_ends_the_loop_at_its_next_fleet_size(monkeypatch, cpus):
     stop.set()
     with pytest.raises(CancelledError):
         ga_plan(sc, algo, GA_SMALL, stop=stop)
+    with pytest.raises(CancelledError):
+        ga_plan(_capacity_wall(), algo, GA_SMALL, stop=stop)
     assert sizes == []
     searched = []
 

@@ -588,7 +588,8 @@ def test_benchmark_tracer_reads_the_fleet_size_of_each_assignment(monkeypatch):
     """The benchmark's traced runs take the fleet size of each 2-opt call from
     the first argument of the edge assignment before it, so that argument
     must have one entry per cluster.  Here the loop routes one UAV, rejects
-    its route and accepts two; on the capacity wall every size fails its
+    its route and accepts two; on a capacity wall whose edges hold the
+    sensors' total demand, but no one sensor's, every size fails its
     overload repair before any route is built."""
     import importlib
     from pathlib import Path
@@ -603,7 +604,7 @@ def test_benchmark_tracer_reads_the_fleet_size_of_each_assignment(monkeypatch):
                           [(0.0, 0.0, 5000.0), (10000.0, 0.0, 5000.0)],
                           PhysicalParams(t_max_s=800.0))
     wall = build_scenario([(3000.0 + 200.0 * k, 0.0, 0, 1.0, 1e6) for k in range(3)],
-                          [(0.0, 0.0, 10.0)], PhysicalParams(m_max=3))
+                          [(0.0, 200.0 * k, 250.0) for k in range(4)], PhysicalParams(m_max=3))
     rec = tracer.Tracer()
     rec.install()
     try:
@@ -759,6 +760,13 @@ _oracle_calls = st.tuples(
 # sensors 54 and 60 are direct; every delivery falls back
 @example(call=(1, "own_cluster", 1e-5, 1, [(54, 5, 1), (60, 5, 1), (10, 5, 2), (11, 5, 2),
                                            (10, 6, 0), (12, 6, 3)]))
+# the third alert waits for UAV 1, relaunched at its 400 s return; UAV 0,
+# back at 610 s, is free again when the alert at 900 s comes
+@example(call=(0, "nearest", 0.8, 0, [(10, 0, 1), (11, 0, 1), (12, 0, 1), (13, 900, 1)]))
+# on the parked-UAV plan, UAV 0 takes sensor 1's alert at its 217 s return
+# and sensor 0's at its 421 s one, and is free again when the alert at 900 s
+# comes
+@example(call=(2, "own_cluster", 0.8, 0, [(0, 0, 3), (1, 0, 2), (0, 1, 0), (1, 900, 1)]))
 def test_simulate_equals_the_one_heap_oracle(oracle_cases, call):
     """Traces, impact and phases equal, bit for bit, the simulator that keeps
     every alert and return in one heap and tries a launch at every instant."""
@@ -769,6 +777,29 @@ def test_simulate_equals_the_one_heap_oracle(oracle_cases, call):
     algo = AlgoParams(seed=seed, theta_max=theta_max)
     got = simulate(pl, sc, events, _MEMO_HORIZON_S, algo, dispatch_policy=policy)
     assert repr(got) == repr(simulate_oracle(pl, sc, events, _MEMO_HORIZON_S, algo, policy))
+
+
+def test_the_resume_point_is_the_tours_position_at_the_resume_arc(oracle_cases):
+    """The point memoized with each (UAV, edge) pair's resume leg equals,
+    bit for bit, ``position_at_arc`` of its arc, where a UAV relaunched at
+    the instant it returns starts from: on every route of the oracle plans,
+    on a tour whose two distinct waypoints are 0 m apart (their squared
+    distance underflows), where that point is the second waypoint, not the
+    resume waypoint, and on a tour with no waypoint at all."""
+    from firewatch import emergency
+
+    states = [emergency._plan_state(pl, sc) for sc, pl in oracle_cases]
+    tours = emergency._PlanState.__new__(emergency._PlanState)
+    tours.geoms = [RouteGeometry(np.array([[5000.0, 0.0], [0.0, 0.0], [1e-170, 0.0]])),
+                   RouteGeometry(np.array([[5000.0, 0.0]]))]
+    tours.edge_xy, tours.resume = [[5000.0, 0.0], [0.0, 5000.0]], {}
+    for state in states + [tours]:
+        for u, geom in enumerate(state.geoms):
+            for e in range(len(state.edge_xy)):
+                _, arc, _, pos = state.resume_leg(u, e)
+                assert pos == geom.position_at_arc(arc), (u, e)
+    assert tours.resume[0, 0] == (0, 5000.0, 5000.0, (1e-170, 0.0))
+    assert tours.resume[1, 1] == (None, 0.0, math.hypot(5000.0, 5000.0), (5000.0, 0.0))
 
 
 # a pool of alert lists, (sensor id, whole-second alert time, priority), and

@@ -413,10 +413,11 @@ def simulate_oracle(plan, scenario, events, horizon_s: float, algo,
     keyed (time, rank, seq) with alerts at rank 0 ahead of returns at rank
     1, a launch attempt after every instant whether or not a UAV is free,
     the nearest-edge distance and the patrol position of the chosen UAV
-    worked out afresh at each dispatch, and the impact from
-    ``normal_impact_oracle``.  The route geometry, term columns and delivery
-    legs come from the simulator's own plan state, so a comparison checks
-    the event loop, the dispatch and the means only."""
+    worked out afresh at each dispatch, from the arc it last left and the
+    time since (no memoized point, not even at its return instant), and the
+    impact from ``normal_impact_oracle``.  The route geometry, term columns
+    and delivery legs come from the simulator's own plan state, so a
+    comparison checks the event loop, the dispatch and the means only."""
     own = dispatch_policy == "own_cluster"
     events = sorted(events, key=lambda e: e.alert_time_s)
     p = scenario.physical
@@ -434,6 +435,9 @@ def simulate_oracle(plan, scenario, events, horizon_s: float, algo,
     pending = [[] for _ in range(len(uavs) if own else 1)]
     traces, absences = {}, {j: [] for j in range(plan.m)}
 
+    def patrol_pos(uav, now):
+        return uav.geom.position_at_arc(uav.ref_arc + v * (now - uav.ref_time))
+
     def record(seq, ev, uav_id, eid, t_queue, t_disp, t_del, t_exe, widx, fb):
         sid = ev.sensor_id
         resp = t_queue + t_disp + tra_s[sid] + t_del + t_exe
@@ -445,7 +449,7 @@ def simulate_oracle(plan, scenario, events, horizon_s: float, algo,
         nonlocal free_seq
         uav, sid = uavs[uav_id], ev.sensor_id
         sx, sy = scenario.xy[sid].tolist()
-        px, py = uav.patrol_pos(now, v)
+        px, py = patrol_pos(uav, now)
         t_disp = math.hypot(px - sx, py - sy) / v
         eid, fb, t_del, t_exe = state.leg(sid, algo.theta_max)
         ex, ey = edge_xy[eid]
@@ -483,7 +487,7 @@ def simulate_oracle(plan, scenario, events, horizon_s: float, algo,
             key = min(tops)[1]
             _, seq, ev = heapq.heappop(pending[key])
             uav_id = key if own else _select_dispatch_uav_oracle(
-                [(i, u.patrol_pos(now, v)) for i, u in enumerate(uavs) if u.available],
+                [(i, patrol_pos(u, now)) for i, u in enumerate(uavs) if u.available],
                 scenario.xy[ev.sensor_id].tolist(), edge_xy)
             dispatch(seq, ev, uav_id, now)
 
